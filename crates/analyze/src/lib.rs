@@ -12,14 +12,16 @@
 //! | `unsafe-no-safety` | every source file | `unsafe` without a `// SAFETY:` comment on or above the line |
 //! | `as-cast` | codec/format files | narrowing `as` casts where `try_from` exists |
 //! | `pub-undocumented` | the facade `src/lib.rs` | top-level `pub` items without a doc comment |
+//! | `env-mutation` | every source *and test* file | `set_var(` / `remove_var(`: tests in one binary share the process environment |
 //!
 //! A finding is suppressed by a `// lint: allow(reason)` comment on the
 //! same line or the line above — the annotation *is* the justification and
 //! is what turns "panic in a hot path" into "documented invariant".
 //!
 //! Two structural conventions keep the scanner honest without a parser:
-//! test modules are file tails behind `#[cfg(test)]` (scanning stops
-//! there), and line comments/doc comments are skipped entirely.
+//! test modules are file tails behind `#[cfg(test)]` (only `env-mutation`
+//! looks past that line, and only it looks at integration-test files), and
+//! line comments/doc comments are skipped entirely.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -60,6 +62,9 @@ pub struct FileClass {
     /// reintroduce panic-by-policy here (`unwrap`/`expect` stay
     /// suppressible for poisoned-lock handling).
     pub read_path: bool,
+    /// An integration-test file (`tests/`, `crates/*/tests/`): test code
+    /// from its first line, so only `env-mutation` applies.
+    pub test_file: bool,
 }
 
 /// Files on the query/page hot path (see `ARCHITECTURE.md`).
@@ -105,6 +110,7 @@ pub fn classify(rel_path: &str) -> FileClass {
         codec: CODEC_PATHS.contains(&rel_path),
         facade: rel_path == "src/lib.rs",
         read_path: READ_PATHS.contains(&rel_path),
+        test_file: rel_path.starts_with("tests/") || rel_path.contains("/tests/"),
     }
 }
 
@@ -211,14 +217,13 @@ fn narrowing_cast(line: &str) -> Option<&'static str> {
 pub fn scan_source(rel_path: &str, source: &str, class: FileClass) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut prev_lines: Vec<&str> = Vec::new();
+    let mut in_tests = class.test_file;
     for (idx, raw) in source.lines().enumerate() {
         let lineno = idx + 1;
         let trimmed = raw.trim_start();
         // House style: the test module is the file's tail. Nothing after
-        // it is shipped code, so the scan stops.
-        if trimmed.starts_with("#[cfg(test)]") {
-            break;
-        }
+        // it is shipped code, so only the test-facing rule keeps looking.
+        in_tests |= trimmed.starts_with("#[cfg(test)]");
         let is_comment = trimmed.starts_with("//");
         // Suppressed if the annotation is inline, or anywhere in the
         // contiguous comment block directly above (justifications are
@@ -237,6 +242,21 @@ pub fn scan_source(rel_path: &str, source: &str, class: FileClass) -> Vec<Findin
             found
         };
         let line = blank_strings(raw);
+        if !is_comment && !allowed && (line.contains("set_var(") || line.contains("remove_var(")) {
+            findings.push(Finding {
+                file: rel_path.to_owned(),
+                line: lineno,
+                rule: "env-mutation",
+                msg: "mutating the process environment: tests in one binary run \
+                      concurrently and every `from_env` reader sees the write — drive the \
+                      pure `from_vars` body with an explicit lookup instead"
+                    .into(),
+            });
+        }
+        if in_tests {
+            prev_lines.push(raw);
+            continue;
+        }
         if !is_comment && class.read_path {
             let panicking = ["panic!(", "unreachable!(", "todo!(", "unimplemented!("]
                 .iter()
@@ -368,19 +388,20 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Scan the whole workspace rooted at `root`: every crate under `crates/`
-/// plus the facade `src/`. Vendored stand-ins and build output are out of
+/// plus the facade `src/`, and their integration tests (for
+/// `env-mutation` only). Vendored stand-ins and build output are out of
 /// scope. Returns all findings, sorted by file then line.
 pub fn scan_workspace(root: &Path) -> Result<(usize, Vec<Finding>), String> {
     let mut files = Vec::new();
     let crates = root.join("crates");
-    let mut roots: Vec<PathBuf> = vec![root.join("src")];
+    let mut roots: Vec<PathBuf> = vec![root.join("src"), root.join("tests")];
     let mut crate_dirs: Vec<_> = std::fs::read_dir(&crates)
         .map_err(|e| format!("read {}: {e}", crates.display()))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.is_dir())
         .collect();
     crate_dirs.sort();
-    roots.extend(crate_dirs.into_iter().map(|d| d.join("src")));
+    roots.extend(crate_dirs.into_iter().flat_map(|d| [d.join("src"), d.join("tests")]));
     for r in roots {
         if r.is_dir() {
             rs_files(&r, &mut files).map_err(|e| format!("walk {}: {e}", r.display()))?;
@@ -549,6 +570,27 @@ mod tests {
     }
 
     #[test]
+    fn env_mutation_is_flagged_in_shipped_and_test_code() {
+        let test_file = classify("crates/core/tests/pushdown_env.rs");
+        assert!(test_file.test_file && classify("tests/engine_smoke.rs").test_file);
+        assert!(!classify("crates/core/src/driver.rs").test_file);
+        for src in ["std::env::set_var(\"GFCL_THREADS\", \"4\");", "env::remove_var(name);"] {
+            assert_eq!(rules(src, FileClass::default()), vec!["env-mutation"], "{src}");
+            assert_eq!(rules(src, test_file), vec!["env-mutation"], "{src}");
+            // The rule follows shipped files into their test-module tail...
+            let tail = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n    {src}\n}}\n");
+            assert_eq!(rules(&tail, hot()), vec!["env-mutation"], "{src}");
+        }
+        // ...where, as in test files, it is the only rule that applies.
+        assert!(rules("let x = v[i + 1].unwrap();", FileClass { hot_path: true, ..test_file })
+            .is_empty());
+        // Reading the environment, and naming the calls in text, is fine.
+        assert!(rules("let v = std::env::var(\"GFCL_THREADS\");", test_file).is_empty());
+        assert!(rules("// never call set_var( here", test_file).is_empty());
+        assert!(rules("let m = \"set_var(\";", test_file).is_empty());
+    }
+
+    #[test]
     fn classify_matches_the_rule_scopes() {
         assert!(classify("crates/core/src/exec.rs").hot_path);
         assert!(classify("crates/columnar/src/paged.rs").hot_path);
@@ -566,5 +608,6 @@ mod tests {
         assert!(!classify("crates/storage/src/format.rs").read_path);
         assert!(classify("src/lib.rs").facade);
         assert_eq!(classify("crates/core/src/plan.rs"), FileClass::default());
+        assert!(classify("crates/workloads/tests/chaos.rs").test_file);
     }
 }

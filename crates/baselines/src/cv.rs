@@ -4,62 +4,17 @@
 
 use std::sync::Arc;
 
-use gfcl_common::{Direction, LabelId, Result, Value};
+use gfcl_common::Result;
 use gfcl_core::engine::{Engine, QueryOutput};
 use gfcl_core::plan::LogicalPlan;
-use gfcl_storage::{AdjIndex, Catalog, ColumnarGraph, DeltaSnapshot, GraphSnapshot};
+use gfcl_storage::{Catalog, ColumnarGraph, DeltaSnapshot, GraphSnapshot, GraphView};
 
-use crate::volcano::{self, AdjList, DeltaOverlay, EdgeSlot, VolcanoStorage};
-
-/// Columnar-store adapter for the Volcano executor.
-struct CvStore<'g> {
-    g: &'g ColumnarGraph,
-}
-
-impl VolcanoStorage for CvStore<'_> {
-    fn catalog(&self) -> &Catalog {
-        self.g.catalog()
-    }
-
-    fn vertex_count(&self, label: LabelId) -> usize {
-        self.g.vertex_count(label)
-    }
-
-    fn lookup_pk(&self, label: LabelId, key: i64) -> Option<u64> {
-        self.g.lookup_pk(label, key)
-    }
-
-    fn adj_list(&self, elabel: LabelId, dir: Direction, from: u64) -> AdjList {
-        match self.g.adj(elabel, dir) {
-            AdjIndex::Csr(c) => {
-                let (start, len) = c.list(from);
-                AdjList::Csr { start, len: len as u64 }
-            }
-            AdjIndex::SingleCard(s) => AdjList::Single(s.nbr(from)),
-        }
-    }
-
-    fn csr_entry(&self, elabel: LabelId, dir: Direction, pos: u64) -> (u64, u64) {
-        let csr = self.g.adj(elabel, dir).as_csr().expect("csr_entry on CSR adjacency");
-        // The edge token is the CSR position; property reads resolve it
-        // through the same EdgePropRead machinery as the LBP — but one
-        // value at a time, copied into the tuple.
-        (csr.nbr_at(pos), pos)
-    }
-
-    fn vertex_prop(&self, label: LabelId, off: u64, prop: usize) -> Value {
-        self.g.vertex_prop(label, prop).value(off as usize)
-    }
-
-    fn edge_prop(&self, elabel: LabelId, dir: Direction, slot: EdgeSlot, prop: usize) -> Value {
-        self.g.read_edge_prop(elabel, dir, slot.from, slot.token, prop).unwrap_or(Value::Null)
-    }
-}
+use crate::{in_fault_domain, volcano};
 
 /// GF-CV: Columnar storage, Volcano-style processor.
 pub struct GfCvEngine {
     graph: Arc<ColumnarGraph>,
-    /// Delta overlay when executing against a mutable-store snapshot.
+    /// The delta to overlay when executing against a mutable-store snapshot.
     delta: Option<Arc<DeltaSnapshot>>,
 }
 
@@ -71,11 +26,7 @@ impl GfCvEngine {
     /// Engine over one MVCC snapshot of a mutable `GraphStore`: queries
     /// observe `(baseline ⊎ delta) ∖ tombstones` as of the snapshot epoch.
     pub fn with_snapshot(snapshot: &GraphSnapshot) -> Self {
-        let delta = snapshot.delta();
-        GfCvEngine {
-            graph: Arc::clone(snapshot.base()),
-            delta: (!delta.is_empty()).then(|| Arc::clone(delta)),
-        }
+        GfCvEngine { graph: Arc::clone(snapshot.base()), delta: Some(Arc::clone(snapshot.delta())) }
     }
 
     pub fn graph(&self) -> &ColumnarGraph {
@@ -93,18 +44,7 @@ impl Engine for GfCvEngine {
     }
 
     fn run_plan(&self, plan: &LogicalPlan) -> Result<QueryOutput> {
-        // Per-query fault domain: a failed page read during execution
-        // surfaces as this query's storage error (checked before the
-        // result is published, so a placeholder page can't leak into it)
-        // instead of a process panic.
-        let token = Arc::new(gfcl_common::CancelToken::new());
-        let _scope = gfcl_common::fault_scope(&token);
-        let store = CvStore { g: &self.graph };
-        let out = match &self.delta {
-            Some(d) => volcano::execute(&DeltaOverlay::new(store, d), plan),
-            None => volcano::execute(&store, plan),
-        }?;
-        token.check()?;
-        Ok(out)
+        let view = GraphView::new(&*self.graph, self.delta.as_deref());
+        in_fault_domain(|| volcano::execute(view, plan))
     }
 }

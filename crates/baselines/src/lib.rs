@@ -20,3 +20,17 @@ pub mod volcano;
 pub use cv::GfCvEngine;
 pub use relational::RelEngine;
 pub use rv::GfRvEngine;
+
+/// Run one query body inside its own fault domain, as every engine does: a
+/// failed page read during execution surfaces as this query's storage error
+/// — checked before the result is published, so a placeholder page cannot
+/// leak into it — instead of a process panic. (GF-RV is fully resident, but
+/// runs here too so the chaos suite's "clean result or clean error"
+/// contract is uniform.)
+fn in_fault_domain<T>(body: impl FnOnce() -> gfcl_common::Result<T>) -> gfcl_common::Result<T> {
+    let token = std::sync::Arc::new(gfcl_common::CancelToken::new());
+    let _scope = gfcl_common::fault_scope(&token);
+    let out = body()?;
+    token.check()?;
+    Ok(out)
+}

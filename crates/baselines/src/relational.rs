@@ -23,10 +23,10 @@ use gfcl_common::{Direction, Error, LabelId, Result, Value};
 use gfcl_core::agg::{self, GroupTable};
 use gfcl_core::engine::{Engine, QueryOutput};
 use gfcl_core::plan::{LogicalPlan, PlanReturn, PlanStep};
-use gfcl_storage::{base_edge_ref, delta_edge_ref, edge_ref_index, is_delta_edge_ref};
-use gfcl_storage::{AdjIndex, Catalog, ColumnarGraph, DeltaSnapshot, GraphSnapshot};
+use gfcl_storage::{Catalog, ColumnarGraph, DeltaSnapshot, GraphSnapshot, GraphView};
 
 use crate::eval::holds;
+use crate::in_fault_domain;
 
 /// Flat columnar intermediate result.
 struct Inter {
@@ -40,7 +40,8 @@ struct Inter {
 struct EdgeCols {
     dir: Direction,
     from: Vec<u64>,
-    token: Vec<Option<u64>>,
+    /// The view's edge-reference tags.
+    tag: Vec<u64>,
 }
 
 impl Inter {
@@ -60,7 +61,7 @@ impl Inter {
         }
         for ec in self.edges.iter_mut().flatten() {
             ec.from = keep.iter().map(|&i| ec.from[i]).collect();
-            ec.token = keep.iter().map(|&i| ec.token[i]).collect();
+            ec.tag = keep.iter().map(|&i| ec.tag[i]).collect();
         }
         for col in self.slots.iter_mut().flatten() {
             *col = keep.iter().map(|&i| col[i].clone()).collect();
@@ -72,7 +73,7 @@ impl Inter {
 /// The relational engine over columnar tables.
 pub struct RelEngine {
     graph: Arc<ColumnarGraph>,
-    /// Delta overlay when executing against a mutable-store snapshot.
+    /// The delta to overlay when executing against a mutable-store snapshot.
     delta: Option<Arc<DeltaSnapshot>>,
 }
 
@@ -81,135 +82,29 @@ impl RelEngine {
         RelEngine { graph, delta: None }
     }
 
-    /// Engine over one MVCC snapshot of a mutable `GraphStore`: the edge
-    /// tables it scans are `(baseline ⊎ delta) ∖ tombstones`, with edge
-    /// tokens carrying the shared tag scheme of `gfcl_storage::store` when
-    /// a delta is present.
+    /// Engine over one MVCC snapshot of a mutable `GraphStore`: the vertex
+    /// and edge tables it scans are `(baseline ⊎ delta) ∖ tombstones`.
     pub fn with_snapshot(snapshot: &GraphSnapshot) -> Self {
-        let delta = snapshot.delta();
-        RelEngine {
-            graph: Arc::clone(snapshot.base()),
-            delta: (!delta.is_empty()).then(|| Arc::clone(delta)),
-        }
+        RelEngine { graph: Arc::clone(snapshot.base()), delta: Some(Arc::clone(snapshot.delta())) }
     }
+}
 
-    /// Effective vertex-table length: baseline rows plus delta slots.
-    fn table_len(&self, label: LabelId) -> u64 {
-        let n = self.graph.vertex_count(label) as u64;
-        n + self.delta.as_ref().map_or(0, |d| d.delta_slots(label))
+/// Scan the full edge table of `(elabel, dir)` into a hash table keyed by
+/// the `dir`-side endpoint. This is the per-join full-table-scan cost that
+/// adjacency indexes avoid.
+fn build_edge_hash(
+    view: GraphView<'_>,
+    elabel: LabelId,
+    dir: Direction,
+) -> HashMap<u64, Vec<(u64, u64)>> {
+    let from_label = view.base().catalog().edge_label(elabel).from_label(dir);
+    let mut table: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
+    for v in 0..view.scan_total(from_label) {
+        view.for_each_live_edge(elabel, dir, v, |nbr, tag| {
+            table.entry(v).or_default().push((nbr, tag));
+        });
     }
-
-    fn vertex_live(&self, label: LabelId, off: u64) -> bool {
-        let n_base = self.graph.vertex_count(label) as u64;
-        match &self.delta {
-            None => off < n_base,
-            Some(d) => {
-                if off < n_base {
-                    !d.vertex_tombed(label, off)
-                } else {
-                    d.delta_row(label, off - n_base).is_some()
-                }
-            }
-        }
-    }
-
-    /// Effective property value of a (live) vertex-table row.
-    fn vertex_value(&self, label: LabelId, off: u64, prop: usize) -> Value {
-        let n_base = self.graph.vertex_count(label) as u64;
-        if off < n_base {
-            if let Some(row) = self.delta.as_ref().and_then(|d| d.updated_row(label, off)) {
-                return row[prop].clone();
-            }
-            self.graph.vertex_prop(label, prop).value(off as usize)
-        } else {
-            match self.delta.as_ref().and_then(|d| d.delta_row(label, off - n_base)) {
-                Some(row) => row[prop].clone(),
-                None => Value::Null,
-            }
-        }
-    }
-
-    /// Scan the full edge table of `(elabel, dir)` into a hash table keyed
-    /// by the `dir`-side endpoint. This is the per-join full-table-scan
-    /// cost that adjacency indexes avoid. Under a delta, tombstoned edges
-    /// are dropped (occurrence-counted against duplicate neighbours) and
-    /// delta edges appended, with tagged tokens.
-    fn build_edge_hash(
-        &self,
-        elabel: LabelId,
-        dir: Direction,
-    ) -> HashMap<u64, Vec<(u64, Option<u64>)>> {
-        let g = &self.graph;
-        let from_label = g.catalog().edge_label(elabel).from_label(dir);
-        let n_from = g.vertex_count(from_label) as u64;
-        let delta = self.delta.as_deref();
-        let tombed = |from: u64, nbr: u64, occ: u32| {
-            let (s, d) = if dir == Direction::Fwd { (from, nbr) } else { (nbr, from) };
-            delta.is_some_and(|del| del.edge_tombed(elabel, s, d, occ))
-        };
-        let tag = |pos: u64| if delta.is_some() { Some(base_edge_ref(pos)) } else { Some(pos) };
-        let mut table: HashMap<u64, Vec<(u64, Option<u64>)>> = HashMap::new();
-        match g.adj(elabel, dir) {
-            AdjIndex::Csr(csr) => {
-                for v in 0..n_from {
-                    let mut seen: HashMap<u64, u32> = HashMap::new();
-                    for (pos, nbr) in csr.iter_list(v) {
-                        let occ = seen.entry(nbr).or_insert(0);
-                        if !tombed(v, nbr, *occ) {
-                            table.entry(v).or_default().push((nbr, tag(pos)));
-                        }
-                        *occ += 1;
-                    }
-                }
-            }
-            AdjIndex::SingleCard(s) => {
-                for v in 0..n_from {
-                    if let Some(nbr) = s.nbr(v) {
-                        if !tombed(v, nbr, 0) {
-                            table.entry(v).or_default().push((nbr, None));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(d) = delta {
-            for v in 0..self.table_len(from_label) {
-                for &idx in d.delta_edges_from(elabel, dir, v) {
-                    let e = d.delta_edge(elabel, idx);
-                    let nbr = if dir == Direction::Fwd { e.dst } else { e.src };
-                    table.entry(v).or_default().push((nbr, Some(delta_edge_ref(idx))));
-                }
-            }
-        }
-        table
-    }
-
-    /// Read one edge property through a probe-table token.
-    fn edge_value(
-        &self,
-        elabel: LabelId,
-        dir: Direction,
-        from: u64,
-        token: Option<u64>,
-        prop: usize,
-    ) -> Value {
-        let Some(d) = self.delta.as_deref() else {
-            return self
-                .graph
-                .read_edge_prop(elabel, dir, from, token, prop)
-                .unwrap_or(Value::Null);
-        };
-        match token {
-            None => self.graph.read_edge_prop(elabel, dir, from, None, prop).unwrap_or(Value::Null),
-            Some(t) if is_delta_edge_ref(t) => {
-                d.delta_edge(elabel, edge_ref_index(t)).props[prop].clone()
-            }
-            Some(t) => self
-                .graph
-                .read_edge_prop(elabel, dir, from, Some(edge_ref_index(t)), prop)
-                .unwrap_or(Value::Null),
-        }
-    }
+    table
 }
 
 impl Engine for RelEngine {
@@ -222,198 +117,180 @@ impl Engine for RelEngine {
     }
 
     fn run_plan(&self, plan: &LogicalPlan) -> Result<QueryOutput> {
-        // Per-query fault domain: a failed page read during execution
-        // surfaces as this query's storage error (checked before the
-        // result is published, so a placeholder page can't leak into it)
-        // instead of a process panic.
-        let token = Arc::new(gfcl_common::CancelToken::new());
-        let _scope = gfcl_common::fault_scope(&token);
-        let out = self.drive(plan)?;
-        token.check()?;
-        Ok(out)
+        let view = GraphView::new(&*self.graph, self.delta.as_deref());
+        in_fault_domain(|| drive(view, plan))
     }
 }
 
-impl RelEngine {
-    /// The execution body of [`Engine::run_plan`], run inside the
-    /// per-query fault scope the trait method installs.
-    fn drive(&self, plan: &LogicalPlan) -> Result<QueryOutput> {
-        let g = &self.graph;
-        let mut it = Inter::new(plan);
+/// The execution body of [`Engine::run_plan`].
+fn drive(view: GraphView<'_>, plan: &LogicalPlan) -> Result<QueryOutput> {
+    let mut it = Inter::new(plan);
 
-        for step in &plan.steps {
-            match step {
-                PlanStep::ScanAll { node, pushed } => {
-                    let label = plan.nodes[*node].label;
-                    // Naive pushdown: filter the vertex-table scan with the
-                    // pushed predicates, reading properties straight from
-                    // the columns (a relational scan-with-predicate).
-                    let prop_of_slot = crate::eval::scan_prop_map(&plan.slots, *node);
-                    let col: Vec<u64> = (0..self.table_len(label))
-                        .filter(|&v| {
-                            self.vertex_live(label, v)
-                                && pushed.iter().all(|e| {
-                                    holds(e, &|slot| {
-                                        self.vertex_value(label, v, prop_of_slot[slot])
-                                    })
-                                })
-                        })
-                        .collect();
-                    it.n = col.len();
-                    it.nodes[*node] = Some(col);
-                }
-                PlanStep::ScanPk { node, key } => {
-                    // No index: scan the vertex table comparing keys.
-                    let label = plan.nodes[*node].label;
-                    let pk_prop = g
-                        .catalog()
-                        .vertex_label(label)
-                        .primary_key
-                        .ok_or_else(|| Error::Plan("pk seek without pk".into()))?;
-                    let matches: Vec<u64> = (0..self.table_len(label))
-                        .filter(|&v| {
-                            self.vertex_live(label, v)
-                                && self.vertex_value(label, v, pk_prop) == Value::Int64(*key)
-                        })
-                        .collect();
-                    it.n = matches.len();
-                    it.nodes[*node] = Some(matches);
-                }
-                PlanStep::Extend { edge, edge_label, dir, from, to, .. } => {
-                    let hash = self.build_edge_hash(*edge_label, *dir);
-                    let probe = it.nodes[*from]
-                        .as_ref()
-                        .ok_or_else(|| Error::Plan("unbound from".into()))?;
-                    // Probe: one output row per (input row, matching edge).
-                    let mut keep: Vec<usize> = Vec::new();
-                    let mut nbrs: Vec<u64> = Vec::new();
-                    let mut froms: Vec<u64> = Vec::new();
-                    let mut tokens: Vec<Option<u64>> = Vec::new();
-                    for (row, &v) in probe.iter().enumerate() {
-                        if let Some(matches) = hash.get(&v) {
-                            for &(nbr, token) in matches {
-                                keep.push(row);
-                                nbrs.push(nbr);
-                                froms.push(v);
-                                tokens.push(token);
-                            }
+    for step in &plan.steps {
+        match step {
+            PlanStep::ScanAll { node, pushed } => {
+                let label = plan.nodes[*node].label;
+                // Naive pushdown: filter the vertex-table scan with the
+                // pushed predicates, reading properties straight from
+                // the columns (a relational scan-with-predicate).
+                let prop_of_slot = crate::eval::scan_prop_map(&plan.slots, *node);
+                let col: Vec<u64> = (0..view.scan_total(label))
+                    .filter(|&v| {
+                        view.vertex_live(label, v)
+                            && pushed.iter().all(|e| {
+                                holds(e, &|slot| view.vertex_value(label, v, prop_of_slot[slot]))
+                            })
+                    })
+                    .collect();
+                it.n = col.len();
+                it.nodes[*node] = Some(col);
+            }
+            PlanStep::ScanPk { node, key } => {
+                // No index: scan the vertex table comparing keys.
+                let label = plan.nodes[*node].label;
+                let pk_prop = view
+                    .base()
+                    .catalog()
+                    .vertex_label(label)
+                    .primary_key
+                    .ok_or_else(|| Error::Plan("pk seek without pk".into()))?;
+                let matches: Vec<u64> = (0..view.scan_total(label))
+                    .filter(|&v| {
+                        view.vertex_live(label, v)
+                            && view.vertex_value(label, v, pk_prop) == Value::Int64(*key)
+                    })
+                    .collect();
+                it.n = matches.len();
+                it.nodes[*node] = Some(matches);
+            }
+            PlanStep::Extend { edge, edge_label, dir, from, to, .. } => {
+                let hash = build_edge_hash(view, *edge_label, *dir);
+                let probe =
+                    it.nodes[*from].as_ref().ok_or_else(|| Error::Plan("unbound from".into()))?;
+                // Probe: one output row per (input row, matching edge).
+                let mut keep: Vec<usize> = Vec::new();
+                let mut nbrs: Vec<u64> = Vec::new();
+                let mut froms: Vec<u64> = Vec::new();
+                let mut tags: Vec<u64> = Vec::new();
+                for (row, &v) in probe.iter().enumerate() {
+                    if let Some(matches) = hash.get(&v) {
+                        for &(nbr, tag) in matches {
+                            keep.push(row);
+                            nbrs.push(nbr);
+                            froms.push(v);
+                            tags.push(tag);
                         }
                     }
-                    it.gather(&keep);
-                    it.nodes[*to] = Some(nbrs);
-                    it.edges[*edge] = Some(EdgeCols { dir: *dir, from: froms, token: tokens });
                 }
-                PlanStep::NodeProp { node, prop, slot } => {
-                    let label = plan.nodes[*node].label;
-                    let offs = it.nodes[*node]
-                        .as_ref()
-                        .ok_or_else(|| Error::Plan("unbound node".into()))?;
-                    it.slots[*slot] =
-                        Some(offs.iter().map(|&v| self.vertex_value(label, v, *prop)).collect());
+                it.gather(&keep);
+                it.nodes[*to] = Some(nbrs);
+                it.edges[*edge] = Some(EdgeCols { dir: *dir, from: froms, tag: tags });
+            }
+            PlanStep::NodeProp { node, prop, slot } => {
+                let label = plan.nodes[*node].label;
+                let offs =
+                    it.nodes[*node].as_ref().ok_or_else(|| Error::Plan("unbound node".into()))?;
+                it.slots[*slot] =
+                    Some(offs.iter().map(|&v| view.vertex_value(label, v, *prop)).collect());
+            }
+            PlanStep::EdgeProp { edge, prop, slot } => {
+                let elabel = plan.edges[*edge].label;
+                let ec =
+                    it.edges[*edge].as_ref().ok_or_else(|| Error::Plan("unbound edge".into()))?;
+                let mut vals = Vec::with_capacity(it.n);
+                for i in 0..it.n {
+                    vals.push(view.edge_value(elabel, ec.dir, ec.from[i], ec.tag[i], *prop)?);
                 }
-                PlanStep::EdgeProp { edge, prop, slot } => {
-                    let elabel = plan.edges[*edge].label;
-                    let ec = it.edges[*edge]
-                        .as_ref()
-                        .ok_or_else(|| Error::Plan("unbound edge".into()))?;
-                    let mut vals = Vec::with_capacity(it.n);
-                    for i in 0..it.n {
-                        vals.push(self.edge_value(elabel, ec.dir, ec.from[i], ec.token[i], *prop));
+                it.slots[*slot] = Some(vals);
+            }
+            PlanStep::Filter { expr } => {
+                let mut keep = Vec::with_capacity(it.n);
+                for i in 0..it.n {
+                    let slots = &it.slots;
+                    let read = |s: usize| -> Value {
+                        slots[s].as_ref().map_or(Value::Null, |c| c[i].clone())
+                    };
+                    if holds(expr, &read) {
+                        keep.push(i);
                     }
-                    it.slots[*slot] = Some(vals);
                 }
-                PlanStep::Filter { expr } => {
-                    let mut keep = Vec::with_capacity(it.n);
-                    for i in 0..it.n {
-                        let slots = &it.slots;
-                        let read = |s: usize| -> Value {
-                            slots[s].as_ref().map_or(Value::Null, |c| c[i].clone())
-                        };
-                        if holds(expr, &read) {
-                            keep.push(i);
-                        }
-                    }
-                    it.gather(&keep);
-                }
+                it.gather(&keep);
             }
         }
+    }
 
-        match &plan.ret {
-            PlanReturn::CountStar => Ok(QueryOutput::Count(it.n as u64)),
-            PlanReturn::Props(slots) => {
-                let mut rows = Vec::with_capacity(it.n);
-                for i in 0..it.n {
-                    rows.push(
-                        slots
-                            .iter()
-                            .map(|&s| it.slots[s].as_ref().map_or(Value::Null, |c| c[i].clone()))
-                            .collect(),
-                    );
-                }
-                let rows = agg::finalize_rows(plan, rows);
-                Ok(QueryOutput::Rows { header: plan.header.clone(), rows })
+    match &plan.ret {
+        PlanReturn::CountStar => Ok(QueryOutput::Count(it.n as u64)),
+        PlanReturn::Props(slots) => {
+            let mut rows = Vec::with_capacity(it.n);
+            for i in 0..it.n {
+                rows.push(
+                    slots
+                        .iter()
+                        .map(|&s| it.slots[s].as_ref().map_or(Value::Null, |c| c[i].clone()))
+                        .collect(),
+                );
             }
-            PlanReturn::GroupBy { keys, aggs } => {
-                // Fold the flat materialized intermediate row-by-row into
-                // the shared group table (hash-aggregate analog).
-                let read = |s: usize, i: usize| -> Value {
-                    it.slots[s].as_ref().map_or(Value::Null, |c| c[i].clone())
-                };
-                let mut table = GroupTable::new(aggs);
-                for i in 0..it.n {
-                    let key: Vec<Value> = keys.iter().map(|&s| read(s, i)).collect();
-                    let vals: Vec<Option<Value>> =
-                        aggs.iter().map(|a| a.slot.map(|s| read(s, i))).collect();
-                    table.add_tuple(key, &vals);
-                }
-                Ok(table.into_output(plan))
+            let rows = agg::finalize_rows(plan, rows);
+            Ok(QueryOutput::Rows { header: plan.header.clone(), rows })
+        }
+        PlanReturn::GroupBy { keys, aggs } => {
+            // Fold the flat materialized intermediate row-by-row into
+            // the shared group table (hash-aggregate analog).
+            let read = |s: usize, i: usize| -> Value {
+                it.slots[s].as_ref().map_or(Value::Null, |c| c[i].clone())
+            };
+            let mut table = GroupTable::new(aggs);
+            for i in 0..it.n {
+                let key: Vec<Value> = keys.iter().map(|&s| read(s, i)).collect();
+                let vals: Vec<Option<Value>> =
+                    aggs.iter().map(|a| a.slot.map(|s| read(s, i))).collect();
+                table.add_tuple(key, &vals);
             }
-            PlanReturn::Sum(slot) => {
-                let col = it.slots[*slot].as_ref().ok_or_else(|| Error::Plan("unfilled".into()))?;
-                let mut sum_i: i128 = 0;
-                let mut sum_f = 0.0f64;
-                let mut float = false;
-                for v in col {
-                    match v {
-                        Value::Int64(x) | Value::Date(x) => sum_i += *x as i128,
-                        Value::Float64(x) => {
-                            float = true;
-                            sum_f += x;
+            Ok(table.into_output(plan))
+        }
+        PlanReturn::Sum(slot) => {
+            let col = it.slots[*slot].as_ref().ok_or_else(|| Error::Plan("unfilled".into()))?;
+            let mut sum_i: i128 = 0;
+            let mut sum_f = 0.0f64;
+            let mut float = false;
+            for v in col {
+                match v {
+                    Value::Int64(x) | Value::Date(x) => sum_i += *x as i128,
+                    Value::Float64(x) => {
+                        float = true;
+                        sum_f += x;
+                    }
+                    _ => {}
+                }
+            }
+            let value =
+                if float { Value::Float64(sum_f) } else { Value::Int64(agg::clamp_i128(sum_i)) };
+            Ok(QueryOutput::Agg { name: plan.header[0].clone(), value })
+        }
+        PlanReturn::Min(slot) | PlanReturn::Max(slot) => {
+            let want_min = matches!(plan.ret, PlanReturn::Min(_));
+            let col = it.slots[*slot].as_ref().ok_or_else(|| Error::Plan("unfilled".into()))?;
+            let mut best = Value::Null;
+            for v in col {
+                if v.is_null() {
+                    continue;
+                }
+                let replace = match best.compare(v) {
+                    None => best.is_null(),
+                    Some(ord) => {
+                        if want_min {
+                            ord == std::cmp::Ordering::Greater
+                        } else {
+                            ord == std::cmp::Ordering::Less
                         }
-                        _ => {}
                     }
-                }
-                let value = if float {
-                    Value::Float64(sum_f)
-                } else {
-                    Value::Int64(agg::clamp_i128(sum_i))
                 };
-                Ok(QueryOutput::Agg { name: plan.header[0].clone(), value })
-            }
-            PlanReturn::Min(slot) | PlanReturn::Max(slot) => {
-                let want_min = matches!(plan.ret, PlanReturn::Min(_));
-                let col = it.slots[*slot].as_ref().ok_or_else(|| Error::Plan("unfilled".into()))?;
-                let mut best = Value::Null;
-                for v in col {
-                    if v.is_null() {
-                        continue;
-                    }
-                    let replace = match best.compare(v) {
-                        None => best.is_null(),
-                        Some(ord) => {
-                            if want_min {
-                                ord == std::cmp::Ordering::Greater
-                            } else {
-                                ord == std::cmp::Ordering::Less
-                            }
-                        }
-                    };
-                    if replace {
-                        best = v.clone();
-                    }
+                if replace {
+                    best = v.clone();
                 }
-                Ok(QueryOutput::Agg { name: plan.header[0].clone(), value: best })
             }
+            Ok(QueryOutput::Agg { name: plan.header[0].clone(), value: best })
         }
     }
 }

@@ -3,58 +3,17 @@
 
 use std::sync::Arc;
 
-use gfcl_common::{Direction, LabelId, Result, Value};
+use gfcl_common::Result;
 use gfcl_core::engine::{Engine, QueryOutput};
 use gfcl_core::plan::LogicalPlan;
-use gfcl_storage::{Catalog, DeltaSnapshot, GraphSnapshot, RowGraph};
+use gfcl_storage::{Catalog, DeltaSnapshot, GraphSnapshot, GraphView, RowGraph};
 
-use crate::volcano::{self, AdjList, DeltaOverlay, EdgeSlot, VolcanoStorage};
-
-/// Row-store adapter for the Volcano executor.
-struct RvStore<'g> {
-    g: &'g RowGraph,
-}
-
-impl VolcanoStorage for RvStore<'_> {
-    fn catalog(&self) -> &Catalog {
-        self.g.catalog()
-    }
-
-    fn vertex_count(&self, label: LabelId) -> usize {
-        self.g.vertex_count(label)
-    }
-
-    fn lookup_pk(&self, label: LabelId, key: i64) -> Option<u64> {
-        self.g.lookup_pk(label, key)
-    }
-
-    fn adj_list(&self, elabel: LabelId, dir: Direction, from: u64) -> AdjList {
-        // GF-RV stores every label in CSRs — no vertex-column shortcut.
-        let (start, len) = self.g.adj(elabel, dir).list(from);
-        AdjList::Csr { start, len: len as u64 }
-    }
-
-    fn csr_entry(&self, elabel: LabelId, dir: Direction, pos: u64) -> (u64, u64) {
-        let (edge_id, nbr_global) = self.g.adj(elabel, dir).pair_at(pos);
-        // 8-byte global IDs are converted back to label offsets on use.
-        let nbr_label = self.g.catalog().edge_label(elabel).nbr_label(dir);
-        (self.g.offset_of_global(nbr_label, nbr_global), edge_id)
-    }
-
-    fn vertex_prop(&self, label: LabelId, off: u64, prop: usize) -> Value {
-        self.g.read_vertex_prop(label, off, prop)
-    }
-
-    fn edge_prop(&self, elabel: LabelId, _dir: Direction, slot: EdgeSlot, prop: usize) -> Value {
-        let edge_id = slot.token.expect("GF-RV always stores edge IDs");
-        self.g.read_edge_prop(elabel, edge_id, prop)
-    }
-}
+use crate::{in_fault_domain, volcano};
 
 /// GF-RV: Row-oriented storage, Volcano-style processor.
 pub struct GfRvEngine {
     graph: Arc<RowGraph>,
-    /// Delta overlay when executing against a mutable-store snapshot.
+    /// The delta to overlay when executing against a mutable-store snapshot.
     delta: Option<Arc<DeltaSnapshot>>,
 }
 
@@ -68,8 +27,7 @@ impl GfRvEngine {
     /// per-label vertex offsets then agree with the columnar baseline the
     /// delta was recorded against, so the overlay applies unchanged.
     pub fn with_snapshot(graph: Arc<RowGraph>, snapshot: &GraphSnapshot) -> Self {
-        let delta = snapshot.delta();
-        GfRvEngine { graph, delta: (!delta.is_empty()).then(|| Arc::clone(delta)) }
+        GfRvEngine { graph, delta: Some(Arc::clone(snapshot.delta())) }
     }
 
     pub fn graph(&self) -> &RowGraph {
@@ -87,17 +45,7 @@ impl Engine for GfRvEngine {
     }
 
     fn run_plan(&self, plan: &LogicalPlan) -> Result<QueryOutput> {
-        // GF-RV is fully resident (no demand paging), but runs inside a
-        // fault domain like every other engine so the chaos suite's
-        // "clean result or clean error" contract is uniform.
-        let token = Arc::new(gfcl_common::CancelToken::new());
-        let _scope = gfcl_common::fault_scope(&token);
-        let store = RvStore { g: &self.graph };
-        let out = match &self.delta {
-            Some(d) => volcano::execute(&DeltaOverlay::new(store, d), plan),
-            None => volcano::execute(&store, plan),
-        }?;
-        token.check()?;
-        Ok(out)
+        let view = GraphView::new(&*self.graph, self.delta.as_deref());
+        in_fault_domain(|| volcano::execute(view, plan))
     }
 }

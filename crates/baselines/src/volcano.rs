@@ -4,67 +4,33 @@
 //! calls, exactly as in GraphflowDB's original processor (and Neo4j /
 //! Memgraph): values are produced one at a time, properties are read into
 //! the tuple as [`Value`]s, and every primitive computation pays an
-//! iterator-call round trip. The executor is generic over
-//! [`VolcanoStorage`], so the same processor runs on the row store (GF-RV)
-//! and on columnar storage (GF-CV), isolating processing gains from storage
-//! gains as in Section 8.6.
-
-use std::collections::HashMap;
+//! iterator-call round trip. The executor is generic over the baseline
+//! behind a [`GraphView`], so the same processor runs on the row store
+//! (GF-RV) and on columnar storage (GF-CV), isolating processing gains from
+//! storage gains as in Section 8.6 — and both observe `(baseline ⊎ delta) ∖
+//! tombstones` through the one overlay in `gfcl_storage`.
 
 use gfcl_common::{Direction, Error, LabelId, Result, Value};
 use gfcl_core::agg::{self, GroupTable};
 use gfcl_core::engine::QueryOutput;
 use gfcl_core::plan::{LogicalPlan, PlanExpr, PlanReturn, PlanStep};
-use gfcl_storage::{base_edge_ref, delta_edge_ref, edge_ref_index, is_delta_edge_ref};
-use gfcl_storage::{Catalog, DeltaSnapshot};
+use gfcl_storage::{BaselineRead, GraphView};
 
 use crate::eval::holds;
 
-/// Storage interface of the Volcano engines.
-pub trait VolcanoStorage {
-    fn catalog(&self) -> &Catalog;
-    fn vertex_count(&self, label: LabelId) -> usize;
-    fn lookup_pk(&self, label: LabelId, key: i64) -> Option<u64>;
-    /// The adjacency list of `from` when traversing `(elabel, dir)`.
-    fn adj_list(&self, elabel: LabelId, dir: Direction, from: u64) -> AdjList;
-    /// Neighbour offset and edge token at CSR position `pos`.
-    fn csr_entry(&self, elabel: LabelId, dir: Direction, pos: u64) -> (u64, u64);
-    fn vertex_prop(&self, label: LabelId, off: u64, prop: usize) -> Value;
-    /// Edge property via the tuple's edge slot.
-    fn edge_prop(&self, elabel: LabelId, dir: Direction, slot: EdgeSlot, prop: usize) -> Value;
-    /// Is the vertex at `off` visible? Clean stores only produce live
-    /// offsets; the delta overlay hides tombstones and vacated slots.
-    fn vertex_live(&self, _label: LabelId, _off: u64) -> bool {
-        true
-    }
-}
-
-/// Adjacency of one vertex.
-pub enum AdjList {
-    /// CSR positions `start..start+len`.
-    Csr { start: u64, len: u64 },
-    /// Single-cardinality vertex-column adjacency: at most one neighbour.
-    Single(Option<u64>),
-    /// A materialized `(neighbour, edge token)` list — produced by the
-    /// delta overlay when the merged adjacency no longer matches any
-    /// contiguous storage range.
-    Owned(Vec<(u64, Option<u64>)>),
-}
-
-/// The edge binding stored in a tuple: the traversal source plus a
-/// storage-specific token (CSR position or row edge ID; `None` for
-/// vertex-column single-cardinality edges).
-#[derive(Debug, Clone, Copy)]
-pub struct EdgeSlot {
-    pub from: u64,
-    pub token: Option<u64>,
+/// The edge binding stored in a tuple: the traversal source plus the
+/// view's edge-reference tag.
+#[derive(Clone, Copy)]
+struct EdgeSlot {
+    from: u64,
+    tag: u64,
 }
 
 /// The single partial-match tuple flowing through the pipeline.
-pub struct Tuple {
-    pub nodes: Vec<u64>,
-    pub edges: Vec<EdgeSlot>,
-    pub slots: Vec<Value>,
+struct Tuple {
+    nodes: Vec<u64>,
+    edges: Vec<EdgeSlot>,
+    slots: Vec<Value>,
 }
 
 enum VOp {
@@ -96,7 +62,7 @@ enum VOp {
         from: usize,
         to: usize,
         edge: usize,
-        /// Remaining CSR range, or a pending single neighbour.
+        /// What is left of the current source vertex's adjacency.
         state: ExtendState,
     },
     ReadNodeProp {
@@ -119,11 +85,20 @@ enum VOp {
 
 enum ExtendState {
     Idle,
-    Csr { pos: u64, end: u64 },
-    Owned { list: Vec<(u64, Option<u64>)>, pos: usize },
+    /// Baseline list positions the delta leaves untouched.
+    Base {
+        pos: u64,
+        end: u64,
+    },
+    /// A list the delta touches, materialized through the overlay.
+    Merged {
+        nbrs: Vec<u64>,
+        tags: Vec<u64>,
+        pos: usize,
+    },
 }
 
-fn vpull<S: VolcanoStorage>(ops: &mut [VOp], s: &S, t: &mut Tuple) -> Result<bool> {
+fn vpull<B: BaselineRead>(ops: &mut [VOp], s: GraphView<'_, B>, t: &mut Tuple) -> Result<bool> {
     let (op, children) = ops.split_last_mut().expect("non-empty pipeline");
     match op {
         VOp::ScanAll { label, node, next, total, pushed, prop_of_slot } => loop {
@@ -135,7 +110,7 @@ fn vpull<S: VolcanoStorage>(ops: &mut [VOp], s: &S, t: &mut Tuple) -> Result<boo
             let pass = s.vertex_live(*label, v)
                 && pushed
                     .iter()
-                    .all(|e| holds(e, &|slot| s.vertex_prop(*label, v, prop_of_slot[slot])));
+                    .all(|e| holds(e, &|slot| s.vertex_value(*label, v, prop_of_slot[slot])));
             if pass {
                 t.nodes[*node] = v;
                 return Ok(true);
@@ -155,59 +130,52 @@ fn vpull<S: VolcanoStorage>(ops: &mut [VOp], s: &S, t: &mut Tuple) -> Result<boo
             }
         }
         VOp::Extend { elabel, dir, from, to, edge, state } => loop {
-            match state {
-                ExtendState::Csr { pos, end } => {
-                    if pos < end {
-                        let (nbr, token) = s.csr_entry(*elabel, *dir, *pos);
-                        t.nodes[*to] = nbr;
-                        t.edges[*edge] = EdgeSlot { from: t.nodes[*from], token: Some(token) };
+            let next = match state {
+                ExtendState::Base { pos, end } => {
+                    let mut hit = None;
+                    while hit.is_none() && *pos < *end {
+                        hit = s.base_entry(*elabel, *dir, *pos);
                         *pos += 1;
-                        return Ok(true);
                     }
-                    *state = ExtendState::Idle;
+                    hit
                 }
-                ExtendState::Owned { list, pos } => {
-                    if *pos < list.len() {
-                        let (nbr, token) = list[*pos];
-                        t.nodes[*to] = nbr;
-                        t.edges[*edge] = EdgeSlot { from: t.nodes[*from], token };
-                        *pos += 1;
-                        return Ok(true);
-                    }
-                    *state = ExtendState::Idle;
+                ExtendState::Merged { nbrs, tags, pos } => {
+                    let hit = nbrs.get(*pos).map(|&nbr| (nbr, tags[*pos]));
+                    *pos += 1;
+                    hit
                 }
-                ExtendState::Idle => {}
+                ExtendState::Idle => None,
+            };
+            if let Some((nbr, tag)) = next {
+                t.nodes[*to] = nbr;
+                t.edges[*edge] = EdgeSlot { from: t.nodes[*from], tag };
+                return Ok(true);
             }
             if !vpull(children, s, t)? {
                 return Ok(false);
             }
-            match s.adj_list(*elabel, *dir, t.nodes[*from]) {
-                AdjList::Csr { start, len } => {
-                    *state = ExtendState::Csr { pos: start, end: start + len };
+            let src = t.nodes[*from];
+            *state = match s.untouched_range(*elabel, *dir, src) {
+                Some((start, len)) => ExtendState::Base { pos: start, end: start + len },
+                None => {
+                    let (nbrs, tags) = s.merged_adj(*elabel, *dir, src);
+                    ExtendState::Merged { nbrs, tags, pos: 0 }
                 }
-                AdjList::Single(Some(nbr)) => {
-                    t.nodes[*to] = nbr;
-                    t.edges[*edge] = EdgeSlot { from: t.nodes[*from], token: None };
-                    return Ok(true);
-                }
-                AdjList::Single(None) => {}
-                AdjList::Owned(list) => {
-                    *state = ExtendState::Owned { list, pos: 0 };
-                }
-            }
+            };
         },
         VOp::ReadNodeProp { label, node, prop, slot } => {
             if !vpull(children, s, t)? {
                 return Ok(false);
             }
-            t.slots[*slot] = s.vertex_prop(*label, t.nodes[*node], *prop);
+            t.slots[*slot] = s.vertex_value(*label, t.nodes[*node], *prop);
             Ok(true)
         }
         VOp::ReadEdgeProp { elabel, dir, edge, prop, slot } => {
             if !vpull(children, s, t)? {
                 return Ok(false);
             }
-            t.slots[*slot] = s.edge_prop(*elabel, *dir, t.edges[*edge], *prop);
+            let e = t.edges[*edge];
+            t.slots[*slot] = s.edge_value(*elabel, *dir, e.from, e.tag, *prop)?;
             Ok(true)
         }
         VOp::Filter { expr } => loop {
@@ -222,134 +190,8 @@ fn vpull<S: VolcanoStorage>(ops: &mut [VOp], s: &S, t: &mut Tuple) -> Result<boo
     }
 }
 
-/// A [`VolcanoStorage`] decorator overlaying a frozen [`DeltaSnapshot`] on
-/// any clean store: queries observe `(baseline ⊎ delta) ∖ tombstones`, the
-/// same merged view the GF-CL executor derives from `GraphView`.
-///
-/// Edge tokens use the shared tag scheme of `gfcl_storage::store`: `None`
-/// passes a baseline single-cardinality edge through untagged, an even tag
-/// wraps the inner store's own token `t` as `t << 1`, and an odd tag names
-/// delta edge `d` as `(d << 1) | 1`. The inner store's offsets must agree
-/// with the snapshot's baseline (GF-RV row offsets do, by construction from
-/// the same `RawGraph`).
-pub struct DeltaOverlay<'g, S> {
-    inner: S,
-    delta: &'g DeltaSnapshot,
-}
-
-impl<'g, S: VolcanoStorage> DeltaOverlay<'g, S> {
-    pub fn new(inner: S, delta: &'g DeltaSnapshot) -> Self {
-        DeltaOverlay { inner, delta }
-    }
-
-    /// Baseline vertex count of the `dir`-side source label of `elabel`.
-    fn base_from_count(&self, elabel: LabelId, dir: Direction) -> u64 {
-        let from_label = self.inner.catalog().edge_label(elabel).from_label(dir);
-        self.inner.vertex_count(from_label) as u64
-    }
-}
-
-impl<S: VolcanoStorage> VolcanoStorage for DeltaOverlay<'_, S> {
-    fn catalog(&self) -> &Catalog {
-        self.inner.catalog()
-    }
-
-    fn vertex_count(&self, label: LabelId) -> usize {
-        self.inner.vertex_count(label) + self.delta.delta_slots(label) as usize
-    }
-
-    fn vertex_live(&self, label: LabelId, off: u64) -> bool {
-        let n_base = self.inner.vertex_count(label) as u64;
-        if off < n_base {
-            !self.delta.vertex_tombed(label, off)
-        } else {
-            self.delta.delta_row(label, off - n_base).is_some()
-        }
-    }
-
-    fn lookup_pk(&self, label: LabelId, key: i64) -> Option<u64> {
-        if let Some(off) = self.delta.pk_delta(label, key) {
-            return Some(off);
-        }
-        let off = self.inner.lookup_pk(label, key)?;
-        (!self.delta.vertex_tombed(label, off)).then_some(off)
-    }
-
-    fn adj_list(&self, elabel: LabelId, dir: Direction, from: u64) -> AdjList {
-        let mut list: Vec<(u64, Option<u64>)> = Vec::new();
-        let tombed = |nbr: u64, occ: u32| {
-            let (s, d) = if dir == Direction::Fwd { (from, nbr) } else { (nbr, from) };
-            self.delta.edge_tombed(elabel, s, d, occ)
-        };
-        if from < self.base_from_count(elabel, dir) {
-            match self.inner.adj_list(elabel, dir, from) {
-                AdjList::Csr { start, len } => {
-                    let mut seen: HashMap<u64, u32> = HashMap::new();
-                    for pos in start..start + len {
-                        let (nbr, token) = self.inner.csr_entry(elabel, dir, pos);
-                        let occ = seen.entry(nbr).or_insert(0);
-                        if !tombed(nbr, *occ) {
-                            list.push((nbr, Some(base_edge_ref(token))));
-                        }
-                        *occ += 1;
-                    }
-                }
-                AdjList::Single(Some(nbr)) => {
-                    if !tombed(nbr, 0) {
-                        // Untagged pass-through: the edge-property read path
-                        // of the inner store already handles `token: None`.
-                        list.push((nbr, None));
-                    }
-                }
-                AdjList::Single(None) => {}
-                AdjList::Owned(inner) => list.extend(inner),
-            }
-        }
-        for &idx in self.delta.delta_edges_from(elabel, dir, from) {
-            let e = self.delta.delta_edge(elabel, idx);
-            let nbr = if dir == Direction::Fwd { e.dst } else { e.src };
-            list.push((nbr, Some(delta_edge_ref(idx))));
-        }
-        AdjList::Owned(list)
-    }
-
-    fn csr_entry(&self, elabel: LabelId, dir: Direction, pos: u64) -> (u64, u64) {
-        // Unreachable in practice: the overlay never hands out
-        // `AdjList::Csr`, so the executor never asks for CSR positions.
-        self.inner.csr_entry(elabel, dir, pos)
-    }
-
-    fn vertex_prop(&self, label: LabelId, off: u64, prop: usize) -> Value {
-        let n_base = self.inner.vertex_count(label) as u64;
-        if off < n_base {
-            if let Some(row) = self.delta.updated_row(label, off) {
-                return row[prop].clone();
-            }
-            self.inner.vertex_prop(label, off, prop)
-        } else {
-            match self.delta.delta_row(label, off - n_base) {
-                Some(row) => row[prop].clone(),
-                None => Value::Null,
-            }
-        }
-    }
-
-    fn edge_prop(&self, elabel: LabelId, dir: Direction, slot: EdgeSlot, prop: usize) -> Value {
-        match slot.token {
-            None => self.inner.edge_prop(elabel, dir, slot, prop),
-            Some(tag) if is_delta_edge_ref(tag) => {
-                self.delta.delta_edge(elabel, edge_ref_index(tag)).props[prop].clone()
-            }
-            Some(tag) => {
-                let inner_slot = EdgeSlot { from: slot.from, token: Some(edge_ref_index(tag)) };
-                self.inner.edge_prop(elabel, dir, inner_slot, prop)
-            }
-        }
-    }
-}
-
-/// Execute a logical plan tuple-at-a-time over `storage`.
-pub fn execute<S: VolcanoStorage>(storage: &S, plan: &LogicalPlan) -> Result<QueryOutput> {
+/// Execute a logical plan tuple-at-a-time over `view`.
+pub fn execute<B: BaselineRead>(view: GraphView<'_, B>, plan: &LogicalPlan) -> Result<QueryOutput> {
     let mut ops: Vec<VOp> = Vec::with_capacity(plan.steps.len());
     // Direction of each bound edge (needed by property reads).
     let mut edge_dir: Vec<Option<Direction>> = vec![None; plan.edges.len()];
@@ -362,7 +204,7 @@ pub fn execute<S: VolcanoStorage>(storage: &S, plan: &LogicalPlan) -> Result<Que
                     label,
                     node: *node,
                     next: 0,
-                    total: storage.vertex_count(label) as u64,
+                    total: view.scan_total(label),
                     pushed: pushed.clone(),
                     prop_of_slot,
                 });
@@ -411,21 +253,21 @@ pub fn execute<S: VolcanoStorage>(storage: &S, plan: &LogicalPlan) -> Result<Que
 
     let mut t = Tuple {
         nodes: vec![0; plan.nodes.len()],
-        edges: vec![EdgeSlot { from: 0, token: None }; plan.edges.len()],
+        edges: vec![EdgeSlot { from: 0, tag: 0 }; plan.edges.len()],
         slots: vec![Value::Null; plan.slots.len()],
     };
 
     match &plan.ret {
         PlanReturn::CountStar => {
             let mut n = 0u64;
-            while vpull(&mut ops, storage, &mut t)? {
+            while vpull(&mut ops, view, &mut t)? {
                 n += 1;
             }
             Ok(QueryOutput::Count(n))
         }
         PlanReturn::Props(slots) => {
             let mut rows = Vec::new();
-            while vpull(&mut ops, storage, &mut t)? {
+            while vpull(&mut ops, view, &mut t)? {
                 rows.push(slots.iter().map(|&s| t.slots[s].clone()).collect());
             }
             let rows = agg::finalize_rows(plan, rows);
@@ -435,7 +277,7 @@ pub fn execute<S: VolcanoStorage>(storage: &S, plan: &LogicalPlan) -> Result<Que
             // The naive reference: enumerate every tuple, fold it into the
             // shared group table with multiplicity 1.
             let mut table = GroupTable::new(aggs);
-            while vpull(&mut ops, storage, &mut t)? {
+            while vpull(&mut ops, view, &mut t)? {
                 let key: Vec<Value> = keys.iter().map(|&s| t.slots[s].clone()).collect();
                 let vals: Vec<Option<Value>> =
                     aggs.iter().map(|a| a.slot.map(|s| t.slots[s].clone())).collect();
@@ -447,7 +289,7 @@ pub fn execute<S: VolcanoStorage>(storage: &S, plan: &LogicalPlan) -> Result<Que
             let mut sum_i: i128 = 0;
             let mut sum_f: f64 = 0.0;
             let mut float = false;
-            while vpull(&mut ops, storage, &mut t)? {
+            while vpull(&mut ops, view, &mut t)? {
                 match &t.slots[*slot] {
                     Value::Int64(v) | Value::Date(v) => sum_i += *v as i128,
                     Value::Float64(v) => {
@@ -464,7 +306,7 @@ pub fn execute<S: VolcanoStorage>(storage: &S, plan: &LogicalPlan) -> Result<Que
         PlanReturn::Min(slot) | PlanReturn::Max(slot) => {
             let want_min = matches!(plan.ret, PlanReturn::Min(_));
             let mut best = Value::Null;
-            while vpull(&mut ops, storage, &mut t)? {
+            while vpull(&mut ops, view, &mut t)? {
                 let v = t.slots[*slot].clone();
                 if v.is_null() {
                     continue;

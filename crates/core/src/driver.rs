@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gfcl_common::{DataType, Result, Value};
-use gfcl_storage::{ColumnarGraph, GraphView};
+use gfcl_storage::GraphView;
 
 use crate::agg::{self, clamp_i128, improves, GroupTable, OrdValue};
 use crate::chunk::VecRef;
@@ -127,13 +127,16 @@ impl ExecOptions {
     /// or budget knob must not quietly change what was measured or
     /// enforced.
     pub fn from_env() -> ExecOptions {
+        ExecOptions::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`ExecOptions::from_env`] over an explicit variable lookup — the
+    /// pure body, testable without touching the process environment.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> ExecOptions {
         // Unset/empty → None; set → Some(parsed positive) or Some(0).
         let positive = |name: &str| -> Option<u64> {
-            match std::env::var(name) {
-                Err(_) => None,
-                Ok(s) if s.trim().is_empty() => None,
-                Ok(s) => Some(s.trim().parse::<u64>().ok().filter(|&v| v > 0).unwrap_or(0)),
-            }
+            let s = var(name).filter(|s| !s.trim().is_empty())?;
+            Some(s.trim().parse::<u64>().ok().filter(|&v| v > 0).unwrap_or(0))
         };
         let threads = positive("GFCL_THREADS").unwrap_or(1) as usize;
         let morsel_size = positive("GFCL_MORSEL").unwrap_or(SCAN_MORSEL as u64) as usize;
@@ -193,38 +196,16 @@ enum Partial {
     Distinct(std::collections::BTreeSet<Vec<OrdValue>>),
 }
 
-/// Execute a logical plan on the columnar graph with the list-based
-/// processor (serial — one pipeline, the paper's configuration).
-pub fn execute(g: &ColumnarGraph, plan: &LogicalPlan) -> Result<QueryOutput> {
-    execute_with(g, plan, &ExecOptions::serial())
-}
-
-/// Execute a logical plan with `opts.threads` morsel-driven workers.
-pub fn execute_with(
-    g: &ColumnarGraph,
-    plan: &LogicalPlan,
-    opts: &ExecOptions,
-) -> Result<QueryOutput> {
-    execute_view(GraphView::clean(g), plan, opts)
-}
-
 /// Execute a logical plan against a snapshot view — the baseline overlaid
-/// with the snapshot's delta (if any) — with `opts.threads` morsel-driven
-/// workers. The clean-view case is exactly the historical execution path.
-pub fn execute_view(
-    view: GraphView<'_>,
-    plan: &LogicalPlan,
-    opts: &ExecOptions,
-) -> Result<QueryOutput> {
-    execute_view_governed(view, plan, opts, None)
-}
-
-/// [`execute_view`] under an externally-owned [`CancelToken`] (the
-/// engine's cancellation handle). The query runs inside its own fault
-/// domain: the token, `opts`' budgets, and any storage fault reported by
-/// a page read on a worker thread all trip the same per-query governor,
-/// which every worker observes at its next morsel boundary.
-pub fn execute_view_governed(
+/// with the snapshot's delta (if any; [`GraphView::clean`] is exactly the
+/// immutable-graph path) — with `opts.threads` morsel-driven workers.
+///
+/// The query runs inside its own fault domain: the optional
+/// externally-owned `token` (an engine's cancellation handle), `opts`'
+/// budgets, and any storage fault reported by a page read on a worker
+/// thread all trip the same per-query governor, which every worker
+/// observes at its next morsel boundary.
+pub fn execute(
     view: GraphView<'_>,
     plan: &LogicalPlan,
     opts: &ExecOptions,

@@ -71,29 +71,18 @@ pub trait Engine {
     /// The catalog queries are planned against.
     fn catalog(&self) -> &Catalog;
 
-    /// Execute a pre-planned logical plan.
+    /// Execute a pre-planned logical plan — the one required execution
+    /// method. Execution options are a property of the engine, fixed at
+    /// construction ([`GfClEngine::with_options`] /
+    /// [`GfClEngine::with_snapshot_options`]); engines are cheap to build
+    /// (an `Arc` clone), so "the same query under other options" is a
+    /// second engine, not a second method.
     fn run_plan(&self, plan: &LogicalPlan) -> Result<QueryOutput>;
-
-    /// Execute a pre-planned logical plan under explicit [`ExecOptions`].
-    ///
-    /// The default implementation ignores the options and runs the
-    /// engine's native (serial) path — only engines with intra-query
-    /// parallelism ([`GfClEngine`]) override this.
-    fn run_plan_with(&self, plan: &LogicalPlan, opts: &ExecOptions) -> Result<QueryOutput> {
-        let _ = opts;
-        self.run_plan(plan)
-    }
 
     /// Plan and execute a query.
     fn execute(&self, q: &PatternQuery) -> Result<QueryOutput> {
         let p = plan(q, self.catalog())?;
         self.run_plan(&p)
-    }
-
-    /// Plan and execute a query under explicit [`ExecOptions`].
-    fn execute_with(&self, q: &PatternQuery, opts: &ExecOptions) -> Result<QueryOutput> {
-        let p = plan(q, self.catalog())?;
-        self.run_plan_with(&p, opts)
     }
 
     /// Plan a query against this engine's catalog (exposed so benchmarks
@@ -147,8 +136,8 @@ pub trait Engine {
 /// optionally with morsel-driven intra-query parallelism.
 pub struct GfClEngine {
     graph: Arc<ColumnarGraph>,
-    /// Delta overlay when the engine executes against a mutable-store
-    /// snapshot; `None` runs the historical clean-graph path.
+    /// The delta to overlay when the engine executes against a
+    /// mutable-store snapshot (an empty one still runs the clean path).
     delta: Option<Arc<DeltaSnapshot>>,
     opts: ExecOptions,
     /// The engine's cancellation handle: shared with every query this
@@ -179,10 +168,9 @@ impl GfClEngine {
 
     /// [`GfClEngine::with_snapshot`] with explicit execution options.
     pub fn with_snapshot_options(snapshot: &GraphSnapshot, opts: ExecOptions) -> Self {
-        let delta = snapshot.delta();
         GfClEngine {
             graph: Arc::clone(snapshot.base()),
-            delta: (!delta.is_empty()).then(|| Arc::clone(delta)),
+            delta: Some(Arc::clone(snapshot.delta())),
             opts,
             cancel: Arc::new(CancelToken::new()),
         }
@@ -212,11 +200,7 @@ impl Engine for GfClEngine {
     }
 
     fn run_plan(&self, plan: &LogicalPlan) -> Result<QueryOutput> {
-        driver::execute_view_governed(self.view(), plan, &self.opts, Some(Arc::clone(&self.cancel)))
-    }
-
-    fn run_plan_with(&self, plan: &LogicalPlan, opts: &ExecOptions) -> Result<QueryOutput> {
-        driver::execute_view_governed(self.view(), plan, opts, Some(Arc::clone(&self.cancel)))
+        driver::execute(self.view(), plan, &self.opts, Some(Arc::clone(&self.cancel)))
     }
 
     fn cancel_handle(&self) -> Option<Arc<CancelToken>> {

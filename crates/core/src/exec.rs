@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use gfcl_columnar::{Column, Dictionary};
 use gfcl_common::{DataType, Direction, Error, LabelId, Result, Value};
-use gfcl_storage::{AdjIndex, ColumnarGraph, GraphView, StrExt};
+use gfcl_storage::{AdjIndex, GraphView, StrExt};
 
 use crate::agg::{AggState, GroupTable, OrdValue};
 use crate::chunk::{Chunk, ListGroup, NodeData, ValueVector, VecRef};
@@ -48,10 +48,6 @@ use crate::pred::{
     compile_pred, compile_row_pred, compile_scan_pred, BlockVerdict, CPred, EvalCtx, RowPred,
     ScanPred, SlotCol,
 };
-
-// Re-export the driver entry points here so `exec::execute` keeps working
-// as the canonical "run a plan on the columnar graph" call.
-pub use crate::driver::{execute, execute_with, ExecOptions};
 
 /// Default scan morsel size (the paper's block size for scans, and the unit
 /// of work handed to each parallel pipeline).
@@ -70,7 +66,8 @@ pub struct ScanCursor {
     next: AtomicU64,
     total: u64,
     /// Morsel size the scan operator claims per pull (tunable via
-    /// [`ExecOptions::morsel_size`]; [`SCAN_MORSEL`] by default).
+    /// [`ExecOptions::morsel_size`](crate::ExecOptions); [`SCAN_MORSEL`] by
+    /// default).
     morsel: u64,
     /// The owning query's governor, when one is installed: scans check it
     /// once per claimed morsel, which bounds how far a canceled query can
@@ -107,18 +104,9 @@ impl ScanCursor {
         }
     }
 
-    /// Cursor sized for `plan`'s scan step (`ScanPk` is a single morsel).
-    pub fn for_plan(g: &ColumnarGraph, plan: &LogicalPlan) -> Result<ScanCursor> {
-        ScanCursor::for_plan_with(g, plan, SCAN_MORSEL as u64)
-    }
-
-    /// [`ScanCursor::for_plan`] with an explicit morsel size.
-    pub fn for_plan_with(g: &ColumnarGraph, plan: &LogicalPlan, morsel: u64) -> Result<ScanCursor> {
-        ScanCursor::for_plan_view(GraphView::clean(g), plan, morsel)
-    }
-
-    /// Cursor sized for `plan`'s scan over a (possibly delta-overlaid)
-    /// snapshot view: scans cover the baseline rows plus every delta slot.
+    /// Cursor sized for `plan`'s scan step over a (possibly delta-overlaid)
+    /// snapshot view: scans cover the baseline rows plus every delta slot;
+    /// `ScanPk` is a single morsel.
     pub fn for_plan_view(
         view: GraphView<'_>,
         plan: &LogicalPlan,

@@ -230,9 +230,14 @@ impl PlanOptions {
     /// `GFCL_NO_VERIFY` likewise disables plan verification, unless
     /// `GFCL_VERIFY=strict` forces it back on.
     pub fn from_env() -> PlanOptions {
-        let set =
-            |name: &str| std::env::var(name).is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0");
-        let strict = std::env::var("GFCL_VERIFY").is_ok_and(|v| v.trim() == "strict");
+        PlanOptions::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`PlanOptions::from_env`] over an explicit variable lookup — the
+    /// pure body, testable without touching the process environment.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> PlanOptions {
+        let set = |name: &str| var(name).is_some_and(|v| !v.trim().is_empty() && v.trim() != "0");
+        let strict = var("GFCL_VERIFY").is_some_and(|v| v.trim() == "strict");
         PlanOptions { pushdown: !set("GFCL_NO_PUSHDOWN"), verify: strict || !set("GFCL_NO_VERIFY") }
     }
 

@@ -2,16 +2,22 @@
 //! hatch plus the validated `GFCL_MORSEL` / `GFCL_THREADS` /
 //! `GFCL_TIME_LIMIT_MS` / `GFCL_MEM_LIMIT_MB` pattern (garbage errors at
 //! execution naming the variable, it never silently runs a default).
-//! These mutate process environment variables, so each knob gets exactly
-//! one `#[test]` (tests in one binary run concurrently; distinct
-//! variables don't interfere).
+//! The cases drive the pure `from_vars` bodies with an explicit variable
+//! table; no test mutates the process environment (the one-line
+//! `from_env` wrappers are covered by the CI jobs that export
+//! `GFCL_THREADS`).
 
 use std::sync::Arc;
 
-use gfcl_core::plan::{plan, plan_with, PlanOptions, PlanStep};
+use gfcl_core::plan::{plan_with, PlanOptions, PlanStep};
 use gfcl_core::query::{col, ge, lit, PatternQuery};
 use gfcl_core::{Engine, ExecOptions, GfClEngine};
 use gfcl_storage::{ColumnarGraph, RawGraph, StorageConfig};
+
+/// A variable lookup over a fixed table.
+fn vars<'a>(table: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+    move |name| table.iter().find(|(k, _)| *k == name).map(|(_, v)| (*v).to_owned())
+}
 
 fn filtered_query() -> PatternQuery {
     PatternQuery::builder()
@@ -28,23 +34,47 @@ fn pushed_len(p: &gfcl_core::LogicalPlan) -> usize {
     }
 }
 
+/// Run the example query under `opts`; the result the knob tests inspect.
+fn run(opts: ExecOptions) -> gfcl_common::Result<gfcl_core::QueryOutput> {
+    let graph = ColumnarGraph::build(&RawGraph::example(), StorageConfig::default()).unwrap();
+    GfClEngine::with_options(Arc::new(graph), opts).execute(&filtered_query())
+}
+
+/// Every garbage value of `name` must map to the invalid sentinel
+/// (`is_sentinel`) and be rejected at execution time with a plan error
+/// naming the knob — never silently run a default.
+fn assert_rejected(name: &str, garbage: &[&str], is_sentinel: impl Fn(&ExecOptions) -> bool) {
+    for g in garbage {
+        let opts = ExecOptions::from_vars(vars(&[(name, g)]));
+        assert!(is_sentinel(&opts), "{name}={g:?} must map to the invalid sentinel: {opts:?}");
+        let err = run(opts).unwrap_err();
+        assert!(matches!(err, gfcl_common::Error::Plan(_)), "{err:?}");
+        assert!(err.to_string().contains(name), "{err}");
+    }
+}
+
 #[test]
 fn gfcl_no_pushdown_disables_the_rewrite() {
     let catalog = RawGraph::example().catalog;
+    let plan_under = |table: &[(&str, &str)]| {
+        plan_with(&filtered_query(), &catalog, &PlanOptions::from_vars(vars(table))).unwrap()
+    };
     // Default: the scan-node filter is pushed.
-    assert_eq!(pushed_len(&plan(&filtered_query(), &catalog).unwrap()), 1);
+    assert_eq!(pushed_len(&plan_under(&[])), 1);
 
-    std::env::set_var("GFCL_NO_PUSHDOWN", "1");
-    let no_push = plan(&filtered_query(), &catalog).unwrap();
-    std::env::remove_var("GFCL_NO_PUSHDOWN");
+    let no_push = plan_under(&[("GFCL_NO_PUSHDOWN", "1")]);
     assert_eq!(pushed_len(&no_push), 0);
     assert!(no_push.steps.iter().any(|s| matches!(s, PlanStep::Filter { .. })));
 
     // "0" and empty mean "not disabled".
-    std::env::set_var("GFCL_NO_PUSHDOWN", "0");
-    let opts = PlanOptions::from_env();
-    std::env::remove_var("GFCL_NO_PUSHDOWN");
-    assert!(opts.pushdown);
+    for off in ["0", "", " "] {
+        assert!(PlanOptions::from_vars(vars(&[("GFCL_NO_PUSHDOWN", off)])).pushdown, "{off:?}");
+    }
+
+    // GFCL_NO_VERIFY is the same shape, and GFCL_VERIFY=strict overrides it.
+    assert!(!PlanOptions::from_vars(vars(&[("GFCL_NO_VERIFY", "1")])).verify);
+    let strict = [("GFCL_NO_VERIFY", "1"), ("GFCL_VERIFY", "strict")];
+    assert!(PlanOptions::from_vars(vars(&strict)).verify);
 
     // The programmatic escape hatch matches the env one.
     let p = plan_with(&filtered_query(), &catalog, &PlanOptions::no_pushdown()).unwrap();
@@ -53,108 +83,45 @@ fn gfcl_no_pushdown_disables_the_rewrite() {
 
 #[test]
 fn gfcl_threads_is_validated() {
-    let graph =
-        Arc::new(ColumnarGraph::build(&RawGraph::example(), StorageConfig::default()).unwrap());
+    // Garbage (including explicit zero) must not silently fall back to
+    // serial.
+    assert_rejected("GFCL_THREADS", &["many", "0", "-2", "1.5"], |o| o.threads == 0);
 
-    // Garbage (including explicit zero) becomes the invalid sentinel and
-    // is rejected at execution time naming the knob — it must not
-    // silently fall back to serial.
-    for garbage in ["many", "0", "-2", "1.5"] {
-        std::env::set_var("GFCL_THREADS", garbage);
-        let opts = ExecOptions::from_env();
-        std::env::remove_var("GFCL_THREADS");
-        assert_eq!(opts.threads, 0, "{garbage:?} must map to the invalid sentinel");
-        let engine = GfClEngine::with_options(Arc::clone(&graph), opts);
-        let err = engine.execute(&filtered_query()).unwrap_err();
-        assert!(matches!(err, gfcl_common::Error::Plan(_)), "{err:?}");
-        assert!(err.to_string().contains("GFCL_THREADS"), "{err}");
-    }
-
-    // A valid value is honored; unset falls back to serial.
-    std::env::set_var("GFCL_THREADS", "3");
-    let opts = ExecOptions::from_env();
-    std::env::remove_var("GFCL_THREADS");
-    assert_eq!(opts.threads, 3);
-    assert_eq!(ExecOptions::from_env().threads, 1);
+    // A valid value is honored; unset or empty falls back to serial.
+    assert_eq!(ExecOptions::from_vars(vars(&[("GFCL_THREADS", "3")])).threads, 3);
+    assert_eq!(ExecOptions::from_vars(vars(&[("GFCL_THREADS", "")])).threads, 1);
+    assert_eq!(ExecOptions::from_vars(vars(&[])), ExecOptions::serial());
 }
 
 #[test]
 fn gfcl_time_limit_is_validated() {
-    let graph =
-        Arc::new(ColumnarGraph::build(&RawGraph::example(), StorageConfig::default()).unwrap());
-
-    for garbage in ["soon", "0", "-1"] {
-        std::env::set_var("GFCL_TIME_LIMIT_MS", garbage);
-        let opts = ExecOptions::from_env();
-        std::env::remove_var("GFCL_TIME_LIMIT_MS");
-        assert_eq!(opts.time_limit_ms, Some(0), "{garbage:?} must map to the invalid sentinel");
-        let engine = GfClEngine::with_options(Arc::clone(&graph), opts);
-        let err = engine.execute(&filtered_query()).unwrap_err();
-        assert!(err.to_string().contains("GFCL_TIME_LIMIT_MS"), "{err}");
-    }
+    assert_rejected("GFCL_TIME_LIMIT_MS", &["soon", "0", "-1"], |o| o.time_limit_ms == Some(0));
 
     // A generous limit doesn't disturb a small query; unset means none.
-    std::env::set_var("GFCL_TIME_LIMIT_MS", "60000");
-    let opts = ExecOptions::from_env();
-    std::env::remove_var("GFCL_TIME_LIMIT_MS");
+    let opts = ExecOptions::from_vars(vars(&[("GFCL_TIME_LIMIT_MS", "60000")]));
     assert_eq!(opts.time_limit_ms, Some(60_000));
-    let engine = GfClEngine::with_options(Arc::clone(&graph), opts);
-    assert!(engine.execute(&filtered_query()).is_ok());
-    assert_eq!(ExecOptions::from_env().time_limit_ms, None);
+    assert!(run(opts).is_ok());
+    assert_eq!(ExecOptions::from_vars(vars(&[])).time_limit_ms, None);
 }
 
 #[test]
 fn gfcl_mem_limit_is_validated() {
-    let graph =
-        Arc::new(ColumnarGraph::build(&RawGraph::example(), StorageConfig::default()).unwrap());
+    assert_rejected("GFCL_MEM_LIMIT_MB", &["lots", "0", "-5"], |o| o.mem_limit_bytes == Some(0));
 
-    for garbage in ["lots", "0", "-5"] {
-        std::env::set_var("GFCL_MEM_LIMIT_MB", garbage);
-        let opts = ExecOptions::from_env();
-        std::env::remove_var("GFCL_MEM_LIMIT_MB");
-        assert_eq!(opts.mem_limit_bytes, Some(0), "{garbage:?} must map to the invalid sentinel");
-        let engine = GfClEngine::with_options(Arc::clone(&graph), opts);
-        let err = engine.execute(&filtered_query()).unwrap_err();
-        assert!(err.to_string().contains("GFCL_MEM_LIMIT_MB"), "{err}");
-    }
-
-    std::env::set_var("GFCL_MEM_LIMIT_MB", "512");
-    let opts = ExecOptions::from_env();
-    std::env::remove_var("GFCL_MEM_LIMIT_MB");
+    let opts = ExecOptions::from_vars(vars(&[("GFCL_MEM_LIMIT_MB", "512")]));
     assert_eq!(opts.mem_limit_bytes, Some(512 * 1024 * 1024));
-    let engine = GfClEngine::with_options(Arc::clone(&graph), opts);
-    assert!(engine.execute(&filtered_query()).is_ok());
-    assert_eq!(ExecOptions::from_env().mem_limit_bytes, None);
+    assert!(run(opts).is_ok());
+    assert_eq!(ExecOptions::from_vars(vars(&[])).mem_limit_bytes, None);
 }
 
 #[test]
 fn gfcl_morsel_is_validated() {
-    let graph =
-        Arc::new(ColumnarGraph::build(&RawGraph::example(), StorageConfig::default()).unwrap());
-
-    // Garbage becomes the invalid sentinel, rejected at execution time
-    // with a plan error naming the knob.
-    for garbage in ["nope", "0", "-3"] {
-        std::env::set_var("GFCL_MORSEL", garbage);
-        let opts = ExecOptions::from_env();
-        std::env::remove_var("GFCL_MORSEL");
-        assert_eq!(opts.morsel_size, 0, "{garbage:?} must map to the invalid sentinel");
-        let engine = GfClEngine::with_options(Arc::clone(&graph), opts);
-        let err = engine.execute(&filtered_query()).unwrap_err();
-        assert!(matches!(err, gfcl_common::Error::Plan(_)), "{err:?}");
-        assert!(err.to_string().contains("GFCL_MORSEL"), "{err}");
-    }
+    assert_rejected("GFCL_MORSEL", &["nope", "0", "-3"], |o| o.morsel_size == 0);
 
     // A valid value is honored; unset falls back to the default.
-    std::env::set_var("GFCL_MORSEL", "7");
-    let opts = ExecOptions::from_env();
-    std::env::remove_var("GFCL_MORSEL");
-    assert_eq!(opts.morsel_size, 7);
-    assert_eq!(ExecOptions::from_env().morsel_size, gfcl_core::exec::SCAN_MORSEL);
+    assert_eq!(ExecOptions::from_vars(vars(&[("GFCL_MORSEL", "7")])).morsel_size, 7);
+    assert_eq!(ExecOptions::from_vars(vars(&[])).morsel_size, gfcl_core::exec::SCAN_MORSEL);
 
     // And a non-default morsel produces identical results.
-    let engine = GfClEngine::with_options(Arc::clone(&graph), ExecOptions::serial());
-    let tuned = GfClEngine::with_options(Arc::clone(&graph), ExecOptions::serial().morsel(3));
-    let q = filtered_query();
-    assert_eq!(engine.execute(&q).unwrap(), tuned.execute(&q).unwrap());
+    assert_eq!(run(ExecOptions::serial()).unwrap(), run(ExecOptions::serial().morsel(3)).unwrap());
 }

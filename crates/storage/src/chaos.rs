@@ -64,20 +64,26 @@ impl FaultConfig {
     /// is an error naming the variable (a typo must not silently run
     /// without injection).
     pub fn from_env() -> Result<Option<FaultConfig>> {
-        fn var(name: &str) -> Result<Option<u64>> {
-            match std::env::var(name) {
-                Err(_) => Ok(None),
-                Ok(s) if s.trim().is_empty() => Ok(None),
-                Ok(s) => s.trim().parse::<u64>().map(Some).map_err(|_| {
+        FaultConfig::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`FaultConfig::from_env`] over an explicit variable lookup — the
+    /// pure body, testable without touching the process environment.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Option<FaultConfig>> {
+        let number = |name: &str| -> Result<Option<u64>> {
+            match var(name) {
+                None => Ok(None),
+                Some(s) if s.trim().is_empty() => Ok(None),
+                Some(s) => s.trim().parse::<u64>().map(Some).map_err(|_| {
                     Error::Invalid(format!("{name} must be a non-negative integer, got {s:?}"))
                 }),
             }
-        }
-        let seed = var("GFCL_FAULT_SEED")?;
-        let transient = var("GFCL_FAULT_TRANSIENT_PPM")?;
-        let permanent = var("GFCL_FAULT_PERMANENT_PPM")?;
-        let flip = var("GFCL_FAULT_FLIP_PPM")?;
-        let sticky = var("GFCL_FAULT_STICKY_FLIP_PPM")?;
+        };
+        let seed = number("GFCL_FAULT_SEED")?;
+        let transient = number("GFCL_FAULT_TRANSIENT_PPM")?;
+        let permanent = number("GFCL_FAULT_PERMANENT_PPM")?;
+        let flip = number("GFCL_FAULT_FLIP_PPM")?;
+        let sticky = number("GFCL_FAULT_STICKY_FLIP_PPM")?;
         if seed.is_none()
             && transient.is_none()
             && permanent.is_none()
@@ -312,17 +318,9 @@ mod tests {
 
     #[test]
     fn env_parsing_rejects_garbage_naming_the_variable() {
-        // Parallel-test safe: exercise the parser through a scoped
-        // variable name is impossible with std env, so validate the
-        // number-parsing helper shape through from_env only when the
-        // variables are unset (the common case in the test environment).
-        if std::env::var_os("GFCL_FAULT_SEED").is_none()
-            && std::env::var_os("GFCL_FAULT_TRANSIENT_PPM").is_none()
-            && std::env::var_os("GFCL_FAULT_PERMANENT_PPM").is_none()
-            && std::env::var_os("GFCL_FAULT_FLIP_PPM").is_none()
-            && std::env::var_os("GFCL_FAULT_STICKY_FLIP_PPM").is_none()
-        {
-            assert_eq!(FaultConfig::from_env().unwrap(), None);
-        }
+        assert_eq!(FaultConfig::from_vars(|_| None).unwrap(), None);
+        let flip_only = |name: &str| (name == "GFCL_FAULT_FLIP_PPM").then(|| "often".to_owned());
+        let err = FaultConfig::from_vars(flip_only).unwrap_err();
+        assert!(err.to_string().contains("GFCL_FAULT_FLIP_PPM"), "{err}");
     }
 }

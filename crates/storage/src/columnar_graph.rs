@@ -27,6 +27,7 @@ use crate::edge_store::EdgePropStore;
 use crate::pages::PropertyPages;
 use crate::raw::{PropData, RawGraph};
 use crate::single_card::SingleCardAdj;
+use crate::store::BaselineRead;
 
 /// Adjacency index of one (edge label, direction).
 #[derive(Debug, Clone)]
@@ -953,6 +954,59 @@ fn pages_k(config: &StorageConfig) -> usize {
     match config.edge_prop_layout {
         EdgePropLayout::Pages { k } => k,
         _ => EdgePropLayout::DEFAULT_K,
+    }
+}
+
+impl BaselineRead for ColumnarGraph {
+    fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    fn vertex_count(&self, label: LabelId) -> usize {
+        self.vertex_counts[label as usize]
+    }
+
+    fn lookup_pk(&self, label: LabelId, key: i64) -> Option<u64> {
+        ColumnarGraph::lookup_pk(self, label, key)
+    }
+
+    fn adj_range(&self, elabel: LabelId, dir: Direction, from: u64) -> (u64, u64) {
+        match self.adj(elabel, dir) {
+            AdjIndex::Csr(c) => {
+                let (start, len) = c.list(from);
+                (start, len as u64)
+            }
+            AdjIndex::SingleCard(_) => (from, 1),
+        }
+    }
+
+    fn adj_entry(&self, elabel: LabelId, dir: Direction, pos: u64) -> Option<(u64, u64)> {
+        match self.adj(elabel, dir) {
+            // The edge token is the CSR position; property reads resolve it
+            // through the same EdgePropRead machinery as the LBP — but one
+            // value at a time.
+            AdjIndex::Csr(c) => Some((c.nbr_at(pos), pos)),
+            AdjIndex::SingleCard(s) => s.nbr(pos).map(|nbr| (nbr, 0)),
+        }
+    }
+
+    fn vertex_value(&self, label: LabelId, off: u64, prop: usize) -> Value {
+        self.vertex_prop(label, prop).value(off as usize)
+    }
+
+    fn edge_value(
+        &self,
+        elabel: LabelId,
+        dir: Direction,
+        from: u64,
+        token: u64,
+        prop: usize,
+    ) -> Result<Value> {
+        let csr_pos = match self.adj(elabel, dir) {
+            AdjIndex::Csr(_) => Some(token),
+            AdjIndex::SingleCard(_) => None,
+        };
+        self.read_edge_prop(elabel, dir, from, csr_pos, prop)
     }
 }
 

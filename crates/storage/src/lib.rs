@@ -12,7 +12,14 @@
 //!   space;
 //! * [`columnar_graph`] — the assembled [`ColumnarGraph`], configurable
 //!   through [`StorageConfig`] to reproduce every ablation in the paper;
-//! * [`row_graph`] — the interpreted-attribute-layout [`RowGraph`] (GF-RV).
+//! * [`row_graph`] — the interpreted-attribute-layout [`RowGraph`] (GF-RV);
+//! * [`store`] — the mutable [`GraphStore`] (baseline + [`delta`] store +
+//!   [`wal`], epoch snapshots, merge) and the one read-side overlay:
+//!   [`GraphView`], generic over the positional [`BaselineRead`] trait both
+//!   graph layouts implement, is the single implementation of
+//!   `(baseline ⊎ delta) ∖ tombstones` every engine and `merge()` read;
+//! * [`mutation`] — the [`OffsetRecycler`] free-list the delta store keeps
+//!   its slot space dense with (Section 7's gap recycling).
 
 pub mod catalog;
 pub mod chaos;
@@ -39,17 +46,14 @@ pub use config::{EdgePropLayout, StorageConfig};
 pub use csr::{Csr, CsrOptions};
 pub use delta::{DeltaEdge, DeltaSnapshot, DeltaStore, EdgeTarget, ResolvedOp, StrExt};
 pub use edge_store::EdgePropStore;
-pub use mutation::{MutableAdjacency, MutablePage, OffsetRecycler};
+pub use mutation::OffsetRecycler;
 pub use pager::{BufferPool, PageFile, PoolStats, DEFAULT_POOL_PAGES, MAX_READ_ATTEMPTS};
 pub use pages::PropertyPages;
 pub use raw::{EdgeTable, PropData, RawGraph, VertexTable};
 pub use row_graph::{PropEntry, RowCsr, RowGraph};
 pub use single_card::SingleCardAdj;
 pub use stats::{EdgeLabelStats, PropStats, Stats, VertexLabelStats};
-pub use store::{
-    base_edge_ref, delta_edge_ref, edge_ref_index, is_delta_edge_ref, merged_raw, GraphSnapshot,
-    GraphStore, GraphView, WriteTxn,
-};
+pub use store::{merged_raw, BaselineRead, GraphSnapshot, GraphStore, GraphView, WriteTxn};
 
 // Storage is read-only at query time and shared by reference across the
 // morsel-driven workers of the list-based processor, so every query-facing

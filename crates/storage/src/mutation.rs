@@ -1,35 +1,20 @@
-//! Update handling (Section 7) — the paper's extension discussion,
-//! implemented for the structures whose designs it motivates.
+//! Offset recycling (Section 7) — the one piece of the paper's update
+//! discussion the write path needs as a structure of its own.
 //!
 //! The paper observes that, unlike columnar RDBMSs whose row IDs are
 //! implicit, GDBMSs store positional offsets *explicitly* (vertex offsets in
 //! adjacency lists, page-level positional offsets in edge IDs). Deletions
 //! therefore leave **gaps** that must be tracked and **recycled** by later
-//! insertions — this is how Neo4j's `nodestore.db.id` file works, and it is
-//! precisely why the paper groups k lists per property page: a page-level
-//! offset freed by a deletion can be reused by an insertion into *any* of
-//! the page's k lists, instead of waiting for an insertion into the same
-//! list (which may never come).
-//!
-//! This module provides:
-//!
-//! * [`OffsetRecycler`] — a free-list of recyclable positional offsets;
-//! * [`MutablePage`] — an updatable property page honouring the paper's
-//!   append + recycle discipline, with gap statistics;
-//! * [`MutableAdjacency`] — an updatable adjacency structure (per-vertex
-//!   edge lists + per-edge page offsets) that demonstrates the full
-//!   insert/delete cycle the paper describes, including the contrast
-//!   between *list-level* offsets (recyclable only within one list) and
-//!   *page-level* offsets (recyclable across k lists).
+//! insertions — this is how Neo4j's `nodestore.db.id` file works.
+//! [`OffsetRecycler`] is that free-list.
 //!
 //! The read-optimized [`crate::ColumnarGraph`] itself remains immutable;
 //! writes go through the write-optimized delta store in [`crate::delta`]
-//! (the C-Store-style write store the paper cites), are made durable by
-//! the write-ahead log in [`crate::wal`], and are folded back into a fresh
-//! read-optimized baseline by `GraphStore::merge` in [`crate::store`].
-//! [`OffsetRecycler`] is the piece those modules share: the delta store
-//! recycles vacated delta-vertex slots through it, exactly the gap
-//! discipline this module models for the baseline structures.
+//! (the C-Store-style write store the paper cites), which recycles vacated
+//! delta-vertex slots through an [`OffsetRecycler`] so its positional ID
+//! space stays dense. They are made durable by the write-ahead log in
+//! [`crate::wal`] and folded back into a fresh read-optimized baseline by
+//! `GraphStore::merge` in [`crate::store`].
 
 use gfcl_common::MemoryUsage;
 
@@ -88,133 +73,6 @@ impl MemoryUsage for OffsetRecycler {
     }
 }
 
-/// An updatable property page: `k` adjacency lists share one append-only
-/// value region addressed by page-level positional offsets.
-#[derive(Debug, Clone)]
-pub struct MutablePage {
-    /// Values by page-level offset; `None` = gap left by a deletion.
-    values: Vec<Option<i64>>,
-    recycler: OffsetRecycler,
-}
-
-impl MutablePage {
-    pub fn new() -> MutablePage {
-        MutablePage { values: Vec::new(), recycler: OffsetRecycler::new() }
-    }
-
-    /// Insert a value, recycling a gap when available; returns the
-    /// page-level positional offset (what gets stored in the edge ID).
-    pub fn insert(&mut self, value: i64) -> u64 {
-        let off = self.recycler.allocate();
-        if off as usize >= self.values.len() {
-            self.values.resize(off as usize + 1, None);
-        }
-        debug_assert!(self.values[off as usize].is_none(), "slot must be a gap");
-        self.values[off as usize] = Some(value);
-        off
-    }
-
-    /// Delete the value at `off`, leaving a recyclable gap.
-    pub fn delete(&mut self, off: u64) -> Option<i64> {
-        let old = self.values.get_mut(off as usize)?.take();
-        if old.is_some() {
-            self.recycler.release(off);
-        }
-        old
-    }
-
-    /// Constant-time read by page-level positional offset.
-    pub fn get(&self, off: u64) -> Option<i64> {
-        self.values.get(off as usize).copied().flatten()
-    }
-
-    pub fn gaps(&self) -> usize {
-        self.recycler.gaps()
-    }
-
-    pub fn slots(&self) -> usize {
-        self.values.len()
-    }
-}
-
-impl Default for MutablePage {
-    fn default() -> Self {
-        MutablePage::new()
-    }
-}
-
-/// An updatable single-label adjacency index with property pages: per-vertex
-/// lists of `(neighbour, page offset)` plus one [`MutablePage`] per group of
-/// `k` source vertices.
-#[derive(Debug, Clone)]
-pub struct MutableAdjacency {
-    k: usize,
-    lists: Vec<Vec<(u64, u64)>>,
-    pages: Vec<MutablePage>,
-}
-
-impl MutableAdjacency {
-    /// An empty adjacency over `n_vertices` sources with page size `k`.
-    pub fn new(n_vertices: usize, k: usize) -> MutableAdjacency {
-        assert!(k > 0);
-        MutableAdjacency {
-            k,
-            lists: vec![Vec::new(); n_vertices],
-            pages: (0..n_vertices.div_ceil(k).max(1)).map(|_| MutablePage::new()).collect(),
-        }
-    }
-
-    fn page_of(&self, src: u64) -> usize {
-        src as usize / self.k
-    }
-
-    /// Insert edge `(src, dst)` with a property value; returns the
-    /// page-level positional offset assigned to the edge.
-    pub fn insert_edge(&mut self, src: u64, dst: u64, prop: i64) -> u64 {
-        let page = self.page_of(src);
-        let off = self.pages[page].insert(prop);
-        self.lists[src as usize].push((dst, off));
-        off
-    }
-
-    /// Delete the edge `(src, dst)`; its page offset becomes a gap that any
-    /// of the page's k lists can recycle.
-    pub fn delete_edge(&mut self, src: u64, dst: u64) -> bool {
-        let page = self.page_of(src);
-        let list = &mut self.lists[src as usize];
-        if let Some(pos) = list.iter().position(|&(d, _)| d == dst) {
-            let (_, off) = list.swap_remove(pos);
-            self.pages[page].delete(off);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The adjacency list of `src` as `(neighbour, property)` pairs.
-    pub fn list(&self, src: u64) -> Vec<(u64, i64)> {
-        let page = &self.pages[self.page_of(src)];
-        self.lists[src as usize]
-            .iter()
-            .map(|&(d, off)| (d, page.get(off).expect("live edge has a live slot")))
-            .collect()
-    }
-
-    pub fn degree(&self, src: u64) -> usize {
-        self.lists[src as usize].len()
-    }
-
-    /// Total gaps across all pages (storage wasted until recycled).
-    pub fn total_gaps(&self) -> usize {
-        self.pages.iter().map(MutablePage::gaps).sum()
-    }
-
-    /// Total allocated slots across all pages.
-    pub fn total_slots(&self) -> usize {
-        self.pages.iter().map(MutablePage::slots).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,71 +88,5 @@ mod tests {
         assert_eq!(r.allocate(), 1);
         assert_eq!(r.allocate(), 3, "fresh after gaps exhausted");
         assert_eq!(r.high_water(), 4);
-    }
-
-    #[test]
-    fn page_insert_delete_roundtrip() {
-        let mut p = MutablePage::new();
-        let a = p.insert(10);
-        let b = p.insert(20);
-        assert_eq!(p.get(a), Some(10));
-        assert_eq!(p.delete(a), Some(10));
-        assert_eq!(p.get(a), None);
-        assert_eq!(p.gaps(), 1);
-        // Next insertion recycles the gap.
-        let c = p.insert(30);
-        assert_eq!(c, a);
-        assert_eq!(p.gaps(), 0);
-        assert_eq!(p.get(b), Some(20));
-        assert_eq!(p.slots(), 2, "no growth past the high-water mark");
-    }
-
-    #[test]
-    fn cross_list_recycling_is_the_point_of_pages() {
-        // The Section 4.2 argument: with k lists per page, a slot freed
-        // from one vertex's list is reusable by an insertion into ANY of
-        // the page's lists — unlike list-level offsets.
-        let mut adj = MutableAdjacency::new(4, 4); // all 4 vertices share one page
-        adj.insert_edge(0, 10, 100);
-        adj.insert_edge(0, 11, 101);
-        adj.insert_edge(1, 12, 102);
-        assert_eq!(adj.total_slots(), 3);
-        // Delete from vertex 0's list...
-        assert!(adj.delete_edge(0, 10));
-        assert_eq!(adj.total_gaps(), 1);
-        // ...and recycle via an insertion into vertex 3's list.
-        adj.insert_edge(3, 13, 103);
-        assert_eq!(adj.total_gaps(), 0);
-        assert_eq!(adj.total_slots(), 3, "gap recycled across lists");
-        assert_eq!(adj.list(3), vec![(13, 103)]);
-        assert_eq!(adj.list(0), vec![(11, 101)]);
-    }
-
-    #[test]
-    fn list_level_offsets_would_strand_gaps() {
-        // Contrast: with k = 1 (list-level offsets, one page per vertex), a
-        // gap in vertex 0's page can only be recycled by another insertion
-        // into vertex 0's list.
-        let mut adj = MutableAdjacency::new(4, 1);
-        adj.insert_edge(0, 10, 100);
-        adj.delete_edge(0, 10);
-        adj.insert_edge(3, 13, 103); // different page: cannot reuse the gap
-        assert_eq!(adj.total_gaps(), 1, "gap stranded in vertex 0's page");
-        adj.insert_edge(0, 14, 104); // same list: now it recycles
-        assert_eq!(adj.total_gaps(), 0);
-    }
-
-    #[test]
-    fn reads_follow_updates() {
-        let mut adj = MutableAdjacency::new(10, 2);
-        for i in 0..5u64 {
-            adj.insert_edge(2, i, i as i64 * 7);
-        }
-        assert_eq!(adj.degree(2), 5);
-        adj.delete_edge(2, 3);
-        let mut l = adj.list(2);
-        l.sort_unstable();
-        assert_eq!(l, vec![(0, 0), (1, 7), (2, 14), (4, 28)]);
-        assert!(!adj.delete_edge(2, 99), "deleting a missing edge is a no-op");
     }
 }

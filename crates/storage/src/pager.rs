@@ -146,10 +146,19 @@ impl BufferPool {
     /// variable — a typo in the sizing knob must not silently run the
     /// default geometry.
     pub fn capacity_from_env(default_pages: usize) -> Result<usize> {
-        match std::env::var("GFCL_BUFFER_MB") {
-            Err(_) => Ok(default_pages.max(1)),
-            Ok(s) if s.trim().is_empty() => Ok(default_pages.max(1)),
-            Ok(s) => match s.trim().parse::<usize>() {
+        BufferPool::capacity_from_vars(default_pages, |name| std::env::var(name).ok())
+    }
+
+    /// [`BufferPool::capacity_from_env`] over an explicit variable lookup —
+    /// the pure body, testable without touching the process environment.
+    pub fn capacity_from_vars(
+        default_pages: usize,
+        var: impl Fn(&str) -> Option<String>,
+    ) -> Result<usize> {
+        match var("GFCL_BUFFER_MB") {
+            None => Ok(default_pages.max(1)),
+            Some(s) if s.trim().is_empty() => Ok(default_pages.max(1)),
+            Some(s) => match s.trim().parse::<usize>() {
                 Ok(mb) => Ok((mb * 1024 * 1024 / PAGE_SIZE).max(1)),
                 Err(_) => Err(Error::Invalid(format!(
                     "GFCL_BUFFER_MB must be a non-negative integer number of MiB, got {s:?}"
@@ -474,10 +483,9 @@ mod tests {
 
     #[test]
     fn env_capacity_floor_is_one_page() {
-        // Not setting the env var here (tests run in parallel); just check
-        // the default path and the floor.
-        assert_eq!(BufferPool::capacity_from_env(0).unwrap(), 1);
-        assert_eq!(BufferPool::capacity_from_env(17).unwrap(), 17);
+        let unset = |_: &str| None;
+        assert_eq!(BufferPool::capacity_from_vars(0, unset).unwrap(), 1);
+        assert_eq!(BufferPool::capacity_from_vars(17, unset).unwrap(), 17);
     }
 
     #[test]

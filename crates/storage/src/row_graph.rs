@@ -18,6 +18,7 @@ use gfcl_common::{Direction, Error, LabelId, MemoryUsage, Result, Value};
 
 use crate::catalog::Catalog;
 use crate::raw::RawGraph;
+use crate::store::BaselineRead;
 
 /// One `(key, value)` pair of the interpreted attribute layout. The key is
 /// an 8-byte property identifier stored explicitly with every value.
@@ -325,6 +326,48 @@ impl RowGraph {
             pageable: 0,
             buffer_pool: 0,
         }
+    }
+}
+
+impl BaselineRead for RowGraph {
+    fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    fn vertex_count(&self, label: LabelId) -> usize {
+        self.vertex_counts[label as usize]
+    }
+
+    fn lookup_pk(&self, label: LabelId, key: i64) -> Option<u64> {
+        RowGraph::lookup_pk(self, label, key)
+    }
+
+    fn adj_range(&self, elabel: LabelId, dir: Direction, from: u64) -> (u64, u64) {
+        // GF-RV stores every label in CSRs — no vertex-column shortcut.
+        let (start, len) = self.adj(elabel, dir).list(from);
+        (start, len as u64)
+    }
+
+    fn adj_entry(&self, elabel: LabelId, dir: Direction, pos: u64) -> Option<(u64, u64)> {
+        let (edge_id, nbr_global) = self.adj(elabel, dir).pair_at(pos);
+        // 8-byte global IDs are converted back to label offsets on use.
+        let nbr_label = self.catalog.edge_label(elabel).nbr_label(dir);
+        Some((self.offset_of_global(nbr_label, nbr_global), edge_id))
+    }
+
+    fn vertex_value(&self, label: LabelId, off: u64, prop: usize) -> Value {
+        self.read_vertex_prop(label, off, prop)
+    }
+
+    fn edge_value(
+        &self,
+        elabel: LabelId,
+        _dir: Direction,
+        _from: u64,
+        token: u64,
+        prop: usize,
+    ) -> Result<Value> {
+        Ok(self.read_edge_prop(elabel, token, prop))
     }
 }
 

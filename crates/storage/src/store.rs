@@ -23,11 +23,13 @@
 //!   recomputes statistics, and (for a directory-backed store) rewrites
 //!   the paged graph file atomically before truncating the WAL.
 //!
-//! [`GraphView`] is the read-side contract: a `Copy` pair of baseline +
-//! optional delta that resolves `(baseline ⊎ delta) ∖ tombstones` for
-//! scans, adjacency and property reads. The engines consume it directly;
-//! when the delta is empty they see `None` and keep their unmodified
-//! zero-copy fast paths.
+//! [`GraphView`] is the read-side contract and the only implementation of
+//! `(baseline ⊎ delta) ∖ tombstones`: a `Copy` pair of baseline + optional
+//! delta resolving scans, adjacency and property reads, generic over the
+//! positional [`BaselineRead`] trait so the list-based, Volcano and
+//! hash-join processors — over columnar or row storage — and `merge()` all
+//! consume the same overlay. When the delta is empty they see `None` and
+//! keep their unmodified zero-copy fast paths.
 //!
 //! ## Crash recovery
 //!
@@ -50,7 +52,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use gfcl_common::{Direction, Error, LabelId, Result, Value};
 
 use crate::catalog::Catalog;
-use crate::columnar_graph::{AdjIndex, ColumnarGraph};
+use crate::columnar_graph::ColumnarGraph;
 use crate::config::StorageConfig;
 use crate::delta::{DeltaSnapshot, DeltaStore, ResolvedOp, StrExt};
 use crate::raw::RawGraph;
@@ -78,58 +80,96 @@ fn fsync_dir(dir: &Path) -> Result<()> {
         .map_err(|e| io_err("fsync store directory", e))
 }
 
-// ---- edge reference tags ---------------------------------------------------
-//
-// A merged adjacency list carries, per neighbour, a tag naming the physical
-// edge so later property reads can find it: baseline CSR position `p` is
-// `p << 1`, delta edge index `d` is `d << 1 | 1`. Single-cardinality
-// baseline edges use position 0 (their read path ignores it).
-
-/// Tag a baseline CSR position (or 0 for single-cardinality edges).
-pub const fn base_edge_ref(pos: u64) -> u64 {
-    pos << 1
+/// Positional reads over an immutable baseline graph — the narrow
+/// contract [`GraphView`] overlays a delta on. [`ColumnarGraph`] and
+/// [`RowGraph`](crate::RowGraph) implement it; every vertex offset is
+/// label-level and both layouts build their lists by the same stable
+/// grouping of the input edge table, so a delta recorded against the
+/// columnar baseline applies unchanged to a row graph built from the same
+/// [`RawGraph`].
+pub trait BaselineRead {
+    fn catalog(&self) -> &Catalog;
+    fn vertex_count(&self, label: LabelId) -> usize;
+    fn lookup_pk(&self, label: LabelId, key: i64) -> Option<u64>;
+    /// List positions `start..start + len` of `from`'s `(elabel, dir)`
+    /// adjacency. A vertex-column (single-cardinality) adjacency is
+    /// positional by vertex: position `from`, length 1.
+    fn adj_range(&self, elabel: LabelId, dir: Direction, from: u64) -> (u64, u64);
+    /// Neighbour offset and storage-specific edge token (CSR position, row
+    /// edge ID; 0 for vertex-column edges) at list position `pos`. `None`
+    /// is a position holding no edge — a NULL in a vertex column.
+    fn adj_entry(&self, elabel: LabelId, dir: Direction, pos: u64) -> Option<(u64, u64)>;
+    fn vertex_value(&self, label: LabelId, off: u64, prop: usize) -> Value;
+    /// Edge property via the traversal source and an [`adj_entry`] token.
+    ///
+    /// [`adj_entry`]: BaselineRead::adj_entry
+    fn edge_value(
+        &self,
+        elabel: LabelId,
+        dir: Direction,
+        from: u64,
+        token: u64,
+        prop: usize,
+    ) -> Result<Value>;
 }
 
-/// Tag a delta edge index.
-pub const fn delta_edge_ref(idx: u64) -> u64 {
+// ---- edge reference tags ---------------------------------------------------
+//
+// Every edge a `GraphView` hands out — clean view or not, CSR or
+// vertex-column adjacency, any baseline layout — carries a tag naming the
+// physical edge so `GraphView::edge_value` can find its properties later:
+// a baseline edge with `BaselineRead::adj_entry` token `t` is `t << 1`,
+// delta edge index `d` is `d << 1 | 1`. This is the only token scheme the
+// engines see; nothing passes a baseline token through untagged.
+
+const fn base_edge_ref(token: u64) -> u64 {
+    token << 1
+}
+
+const fn delta_edge_ref(idx: u64) -> u64 {
     (idx << 1) | 1
 }
 
 /// Does the tag name a delta edge?
-pub const fn is_delta_edge_ref(tag: u64) -> bool {
+const fn is_delta_edge_ref(tag: u64) -> bool {
     tag & 1 == 1
 }
 
-/// Strip the tag back to a CSR position / delta index.
-pub const fn edge_ref_index(tag: u64) -> u64 {
+/// Strip the tag back to a baseline token / delta index.
+const fn edge_ref_index(tag: u64) -> u64 {
     tag >> 1
 }
 
-/// One consistent read view: the columnar baseline plus (optionally) a
-/// frozen delta. `delta == None` means "clean" — every helper degenerates
-/// to the plain baseline read and the engines keep their fast paths.
-#[derive(Debug, Clone, Copy)]
-pub struct GraphView<'g> {
-    base: &'g ColumnarGraph,
+/// One consistent read view: a baseline plus (optionally) a frozen delta,
+/// and the single implementation of `(baseline ⊎ delta) ∖ tombstones`.
+/// `delta == None` means "clean" — every helper degenerates to the plain
+/// baseline read and the engines keep their fast paths.
+#[derive(Debug)]
+pub struct GraphView<'g, B = ColumnarGraph> {
+    base: &'g B,
     delta: Option<&'g DeltaSnapshot>,
 }
 
-impl<'g> GraphView<'g> {
+impl<B> Clone for GraphView<'_, B> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<B> Copy for GraphView<'_, B> {}
+
+impl<'g, B: BaselineRead> GraphView<'g, B> {
     /// A view of the bare baseline (the immutable-graph fast path).
-    pub fn clean(base: &'g ColumnarGraph) -> GraphView<'g> {
+    pub fn clean(base: &'g B) -> Self {
         GraphView { base, delta: None }
     }
 
-    pub fn new(base: &'g ColumnarGraph, delta: Option<&'g DeltaSnapshot>) -> GraphView<'g> {
+    pub fn new(base: &'g B, delta: Option<&'g DeltaSnapshot>) -> Self {
         GraphView { base, delta: delta.filter(|d| !d.is_empty()) }
     }
 
-    pub fn base(&self) -> &'g ColumnarGraph {
+    pub fn base(&self) -> &'g B {
         self.base
-    }
-
-    pub fn delta(&self) -> Option<&'g DeltaSnapshot> {
-        self.delta
     }
 
     pub fn is_clean(&self) -> bool {
@@ -170,7 +210,7 @@ impl<'g> GraphView<'g> {
             if let Some(row) = self.delta.and_then(|d| d.updated_row(label, off)) {
                 return row[prop].clone();
             }
-            self.base.vertex_prop(label, prop).value(off as usize)
+            self.base.vertex_value(label, off, prop)
         } else {
             match self.delta.and_then(|d| d.delta_row(label, off - n_base)) {
                 Some(row) => row[prop].clone(),
@@ -219,84 +259,93 @@ impl<'g> GraphView<'g> {
         self.delta.is_some_and(|d| d.edge_list_dirty(label, dir, from))
     }
 
-    /// Materialize the merged adjacency list of a dirty vertex:
-    /// `(neighbours, edge-reference tags)`, baseline survivors in list
-    /// order followed by delta edges in insertion order.
+    /// The baseline's own list range of `from` when the delta leaves that
+    /// list untouched (always, on a clean view): positional engines step it
+    /// with [`GraphView::base_entry`] and nothing is materialized. `None`
+    /// means the list must be walked through the overlay.
+    pub fn untouched_range(&self, label: LabelId, dir: Direction, from: u64) -> Option<(u64, u64)> {
+        if let Some(d) = self.delta {
+            let from_label = self.base.catalog().edge_label(label).from_label(dir);
+            if from >= self.base.vertex_count(from_label) as u64
+                || d.edge_list_dirty(label, dir, from)
+            {
+                return None;
+            }
+        }
+        Some(self.base.adj_range(label, dir, from))
+    }
+
+    /// Neighbour and edge-reference tag at baseline list position `pos` of
+    /// an [untouched](GraphView::untouched_range) list (`None`: the
+    /// position holds no edge).
+    pub fn base_entry(&self, label: LabelId, dir: Direction, pos: u64) -> Option<(u64, u64)> {
+        let (nbr, token) = self.base.adj_entry(label, dir, pos)?;
+        Some((nbr, base_edge_ref(token)))
+    }
+
+    /// Visit every live `(label, dir)` edge of `from` as `f(neighbour,
+    /// edge-reference tag)`: baseline survivors in list order, then delta
+    /// edges in insertion order. Baseline tombstones are matched by
+    /// occurrence — the `occ`-th duplicate of an endpoint pair in list
+    /// order — and only lists the delta touches pay for the counting.
+    pub fn for_each_live_edge(
+        &self,
+        label: LabelId,
+        dir: Direction,
+        from: u64,
+        mut f: impl FnMut(u64, u64),
+    ) {
+        if let Some((start, len)) = self.untouched_range(label, dir, from) {
+            for (nbr, tag) in (start..start + len).filter_map(|p| self.base_entry(label, dir, p)) {
+                f(nbr, tag);
+            }
+            return;
+        }
+        let Some(d) = self.delta else { return };
+        let from_label = self.base.catalog().edge_label(label).from_label(dir);
+        if from < self.base.vertex_count(from_label) as u64 {
+            let (start, len) = self.base.adj_range(label, dir, from);
+            let mut seen: HashMap<u64, u32> = HashMap::new();
+            for (nbr, tag) in (start..start + len).filter_map(|p| self.base_entry(label, dir, p)) {
+                let occ = seen.entry(nbr).or_insert(0);
+                let (src, dst) = if dir == Direction::Fwd { (from, nbr) } else { (nbr, from) };
+                if !d.edge_tombed(label, src, dst, *occ) {
+                    f(nbr, tag);
+                }
+                *occ += 1;
+            }
+        }
+        for &idx in d.delta_edges_from(label, dir, from) {
+            let e = d.delta_edge(label, idx);
+            f(if dir == Direction::Fwd { e.dst } else { e.src }, delta_edge_ref(idx));
+        }
+    }
+
+    /// Materialize the merged adjacency list of a vertex:
+    /// `(neighbours, edge-reference tags)`.
     pub fn merged_adj(&self, label: LabelId, dir: Direction, from: u64) -> (Vec<u64>, Vec<u64>) {
         let mut nbrs = Vec::new();
         let mut refs = Vec::new();
-        let from_count =
-            self.base.vertex_count(self.base.catalog().edge_label(label).from_label(dir)) as u64;
-        let tombed = |nbr: u64, occ: u32| {
-            let (s, d) = if dir == Direction::Fwd { (from, nbr) } else { (nbr, from) };
-            self.delta.is_some_and(|del| del.edge_tombed(label, s, d, occ))
-        };
-        if from < from_count {
-            match self.base.adj(label, dir) {
-                AdjIndex::Csr(csr) => {
-                    let mut seen: HashMap<u64, u32> = HashMap::new();
-                    for (pos, nbr) in csr.iter_list(from) {
-                        let occ = seen.entry(nbr).or_insert(0);
-                        if !tombed(nbr, *occ) {
-                            nbrs.push(nbr);
-                            refs.push(base_edge_ref(pos));
-                        }
-                        *occ += 1;
-                    }
-                }
-                AdjIndex::SingleCard(s) => {
-                    if let Some(nbr) = s.nbr(from) {
-                        if !tombed(nbr, 0) {
-                            nbrs.push(nbr);
-                            refs.push(base_edge_ref(0));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(d) = self.delta {
-            for &idx in d.delta_edges_from(label, dir, from) {
-                let e = d.delta_edge(label, idx);
-                nbrs.push(if dir == Direction::Fwd { e.dst } else { e.src });
-                refs.push(delta_edge_ref(idx));
-            }
-        }
+        self.for_each_live_edge(label, dir, from, |nbr, tag| {
+            nbrs.push(nbr);
+            refs.push(tag);
+        });
         (nbrs, refs)
     }
 
-    /// The single `(label, dir)` neighbour of `from` — the overlay of the
-    /// vertex-column adjacency of single-cardinality directions. Returns
-    /// the neighbour and its edge-reference tag.
+    /// The single `(label, dir)` neighbour of `from` and its
+    /// edge-reference tag, for single-cardinality directions (whose
+    /// constraint the delta enforces, so at most one edge is live).
     pub fn single_nbr(&self, label: LabelId, dir: Direction, from: u64) -> Option<(u64, u64)> {
-        if let Some(d) = self.delta {
-            if let Some(&idx) = d.delta_edges_from(label, dir, from).first() {
-                let e = d.delta_edge(label, idx);
-                let nbr = if dir == Direction::Fwd { e.dst } else { e.src };
-                return Some((nbr, delta_edge_ref(idx)));
-            }
-        }
-        let from_count =
-            self.base.vertex_count(self.base.catalog().edge_label(label).from_label(dir)) as u64;
-        if from >= from_count {
-            return None;
-        }
-        match self.base.adj(label, dir) {
-            AdjIndex::SingleCard(s) => {
-                let nbr = s.nbr(from)?;
-                let tombed = {
-                    let (s0, d0) = if dir == Direction::Fwd { (from, nbr) } else { (nbr, from) };
-                    self.delta.is_some_and(|del| del.edge_tombed(label, s0, d0, 0))
-                };
-                (!tombed).then_some((nbr, base_edge_ref(0)))
-            }
-            // Single-cardinality directions are always stored as a vertex
-            // column; a CSR here means the caller asked the wrong way.
-            AdjIndex::Csr(_) => None,
-        }
+        let mut first = None;
+        self.for_each_live_edge(label, dir, from, |nbr, tag| {
+            first = first.or(Some((nbr, tag)));
+        });
+        first
     }
 
-    /// Read one edge property through an edge-reference tag produced by
-    /// [`GraphView::merged_adj`] / [`GraphView::single_nbr`].
+    /// Read one edge property through an edge-reference tag handed out by
+    /// this view.
     pub fn edge_value(
         &self,
         label: LabelId,
@@ -311,11 +360,7 @@ impl<'g> GraphView<'g> {
                 .ok_or_else(|| Error::Storage("delta edge reference on a clean view".into()))?;
             Ok(d.delta_edge(label, edge_ref_index(tag)).props[prop].clone())
         } else {
-            let csr_pos = match self.base.adj(label, dir) {
-                AdjIndex::Csr(_) => Some(edge_ref_index(tag)),
-                AdjIndex::SingleCard(_) => None,
-            };
-            self.base.read_edge_prop(label, dir, from, csr_pos, prop)
+            self.base.edge_value(label, dir, from, edge_ref_index(tag), prop)
         }
     }
 
@@ -713,43 +758,23 @@ impl WriteTxn<'_> {
 /// delta rows/edges follow in slot/insertion order, and vertex offsets
 /// are compacted by the same rule every time.
 pub fn merged_raw(base: &ColumnarGraph, delta: &DeltaSnapshot) -> Result<RawGraph> {
+    let view = GraphView::new(base, Some(delta));
     let catalog = base.catalog();
     let mut raw = RawGraph::new(catalog.clone());
-    let nv = catalog.vertex_label_count();
-    let ne = catalog.edge_label_count();
 
     // Vertices: survivors first (offset order), then live delta rows
     // (slot order); `remap[label][old global offset] -> new offset`.
-    let mut remap: Vec<Vec<Option<u64>>> = Vec::with_capacity(nv);
-    for l in 0..nv {
+    let mut remap: Vec<Vec<Option<u64>>> = Vec::with_capacity(catalog.vertex_label_count());
+    for (l, table) in raw.vertices.iter_mut().enumerate() {
         let label = l as LabelId;
-        let def = catalog.vertex_label(label);
-        let n_base = base.vertex_count(label) as u64;
-        let slots = delta.delta_slots(label);
-        let mut map = vec![None; (n_base + slots) as usize];
-        let table = &mut raw.vertices[l];
+        let total = view.scan_total(label);
+        let mut map = vec![None; total as usize];
         let mut next = 0u64;
-        for off in 0..n_base {
-            if delta.vertex_tombed(label, off) {
-                continue;
-            }
+        for off in (0..total).filter(|&off| view.vertex_live(label, off)) {
             map[off as usize] = Some(next);
             next += 1;
-            let updated = delta.updated_row(label, off);
-            for p in 0..def.properties.len() {
-                let v = match updated {
-                    Some(row) => row[p].clone(),
-                    None => base.vertex_prop(label, p).value(off as usize),
-                };
-                table.props[p].push_value(v)?;
-            }
-        }
-        for slot in 0..slots {
-            let Some(row) = delta.delta_row(label, slot) else { continue };
-            map[(n_base + slot) as usize] = Some(next);
-            next += 1;
-            for (col, v) in table.props.iter_mut().zip(row.iter()) {
-                col.push_value(v.clone())?;
+            for (p, col) in table.props.iter_mut().enumerate() {
+                col.push_value(view.vertex_value(label, off, p))?;
             }
         }
         table.count = next as usize;
@@ -759,80 +784,40 @@ pub fn merged_raw(base: &ColumnarGraph, delta: &DeltaSnapshot) -> Result<RawGrap
     // Edges: baseline survivors in forward-adjacency order (a stable
     // permutation of the original table order), then delta edges in
     // insertion order.
-    for l in 0..ne {
+    let mut survivors: Vec<(u64, u64)> = Vec::new();
+    for (l, table) in raw.edges.iter_mut().enumerate() {
         let label = l as LabelId;
         let def = catalog.edge_label(label);
         let (sl, dl) = (def.src as usize, def.dst as usize);
-        let n_from = base.vertex_count(def.src) as u64;
-        let push_edge = |raw: &mut RawGraph,
-                         ns: u64,
-                         nd: u64,
-                         mut prop_at: Box<dyn FnMut(usize) -> Result<Value> + '_>|
-         -> Result<()> {
-            let table = &mut raw.edges[l];
+        let mut push_edge = |src: u64, dst: u64, prop_at: &dyn Fn(usize) -> Result<Value>| {
+            // An endpoint the vertex export dropped takes its edges along.
+            let (Some(ns), Some(nd)) = (remap[sl][src as usize], remap[dl][dst as usize]) else {
+                return Ok(());
+            };
             table.src.push(ns);
             table.dst.push(nd);
-            for p in 0..def.properties.len() {
-                let v = prop_at(p)?;
-                table.props[p].push_value(v)?;
+            for (p, col) in table.props.iter_mut().enumerate() {
+                col.push_value(prop_at(p)?)?;
             }
             Ok(())
         };
-        match base.adj(label, Direction::Fwd) {
-            AdjIndex::Csr(csr) => {
-                for v in 0..n_from {
-                    let mut seen: HashMap<u64, u32> = HashMap::new();
-                    for (pos, nbr) in csr.iter_list(v) {
-                        let occ = seen.entry(nbr).or_insert(0);
-                        let o = *occ;
-                        *occ += 1;
-                        if delta.edge_tombed(label, v, nbr, o) {
-                            continue;
-                        }
-                        let (Some(ns), Some(nd)) = (remap[sl][v as usize], remap[dl][nbr as usize])
-                        else {
-                            continue;
-                        };
-                        push_edge(
-                            &mut raw,
-                            ns,
-                            nd,
-                            Box::new(|p| {
-                                base.read_edge_prop(label, Direction::Fwd, v, Some(pos), p)
-                            }),
-                        )?;
-                    }
+        for v in 0..base.vertex_count(def.src) as u64 {
+            survivors.clear();
+            view.for_each_live_edge(label, Direction::Fwd, v, |nbr, tag| {
+                // Delta edges are exported below, in global insertion order.
+                if !is_delta_edge_ref(tag) {
+                    survivors.push((nbr, tag));
                 }
-            }
-            AdjIndex::SingleCard(s) => {
-                for v in 0..n_from {
-                    let Some(nbr) = s.nbr(v) else { continue };
-                    if delta.edge_tombed(label, v, nbr, 0) {
-                        continue;
-                    }
-                    let (Some(ns), Some(nd)) = (remap[sl][v as usize], remap[dl][nbr as usize])
-                    else {
-                        continue;
-                    };
-                    push_edge(
-                        &mut raw,
-                        ns,
-                        nd,
-                        Box::new(|p| base.read_edge_prop(label, Direction::Fwd, v, None, p)),
-                    )?;
-                }
+            });
+            for &(nbr, tag) in &survivors {
+                push_edge(v, nbr, &|p| view.edge_value(label, Direction::Fwd, v, tag, p))?;
             }
         }
         for idx in 0..delta.delta_edge_count(label) {
             let e = delta.delta_edge(label, idx);
-            if e.deleted {
-                continue;
+            if !e.deleted {
+                push_edge(e.src, e.dst, &|p| Ok(e.props[p].clone()))?;
             }
-            let (Some(ns), Some(nd)) = (remap[sl][e.src as usize], remap[dl][e.dst as usize])
-            else {
-                continue;
-            };
-            push_edge(&mut raw, ns, nd, Box::new(|p| Ok(e.props[p].clone())))?;
         }
     }
     raw.validate()?;
@@ -887,6 +872,35 @@ mod tests {
         assert!(nbrs.contains(&off));
         let i = nbrs.iter().position(|&n| n == off).unwrap();
         assert_eq!(v.edge_value(0, Direction::Fwd, 0, refs[i], 0).unwrap(), Value::Int64(2024));
+    }
+
+    #[test]
+    fn edge_tags_resolve_only_through_the_view_that_issued_them() {
+        let store = GraphStore::in_memory(&pk_raw(), StorageConfig::default()).unwrap();
+        let before = store.snapshot();
+        let mut txn = store.begin_write();
+        txn.insert_edge("FOLLOWS", 0, 2, &[("since", Value::Int64(2024))]).unwrap();
+        txn.commit().unwrap();
+        let after = store.snapshot();
+
+        // Every edge is tagged, baseline ones (CSR and vertex-column alike)
+        // included, and each tag reads back through the issuing view.
+        let (nbrs, tags) = after.view().merged_adj(0, Direction::Fwd, 0);
+        let delta_tag = tags[nbrs.iter().position(|&n| n == 2).unwrap()];
+        assert!(is_delta_edge_ref(delta_tag));
+        assert_eq!(tags.iter().filter(|&&t| is_delta_edge_ref(t)).count(), 1);
+        for &tag in &tags {
+            after.view().edge_value(0, Direction::Fwd, 0, tag, 0).unwrap();
+        }
+        let (uw, tag) = before.view().single_nbr(1, Direction::Fwd, 2).expect("peter STUDYAT");
+        assert!(uw == 0 && !is_delta_edge_ref(tag));
+        let doj = before.view().edge_value(1, Direction::Fwd, 2, tag, 0).unwrap();
+        assert_eq!(doj, Value::Int64(2019));
+
+        // A delta tag means nothing to a view without that delta.
+        assert!(before.view().is_clean());
+        let err = before.view().edge_value(0, Direction::Fwd, 0, delta_tag, 0).unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "{err}");
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub fn run_writer(dir: &Path, commits: u64) -> Result<()> {
     // Resume after the last durable witness so reopened runs extend the
     // prefix instead of colliding on primary keys.
     let snap = store.snapshot();
-    let view = gfcl_storage::GraphView::new(snap.base(), Some(snap.delta()));
+    let view = snap.view();
     let mut start = 0u64;
     while view.lookup_pk(0, pk_of(start)).is_some() {
         start += 1;

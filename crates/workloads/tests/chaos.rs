@@ -100,17 +100,22 @@ fn build_raw() -> RawGraph {
 /// Engines over a (possibly fault-injected) columnar graph. GF-RV is
 /// fully resident so it cannot observe page faults; it rides along so the
 /// contract is checked uniformly across all four engines.
-fn engines(g: &Arc<ColumnarGraph>, rows: &Arc<RowGraph>) -> Vec<Box<dyn Engine>> {
+fn engines(
+    g: &Arc<ColumnarGraph>,
+    rows: &Arc<RowGraph>,
+    opts: ExecOptions,
+) -> Vec<Box<dyn Engine>> {
     vec![
-        Box::new(GfClEngine::new(Arc::clone(g))),
+        Box::new(GfClEngine::with_options(Arc::clone(g), opts)),
         Box::new(GfCvEngine::new(Arc::clone(g))),
         Box::new(RelEngine::new(Arc::clone(g))),
         Box::new(GfRvEngine::new(Arc::clone(rows))),
     ]
 }
 
-/// One query execution under chaos. Returns `Ok(canonical)` or the clean
-/// error; a panic or a wrong answer fails the test with the seed.
+/// One query execution under chaos (`engine` was built for `threads`
+/// workers). Returns `Ok(canonical)` or the clean error; a panic or a
+/// wrong answer fails the test with the seed.
 fn run_checked(
     engine: &dyn Engine,
     qname: &str,
@@ -119,8 +124,7 @@ fn run_checked(
     reference: &str,
     cfg: &FaultConfig,
 ) -> std::result::Result<(), Error> {
-    let opts = ExecOptions::with_threads(threads);
-    let outcome = catch_unwind(AssertUnwindSafe(|| engine.execute_with(q, &opts)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| engine.execute(q)));
     let ctx = format!(
         "seed={} cfg={cfg:?} query={qname} engine={} threads={threads}",
         cfg.seed,
@@ -168,16 +172,17 @@ fn chaos_matrix(cfg: FaultConfig) -> (usize, usize) {
 
     // Reference answers from the clean in-memory build.
     let qs = queries(NODES as i64);
-    let clean = engines(&built, &rows);
+    let clean = engines(&built, &rows, ExecOptions::serial());
     let refs: Vec<String> =
         qs.iter().map(|(_, q)| clean[0].execute(q).unwrap().canonical()).collect();
 
-    let under_test = engines(&faulty, &rows);
+    let under_test =
+        THREADS.map(|threads| engines(&faulty, &rows, ExecOptions::with_threads(threads)));
     let (mut ok, mut err) = (0, 0);
     for (qi, (qname, q)) in qs.iter().enumerate() {
-        for engine in &under_test {
-            for threads in THREADS {
-                match run_checked(engine.as_ref(), qname, q, threads, &refs[qi], &cfg) {
+        for e in 0..under_test[0].len() {
+            for (threads, engines) in THREADS.into_iter().zip(&under_test) {
+                match run_checked(engines[e].as_ref(), qname, q, threads, &refs[qi], &cfg) {
                     Ok(()) => ok += 1,
                     Err(_) => err += 1,
                 }

@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use gfcl_core::query::{col, gt, lit, PatternQuery, QueryBuilder};
 use gfcl_core::{Engine, ExecOptions, GfClEngine};
-use gfcl_storage::{GraphStore, GraphView, StorageConfig};
+use gfcl_storage::{GraphStore, StorageConfig};
 use gfcl_workloads::crashkit::{self, pk_of};
 
 /// Commits the writer attempts per iteration; kills land in `0..COMMITS`.
@@ -98,7 +98,7 @@ fn answers(store: &GraphStore, qs: &[(String, PatternQuery)], seed: u64) -> Vec<
 /// `0..m`; asserts no witness exists past the first gap.
 fn recovered_prefix(store: &GraphStore, seed: u64) -> u64 {
     let snap = store.snapshot();
-    let view = GraphView::new(snap.base(), Some(snap.delta()));
+    let view = snap.view();
     let mut m = 0u64;
     while view.lookup_pk(0, pk_of(m)).is_some() {
         m += 1;
@@ -197,7 +197,7 @@ fn run_iteration(seed: u64, dir: &Path) {
     let reopened = GraphStore::open(dir, StorageConfig::default())
         .unwrap_or_else(|e| panic!("seed={seed}: second reopen failed: {e}"));
     let snap = reopened.snapshot();
-    let view = GraphView::new(snap.base(), Some(snap.delta()));
+    let view = snap.view();
     assert!(
         view.lookup_pk(0, pk_of(COMMITS + 7)).is_some(),
         "seed={seed}: post-recovery commit did not survive reopen",

@@ -30,9 +30,9 @@ fn tmp(name: &str) -> PathBuf {
 
 /// Engines over one columnar graph (the row engine has no on-disk format,
 /// so persistence equivalence is a columnar-engines property).
-fn engines(g: &Arc<ColumnarGraph>) -> Vec<Box<dyn Engine>> {
+fn engines(g: &Arc<ColumnarGraph>, opts: ExecOptions) -> Vec<Box<dyn Engine>> {
     vec![
-        Box::new(GfClEngine::new(Arc::clone(g))),
+        Box::new(GfClEngine::with_options(Arc::clone(g), opts)),
         Box::new(GfCvEngine::new(Arc::clone(g))),
         Box::new(RelEngine::new(Arc::clone(g))),
     ]
@@ -61,17 +61,17 @@ fn assert_persistence_equivalent(raw: &RawGraph, name: &str, queries: &[(String,
         "{name}: reopened graph should serve value arrays from disk"
     );
 
-    let mem_engines = engines(&built);
-    let disk_engines = engines(&reopened);
-    for (qname, q) in queries {
-        for (m, d) in mem_engines.iter().zip(&disk_engines) {
-            for threads in THREADS {
-                let opts = ExecOptions::with_threads(threads);
+    for threads in THREADS {
+        let opts = ExecOptions::with_threads(threads);
+        let mem_engines = engines(&built, opts);
+        let disk_engines = engines(&reopened, opts);
+        for (qname, q) in queries {
+            for (m, d) in mem_engines.iter().zip(&disk_engines) {
                 let a = m
-                    .execute_with(q, &opts)
+                    .execute(q)
                     .unwrap_or_else(|e| panic!("{qname} failed in-memory on {}: {e}", m.name()));
                 let b = d
-                    .execute_with(q, &opts)
+                    .execute(q)
                     .unwrap_or_else(|e| panic!("{qname} failed reopened on {}: {e}", d.name()));
                 assert_eq!(
                     a.canonical(),
@@ -81,9 +81,13 @@ fn assert_persistence_equivalent(raw: &RawGraph, name: &str, queries: &[(String,
                 );
             }
         }
-        // Serial LBP: exactly equal, not just canonically.
-        let a = mem_engines[0].execute_with(q, &ExecOptions::serial()).unwrap();
-        let b = disk_engines[0].execute_with(q, &ExecOptions::serial()).unwrap();
+    }
+    // Serial LBP: exactly equal, not just canonically.
+    let mem_serial = GfClEngine::with_options(Arc::clone(&built), ExecOptions::serial());
+    let disk_serial = GfClEngine::with_options(Arc::clone(&reopened), ExecOptions::serial());
+    for (qname, q) in queries {
+        let a = mem_serial.execute(q).unwrap();
+        let b = disk_serial.execute(q).unwrap();
         assert_eq!(a, b, "{qname}: serial outputs diverge after reopen");
     }
     // The equivalence must have exercised the faulting path, with eviction

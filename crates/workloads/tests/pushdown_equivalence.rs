@@ -25,14 +25,16 @@ use proptest::prelude::*;
 /// Worker counts under test.
 const THREADS: [usize; 2] = [1, 4];
 
-fn engines(raw: &RawGraph) -> Vec<Box<dyn Engine>> {
-    let col_graph = Arc::new(ColumnarGraph::build(raw, StorageConfig::default()).unwrap());
-    let row_graph = Arc::new(RowGraph::build(raw).unwrap());
+fn engines(
+    col_graph: &Arc<ColumnarGraph>,
+    row_graph: &Arc<RowGraph>,
+    opts: ExecOptions,
+) -> Vec<Box<dyn Engine>> {
     vec![
-        Box::new(GfClEngine::new(col_graph.clone())),
+        Box::new(GfClEngine::with_options(col_graph.clone(), opts)),
         Box::new(GfCvEngine::new(col_graph.clone())),
-        Box::new(GfRvEngine::new(row_graph)),
-        Box::new(RelEngine::new(col_graph)),
+        Box::new(GfRvEngine::new(row_graph.clone())),
+        Box::new(RelEngine::new(col_graph.clone())),
     ]
 }
 
@@ -41,20 +43,23 @@ fn engines(raw: &RawGraph) -> Vec<Box<dyn Engine>> {
 /// outputs must be *exactly* equal (same row order), and non-default
 /// morsel sizes must change nothing either.
 fn assert_pushdown_equivalent(raw: &RawGraph, queries: &[(String, PatternQuery)]) {
-    let engines = engines(raw);
-    let catalog = engines[0].catalog().clone();
+    let col_graph = Arc::new(ColumnarGraph::build(raw, StorageConfig::default()).unwrap());
+    let row_graph = Arc::new(RowGraph::build(raw).unwrap());
+    let per_threads =
+        THREADS.map(|threads| engines(&col_graph, &row_graph, ExecOptions::with_threads(threads)));
+    let lbp = |opts| GfClEngine::with_options(col_graph.clone(), opts);
+    let catalog = col_graph.catalog().clone();
     for (name, q) in queries {
         let pushed = plan_with(q, &catalog, &PlanOptions::default())
             .unwrap_or_else(|e| panic!("{name} failed to plan with pushdown: {e}"));
         let plain = plan_with(q, &catalog, &PlanOptions::no_pushdown())
             .unwrap_or_else(|e| panic!("{name} failed to plan without pushdown: {e}"));
-        for e in &engines {
-            for threads in THREADS {
-                let opts = ExecOptions::with_threads(threads);
+        for (threads, engines) in THREADS.into_iter().zip(&per_threads) {
+            for e in engines {
                 let a = e
-                    .run_plan_with(&pushed, &opts)
+                    .run_plan(&pushed)
                     .unwrap_or_else(|err| panic!("{name} pushed failed on {}: {err}", e.name()));
-                let b = e.run_plan_with(&plain, &opts).unwrap_or_else(|err| {
+                let b = e.run_plan(&plain).unwrap_or_else(|err| {
                     panic!("{name} no-pushdown failed on {}: {err}", e.name())
                 });
                 assert_eq!(
@@ -67,17 +72,13 @@ fn assert_pushdown_equivalent(raw: &RawGraph, queries: &[(String, PatternQuery)]
         }
         // Serial LBP: byte-identical, not just canonically equal — and
         // stable under morsel sizes that split or straddle zone blocks.
-        let lbp = &engines[0];
-        let reference = lbp.run_plan_with(&plain, &ExecOptions::serial()).unwrap();
-        assert_eq!(
-            lbp.run_plan_with(&pushed, &ExecOptions::serial()).unwrap(),
-            reference,
-            "{name}"
-        );
+        let serial = lbp(ExecOptions::serial());
+        let reference = serial.run_plan(&plain).unwrap();
+        assert_eq!(serial.run_plan(&pushed).unwrap(), reference, "{name}");
         for morsel in [7usize, 512, 1500] {
             let opts = ExecOptions::serial().morsel(morsel);
             assert_eq!(
-                lbp.run_plan_with(&pushed, &opts).unwrap(),
+                lbp(opts).run_plan(&pushed).unwrap(),
                 reference,
                 "{name}: morsel {morsel} changed the serial output"
             );

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use gfcl_common::Error;
 use gfcl_core::query::QueryBuilder;
 use gfcl_core::{Engine, ExecOptions, GfClEngine};
-use gfcl_storage::{GraphStore, GraphView, StorageConfig};
+use gfcl_storage::{GraphStore, StorageConfig};
 use gfcl_workloads::crashkit::{self, pk_of};
 
 const COMMITS: u64 = 10;
@@ -68,7 +68,7 @@ fn check_recovery(dir: &Path, expected: &[String], label: &str) {
         Err(e) => panic!("{label}: reopen failed with non-storage error: {e}"),
         Ok(store) => {
             let snap = store.snapshot();
-            let view = GraphView::new(snap.base(), Some(snap.delta()));
+            let view = snap.view();
             let mut m = 0u64;
             while view.lookup_pk(0, pk_of(m)).is_some() {
                 m += 1;
