@@ -1,7 +1,7 @@
 //! Cold vs warm buffer pool vs all-resident on a selective pushed scan.
 //!
 //! Not an experiment from the paper — it measures the on-disk format and
-//! pager: the same zone-map-pruned selective scan runs (a) on the
+//! buffer pool: the same zone-map-pruned selective scan runs (a) on the
 //! all-resident built graph, (b) on a freshly reopened graph with an empty
 //! pool (every surviving page faults from disk), and (c) on the reopened
 //! graph once the pool is warm (every pin is a hit). The gap between (a)

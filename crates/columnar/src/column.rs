@@ -11,13 +11,11 @@
 //! NULL map, dictionary and zone map always stay resident — they are
 //! consulted on every access (or every block) and are small.
 
-use std::sync::Arc;
-
 use gfcl_common::{DataType, Error, MemoryUsage, Reader, Result, Value, Writer};
 
 use crate::dictionary::Dictionary;
 use crate::nulls::{NullKind, NullMap};
-use crate::paged::{ArrayData, SegmentSink, SegmentSource};
+use crate::paged_array::{ArrayData, PageCursor, PagedElem, SegmentSink, SegmentSource};
 use crate::uint_array::UIntArray;
 use crate::zonemap::ZoneMap;
 
@@ -33,6 +31,34 @@ pub enum ColumnData {
         dict: Dictionary,
         codes: UIntArray,
     },
+}
+
+/// The two block-read primitives of a physical value array, so the typed
+/// column reads below are written once over [`ArrayData`] and
+/// [`UIntArray`].
+trait Values<T> {
+    fn at(&self, cur: &mut PageCursor, p: usize) -> T;
+    fn range(&self, cur: &mut PageCursor, start: usize, end: usize, out: &mut Vec<T>);
+}
+
+impl<T: PagedElem> Values<T> for ArrayData<T> {
+    #[inline]
+    fn at(&self, cur: &mut PageCursor, p: usize) -> T {
+        self.get_with(cur, p)
+    }
+    fn range(&self, cur: &mut PageCursor, start: usize, end: usize, out: &mut Vec<T>) {
+        self.read_range(cur, start, end, out);
+    }
+}
+
+impl Values<u64> for UIntArray {
+    #[inline]
+    fn at(&self, cur: &mut PageCursor, p: usize) -> u64 {
+        self.get_with(cur, p)
+    }
+    fn range(&self, cur: &mut PageCursor, start: usize, end: usize, out: &mut Vec<u64>) {
+        self.read_range(cur, start, end, out);
+    }
 }
 
 /// An immutable typed column with pluggable NULL compression.
@@ -226,6 +252,127 @@ impl Column {
         }
     }
 
+    /// [`Column::get_i64`] through a reader-owned page cursor: a gather
+    /// over one page of a paged column pins it once, not once per value.
+    #[inline]
+    pub fn get_i64_with(&self, cur: &mut PageCursor, i: usize) -> Option<i64> {
+        match &self.data {
+            ColumnData::I64(v) => self.nulls.physical(i).map(|p| v.get_with(cur, p)),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    pub fn get_f64_with(&self, cur: &mut PageCursor, i: usize) -> Option<f64> {
+        match &self.data {
+            ColumnData::F64(v) => self.nulls.physical(i).map(|p| v.get_with(cur, p)),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    pub fn get_bool_with(&self, cur: &mut PageCursor, i: usize) -> Option<bool> {
+        match &self.data {
+            ColumnData::Bool(v) => self.nulls.physical(i).map(|p| v.get_with(cur, p)),
+            _ => None,
+        }
+    }
+
+    /// [`Column::get_code`] through a reader-owned page cursor.
+    #[inline]
+    pub fn get_code_with(&self, cur: &mut PageCursor, i: usize) -> Option<u64> {
+        match &self.data {
+            ColumnData::Str { codes, .. } => self.nulls.physical(i).map(|p| codes.get_with(cur, p)),
+            _ => None,
+        }
+    }
+
+    /// Block read of logical rows `[start, end)`: appends one value and one
+    /// validity flag per row (a NULL row reads as the default value,
+    /// `false`). A NULL-free column is one range read of the value array;
+    /// otherwise the NULL map is consulted per row, exactly as
+    /// [`Column::get_i64`] does, and the values step through `cur`.
+    fn read_rows<T: Copy + Default>(
+        &self,
+        arr: &impl Values<T>,
+        cur: &mut PageCursor,
+        start: usize,
+        end: usize,
+        vals: &mut Vec<T>,
+        valid: &mut Vec<bool>,
+    ) {
+        if matches!(self.nulls, NullMap::AllValid { .. }) {
+            arr.range(cur, start, end, vals);
+            valid.resize(valid.len() + (end - start), true);
+            return;
+        }
+        for i in start..end {
+            let p = self.nulls.physical(i);
+            vals.push(p.map_or_else(T::default, |p| arr.at(cur, p)));
+            valid.push(p.is_some());
+        }
+    }
+
+    /// Typed block read of an `Int64`/`Date` column (see
+    /// [`Column::get_i64`] for the per-row semantics); a column of another
+    /// type reads as all-NULL, as the scalar accessor does.
+    pub fn read_i64_range(
+        &self,
+        cur: &mut PageCursor,
+        start: usize,
+        end: usize,
+        vals: &mut Vec<i64>,
+        valid: &mut Vec<bool>,
+    ) {
+        match &self.data {
+            ColumnData::I64(v) => self.read_rows(v, cur, start, end, vals, valid),
+            _ => read_nulls(start, end, vals, valid),
+        }
+    }
+
+    pub fn read_f64_range(
+        &self,
+        cur: &mut PageCursor,
+        start: usize,
+        end: usize,
+        vals: &mut Vec<f64>,
+        valid: &mut Vec<bool>,
+    ) {
+        match &self.data {
+            ColumnData::F64(v) => self.read_rows(v, cur, start, end, vals, valid),
+            _ => read_nulls(start, end, vals, valid),
+        }
+    }
+
+    pub fn read_bool_range(
+        &self,
+        cur: &mut PageCursor,
+        start: usize,
+        end: usize,
+        vals: &mut Vec<bool>,
+        valid: &mut Vec<bool>,
+    ) {
+        match &self.data {
+            ColumnData::Bool(v) => self.read_rows(v, cur, start, end, vals, valid),
+            _ => read_nulls(start, end, vals, valid),
+        }
+    }
+
+    /// Typed block read of a string column's dictionary codes.
+    pub fn read_code_range(
+        &self,
+        cur: &mut PageCursor,
+        start: usize,
+        end: usize,
+        vals: &mut Vec<u64>,
+        valid: &mut Vec<bool>,
+    ) {
+        match &self.data {
+            ColumnData::Str { codes, .. } => self.read_rows(codes, cur, start, end, vals, valid),
+            _ => read_nulls(start, end, vals, valid),
+        }
+    }
+
     /// Read as a dynamically-typed [`Value`].
     pub fn value(&self, i: usize) -> Value {
         match &self.data {
@@ -333,19 +480,6 @@ impl Column {
         Some((first?, last? + 1))
     }
 
-    /// Pin every page backing logical rows `[start, end)` so a morsel's
-    /// reads cannot be evicted mid-scan. No-op on a resident column; the
-    /// returned guards release the pins when dropped.
-    pub fn pin_rows(&self, start: usize, end: usize, out: &mut Vec<Arc<Vec<u8>>>) {
-        let Some((p0, p1)) = self.physical_span(start, end) else { return };
-        match &self.data {
-            ColumnData::I64(v) => v.pin_range(p0, p1, out),
-            ColumnData::F64(v) => v.pin_range(p0, p1, out),
-            ColumnData::Bool(v) => v.pin_range(p0, p1, out),
-            ColumnData::Str { codes, .. } => codes.pin_range(p0, p1, out),
-        }
-    }
-
     /// Tell the buffer pool the pages backing logical rows `[start, end)`
     /// were pruned without faulting (zone maps turned into saved I/O).
     /// No-op on a resident column.
@@ -395,6 +529,17 @@ impl Column {
         let zones = r.opt(ZoneMap::decode)?.map(Box::new);
         Ok(Column { dtype, data, nulls, zones })
     }
+}
+
+/// `end - start` NULL rows.
+fn read_nulls<T: Copy + Default>(
+    start: usize,
+    end: usize,
+    vals: &mut Vec<T>,
+    valid: &mut Vec<bool>,
+) {
+    vals.resize(vals.len() + (end - start), T::default());
+    valid.resize(valid.len() + (end - start), false);
 }
 
 impl MemoryUsage for Column {
@@ -554,10 +699,7 @@ mod tests {
         assert!(!col.is_paged());
         assert_eq!(col.pageable_bytes(), 0);
         assert_eq!(col.resident_data_bytes(), col.data_bytes());
-        // pin/skip are no-ops on resident columns.
-        let mut pins = Vec::new();
-        col.pin_rows(0, 100, &mut pins);
-        assert!(pins.is_empty());
+        // Skip accounting is a no-op on resident columns.
         col.note_skipped_rows(0, 100);
     }
 }

@@ -23,15 +23,16 @@
 //! * [`ZoneMap`] — per-block min/max (and code-presence) synopses over a
 //!   column, letting scans with pushed-down predicates skip whole blocks
 //!   without touching the data.
-//! * [`paged`] — the [`ArrayData`] value-storage abstraction: resident
-//!   vectors for built graphs, on-demand page faults through a
-//!   [`PageStore`] (the storage crate's buffer pool) for reopened ones.
+//! * [`paged_array`] — the [`ArrayData`] value-storage abstraction:
+//!   resident vectors for built graphs, on-demand page faults through a
+//!   [`PageStore`] (the storage crate's buffer pool) for reopened ones,
+//!   read a block at a time (range reads, reader-owned [`PageCursor`]s).
 
 pub mod bitmap;
 pub mod column;
 pub mod dictionary;
 pub mod nulls;
-pub mod paged;
+pub mod paged_array;
 pub mod rank;
 pub mod uint_array;
 pub mod zonemap;
@@ -40,7 +41,9 @@ pub use bitmap::Bitmap;
 pub use column::{Column, ColumnBuilder, ColumnData};
 pub use dictionary::Dictionary;
 pub use nulls::{NullKind, NullMap};
-pub use paged::{ArrayData, PageStore, PagedElem, SegRef, SegmentSink, SegmentSource, PAGE_SIZE};
+pub use paged_array::{
+    ArrayData, PageCursor, PageStore, PagedElem, SegRef, SegmentSink, SegmentSource, PAGE_SIZE,
+};
 pub use rank::{JacobsonRank, RankParams};
 pub use uint_array::UIntArray;
 pub use zonemap::{ZoneEntry, ZoneInfo, ZoneMap, ZONE_BLOCK};

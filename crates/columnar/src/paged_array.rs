@@ -9,10 +9,24 @@
 //!
 //! Elements are fixed-width (1/2/4/8 bytes — every width divides
 //! [`PAGE_SIZE`], so no element ever straddles a page boundary) and
-//! segments are page-aligned; a random access on the paged arm is one
-//! page pin plus one little-endian load.
+//! segments are page-aligned.
+//!
+//! A pin is something a *reader* holds, not something a *value* costs.
+//! Three accessors touch the page store, and nothing else in this module
+//! does:
+//!
+//! * [`ArrayData::get`] — the cold path: one page pin plus one
+//!   little-endian load per call.
+//! * [`ArrayData::get_with`] — the same read through a reader-owned
+//!   [`PageCursor`], which keeps the pages it touched last pinned and goes
+//!   back to the store only when the page changes: a walk over one page
+//!   is one pin.
+//! * [`ArrayData::read_range`] — decode `[start, end)` straight into the
+//!   caller's vector: at most one pin per page covered.
+//!
+//! On the resident arm all three compile to the plain slice / index code.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use gfcl_common::{MemoryUsage, Reader, Result, Writer};
 
@@ -22,7 +36,7 @@ use gfcl_common::{MemoryUsage, Reader, Result, Writer};
 pub const PAGE_SIZE: usize = 65536;
 
 /// A source of pinned pages — implemented by the buffer pool in
-/// `gfcl_storage::pager`. Pinning is Arc-based: a page stays resident (is
+/// `gfcl_storage::buffer_pool`. Pinning is Arc-based: a page stays resident (is
 /// skipped by eviction) for as long as any returned `Arc` is alive.
 pub trait PageStore: Send + Sync + std::fmt::Debug {
     /// Fault page `page_no` in (or hit the pool) and pin it. Fallible:
@@ -37,9 +51,10 @@ pub trait PageStore: Send + Sync + std::fmt::Debug {
     /// with a NULL). On failure the error is reported to the thread's
     /// installed fault domain ([`gfcl_common::govern::fault_scope`]) — the
     /// owning query observes it at its next cancellation checkpoint — and
-    /// a zeroed placeholder page is returned so the current morsel can
-    /// unwind cooperatively. The placeholder can never leak into results:
-    /// every governed query checks its token before publishing.
+    /// the process-wide zeroed placeholder page is returned so the current
+    /// morsel can unwind cooperatively. The placeholder can never leak into
+    /// results: every governed query checks its token before publishing,
+    /// and a [`PageCursor`] that cached it dies with that query's pipeline.
     ///
     /// Outside any fault domain there is no query to contain the failure,
     /// and serving placeholder bytes would silently corrupt whatever read
@@ -50,7 +65,10 @@ pub trait PageStore: Send + Sync + std::fmt::Debug {
             Ok(page) => page,
             Err(e) => {
                 if gfcl_common::govern::report_io_fault(&e.to_string()) {
-                    Arc::new(vec![0u8; PAGE_SIZE])
+                    // One zero page for the whole process: a permanently
+                    // unreadable page must not cost 64 KiB per failed pin.
+                    static ZEROES: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
+                    Arc::clone(ZEROES.get_or_init(|| Arc::new(vec![0u8; PAGE_SIZE])))
                 } else {
                     // lint: allow(no fault domain installed: placeholder
                     // bytes would silently corrupt a non-query reader, so
@@ -128,6 +146,65 @@ impl PagedElem for bool {
     }
 }
 
+/// The pins a reader owns: the last few pages it touched.
+///
+/// A cursor belongs to one reader walking one array (or several arrays of
+/// one [`PageStore`] — page numbers are store-wide). It is a tiny
+/// direct-mapped page table of [`PageCursor::SLOTS`] entries: a read goes
+/// back to the store only when its page is not the one held in the page's
+/// slot, so a sequential walk pins each page once, and a gather bouncing
+/// between a handful of pages (an adjacency list's neighbours, their
+/// property values) pins each of them once too. While the cursor holds a
+/// page that page cannot be evicted — the cursor *is* the eviction guard
+/// for the walk — and it never holds more than `SLOTS` pages.
+///
+/// The table is allocated when the first paged page is touched and kept
+/// from then on: a cursor that only ever meets resident arrays stays one
+/// null pointer, so the operators that embed cursors cost a query over a
+/// resident graph neither an allocation nor a larger operator.
+#[derive(Debug, Clone, Default)]
+pub struct PageCursor {
+    pages: Option<Box<[HeldPage; PageCursor::SLOTS]>>,
+}
+
+/// One slot of a cursor's table: the page number and its pinned frame.
+type HeldPage = Option<(u64, Arc<Vec<u8>>)>;
+
+impl PageCursor {
+    /// Pages a cursor can hold at once (page `p` lives in slot
+    /// `p % SLOTS`): 512 KiB of pinned frames at most.
+    pub const SLOTS: usize = 8;
+
+    pub fn new() -> PageCursor {
+        PageCursor::default()
+    }
+
+    /// Release every pin (the executor does this at every morsel boundary,
+    /// so a pin never outlives a morsel).
+    pub fn clear(&mut self) {
+        if let Some(pages) = &mut self.pages {
+            **pages = Default::default();
+        }
+    }
+
+    /// The bytes of page `page_no`, pinned through `store` only when its
+    /// slot does not already hold it.
+    #[inline]
+    fn page(&mut self, store: &dyn PageStore, page_no: u64) -> &[u8] {
+        let pages = self.pages.get_or_insert_with(Default::default);
+        // lint: allow(a remainder by the array's own length is in bounds;
+        // the narrowing keeps only the low bits the remainder uses)
+        let slot = &mut pages[page_no as usize % PageCursor::SLOTS];
+        if !matches!(slot, Some((held, _)) if *held == page_no) {
+            // Unpin the slot's old page first so the pool may reclaim it
+            // for the fault below.
+            *slot = None;
+        }
+        let (_, bytes) = slot.get_or_insert_with(|| (page_no, store.pin(page_no)));
+        bytes
+    }
+}
+
 /// A fixed-width value array that is either fully resident or faulted in
 /// page-by-page through a [`PageStore`].
 #[derive(Debug, Clone)]
@@ -152,7 +229,8 @@ impl<T: PagedElem> ArrayData<T> {
     }
 
     /// Constant-time random access: an index on the resident arm, one page
-    /// pin + LE load on the paged arm.
+    /// pin + LE load on the paged arm. The cold path — loops read through
+    /// [`ArrayData::get_with`] or [`ArrayData::read_range`].
     #[inline]
     pub fn get(&self, i: usize) -> T {
         match self {
@@ -164,6 +242,60 @@ impl<T: PagedElem> ArrayData<T> {
                 // lint: allow(elements never straddle pages: WIDTH divides
                 // PAGE_SIZE, so byte % PAGE_SIZE <= PAGE_SIZE - WIDTH)
                 T::read_le(&page[byte % PAGE_SIZE..])
+            }
+        }
+    }
+
+    /// [`ArrayData::get`] through a reader-owned cursor: the paged arm
+    /// touches the store only when `i` lies on another page than the
+    /// cursor's; the resident arm is the plain index.
+    #[inline]
+    pub fn get_with(&self, cur: &mut PageCursor, i: usize) -> T {
+        match self {
+            ArrayData::Resident(d) => d[i],
+            ArrayData::Paged { store, seg, len } => {
+                debug_assert!(i < *len);
+                let byte = i * T::WIDTH;
+                let page = cur.page(store.as_ref(), seg.start_page + (byte / PAGE_SIZE) as u64);
+                // lint: allow(elements never straddle pages: WIDTH divides
+                // PAGE_SIZE, so byte % PAGE_SIZE <= PAGE_SIZE - WIDTH)
+                T::read_le(&page[byte % PAGE_SIZE..])
+            }
+        }
+    }
+
+    /// Append elements `[start, end)` to `out`: a slice copy on the
+    /// resident arm, one little-endian block decode per page covered on
+    /// the paged arm (pinned through `cur`, so a reader stepping list by
+    /// list over one page pins it once).
+    pub fn read_range(&self, cur: &mut PageCursor, start: usize, end: usize, out: &mut Vec<T>) {
+        self.read_range_with(cur, start, end, out, |v| v);
+    }
+
+    /// [`ArrayData::read_range`] converting each element on the way out
+    /// (the widening load of [`UIntArray`](crate::UIntArray)).
+    pub fn read_range_with<U>(
+        &self,
+        cur: &mut PageCursor,
+        start: usize,
+        end: usize,
+        out: &mut Vec<U>,
+        widen: impl Fn(T) -> U,
+    ) {
+        match self {
+            ArrayData::Resident(d) => out.extend(d[start..end].iter().map(|&v| widen(v))),
+            ArrayData::Paged { store, seg, len } => {
+                debug_assert!(start <= end && end <= *len);
+                out.reserve(end.saturating_sub(start));
+                let stop = end * T::WIDTH;
+                let mut byte = start * T::WIDTH;
+                while byte < stop {
+                    let lo = byte % PAGE_SIZE;
+                    let hi = (lo + (stop - byte)).min(PAGE_SIZE);
+                    let page = cur.page(store.as_ref(), seg.start_page + (byte / PAGE_SIZE) as u64);
+                    out.extend(page[lo..hi].chunks_exact(T::WIDTH).map(|b| widen(T::read_le(b))));
+                    byte += hi - lo;
+                }
             }
         }
     }
@@ -218,7 +350,7 @@ impl<T: PagedElem> ArrayData<T> {
     }
 
     /// Pages covering elements `[start, end)` of a paged array (`None` when
-    /// resident): the faulting footprint of one scan morsel.
+    /// resident): the faulting footprint of one block.
     pub fn page_range(&self, start: usize, end: usize) -> Option<(u64, u64)> {
         match self {
             ArrayData::Resident(_) => None,
@@ -229,19 +361,6 @@ impl<T: PagedElem> ArrayData<T> {
                 let first = seg.start_page + (start * T::WIDTH / PAGE_SIZE) as u64;
                 let last = seg.start_page + ((end - 1) * T::WIDTH / PAGE_SIZE) as u64;
                 Some((first, last + 1))
-            }
-        }
-    }
-
-    /// Pin every page covering elements `[start, end)` into `out` so a
-    /// morsel's worth of reads cannot be evicted mid-scan. No-op when
-    /// resident.
-    pub fn pin_range(&self, start: usize, end: usize, out: &mut Vec<Arc<Vec<u8>>>) {
-        if let (ArrayData::Paged { store, .. }, Some((first, last))) =
-            (self, self.page_range(start, end))
-        {
-            for p in first..last {
-                out.push(store.pin(p));
             }
         }
     }
@@ -341,6 +460,9 @@ pub mod mem {
     pub struct MemStore {
         pages: Mutex<Vec<Arc<Vec<u8>>>>,
         skipped: AtomicU64,
+        pin_calls: AtomicU64,
+        /// Pages whose every pin fails (a permanently unreadable page).
+        poisoned: Mutex<Vec<u64>>,
     }
 
     impl MemStore {
@@ -353,6 +475,18 @@ pub mod mem {
             self.skipped.load(Ordering::Relaxed)
         }
 
+        /// [`PageStore::try_pin`] calls so far, failed ones included.
+        pub fn pins(&self) -> u64 {
+            self.pin_calls.load(Ordering::Relaxed)
+        }
+
+        /// Make every later pin of `page_no` fail.
+        pub fn poison(&self, page_no: u64) {
+            // lint: allow(test-support store; a poisoned lock means a test
+            // already panicked and re-panicking is correct)
+            self.poisoned.lock().unwrap().push(page_no);
+        }
+
         /// Pages written so far.
         pub fn n_pages(&self) -> usize {
             // lint: allow(test-support store; a poisoned lock means a test
@@ -363,6 +497,11 @@ pub mod mem {
 
     impl PageStore for MemStore {
         fn try_pin(&self, page_no: u64) -> Result<Arc<Vec<u8>>> {
+            self.pin_calls.fetch_add(1, Ordering::Relaxed);
+            // lint: allow(test-support store; poisoned-lock re-panic is fine)
+            if self.poisoned.lock().unwrap().contains(&page_no) {
+                return Err(gfcl_common::Error::Storage(format!("page {page_no} is unreadable")));
+            }
             // lint: allow(test-support store: poisoned-lock re-panic is
             // correct, and page counts stay far below usize::MAX)
             let pages = self.pages.lock().unwrap();
@@ -486,9 +625,89 @@ mod tests {
         let paged = ArrayData::<u64>::decode_seg(&mut Reader::new(&bytes), &store).unwrap();
         paged.note_skipped_range(0, 50_000);
         assert_eq!(store.skipped(), 7);
-        let mut pins = Vec::new();
-        paged.pin_range(0, 10_000, &mut pins);
-        assert_eq!(pins.len(), 2);
+    }
+
+    #[test]
+    fn cursor_pins_only_on_a_slot_miss() {
+        let store = MemStore::new();
+        let per_page = PAGE_SIZE / 8;
+        let values: Vec<u64> = (0..(PageCursor::SLOTS as u64 + 2) * per_page as u64).collect();
+        let mut w = Writer::new();
+        ArrayData::Resident(values).encode_seg(&mut w, &mut MemSink(store.clone()));
+        let bytes = w.into_bytes();
+        let paged = ArrayData::<u64>::decode_seg(&mut Reader::new(&bytes), &store).unwrap();
+        let mut cur = PageCursor::new();
+        let read = |cur: &mut PageCursor, i: usize| {
+            let before = store.pins();
+            assert_eq!(paged.get_with(cur, i), i as u64);
+            store.pins() - before
+        };
+        // One pin per page, none while the page does not change — also
+        // when the walk bounces between pages in different slots.
+        assert_eq!((read(&mut cur, 0), read(&mut cur, 1), read(&mut cur, per_page - 1)), (1, 0, 0));
+        assert_eq!(
+            (read(&mut cur, per_page), read(&mut cur, 7), read(&mut cur, per_page + 7)),
+            (1, 0, 0)
+        );
+        // Pages `SLOTS` apart share a slot: each displaces the other.
+        let far = PageCursor::SLOTS * per_page;
+        assert_eq!((read(&mut cur, far), read(&mut cur, 0), read(&mut cur, far)), (1, 1, 1));
+        // A range read over held pages pins nothing; `clear` drops all.
+        let mut out = Vec::new();
+        let before = store.pins();
+        paged.read_range(&mut cur, per_page - 3, per_page + 3, &mut out);
+        assert_eq!(out, ((per_page - 3) as u64..(per_page + 3) as u64).collect::<Vec<_>>());
+        assert_eq!(store.pins(), before + 1, "page 0 was displaced above, page 1 is held");
+        cur.clear();
+        assert_eq!(read(&mut cur, per_page), 1);
+    }
+
+    #[test]
+    fn a_cursor_over_resident_arrays_stays_a_null_pointer() {
+        // Operators embed cursors, and a query over a resident graph must
+        // not pay for them: no table until a paged page is touched.
+        assert_eq!(std::mem::size_of::<PageCursor>(), std::mem::size_of::<usize>());
+        let resident = ArrayData::Resident((0..100u64).collect());
+        let mut cur = PageCursor::new();
+        let mut out = Vec::new();
+        resident.read_range(&mut cur, 10, 20, &mut out);
+        assert_eq!((resident.get_with(&mut cur, 42), out.len()), (42, 10));
+        cur.clear();
+        assert!(cur.pages.is_none());
+    }
+
+    #[test]
+    fn an_unreadable_page_hands_out_one_shared_placeholder() {
+        use gfcl_common::govern::{fault_scope, CancelReason, CancelToken};
+        let store = MemStore::new();
+        let mut w = Writer::new();
+        ArrayData::Resident(vec![7u64; 3 * PAGE_SIZE / 8])
+            .encode_seg(&mut w, &mut MemSink(store.clone()));
+        let bytes = w.into_bytes();
+        let paged = ArrayData::<u64>::decode_seg(&mut Reader::new(&bytes), &store).unwrap();
+        store.poison(1);
+        let token = Arc::new(CancelToken::new());
+        let _scope = fault_scope(&token);
+        // Every failed pin is served the same zero page: a permanently
+        // unreadable page costs no allocation however often it is hit.
+        let first = store.pin(1);
+        for _ in 0..1000 {
+            assert!(Arc::ptr_eq(&store.pin(1), &first));
+        }
+        assert!(first.iter().all(|&b| b == 0));
+        assert_eq!(token.reason(), Some(CancelReason::Io));
+        // Through a cursor the page is not even retried per value: one
+        // failed pin per page change, zeros until the morsel ends.
+        let before = store.pins();
+        let mut cur = PageCursor::new();
+        let mut out = Vec::new();
+        paged.read_range(&mut cur, 0, paged.len(), &mut out);
+        assert_eq!(store.pins() - before, 3);
+        let per_page = PAGE_SIZE / 8;
+        assert!(out[..per_page].iter().all(|&v| v == 7), "healthy pages still serve");
+        assert!(out[per_page..2 * per_page].iter().all(|&v| v == 0));
+        assert_eq!(paged.get_with(&mut cur, per_page + 5), 0);
+        assert_eq!(store.pins() - before, 3, "the cursor holds the placeholder");
     }
 
     #[test]

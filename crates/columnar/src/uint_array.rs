@@ -15,7 +15,7 @@
 
 use gfcl_common::{Error, MemoryUsage, Reader, Result, Writer};
 
-use crate::paged::{ArrayData, SegmentSink, SegmentSource};
+use crate::paged_array::{ArrayData, PageCursor, SegmentSink, SegmentSource};
 
 /// An immutable-after-build array of `u64` values stored in 1, 2, 4 or
 /// 8-byte codes.
@@ -94,6 +94,30 @@ impl UIntArray {
         }
     }
 
+    /// [`UIntArray::get`] through a reader-owned page cursor
+    /// ([`ArrayData::get_with`]).
+    #[inline]
+    pub fn get_with(&self, cur: &mut PageCursor, i: usize) -> u64 {
+        match self {
+            UIntArray::U8(d) => d.get_with(cur, i) as u64,
+            UIntArray::U16(d) => d.get_with(cur, i) as u64,
+            UIntArray::U32(d) => d.get_with(cur, i) as u64,
+            UIntArray::U64(d) => d.get_with(cur, i),
+        }
+    }
+
+    /// Append elements `[start, end)`, widened, to `out`: the width is
+    /// matched once per block, not once per value
+    /// ([`ArrayData::read_range`]).
+    pub fn read_range(&self, cur: &mut PageCursor, start: usize, end: usize, out: &mut Vec<u64>) {
+        match self {
+            UIntArray::U8(d) => d.read_range_with(cur, start, end, out, u64::from),
+            UIntArray::U16(d) => d.read_range_with(cur, start, end, out, u64::from),
+            UIntArray::U32(d) => d.read_range_with(cur, start, end, out, u64::from),
+            UIntArray::U64(d) => d.read_range(cur, start, end, out),
+        }
+    }
+
     /// Overwrite position `i`. The value must fit the established width.
     #[inline]
     pub fn set(&mut self, i: usize, v: u64) {
@@ -169,17 +193,6 @@ impl UIntArray {
             UIntArray::U16(d) => d.pageable_bytes(),
             UIntArray::U32(d) => d.pageable_bytes(),
             UIntArray::U64(d) => d.pageable_bytes(),
-        }
-    }
-
-    /// Pin every page covering elements `[start, end)` (no-op when
-    /// resident). See [`ArrayData::pin_range`].
-    pub fn pin_range(&self, start: usize, end: usize, out: &mut Vec<std::sync::Arc<Vec<u8>>>) {
-        match self {
-            UIntArray::U8(d) => d.pin_range(start, end, out),
-            UIntArray::U16(d) => d.pin_range(start, end, out),
-            UIntArray::U32(d) => d.pin_range(start, end, out),
-            UIntArray::U64(d) => d.pin_range(start, end, out),
         }
     }
 

@@ -11,14 +11,20 @@
 //! descriptors pointing into CSR storage rather than materialized copies
 //! (LBP advantage (ii) in Section 6).
 
+use gfcl_columnar::PageCursor;
 use gfcl_common::{Direction, LabelId};
 use gfcl_storage::ColumnarGraph;
 
-/// Node-offset block: owned values or a zero-copy view into an adjacency
-/// list in the CSR.
+/// Node-offset block: owned values, a scan morsel's contiguous offset run,
+/// or a zero-copy view into an adjacency list in the CSR.
 #[derive(Debug, Clone)]
 pub enum NodeData {
     Owned(Vec<u64>),
+    /// `len` consecutive offsets from `start`: a scan morsel. Nothing is
+    /// materialized, and a property read over it is one range read.
+    Range {
+        start: u64,
+    },
     /// `len` elements starting at CSR position `start` of `(label, dir)`.
     AdjView {
         label: LabelId,
@@ -93,14 +99,19 @@ pub enum ValueVector {
 }
 
 impl ValueVector {
-    /// Vertex offset at position `i` (Node vectors only).
+    /// Vertex offset at position `i` (Node vectors only). An adjacency
+    /// view reads the CSR's neighbour array through the caller's cursor,
+    /// so stepping one list costs one page pin, not one per position.
     #[inline]
-    pub fn node_offset(&self, g: &ColumnarGraph, i: usize) -> u64 {
+    pub fn node_offset(&self, g: &ColumnarGraph, cur: &mut PageCursor, i: usize) -> u64 {
         match self {
             ValueVector::Node { data: NodeData::Owned(v), .. } => v[i],
-            ValueVector::Node { data: NodeData::AdjView { label, dir, start }, .. } => {
-                g.adj(*label, *dir).as_csr().expect("adj view over CSR").nbr_at(start + i as u64)
-            }
+            ValueVector::Node { data: NodeData::Range { start }, .. } => start + i as u64,
+            ValueVector::Node { data: NodeData::AdjView { label, dir, start }, .. } => g
+                .adj(*label, *dir)
+                .as_csr()
+                .expect("adj view over CSR")
+                .nbr_at_with(cur, start + i as u64),
             _ => panic!("node_offset on non-node vector"),
         }
     }
@@ -206,11 +217,15 @@ impl ListGroup {
 #[derive(Debug, Clone)]
 pub struct Chunk {
     pub groups: Vec<ListGroup>,
+    /// Sequence number of the scan morsel the current state descends from
+    /// (bumped by the scan on every claim). Operators compare it with the
+    /// one they last saw to drop their page cursors at morsel boundaries.
+    pub morsel: u64,
 }
 
 impl Chunk {
     pub fn new(group_sizes: &[usize]) -> Chunk {
-        Chunk { groups: group_sizes.iter().map(|&n| ListGroup::new(n)).collect() }
+        Chunk { groups: group_sizes.iter().map(|&n| ListGroup::new(n)).collect(), morsel: 0 }
     }
 
     /// Number of tuples currently represented: the product of group

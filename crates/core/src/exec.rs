@@ -23,9 +23,14 @@
 //!   neighbour blocks to the *same* group (no new factor is needed because
 //!   each tuple extends to at most one neighbour); missing edges unselect.
 //! * `ReadNodeProp` / `ReadEdgeProp` — vectorized property reads in list
-//!   order (Desideratum 1). Edge reads resolve through
-//!   [`gfcl_storage::EdgePropRead`], so the same operator exercises
-//!   property pages, edge columns, and double-indexed layouts.
+//!   order (Desideratum 1), a block at a time: a contiguous run (a scan
+//!   morsel, a list in its indexed direction) is one range read of the
+//!   column, anything else resolves its offsets block-wise and gathers
+//!   through the operator's page cursors — whether the bytes sit in a
+//!   `Vec` or in a buffer-pool frame is decided once per block, never per
+//!   value. Edge reads resolve through [`gfcl_storage::EdgePropRead`], so
+//!   the same operator exercises property pages, edge columns, and
+//!   double-indexed layouts.
 //! * `Filter` — evaluates a compiled predicate over the (single) unflat
 //!   group among its inputs, broadcasting flat operands, and ANDs the
 //!   result into the group's selection mask.
@@ -37,9 +42,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gfcl_columnar::{Column, Dictionary};
+use gfcl_columnar::{Column, Dictionary, PageCursor, UIntArray};
 use gfcl_common::{DataType, Direction, Error, LabelId, Result, Value};
-use gfcl_storage::{AdjIndex, GraphView, StrExt};
+use gfcl_storage::{AdjIndex, ColumnarGraph, EdgePropRead, GraphView, StrExt};
 
 use crate::agg::{AggState, GroupTable, OrdValue};
 use crate::chunk::{Chunk, ListGroup, NodeData, ValueVector, VecRef};
@@ -189,10 +194,6 @@ enum Op<'g> {
         mask: Vec<bool>,
         /// Scratch per-predicate block verdicts, reused across blocks.
         verdicts: Vec<BlockVerdict>,
-        /// Pages pinned for the morsel being probed (paged columns only):
-        /// rows of inconclusive blocks are faulted once per morsel, not
-        /// once per row, and released when the next morsel is claimed.
-        pins: Vec<std::sync::Arc<Vec<u8>>>,
     },
     ScanPk {
         label: LabelId,
@@ -218,6 +219,7 @@ enum Op<'g> {
         owns_iter: bool,
         pos: i64,
         single_shot_done: bool,
+        rd: ReadState,
     },
     ColumnExtend {
         label: LabelId,
@@ -230,6 +232,9 @@ enum Op<'g> {
         edge_out: VecRef,
         /// Does the snapshot's delta touch this adjacency?
         maybe_dirty: bool,
+        /// Scratch "tuple still has its edge" mask, reused across states.
+        mask: Vec<bool>,
+        rd: ReadState,
     },
     ReadNodeProp {
         node: VecRef,
@@ -240,19 +245,107 @@ enum Op<'g> {
         /// Does the snapshot's delta touch this label's vertices? `true` ⇒
         /// values resolve row-at-a-time through the view.
         touched: bool,
-        /// Pages pinned for the chunk being filled (paged columns only).
-        pins: Vec<std::sync::Arc<Vec<u8>>>,
+        rd: ReadState,
     },
     ReadEdgeProp {
         edge: VecRef,
         out: VecRef,
         prop: usize,
         dtype: DataType,
+        rd: ReadState,
     },
     Filter {
         pred: CPred,
         mask: Vec<bool>,
     },
+}
+
+/// The paged-read state of one operator: the page cursors its reads step
+/// through and the offset scratch of the block being filled. A cursor keeps
+/// the page it touched last pinned — that pin is the eviction guard for
+/// the walk — and [`ReadState::enter`] drops all of them when the pipeline
+/// moves on to another scan morsel, so a pin never outlives a morsel.
+/// A cursor is one pointer until it first meets a paged page, and an
+/// empty scratch owns no heap memory: over a resident graph this state
+/// costs an operator no allocation and three words, which keeps `Op` —
+/// and the allocation `compile` makes for the pipeline — as small as it
+/// was before operators carried cursors (`operators_stay_small`).
+#[derive(Default)]
+struct ReadState {
+    /// The [`Chunk::morsel`] the cursors were last used under.
+    morsel: u64,
+    /// The property (or single-cardinality neighbour) column being read.
+    col: PageCursor,
+    /// Neighbour array of the CSR the input block views.
+    nbr: PageCursor,
+    /// Edge-ID array of that CSR.
+    ids: PageCursor,
+    /// Vertex offsets / flat property indexes of the current block.
+    offs: Vec<u64>,
+}
+
+impl ReadState {
+    fn enter(&mut self, morsel: u64) {
+        if self.morsel != morsel {
+            self.morsel = morsel;
+            self.col.clear();
+            self.nbr.clear();
+            self.ids.clear();
+        }
+    }
+}
+
+/// Where the `i`-th value of a block read lives in its column.
+#[derive(Clone, Copy)]
+enum Idx<'a> {
+    /// Row `start + i`: a contiguous run (a scan morsel, an adjacency list
+    /// in its indexed direction) — read with one range read.
+    Run(u64),
+    /// Row `offs[i]`: a gather, stepped through a page cursor.
+    At(&'a [u64]),
+    /// Row `nbrs[start + i]`: an adjacency view over a resident neighbour
+    /// array, indexed in place.
+    Nbrs(&'a UIntArray, u64),
+}
+
+impl Idx<'_> {
+    #[inline]
+    fn at(&self, i: usize) -> u64 {
+        match self {
+            Idx::Run(start) => start + i as u64,
+            Idx::At(offs) => offs[i],
+            Idx::Nbrs(nbrs, start) => nbrs.get(*start as usize + i),
+        }
+    }
+}
+
+/// The vertex offsets of node block `v` (`n` positions) as a block-read
+/// index. Owned blocks, scan morsels and adjacency views over a resident
+/// neighbour array are used in place (the zero-copy list view of the
+/// all-in-memory engine); a view over a paged one is one range read of
+/// the neighbour array into `offs`.
+fn node_idx<'a>(
+    v: &'a ValueVector,
+    g: &'a ColumnarGraph,
+    n: usize,
+    nbr: &mut PageCursor,
+    offs: &'a mut Vec<u64>,
+) -> Result<Idx<'a>> {
+    match v {
+        ValueVector::Node { data: NodeData::Owned(v), .. } => Ok(Idx::At(v)),
+        ValueVector::Node { data: NodeData::Range { start }, .. } => Ok(Idx::Run(*start)),
+        ValueVector::Node { data: NodeData::AdjView { label, dir, start }, .. } => {
+            let csr = g.adj(*label, *dir).as_csr().ok_or_else(csr_missing)?;
+            if csr.nbr_array().pageable_bytes() == 0 {
+                return Ok(Idx::Nbrs(csr.nbr_array(), *start));
+            }
+            let start = *start as usize;
+            offs.clear();
+            csr.nbr_array().read_range(nbr, start, start + n, offs);
+            Ok(Idx::At(offs))
+        }
+        _ => Err(Error::Exec("vertex offsets requested from a non-node vector".into())),
+    }
 }
 
 /// An edge-ID-resolving property read reached an adjacency index without
@@ -270,125 +363,115 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
     // verifier's scan-first rule rejects scanless plans before compilation)
     let (op, children) = ops.split_last_mut().expect("pipeline has at least a scan");
     match op {
-        Op::ScanAll {
-            label,
-            out,
-            cursor,
-            pushed,
-            row_pushed,
-            touched,
-            n_base,
-            mask,
-            verdicts,
-            pins,
-        } => loop {
-            let Some((start, end)) = cursor.claim(cursor.morsel()) else {
-                return Ok(false);
-            };
-            // Morsel-boundary fault-domain check: a canceled/over-budget
-            // query stops here even when zone maps prune every morsel
-            // (the `continue` below never reaches the driver loop).
-            cursor.checkpoint()?;
-            pins.clear();
-            let n = (end - start) as usize;
-            // Evaluate the pushed predicates morsel-wide: one zone-map
-            // verdict per overlapping block, row evaluation only where the
-            // verdict is inconclusive. A morsel with no survivor is
-            // skipped without ever materializing its chunk state. Blocks
-            // the snapshot's delta touches (tombstones, updates, or
-            // appended slots) fall back to row-at-a-time evaluation
-            // through the view; pristine baseline blocks keep full
-            // zone-map pruning.
-            let mut all_selected = true;
-            if *touched || !pushed.is_empty() {
-                mask.clear();
-                mask.resize(n, false);
-                let mut any_selected = false;
-                let zb = gfcl_columnar::ZONE_BLOCK as u64;
-                let mut bs = start;
-                while bs < end {
-                    let block = (bs / zb) as usize;
-                    let be = ((bs / zb + 1) * zb).min(end);
-                    let pristine =
-                        !*touched || (be <= *n_base && !view.base_range_touched(*label, bs, be));
-                    if !pristine {
-                        for v in bs..be {
-                            let keep = view.vertex_live(*label, v)
-                                && row_pushed.iter().all(|p| p.holds_row(view, *label, v));
-                            // lint: allow(v in [start, end); mask has
-                            // end - start entries)
-                            mask[(v - start) as usize] = keep;
-                            any_selected |= keep;
-                            all_selected &= keep;
-                        }
-                        bs = be;
-                        continue;
-                    }
-                    // Per-predicate verdicts: in a Mixed block, predicates
-                    // the zone map already proved AllTrue are skipped in
-                    // the row loop (only the inconclusive ones pay probes).
-                    verdicts.clear();
-                    verdicts.extend(pushed.iter().map(|p| p.prune(block)));
-                    let combined = verdicts.iter().fold(BlockVerdict::AllTrue, |v, p| v.and(*p));
-                    match combined {
-                        BlockVerdict::AllFalse => {
-                            all_selected = false;
-                            // The zone map proved no row probe is needed:
-                            // the block's pages are never faulted. Credit
-                            // the skip to the pool's I/O accounting.
-                            for p in pushed.iter() {
-                                p.for_each_column(&mut |c| {
-                                    c.note_skipped_rows(bs as usize, be as usize);
-                                });
-                            }
-                        }
-                        BlockVerdict::AllTrue => {
-                            // lint: allow(bs/be lie in [start, end] and
-                            // mask.len() == end - start by construction)
-                            mask[(bs - start) as usize..(be - start) as usize].fill(true);
-                            any_selected = true;
-                        }
-                        BlockVerdict::Mixed => {
-                            // Fault each inconclusive predicate's pages for
-                            // this block once, up front, and hold the pins
-                            // through the row probes below.
-                            for (p, &vd) in pushed.iter().zip(verdicts.iter()) {
-                                if vd != BlockVerdict::AllTrue {
-                                    p.for_each_column(&mut |c| {
-                                        c.pin_rows(bs as usize, be as usize, pins);
-                                    });
-                                }
-                            }
+        Op::ScanAll { label, out, cursor, pushed, row_pushed, touched, n_base, mask, verdicts } => {
+            loop {
+                let Some((start, end)) = cursor.claim(cursor.morsel()) else {
+                    return Ok(false);
+                };
+                // Morsel-boundary fault-domain check: a canceled/over-budget
+                // query stops here even when zone maps prune every morsel
+                // (the `continue` below never reaches the driver loop).
+                cursor.checkpoint()?;
+                // A new morsel: every operator above drops its page cursors
+                // when it sees the bumped sequence number, and the pushed
+                // predicates' operand cursors are dropped here.
+                chunk.morsel += 1;
+                for p in pushed.iter() {
+                    p.clear_cursors();
+                }
+                let n = (end - start) as usize;
+                // Evaluate the pushed predicates morsel-wide: one zone-map
+                // verdict per overlapping block, row evaluation only where the
+                // verdict is inconclusive. A morsel with no survivor is
+                // skipped without ever materializing its chunk state. Blocks
+                // the snapshot's delta touches (tombstones, updates, or
+                // appended slots) fall back to row-at-a-time evaluation
+                // through the view; pristine baseline blocks keep full
+                // zone-map pruning.
+                let mut all_selected = true;
+                if *touched || !pushed.is_empty() {
+                    mask.clear();
+                    mask.resize(n, false);
+                    let mut any_selected = false;
+                    let zb = gfcl_columnar::ZONE_BLOCK as u64;
+                    let mut bs = start;
+                    while bs < end {
+                        let block = (bs / zb) as usize;
+                        let be = ((bs / zb + 1) * zb).min(end);
+                        let pristine = !*touched
+                            || (be <= *n_base && !view.base_range_touched(*label, bs, be));
+                        if !pristine {
                             for v in bs..be {
-                                let keep = pushed
-                                    .iter()
-                                    .zip(verdicts.iter())
-                                    .filter(|(_, &vd)| vd != BlockVerdict::AllTrue)
-                                    .all(|(p, _)| p.holds_at(v as usize));
+                                let keep = view.vertex_live(*label, v)
+                                    && row_pushed.iter().all(|p| p.holds_row(view, *label, v));
                                 // lint: allow(v in [start, end); mask has
                                 // end - start entries)
                                 mask[(v - start) as usize] = keep;
                                 any_selected |= keep;
                                 all_selected &= keep;
                             }
+                            bs = be;
+                            continue;
                         }
+                        // Per-predicate verdicts: in a Mixed block, predicates
+                        // the zone map already proved AllTrue are skipped in
+                        // the row loop (only the inconclusive ones pay probes).
+                        verdicts.clear();
+                        verdicts.extend(pushed.iter().map(|p| p.prune(block)));
+                        let combined =
+                            verdicts.iter().fold(BlockVerdict::AllTrue, |v, p| v.and(*p));
+                        match combined {
+                            BlockVerdict::AllFalse => {
+                                all_selected = false;
+                                // The zone map proved no row probe is needed:
+                                // the block's pages are never faulted. Credit
+                                // the skip to the pool's I/O accounting.
+                                for p in pushed.iter() {
+                                    p.for_each_operand(&mut |o| {
+                                        o.col.note_skipped_rows(bs as usize, be as usize);
+                                    });
+                                }
+                            }
+                            BlockVerdict::AllTrue => {
+                                // lint: allow(bs/be lie in [start, end] and
+                                // mask.len() == end - start by construction)
+                                mask[(bs - start) as usize..(be - start) as usize].fill(true);
+                                any_selected = true;
+                            }
+                            BlockVerdict::Mixed => {
+                                // Row probes walk each operand column in offset
+                                // order through the operand's own cursor: a
+                                // paged column's pages are pinned once each.
+                                for v in bs..be {
+                                    let keep = pushed
+                                        .iter()
+                                        .zip(verdicts.iter())
+                                        .filter(|(_, &vd)| vd != BlockVerdict::AllTrue)
+                                        .all(|(p, _)| p.holds_at(v as usize));
+                                    // lint: allow(v in [start, end); mask has
+                                    // end - start entries)
+                                    mask[(v - start) as usize] = keep;
+                                    any_selected |= keep;
+                                    all_selected &= keep;
+                                }
+                            }
+                        }
+                        bs = be;
                     }
-                    bs = be;
+                    if !any_selected {
+                        continue; // the whole morsel is pruned
+                    }
                 }
-                if !any_selected {
-                    continue; // the whole morsel is pruned
+                let group = &mut chunk.groups[out.group];
+                group.reset(n);
+                group.vectors[out.vec] =
+                    ValueVector::Node { label: *label, data: NodeData::Range { start } };
+                if !all_selected {
+                    group.and_mask(mask);
                 }
+                return Ok(true);
             }
-            let vals: Vec<u64> = (start..end).collect();
-            let group = &mut chunk.groups[out.group];
-            group.reset(n);
-            group.vectors[out.vec] =
-                ValueVector::Node { label: *label, data: NodeData::Owned(vals) };
-            if !all_selected {
-                group.and_mask(mask);
-            }
-            return Ok(true);
-        },
+        }
         Op::ScanPk { label, key, out, cursor } => {
             if cursor.claim(1).is_none() {
                 return Ok(false);
@@ -416,12 +499,14 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
             owns_iter,
             pos,
             single_shot_done,
+            rd,
         } => {
             loop {
                 if !*active {
                     if !pull(children, view, chunk)? {
                         return Ok(false);
                     }
+                    rd.enter(chunk.morsel);
                     *active = true;
                     *owns_iter = !chunk.groups[from.group].is_flat();
                     *pos = -1;
@@ -451,7 +536,7 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
                     *active = false;
                     continue;
                 };
-                let src = chunk.groups[from.group].vectors[from.vec].node_offset(g, i);
+                let src = chunk.groups[from.group].vectors[from.vec].node_offset(g, &mut rd.nbr, i);
                 if *maybe_dirty && (src >= *from_count || view.edge_list_dirty(*label, *dir, src)) {
                     // The delta touches this list (or the source vertex is
                     // delta-inserted and has no CSR entry): materialize the
@@ -489,10 +574,21 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
                 return Ok(true);
             }
         }
-        Op::ColumnExtend { label, dir, nbr_label, from, node_out, edge_out, maybe_dirty } => loop {
+        Op::ColumnExtend {
+            label,
+            dir,
+            nbr_label,
+            from,
+            node_out,
+            edge_out,
+            maybe_dirty,
+            mask,
+            rd,
+        } => loop {
             if !pull(children, view, chunk)? {
                 return Ok(false);
             }
+            rd.enter(chunk.morsel);
             let n = chunk.groups[from.group].len;
             // Reuse the output allocation across fills.
             let mut vals = match std::mem::replace(
@@ -505,16 +601,18 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
                 }
                 _ => Vec::with_capacity(n),
             };
-            let mut mask = vec![true; n];
+            mask.clear();
+            mask.resize(n, true);
             let mut any_missing = false;
+            let ReadState { col, nbr, offs, .. } = rd;
+            let from_idx = node_idx(&chunk.groups[from.group].vectors[from.vec], g, n, nbr, offs)?;
             if *maybe_dirty {
                 // The delta touches this adjacency: resolve each tuple's
                 // neighbour through the view and record tagged edge
                 // references for downstream property reads.
                 let mut tags: Vec<u64> = Vec::with_capacity(n);
                 for (i, keep) in mask.iter_mut().enumerate() {
-                    let off = chunk.groups[from.group].vectors[from.vec].node_offset(g, i);
-                    match view.single_nbr(*label, *dir, off) {
+                    match view.single_nbr(*label, *dir, from_idx.at(i)) {
                         Some((nb, tag)) => {
                             vals.push(nb);
                             tags.push(tag);
@@ -540,8 +638,7 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
                     }
                 };
                 for (i, keep) in mask.iter_mut().enumerate() {
-                    let off = chunk.groups[from.group].vectors[from.vec].node_offset(g, i);
-                    match adj.nbr(off) {
+                    match adj.nbr_with(col, from_idx.at(i)) {
                         Some(nb) => vals.push(nb),
                         None => {
                             vals.push(0);
@@ -555,7 +652,7 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
                 ValueVector::Node { label: *nbr_label, data: NodeData::Owned(vals) };
             let fg = &mut chunk.groups[from.group];
             if any_missing {
-                fg.and_mask(&mask);
+                fg.and_mask(mask);
             }
             if fg.is_flat() {
                 if fg.selected(fg.cur_idx as usize) {
@@ -566,10 +663,11 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
             }
             // Current tuple(s) all died: pull the next state.
         },
-        Op::ReadNodeProp { node, out, label, prop, dtype, touched, pins } => {
+        Op::ReadNodeProp { node, out, label, prop, dtype, touched, rd } => {
             if !pull(children, view, chunk)? {
                 return Ok(false);
             }
+            rd.enter(chunk.morsel);
             let n = chunk.groups[node.group].len;
             let col = g.vertex_prop(*label, *prop);
             let reuse = std::mem::replace(
@@ -577,56 +675,36 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
                 ValueVector::Empty,
             );
             let ng = &chunk.groups[node.group];
-            let node_vec = &ng.vectors[node.vec];
-            if *touched {
+            let sel = ng.sel.as_deref();
+            let ReadState { col: col_cur, nbr, offs, .. } = rd;
+            let idx = node_idx(&ng.vectors[node.vec], g, n, nbr, offs)?;
+            // Selection-aware either way: positions already unselected (by
+            // a pushed scan predicate or an upstream filter) cost zero
+            // column probes — nothing downstream ever reads them.
+            let filled = if *touched {
                 // The delta touches this label: every offset resolves
                 // through the view (updated rows, delta slots, string
                 // codes past the baseline dictionary).
-                pins.clear();
-                let filled = fill_vector_from_values(
+                fill_vector_from_values(
                     n,
                     *dtype,
                     reuse,
-                    ng.sel.as_deref(),
-                    |i| view.vertex_value(*label, node_vec.node_offset(g, i), *prop),
+                    sel,
+                    |i| view.vertex_value(*label, idx.at(i), *prop),
                     col.dictionary(),
                     view.vertex_str_ext(*label, *prop),
-                )?;
-                chunk.groups[out.group].vectors[out.vec] = filled;
-                return Ok(true);
-            }
-            // For a paged column, fault the chunk's page span once up front
-            // (scan output is a contiguous morsel, so the span is tight);
-            // skip the pre-pin for scattered gathers that would span far
-            // more pages than the chunk touches.
-            pins.clear();
-            if col.is_paged() && n > 0 {
-                let sel = ng.sel.as_deref();
-                let (mut lo, mut hi) = (u64::MAX, 0u64);
-                for i in 0..n {
-                    if sel.is_none_or(|s| s[i]) {
-                        let v = node_vec.node_offset(g, i);
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
-                }
-                if lo <= hi && (hi - lo) < 4 * n as u64 {
-                    col.pin_rows(lo as usize, hi as usize + 1, pins);
-                }
-            }
-            // Selection-aware: positions already unselected (by a pushed
-            // scan predicate or an upstream filter) cost zero column
-            // probes — nothing downstream ever reads them.
-            let filled = fill_vector(col, n, *dtype, reuse, ng.sel.as_deref(), |i| {
-                node_vec.node_offset(g, i)
-            });
+                )?
+            } else {
+                fill_vector(col, n, *dtype, reuse, sel, col_cur, idx)
+            };
             chunk.groups[out.group].vectors[out.vec] = filled;
             Ok(true)
         }
-        Op::ReadEdgeProp { edge, out, prop, dtype } => {
+        Op::ReadEdgeProp { edge, out, prop, dtype, rd } => {
             if !pull(children, view, chunk)? {
                 return Ok(false);
             }
+            rd.enter(chunk.morsel);
             let n = chunk.groups[edge.group].len;
             let reuse = std::mem::replace(
                 &mut chunk.groups[out.group].vectors[out.vec],
@@ -634,58 +712,37 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
             );
             let eg = &chunk.groups[edge.group];
             let sel = eg.sel.as_deref();
+            let ReadState { col: col_cur, nbr, ids, offs, .. } = rd;
             let filled = match &eg.vectors[edge.vec] {
                 ValueVector::EdgeList { label, dir, from, start } => {
+                    // The access path is resolved once per list, never per
+                    // element: the indexed direction is one range read of
+                    // the property column; every other layout resolves the
+                    // list's flat indexes block-wise and gathers.
                     let read = g.edge_prop_read(*label, *dir, *prop)?;
-                    let (label, dir, from, start) = (*label, *dir, *from, *start);
-                    // Hoist the access-path resolution out of the
-                    // per-element loop: each layout reduces to one bulk
-                    // fill over the list's flat positions. Only the
-                    // non-indexed direction of the page layout still pays
-                    // a per-element neighbour lookup.
-                    use gfcl_storage::EdgePropRead;
-                    match read {
-                        // Indexed direction: the flat index IS the CSR
-                        // position — a purely sequential fill.
-                        EdgePropRead::ByPosition(col) => {
-                            fill_vector(col, n, *dtype, reuse, sel, |i| start + i as u64)
+                    let idx = match read {
+                        EdgePropRead::ByPosition(_) => Idx::Run(*start),
+                        _ => {
+                            let csr = g.adj(*label, *dir).as_csr().ok_or_else(csr_missing)?;
+                            offs.clear();
+                            read.resolve_list(
+                                csr,
+                                *from,
+                                *start..*start + n as u64,
+                                ids,
+                                nbr,
+                                offs,
+                            )?;
+                            Idx::At(offs)
                         }
-                        EdgePropRead::ByEdgeId(col) => {
-                            let csr = g.adj(label, dir).as_csr().ok_or_else(csr_missing)?;
-                            fill_vector(col, n, *dtype, reuse, sel, |i| {
-                                csr.edge_id_at(start + i as u64)
-                            })
-                        }
-                        EdgePropRead::ByPageOffset { pages, col, nbr_is_src } => {
-                            let csr = g.adj(label, dir).as_csr().ok_or_else(csr_missing)?;
-                            if nbr_is_src {
-                                // Non-indexed direction: the page is keyed
-                                // by the neighbour, resolved per element.
-                                fill_vector(col, n, *dtype, reuse, sel, |i| {
-                                    let pos = start + i as u64;
-                                    pages.flat_index(csr.nbr_at(pos), csr.edge_id_at(pos))
-                                })
-                            } else {
-                                fill_vector(col, n, *dtype, reuse, sel, |i| {
-                                    pages.flat_index(from, csr.edge_id_at(start + i as u64))
-                                })
-                            }
-                        }
-                        EdgePropRead::ByVertex { .. } => {
-                            let col_probe =
-                                g.resolve_edge_prop(read, label, dir, from, Some(start)).0;
-                            fill_vector(col_probe, n, *dtype, reuse, sel, |i| {
-                                g.resolve_edge_prop(read, label, dir, from, Some(start + i as u64))
-                                    .1
-                            })
-                        }
-                    }
+                    };
+                    fill_vector(read.column(), n, *dtype, reuse, sel, col_cur, idx)
                 }
                 ValueVector::EdgeRefs { label, dir, from, refs } => {
                     // Merged adjacency list: each element is a tagged edge
                     // reference (baseline CSR position or delta index),
                     // resolved value-at-a-time through the view.
-                    let col = edge_prop_col(g.edge_prop_read(*label, *dir, *prop)?);
+                    let col = g.edge_prop_read(*label, *dir, *prop)?.column();
                     let (label, dir, from) = (*label, *dir, *from);
                     let mut vals: Vec<Value> = Vec::with_capacity(n);
                     for i in 0..n {
@@ -710,13 +767,11 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
                     if let Some(tags) = tags {
                         // Dirty path: tagged references recorded by
                         // `ColumnExtend` resolve through the view.
-                        let col = edge_prop_col(read);
-                        let vecs = &eg.vectors;
+                        let from_idx = node_idx(&eg.vectors[*from_vec], g, n, nbr, offs)?;
                         let mut vals: Vec<Value> = Vec::with_capacity(n);
                         for i in 0..n {
                             vals.push(if sel.is_none_or(|m| m[i]) {
-                                let from = vecs[*from_vec].node_offset(g, i);
-                                view.edge_value(*label, *dir, from, tags[i], *prop)?
+                                view.edge_value(*label, *dir, from_idx.at(i), tags[i], *prop)?
                             } else {
                                 Value::Null
                             });
@@ -727,23 +782,18 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
                             reuse,
                             sel,
                             |i| vals[i].clone(),
-                            col.dictionary(),
+                            read.column().dictionary(),
                             view.edge_str_ext(*label, *dir, *prop),
                         )?
                     } else {
-                        let (col, endpoint_is_nbr) =
-                            match read {
-                                gfcl_storage::EdgePropRead::ByVertex { col, endpoint_is_nbr } => {
-                                    (col, endpoint_is_nbr)
-                                }
-                                _ => return Err(Error::Exec(
-                                    "single-cardinality edge must read props via vertex columns"
-                                        .into(),
-                                )),
-                            };
+                        let EdgePropRead::ByVertex { col, endpoint_is_nbr } = read else {
+                            return Err(Error::Exec(
+                                "single-cardinality edge must read props via vertex columns".into(),
+                            ));
+                        };
                         let src_vec = if endpoint_is_nbr { *nbr_vec } else { *from_vec };
-                        let vecs = &eg.vectors;
-                        fill_vector(col, n, *dtype, reuse, sel, |i| vecs[src_vec].node_offset(g, i))
+                        let idx = node_idx(&eg.vectors[src_vec], g, n, nbr, offs)?;
+                        fill_vector(col, n, *dtype, reuse, sel, col_cur, idx)
                     }
                 }
                 _ => return Err(Error::Exec("edge property read on non-edge vector".into())),
@@ -799,116 +849,113 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
     }
 }
 
-/// Vectorized read of `col` at positions given by `idx(i)` into a typed
+/// The `(vals, valid)` buffers of `reuse`, emptied, when it is the wanted
+/// variant (the block's previous fill handed back — take buffer, fill,
+/// return buffer); fresh ones otherwise. Either way with room for the
+/// `n` values of the block, so a fill never grows them push by push.
+macro_rules! take_bufs {
+    ($reuse:expr, $variant:ident, $n:expr) => {
+        match $reuse {
+            ValueVector::$variant { mut vals, mut valid, .. } => {
+                vals.clear();
+                valid.clear();
+                vals.reserve($n);
+                valid.reserve($n);
+                (vals, valid)
+            }
+            _ => (Vec::with_capacity($n), Vec::with_capacity($n)),
+        }
+    };
+}
+
+/// Vectorized read of `col` at the `n` positions of `idx` into a typed
 /// block, reusing `reuse`'s allocation when the shapes match. String
 /// columns stay dictionary-encoded ([`ValueVector::Code`]); decoding is
 /// deferred to the sink (late materialization).
 ///
+/// Block-at-a-time: the column's type, its NULL layout and whether its
+/// values are resident or paged are matched once per block. A contiguous
+/// run is one range read; a gather steps through `cur`, so a paged column
+/// is pinned once per page the block walks, not once per value.
+///
 /// Selection-aware: positions unselected in `sel` are filled with a NULL
 /// placeholder *without probing the column* — nothing downstream reads an
 /// unselected position, so a selective pushed-down predicate makes every
-/// later property read over the same group proportionally cheaper.
+/// later property read over the same group proportionally cheaper (and
+/// never faults the pages a zone map proved skippable).
 fn fill_vector(
     col: &Column,
     n: usize,
     dtype: DataType,
     reuse: ValueVector,
     sel: Option<&[bool]>,
-    idx: impl Fn(usize) -> u64,
+    cur: &mut PageCursor,
+    idx: Idx<'_>,
 ) -> ValueVector {
-    let live = |i: usize| sel.is_none_or(|m| m[i]);
     match col.dtype() {
         DataType::Int64 | DataType::Date => {
-            let (mut vals, mut valid) = match reuse {
-                ValueVector::I64 { mut vals, mut valid, .. } => {
-                    vals.clear();
-                    valid.clear();
-                    (vals, valid)
-                }
-                _ => (Vec::with_capacity(n), Vec::with_capacity(n)),
-            };
-            for i in 0..n {
-                match if live(i) { col.get_i64(idx(i) as usize) } else { None } {
-                    Some(v) => {
-                        vals.push(v);
-                        valid.push(true);
-                    }
-                    None => {
-                        vals.push(0);
-                        valid.push(false);
-                    }
-                }
-            }
+            let (mut vals, mut valid) = take_bufs!(reuse, I64, n);
+            fill_block(
+                (n, sel, idx),
+                cur,
+                (&mut vals, &mut valid),
+                |c, s, e, vals, valid| col.read_i64_range(c, s, e, vals, valid),
+                |c, i| col.get_i64_with(c, i),
+            );
             ValueVector::I64 { vals, valid, date: dtype == DataType::Date }
         }
         DataType::Float64 => {
-            let mut vals = Vec::with_capacity(n);
-            let mut valid = Vec::with_capacity(n);
-            for i in 0..n {
-                match if live(i) { col.get_f64(idx(i) as usize) } else { None } {
-                    Some(v) => {
-                        vals.push(v);
-                        valid.push(true);
-                    }
-                    None => {
-                        vals.push(0.0);
-                        valid.push(false);
-                    }
-                }
-            }
+            let (mut vals, mut valid) = take_bufs!(reuse, F64, n);
+            fill_block(
+                (n, sel, idx),
+                cur,
+                (&mut vals, &mut valid),
+                |c, s, e, vals, valid| col.read_f64_range(c, s, e, vals, valid),
+                |c, i| col.get_f64_with(c, i),
+            );
             ValueVector::F64 { vals, valid }
         }
         DataType::Bool => {
-            let mut vals = Vec::with_capacity(n);
-            let mut valid = Vec::with_capacity(n);
-            for i in 0..n {
-                match if live(i) { col.get_bool(idx(i) as usize) } else { None } {
-                    Some(v) => {
-                        vals.push(v);
-                        valid.push(true);
-                    }
-                    None => {
-                        vals.push(false);
-                        valid.push(false);
-                    }
-                }
-            }
+            let (mut vals, mut valid) = take_bufs!(reuse, Bool, n);
+            fill_block(
+                (n, sel, idx),
+                cur,
+                (&mut vals, &mut valid),
+                |c, s, e, vals, valid| col.read_bool_range(c, s, e, vals, valid),
+                |c, i| col.get_bool_with(c, i),
+            );
             ValueVector::Bool { vals, valid }
         }
         DataType::String => {
-            let (mut vals, mut valid) = match reuse {
-                ValueVector::Code { mut vals, mut valid } => {
-                    vals.clear();
-                    valid.clear();
-                    (vals, valid)
-                }
-                _ => (Vec::with_capacity(n), Vec::with_capacity(n)),
-            };
-            for i in 0..n {
-                match if live(i) { col.get_code(idx(i) as usize) } else { None } {
-                    Some(v) => {
-                        vals.push(v);
-                        valid.push(true);
-                    }
-                    None => {
-                        vals.push(0);
-                        valid.push(false);
-                    }
-                }
-            }
+            let (mut vals, mut valid) = take_bufs!(reuse, Code, n);
+            fill_block(
+                (n, sel, idx),
+                cur,
+                (&mut vals, &mut valid),
+                |c, s, e, vals, valid| col.read_code_range(c, s, e, vals, valid),
+                |c, i| col.get_code_with(c, i),
+            );
             ValueVector::Code { vals, valid }
         }
     }
 }
 
-/// The column backing an edge property, whatever the access path (used for
-/// its dictionary on the value-at-a-time dirty paths).
-fn edge_prop_col(read: gfcl_storage::EdgePropRead<'_>) -> &Column {
-    match read {
-        gfcl_storage::EdgePropRead::ByPosition(c)
-        | gfcl_storage::EdgePropRead::ByEdgeId(c)
-        | gfcl_storage::EdgePropRead::ByPageOffset { col: c, .. }
-        | gfcl_storage::EdgePropRead::ByVertex { col: c, .. } => c,
+/// One typed block fill: `range` for a fully selected contiguous run,
+/// `get` per selected position otherwise.
+fn fill_block<T: Copy + Default>(
+    (n, sel, idx): (usize, Option<&[bool]>, Idx<'_>),
+    cur: &mut PageCursor,
+    (vals, valid): (&mut Vec<T>, &mut Vec<bool>),
+    range: impl Fn(&mut PageCursor, usize, usize, &mut Vec<T>, &mut Vec<bool>),
+    get: impl Fn(&mut PageCursor, usize) -> Option<T>,
+) {
+    if let (Idx::Run(start), None) = (idx, sel) {
+        return range(cur, start as usize, start as usize + n, vals, valid);
+    }
+    for i in 0..n {
+        let v = if sel.is_none_or(|m| m[i]) { get(cur, idx.at(i) as usize) } else { None };
+        vals.push(v.unwrap_or_default());
+        valid.push(v.is_some());
     }
 }
 
@@ -930,14 +977,7 @@ fn fill_vector_from_values(
     let live = |i: usize| sel.is_none_or(|m| m[i]);
     Ok(match dtype {
         DataType::Int64 | DataType::Date => {
-            let (mut vals, mut valid) = match reuse {
-                ValueVector::I64 { mut vals, mut valid, .. } => {
-                    vals.clear();
-                    valid.clear();
-                    (vals, valid)
-                }
-                _ => (Vec::with_capacity(n), Vec::with_capacity(n)),
-            };
+            let (mut vals, mut valid) = take_bufs!(reuse, I64, n);
             for i in 0..n {
                 match if live(i) { get(i) } else { Value::Null } {
                     Value::Int64(v) | Value::Date(v) => {
@@ -953,8 +993,7 @@ fn fill_vector_from_values(
             ValueVector::I64 { vals, valid, date: dtype == DataType::Date }
         }
         DataType::Float64 => {
-            let mut vals = Vec::with_capacity(n);
-            let mut valid = Vec::with_capacity(n);
+            let (mut vals, mut valid) = take_bufs!(reuse, F64, n);
             for i in 0..n {
                 match if live(i) { get(i) } else { Value::Null } {
                     Value::Float64(v) => {
@@ -970,8 +1009,7 @@ fn fill_vector_from_values(
             ValueVector::F64 { vals, valid }
         }
         DataType::Bool => {
-            let mut vals = Vec::with_capacity(n);
-            let mut valid = Vec::with_capacity(n);
+            let (mut vals, mut valid) = take_bufs!(reuse, Bool, n);
             for i in 0..n {
                 match if live(i) { get(i) } else { Value::Null } {
                     Value::Bool(v) => {
@@ -987,14 +1025,7 @@ fn fill_vector_from_values(
             ValueVector::Bool { vals, valid }
         }
         DataType::String => {
-            let (mut vals, mut valid) = match reuse {
-                ValueVector::Code { mut vals, mut valid } => {
-                    vals.clear();
-                    valid.clear();
-                    (vals, valid)
-                }
-                _ => (Vec::with_capacity(n), Vec::with_capacity(n)),
-            };
+            let (mut vals, mut valid) = take_bufs!(reuse, Code, n);
             for i in 0..n {
                 match if live(i) { get(i) } else { Value::Null } {
                     Value::String(s) => {
@@ -1181,7 +1212,6 @@ pub(crate) fn compile<'g>(
                     n_base: g.vertex_count(label) as u64,
                     mask: Vec::new(),
                     verdicts: Vec::new(),
-                    pins: Vec::new(),
                 });
             }
             PlanStep::ScanPk { node, key } => {
@@ -1220,6 +1250,7 @@ pub(crate) fn compile<'g>(
                             owns_iter: false,
                             pos: -1,
                             single_shot_done: false,
+                            rd: ReadState::default(),
                         });
                     }
                     AdjIndex::SingleCard(_) => {
@@ -1245,6 +1276,8 @@ pub(crate) fn compile<'g>(
                             node_out: VecRef { group: gidx, vec: nv },
                             edge_out: VecRef { group: gidx, vec: ev },
                             maybe_dirty,
+                            mask: Vec::new(),
+                            rd: ReadState::default(),
                         });
                     }
                 }
@@ -1267,7 +1300,7 @@ pub(crate) fn compile<'g>(
                     prop: *prop,
                     dtype: def.dtype,
                     touched: view.vertex_label_touched(label),
-                    pins: Vec::new(),
+                    rd: ReadState::default(),
                 });
             }
             PlanStep::EdgeProp { edge, prop, slot } => {
@@ -1291,20 +1324,20 @@ pub(crate) fn compile<'g>(
                             .ok_or_else(|| Error::Plan("edge prop before extend".into()))?
                     }
                 };
-                let read = g.edge_prop_read(elabel, dir, *prop)?;
-                let col: &Column = match read {
-                    gfcl_storage::EdgePropRead::ByPosition(c)
-                    | gfcl_storage::EdgePropRead::ByEdgeId(c)
-                    | gfcl_storage::EdgePropRead::ByPageOffset { col: c, .. }
-                    | gfcl_storage::EdgePropRead::ByVertex { col: c, .. } => c,
-                };
+                let col = g.edge_prop_read(elabel, dir, *prop)?.column();
                 let out = VecRef { group: eb.vref.group, vec: group_vectors[eb.vref.group].len() };
                 group_vectors[eb.vref.group].push(ValueVector::Empty);
                 slot_refs[*slot] = out;
                 slot_cols[*slot] =
                     SlotCol { col: Some(col), ext: view.edge_str_ext(elabel, dir, *prop) };
                 let def = &plan.slots[*slot];
-                ops.push(Op::ReadEdgeProp { edge: eb.vref, out, prop: *prop, dtype: def.dtype });
+                ops.push(Op::ReadEdgeProp {
+                    edge: eb.vref,
+                    out,
+                    prop: *prop,
+                    dtype: def.dtype,
+                    rd: ReadState::default(),
+                });
             }
             PlanStep::Filter { expr } => {
                 let pred = compile_pred(expr, &plan.slots, &slot_refs, &slot_cols)?;
@@ -1714,6 +1747,14 @@ impl<'g> DistinctSink<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn operators_stay_small() {
+        // 160 bytes is what an operator took before operators carried page
+        // cursors. `compile` allocates `len * size_of::<Op>()` per query:
+        // a microsecond point read must not pay for paged-read state.
+        assert!(std::mem::size_of::<Op<'_>>() <= 160, "{}", std::mem::size_of::<Op<'_>>());
+    }
 
     #[test]
     fn cursor_hands_out_serial_morsel_sequence() {

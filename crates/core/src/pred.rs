@@ -26,7 +26,9 @@
 //! NULL semantics are SQL's three-valued logic: comparisons with NULL are
 //! UNKNOWN, and only tuples whose predicate is TRUE survive.
 
-use gfcl_columnar::{Bitmap, Column, Dictionary, ZoneInfo};
+use std::cell::RefCell;
+
+use gfcl_columnar::{Bitmap, Column, Dictionary, PageCursor, ZoneInfo};
 
 use gfcl_common::{DataType, Error, LabelId, Result, Value};
 use gfcl_storage::{GraphView, StrExt};
@@ -106,9 +108,25 @@ pub enum CPredG<L> {
 /// The in-pipeline compiled predicate: operands are chunk-vector locations.
 pub type CPred = CPredG<VecRef>;
 
+/// Operand of a pushed-down scan predicate: a storage column plus the page
+/// cursor its row probes step through. A Mixed block's probes walk the
+/// column in offset order, so on a paged column they pin each page once;
+/// the scan clears the cursors at every morsel claim.
+#[derive(Debug, Clone)]
+pub struct ScanOperand<'g> {
+    pub col: &'g Column,
+    cur: RefCell<PageCursor>,
+}
+
+impl<'g> ScanOperand<'g> {
+    pub fn new(col: &'g Column) -> ScanOperand<'g> {
+        ScanOperand { col, cur: RefCell::default() }
+    }
+}
+
 /// A pushed-down scan predicate: operands are storage columns, evaluated
 /// positionally at a vertex offset (and pruned block-wise via zone maps).
-pub type ScanPred<'g> = CPredG<&'g Column>;
+pub type ScanPred<'g> = CPredG<ScanOperand<'g>>;
 
 /// Resolves an operand location to a typed value (three-valued: `None` =
 /// NULL).
@@ -179,31 +197,31 @@ impl PredReader<VecRef> for EvalCtx<'_> {
     }
 }
 
-/// Positional reader over storage columns: operand `&Column`, row = the
-/// vertex offset `v`.
+/// Positional reader over storage columns: row = the vertex offset `v`,
+/// read through each operand's own cursor.
 pub struct ScanCtx {
     pub v: usize,
 }
 
-impl PredReader<&Column> for ScanCtx {
+impl PredReader<ScanOperand<'_>> for ScanCtx {
     #[inline]
-    fn i64(&self, col: &&Column) -> Option<i64> {
-        col.get_i64(self.v)
+    fn i64(&self, o: &ScanOperand<'_>) -> Option<i64> {
+        o.col.get_i64_with(&mut o.cur.borrow_mut(), self.v)
     }
 
     #[inline]
-    fn f64(&self, col: &&Column) -> Option<f64> {
-        col.get_f64(self.v)
+    fn f64(&self, o: &ScanOperand<'_>) -> Option<f64> {
+        o.col.get_f64_with(&mut o.cur.borrow_mut(), self.v)
     }
 
     #[inline]
-    fn bool(&self, col: &&Column) -> Option<bool> {
-        col.get_bool(self.v)
+    fn bool(&self, o: &ScanOperand<'_>) -> Option<bool> {
+        o.col.get_bool_with(&mut o.cur.borrow_mut(), self.v)
     }
 
     #[inline]
-    fn code(&self, col: &&Column) -> Option<u64> {
-        col.get_code(self.v)
+    fn code(&self, o: &ScanOperand<'_>) -> Option<u64> {
+        o.col.get_code_with(&mut o.cur.borrow_mut(), self.v)
     }
 }
 
@@ -535,9 +553,9 @@ impl<'g> ScanPred<'g> {
         self.eval_at(v) == Some(true)
     }
 
-    /// Call `f` on every operand column the predicate touches — the scan
-    /// uses this to pin (or skip-account) a block's pages before probing.
-    pub fn for_each_column(&self, f: &mut impl FnMut(&'g Column)) {
+    /// Call `f` on every operand the predicate touches — the scan uses this
+    /// to skip-account a pruned block's pages and to drop the cursors.
+    pub fn for_each_operand(&self, f: &mut impl FnMut(&ScanOperand<'g>)) {
         match self {
             CPredG::Const(_) | CPredG::Unknown => {}
             CPredG::CmpI64 { lhs, rhs, .. } => {
@@ -558,9 +576,15 @@ impl<'g> ScanPred<'g> {
             CPredG::BoolEq { slot, .. }
             | CPredG::CodeIn { slot, .. }
             | CPredG::I64In { slot, .. } => f(slot),
-            CPredG::And(es) | CPredG::Or(es) => es.iter().for_each(|e| e.for_each_column(f)),
-            CPredG::Not(e) => e.for_each_column(f),
+            CPredG::And(es) | CPredG::Or(es) => es.iter().for_each(|e| e.for_each_operand(f)),
+            CPredG::Not(e) => e.for_each_operand(f),
         }
+    }
+
+    /// Drop every operand's page pin (the scan calls this at each morsel
+    /// claim, so a pin never outlives a morsel).
+    pub fn clear_cursors(&self) {
+        self.for_each_operand(&mut |o| o.cur.borrow_mut().clear());
     }
 
     /// Consult the operand columns' zone maps for a verdict over zone block
@@ -573,8 +597,8 @@ impl<'g> ScanPred<'g> {
             CPredG::Const(true) => AllTrue,
             CPredG::Const(false) | CPredG::Unknown => AllFalse,
             CPredG::CmpI64 { op, lhs, rhs } => match (lhs, rhs) {
-                (I64Operand::Slot(c), I64Operand::Const(k)) => prune_i64(c, b, *op, *k),
-                (I64Operand::Const(k), I64Operand::Slot(c)) => prune_i64(c, b, flip(*op), *k),
+                (I64Operand::Slot(c), I64Operand::Const(k)) => prune_i64(c.col, b, *op, *k),
+                (I64Operand::Const(k), I64Operand::Slot(c)) => prune_i64(c.col, b, flip(*op), *k),
                 (I64Operand::Const(a), I64Operand::Const(k)) => {
                     if cmp_holds(*op, *a, *k) {
                         AllTrue
@@ -585,9 +609,9 @@ impl<'g> ScanPred<'g> {
                 (I64Operand::Slot(_), I64Operand::Slot(_)) => Mixed,
             },
             CPredG::CmpF64 { op, lhs, rhs } => {
-                let side = |o: &F64Operand<&'g Column>| match o {
-                    F64Operand::F64Slot(c) => Some((*c, false)),
-                    F64Operand::I64Slot(c) => Some((*c, true)),
+                let side = |o: &F64Operand<ScanOperand<'g>>| match o {
+                    F64Operand::F64Slot(c) => Some((c.col, false)),
+                    F64Operand::I64Slot(c) => Some((c.col, true)),
                     F64Operand::Const(_) => None,
                 };
                 match (side(lhs), side(rhs)) {
@@ -603,7 +627,7 @@ impl<'g> ScanPred<'g> {
                 }
             }
             CPredG::BoolEq { slot, expected } => {
-                let Some(e) = zone_entry(slot, b) else { return Mixed };
+                let Some(e) = zone_entry(slot.col, b) else { return Mixed };
                 if e.all_null() {
                     return AllFalse;
                 }
@@ -623,7 +647,7 @@ impl<'g> ScanPred<'g> {
                 }
             }
             CPredG::CodeIn { slot, set } => {
-                let Some(e) = zone_entry(slot, b) else { return Mixed };
+                let Some(e) = zone_entry(slot.col, b) else { return Mixed };
                 if e.all_null() {
                     return AllFalse;
                 }
@@ -650,7 +674,7 @@ impl<'g> ScanPred<'g> {
                 }
             }
             CPredG::I64In { slot, set } => {
-                let Some(e) = zone_entry(slot, b) else { return Mixed };
+                let Some(e) = zone_entry(slot.col, b) else { return Mixed };
                 if e.all_null() {
                     return AllFalse;
                 }
@@ -736,7 +760,7 @@ pub fn compile_scan_pred<'g>(
     let c = Compiler {
         slot_defs,
         slot_cols: cols,
-        loc_of: |s: SlotId| cols[s].col.expect("checked above"),
+        loc_of: |s: SlotId| ScanOperand::new(cols[s].col.expect("checked above")),
     };
     c.compile(expr)
 }
@@ -967,7 +991,7 @@ mod tests {
         let mut g = ListGroup::new(1);
         g.reset(vals.len());
         g.vectors[0] = ValueVector::I64 { vals, valid, date: false };
-        Chunk { groups: vec![g] }
+        Chunk { groups: vec![g], morsel: 0 }
     }
 
     #[test]
@@ -1017,7 +1041,7 @@ mod tests {
         g1.reset(2);
         g1.vectors[0] =
             ValueVector::I64 { vals: vec![150, 250], valid: vec![true; 2], date: false };
-        let chunk = Chunk { groups: vec![g0, g1] };
+        let chunk = Chunk { groups: vec![g0, g1], morsel: 0 };
         // g1.val > g0.val (flat broadcast of 200)
         let p = CPred::CmpI64 {
             op: CmpOp::Gt,
@@ -1033,7 +1057,7 @@ mod tests {
         let mut g = ListGroup::new(1);
         g.reset(3);
         g.vectors[0] = ValueVector::Code { vals: vec![0, 1, 2], valid: vec![true, true, false] };
-        let chunk = Chunk { groups: vec![g] };
+        let chunk = Chunk { groups: vec![g], morsel: 0 };
         let set = Bitmap::from_bools(&[true, false, true]);
         let p = CPred::CodeIn { slot: VecRef { group: 0, vec: 0 }, set };
         let at = |pos| p.eval(&EvalCtx { chunk: &chunk, target: 0, pos });
@@ -1058,7 +1082,7 @@ mod tests {
         let col = zoned_column();
         let p: ScanPred<'_> = CPredG::CmpI64 {
             op: CmpOp::Ge,
-            lhs: I64Operand::Slot(&col),
+            lhs: I64Operand::Slot(ScanOperand::new(&col)),
             rhs: I64Operand::Const(ZONE_BLOCK as i64),
         };
         // Block 0 holds 0..B: nothing >= B. Block 1 is all-NULL. Block 2
@@ -1069,7 +1093,7 @@ mod tests {
         // A predicate satisfied by every row of a NULL-free block.
         let p: ScanPred<'_> = CPredG::CmpI64 {
             op: CmpOp::Ge,
-            lhs: I64Operand::Slot(&col),
+            lhs: I64Operand::Slot(ScanOperand::new(&col)),
             rhs: I64Operand::Const(0),
         };
         assert_eq!(p.prune(0), BlockVerdict::AllTrue);
@@ -1078,21 +1102,21 @@ mod tests {
         // Straddling the min/max: inconclusive.
         let p: ScanPred<'_> = CPredG::CmpI64 {
             op: CmpOp::Lt,
-            lhs: I64Operand::Slot(&col),
+            lhs: I64Operand::Slot(ScanOperand::new(&col)),
             rhs: I64Operand::Const(10),
         };
         assert_eq!(p.prune(0), BlockVerdict::Mixed);
         // Equality on the single-value tail block.
         let p: ScanPred<'_> = CPredG::CmpI64 {
             op: CmpOp::Eq,
-            lhs: I64Operand::Slot(&col),
+            lhs: I64Operand::Slot(ScanOperand::new(&col)),
             rhs: I64Operand::Const(42),
         };
         assert_eq!(p.prune(2), BlockVerdict::AllTrue);
-        let p: ScanPred<'_> = CPredG::I64In { slot: &col, set: vec![-5, 42] };
+        let p: ScanPred<'_> = CPredG::I64In { slot: ScanOperand::new(&col), set: vec![-5, 42] };
         assert_eq!(p.prune(0), BlockVerdict::Mixed, "42 falls inside [0, B)");
         assert_eq!(p.prune(2), BlockVerdict::AllTrue);
-        let p: ScanPred<'_> = CPredG::I64In { slot: &col, set: vec![-5] };
+        let p: ScanPred<'_> = CPredG::I64In { slot: ScanOperand::new(&col), set: vec![-5] };
         assert_eq!(p.prune(0), BlockVerdict::AllFalse);
     }
 
@@ -1101,7 +1125,7 @@ mod tests {
         let col = zoned_column();
         let p: ScanPred<'_> = CPredG::CmpI64 {
             op: CmpOp::Lt,
-            lhs: I64Operand::Slot(&col),
+            lhs: I64Operand::Slot(ScanOperand::new(&col)),
             rhs: I64Operand::Const(5),
         };
         assert_eq!(p.eval_at(3), Some(true));
@@ -1117,7 +1141,7 @@ mod tests {
         col.build_zone_map();
         let lt: ScanPred<'_> = CPredG::CmpF64 {
             op: CmpOp::Lt,
-            lhs: F64Operand::F64Slot(&col),
+            lhs: F64Operand::F64Slot(ScanOperand::new(&col)),
             rhs: F64Operand::Const(10.0),
         };
         // Every non-NaN value is < 10, but the NaN row is not.
@@ -1126,13 +1150,13 @@ mod tests {
         // <> matches NaN rows, so AllFalse must not fire either way.
         let ne: ScanPred<'_> = CPredG::CmpF64 {
             op: CmpOp::Ne,
-            lhs: F64Operand::F64Slot(&col),
+            lhs: F64Operand::F64Slot(ScanOperand::new(&col)),
             rhs: F64Operand::Const(7.0),
         };
         assert_eq!(ne.prune(0), BlockVerdict::AllTrue, "all values differ from 7, NaN included");
         let eq_outside: ScanPred<'_> = CPredG::CmpF64 {
             op: CmpOp::Eq,
-            lhs: F64Operand::F64Slot(&col),
+            lhs: F64Operand::F64Slot(ScanOperand::new(&col)),
             rhs: F64Operand::Const(99.0),
         };
         assert_eq!(eq_outside.prune(0), BlockVerdict::AllFalse);
@@ -1148,7 +1172,7 @@ mod tests {
         fn ne_nan(c: &Column) -> ScanPred<'_> {
             CPredG::CmpF64 {
                 op: CmpOp::Ne,
-                lhs: F64Operand::F64Slot(c),
+                lhs: F64Operand::F64Slot(ScanOperand::new(c)),
                 rhs: F64Operand::Const(f64::NAN),
             }
         }
@@ -1161,7 +1185,7 @@ mod tests {
         // the pruner may only say Mixed (never AllTrue).
         let lt_nan: ScanPred<'_> = CPredG::CmpF64 {
             op: CmpOp::Lt,
-            lhs: F64Operand::F64Slot(&mixed),
+            lhs: F64Operand::F64Slot(ScanOperand::new(&mixed)),
             rhs: F64Operand::Const(f64::NAN),
         };
         assert_eq!(lt_nan.eval_at(0), Some(false));
@@ -1178,7 +1202,7 @@ mod tests {
         let col = zoned_column();
         let inner: ScanPred<'_> = CPredG::CmpI64 {
             op: CmpOp::Ge,
-            lhs: I64Operand::Slot(&col),
+            lhs: I64Operand::Slot(ScanOperand::new(&col)),
             rhs: I64Operand::Const(0),
         };
         assert_eq!(inner.prune(0), AllTrue);

@@ -3,12 +3,25 @@
 //!
 //! The pool implements [`PageStore`], the trait the columnar crate's
 //! [`ArrayData`](gfcl_columnar::ArrayData) reads through, so a reopened
-//! graph serves `get(i)` calls from whatever subset of its value arrays is
+//! graph serves reads from whatever subset of its value arrays is
 //! currently resident. Frames are `Arc<Vec<u8>>`: a page is *pinned*
 //! exactly while someone outside the pool holds a clone of its `Arc`
-//! (`strong_count > 1`), which makes pin/unpin a pure refcount affair — the
-//! executor keeps its per-morsel pins alive in a scratch vector and drops
-//! them when the morsel ends.
+//! (`strong_count > 1`), which makes pin/unpin a pure refcount affair — a
+//! reader keeps the page it is walking alive in its
+//! [`PageCursor`](gfcl_columnar::PageCursor) and the executor drops its
+//! cursors when the morsel ends.
+//!
+//! **Frame table and lock scope.** The page count is fixed at open (one
+//! checksum per data page), so frames live in a table indexed by
+//! `page_no - first_data_page`, one slot per page, each behind its own
+//! short lock. A *hit* is an index plus that one slot's critical section
+//! (clone the `Arc`, set the second-chance bit, count the hit): workers
+//! pinning different pages share no lock and no cache line. The pool-wide
+//! clock lock is taken only to insert a faulted page, advance the hand and
+//! evict; eviction takes the slot locks one at a time *under* the clock
+//! lock (the only nesting, always in that order), so a hit can never
+//! observe a half-evicted frame. Page reads — and their retry backoff —
+//! happen outside every lock.
 //!
 //! Every fault verifies the page's FNV-1a checksum against the checksum
 //! array loaded at open time. Structural problems are caught by
@@ -29,11 +42,10 @@
 //! and bit flips *below* checksum verification — injected corruption is
 //! caught exactly the way real corruption would be.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gfcl_columnar::{PageStore, PAGE_SIZE};
@@ -73,17 +85,31 @@ pub struct PoolStats {
     pub pages_skipped: u64,
 }
 
+/// The mutable half of a frame-table slot.
+#[derive(Default)]
 struct Frame {
-    data: Arc<Vec<u8>>,
+    /// The page's bytes while it is resident.
+    data: Option<Arc<Vec<u8>>>,
     /// Second-chance bit: set on every hit, cleared as the clock hand
     /// passes. A frame is evicted only when unreferenced *and* unpinned.
     referenced: bool,
+    /// Pins this slot served from its resident frame. Kept per slot, under
+    /// the slot lock, so the hit path writes no pool-wide counter.
+    hits: u64,
 }
 
-struct PoolInner {
-    frames: HashMap<u64, Frame>,
-    /// Ring of resident page numbers the clock hand walks.
-    ring: Vec<u64>,
+/// One frame-table slot: the page's checksum (fixed at open) and its
+/// frame. Cache-line aligned so hits on neighbouring pages do not contend.
+#[repr(align(64))]
+struct Slot {
+    checksum: u64,
+    frame: Mutex<Frame>,
+}
+
+/// The clock: resident slots in a ring and the hand walking it. Ring and
+/// frames change together, under this lock.
+struct Clock {
+    ring: Vec<usize>,
     hand: usize,
 }
 
@@ -91,15 +117,22 @@ struct PoolInner {
 pub struct BufferPool {
     file: Box<dyn PageFile>,
     capacity: usize,
-    /// Page number of the first checksummed data page; `checksums[i]`
-    /// covers page `first_data_page + i`.
+    /// Page number of the first checksummed data page; `slots[i]` covers
+    /// page `first_data_page + i`.
     first_data_page: u64,
-    checksums: Vec<u64>,
-    inner: Mutex<PoolInner>,
+    slots: Vec<Slot>,
+    clock: Mutex<Clock>,
     faults: AtomicU64,
-    hits: AtomicU64,
     evictions: AtomicU64,
     pages_skipped: AtomicU64,
+}
+
+/// Lock one of the pool's mutexes.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // lint: allow(a poisoned pool lock means another worker panicked inside
+    // a critical section; the pool is unrecoverable and re-panicking is
+    // policy)
+    m.lock().expect("buffer pool lock poisoned by a panicked worker")
 }
 
 impl std::fmt::Debug for BufferPool {
@@ -126,15 +159,17 @@ impl BufferPool {
         first_data_page: u64,
         checksums: Vec<u64>,
     ) -> Self {
-        let capacity = capacity.max(1);
+        let slots = checksums
+            .into_iter()
+            .map(|checksum| Slot { checksum, frame: Mutex::default() })
+            .collect();
         BufferPool {
             file,
-            capacity,
+            capacity: capacity.max(1),
             first_data_page,
-            checksums,
-            inner: Mutex::new(PoolInner { frames: HashMap::new(), ring: Vec::new(), hand: 0 }),
+            slots,
+            clock: Mutex::new(Clock { ring: Vec::new(), hand: 0 }),
             faults: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             pages_skipped: AtomicU64::new(0),
         }
@@ -159,7 +194,12 @@ impl BufferPool {
             None => Ok(default_pages.max(1)),
             Some(s) if s.trim().is_empty() => Ok(default_pages.max(1)),
             Some(s) => match s.trim().parse::<usize>() {
-                Ok(mb) => Ok((mb * 1024 * 1024 / PAGE_SIZE).max(1)),
+                Ok(mb) => match mb.checked_mul(1024 * 1024) {
+                    Some(bytes) => Ok((bytes / PAGE_SIZE).max(1)),
+                    None => Err(Error::Invalid(format!(
+                        "GFCL_BUFFER_MB = {mb} MiB overflows the addressable pool size"
+                    ))),
+                },
                 Err(_) => Err(Error::Invalid(format!(
                     "GFCL_BUFFER_MB must be a non-negative integer number of MiB, got {s:?}"
                 ))),
@@ -174,9 +214,7 @@ impl BufferPool {
 
     /// Number of pages currently resident.
     pub fn occupancy(&self) -> usize {
-        // lint: allow(a poisoned pool lock means another worker panicked
-        // mid-fault; the pool is unrecoverable and re-panicking is policy)
-        self.inner.lock().unwrap().frames.len()
+        lock(&self.clock).ring.len()
     }
 
     /// Heap bytes held by resident frames right now.
@@ -188,7 +226,7 @@ impl BufferPool {
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             faults: self.faults.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: self.slots.iter().map(|s| lock(&s.frame).hits).sum(),
             evictions: self.evictions.load(Ordering::Relaxed),
             pages_skipped: self.pages_skipped.load(Ordering::Relaxed),
         }
@@ -227,18 +265,9 @@ impl BufferPool {
 
     /// Read and checksum-verify one page from disk, retrying transient
     /// failures with bounded jittered backoff. A fault that survives
-    /// [`MAX_READ_ATTEMPTS`] attempts — or lands outside the checksummed
-    /// data region, which no retry can fix — is an [`Error::Storage`]
-    /// scoped to the query that asked for the page.
-    fn fault(&self, page_no: u64) -> Result<Vec<u8>> {
-        let idx = page_no.checked_sub(self.first_data_page).map(|i| i as usize);
-        let Some(&expected) = idx.and_then(|i| self.checksums.get(i)) else {
-            // Structural, not transient: a corrupt SegRef survived
-            // open-time validation. Fail immediately, no retries.
-            return Err(Error::Storage(format!(
-                "page {page_no} outside the checksummed data region"
-            )));
-        };
+    /// [`MAX_READ_ATTEMPTS`] attempts is an [`Error::Storage`] scoped to the
+    /// query that asked for the page.
+    fn fault(&self, page_no: u64, expected: u64) -> Result<Vec<u8>> {
         let mut last = String::new();
         for attempt in 0..MAX_READ_ATTEMPTS {
             if attempt > 0 {
@@ -257,34 +286,35 @@ impl BufferPool {
     /// Evict until at most `capacity` frames remain, skipping pinned frames
     /// (someone holds the `Arc`) and giving referenced frames one second
     /// chance. Gives up if every frame is pinned — the pool then runs
-    /// over capacity rather than deadlocking.
-    fn evict_to_capacity(&self, inner: &mut PoolInner) {
+    /// over capacity rather than deadlocking. Called with the clock lock
+    /// held; takes one slot lock at a time, so a concurrent hit either
+    /// cloned the `Arc` before the check (the frame counts as pinned) or
+    /// finds the slot empty afterwards and faults.
+    fn evict_to_capacity(&self, clock: &mut Clock) {
         // `stuck` counts consecutive non-evicting steps and resets on
         // every eviction, so reclaiming N frames is never cut short by a
         // shrinking budget — only a ring where two full passes (clear
         // second chances, then evict) make no progress is truly stuck.
         let mut stuck = 0usize;
-        while inner.frames.len() > self.capacity && !inner.ring.is_empty() {
-            if stuck > 2 * inner.ring.len() {
+        while clock.ring.len() > self.capacity {
+            if stuck > 2 * clock.ring.len() {
                 return; // everything pinned or referenced twice over
             }
-            if inner.hand >= inner.ring.len() {
-                inner.hand = 0;
+            if clock.hand >= clock.ring.len() {
+                clock.hand = 0;
             }
-            let page_no = inner.ring[inner.hand];
-            // lint: allow(ring and frames are mutated together under the
-            // pool lock; divergence is a pool bug, not a data condition)
-            let frame = inner.frames.get_mut(&page_no).expect("ring/frames out of sync");
-            if Arc::strong_count(&frame.data) > 1 {
-                inner.hand += 1; // pinned
+            let mut frame = lock(&self.slots[clock.ring[clock.hand]].frame);
+            if frame.data.as_ref().is_some_and(|d| Arc::strong_count(d) > 1) {
+                clock.hand += 1; // pinned
                 stuck += 1;
             } else if frame.referenced {
                 frame.referenced = false;
-                inner.hand += 1; // second chance
+                clock.hand += 1; // second chance
                 stuck += 1;
             } else {
-                inner.frames.remove(&page_no);
-                inner.ring.swap_remove(inner.hand);
+                frame.data = None;
+                drop(frame);
+                clock.ring.swap_remove(clock.hand);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 stuck = 0;
             }
@@ -294,35 +324,44 @@ impl BufferPool {
 
 impl PageStore for BufferPool {
     fn try_pin(&self, page_no: u64) -> Result<Arc<Vec<u8>>> {
+        let idx = page_no.checked_sub(self.first_data_page).and_then(|i| usize::try_from(i).ok());
+        let Some((idx, slot)) = idx.and_then(|i| Some((i, self.slots.get(i)?))) else {
+            // Structural, not transient: a corrupt SegRef survived
+            // open-time validation. Fail immediately, no retries.
+            return Err(Error::Storage(format!(
+                "page {page_no} outside the checksummed data region"
+            )));
+        };
         {
-            // lint: allow(a poisoned pool lock means another worker
-            // panicked mid-insert; the pool is unrecoverable and
-            // re-panicking is policy)
-            let mut inner = self.inner.lock().unwrap();
-            if let Some(frame) = inner.frames.get_mut(&page_no) {
+            // The hit path: this slot's lock and nothing else.
+            let mut frame = lock(&slot.frame);
+            if let Some(data) = frame.data.as_ref().map(Arc::clone) {
                 frame.referenced = true;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&frame.data));
+                frame.hits += 1;
+                return Ok(data);
             }
         }
-        // Fault *outside* the lock: the retry/backoff path may sleep, and
-        // holding the pool lock through it would stall every query on
-        // healthy pages behind one bad page. The cost is that two workers
-        // racing on the same boundary page may both read it; the loser's
-        // copy is dropped below.
-        let data = Arc::new(self.fault(page_no)?);
+        // Fault *outside* every lock: the retry/backoff path may sleep,
+        // and holding a lock through it would stall queries on healthy
+        // pages behind one bad page. The cost is that two workers racing
+        // on the same page may both read it; the loser's copy is dropped
+        // below.
+        let data = Arc::new(self.fault(page_no, slot.checksum)?);
         self.faults.fetch_add(1, Ordering::Relaxed);
-        // lint: allow(same poisoned-lock policy as above)
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(frame) = inner.frames.get_mut(&page_no) {
-            // Another worker faulted it concurrently; keep its frame so
-            // both pins share one copy and eviction sees one refcount.
+        let mut clock = lock(&self.clock);
+        {
+            let mut frame = lock(&slot.frame);
+            if let Some(theirs) = frame.data.as_ref().map(Arc::clone) {
+                // Another worker faulted it concurrently; keep its frame so
+                // both pins share one copy and eviction sees one refcount.
+                frame.referenced = true;
+                return Ok(theirs);
+            }
+            frame.data = Some(Arc::clone(&data));
             frame.referenced = true;
-            return Ok(Arc::clone(&frame.data));
         }
-        inner.frames.insert(page_no, Frame { data: Arc::clone(&data), referenced: true });
-        inner.ring.push(page_no);
-        self.evict_to_capacity(&mut inner);
+        clock.ring.push(idx);
+        self.evict_to_capacity(&mut clock);
         Ok(data)
         // Note: a failed fault inserted nothing — a poisoned page is
         // re-attempted (and may heal) on the next query that needs it.
@@ -336,6 +375,7 @@ impl PageStore for BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::io::Write as _;
     use std::path::PathBuf;
 
@@ -343,8 +383,8 @@ mod tests {
     /// page `i` is filled with byte `i as u8`. Returns (pool-ready file,
     /// checksums, path for cleanup).
     fn page_file(name: &str, n: usize) -> (File, Vec<u64>, PathBuf) {
-        let path =
-            std::env::temp_dir().join(format!("gfcl_pager_{}_{name}.bin", std::process::id()));
+        let path = std::env::temp_dir()
+            .join(format!("gfcl_buffer_pool_{}_{name}.bin", std::process::id()));
         let mut f = File::create(&path).unwrap();
         let mut checksums = Vec::new();
         for i in 0..n {
@@ -412,6 +452,49 @@ mod tests {
         for (p, g) in guards.iter().enumerate() {
             assert_eq!(g[9], p as u8);
         }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn hits_on_disjoint_pages_share_no_lock() {
+        const THREADS: usize = 4;
+        const PINS: u64 = 10_000;
+        let (f, sums, path) = page_file("disjoint", THREADS + 1);
+        let pool = BufferPool::new(f, 8, 0, sums);
+        for p in 0..=THREADS as u64 {
+            pool.pin(p); // fault everything in: only hits from here on
+        }
+        let start = std::sync::Barrier::new(THREADS);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            // Hold every lock a worker's hit does not need — the pool-wide
+            // clock and a neighbouring slot — for the whole run: a hit path
+            // that touched either would never finish.
+            let clock = lock(&pool.clock);
+            let neighbour = lock(&pool.slots[THREADS].frame);
+            for t in 0..THREADS as u64 {
+                let (pool, start, done_tx) = (&pool, &start, done_tx.clone());
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..PINS {
+                        assert_eq!(pool.try_pin(t).unwrap()[0], t as u8);
+                    }
+                    done_tx.send(()).unwrap();
+                });
+            }
+            for _ in 0..THREADS {
+                // The timeout only turns a deadlock into a failure.
+                done_rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("a hit waited on the clock lock or on another page's slot");
+            }
+            drop((clock, neighbour));
+        });
+        for slot in &pool.slots[..THREADS] {
+            assert_eq!(lock(&slot.frame).hits, PINS, "every worker's hits landed on its own slot");
+        }
+        let s = pool.stats();
+        assert_eq!((s.hits, s.faults), (THREADS as u64 * PINS, THREADS as u64 + 1));
         std::fs::remove_file(path).ok();
     }
 

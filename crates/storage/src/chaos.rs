@@ -22,7 +22,7 @@ use std::sync::Mutex;
 
 use gfcl_common::{Error, Result};
 
-use crate::pager::PageFile;
+use crate::buffer_pool::PageFile;
 
 /// Injection rates and the seed of one chaos configuration. All rates are
 /// per million page reads; a zero-rate dimension never fires.

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gfcl_columnar::{Column, NullKind, SegmentSink, SegmentSource, UIntArray};
+use gfcl_columnar::{Column, NullKind, PageCursor, SegmentSink, SegmentSource, UIntArray};
 use gfcl_common::{
     DataType, Direction, Error, LabelId, MemoryUsage, Reader, Result, Value, Writer,
 };
@@ -23,8 +23,8 @@ use gfcl_common::{
 use crate::catalog::Catalog;
 use crate::config::{EdgePropLayout, StorageConfig};
 use crate::csr::{Csr, CsrOptions};
+use crate::edge_prop_pages::PropertyPages;
 use crate::edge_store::EdgePropStore;
-use crate::pages::PropertyPages;
 use crate::raw::{PropData, RawGraph};
 use crate::single_card::SingleCardAdj;
 use crate::store::BaselineRead;
@@ -128,6 +128,54 @@ impl<'g> EdgePropRead<'g> {
             | EdgePropRead::ByVertex { col, .. } => col,
         }
     }
+
+    /// List-at-a-time twin of [`ColumnarGraph::resolve_edge_prop`]: append
+    /// to `out` the flat property indexes of CSR positions `positions` of
+    /// `from`'s list in `csr` (the CSR this access path was resolved for).
+    /// The stored edge-ID components and — walking the non-indexed
+    /// direction — the neighbours are block reads stepped through the
+    /// caller's cursors (one pin per page per list, not per edge), and the
+    /// access path is matched once per list.
+    pub fn resolve_list(
+        &self,
+        csr: &Csr,
+        from: u64,
+        positions: std::ops::Range<u64>,
+        ids_cur: &mut PageCursor,
+        nbr_cur: &mut PageCursor,
+        out: &mut Vec<u64>,
+    ) -> Result<()> {
+        let (start, end) = (positions.start as usize, positions.end as usize);
+        let edge_ids = |cur: &mut PageCursor, out: &mut Vec<u64>| match csr.edge_ids_array() {
+            Some(ids) => {
+                ids.read_range(cur, start, end, out);
+                Ok(())
+            }
+            None => Err(Error::Storage("edge IDs not stored for this adjacency list".into())),
+        };
+        let at = out.len();
+        match *self {
+            EdgePropRead::ByPosition(_) => out.extend(positions),
+            EdgePropRead::ByEdgeId(_) => edge_ids(ids_cur, out)?,
+            EdgePropRead::ByPageOffset { pages, nbr_is_src, .. } => {
+                edge_ids(ids_cur, out)?;
+                for (pos, flat) in positions.zip(&mut out[at..]) {
+                    // The page is keyed by the indexed-side vertex: the
+                    // traversal neighbour when walking the other direction.
+                    let src = if nbr_is_src { csr.nbr_at_with(nbr_cur, pos) } else { from };
+                    *flat = pages.flat_index(src, *flat);
+                }
+            }
+            EdgePropRead::ByVertex { endpoint_is_nbr, .. } => {
+                if endpoint_is_nbr {
+                    csr.nbr_array().read_range(nbr_cur, start, end, out);
+                } else {
+                    out.resize(at + (end - start), from);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Per-label memory of the four Table 2 components, plus the
@@ -180,7 +228,7 @@ pub struct ColumnarGraph {
     build_nonce: u64,
     /// The buffer pool faulting this graph's pages, if it was opened from
     /// disk. `None` for a built (all-resident) graph.
-    pool: Option<Arc<crate::pager::BufferPool>>,
+    pool: Option<Arc<crate::buffer_pool::BufferPool>>,
 }
 
 /// A fresh generation stamp: `RandomState` seeds from system entropy (per
@@ -532,11 +580,11 @@ impl ColumnarGraph {
 
     /// The buffer pool backing a reopened graph (`None` when fully
     /// in-memory). Exposes fault/hit/eviction/skip counters.
-    pub fn buffer_pool(&self) -> Option<&crate::pager::BufferPool> {
+    pub fn buffer_pool(&self) -> Option<&crate::buffer_pool::BufferPool> {
         self.pool.as_deref()
     }
 
-    pub(crate) fn set_pool(&mut self, pool: Arc<crate::pager::BufferPool>) {
+    pub(crate) fn set_pool(&mut self, pool: Arc<crate::buffer_pool::BufferPool>) {
         // Reflect the pool actually attached (env override included) so
         // `config()` reports the truth for this process, not the saved value.
         self.config.buffer_pool_pages = pool.capacity();
@@ -878,7 +926,8 @@ fn build_nn(
         }
         // Properties live in page-grouped flat storage; the stored global
         // IDs are the flat positions.
-        let assign = crate::pages::assign_insertion_order(pages_k(config), n_src, &table.src);
+        let assign =
+            crate::edge_prop_pages::assign_insertion_order(pages_k(config), n_src, &table.src);
         let cols = prop_defs
             .iter()
             .enumerate()
@@ -903,7 +952,7 @@ fn build_nn(
         EdgePropLayout::Pages { k } => {
             // Pages fill in edge-insertion order: within a page the k lists
             // interleave but stay in close-by memory (Section 4.2).
-            let assign = crate::pages::assign_insertion_order(k, n_src, &table.src);
+            let assign = crate::edge_prop_pages::assign_insertion_order(k, n_src, &table.src);
             let cols = prop_defs
                 .iter()
                 .enumerate()
@@ -987,6 +1036,30 @@ impl BaselineRead for ColumnarGraph {
             // value at a time.
             AdjIndex::Csr(c) => Some((c.nbr_at(pos), pos)),
             AdjIndex::SingleCard(s) => s.nbr(pos).map(|nbr| (nbr, 0)),
+        }
+    }
+
+    fn for_each_adj_entry(
+        &self,
+        elabel: LabelId,
+        dir: Direction,
+        start: u64,
+        len: u64,
+        mut f: impl FnMut(u64, u64),
+    ) {
+        match self.adj(elabel, dir) {
+            AdjIndex::Csr(c) => {
+                // One pin per page the list spans, not one per edge.
+                let mut cur = PageCursor::new();
+                for pos in start..start + len {
+                    f(c.nbr_at_with(&mut cur, pos), pos);
+                }
+            }
+            AdjIndex::SingleCard(s) => {
+                for nbr in (start..start + len).filter_map(|v| s.nbr(v)) {
+                    f(nbr, 0);
+                }
+            }
         }
     }
 

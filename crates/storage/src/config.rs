@@ -81,7 +81,7 @@ impl Default for StorageConfig {
             single_card_in_vcols: true,
             edge_prop_layout: EdgePropLayout::pages_default(),
             zone_maps: true,
-            buffer_pool_pages: crate::pager::DEFAULT_POOL_PAGES,
+            buffer_pool_pages: crate::buffer_pool::DEFAULT_POOL_PAGES,
         }
     }
 }

@@ -17,7 +17,7 @@
 //! [`NullMap`] (Jacobson by default) maps vertex offsets to them in
 //! constant time.
 
-use gfcl_columnar::{NullKind, NullMap, SegmentSink, SegmentSource, UIntArray};
+use gfcl_columnar::{NullKind, NullMap, PageCursor, SegmentSink, SegmentSource, UIntArray};
 use gfcl_common::{MemoryUsage, Reader, Result, Writer};
 
 /// Build options for a [`Csr`].
@@ -164,6 +164,13 @@ impl Csr {
         self.nbr.get(pos as usize)
     }
 
+    /// [`Csr::nbr_at`] through a reader-owned page cursor: stepping a list
+    /// costs one pin per page it spans, not one per edge.
+    #[inline]
+    pub fn nbr_at_with(&self, cur: &mut PageCursor, pos: u64) -> u64 {
+        self.nbr.get_with(cur, pos as usize)
+    }
+
     /// Edge ID component at CSR position `pos`, or `None` when the
     /// decision tree omitted the array.
     #[inline]
@@ -194,10 +201,12 @@ impl Csr {
         self.edge_ids.as_ref()
     }
 
-    /// Iterate the `(csr position, nbr)` pairs of `v`'s list.
+    /// Iterate the `(csr position, nbr)` pairs of `v`'s list. The iterator
+    /// owns a page cursor: one pin per page the list spans.
     pub fn iter_list(&self, v: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
         let (start, len) = self.list(v);
-        (start..start + len as u64).map(move |p| (p, self.nbr_at(p)))
+        let mut cur = PageCursor::new();
+        (start..start + len as u64).map(move |p| (p, self.nbr_at_with(&mut cur, p)))
     }
 
     /// Memory of the offsets structure (the "CSR offsets" cost that vertex
@@ -357,7 +366,7 @@ mod tests {
 
     #[test]
     fn encode_roundtrip_faults_lists_back_in() {
-        use gfcl_columnar::paged::mem::{MemSink, MemStore};
+        use gfcl_columnar::paged_array::mem::{MemSink, MemStore};
         use gfcl_common::{Reader, Writer};
         let (n, from, nbr) = sample_edges();
         let opts =

@@ -3,7 +3,7 @@
 use gfcl_columnar::{Column, SegmentSink, SegmentSource};
 use gfcl_common::{Error, MemoryUsage, Reader, Result, Writer};
 
-use crate::pages::PropertyPages;
+use crate::edge_prop_pages::PropertyPages;
 
 /// How one edge label's properties are physically stored.
 #[derive(Debug, Clone)]

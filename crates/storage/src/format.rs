@@ -29,9 +29,9 @@ use std::sync::Arc;
 use gfcl_columnar::{PageStore, SegRef, SegmentSink, SegmentSource, PAGE_SIZE};
 use gfcl_common::{fnv1a_64, Error, Reader, Result, Writer};
 
+use crate::buffer_pool::BufferPool;
 use crate::columnar_graph::ColumnarGraph;
 use crate::config::StorageConfig;
-use crate::pager::BufferPool;
 
 const MAGIC: [u8; 4] = *b"GFCL";
 /// v2 added the graph's per-build generation nonce to the metadata stream.

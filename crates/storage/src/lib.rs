@@ -6,7 +6,8 @@
 //! * [`catalog`] — labels, structured properties, cardinality constraints,
 //!   plus the build-time [`stats`] the join orderer consumes;
 //! * [`raw`] — the storage-agnostic [`RawGraph`] interchange format;
-//! * [`csr`] / [`pages`] / [`single_card`] / [`edge_store`] — the columnar
+//! * [`csr`] / [`edge_prop_pages`] / [`single_card`] / [`edge_store`] — the
+//!   columnar
 //!   building blocks: factored-ID CSRs, single-indexed property pages,
 //!   vertex-column single-cardinality edges, and the edge-property design
 //!   space;
@@ -18,20 +19,23 @@
 //!   [`GraphView`], generic over the positional [`BaselineRead`] trait both
 //!   graph layouts implement, is the single implementation of
 //!   `(baseline ⊎ delta) ∖ tombstones` every engine and `merge()` read;
+//! * [`mod@format`] / [`buffer_pool`] — the single-file on-disk format and the
+//!   [`BufferPool`] a reopened graph faults its value pages through (an
+//!   indexed frame table under clock eviction);
 //! * [`mutation`] — the [`OffsetRecycler`] free-list the delta store keeps
 //!   its slot space dense with (Section 7's gap recycling).
 
+pub mod buffer_pool;
 pub mod catalog;
 pub mod chaos;
 pub mod columnar_graph;
 pub mod config;
 pub mod csr;
 pub mod delta;
+pub mod edge_prop_pages;
 pub mod edge_store;
 pub mod format;
 pub mod mutation;
-pub mod pager;
-pub mod pages;
 pub mod raw;
 pub mod row_graph;
 pub mod single_card;
@@ -39,16 +43,16 @@ pub mod stats;
 pub mod store;
 pub mod wal;
 
+pub use buffer_pool::{BufferPool, PageFile, PoolStats, DEFAULT_POOL_PAGES, MAX_READ_ATTEMPTS};
 pub use catalog::{Cardinality, Catalog, EdgeLabelDef, PropertyDef, VertexLabelDef};
 pub use chaos::{FailingStore, FaultConfig};
 pub use columnar_graph::{AdjIndex, ColumnarGraph, EdgePropRead, MemoryBreakdown};
 pub use config::{EdgePropLayout, StorageConfig};
 pub use csr::{Csr, CsrOptions};
 pub use delta::{DeltaEdge, DeltaSnapshot, DeltaStore, EdgeTarget, ResolvedOp, StrExt};
+pub use edge_prop_pages::PropertyPages;
 pub use edge_store::EdgePropStore;
 pub use mutation::OffsetRecycler;
-pub use pager::{BufferPool, PageFile, PoolStats, DEFAULT_POOL_PAGES, MAX_READ_ATTEMPTS};
-pub use pages::PropertyPages;
 pub use raw::{EdgeTable, PropData, RawGraph, VertexTable};
 pub use row_graph::{PropEntry, RowCsr, RowGraph};
 pub use single_card::SingleCardAdj;

@@ -9,7 +9,7 @@
 //! "vertex has no such edge" case is exactly a NULL, so empty-edge
 //! compression reuses the [`NullMap`] machinery (Section 8.4).
 
-use gfcl_columnar::{Column, NullKind, NullMap, SegmentSink, SegmentSource, UIntArray};
+use gfcl_columnar::{Column, NullKind, NullMap, PageCursor, SegmentSink, SegmentSource, UIntArray};
 use gfcl_common::{MemoryUsage, Reader, Result, Writer};
 
 /// Single-direction adjacency of a single-cardinality edge label, stored as
@@ -60,6 +60,12 @@ impl SingleCardAdj {
     #[inline]
     pub fn nbr(&self, v: u64) -> Option<u64> {
         self.nulls.physical(v as usize).map(|p| self.nbr.get(p))
+    }
+
+    /// [`SingleCardAdj::nbr`] through a reader-owned page cursor.
+    #[inline]
+    pub fn nbr_with(&self, cur: &mut PageCursor, v: u64) -> Option<u64> {
+        self.nulls.physical(v as usize).map(|p| self.nbr.get_with(cur, p))
     }
 
     pub fn n_props(&self) -> usize {
@@ -169,7 +175,7 @@ mod tests {
 
     #[test]
     fn encode_roundtrip_with_props() {
-        use gfcl_columnar::paged::mem::{MemSink, MemStore};
+        use gfcl_columnar::paged_array::mem::{MemSink, MemStore};
         use gfcl_common::{Reader, Writer};
         let doj = Column::from_i64(
             DataType::Int64,

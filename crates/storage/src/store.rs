@@ -99,6 +99,22 @@ pub trait BaselineRead {
     /// edge ID; 0 for vertex-column edges) at list position `pos`. `None`
     /// is a position holding no edge — a NULL in a vertex column.
     fn adj_entry(&self, elabel: LabelId, dir: Direction, pos: u64) -> Option<(u64, u64)>;
+    /// Visit the edges at list positions `start..start + len`, in order, as
+    /// `f(neighbour, token)`; positions holding no edge are skipped. The
+    /// list walk under [`GraphView::for_each_live_edge`]: a paged baseline
+    /// overrides it to step the list through one page cursor.
+    fn for_each_adj_entry(
+        &self,
+        elabel: LabelId,
+        dir: Direction,
+        start: u64,
+        len: u64,
+        mut f: impl FnMut(u64, u64),
+    ) {
+        for (nbr, token) in (start..start + len).filter_map(|p| self.adj_entry(elabel, dir, p)) {
+            f(nbr, token);
+        }
+    }
     fn vertex_value(&self, label: LabelId, off: u64, prop: usize) -> Value;
     /// Edge property via the traversal source and an [`adj_entry`] token.
     ///
@@ -296,9 +312,9 @@ impl<'g, B: BaselineRead> GraphView<'g, B> {
         mut f: impl FnMut(u64, u64),
     ) {
         if let Some((start, len)) = self.untouched_range(label, dir, from) {
-            for (nbr, tag) in (start..start + len).filter_map(|p| self.base_entry(label, dir, p)) {
-                f(nbr, tag);
-            }
+            self.base.for_each_adj_entry(label, dir, start, len, |nbr, token| {
+                f(nbr, base_edge_ref(token));
+            });
             return;
         }
         let Some(d) = self.delta else { return };
@@ -306,14 +322,14 @@ impl<'g, B: BaselineRead> GraphView<'g, B> {
         if from < self.base.vertex_count(from_label) as u64 {
             let (start, len) = self.base.adj_range(label, dir, from);
             let mut seen: HashMap<u64, u32> = HashMap::new();
-            for (nbr, tag) in (start..start + len).filter_map(|p| self.base_entry(label, dir, p)) {
+            self.base.for_each_adj_entry(label, dir, start, len, |nbr, token| {
                 let occ = seen.entry(nbr).or_insert(0);
                 let (src, dst) = if dir == Direction::Fwd { (from, nbr) } else { (nbr, from) };
                 if !d.edge_tombed(label, src, dst, *occ) {
-                    f(nbr, tag);
+                    f(nbr, base_edge_ref(token));
                 }
                 *occ += 1;
-            }
+            });
         }
         for &idx in d.delta_edges_from(label, dir, from) {
             let e = d.delta_edge(label, idx);

@@ -21,6 +21,14 @@ fn gfcl_buffer_mb_is_validated() {
         assert!(err.to_string().contains("GFCL_BUFFER_MB"), "{err}");
     }
 
+    // A size whose byte count overflows is rejected too — it used to wrap
+    // to a near-zero pool in release builds and panic in debug ones.
+    for huge in ["17592186044416", "18446744073709551615"] {
+        let err = BufferPool::capacity_from_vars(8, vars(&[("GFCL_BUFFER_MB", huge)]))
+            .expect_err("an overflowing size must not wrap");
+        assert!(err.to_string().contains("GFCL_BUFFER_MB"), "{err}");
+    }
+
     // A valid value is honored (floor one page); unset or empty uses the
     // default.
     let pages_per_mib = (1024 * 1024) / gfcl_columnar::PAGE_SIZE;

@@ -5,7 +5,7 @@
 
 use gfcl_columnar::NullKind;
 use gfcl_common::{DataType, Direction, LabelId, Value};
-use gfcl_storage::pages::assign_insertion_order;
+use gfcl_storage::edge_prop_pages::assign_insertion_order;
 use gfcl_storage::{
     merged_raw, BaselineRead, Cardinality, Catalog, ColumnarGraph, Csr, CsrOptions, GraphStore,
     GraphView, PropertyDef, RawGraph, RowGraph, StorageConfig,

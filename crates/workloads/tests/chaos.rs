@@ -219,6 +219,39 @@ fn permanent_faults_fail_queries_cleanly() {
 }
 
 #[test]
+fn an_unreadable_file_is_a_clean_storage_error() {
+    // Every page read fails, forever: no query over the paged graph can
+    // succeed, and each must end in a clean `Error::Storage` carrying the
+    // I/O fault — not a panic, not a generic cancellation, not a result
+    // computed from placeholder bytes. Every failed pin is served the one
+    // process-wide zero page (`gfcl_columnar` counts the hand-outs in its
+    // test store and checks they share an allocation), and a cursor that
+    // took the placeholder keeps it until its morsel ends, so a dead page
+    // costs neither memory nor a retry per value.
+    let cfg =
+        FaultConfig { seed: base_seed() ^ 6, permanent_ppm: 1_000_000, ..FaultConfig::disabled() };
+    let built = Arc::new(ColumnarGraph::build(&build_raw(), StorageConfig::default()).unwrap());
+    let path = tmp("dead");
+    built.save(&path).unwrap();
+    let config = StorageConfig { buffer_pool_pages: TINY_POOL_PAGES, ..StorageConfig::default() };
+    let dead = Arc::new(ColumnarGraph::open_with_faults(&path, config, Some(cfg)).unwrap());
+    std::fs::remove_file(&path).ok();
+
+    for threads in THREADS {
+        let engine =
+            GfClEngine::with_options(Arc::clone(&dead), ExecOptions::with_threads(threads));
+        for (qname, q) in &queries(NODES as i64) {
+            let err = run_checked(&engine, qname, q, threads, "<no query can succeed>", &cfg)
+                .expect_err("every page is unreadable");
+            assert!(matches!(err, Error::Storage(_)), "seed={}: {qname}: {err:?}", cfg.seed);
+        }
+    }
+    let pool = dead.buffer_pool().unwrap();
+    assert_eq!(pool.occupancy(), 0, "a failed page is never cached");
+    assert_eq!(pool.stats().hits, 0, "nor served");
+}
+
+#[test]
 fn one_shot_bit_flips_are_detected_or_healed() {
     // A flipped bit below the checksum is always *detected*; the retry
     // serves clean bytes. Two independent flip rolls within one page's

@@ -16,6 +16,7 @@ use gfcl_core::query::{col, eq, ge, lit, lt, starts_with, Agg, PatternQuery};
 use gfcl_core::{Engine, ExecOptions, GfClEngine};
 use gfcl_datagen::{PowerLawParams, SocialParams};
 use gfcl_storage::{ColumnarGraph, RawGraph, StorageConfig};
+use gfcl_workloads::{ga_queries, khop, ldbc, KhopMode, LdbcParams};
 use proptest::prelude::*;
 
 /// Worker counts under test.
@@ -194,6 +195,75 @@ fn figure1_example_survives_reopen() {
         .returns(&[("p", "name"), ("o", "name"), ("w", "doj")])
         .build();
     assert_persistence_equivalent(&raw, "example", &[("workat".into(), q)]);
+}
+
+/// Ceiling on buffer-pool pins (`hits + faults`) for one pass of the
+/// LDBC + GA + k-hop corpus (38 queries) over the scale-50 social graph.
+///
+/// A pin is a page cursor missing its slot, so the count is a function of
+/// the graph and the plans alone — not of the pool size, the machine or
+/// the clock — and repeats exactly. Every label of this graph fits one
+/// scan morsel and every value array one or two pages, so a query pins a
+/// page at most once per cursor that walks it: the corpus measures 208
+/// pins, five or six per query. Reading through the pool per *value*, as
+/// the executor did before block reads, costs 779 755 pins on the same
+/// corpus. The ceiling leaves room for a plan change and none for a
+/// per-value read.
+const CORPUS_PIN_CEILING: u64 = 400;
+
+/// The pin budget: results over the reopened graph are identical to the
+/// resident build's, and the pool is off the per-value path.
+#[test]
+fn corpus_stays_within_its_pin_budget() {
+    let persons = 50;
+    let raw = gfcl_datagen::generate_social(SocialParams::scale(persons));
+    let p = LdbcParams::for_scale(persons);
+    let mut queries = ldbc::all_queries(&p);
+    queries.extend(ga_queries(&p));
+    for hops in 1..=2 {
+        for (name, mode) in [
+            ("count", KhopMode::CountStar),
+            ("filter", KhopMode::LastEdgeGt(1_400_000_000)),
+            ("chain", KhopMode::Chain(1_350_000_000)),
+        ] {
+            for bwd in [false, true] {
+                let q = khop("Person", "knows", "date", hops, mode, bwd);
+                queries.push((format!("khop-{hops}-{name}-bwd={bwd}"), q));
+            }
+        }
+    }
+
+    let built = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
+    let path = tmp("pin_budget");
+    built.save(&path).unwrap();
+    let file_pages = std::fs::metadata(&path).unwrap().len() / gfcl_columnar::PAGE_SIZE as u64;
+    // A pool larger than the file: nothing is ever evicted.
+    let config =
+        StorageConfig { buffer_pool_pages: 2 * file_pages as usize, ..StorageConfig::default() };
+    let reopened = Arc::new(ColumnarGraph::open(&path, config).unwrap());
+    std::fs::remove_file(&path).unwrap();
+    let pool = reopened.buffer_pool().expect("reopened graph has a pool");
+
+    for threads in THREADS {
+        let opts = ExecOptions::with_threads(threads);
+        let mem = GfClEngine::with_options(Arc::clone(&built), opts);
+        let disk = GfClEngine::with_options(Arc::clone(&reopened), opts);
+        let before = pool.stats();
+        for (qname, q) in &queries {
+            let a = mem.execute(q).unwrap_or_else(|e| panic!("{qname} failed in-memory: {e}"));
+            let b = disk.execute(q).unwrap_or_else(|e| panic!("{qname} failed reopened: {e}"));
+            assert_eq!(a.canonical(), b.canonical(), "{qname}: reopening changed the output");
+        }
+        let after = pool.stats();
+        let pins = (after.hits + after.faults) - (before.hits + before.faults);
+        assert!(pins > 0, "the corpus never read through the pool");
+        assert!(
+            pins <= CORPUS_PIN_CEILING,
+            "{} queries made {pins} pool pins at {threads} worker(s); the budget is \
+             {CORPUS_PIN_CEILING} — is something reading through the pool per value again?",
+            queries.len()
+        );
+    }
 }
 
 #[test]
