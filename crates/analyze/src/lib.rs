@@ -71,6 +71,9 @@ pub struct FileClass {
 const HOT_PATHS: &[&str] = &[
     "crates/core/src/exec.rs",
     "crates/core/src/driver.rs",
+    // The group table, the row order every sink finishes with and the
+    // top-k comparison: every kept row and every group passes through it.
+    "crates/core/src/agg.rs",
     "crates/columnar/src/paged_array.rs",
     "crates/storage/src/buffer_pool.rs",
     // The frontend's lexer and parser face arbitrary user text: a panic
@@ -596,6 +599,7 @@ mod tests {
     #[test]
     fn classify_matches_the_rule_scopes() {
         assert!(classify("crates/core/src/exec.rs").hot_path);
+        assert!(classify("crates/core/src/agg.rs").hot_path);
         assert!(classify("crates/columnar/src/paged_array.rs").hot_path);
         assert!(classify("crates/columnar/src/paged_array.rs").codec);
         assert!(classify("crates/storage/src/buffer_pool.rs").hot_path);

@@ -7,6 +7,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// The type of a structured vertex or edge property (Guideline 3: label
 /// determines properties and their datatypes).
@@ -122,18 +123,56 @@ impl Value {
     /// Lexicographic on `(type rank, value)`, which makes it transitive by
     /// construction: NULL < booleans < numerics < strings. Within the
     /// numeric rank, `Int64`/`Date`/`Float64` order by exact mathematical
-    /// value (see `Value::numeric_key` — no precision loss for large
-    /// integers), with NaN after every finite value; `Int64(3)`, `Date(3)`
-    /// and `Float64(3.0)` compare equal, matching [`Value::compare`].
+    /// value, with positive NaN after every finite value; `Int64(3)`,
+    /// `Date(3)` and `Float64(3.0)` compare equal, matching
+    /// [`Value::compare`].
+    ///
+    /// Same-type pairs take fast arms: `Int64`/`Date` pairs are `i64::cmp`,
+    /// `Float64` pairs `f64::total_cmp`. Only a mixed integer/float pair
+    /// pays for the exact-order key (`Value::numeric_key`, two
+    /// `f64 → i128` conversions), which orders same-type pairs exactly as
+    /// the fast arms do.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        self.type_rank().cmp(&other.type_rank()).then_with(|| match (self, other) {
+        match (self, other) {
+            (Value::Int64(a) | Value::Date(a), Value::Int64(b) | Value::Date(b)) => a.cmp(b),
+            (Value::Float64(a), Value::Float64(b)) => a.total_cmp(b),
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::String(a), Value::String(b)) => a.cmp(b),
-            _ => match (self.numeric_key(), other.numeric_key()) {
-                (Some((a, ar)), Some((b, br))) => a.total_cmp(&b).then(ar.total_cmp(&br)),
-                _ => Ordering::Equal, // both NULL (rank 0)
-            },
-        })
+            (Value::Null, Value::Null) => Ordering::Equal,
+            // Different ranks, or the one same-rank pair left: integer vs
+            // float.
+            _ => self.type_rank().cmp(&other.type_rank()).then_with(|| {
+                match (self.numeric_key(), other.numeric_key()) {
+                    (Some((a, ar)), Some((b, br))) => a.total_cmp(&b).then(ar.total_cmp(&br)),
+                    _ => Ordering::Equal,
+                }
+            }),
+        }
+    }
+
+    /// Feed `state` a hash that agrees with [`Value::total_cmp`] equality:
+    /// values that compare `Equal` hash alike, so `Int64(3)`, `Date(3)` and
+    /// `Float64(3.0)` do. A float equals an integer only when it is one
+    /// exactly, so integral floats in the `i64` range hash as that integer
+    /// and every other float as its bits (`f64::total_cmp` equality is bit
+    /// equality).
+    pub fn total_hash<H: Hasher>(&self, state: &mut H) {
+        self.type_rank().hash(state);
+        match self {
+            Value::Null => {}
+            Value::Bool(b) => b.hash(state),
+            Value::Int64(v) | Value::Date(v) => v.hash(state),
+            Value::Float64(f) => {
+                // [-2^63, 2^63): the integral floats an i64 can equal.
+                let two_63 = -(i64::MIN as f64);
+                if f.fract() == 0.0 && (-two_63..two_63).contains(f) {
+                    (*f as i64).hash(state)
+                } else {
+                    f.to_bits().hash(state)
+                }
+            }
+            Value::String(s) => s.hash(state),
+        }
     }
 
     /// Exact-order key of a numeric-rank value: the round-to-nearest `f64`
@@ -229,6 +268,7 @@ impl fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn data_type_widths() {
@@ -292,6 +332,103 @@ mod tests {
                 assert_eq!(a.total_cmp(b), Less, "{a} < {b}");
             }
         }
+    }
+
+    /// The pre-fast-arm formulation of [`Value::total_cmp`]: every numeric
+    /// pair through `numeric_key`. Kept as the oracle the fast arms must
+    /// reproduce.
+    fn oracle_cmp(a: &Value, b: &Value) -> Ordering {
+        a.type_rank().cmp(&b.type_rank()).then_with(|| match (a, b) {
+            (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+            (Value::String(x), Value::String(y)) => x.cmp(y),
+            _ => match (a.numeric_key(), b.numeric_key()) {
+                (Some((x, xr)), Some((y, yr))) => x.total_cmp(&y).then(xr.total_cmp(&yr)),
+                _ => Ordering::Equal,
+            },
+        })
+    }
+
+    fn hash_of(v: &Value) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        v.total_hash(&mut h);
+        h.finish()
+    }
+
+    /// Values clustered where the order is delicate: integers at ±2^53 and
+    /// at the ends of `i64`, the same integers as `Date` and `Float64`,
+    /// signed zeros, infinities, NaNs of both signs, floats at ±2^63.
+    fn value() -> impl Strategy<Value = Value> {
+        let two_53 = 1i64 << 53;
+        let ints = prop_oneof![
+            (-4i64..4).prop_map(move |d| two_53 + d),
+            (-4i64..4).prop_map(move |d| -two_53 + d),
+            (0i64..4).prop_map(|d| i64::MIN + d),
+            (0i64..4).prop_map(|d| i64::MAX - d),
+            // The largest f64 below 2^63 and its neighbours.
+            (-2i64..2).prop_map(|d| i64::MAX - 1023 + d),
+            -4i64..4,
+            any::<i64>(),
+        ]
+        .boxed();
+        let floats = prop_oneof![
+            Just(f64::NAN),
+            Just(-f64::NAN),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-(i64::MIN as f64)),
+            Just(i64::MIN as f64),
+            (-4i64..4).prop_map(|d| d as f64 + 0.5),
+            any::<f64>(),
+        ]
+        .boxed();
+        prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            "[a-c]{0,2}".prop_map(Value::String),
+            ints.clone().prop_map(Value::Int64),
+            ints.clone().prop_map(Value::Date),
+            ints.prop_map(|i| Value::Float64(i as f64)),
+            floats.prop_map(Value::Float64),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn fast_arms_match_the_numeric_key_order_and_hash_agrees(
+            a in value(),
+            b in value(),
+        ) {
+            // Independent draws rarely collide, so also pair `a` with its
+            // numeric twins (same number, other variants).
+            let twins = match a {
+                Value::Int64(v) | Value::Date(v) => {
+                    vec![Value::Int64(v), Value::Date(v), Value::Float64(v as f64)]
+                }
+                Value::Float64(f) => vec![Value::Int64(f as i64), Value::Date(f as i64)],
+                _ => Vec::new(),
+            };
+            for b in std::iter::once(b).chain(twins) {
+                let ord = a.total_cmp(&b);
+                prop_assert_eq!(ord, oracle_cmp(&a, &b), "{} vs {}", a, b);
+                prop_assert_eq!(b.total_cmp(&a), ord.reverse(), "{} vs {}", b, a);
+                if ord == Ordering::Equal {
+                    prop_assert_eq!(hash_of(&a), hash_of(&b), "{} == {}", a, b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_numerics_hash_alike() {
+        for v in [Value::Int64(3), Value::Date(3), Value::Float64(3.0)] {
+            assert_eq!(hash_of(&v), hash_of(&Value::Int64(3)), "{v}");
+        }
+        let min = Value::Int64(i64::MIN);
+        assert_eq!(min.total_cmp(&Value::Float64(i64::MIN as f64)), Ordering::Equal);
+        assert_eq!(hash_of(&min), hash_of(&Value::Float64(i64::MIN as f64)));
     }
 
     #[test]

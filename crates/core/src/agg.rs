@@ -9,14 +9,18 @@
 //! rows by the total [`Value::total_cmp`] order before applying
 //! `ORDER BY` / `LIMIT`.
 //!
-//! Determinism: the table is a `BTreeMap` over totally-ordered keys and
-//! every aggregate state merges associatively (integer sums in `i128`,
-//! `AVG` as exact sum + count divided once at the end), so the final
-//! output is identical for any worker count and any morsel interleaving —
-//! modulo float addition order for `SUM`/`AVG` over DOUBLE columns, which
-//! inherits the whole-result `SUM` caveat.
+//! Determinism: the table is a hash map whose key equality and hash both
+//! follow the total value order ([`OrdValue`]), every aggregate state
+//! merges associatively (integer sums in `i128`, `AVG` as exact sum +
+//! count divided once at the end), and the order contract is kept once,
+//! at finish: [`GroupTable::into_output`] sorts the finished rows by
+//! [`cmp_rows`]. So the final output is identical for any worker count and
+//! any morsel interleaving — modulo float addition order for `SUM`/`AVG`
+//! over DOUBLE columns, which inherits the whole-result `SUM` caveat.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 use gfcl_common::{DataType, Value};
 
@@ -24,12 +28,25 @@ use crate::engine::QueryOutput;
 use crate::plan::{LogicalPlan, PlanAgg, PlanReturn};
 use crate::query::AggFunc;
 
-/// [`Value`] wrapper whose `Ord` is [`Value::total_cmp`] — the canonical
-/// key/sort ordering of grouped and distinct results.
-#[derive(Debug, Clone, PartialEq)]
+/// [`Value`] wrapper whose `Ord`, `Eq` and `Hash` all follow
+/// [`Value::total_cmp`] — the canonical key/sort ordering of grouped and
+/// distinct results (`Int64(3)`, `Date(3)` and `Float64(3.0)` are one key).
+#[derive(Debug, Clone)]
 pub struct OrdValue(pub Value);
 
+impl PartialEq for OrdValue {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.total_cmp(&other.0) == std::cmp::Ordering::Equal
+    }
+}
+
 impl Eq for OrdValue {}
+
+impl Hash for OrdValue {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.total_hash(state)
+    }
+}
 
 impl PartialOrd for OrdValue {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
@@ -87,7 +104,7 @@ pub enum AggState {
     /// `COUNT(*)` / `COUNT(x.p)` — tuple or non-NULL-value count.
     Count(u64),
     /// `COUNT(DISTINCT x.p)` — distinct non-NULL values.
-    Distinct(BTreeSet<OrdValue>),
+    Distinct(HashSet<OrdValue>),
     /// `SUM` — exact `i128` for integers, `f64` for doubles; `seen` counts
     /// non-NULL inputs so an all-NULL group sums to NULL (SQL semantics).
     Sum { ints: i128, floats: f64, seen: u64 },
@@ -102,7 +119,7 @@ impl AggState {
     pub fn new(func: AggFunc) -> AggState {
         match func {
             AggFunc::CountStar | AggFunc::Count { distinct: false } => AggState::Count(0),
-            AggFunc::Count { distinct: true } => AggState::Distinct(BTreeSet::new()),
+            AggFunc::Count { distinct: true } => AggState::Distinct(HashSet::new()),
             AggFunc::Sum => AggState::Sum { ints: 0, floats: 0.0, seen: 0 },
             AggFunc::Min => AggState::Best { value: Value::Null, want_min: true },
             AggFunc::Max => AggState::Best { value: Value::Null, want_min: false },
@@ -207,7 +224,8 @@ impl AggState {
                 *floats += f2;
                 *count += c2;
             }
-            _ => unreachable!("merging mismatched aggregate states"),
+            // Both sides are built from the same plan's aggregate list.
+            _ => debug_assert!(false, "merging mismatched aggregate states"),
         }
     }
 
@@ -239,12 +257,13 @@ impl AggState {
 }
 
 /// A grouped-aggregation accumulator: group key → one [`AggState`] per
-/// aggregate. `BTreeMap` over the total value order makes iteration (and
-/// therefore output order and partial-merge order) deterministic.
+/// aggregate. The map is unordered; a group's states do not depend on
+/// iteration order (each key merges its partials in worker order), and
+/// output order is imposed once, by [`GroupTable::into_output`].
 #[derive(Debug)]
 pub struct GroupTable {
     aggs: Vec<PlanAgg>,
-    map: BTreeMap<Vec<OrdValue>, Vec<AggState>>,
+    map: HashMap<Vec<OrdValue>, Vec<AggState>>,
     /// Running heap estimate: key bytes + state array per group, plus the
     /// growth reported by [`AggState::update`] at the feeding sites.
     bytes: u64,
@@ -253,20 +272,44 @@ pub struct GroupTable {
 impl GroupTable {
     /// Empty table for the given aggregate list.
     pub fn new(aggs: &[PlanAgg]) -> GroupTable {
-        GroupTable { aggs: aggs.to_vec(), map: BTreeMap::new(), bytes: 0 }
+        GroupTable { aggs: aggs.to_vec(), map: HashMap::new(), bytes: 0 }
     }
 
-    /// The aggregate states of `key`, created on first sight.
+    /// The aggregate states of `key`, created on first sight (one probe).
     pub fn group(&mut self, key: Vec<Value>) -> &mut Vec<AggState> {
         let key: Vec<OrdValue> = key.into_iter().map(OrdValue).collect();
-        if !self.map.contains_key(&key) {
-            self.bytes += key.iter().map(|k| crate::govern::value_bytes(&k.0)).sum::<u64>()
-                + (self.aggs.len() * std::mem::size_of::<AggState>()) as u64
-                + (std::mem::size_of::<Vec<OrdValue>>() + std::mem::size_of::<Vec<AggState>>())
-                    as u64;
+        match self.map.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.bytes += group_bytes(e.key(), self.aggs.len());
+                e.insert(self.aggs.iter().map(|a| AggState::new(a.func)).collect())
+            }
         }
-        let aggs = &self.aggs;
-        self.map.entry(key).or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect())
+    }
+
+    /// Merge the partial `states` of `key` into the table (one probe),
+    /// leaving `states` empty: a new key adopts them as they are.
+    pub(crate) fn merge_group(&mut self, key: Vec<Value>, states: &mut Vec<AggState>) {
+        let added = self.merge_states(key.into_iter().map(OrdValue).collect(), states);
+        self.bytes += added;
+    }
+
+    /// [`GroupTable::merge_group`] over an already-wrapped key; returns
+    /// the new group's bytes, or 0 when the key was present.
+    fn merge_states(&mut self, key: Vec<OrdValue>, states: &mut Vec<AggState>) -> u64 {
+        match self.map.entry(key) {
+            Entry::Occupied(mut e) => {
+                for (a, b) in e.get_mut().iter_mut().zip(states.drain(..)) {
+                    a.merge(b);
+                }
+                0
+            }
+            Entry::Vacant(e) => {
+                let bytes = group_bytes(e.key(), states.len());
+                e.insert(std::mem::take(states));
+                bytes
+            }
+        }
     }
 
     /// Fold one fully-enumerated tuple (the baselines' path): `values[i]`
@@ -304,17 +347,8 @@ impl GroupTable {
     /// callers merge in worker-index order).
     pub fn merge(&mut self, other: GroupTable) {
         self.bytes += other.bytes;
-        for (key, states) in other.map {
-            match self.map.entry(key) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(states);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    for (a, b) in e.get_mut().iter_mut().zip(states) {
-                        a.merge(b);
-                    }
-                }
-            }
+        for (key, mut states) in other.map {
+            self.merge_states(key, &mut states);
         }
     }
 
@@ -328,8 +362,10 @@ impl GroupTable {
         self.map.is_empty()
     }
 
-    /// Finish every group into output rows (keys then aggregates, in key
-    /// order), then apply `ORDER BY` / `LIMIT` and wrap as rows output.
+    /// Finish every group into output rows (keys then aggregates), put
+    /// them in [`cmp_rows`] order — the one place the table's order
+    /// contract is kept — under `ORDER BY` / `LIMIT`, and wrap as rows
+    /// output.
     pub fn into_output(mut self, plan: &LogicalPlan) -> QueryOutput {
         // SQL semantics: an aggregate without GROUP BY keys returns exactly
         // one row even over an empty match set (COUNT(*) = 0, SUM/AVG/
@@ -356,6 +392,14 @@ impl GroupTable {
     }
 }
 
+/// Heap estimate of one new group: its key values plus the key and state
+/// arrays.
+fn group_bytes(key: &[OrdValue], n_aggs: usize) -> u64 {
+    key.iter().map(|k| crate::govern::value_bytes(&k.0)).sum::<u64>()
+        + (n_aggs * std::mem::size_of::<AggState>()) as u64
+        + (std::mem::size_of::<Vec<OrdValue>>() + std::mem::size_of::<Vec<AggState>>()) as u64
+}
+
 /// Total deterministic row comparison: the `ORDER BY` keys first, then the
 /// whole row as a tie-break, so equal-key rows still order canonically.
 pub fn cmp_rows(a: &[Value], b: &[Value], order_by: &[(usize, bool)]) -> std::cmp::Ordering {
@@ -377,16 +421,20 @@ pub fn cmp_rows(a: &[Value], b: &[Value], order_by: &[(usize, bool)]) -> std::cm
 
 /// Sort rows by [`cmp_rows`] and truncate to `limit`. With no `ORDER BY`
 /// keys this is the canonical total order, so `LIMIT` alone is still
-/// deterministic across engines and worker counts.
+/// deterministic across engines and worker counts. Under a `LIMIT` below
+/// the row count only the kept rows are sorted: a selection moves the
+/// `k` first rows to the front, in linear time, before the sort.
 pub fn order_and_limit(
     mut rows: Vec<Vec<Value>>,
     order_by: &[(usize, bool)],
     limit: Option<usize>,
 ) -> Vec<Vec<Value>> {
-    rows.sort_unstable_by(|a, b| cmp_rows(a, b, order_by));
-    if let Some(k) = limit {
+    let cmp = |a: &Vec<Value>, b: &Vec<Value>| cmp_rows(a, b, order_by);
+    if let Some(k) = limit.filter(|&k| k < rows.len()) {
+        rows.select_nth_unstable_by(k, cmp);
         rows.truncate(k);
     }
+    rows.sort_unstable_by(cmp);
     rows
 }
 
@@ -485,7 +533,8 @@ mod tests {
         t.add_tuple(vec![Value::Null], &[None]);
         t.add_tuple(vec![Value::Int64(0)], &[None]);
         assert_eq!(t.len(), 2);
-        let keys: Vec<_> = t.map.keys().cloned().collect();
+        let mut keys: Vec<_> = t.map.keys().cloned().collect();
+        keys.sort();
         assert_eq!(keys[0][0], OrdValue(Value::Null));
     }
 }

@@ -193,7 +193,7 @@ enum Partial {
     /// Grouped aggregation: one partial [`GroupTable`] per worker.
     Grouped(GroupTable),
     /// DISTINCT projection: one deduplicated row set per worker.
-    Distinct(std::collections::BTreeSet<Vec<OrdValue>>),
+    Distinct(std::collections::HashSet<Vec<OrdValue>>),
 }
 
 /// Execute a logical plan against a snapshot view — the baseline overlaid

@@ -46,8 +46,8 @@ use gfcl_columnar::{Column, Dictionary, PageCursor, UIntArray};
 use gfcl_common::{DataType, Direction, Error, LabelId, Result, Value};
 use gfcl_storage::{AdjIndex, ColumnarGraph, EdgePropRead, GraphView, StrExt};
 
-use crate::agg::{AggState, GroupTable, OrdValue};
-use crate::chunk::{Chunk, ListGroup, NodeData, ValueVector, VecRef};
+use crate::agg::{cmp_rows, AggState, GroupTable, OrdValue};
+use crate::chunk::{Chunk, NodeData, ValueVector, VecRef};
 use crate::plan::{LogicalPlan, PlanAgg, PlanStep, SlotSource};
 use crate::pred::{
     compile_pred, compile_row_pred, compile_scan_pred, BlockVerdict, CPred, EvalCtx, RowPred,
@@ -1089,21 +1089,7 @@ pub(crate) fn vector_value(v: &ValueVector, idx: usize, sc: SlotCol<'_>) -> Valu
         }
         ValueVector::Code { vals, valid } => {
             if valid[idx] {
-                // Code vectors are only compiled for String slots, whose
-                // columns are dictionary-encoded by the slot-schema plan
-                // invariant.
-                let dict =
-                    sc.col.and_then(Column::dictionary).expect("string slot has a dictionary"); // lint: allow(slot-schema invariant)
-                let code = vals[idx];
-                if (code as usize) < dict.len() {
-                    Value::String(dict.decode(code).to_owned())
-                } else {
-                    // lint: allow(codes past the dictionary are only
-                    // produced under a delta snapshot, which always wires
-                    // the extension into the slot)
-                    let ext = sc.ext.expect("code beyond dictionary has a delta extension");
-                    Value::String(ext.decode(code).to_owned())
-                }
+                Value::String(code_str(vals[idx], sc).to_owned())
             } else {
                 Value::Null
             }
@@ -1111,6 +1097,50 @@ pub(crate) fn vector_value(v: &ValueVector, idx: usize, sc: SlotCol<'_>) -> Valu
         // lint: allow(callers pass property/node slots only; compile()
         // never wires an EdgeList vector into a value sink)
         _ => panic!("vector_value on non-scalar vector"),
+    }
+}
+
+/// The string a dictionary code of slot `sc` stands for, borrowed from
+/// the dictionary (or the delta string extension).
+fn code_str<'g>(code: u64, sc: SlotCol<'g>) -> &'g str {
+    // Code vectors are only compiled for String slots, whose columns are
+    // dictionary-encoded by the slot-schema plan invariant.
+    let dict = sc.col.and_then(Column::dictionary).expect("string slot has a dictionary"); // lint: allow(slot-schema invariant)
+    if (code as usize) < dict.len() {
+        dict.decode(code)
+    } else {
+        // lint: allow(codes past the dictionary are only produced under a
+        // delta snapshot, which always wires the extension into the slot)
+        let ext = sc.ext.expect("code beyond dictionary has a delta extension");
+        ext.decode(code)
+    }
+}
+
+/// `vector_value(v, idx, sc).total_cmp(other)` without materializing the
+/// block's value: a string is compared as the dictionary's borrowed `&str`.
+fn cmp_entry(v: &ValueVector, idx: usize, sc: SlotCol<'_>, other: &Value) -> std::cmp::Ordering {
+    match (v, other) {
+        (ValueVector::Code { vals, valid }, Value::String(s)) if valid[idx] => {
+            code_str(vals[idx], sc).cmp(s.as_str())
+        }
+        // Strings rank above every other type.
+        (ValueVector::Code { valid, .. }, _) if valid[idx] => std::cmp::Ordering::Greater,
+        // Every other entry is a heap-free `Value`.
+        _ => vector_value(v, idx, sc).total_cmp(other),
+    }
+}
+
+/// A grouping-key entry of a block, comparable without decoding: the
+/// integer, the float's bits, the bool or the dictionary code, `None` for
+/// NULL. A slot's block type and dictionary are fixed for the pipeline, so
+/// equal entries of one slot are equal values.
+fn raw_entry(v: &ValueVector, idx: usize) -> Option<u64> {
+    match v {
+        ValueVector::I64 { vals, valid, .. } if valid[idx] => Some(vals[idx] as u64),
+        ValueVector::F64 { vals, valid } if valid[idx] => Some(vals[idx].to_bits()),
+        ValueVector::Bool { vals, valid } if valid[idx] => Some(vals[idx] as u64),
+        ValueVector::Code { vals, valid } if valid[idx] => Some(vals[idx]),
+        _ => None,
     }
 }
 
@@ -1465,12 +1495,21 @@ fn for_each_combo(chunk: &Chunk, groups: &[usize], mut f: impl FnMut(&[usize])) 
 /// Grouped-aggregation sink: flattens only the grouping keys, folding every
 /// other list group into the per-group [`AggState`]s by multiplicity.
 ///
-/// Consecutive chunk states almost always carry the *same* key values (the
-/// flattened scan side advances one position per many downstream states),
-/// so the sink accumulates the current key's states in a pending run and
-/// touches the group table only on key changes — one table probe per key
-/// run instead of one per chunk state.
+/// Consecutive key combinations almost always carry the *same* key values
+/// (the flattened scan side advances one position per many downstream
+/// states), so the sink accumulates the current key's states in a run
+/// cache and touches the group table only on key changes — one table probe
+/// per key run instead of one per chunk state. The cache compares keys as
+/// raw block entries ([`raw_entry`]) and decodes a key to [`Value`]s once,
+/// when its run starts.
 pub(crate) struct GroupBySink<'g> {
+    shape: GroupShape<'g>,
+    table: GroupTable,
+    run: KeyRun,
+}
+
+/// Where a grouped sink's inputs live in the chunk (fixed at compile).
+struct GroupShape<'g> {
     /// Key slot locations + backing columns (string decode at the sink).
     key_refs: Vec<(VecRef, SlotCol<'g>)>,
     /// Aggregate input locations (`None` = `COUNT(*)`).
@@ -1479,18 +1518,22 @@ pub(crate) struct GroupBySink<'g> {
     /// positions the sink ever enumerates).
     key_groups: Vec<usize>,
     aggs: Vec<PlanAgg>,
-    table: GroupTable,
-    /// The run cache: states accumulated for `pending_key` since it was
-    /// last seen changing.
-    pending_key: Option<Vec<Value>>,
-    pending: Vec<AggState>,
-    /// Scratch: per-group contributions of the current chunk state.
-    contrib: Vec<u64>,
-    /// Scratch: key values of the current state.
-    key_buf: Vec<Value>,
-    /// Heap growth of the pending run not yet folded into the table's
-    /// estimate (flushed together with the run itself).
-    pending_bytes: u64,
+}
+
+/// The run cache: the states accumulated for one key since it was last
+/// seen changing.
+#[derive(Default)]
+struct KeyRun {
+    /// Raw entries of the run's key.
+    raw: Vec<Option<u64>>,
+    /// The run's key, decoded when the run started; `None` = no run.
+    key: Option<Vec<Value>>,
+    states: Vec<AggState>,
+    /// Heap growth of the run not yet folded into the table's estimate
+    /// (flushed together with the run itself).
+    bytes: u64,
+    /// Scratch: the dictionary codes of one list (`COUNT(DISTINCT)`).
+    codes: Vec<u64>,
 }
 
 impl<'g> GroupBySink<'g> {
@@ -1503,178 +1546,202 @@ impl<'g> GroupBySink<'g> {
         key_groups.sort_unstable();
         key_groups.dedup();
         GroupBySink {
-            key_refs,
-            agg_refs,
-            key_groups,
-            aggs: aggs.to_vec(),
+            shape: GroupShape { key_refs, agg_refs, key_groups, aggs: aggs.to_vec() },
             table: GroupTable::new(aggs),
-            pending_key: None,
-            pending: Vec::new(),
-            contrib: Vec::new(),
-            key_buf: Vec::new(),
-            pending_bytes: 0,
+            run: KeyRun::default(),
         }
-    }
-
-    /// Merge the pending run into the table.
-    fn flush(&mut self) {
-        if let Some(key) = self.pending_key.take() {
-            let states = self.table.group(key);
-            for (a, b) in states.iter_mut().zip(self.pending.drain(..)) {
-                a.merge(b);
-            }
-        }
-        self.table.add_bytes(self.pending_bytes);
-        self.pending_bytes = 0;
     }
 
     /// The sink's current heap estimate (table plus pending run), polled
     /// by the driver after each absorbed state.
     pub(crate) fn approx_bytes(&self) -> u64 {
-        self.table.approx_bytes() + self.pending_bytes
+        self.table.approx_bytes() + self.run.bytes
     }
 
     /// Fold one chunk state into the sink.
     pub(crate) fn absorb(&mut self, chunk: &Chunk) {
-        self.contrib.clear();
-        self.contrib.extend(chunk.groups.iter().map(ListGroup::contribution));
-        if self.contrib.contains(&0) {
-            return; // the state represents no tuples
-        }
+        let (shape, table, run) = (&self.shape, &mut self.table, &mut self.run);
         // Tuples per key combination contributed by the non-key groups.
-        let mult_nonkey: u64 = self
-            .contrib
-            .iter()
-            .enumerate()
-            .filter(|(gi, _)| !self.key_groups.contains(gi))
-            .map(|(_, &c)| c)
-            .product();
-
-        if self.key_groups.iter().all(|&g| chunk.groups[g].is_flat()) {
-            // Fast path: every key group is flat — a single key combination
-            // per state, folded into the run cache.
-            self.key_buf.clear();
-            for (r, col) in &self.key_refs {
-                let gr = &chunk.groups[r.group];
-                self.key_buf.push(vector_value(&gr.vectors[r.vec], gr.cur_idx as usize, *col));
+        let mut mult_nonkey = 1u64;
+        for (gi, gr) in chunk.groups.iter().enumerate() {
+            let c = gr.contribution();
+            if c == 0 {
+                return; // the state represents no tuples
             }
-            if self.pending_key.as_deref() != Some(&self.key_buf[..]) {
-                self.flush();
-                self.pending_key = Some(self.key_buf.clone());
-                self.pending = self.aggs.iter().map(|a| AggState::new(a.func)).collect();
+            if !shape.key_groups.contains(&gi) {
+                mult_nonkey *= c;
             }
-            let (agg_refs, key_groups, contrib, pending) =
-                (&self.agg_refs, &self.key_groups, &self.contrib, &mut self.pending);
-            let mut grew = 0u64;
-            for (state, input) in pending.iter_mut().zip(agg_refs) {
-                grew += fold_agg(state, input, chunk, key_groups, contrib, mult_nonkey, |gi| {
-                    chunk.groups[gi].cur_idx.max(0) as usize
-                });
-            }
-            self.pending_bytes += grew;
+        }
+        if shape.key_groups.iter().all(|&g| chunk.groups[g].is_flat()) {
+            // Every key group is flat: one key combination per state.
+            run.fold(shape, table, chunk, mult_nonkey, |gi| {
+                chunk.groups[gi].cur_idx.max(0) as usize
+            });
             return;
         }
-
-        // General path: some key group is still unflat — enumerate the key
-        // combinations (and only those), probing the table per combination.
-        self.flush();
-        let (key_refs, agg_refs, key_groups, contrib, table) =
-            (&self.key_refs, &self.agg_refs, &self.key_groups, &self.contrib, &mut self.table);
-        for_each_combo(chunk, key_groups, |pos| {
+        // Some key group is still unflat: enumerate the key combinations
+        // (and only those).
+        for_each_combo(chunk, &shape.key_groups, |pos| {
             // Position of a group: the combo position for key groups, the
             // flattened `cur_idx` otherwise (only used for flat groups).
-            let pos_in = |gi: usize| match key_groups.iter().position(|&k| k == gi) {
-                Some(i) => pos[i],
-                None => chunk.groups[gi].cur_idx.max(0) as usize,
-            };
-            let key: Vec<Value> = key_refs
-                .iter()
-                .map(|(r, col)| {
-                    vector_value(&chunk.groups[r.group].vectors[r.vec], pos_in(r.group), *col)
-                })
-                .collect();
-            let mut grew = 0u64;
-            {
-                let states = table.group(key);
-                for (state, input) in states.iter_mut().zip(agg_refs) {
-                    grew += fold_agg(state, input, chunk, key_groups, contrib, mult_nonkey, pos_in);
+            run.fold(shape, table, chunk, mult_nonkey, |gi| {
+                match shape.key_groups.iter().position(|&k| k == gi) {
+                    Some(i) => pos[i],
+                    None => chunk.groups[gi].cur_idx.max(0) as usize,
                 }
-            }
-            table.add_bytes(grew);
+            });
         });
     }
 
     /// Flush the run cache and hand back the completed table.
     pub(crate) fn finish(mut self) -> GroupTable {
-        self.flush();
+        self.run.flush(&mut self.table);
         self.table
     }
 }
 
-/// Fold one aggregate input of one chunk state into `state`.
+impl KeyRun {
+    /// Fold the key combination whose key-group positions `pos_in`
+    /// resolves into the run, first flushing the run into `table` if the
+    /// combination's key differs from the run's.
+    fn fold(
+        &mut self,
+        shape: &GroupShape<'_>,
+        table: &mut GroupTable,
+        chunk: &Chunk,
+        mult_nonkey: u64,
+        pos_in: impl Fn(usize) -> usize,
+    ) {
+        let entry = |r: &VecRef| (&chunk.groups[r.group].vectors[r.vec], pos_in(r.group));
+        let same = self.key.is_some()
+            && shape.key_refs.iter().zip(&self.raw).all(|((r, _), &raw)| {
+                let (v, i) = entry(r);
+                raw_entry(v, i) == raw
+            });
+        if !same {
+            self.flush(table);
+            self.raw.clear();
+            let mut key = Vec::with_capacity(shape.key_refs.len());
+            for (r, col) in &shape.key_refs {
+                let (v, i) = entry(r);
+                self.raw.push(raw_entry(v, i));
+                key.push(vector_value(v, i, *col));
+            }
+            self.key = Some(key);
+            self.states.extend(shape.aggs.iter().map(|a| AggState::new(a.func)));
+        }
+        for (state, input) in self.states.iter_mut().zip(&shape.agg_refs) {
+            self.bytes += fold_agg(
+                state,
+                input,
+                chunk,
+                &shape.key_groups,
+                mult_nonkey,
+                &pos_in,
+                &mut self.codes,
+            );
+        }
+    }
+
+    /// Merge the run into the table.
+    fn flush(&mut self, table: &mut GroupTable) {
+        if let Some(key) = self.key.take() {
+            table.merge_group(key, &mut self.states);
+        }
+        table.add_bytes(self.bytes);
+        self.bytes = 0;
+    }
+}
+
+/// Fold one aggregate input of one key combination into `state`.
 /// `pos_in` resolves the current position of a *key* group; `mult_nonkey`
-/// is the tuple count contributed by all non-key groups. Returns the
-/// state's heap growth (see [`AggState::update`]) for memory budgeting.
+/// is the tuple count contributed by all non-key groups; `codes` is
+/// scratch. Returns the state's heap growth (see [`AggState::update`]) for
+/// memory budgeting.
 fn fold_agg(
     state: &mut AggState,
     input: &Option<(VecRef, SlotCol<'_>)>,
     chunk: &Chunk,
     key_groups: &[usize],
-    contrib: &[u64],
     mult_nonkey: u64,
     pos_in: impl Fn(usize) -> usize,
+    codes: &mut Vec<u64>,
 ) -> u64 {
-    match input {
+    let Some((r, col)) = input else {
         // COUNT(*): pure multiplicity arithmetic, no values read.
-        None => {
-            state.add_count(mult_nonkey);
-            0
+        state.add_count(mult_nonkey);
+        return 0;
+    };
+    let vec = &chunk.groups[r.group].vectors[r.vec];
+    if key_groups.contains(&r.group) {
+        // The input sits in a key group: one value per combo, weighted by
+        // the other groups.
+        return state.update(&vector_value(vec, pos_in(r.group), *col), mult_nonkey);
+    }
+    // The input sits in an extension group: fold its selected values with
+    // the multiplicity of every group but itself — never enumerating
+    // tuples. (`absorb` returned early on a zero contribution.)
+    let gr = &chunk.groups[r.group];
+    let excl = mult_nonkey / gr.contribution();
+    if gr.is_flat() {
+        return state.update(&vector_value(vec, gr.cur_idx as usize, *col), excl);
+    }
+    match (matches!(state, AggState::Distinct(_)), vec) {
+        // COUNT(DISTINCT) over dictionary codes: deduplicate the list's
+        // codes, then decode each distinct code once.
+        (true, ValueVector::Code { vals, valid }) => {
+            codes.clear();
+            codes.extend(gr.iter_selected().filter(|&i| valid[i]).map(|i| vals[i]));
+            codes.sort_unstable();
+            codes.dedup();
+            codes
+                .iter()
+                .map(|&c| state.update(&Value::String(code_str(c, *col).to_owned()), excl))
+                .sum()
         }
-        Some((r, col)) => {
-            let vec = &chunk.groups[r.group].vectors[r.vec];
-            if key_groups.contains(&r.group) {
-                // The input sits in a key group: one value per combo,
-                // weighted by the other groups.
-                state.update(&vector_value(vec, pos_in(r.group), *col), mult_nonkey)
-            } else {
-                // The input sits in an extension group: fold its selected
-                // values with the multiplicity of every group but itself —
-                // never enumerating tuples.
-                let excl = mult_nonkey / contrib[r.group];
-                let gr = &chunk.groups[r.group];
-                if gr.is_flat() {
-                    state.update(&vector_value(vec, gr.cur_idx as usize, *col), excl)
-                } else {
-                    let mut grew = 0u64;
-                    for i in gr.iter_selected() {
-                        grew += state.update(&vector_value(vec, i, *col), excl);
-                    }
-                    grew
-                }
-            }
-        }
+        _ => gr.iter_selected().map(|i| state.update(&vector_value(vec, i, *col), excl)).sum(),
     }
 }
 
-/// Top-k sink for ordered/limited projections: buffers rows, pruning to the
-/// limit by the total row order whenever the buffer grows past a threshold,
-/// so a `LIMIT k` query holds O(k) rows per worker regardless of result
-/// size. The per-worker prune is safe because the top-k of a union is the
-/// top-k of the per-worker top-ks.
+/// Top-k sink for ordered/limited projections.
+///
+/// Under `LIMIT k` it keeps a bounded max-heap of at most `k` rows under
+/// [`cmp_rows`], the worst kept row on top. Each candidate is compared
+/// with that top straight from the chunk vectors ([`cmp_entry`]), so a row
+/// that would not displace it costs one comparison and allocates nothing;
+/// only rows entering the heap are materialized. A worker therefore holds
+/// O(k) rows whatever the result size, which is safe because the top-k of
+/// a union is the top-k of the per-worker top-ks. Without a `LIMIT` every
+/// row is kept; the driver's finish sorts them.
 pub(crate) struct TopKSink<'g> {
     refs: Vec<(VecRef, SlotCol<'g>)>,
+    /// Distinct groups referenced by the projection, sorted.
+    ref_groups: Vec<usize>,
+    /// Per projected column: the index of its group in `ref_groups`.
+    ref_pos: Vec<usize>,
     order_by: Vec<(usize, bool)>,
     limit: Option<usize>,
+    /// The kept rows: a heap under a limit, arrival order otherwise.
     pub(crate) rows: Vec<Vec<Value>>,
-    /// Heap estimate of `rows`, kept incrementally (recomputed only on
-    /// the rare prune), polled by the driver for memory budgeting.
+    /// Heap estimate of `rows`, kept incrementally, polled by the driver
+    /// for memory budgeting.
     pub(crate) bytes: u64,
 }
 
 impl<'g> TopKSink<'g> {
     pub(crate) fn new(pipe: &Pipeline<'g>, plan: &LogicalPlan, slots: &[usize]) -> TopKSink<'g> {
+        let refs: Vec<_> = slots.iter().map(|&s| (pipe.slot_refs[s], pipe.slot_cols[s])).collect();
+        let mut ref_groups: Vec<usize> = refs.iter().map(|(r, _)| r.group).collect();
+        ref_groups.sort_unstable();
+        ref_groups.dedup();
+        let ref_pos = refs
+            .iter()
+            .map(|(r, _)| ref_groups.iter().position(|&g| g == r.group).unwrap_or_default())
+            .collect();
         TopKSink {
-            refs: slots.iter().map(|&s| (pipe.slot_refs[s], pipe.slot_cols[s])).collect(),
+            refs,
+            ref_groups,
+            ref_pos,
             order_by: plan.order_by.clone(),
             limit: plan.limit,
             rows: Vec::new(),
@@ -1683,16 +1750,117 @@ impl<'g> TopKSink<'g> {
     }
 
     pub(crate) fn absorb(&mut self, chunk: &Chunk) {
-        let before = self.rows.len();
-        enumerate_rows(chunk, &self.refs, &mut self.rows);
-        self.bytes += self.rows[before..].iter().map(|r| crate::govern::row_bytes(r)).sum::<u64>();
-        if let Some(k) = self.limit {
-            if self.rows.len() >= (4 * k).max(4096) {
-                self.rows.sort_unstable_by(|a, b| crate::agg::cmp_rows(a, b, &self.order_by));
-                self.rows.truncate(k);
-                self.bytes = self.rows.iter().map(|r| crate::govern::row_bytes(r)).sum();
+        let Some(k) = self.limit else {
+            let before = self.rows.len();
+            enumerate_rows(chunk, &self.refs, &mut self.rows);
+            self.bytes +=
+                self.rows[before..].iter().map(|r| crate::govern::row_bytes(r)).sum::<u64>();
+            return;
+        };
+        if k == 0 {
+            return;
+        }
+        // Unprojected groups repeat each projected combination `mult` times.
+        let mut mult = 1u64;
+        for (gi, gr) in chunk.groups.iter().enumerate() {
+            let c = gr.contribution();
+            if c == 0 {
+                return;
+            }
+            if !self.ref_groups.contains(&gi) {
+                mult = mult.saturating_mul(c);
             }
         }
+        let (refs, ref_pos, order_by, heap, bytes) =
+            (&self.refs, &self.ref_pos, &self.order_by, &mut self.rows, &mut self.bytes);
+        for_each_combo(chunk, &self.ref_groups, |pos| {
+            let entry = |c: usize| {
+                let (r, sc) = &refs[c];
+                (&chunk.groups[r.group].vectors[r.vec], pos[ref_pos[c]], *sc)
+            };
+            if heap.len() == k && cmp_candidate(&heap[0], order_by, entry).is_ge() {
+                return;
+            }
+            let row: Vec<Value> = (0..refs.len())
+                .map(|c| {
+                    let (v, i, sc) = entry(c);
+                    vector_value(v, i, sc)
+                })
+                .collect();
+            for _ in 0..mult {
+                if heap.len() < k {
+                    *bytes += crate::govern::row_bytes(&row);
+                    heap.push(row.clone());
+                    let last = heap.len() - 1;
+                    sift_up(heap, last, order_by);
+                } else if cmp_rows(&row, &heap[0], order_by).is_lt() {
+                    *bytes = *bytes - crate::govern::row_bytes(&heap[0])
+                        + crate::govern::row_bytes(&row);
+                    heap[0] = row.clone();
+                    sift_down(heap, 0, order_by);
+                } else {
+                    break;
+                }
+            }
+        });
+    }
+}
+
+/// [`cmp_rows`]`(candidate, kept, order_by)` with the candidate's column
+/// `c` read in place through `entry(c)` — nothing is materialized.
+fn cmp_candidate<'a>(
+    kept: &[Value],
+    order_by: &[(usize, bool)],
+    entry: impl Fn(usize) -> (&'a ValueVector, usize, SlotCol<'a>),
+) -> std::cmp::Ordering {
+    for &(col, desc) in order_by {
+        let (v, i, sc) = entry(col);
+        let ord = cmp_entry(v, i, sc, &kept[col]);
+        let ord = if desc { ord.reverse() } else { ord };
+        if ord.is_ne() {
+            return ord;
+        }
+    }
+    for (col, k) in kept.iter().enumerate() {
+        let (v, i, sc) = entry(col);
+        let ord = cmp_entry(v, i, sc, k);
+        if ord.is_ne() {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
+/// Restore the max-heap order under [`cmp_rows`] from position `i` up.
+fn sift_up(heap: &mut [Vec<Value>], mut i: usize, order_by: &[(usize, bool)]) {
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if cmp_rows(&heap[i], &heap[parent], order_by).is_le() {
+            break;
+        }
+        heap.swap(i, parent);
+        i = parent;
+    }
+}
+
+/// Restore the max-heap order under [`cmp_rows`] from position `i` down.
+fn sift_down(heap: &mut [Vec<Value>], mut i: usize, order_by: &[(usize, bool)]) {
+    loop {
+        let left = 2 * i + 1;
+        if left >= heap.len() {
+            return;
+        }
+        let right = left + 1;
+        let child = if right < heap.len() && cmp_rows(&heap[right], &heap[left], order_by).is_gt() {
+            right
+        } else {
+            left
+        };
+        if cmp_rows(&heap[child], &heap[i], order_by).is_le() {
+            return;
+        }
+        heap.swap(i, child);
+        i = child;
     }
 }
 
@@ -1704,7 +1872,7 @@ pub(crate) struct DistinctSink<'g> {
     refs: Vec<(VecRef, SlotCol<'g>)>,
     /// Distinct groups referenced by the projection, sorted.
     ref_groups: Vec<usize>,
-    pub(crate) set: std::collections::BTreeSet<Vec<OrdValue>>,
+    pub(crate) set: std::collections::HashSet<Vec<OrdValue>>,
     /// Heap estimate of `set`, grown on every fresh insertion, polled by
     /// the driver for memory budgeting.
     pub(crate) bytes: u64,
@@ -1716,7 +1884,7 @@ impl<'g> DistinctSink<'g> {
         let mut ref_groups: Vec<usize> = refs.iter().map(|(r, _)| r.group).collect();
         ref_groups.sort_unstable();
         ref_groups.dedup();
-        DistinctSink { refs, ref_groups, set: std::collections::BTreeSet::new(), bytes: 0 }
+        DistinctSink { refs, ref_groups, set: std::collections::HashSet::new(), bytes: 0 }
     }
 
     pub(crate) fn absorb(&mut self, chunk: &Chunk) {

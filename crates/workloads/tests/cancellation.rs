@@ -8,7 +8,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use gfcl_common::{CancelReason, Error, Value};
-use gfcl_core::query::{col, lit, lt, PatternQuery};
+use gfcl_core::query::{col, lit, lt, PatternQuery, SortDir};
 use gfcl_core::{Engine, ExecOptions, GfClEngine};
 use gfcl_datagen::PowerLawParams;
 use gfcl_storage::{ColumnarGraph, GraphStore, RawGraph, StorageConfig};
@@ -121,6 +121,31 @@ fn grouped_and_topk_sinks_are_accounted() {
     match engine.execute(&grouped) {
         Err(Error::Canceled { reason: CancelReason::Memory, .. }) => {}
         other => panic!("expected the group table to trip the budget, got {other:?}"),
+    }
+
+    // The top-k half: `ORDER BY ... LIMIT 10` holds ten rows per worker,
+    // so it completes under a budget that the same ordering without the
+    // LIMIT, which must keep every row, trips.
+    let ordered = |limit: Option<usize>| {
+        let b = khop(1).returns(&[("v0", "id"), ("v1", "id")]).order_by(1, SortDir::Desc);
+        match limit {
+            Some(k) => b.limit(k).build(),
+            None => b.build(),
+        }
+    };
+    let budget = 64 * 1024;
+    let expected = GfClEngine::with_options(big_graph(), ExecOptions::serial())
+        .execute(&ordered(Some(10)))
+        .unwrap();
+    assert_eq!(expected.cardinality(), 10);
+    for threads in THREADS {
+        let opts = ExecOptions::with_threads(threads).mem_limit_bytes(budget);
+        match GfClEngine::with_options(big_graph(), opts).execute(&ordered(None)) {
+            Err(Error::Canceled { reason: CancelReason::Memory, .. }) => {}
+            other => panic!("threads={threads}: expected the full ordering to trip, got {other:?}"),
+        }
+        let top = GfClEngine::with_options(big_graph(), opts).execute(&ordered(Some(10)));
+        assert_eq!(top.unwrap(), expected, "threads={threads}");
     }
 }
 

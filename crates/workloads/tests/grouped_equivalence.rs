@@ -211,3 +211,91 @@ proptest! {
         }
     }
 }
+
+/// The top-k orders under test, over the projection of
+/// [`top_k_projection`]: a NULL-bearing date, heavily tied strings and
+/// integers, several multi-key mixes, and no key at all (`LIMIT` alone
+/// keeps the first rows of the canonical order).
+const TOP_K_ORDERS: &[&[(usize, SortDir)]] = &[
+    &[(0, SortDir::Asc)],
+    &[(0, SortDir::Desc)],
+    &[(1, SortDir::Desc)],
+    &[(2, SortDir::Asc)],
+    &[(1, SortDir::Asc), (2, SortDir::Desc)],
+    &[(3, SortDir::Desc), (0, SortDir::Asc), (1, SortDir::Asc)],
+    &[],
+];
+
+/// Comments and their creators: `c.creationDate` (NULL for a fifth of the
+/// comments), `a.browserUsed` and `a.gender` (a handful of strings: heavy
+/// ties), `c.length` (tied integers) and `c.id` (unique). With `hop`, each
+/// row repeats once per friend of the creator, through a list group the
+/// projection never reads.
+fn top_k_projection(hop: bool, start: &str) -> gfcl_core::query::QueryBuilder {
+    let b = PatternQuery::builder().node("c", "Comment").node("a", "Person");
+    let b = b.edge("hc", "hasCreator", "c", "a");
+    let b = if hop { b.node("f", "Person").edge("k", "knows", "a", "f") } else { b };
+    b.returns(&[
+        ("c", "creationDate"),
+        ("a", "browserUsed"),
+        ("c", "length"),
+        ("a", "gender"),
+        ("c", "id"),
+    ])
+    .start_at(start)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The bounded top-k sink equals `finalize_rows` over the full
+    /// enumeration on results of 10 000+ rows: far past any prune
+    /// threshold, over hundreds of chunk states (one per person from
+    /// `a`, one per small morsel from `c`), with the threshold sitting in
+    /// long runs of tied keys.
+    #[test]
+    fn top_k_matches_finalize_rows_on_large_tied_results(
+        persons in 1_300usize..1_500,
+        seed in 0u64..1_000,
+        hop in any::<bool>(),
+        from_person in any::<bool>(),
+        order in 0usize..TOP_K_ORDERS.len(),
+        k_pick in 0usize..4,
+        k_small in 2usize..64,
+    ) {
+        let raw = gfcl_datagen::generate_social(SocialParams {
+            knows_avg_degree: 2.0,
+            likes_per_person: 1.0,
+            comment_date_null_fraction: 0.2,
+            seed,
+            ..SocialParams::scale(persons)
+        });
+        let graph = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
+        let start = if from_person { "a" } else { "c" };
+        let plain = top_k_projection(hop, start).build();
+        let serial = GfClEngine::with_options(graph.clone(), ExecOptions::serial());
+        let QueryOutput::Rows { rows: all, .. } = serial.execute(&plain).unwrap() else {
+            panic!("rows expected")
+        };
+        let n = all.len();
+        prop_assert!(n >= 10_000, "{} rows", n);
+
+        let k = [0, 1, k_small, n + 100][k_pick];
+        let mut b = top_k_projection(hop, start);
+        for &(col, dir) in TOP_K_ORDERS[order] {
+            b = b.order_by(col, dir);
+        }
+        let q = b.limit(k).build();
+        let plan = gfcl_core::plan_query(&q, graph.catalog()).unwrap();
+        let expected = gfcl_core::agg::finalize_rows(&plan, all);
+        prop_assert_eq!(expected.len(), k.min(n));
+        for threads in [1usize, 4] {
+            let opts = ExecOptions::with_threads(threads).morsel(64);
+            let engine = GfClEngine::with_options(graph.clone(), opts);
+            let QueryOutput::Rows { rows: got, .. } = engine.execute(&q).unwrap() else {
+                panic!("rows expected")
+            };
+            prop_assert_eq!(&got, &expected, "threads={} order={} k={}", threads, order, k);
+        }
+    }
+}

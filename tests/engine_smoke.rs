@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use gfcl::query::{col, gt, lit, lt, PatternQuery};
 use gfcl::{
-    ColumnarGraph, Engine, GfClEngine, GfCvEngine, GfRvEngine, RawGraph, RelEngine, RowGraph,
-    StorageConfig,
+    ColumnarGraph, Engine, GfClEngine, GfCvEngine, GfRvEngine, QueryOutput, RawGraph, RelEngine,
+    RowGraph, StorageConfig,
 };
 
 fn example_1() -> PatternQuery {
@@ -53,5 +53,39 @@ fn all_four_engines_construct_and_agree_on_figure_1() {
             "{name} disagrees with {} on Example 1",
             outputs[0].0
         );
+    }
+}
+
+#[test]
+fn the_largest_limit_returns_every_row_in_order() {
+    // LIMIT admits any non-negative i64; the top-k sink once sized its
+    // buffer as `4 * k` and overflowed on this one.
+    let raw = RawGraph::example();
+    let colg = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
+    let text = "MATCH (a:PERSON) RETURN a.name ORDER BY a.name LIMIT 9223372036854775807";
+    let QueryOutput::Rows { rows: all, .. } =
+        gfcl::query(&colg, "MATCH (a:PERSON) RETURN a.name").unwrap()
+    else {
+        panic!("rows expected")
+    };
+    let mut expected = all;
+    expected.sort_by(|a, b| a[0].total_cmp(&b[0]));
+    assert!(expected.len() > 1, "the example graph has several persons");
+
+    let QueryOutput::Rows { rows, .. } = gfcl::query(&colg, text).unwrap() else {
+        panic!("rows expected")
+    };
+    assert_eq!(rows, expected, "gfcl::query");
+    let engines: Vec<Box<dyn Engine>> = vec![
+        Box::new(GfClEngine::new(colg.clone())),
+        Box::new(GfCvEngine::new(colg.clone())),
+        Box::new(GfRvEngine::new(Arc::new(RowGraph::build(&raw).unwrap()))),
+        Box::new(RelEngine::new(colg)),
+    ];
+    for engine in &engines {
+        let QueryOutput::Rows { rows, .. } = gfcl::query_on(engine.as_ref(), text).unwrap() else {
+            panic!("{}: rows expected", engine.name())
+        };
+        assert_eq!(rows, expected, "{}", engine.name());
     }
 }
