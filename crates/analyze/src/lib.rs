@@ -82,6 +82,11 @@ const HOT_PATHS: &[&str] = &[
     // dynamically, the lint keeps panicking calls out statically).
     "crates/frontend/src/lexer.rs",
     "crates/frontend/src/parser.rs",
+    // Every text query is bound and ordered before it runs, and the order
+    // search applies and undoes extends on one state in place: a panic
+    // or an off-by-one here fails every query, not one.
+    "crates/frontend/src/binder.rs",
+    "crates/core/src/optimize.rs",
     // The write path: every Scan/Extend over a mutated graph reads the
     // delta overlay per row, and the WAL sits on every commit. A panic in
     // either corrupts no data (the WAL is write-ahead) but kills the
@@ -611,7 +616,8 @@ mod tests {
         assert!(classify("crates/common/src/codec.rs").codec);
         assert!(classify("crates/frontend/src/lexer.rs").hot_path);
         assert!(classify("crates/frontend/src/parser.rs").hot_path);
-        assert!(!classify("crates/frontend/src/binder.rs").hot_path);
+        assert!(classify("crates/frontend/src/binder.rs").hot_path);
+        assert!(classify("crates/core/src/optimize.rs").hot_path);
         assert!(classify("crates/storage/src/delta.rs").hot_path);
         assert!(classify("crates/storage/src/wal.rs").hot_path);
         assert!(!classify("crates/storage/src/store.rs").hot_path);

@@ -136,13 +136,12 @@ pub struct ListGroup {
 impl ListGroup {
     /// A group with `n_vectors` placeholder blocks.
     pub fn new(n_vectors: usize) -> ListGroup {
-        ListGroup {
-            vectors: (0..n_vectors).map(|_| ValueVector::Empty).collect(),
-            len: 0,
-            cur_idx: -1,
-            sel: None,
-            sel_count: 0,
-        }
+        ListGroup::with_vectors((0..n_vectors).map(|_| ValueVector::Empty).collect())
+    }
+
+    /// An empty, unflat group over these blocks.
+    pub fn with_vectors(vectors: Vec<ValueVector>) -> ListGroup {
+        ListGroup { vectors, len: 0, cur_idx: -1, sel: None, sel_count: 0 }
     }
 
     /// Reset for a new fill of length `len`: unflat, all selected.
@@ -224,10 +223,6 @@ pub struct Chunk {
 }
 
 impl Chunk {
-    pub fn new(group_sizes: &[usize]) -> Chunk {
-        Chunk { groups: group_sizes.iter().map(|&n| ListGroup::new(n)).collect(), morsel: 0 }
-    }
-
     /// Number of tuples currently represented: the product of group
     /// contributions (the `count(*)` fast path of Section 6.2).
     pub fn tuple_count(&self) -> u64 {
@@ -284,7 +279,7 @@ mod tests {
 
     #[test]
     fn chunk_tuple_count_is_product() {
-        let mut c = Chunk::new(&[1, 1, 1]);
+        let mut c = Chunk { groups: vec![ListGroup::new(1); 3], morsel: 0 };
         c.groups[0].reset(5);
         c.groups[1].reset(3);
         c.groups[2].reset(7);

@@ -35,15 +35,13 @@ use gfcl_common::{DataType, Result, Value};
 use gfcl_storage::GraphView;
 
 use crate::agg::{self, clamp_i128, improves, GroupTable, OrdValue};
-use crate::chunk::VecRef;
 use crate::engine::QueryOutput;
 use crate::exec::{
-    compile, enumerate_rows, vector_value, DistinctSink, GroupBySink, Pipeline, ScanCursor,
+    compile, enumerate_rows, vector_value, Combos, DistinctSink, GroupBySink, Pipeline, ScanCursor,
     TopKSink, SCAN_MORSEL,
 };
 use crate::govern::{fault_scope, row_bytes, CancelToken, MemTracker, QueryBudget, QueryGovernor};
 use crate::plan::{LogicalPlan, PlanReturn};
-use crate::pred::SlotCol;
 
 /// Execution options for the list-based processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,10 +215,8 @@ pub fn execute(
     // but a stale trip from a *previous* query on a reused engine token
     // is the engine's to clear (Engine::reset), not ours to ignore.
     token.check()?;
-    let gov = Arc::new(QueryGovernor::new(token, opts.budget()));
-    let cursor = Arc::new(
-        ScanCursor::for_plan_view(view, plan, opts.morsel_size as u64)?.governed(Arc::clone(&gov)),
-    );
+    let gov = QueryGovernor::new(token, opts.budget());
+    let cursor = ScanCursor::for_plan_view(view, plan, opts.morsel_size as u64)?.governed(&gov);
     // Never spawn more workers than there are morsels to hand out.
     let max_useful = (cursor.total() as usize).div_ceil(opts.morsel_size).max(1);
     let threads = opts.threads.min(max_useful);
@@ -229,21 +225,20 @@ pub fn execute(
         let _scope = fault_scope(gov.token());
         let mut pipeline = compile(view, plan, &cursor)?;
         let partial = drive(view, plan, &mut pipeline, &gov)?;
-        return finish(plan, vec![partial]);
+        return finish(plan, [partial]);
     }
 
     let partials: Vec<Result<Partial>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let cursor = Arc::clone(&cursor);
-                let gov = Arc::clone(&gov);
+                let (cursor, gov) = (&cursor, &gov);
                 scope.spawn(move || {
                     // Per-worker fault domain: a page-read failure on this
                     // thread trips the shared token, and every sibling
                     // stops at its next morsel boundary.
                     let _scope = fault_scope(gov.token());
-                    let mut pipeline = compile(view, plan, &cursor)?;
-                    drive(view, plan, &mut pipeline, &gov)
+                    let mut pipeline = compile(view, plan, cursor)?;
+                    drive(view, plan, &mut pipeline, gov)
                 })
             })
             .collect();
@@ -357,14 +352,14 @@ fn drive(
             Ok(Partial::Rows(sink.rows))
         }
         PlanReturn::Props(slots) => {
-            let refs: Vec<(VecRef, SlotCol)> =
-                slots.iter().map(|&s| (pipe.slot_refs[s], pipe.slot_cols[s])).collect();
             let mut rows: Vec<Vec<Value>> = Vec::new();
+            let mut combos = Combos::default();
             let mut mem = MemTracker::new(gov);
             let mut bytes: u64 = 0;
             while pipe.next_state(view)? {
                 let before = rows.len();
-                enumerate_rows(&pipe.chunk, &refs, &mut rows);
+                let col = |c: usize| (pipe.slot_refs[slots[c]], pipe.slot_cols[slots[c]]);
+                enumerate_rows(&pipe.chunk, slots.len(), col, &mut combos, &mut rows);
                 bytes += rows[before..].iter().map(|r| row_bytes(r)).sum::<u64>();
                 mem.update(bytes);
                 gov.checkpoint()?;
@@ -387,7 +382,7 @@ fn drive(
 }
 
 /// Merge worker partials (in worker-index order) into the final output.
-fn finish(plan: &LogicalPlan, partials: Vec<Partial>) -> Result<QueryOutput> {
+fn finish(plan: &LogicalPlan, partials: impl IntoIterator<Item = Partial>) -> Result<QueryOutput> {
     match &plan.ret {
         PlanReturn::CountStar => {
             let mut count: u64 = 0;
@@ -432,6 +427,8 @@ fn finish(plan: &LogicalPlan, partials: Vec<Partial>) -> Result<QueryOutput> {
             let mut rows: Vec<Vec<Value>> = Vec::new();
             for p in partials {
                 match p {
+                    // The first worker's rows are moved, not copied.
+                    Partial::Rows(r) if rows.is_empty() => rows = r,
                     Partial::Rows(r) => rows.extend(r),
                     Partial::Distinct(set) => {
                         rows.extend(

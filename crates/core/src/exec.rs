@@ -40,14 +40,13 @@
 //! contributions without ever enumerating tuples.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use gfcl_columnar::{Column, Dictionary, PageCursor, UIntArray};
 use gfcl_common::{DataType, Direction, Error, LabelId, Result, Value};
 use gfcl_storage::{AdjIndex, ColumnarGraph, EdgePropRead, GraphView, StrExt};
 
 use crate::agg::{cmp_rows, AggState, GroupTable, OrdValue};
-use crate::chunk::{Chunk, NodeData, ValueVector, VecRef};
+use crate::chunk::{Chunk, ListGroup, NodeData, ValueVector, VecRef};
 use crate::plan::{LogicalPlan, PlanAgg, PlanStep, SlotSource};
 use crate::pred::{
     compile_pred, compile_row_pred, compile_scan_pred, BlockVerdict, CPred, EvalCtx, RowPred,
@@ -67,7 +66,7 @@ pub const SCAN_MORSEL: usize = 1024;
 /// sequence the serial executor produced (`[0, 1024)`, `[1024, 2048)`, …),
 /// which keeps `threads = 1` bit-identical to the historical serial path.
 #[derive(Debug)]
-pub struct ScanCursor {
+pub struct ScanCursor<'q> {
     next: AtomicU64,
     total: u64,
     /// Morsel size the scan operator claims per pull (tunable via
@@ -77,24 +76,24 @@ pub struct ScanCursor {
     /// The owning query's governor, when one is installed: scans check it
     /// once per claimed morsel, which bounds how far a canceled query can
     /// run past its trip point.
-    governor: Option<Arc<crate::govern::QueryGovernor>>,
+    governor: Option<&'q crate::govern::QueryGovernor>,
 }
 
-impl ScanCursor {
+impl<'q> ScanCursor<'q> {
     /// A cursor over `total` scan positions with the default morsel size.
-    pub fn new(total: u64) -> ScanCursor {
+    pub fn new(total: u64) -> ScanCursor<'q> {
         ScanCursor::with_morsel(total, SCAN_MORSEL as u64)
     }
 
     /// A cursor over `total` scan positions claiming `morsel` at a time.
-    pub fn with_morsel(total: u64, morsel: u64) -> ScanCursor {
+    pub fn with_morsel(total: u64, morsel: u64) -> ScanCursor<'q> {
         debug_assert!(morsel > 0);
         ScanCursor { next: AtomicU64::new(0), total, morsel, governor: None }
     }
 
     /// Attach the owning query's governor; every worker pulling from this
     /// cursor then observes budget trips at morsel granularity.
-    pub fn governed(mut self, gov: Arc<crate::govern::QueryGovernor>) -> ScanCursor {
+    pub fn governed(mut self, gov: &'q crate::govern::QueryGovernor) -> ScanCursor<'q> {
         self.governor = Some(gov);
         self
     }
@@ -116,7 +115,7 @@ impl ScanCursor {
         view: GraphView<'_>,
         plan: &LogicalPlan,
         morsel: u64,
-    ) -> Result<ScanCursor> {
+    ) -> Result<ScanCursor<'q>> {
         match plan.steps.first() {
             Some(PlanStep::ScanAll { node, .. }) => {
                 Ok(ScanCursor::with_morsel(view.scan_total(plan.nodes[*node].label), morsel))
@@ -169,12 +168,16 @@ pub fn check_morsel_bounds(start: u64, end: u64, total: u64) -> Result<()> {
     }
 }
 
+/// A `ColumnExtend` neighbour slot whose vertex has no edge of the label (no
+/// vertex has this offset).
+const NO_NBR: u64 = u64::MAX;
+
 /// A physical operator. `ops[i]`'s child is `ops[i-1]`; `ops[0]` is a scan.
 enum Op<'g> {
     ScanAll {
         label: LabelId,
         out: VecRef,
-        cursor: Arc<ScanCursor>,
+        cursor: &'g ScanCursor<'g>,
         /// Pushed-down predicates, compiled against the scanned label's
         /// property columns. The scan consults their zone maps per block
         /// (skipping morsels no row of which can match) and seeds the
@@ -199,7 +202,7 @@ enum Op<'g> {
         label: LabelId,
         key: i64,
         out: VecRef,
-        cursor: Arc<ScanCursor>,
+        cursor: &'g ScanCursor<'g>,
     },
     ListExtend {
         label: LabelId,
@@ -232,8 +235,6 @@ enum Op<'g> {
         edge_out: VecRef,
         /// Does the snapshot's delta touch this adjacency?
         maybe_dirty: bool,
-        /// Scratch "tuple still has its edge" mask, reused across states.
-        mask: Vec<bool>,
         rd: ReadState,
     },
     ReadNodeProp {
@@ -478,10 +479,12 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
             }
             match view.lookup_pk(*label, *key) {
                 Some(off) => {
+                    // The seeked vertex is a run of one offset: nothing to
+                    // allocate, and a property read over it is a range read.
                     let group = &mut chunk.groups[out.group];
                     group.reset(1);
                     group.vectors[out.vec] =
-                        ValueVector::Node { label: *label, data: NodeData::Owned(vec![off]) };
+                        ValueVector::Node { label: *label, data: NodeData::Range { start: off } };
                     Ok(true)
                 }
                 None => Ok(false),
@@ -574,95 +577,92 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
                 return Ok(true);
             }
         }
-        Op::ColumnExtend {
-            label,
-            dir,
-            nbr_label,
-            from,
-            node_out,
-            edge_out,
-            maybe_dirty,
-            mask,
-            rd,
-        } => loop {
-            if !pull(children, view, chunk)? {
-                return Ok(false);
-            }
-            rd.enter(chunk.morsel);
-            let n = chunk.groups[from.group].len;
-            // Reuse the output allocation across fills.
-            let mut vals = match std::mem::replace(
-                &mut chunk.groups[node_out.group].vectors[node_out.vec],
-                ValueVector::Empty,
-            ) {
-                ValueVector::Node { data: NodeData::Owned(mut v), .. } => {
-                    v.clear();
-                    v
+        Op::ColumnExtend { label, dir, nbr_label, from, node_out, edge_out, maybe_dirty, rd } => {
+            loop {
+                if !pull(children, view, chunk)? {
+                    return Ok(false);
                 }
-                _ => Vec::with_capacity(n),
-            };
-            mask.clear();
-            mask.resize(n, true);
-            let mut any_missing = false;
-            let ReadState { col, nbr, offs, .. } = rd;
-            let from_idx = node_idx(&chunk.groups[from.group].vectors[from.vec], g, n, nbr, offs)?;
-            if *maybe_dirty {
-                // The delta touches this adjacency: resolve each tuple's
-                // neighbour through the view and record tagged edge
-                // references for downstream property reads.
-                let mut tags: Vec<u64> = Vec::with_capacity(n);
-                for (i, keep) in mask.iter_mut().enumerate() {
-                    match view.single_nbr(*label, *dir, from_idx.at(i)) {
-                        Some((nb, tag)) => {
-                            vals.push(nb);
-                            tags.push(tag);
-                        }
-                        None => {
-                            vals.push(0);
-                            tags.push(0);
-                            *keep = false;
-                            any_missing = true;
-                        }
+                rd.enter(chunk.morsel);
+                let n = chunk.groups[from.group].len;
+                // Reuse the output allocation across fills.
+                let mut vals = match std::mem::replace(
+                    &mut chunk.groups[node_out.group].vectors[node_out.vec],
+                    ValueVector::Empty,
+                ) {
+                    ValueVector::Node { data: NodeData::Owned(mut v), .. } => {
+                        v.clear();
+                        v
                     }
-                }
-                if let ValueVector::SingleEdge { tags: slot, .. } =
-                    &mut chunk.groups[edge_out.group].vectors[edge_out.vec]
-                {
-                    *slot = Some(tags);
-                }
-            } else {
-                let adj = match g.adj(*label, *dir) {
-                    AdjIndex::SingleCard(s) => s,
-                    AdjIndex::Csr(_) => {
-                        return Err(Error::Exec("ColumnExtend over CSR adjacency".into()))
-                    }
+                    _ => Vec::with_capacity(n),
                 };
-                for (i, keep) in mask.iter_mut().enumerate() {
-                    match adj.nbr_with(col, from_idx.at(i)) {
-                        Some(nb) => vals.push(nb),
-                        None => {
-                            vals.push(0);
-                            *keep = false;
-                            any_missing = true;
+                // A tuple whose vertex has no such edge is marked `NO_NBR` here
+                // and unselected below.
+                let mut any_missing = false;
+                let ReadState { col, nbr, offs, .. } = rd;
+                let from_idx =
+                    node_idx(&chunk.groups[from.group].vectors[from.vec], g, n, nbr, offs)?;
+                if *maybe_dirty {
+                    // The delta touches this adjacency: resolve each tuple's
+                    // neighbour through the view and record tagged edge
+                    // references for downstream property reads.
+                    let mut tags: Vec<u64> = Vec::with_capacity(n);
+                    for i in 0..n {
+                        match view.single_nbr(*label, *dir, from_idx.at(i)) {
+                            Some((nb, tag)) => {
+                                vals.push(nb);
+                                tags.push(tag);
+                            }
+                            None => {
+                                vals.push(NO_NBR);
+                                tags.push(0);
+                                any_missing = true;
+                            }
+                        }
+                    }
+                    if let ValueVector::SingleEdge { tags: slot, .. } =
+                        &mut chunk.groups[edge_out.group].vectors[edge_out.vec]
+                    {
+                        *slot = Some(tags);
+                    }
+                } else {
+                    let adj = match g.adj(*label, *dir) {
+                        AdjIndex::SingleCard(s) => s,
+                        AdjIndex::Csr(_) => {
+                            return Err(Error::Exec("ColumnExtend over CSR adjacency".into()))
+                        }
+                    };
+                    for i in 0..n {
+                        match adj.nbr_with(col, from_idx.at(i)) {
+                            Some(nb) => vals.push(nb),
+                            None => {
+                                vals.push(NO_NBR);
+                                any_missing = true;
+                            }
                         }
                     }
                 }
-            }
-            chunk.groups[node_out.group].vectors[node_out.vec] =
-                ValueVector::Node { label: *nbr_label, data: NodeData::Owned(vals) };
-            let fg = &mut chunk.groups[from.group];
-            if any_missing {
-                fg.and_mask(mask);
-            }
-            if fg.is_flat() {
-                if fg.selected(fg.cur_idx as usize) {
+                if any_missing {
+                    let fg = &mut chunk.groups[from.group];
+                    for (i, v) in vals.iter_mut().enumerate() {
+                        if *v == NO_NBR {
+                            *v = 0; // never read: the position is unselected
+                            fg.unselect(i);
+                        }
+                    }
+                }
+                chunk.groups[node_out.group].vectors[node_out.vec] =
+                    ValueVector::Node { label: *nbr_label, data: NodeData::Owned(vals) };
+                let fg = &chunk.groups[from.group];
+                if fg.is_flat() {
+                    if fg.selected(fg.cur_idx as usize) {
+                        return Ok(true);
+                    }
+                } else if fg.sel_count > 0 {
                     return Ok(true);
                 }
-            } else if fg.sel_count > 0 {
-                return Ok(true);
+                // Current tuple(s) all died: pull the next state.
             }
-            // Current tuple(s) all died: pull the next state.
-        },
+        }
         Op::ReadNodeProp { node, out, label, prop, dtype, touched, rd } => {
             if !pull(children, view, chunk)? {
                 return Ok(false);
@@ -1173,16 +1173,14 @@ impl<'g> Pipeline<'g> {
 pub(crate) fn compile<'g>(
     view: GraphView<'g>,
     plan: &LogicalPlan,
-    cursor: &Arc<ScanCursor>,
+    cursor: &'g ScanCursor<'g>,
 ) -> Result<Pipeline<'g>> {
     let g = view.base();
-    let mut group_vectors: Vec<Vec<ValueVector>> = Vec::new();
+    // The chunk's list groups: a scan group plus at most one per extend.
+    let mut groups: Vec<ListGroup> = Vec::with_capacity(plan.edges.len() + 1);
     let mut node_locs: Vec<Option<VecRef>> = vec![None; plan.nodes.len()];
-    #[derive(Clone, Copy)]
-    struct EdgeBinding {
-        vref: VecRef,
-    }
-    let mut edge_locs: Vec<Option<EdgeBinding>> = vec![None; plan.edges.len()];
+    // Each edge's descriptor, with the direction its Extend traversed it in.
+    let mut edge_locs: Vec<Option<(VecRef, Direction)>> = vec![None; plan.edges.len()];
     let mut slot_refs: Vec<VecRef> = vec![VecRef { group: usize::MAX, vec: 0 }; plan.slots.len()];
     let mut slot_cols: Vec<SlotCol<'g>> = vec![SlotCol::default(); plan.slots.len()];
     let mut ops: Vec<Op<'g>> = Vec::with_capacity(plan.steps.len());
@@ -1191,7 +1189,7 @@ pub(crate) fn compile<'g>(
         match step {
             PlanStep::ScanAll { node, pushed } => {
                 let label = plan.nodes[*node].label;
-                group_vectors.push(vec![ValueVector::Empty]);
+                groups.push(ListGroup::with_vectors(vec![ValueVector::Empty]));
                 let out = VecRef { group: 0, vec: 0 };
                 node_locs[*node] = Some(out);
                 // Resolve each pushed predicate's slots straight to the
@@ -1235,7 +1233,7 @@ pub(crate) fn compile<'g>(
                 ops.push(Op::ScanAll {
                     label,
                     out,
-                    cursor: Arc::clone(cursor),
+                    cursor,
                     pushed: compiled,
                     row_pushed: row_compiled,
                     touched,
@@ -1246,10 +1244,10 @@ pub(crate) fn compile<'g>(
             }
             PlanStep::ScanPk { node, key } => {
                 let label = plan.nodes[*node].label;
-                group_vectors.push(vec![ValueVector::Empty]);
+                groups.push(ListGroup::with_vectors(vec![ValueVector::Empty]));
                 let out = VecRef { group: 0, vec: 0 };
                 node_locs[*node] = Some(out);
-                ops.push(Op::ScanPk { label, key: *key, out, cursor: Arc::clone(cursor) });
+                ops.push(Op::ScanPk { label, key: *key, out, cursor });
             }
             PlanStep::Extend { edge, edge_label, dir, from, to, .. } => {
                 let from_ref =
@@ -1263,11 +1261,13 @@ pub(crate) fn compile<'g>(
                     || view.vertex_label_touched(from_label);
                 match g.adj(*edge_label, *dir) {
                     AdjIndex::Csr(_) => {
-                        let out_group = group_vectors.len();
-                        group_vectors.push(vec![ValueVector::Empty, ValueVector::Empty]);
+                        let out_group = groups.len();
+                        groups.push(ListGroup::with_vectors(vec![
+                            ValueVector::Empty,
+                            ValueVector::Empty,
+                        ]));
                         node_locs[*to] = Some(VecRef { group: out_group, vec: 0 });
-                        edge_locs[*edge] =
-                            Some(EdgeBinding { vref: VecRef { group: out_group, vec: 1 } });
+                        edge_locs[*edge] = Some((VecRef { group: out_group, vec: 1 }, *dir));
                         ops.push(Op::ListExtend {
                             label: *edge_label,
                             dir: *dir,
@@ -1285,10 +1285,11 @@ pub(crate) fn compile<'g>(
                     }
                     AdjIndex::SingleCard(_) => {
                         let gidx = from_ref.group;
-                        let nv = group_vectors[gidx].len();
-                        group_vectors[gidx].push(ValueVector::Empty);
-                        let ev = group_vectors[gidx].len();
-                        group_vectors[gidx].push(ValueVector::SingleEdge {
+                        let vectors = &mut groups[gidx].vectors;
+                        let nv = vectors.len();
+                        vectors.push(ValueVector::Empty);
+                        let ev = vectors.len();
+                        vectors.push(ValueVector::SingleEdge {
                             label: *edge_label,
                             dir: *dir,
                             from_vec: from_ref.vec,
@@ -1296,8 +1297,7 @@ pub(crate) fn compile<'g>(
                             tags: None,
                         });
                         node_locs[*to] = Some(VecRef { group: gidx, vec: nv });
-                        edge_locs[*edge] =
-                            Some(EdgeBinding { vref: VecRef { group: gidx, vec: ev } });
+                        edge_locs[*edge] = Some((VecRef { group: gidx, vec: ev }, *dir));
                         ops.push(Op::ColumnExtend {
                             label: *edge_label,
                             dir: *dir,
@@ -1306,7 +1306,6 @@ pub(crate) fn compile<'g>(
                             node_out: VecRef { group: gidx, vec: nv },
                             edge_out: VecRef { group: gidx, vec: ev },
                             maybe_dirty,
-                            mask: Vec::new(),
                             rd: ReadState::default(),
                         });
                     }
@@ -1315,8 +1314,8 @@ pub(crate) fn compile<'g>(
             PlanStep::NodeProp { node, prop, slot } => {
                 let nref = node_locs[*node].ok_or_else(|| Error::Plan("unbound node".into()))?;
                 let label = plan.nodes[*node].label;
-                let out = VecRef { group: nref.group, vec: group_vectors[nref.group].len() };
-                group_vectors[nref.group].push(ValueVector::Empty);
+                let out = VecRef { group: nref.group, vec: groups[nref.group].vectors.len() };
+                groups[nref.group].vectors.push(ValueVector::Empty);
                 slot_refs[*slot] = out;
                 slot_cols[*slot] = SlotCol {
                     col: Some(g.vertex_prop(label, *prop)),
@@ -1334,35 +1333,20 @@ pub(crate) fn compile<'g>(
                 });
             }
             PlanStep::EdgeProp { edge, prop, slot } => {
-                let eb = edge_locs[*edge].ok_or_else(|| Error::Plan("unbound edge".into()))?;
+                // The edge's property is read in the direction its Extend
+                // traversed it.
+                let (eref, dir) =
+                    edge_locs[*edge].ok_or_else(|| Error::Plan("unbound edge".into()))?;
                 let elabel = plan.edges[*edge].label;
-                // The column backing this slot (for dictionary compile):
-                // resolve through any direction — property columns are
-                // shared across directions except DoubleIndexed, where
-                // dictionaries are built from the same data.
-                let dir = match &group_vectors[eb.vref.group][eb.vref.vec] {
-                    ValueVector::SingleEdge { dir, .. } => *dir,
-                    _ => {
-                        // EdgeList direction is known from the Extend step
-                        // that produced it; find it in ops order.
-                        plan.steps
-                            .iter()
-                            .find_map(|s| match s {
-                                PlanStep::Extend { edge: e2, dir, .. } if e2 == edge => Some(*dir),
-                                _ => None,
-                            })
-                            .ok_or_else(|| Error::Plan("edge prop before extend".into()))?
-                    }
-                };
                 let col = g.edge_prop_read(elabel, dir, *prop)?.column();
-                let out = VecRef { group: eb.vref.group, vec: group_vectors[eb.vref.group].len() };
-                group_vectors[eb.vref.group].push(ValueVector::Empty);
+                let out = VecRef { group: eref.group, vec: groups[eref.group].vectors.len() };
+                groups[eref.group].vectors.push(ValueVector::Empty);
                 slot_refs[*slot] = out;
                 slot_cols[*slot] =
                     SlotCol { col: Some(col), ext: view.edge_str_ext(elabel, dir, *prop) };
                 let def = &plan.slots[*slot];
                 ops.push(Op::ReadEdgeProp {
-                    edge: eb.vref,
+                    edge: eref,
                     out,
                     prop: *prop,
                     dtype: def.dtype,
@@ -1376,68 +1360,94 @@ pub(crate) fn compile<'g>(
         }
     }
 
-    // Assemble the chunk from the collected group shapes.
-    let mut chunk = Chunk::new(&group_vectors.iter().map(Vec::len).collect::<Vec<_>>());
-    for (gi, vecs) in group_vectors.into_iter().enumerate() {
-        chunk.groups[gi].vectors = vecs;
-    }
-
-    Ok(Pipeline { ops, chunk, slot_refs, slot_cols })
+    Ok(Pipeline { ops, chunk: Chunk { groups, morsel: 0 }, slot_refs, slot_cols })
 }
 
-/// Enumerate the Cartesian product of the chunk's groups, materializing the
-/// referenced slots for each represented tuple (decoding string codes
-/// through their columns' dictionaries — late materialization).
-pub(crate) fn enumerate_rows(
+/// Enumerate the Cartesian product of the chunk's groups, materializing
+/// `width` columns for each represented tuple — column `c` is the slot
+/// `col(c)` locates — and decoding string codes through their columns'
+/// dictionaries (late materialization). `rows` grows once per state, by
+/// exactly the state's tuple count.
+pub(crate) fn enumerate_rows<'c>(
     chunk: &Chunk,
-    refs: &[(VecRef, SlotCol<'_>)],
+    width: usize,
+    col: impl Fn(usize) -> (VecRef, SlotCol<'c>),
+    combos: &mut Combos,
     rows: &mut Vec<Vec<Value>>,
 ) {
-    // Positions per group: flat groups are fixed at cur_idx.
-    let n_groups = chunk.groups.len();
-    let mut positions = vec![0usize; n_groups];
-    // Candidate position lists per group.
-    let per_group: Vec<Vec<usize>> =
-        chunk
-            .groups
-            .iter()
-            .map(|gr| {
-                if gr.is_flat() {
-                    vec![gr.cur_idx as usize]
-                } else {
-                    gr.iter_selected().collect()
-                }
-            })
-            .collect();
-    if per_group.iter().any(Vec::is_empty) {
-        return;
-    }
-    let mut cursor = vec![0usize; n_groups];
-    loop {
-        for gi in 0..n_groups {
-            positions[gi] = per_group[gi][cursor[gi]];
-        }
+    rows.reserve(usize::try_from(chunk.tuple_count()).unwrap_or(0));
+    combos.for_each(chunk, None, |pos| {
         rows.push(
-            refs.iter()
-                .map(|(r, col)| {
-                    vector_value(&chunk.groups[r.group].vectors[r.vec], positions[r.group], *col)
+            (0..width)
+                .map(|c| {
+                    let (r, sc) = col(c);
+                    vector_value(&chunk.groups[r.group].vectors[r.vec], pos[r.group], sc)
                 })
                 .collect(),
         );
-        // Odometer increment.
-        let mut gi = n_groups;
+    });
+}
+
+/// Scratch for enumerating a chunk state's Cartesian product: the current
+/// position of every enumerated group, then the first selected position
+/// each wraps back to. A sink owns one and reuses it for every state, so
+/// enumeration allocates nothing per state.
+#[derive(Default)]
+pub(crate) struct Combos {
+    buf: Vec<usize>,
+}
+
+impl Combos {
+    /// Call `f` with the current position of each of `groups` (`None`: of
+    /// every group of the chunk, in order) for every combination of their
+    /// selected positions, in odometer order — the last group fastest. A
+    /// flat group contributes its `cur_idx`. With no groups `f` runs once;
+    /// when a listed group has no selected position, never.
+    pub(crate) fn for_each(
+        &mut self,
+        chunk: &Chunk,
+        groups: Option<&[usize]>,
+        mut f: impl FnMut(&[usize]),
+    ) {
+        let n = groups.map_or(chunk.groups.len(), <[usize]>::len);
+        let group = |i: usize| &chunk.groups[groups.map_or(i, |gs| gs[i])];
+        self.buf.clear();
+        for i in 0..n {
+            match next_selected(group(i), None) {
+                Some(p) => self.buf.push(p),
+                None => return,
+            }
+        }
+        self.buf.extend_from_within(..);
+        let (pos, first) = self.buf.split_at_mut(n);
         loop {
-            if gi == 0 {
-                return;
+            f(pos);
+            let mut i = n;
+            loop {
+                if i == 0 {
+                    return;
+                }
+                i -= 1;
+                match next_selected(group(i), Some(pos[i])) {
+                    Some(p) => {
+                        pos[i] = p;
+                        break;
+                    }
+                    None => pos[i] = first[i],
+                }
             }
-            gi -= 1;
-            cursor[gi] += 1;
-            if cursor[gi] < per_group[gi].len() {
-                break;
-            }
-            cursor[gi] = 0;
         }
     }
+}
+
+/// The first selected position of `gr` after `after` (from its start when
+/// `None`). A flat group has exactly one position: its `cur_idx`.
+fn next_selected(gr: &ListGroup, after: Option<usize>) -> Option<usize> {
+    if gr.is_flat() {
+        return if after.is_none() { usize::try_from(gr.cur_idx).ok() } else { None };
+    }
+    let from = after.map_or(0, |p| p + 1);
+    (from..gr.len).find(|&i| gr.selected(i))
 }
 
 // ---- Aggregation sinks over factorized chunk states ------------------------
@@ -1450,47 +1460,6 @@ pub(crate) fn enumerate_rows(
 // (usually flat by the time the sink runs); the groups holding aggregated
 // extension lists are folded value-by-value with their multiplicity and are
 // **never** flattened into tuples.
-
-/// Iterate the Cartesian product of the selected positions of `groups`
-/// (flat groups contribute their single `cur_idx`), calling `f` with the
-/// current position of each listed group (parallel to `groups`). With an
-/// empty `groups` list, `f` is called exactly once.
-fn for_each_combo(chunk: &Chunk, groups: &[usize], mut f: impl FnMut(&[usize])) {
-    let per: Vec<Vec<usize>> = groups
-        .iter()
-        .map(|&gi| {
-            let gr = &chunk.groups[gi];
-            if gr.is_flat() {
-                vec![gr.cur_idx as usize]
-            } else {
-                gr.iter_selected().collect()
-            }
-        })
-        .collect();
-    if per.iter().any(Vec::is_empty) {
-        return;
-    }
-    let mut cursor = vec![0usize; groups.len()];
-    let mut pos = vec![0usize; groups.len()];
-    loop {
-        for i in 0..groups.len() {
-            pos[i] = per[i][cursor[i]];
-        }
-        f(&pos);
-        let mut i = groups.len();
-        loop {
-            if i == 0 {
-                return;
-            }
-            i -= 1;
-            cursor[i] += 1;
-            if cursor[i] < per[i].len() {
-                break;
-            }
-            cursor[i] = 0;
-        }
-    }
-}
 
 /// Grouped-aggregation sink: flattens only the grouping keys, folding every
 /// other list group into the per-group [`AggState`]s by multiplicity.
@@ -1506,6 +1475,7 @@ pub(crate) struct GroupBySink<'g> {
     shape: GroupShape<'g>,
     table: GroupTable,
     run: KeyRun,
+    combos: Combos,
 }
 
 /// Where a grouped sink's inputs live in the chunk (fixed at compile).
@@ -1549,6 +1519,7 @@ impl<'g> GroupBySink<'g> {
             shape: GroupShape { key_refs, agg_refs, key_groups, aggs: aggs.to_vec() },
             table: GroupTable::new(aggs),
             run: KeyRun::default(),
+            combos: Combos::default(),
         }
     }
 
@@ -1581,7 +1552,7 @@ impl<'g> GroupBySink<'g> {
         }
         // Some key group is still unflat: enumerate the key combinations
         // (and only those).
-        for_each_combo(chunk, &shape.key_groups, |pos| {
+        self.combos.for_each(chunk, Some(&shape.key_groups), |pos| {
             // Position of a group: the combo position for key groups, the
             // flattened `cur_idx` otherwise (only used for flat groups).
             run.fold(shape, table, chunk, mult_nonkey, |gi| {
@@ -1726,6 +1697,7 @@ pub(crate) struct TopKSink<'g> {
     /// Heap estimate of `rows`, kept incrementally, polled by the driver
     /// for memory budgeting.
     pub(crate) bytes: u64,
+    combos: Combos,
 }
 
 impl<'g> TopKSink<'g> {
@@ -1746,13 +1718,15 @@ impl<'g> TopKSink<'g> {
             limit: plan.limit,
             rows: Vec::new(),
             bytes: 0,
+            combos: Combos::default(),
         }
     }
 
     pub(crate) fn absorb(&mut self, chunk: &Chunk) {
         let Some(k) = self.limit else {
             let before = self.rows.len();
-            enumerate_rows(chunk, &self.refs, &mut self.rows);
+            let refs = &self.refs;
+            enumerate_rows(chunk, refs.len(), |c| refs[c], &mut self.combos, &mut self.rows);
             self.bytes +=
                 self.rows[before..].iter().map(|r| crate::govern::row_bytes(r)).sum::<u64>();
             return;
@@ -1773,7 +1747,7 @@ impl<'g> TopKSink<'g> {
         }
         let (refs, ref_pos, order_by, heap, bytes) =
             (&self.refs, &self.ref_pos, &self.order_by, &mut self.rows, &mut self.bytes);
-        for_each_combo(chunk, &self.ref_groups, |pos| {
+        self.combos.for_each(chunk, Some(&self.ref_groups), |pos| {
             let entry = |c: usize| {
                 let (r, sc) = &refs[c];
                 (&chunk.groups[r.group].vectors[r.vec], pos[ref_pos[c]], *sc)
@@ -1876,6 +1850,7 @@ pub(crate) struct DistinctSink<'g> {
     /// Heap estimate of `set`, grown on every fresh insertion, polled by
     /// the driver for memory budgeting.
     pub(crate) bytes: u64,
+    combos: Combos,
 }
 
 impl<'g> DistinctSink<'g> {
@@ -1884,7 +1859,13 @@ impl<'g> DistinctSink<'g> {
         let mut ref_groups: Vec<usize> = refs.iter().map(|(r, _)| r.group).collect();
         ref_groups.sort_unstable();
         ref_groups.dedup();
-        DistinctSink { refs, ref_groups, set: std::collections::HashSet::new(), bytes: 0 }
+        DistinctSink {
+            refs,
+            ref_groups,
+            set: std::collections::HashSet::new(),
+            bytes: 0,
+            combos: Combos::default(),
+        }
     }
 
     pub(crate) fn absorb(&mut self, chunk: &Chunk) {
@@ -1893,7 +1874,7 @@ impl<'g> DistinctSink<'g> {
         }
         let (refs, ref_groups, set) = (&self.refs, &self.ref_groups, &mut self.set);
         let mut grew = 0u64;
-        for_each_combo(chunk, ref_groups, |pos| {
+        self.combos.for_each(chunk, Some(ref_groups), |pos| {
             let row: Vec<OrdValue> = refs
                 .iter()
                 .map(|(r, col)| {

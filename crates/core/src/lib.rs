@@ -58,7 +58,7 @@ const _: () = {
     assert_send_sync::<PatternQuery>();
     assert_send_sync::<QueryOutput>();
     assert_send_sync::<ExecOptions>();
-    assert_send_sync::<exec::ScanCursor>();
+    assert_send_sync::<exec::ScanCursor<'static>>();
     assert_send_sync::<QueryGovernor>();
     assert_send_sync::<CancelToken>();
 };

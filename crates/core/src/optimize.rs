@@ -21,12 +21,14 @@
 //!   comparison is discounted by the column's NULL fraction.
 //! * **Enumeration** — all connected left-deep orders over every candidate
 //!   start node, exhaustively up to [`EXHAUSTIVE_EDGES`] edges (with
-//!   branch-and-bound pruning), greedy with one-step lookahead above.
+//!   branch-and-bound pruning), greedy with one-step lookahead above. The
+//!   search keeps one state and applies and undoes each candidate extend
+//!   on it, so trying an order allocates nothing.
 //! * **Executability** — the LBP's `Filter` operator cannot evaluate a
 //!   predicate spanning two *unflat* list groups (see
 //!   [`crate::exec`]); candidate orders that would require one are
-//!   rejected during enumeration, and `check_executable` re-verifies the
-//!   final plan (including hinted ones) at plan time instead of failing
+//!   rejected during enumeration, and `check_executable` verifies hinted
+//!   and declaration-order plans at plan time instead of failing
 //!   mid-query.
 //!
 //! The same machinery renders `EXPLAIN` output ([`render_explain`]): the
@@ -42,7 +44,7 @@ use gfcl_storage::{Catalog, PropStats, Stats};
 
 use crate::plan::{
     LogicalPlan, OrderSource, PlanEdge, PlanExpr, PlanNode, PlanReturn, PlanScalar, PlanStep,
-    SlotDef, SlotSource,
+    SlotDef, SlotId, SlotSource,
 };
 use crate::query::{CmpOp, StrOp};
 
@@ -197,59 +199,80 @@ pub(crate) fn selectivity(
 
 // ---- Predicate analysis ---------------------------------------------------
 
-/// What the orderer needs to know about one predicate: which pattern
-/// variables it touches and how selective it is.
-pub(crate) struct PredInfo {
-    /// Distinct pattern-node indexes referenced, sorted.
-    pub node_srcs: Vec<usize>,
-    /// Distinct pattern-edge indexes referenced, sorted.
-    pub edge_srcs: Vec<usize>,
-    pub sel: f64,
+/// What the orderer needs to know about the predicates: the selectivity
+/// each pattern variable's own predicates multiply in once it is bound, and
+/// the predicates that span more than one variable.
+pub(crate) struct PredSel {
+    /// Product of single-variable predicate selectivities per node / edge.
+    node_sel: Vec<f64>,
+    edge_sel: Vec<f64>,
+    multi: Vec<MultiPred>,
 }
-
-impl PredInfo {
-    fn source_count(&self) -> usize {
-        self.node_srcs.len() + self.edge_srcs.len()
-    }
-}
-
-/// Analyze resolved predicates for the orderer.
-pub(crate) fn pred_infos(
-    preds: &[PlanExpr],
-    slots: &[SlotDef],
-    nodes: &[PlanNode],
-    edges: &[PlanEdge],
-    catalog: &Catalog,
-) -> Vec<PredInfo> {
-    preds
-        .iter()
-        .map(|p| {
-            let mut node_srcs = Vec::new();
-            let mut edge_srcs = Vec::new();
-            for s in p.slots() {
-                match slots[s].source {
-                    SlotSource::NodeProp { node, .. } => node_srcs.push(node),
-                    SlotSource::EdgeProp { edge, .. } => edge_srcs.push(edge),
-                }
-            }
-            node_srcs.sort_unstable();
-            node_srcs.dedup();
-            edge_srcs.sort_unstable();
-            edge_srcs.dedup();
-            PredInfo { node_srcs, edge_srcs, sel: selectivity(p, slots, nodes, edges, catalog) }
-        })
-        .collect()
-}
-
-// ---- Order enumeration ----------------------------------------------------
 
 /// A predicate spanning more than one pattern variable, applied by the cost
 /// model when its last source becomes bound.
 struct MultiPred {
+    /// Distinct pattern-node indexes referenced, sorted.
     nodes: Vec<usize>,
+    /// Distinct pattern-edge indexes referenced, sorted.
     edges: Vec<usize>,
     sel: f64,
 }
+
+/// The pattern variable behind a slot.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Var {
+    Node(usize),
+    Edge(usize),
+}
+
+impl PredSel {
+    /// Analyze resolved predicates for the orderer.
+    pub(crate) fn new(
+        preds: &[PlanExpr],
+        slots: &[SlotDef],
+        nodes: &[PlanNode],
+        edges: &[PlanEdge],
+        catalog: &Catalog,
+    ) -> PredSel {
+        let var = |s: SlotId| match slots[s].source {
+            SlotSource::NodeProp { node, .. } => Var::Node(node),
+            SlotSource::EdgeProp { edge, .. } => Var::Edge(edge),
+        };
+        let mut node_sel = vec![1.0; nodes.len()];
+        let mut edge_sel = vec![1.0; edges.len()];
+        let mut multi = Vec::new();
+        for p in preds {
+            let sel = selectivity(p, slots, nodes, edges, catalog);
+            let mut first = None;
+            let mut single = true;
+            p.for_each_slot(|s| match first {
+                None => first = Some(var(s)),
+                Some(f) => single &= f == var(s),
+            });
+            match first {
+                None => {} // constant predicate: irrelevant to ordering
+                Some(Var::Node(n)) if single => node_sel[n] *= sel,
+                Some(Var::Edge(e)) if single => edge_sel[e] *= sel,
+                Some(_) => {
+                    let (mut nodes, mut edges) = (Vec::new(), Vec::new());
+                    p.for_each_slot(|s| match var(s) {
+                        Var::Node(n) => nodes.push(n),
+                        Var::Edge(e) => edges.push(e),
+                    });
+                    nodes.sort_unstable();
+                    nodes.dedup();
+                    edges.sort_unstable();
+                    edges.dedup();
+                    multi.push(MultiPred { nodes, edges, sel });
+                }
+            }
+        }
+        PredSel { node_sel, edge_sel, multi }
+    }
+}
+
+// ---- Order enumeration ----------------------------------------------------
 
 /// Shared context of one ordering run.
 struct Cost<'a> {
@@ -257,189 +280,205 @@ struct Cost<'a> {
     edges: &'a [PlanEdge],
     catalog: &'a Catalog,
     stats: &'a Stats,
-    /// Product of single-variable predicate selectivities per node / edge.
-    node_sel: Vec<f64>,
-    edge_sel: Vec<f64>,
-    multi: Vec<MultiPred>,
+    preds: &'a PredSel,
     pk_node: Option<usize>,
 }
 
-/// The incremental state of one candidate order: bound variables, the list
-/// group each variable lives in (mirroring [`crate::exec::compile`]),
-/// running cardinality and accumulated cost.
-#[derive(Clone)]
+/// The order under construction: the list group each bound variable lives
+/// in (mirroring [`crate::exec::compile`]), running cardinality and
+/// accumulated cost. The search owns exactly one: it [applies](Cost::apply)
+/// an extend to it and [undoes](Cost::undo) the extend on the way back, so
+/// trying a candidate order allocates nothing.
 struct SimState {
-    bound_node: Vec<bool>,
-    done_edge: Vec<bool>,
-    /// List-group placement of every bound variable, shared with the
-    /// hinted-order executability check so both mirror [`crate::exec`].
+    /// List-group placement of every bound variable — a variable is bound
+    /// exactly when it has a group — shared with the hinted-order
+    /// executability check so both mirror [`crate::exec`].
     groups: GroupSim,
-    multi_applied: Vec<bool>,
+    /// Indexes of the multi-variable predicates applied so far, in order.
+    applied: Vec<usize>,
     card: f64,
     cost: f64,
     seq: ExtendSeq,
 }
 
-impl<'a> Cost<'a> {
-    fn new(
-        nodes: &'a [PlanNode],
-        edges: &'a [PlanEdge],
-        catalog: &'a Catalog,
-        stats: &'a Stats,
-        preds: &[PredInfo],
-        pk_node: Option<usize>,
-    ) -> Cost<'a> {
-        let mut node_sel = vec![1.0; nodes.len()];
-        let mut edge_sel = vec![1.0; edges.len()];
-        let mut multi = Vec::new();
-        for p in preds {
-            match (p.source_count(), p.node_srcs.first(), p.edge_srcs.first()) {
-                (0, _, _) => {} // constant predicate: irrelevant to ordering
-                (1, Some(&n), _) => node_sel[n] *= p.sel,
-                (1, _, Some(&e)) => edge_sel[e] *= p.sel,
-                _ => multi.push(MultiPred {
-                    nodes: p.node_srcs.clone(),
-                    edges: p.edge_srcs.clone(),
-                    sel: p.sel,
-                }),
-            }
-        }
-        Cost { nodes, edges, catalog, stats, node_sel, edge_sel, multi, pk_node }
-    }
+/// What one [`Cost::apply`] changed beyond the extend it pushed on `seq`.
+struct Undo {
+    card: f64,
+    cost: f64,
+    /// `applied.len()` before the extend.
+    applied: usize,
+    single: bool,
+    /// [`GroupSim::extend`]'s return value: the source group was unflat.
+    flattened: bool,
+}
 
-    fn start_state(&self, start: usize) -> SimState {
-        let vcount = self.stats.vertex(self.nodes[start].label).count as f64;
-        let card = vcount * self.node_sel[start];
-        let mut groups = GroupSim::new(self.nodes.len(), self.edges.len());
-        groups.scan(start);
+/// The cheapest complete order found so far.
+struct Best {
+    cost: f64,
+    seq: ExtendSeq,
+}
+
+impl Best {
+    /// Record `st`'s complete order, reusing the allocation of the last one.
+    fn record(best: &mut Option<Best>, st: &SimState) {
+        match best {
+            Some(b) => {
+                b.cost = st.cost;
+                b.seq.clone_from(&st.seq);
+            }
+            None => *best = Some(Best { cost: st.cost, seq: st.seq.clone() }),
+        }
+    }
+}
+
+impl<'a> Cost<'a> {
+    /// A state sized for this pattern, before any start is chosen.
+    fn state(&self) -> SimState {
         SimState {
-            bound_node: {
-                let mut b = vec![false; self.nodes.len()];
-                b[start] = true;
-                b
-            },
-            done_edge: vec![false; self.edges.len()],
-            groups,
-            multi_applied: vec![false; self.multi.len()],
-            card,
-            // A pk seek replaces the scan with a constant-time lookup.
-            cost: if self.pk_node == Some(start) { 1.0 } else { vcount },
+            groups: GroupSim::new(self.nodes.len(), self.edges.len()),
+            applied: Vec::with_capacity(self.preds.multi.len()),
+            card: 0.0,
+            cost: 0.0,
             seq: Vec::with_capacity(self.edges.len()),
         }
     }
 
-    /// Extend `st` along edge `ei`. Returns `false` when the step is not a
-    /// valid frontier extension or would make a multi-variable predicate
-    /// span two unflat list groups (not executable by the LBP).
-    fn apply(&self, st: &mut SimState, ei: usize) -> bool {
+    /// Reset `st` to the scan of `start`.
+    fn start(&self, st: &mut SimState, start: usize) {
+        let vcount = self.stats.vertex(self.nodes[start].label).count as f64;
+        st.groups.reset();
+        st.groups.scan(start);
+        st.applied.clear();
+        st.card = vcount * self.preds.node_sel[start];
+        // A pk seek replaces the scan with a constant-time lookup.
+        st.cost = if self.pk_node == Some(start) { 1.0 } else { vcount };
+        st.seq.clear();
+    }
+
+    /// Is edge `ei` a frontier edge of `st` (not done, exactly one
+    /// endpoint bound)?
+    fn on_frontier(&self, st: &SimState, ei: usize) -> bool {
+        let (g, e) = (&st.groups, &self.edges[ei]);
+        !g.edge_bound(ei) && g.node_bound(e.from) != g.node_bound(e.to)
+    }
+
+    /// Extend `st` along edge `ei`. Returns `None`, leaving `st` as it
+    /// was, when the step is not a valid frontier extension or would make a
+    /// multi-variable predicate span two unflat list groups (not
+    /// executable by the LBP); otherwise what [`Cost::undo`] needs.
+    fn apply(&self, st: &mut SimState, ei: usize) -> Option<Undo> {
         let e = &self.edges[ei];
-        let (dir, from, to) = match (st.bound_node[e.from], st.bound_node[e.to]) {
+        let (dir, from, to) = match (st.groups.node_bound(e.from), st.groups.node_bound(e.to)) {
             (true, false) => (Direction::Fwd, e.from, e.to),
             (false, true) => (Direction::Bwd, e.to, e.from),
-            _ => return false, // cycle or disconnected
+            _ => return None, // cycle or disconnected
         };
         let single = self.catalog.edge_label(e.label).cardinality.is_single(dir);
-        st.groups.extend(ei, from, to, single);
-        st.bound_node[to] = true;
-        st.done_edge[ei] = true;
+        let undo = Undo {
+            card: st.card,
+            cost: st.cost,
+            applied: st.applied.len(),
+            single,
+            flattened: st.groups.extend(ei, from, to, single),
+        };
+        st.seq.push((ei, dir, from, to));
         st.card *= self.stats.avg_degree(e.label, dir);
         // The extend materializes its full fan-out before any predicate
         // prunes it: charge the pre-filter cardinality, then discount.
         st.cost += st.card;
-        st.card *= self.edge_sel[ei] * self.node_sel[to];
-        for (mi, m) in self.multi.iter().enumerate() {
-            if st.multi_applied[mi]
-                || !m.nodes.iter().all(|&n| st.bound_node[n])
-                || !m.edges.iter().all(|&x| st.done_edge[x])
+        st.card *= self.preds.edge_sel[ei] * self.preds.node_sel[to];
+        for (mi, m) in self.preds.multi.iter().enumerate() {
+            let g = &st.groups;
+            if st.applied.contains(&mi)
+                || !m.nodes.iter().all(|&n| g.node_bound(n))
+                || !m.edges.iter().all(|&x| g.edge_bound(x))
             {
                 continue;
             }
-            let mut groups: Vec<usize> = m
-                .nodes
-                .iter()
-                .map(|&n| st.groups.group_of_node[n])
-                .chain(m.edges.iter().map(|&x| st.groups.group_of_edge[x]))
-                .filter(|&g| st.groups.unflat[g])
-                .collect();
-            groups.sort_unstable();
-            groups.dedup();
-            if groups.len() >= 2 {
-                return false; // Filter would span two unflat groups
+            if g.spans_unflat(|f| {
+                m.nodes.iter().for_each(|&n| f(g.group_of_node(n)));
+                m.edges.iter().for_each(|&x| f(g.group_of_edge(x)));
+            }) {
+                self.undo(st, undo);
+                return None; // Filter would span two unflat groups
             }
-            st.multi_applied[mi] = true;
+            st.applied.push(mi);
             st.card *= m.sel;
         }
-        st.seq.push((ei, dir, from, to));
-        true
+        Some(undo)
+    }
+
+    /// Take back the last [`Cost::apply`], which returned `u`.
+    fn undo(&self, st: &mut SimState, u: Undo) {
+        let Some((ei, _, from, to)) = st.seq.pop() else { return };
+        st.groups.retract(ei, from, to, u.single, u.flattened);
+        st.applied.truncate(u.applied);
+        st.card = u.card;
+        st.cost = u.cost;
     }
 
     /// Exhaustive DFS over connected orders with branch-and-bound pruning.
-    fn dfs(&self, st: SimState, best: &mut Option<SimState>) {
+    fn dfs(&self, st: &mut SimState, best: &mut Option<Best>) {
         if let Some(b) = best {
             if st.cost >= b.cost {
                 return;
             }
         }
         if st.seq.len() == self.edges.len() {
-            *best = Some(st);
+            Best::record(best, st);
             return;
         }
         for ei in 0..self.edges.len() {
-            if st.done_edge[ei] {
-                continue;
+            if !self.on_frontier(st, ei) {
+                continue; // done, not a frontier edge, or closes a cycle
             }
-            let e = &self.edges[ei];
-            if st.bound_node[e.from] == st.bound_node[e.to] {
-                continue; // not a frontier edge (or closes a cycle)
-            }
-            let mut next = st.clone();
-            if self.apply(&mut next, ei) {
-                self.dfs(next, best);
+            if let Some(u) = self.apply(st, ei) {
+                self.dfs(st, best);
+                self.undo(st, u);
             }
         }
     }
 
-    /// Frontier edge indexes of `st`.
-    fn frontier(&self, st: &SimState) -> Vec<usize> {
-        (0..self.edges.len())
-            .filter(|&ei| {
-                !st.done_edge[ei]
-                    && (st.bound_node[self.edges[ei].from] != st.bound_node[self.edges[ei].to])
-            })
-            .collect()
-    }
-
-    /// Greedy construction with one-step lookahead, for large patterns.
-    fn greedy(&self, start: usize) -> Option<SimState> {
-        let mut st = self.start_state(start);
+    /// Greedy construction with one-step lookahead, for large patterns:
+    /// extends `st` (already [started](Cost::start)) to a complete order,
+    /// or returns `false` at a dead end.
+    fn greedy(&self, st: &mut SimState) -> bool {
         while st.seq.len() < self.edges.len() {
-            let mut choice: Option<(f64, SimState)> = None;
-            for ei in self.frontier(&st) {
-                let mut cand = st.clone();
-                if !self.apply(&mut cand, ei) {
+            let mut choice: Option<(f64, usize)> = None;
+            for ei in 0..self.edges.len() {
+                if !self.on_frontier(st, ei) {
                     continue;
                 }
+                let Some(u) = self.apply(st, ei) else { continue };
                 // Lookahead: the cheapest valid continuation after `ei`.
                 let mut look = f64::INFINITY;
-                let mut extensible = cand.seq.len() == self.edges.len();
-                for ej in self.frontier(&cand) {
-                    let mut two = cand.clone();
-                    if self.apply(&mut two, ej) {
+                let mut extensible = st.seq.len() == self.edges.len();
+                for ej in 0..self.edges.len() {
+                    if !self.on_frontier(st, ej) {
+                        continue;
+                    }
+                    if let Some(u2) = self.apply(st, ej) {
                         extensible = true;
-                        look = look.min(two.card);
+                        look = look.min(st.card);
+                        self.undo(st, u2);
                     }
                 }
+                let key = st.card + if look.is_finite() { look } else { 0.0 };
+                self.undo(st, u);
                 if !extensible {
                     continue; // dead end (executability)
                 }
-                let key = cand.card + if look.is_finite() { look } else { 0.0 };
-                if choice.as_ref().is_none_or(|(k, _)| key < *k) {
-                    choice = Some((key, cand));
+                if choice.is_none_or(|(k, _)| key < k) {
+                    choice = Some((key, ei));
                 }
             }
-            st = choice?.1;
+            // The chosen extend applied a moment ago, so it applies again.
+            let Some((_, ei)) = choice else { return false };
+            if self.apply(st, ei).is_none() {
+                return false;
+            }
         }
-        Some(st)
+        true
     }
 }
 
@@ -452,7 +491,7 @@ pub(crate) fn choose_order(
     nodes: &[PlanNode],
     edges: &[PlanEdge],
     catalog: &Catalog,
-    preds: &[PredInfo],
+    preds: &PredSel,
     pk_node: Option<usize>,
     fixed_start: Option<usize>,
 ) -> Option<Ordering> {
@@ -460,19 +499,19 @@ pub(crate) fn choose_order(
     if edges.is_empty() {
         return None;
     }
-    let cost = Cost::new(nodes, edges, catalog, stats, preds, pk_node);
-    let starts: Vec<usize> = match fixed_start {
-        Some(s) => vec![s],
-        None => (0..nodes.len()).collect(),
+    let cost = Cost { nodes, edges, catalog, stats, preds, pk_node };
+    let starts = match fixed_start {
+        Some(s) => s..s + 1,
+        None => 0..nodes.len(),
     };
-    let mut best: Option<SimState> = None;
-    for &start in &starts {
+    let mut st = cost.state();
+    let mut best: Option<Best> = None;
+    for start in starts.clone() {
+        cost.start(&mut st, start);
         if edges.len() <= EXHAUSTIVE_EDGES {
-            cost.dfs(cost.start_state(start), &mut best);
-        } else if let Some(st) = cost.greedy(start) {
-            if best.as_ref().is_none_or(|b| st.cost < b.cost) {
-                best = Some(st);
-            }
+            cost.dfs(&mut st, &mut best);
+        } else if cost.greedy(&mut st) && best.as_ref().is_none_or(|b| st.cost < b.cost) {
+            Best::record(&mut best, &st);
         }
     }
     // Greedy cannot backtrack: a pattern whose multi-variable predicates
@@ -481,13 +520,14 @@ pub(crate) fn choose_order(
     // exists to prevent. Rescue moderately sized patterns with the
     // exhaustive search (8! orders per start at most, pruned).
     if best.is_none() && edges.len() > EXHAUSTIVE_EDGES && edges.len() <= EXHAUSTIVE_EDGES + 2 {
-        for &start in &starts {
-            cost.dfs(cost.start_state(start), &mut best);
+        for start in starts.clone() {
+            cost.start(&mut st, start);
+            cost.dfs(&mut st, &mut best);
         }
     }
-    best.map(|st| Ordering {
-        start: st.seq.first().map_or(starts[0], |&(_, _, from, _)| from),
-        seq: st.seq,
+    best.map(|b| Ordering {
+        start: b.seq.first().map_or(starts.start, |&(_, _, from, _)| from),
+        seq: b.seq,
     })
 }
 
@@ -569,57 +609,117 @@ pub(crate) fn estimate_sink(
 /// unflat. `Extend` over a CSR (`single == false`) compiles to a
 /// `ListExtend`, which flattens its source group and opens a new one;
 /// single-cardinality extends compile to `ColumnExtend` and stay in place.
-#[derive(Clone)]
 pub(crate) struct GroupSim {
-    group_of_node: Vec<usize>,
-    group_of_edge: Vec<usize>,
+    /// The list group of every node, then of every edge; `usize::MAX`
+    /// until a scan or an extend places it.
+    place: Vec<usize>,
+    n_nodes: usize,
     unflat: Vec<bool>,
 }
 
 impl GroupSim {
     pub(crate) fn new(n_nodes: usize, n_edges: usize) -> GroupSim {
-        GroupSim {
-            group_of_node: vec![usize::MAX; n_nodes],
-            group_of_edge: vec![usize::MAX; n_edges],
-            unflat: vec![true], // group 0 = the scan group
-        }
+        // Every extend opens at most one group: size the table once.
+        let mut unflat = Vec::with_capacity(n_edges + 1);
+        unflat.push(true); // group 0 = the scan group
+        let vars = n_nodes + n_edges;
+        GroupSim { place: vec![usize::MAX; vars], n_nodes, unflat }
+    }
+
+    /// Back to the state of [`GroupSim::new`], keeping the allocations.
+    fn reset(&mut self) {
+        self.place.fill(usize::MAX);
+        self.unflat.clear();
+        self.unflat.push(true);
+    }
+
+    fn group_of_node(&self, n: usize) -> usize {
+        self.place[n]
+    }
+
+    fn group_of_edge(&self, e: usize) -> usize {
+        self.place[self.n_nodes..][e]
+    }
+
+    /// Put node `to` and edge `edge` in group `g`.
+    fn put(&mut self, to: usize, edge: usize, g: usize) {
+        self.place[to] = g;
+        self.place[self.n_nodes..][edge] = g;
     }
 
     pub(crate) fn scan(&mut self, node: usize) {
-        self.group_of_node[node] = 0;
+        self.place[node] = 0;
+    }
+
+    /// Has a scan or an extend placed node `n` yet?
+    fn node_bound(&self, n: usize) -> bool {
+        self.group_of_node(n) != usize::MAX
+    }
+
+    /// Has an extend traversed edge `e` yet?
+    fn edge_bound(&self, e: usize) -> bool {
+        self.group_of_edge(e) != usize::MAX
     }
 
     /// Apply an extend; returns `true` when it flattens its source group
     /// (a `ListExtend` whose source was still unflat).
     pub(crate) fn extend(&mut self, edge: usize, from: usize, to: usize, single: bool) -> bool {
+        let src = self.group_of_node(from);
         if single {
-            let g = self.group_of_node[from];
-            self.group_of_node[to] = g;
-            self.group_of_edge[edge] = g;
+            self.put(to, edge, src);
             false
         } else {
-            let src = self.group_of_node[from];
             let flattens = self.unflat[src];
             self.unflat[src] = false;
             self.unflat.push(true);
-            let g = self.unflat.len() - 1;
-            self.group_of_node[to] = g;
-            self.group_of_edge[edge] = g;
+            self.put(to, edge, self.unflat.len() - 1);
             flattens
+        }
+    }
+
+    /// Undo the latest [`GroupSim::extend`] `(edge, from, to, single)`,
+    /// which returned `flattened`.
+    fn retract(&mut self, edge: usize, from: usize, to: usize, single: bool, flattened: bool) {
+        self.put(to, edge, usize::MAX);
+        if !single {
+            self.unflat.pop();
+            let src = self.group_of_node(from);
+            self.unflat[src] = flattened;
         }
     }
 
     /// Group of the variable behind a slot.
     pub(crate) fn group_of_slot(&self, def: &SlotDef) -> usize {
         match def.source {
-            SlotSource::NodeProp { node, .. } => self.group_of_node[node],
-            SlotSource::EdgeProp { edge, .. } => self.group_of_edge[edge],
+            SlotSource::NodeProp { node, .. } => self.group_of_node(node),
+            SlotSource::EdgeProp { edge, .. } => self.group_of_edge(edge),
         }
     }
 
     /// Is list group `g` still unflat at this point of the walk?
     pub(crate) fn is_unflat(&self, g: usize) -> bool {
         self.unflat[g]
+    }
+
+    /// Do the groups `for_each_group` visits include two distinct *unflat*
+    /// ones? The LBP's `Filter` evaluates over at most one unflat group.
+    pub(crate) fn spans_unflat(&self, for_each_group: impl FnOnce(&mut dyn FnMut(usize))) -> bool {
+        let mut first = None;
+        let mut two = false;
+        for_each_group(&mut |g| {
+            if self.unflat[g] {
+                match first {
+                    None => first = Some(g),
+                    Some(f) => two |= f != g,
+                }
+            }
+        });
+        two
+    }
+
+    /// [`GroupSim::spans_unflat`] over the slots `expr` reads.
+    pub(crate) fn expr_spans_unflat(&self, expr: &PlanExpr, slots: &[SlotDef]) -> bool {
+        self.spans_unflat(|f| expr.for_each_slot(|s| f(self.group_of_slot(&slots[s]))))
     }
 }
 
@@ -638,15 +738,7 @@ pub(crate) fn check_executable(plan: &LogicalPlan) -> Result<()> {
             }
             PlanStep::NodeProp { .. } | PlanStep::EdgeProp { .. } => {}
             PlanStep::Filter { expr } => {
-                let mut groups: Vec<usize> = expr
-                    .slots()
-                    .iter()
-                    .map(|&s| sim.group_of_slot(&plan.slots[s]))
-                    .filter(|&g| sim.unflat[g])
-                    .collect();
-                groups.sort_unstable();
-                groups.dedup();
-                if groups.len() >= 2 {
+                if sim.expr_spans_unflat(expr, &plan.slots) {
                     return Err(Error::Plan(format!(
                         "edge order is not executable: predicate ({}) would span two unflat \
                          list groups, which the list-based processor cannot evaluate; use a \

@@ -44,27 +44,48 @@ pub enum PlanExpr {
 }
 
 impl PlanExpr {
-    /// All slots referenced by this expression.
+    /// All slots referenced by this expression, in order, with repeats.
     pub fn slots(&self) -> Vec<SlotId> {
         let mut out = Vec::new();
-        self.collect(&mut out);
+        self.for_each_slot(|s| out.push(s));
         out
     }
 
-    fn collect(&self, out: &mut Vec<SlotId>) {
+    /// Call `f` on every slot [`PlanExpr::slots`] lists, without
+    /// collecting them.
+    pub fn for_each_slot(&self, mut f: impl FnMut(SlotId)) {
+        let _ = self.try_for_each_slot(&mut |s| {
+            f(s);
+            Ok::<(), std::convert::Infallible>(())
+        });
+    }
+
+    /// [`PlanExpr::for_each_slot`], stopping at the first error `f` returns.
+    pub fn try_for_each_slot<E>(
+        &self,
+        f: &mut impl FnMut(SlotId) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         match self {
             PlanExpr::Cmp { lhs, rhs, .. } => {
                 if let PlanScalar::Slot(s) = lhs {
-                    out.push(*s);
+                    f(*s)?;
                 }
                 if let PlanScalar::Slot(s) = rhs {
-                    out.push(*s);
+                    f(*s)?;
                 }
+                Ok(())
             }
-            PlanExpr::StrMatch { slot, .. } | PlanExpr::InSet { slot, .. } => out.push(*slot),
-            PlanExpr::And(es) | PlanExpr::Or(es) => es.iter().for_each(|e| e.collect(out)),
-            PlanExpr::Not(e) => e.collect(out),
+            PlanExpr::StrMatch { slot, .. } | PlanExpr::InSet { slot, .. } => f(*slot),
+            PlanExpr::And(es) | PlanExpr::Or(es) => {
+                es.iter().try_for_each(|e| e.try_for_each_slot(f))
+            }
+            PlanExpr::Not(e) => e.try_for_each_slot(f),
         }
+    }
+
+    /// Does every referenced slot satisfy `f`?
+    pub fn all_slots(&self, mut f: impl FnMut(SlotId) -> bool) -> bool {
+        self.try_for_each_slot(&mut |s| if f(s) { Ok(()) } else { Err(()) }).is_ok()
     }
 }
 
@@ -369,8 +390,13 @@ impl Planner<'_> {
                 .iter()
                 .map(|p| self.resolve_expr(p, &nodes, &edges, &mut scratch_slots))
                 .collect::<Result<_>>()?;
-            let preds =
-                optimize::pred_infos(&scratch_preds, &scratch_slots, &nodes, &edges, self.catalog);
+            let preds = optimize::PredSel::new(
+                &scratch_preds,
+                &scratch_slots,
+                &nodes,
+                &edges,
+                self.catalog,
+            );
             let chosen = optimize::choose_order(
                 &nodes,
                 &edges,
@@ -393,10 +419,18 @@ impl Planner<'_> {
 
         // Slot assignment: every distinct PropRef used in predicates or
         // returns gets one slot.
-        let mut slots: Vec<SlotDef> = Vec::new();
+        let prop_refs = q.predicates.iter().map(prop_ref_count).sum::<usize>()
+            + match &q.ret {
+                ReturnSpec::CountStar => 0,
+                ReturnSpec::Props(ps) => ps.len(),
+                ReturnSpec::Sum(_) | ReturnSpec::Min(_) | ReturnSpec::Max(_) => 1,
+                ReturnSpec::GroupBy { keys, aggs } => keys.len() + aggs.len(),
+            };
+        let mut slots: Vec<SlotDef> = Vec::with_capacity(prop_refs);
 
         // Resolve predicates (skipping the one consumed by the pk seek).
-        let mut resolved_preds: Vec<PlanExpr> = Vec::new();
+        let mut resolved_preds: Vec<PlanExpr> =
+            Vec::with_capacity(q.predicates.len() - usize::from(pk_seek.is_some()));
         for (pi, pred) in q.predicates.iter().enumerate() {
             if pk_seek.map(|(_, _, skip)| skip) == Some(pi) {
                 continue;
@@ -412,7 +446,7 @@ impl Planner<'_> {
                 let mut header = Vec::with_capacity(ps.len());
                 for p in ps {
                     ids.push(self.slot_of(p, true, &nodes, &edges, &mut slots)?);
-                    header.push(format!("{}.{}", p.var, p.prop));
+                    header.push(dotted(&p.var, &p.prop));
                 }
                 (PlanReturn::Props(ids), header)
             }
@@ -435,7 +469,7 @@ impl Planner<'_> {
                     // Keys are materialized per output row (strings decode
                     // at the sink, like projection columns).
                     key_ids.push(self.slot_of(k, true, &nodes, &edges, &mut slots)?);
-                    header.push(format!("{}.{}", k.var, k.prop));
+                    header.push(dotted(&k.var, &k.prop));
                 }
                 let mut plan_aggs = Vec::with_capacity(aggs.len());
                 for a in aggs {
@@ -445,7 +479,7 @@ impl Planner<'_> {
                             let name = agg_name(a.func);
                             (
                                 Some(self.agg_slot_of(p, name, &nodes, &edges, &mut slots)?),
-                                format!("{}.{}", p.var, p.prop),
+                                dotted(&p.var, &p.prop),
                             )
                         }
                     };
@@ -460,6 +494,11 @@ impl Planner<'_> {
                 (PlanReturn::GroupBy { keys: key_ids, aggs: plan_aggs }, header)
             }
         };
+
+        // The slot table is final: name its entries.
+        for def in &mut slots {
+            def.name = self.slot_name(def.source, &nodes, &edges);
+        }
 
         // Resolve ORDER BY keys against the output columns.
         let mut order_by = Vec::with_capacity(q.order_by.len());
@@ -476,23 +515,29 @@ impl Planner<'_> {
 
         // Emit steps: scan, then per extend: bind node, read props that
         // become available, apply filters whose slots are all filled.
-        let mut steps: Vec<PlanStep> = Vec::new();
+        // One scan, one step per extend, at most one read per slot and one
+        // filter per predicate.
+        let mut steps: Vec<PlanStep> =
+            Vec::with_capacity(1 + extend_seq.len() + slots.len() + resolved_preds.len());
         match pk_seek {
             Some((node, key, _)) => steps.push(PlanStep::ScanPk { node, key }),
             None => steps.push(PlanStep::ScanAll { node: start, pushed: Vec::new() }),
         }
 
-        let mut node_bound = vec![false; nodes.len()];
-        let mut edge_bound = vec![false; edges.len()];
+        // Which nodes and edges are bound and which slots filled so far: one
+        // allocation, split three ways.
+        let mut marks = vec![false; nodes.len() + edges.len() + slots.len()];
+        let (node_bound, marks_rest) = marks.split_at_mut(nodes.len());
+        let (edge_bound, slot_filled) = marks_rest.split_at_mut(edges.len());
         node_bound[start] = true;
-        let mut slot_filled = vec![false; slots.len()];
-        let mut pred_done = vec![false; resolved_preds.len()];
+        // A predicate moves into its `Filter` step once its slots are filled.
+        let mut pending: Vec<Option<PlanExpr>> = resolved_preds.into_iter().map(Some).collect();
 
         let emit_available = |steps: &mut Vec<PlanStep>,
                               node_bound: &[bool],
                               edge_bound: &[bool],
-                              slot_filled: &mut Vec<bool>,
-                              pred_done: &mut Vec<bool>| {
+                              slot_filled: &mut [bool],
+                              pending: &mut [Option<PlanExpr>]| {
             for (si, def) in slots.iter().enumerate() {
                 if slot_filled[si] {
                     continue;
@@ -509,15 +554,16 @@ impl Planner<'_> {
                     _ => {}
                 }
             }
-            for (pi, pred) in resolved_preds.iter().enumerate() {
-                if !pred_done[pi] && pred.slots().iter().all(|&s| slot_filled[s]) {
-                    steps.push(PlanStep::Filter { expr: pred.clone() });
-                    pred_done[pi] = true;
+            for pred in pending.iter_mut() {
+                if pred.as_ref().is_some_and(|p| p.all_slots(|s| slot_filled[s])) {
+                    if let Some(expr) = pred.take() {
+                        steps.push(PlanStep::Filter { expr });
+                    }
                 }
             }
         };
 
-        emit_available(&mut steps, &node_bound, &edge_bound, &mut slot_filled, &mut pred_done);
+        emit_available(&mut steps, node_bound, edge_bound, slot_filled, &mut pending);
         for (ei, dir, from, to) in extend_seq {
             let def = self.catalog.edge_label(edges[ei].label);
             steps.push(PlanStep::Extend {
@@ -530,10 +576,10 @@ impl Planner<'_> {
             });
             node_bound[to] = true;
             edge_bound[ei] = true;
-            emit_available(&mut steps, &node_bound, &edge_bound, &mut slot_filled, &mut pred_done);
+            emit_available(&mut steps, node_bound, edge_bound, slot_filled, &mut pending);
         }
 
-        if let Some(pi) = pred_done.iter().position(|&d| !d) {
+        if let Some(pi) = pending.iter().position(Option::is_some) {
             return Err(Error::Plan(format!(
                 "predicate {pi} references variables never bound by the pattern"
             )));
@@ -567,9 +613,7 @@ impl Planner<'_> {
                 let mut used = vec![false; slots.len()];
                 for s in &steps {
                     if let PlanStep::Filter { expr } = s {
-                        for sl in expr.slots() {
-                            used[sl] = true;
-                        }
+                        expr.for_each_slot(|sl| used[sl] = true);
                     }
                 }
                 match &ret {
@@ -610,8 +654,11 @@ impl Planner<'_> {
         // Reject plans whose order would make a filter span two unflat
         // list groups at plan time instead of mid-query. Reachable through
         // edge_order hints and through the declaration-order fallback;
-        // optimizer-chosen orders are executable by construction.
-        optimize::check_executable(&plan)?;
+        // optimizer-chosen orders are executable by construction (the
+        // search rejects every order that is not), so they skip the walk.
+        if plan.order_source != OrderSource::Stats {
+            optimize::check_executable(&plan)?;
+        }
         // Full structural verification ([`crate::verify`]): def-before-use
         // dataflow, schema/type flow, pushdown eligibility, bookkeeping.
         // Deny by default; `GFCL_NO_VERIFY` / `PlanOptions::no_verify` is
@@ -737,13 +784,24 @@ impl Planner<'_> {
                 self.catalog.edge_label(edges[edge].label).properties[prop].dtype
             }
         };
-        slots.push(SlotDef {
-            source,
-            dtype,
-            for_return,
-            name: format!("{}.{}", pref.var, pref.prop),
-        });
+        // Named by `Planner::slot_name` once the table is final: the cost
+        // model's scratch tables are never displayed.
+        slots.push(SlotDef { source, dtype, for_return, name: String::new() });
         Ok(slots.len() - 1)
+    }
+
+    /// `var.prop`, the display name of the slot reading `source`.
+    fn slot_name(&self, source: SlotSource, nodes: &[PlanNode], edges: &[PlanEdge]) -> String {
+        match source {
+            SlotSource::NodeProp { node, prop } => {
+                let label = self.catalog.vertex_label(nodes[node].label);
+                dotted(&nodes[node].var, &label.properties[prop].name)
+            }
+            SlotSource::EdgeProp { edge, prop } => {
+                let label = self.catalog.edge_label(edges[edge].label);
+                dotted(edges[edge].var.as_deref().unwrap_or_default(), &label.properties[prop].name)
+            }
+        }
     }
 
     fn resolve_expr(
@@ -817,6 +875,30 @@ pub(crate) fn is_pushable(e: &PlanExpr, slots: &[SlotDef], node: usize) -> bool 
         PlanExpr::And(es) | PlanExpr::Or(es) => es.iter().all(|e| is_pushable(e, slots, node)),
         PlanExpr::Not(inner) => is_pushable(inner, slots, node),
     }
+}
+
+/// Property references in `e`, repeats included: an upper bound on the
+/// slots it resolves to.
+fn prop_ref_count(e: &Expr) -> usize {
+    match e {
+        Expr::Cmp { lhs, rhs, .. } => {
+            usize::from(matches!(lhs, Scalar::Prop(_)))
+                + usize::from(matches!(rhs, Scalar::Prop(_)))
+        }
+        Expr::StrMatch { .. } | Expr::InSet { .. } => 1,
+        Expr::And(es) | Expr::Or(es) => es.iter().map(prop_ref_count).sum(),
+        Expr::Not(inner) => prop_ref_count(inner),
+    }
+}
+
+/// `var.prop`, the name of a slot and of the column that returns it, built
+/// in one allocation.
+fn dotted(var: &str, prop: &str) -> String {
+    let mut s = String::with_capacity(var.len() + 1 + prop.len());
+    s.push_str(var);
+    s.push('.');
+    s.push_str(prop);
+    s
 }
 
 /// Upper-case display name of an aggregate function.

@@ -135,7 +135,8 @@ impl Verifier<'_> {
             )?;
         }
         for (i, s) in p.slots.iter().enumerate() {
-            let (dtype, what) = match s.source {
+            // `(label name, property name)` of the catalog property read.
+            let (dtype, label, prop_name) = match s.source {
                 SlotSource::NodeProp { node, prop } => {
                     self.ensure(node < p.nodes.len(), "index-range", || {
                         format!("slot ${i} ({}) references unknown node {node}", s.name)
@@ -150,10 +151,7 @@ impl Verifier<'_> {
                             def.properties.len()
                         )
                     })?;
-                    (
-                        def.properties[prop].dtype,
-                        format!("{}.{}", def.name, def.properties[prop].name),
-                    )
+                    (def.properties[prop].dtype, &def.name, &def.properties[prop].name)
                 }
                 SlotSource::EdgeProp { edge, prop } => {
                     self.ensure(edge < p.edges.len(), "index-range", || {
@@ -169,15 +167,13 @@ impl Verifier<'_> {
                             def.properties.len()
                         )
                     })?;
-                    (
-                        def.properties[prop].dtype,
-                        format!("{}.{}", def.name, def.properties[prop].name),
-                    )
+                    (def.properties[prop].dtype, &def.name, &def.properties[prop].name)
                 }
             };
             self.ensure(s.dtype == dtype, "slot-schema", || {
                 format!(
-                    "slot ${i} ({}) is declared {:?} but {what} is {dtype:?} in the catalog",
+                    "slot ${i} ({}) is declared {:?} but {label}.{prop_name} is {dtype:?} in the \
+                     catalog",
                     s.name, s.dtype
                 )
             })?;
@@ -198,9 +194,10 @@ impl Verifier<'_> {
             || "step 1 must be a scan (the scan group seeds the selection mask)".into(),
         )?;
 
-        let mut node_bound = vec![false; p.nodes.len()];
-        let mut edge_bound = vec![false; p.edges.len()];
-        let mut slot_filled = vec![false; p.slots.len()];
+        // Bound nodes, bound edges, filled slots: one allocation, split.
+        let mut marks = vec![false; p.nodes.len() + p.edges.len() + p.slots.len()];
+        let (node_bound, marks_rest) = marks.split_at_mut(p.nodes.len());
+        let (edge_bound, slot_filled) = marks_rest.split_at_mut(p.edges.len());
         let mut sim = GroupSim::new(p.nodes.len(), p.edges.len());
 
         for (i, step) in p.steps.iter().enumerate() {
@@ -312,8 +309,9 @@ impl Verifier<'_> {
                     sim.extend(*edge, *from, *to, *single);
                 }
                 PlanStep::NodeProp { node, prop, slot } => {
-                    self.check_prop_read(at, kind, *slot, &mut slot_filled, || {
-                        SlotSource::NodeProp { node: *node, prop: *prop }
+                    self.check_prop_read(at, kind, *slot, slot_filled, || SlotSource::NodeProp {
+                        node: *node,
+                        prop: *prop,
                     })?;
                     self.ensure(node_bound[*node], "def-before-use", || {
                         format!(
@@ -323,8 +321,9 @@ impl Verifier<'_> {
                     })?;
                 }
                 PlanStep::EdgeProp { edge, prop, slot } => {
-                    self.check_prop_read(at, kind, *slot, &mut slot_filled, || {
-                        SlotSource::EdgeProp { edge: *edge, prop: *prop }
+                    self.check_prop_read(at, kind, *slot, slot_filled, || SlotSource::EdgeProp {
+                        edge: *edge,
+                        prop: *prop,
                     })?;
                     self.ensure(edge_bound[*edge], "def-before-use", || {
                         format!("step {at} ({kind}): reads a property of unbound edge {edge}")
@@ -332,24 +331,24 @@ impl Verifier<'_> {
                 }
                 PlanStep::Filter { expr } => {
                     self.check_expr(expr, at, kind)?;
-                    for s in expr.slots() {
+                    expr.try_for_each_slot(&mut |s| {
                         self.ensure(slot_filled[s], "def-before-use", || {
                             format!(
                                 "step {at} ({kind}): slot ${s} ({}) is read before any \
                                  property step fills it",
                                 p.slots[s].name
                             )
-                        })?;
-                    }
-                    let mut groups: Vec<usize> = expr
-                        .slots()
-                        .iter()
-                        .map(|&s| sim.group_of_slot(&p.slots[s]))
-                        .filter(|&g| sim.is_unflat(g))
-                        .collect();
-                    groups.sort_unstable();
-                    groups.dedup();
-                    self.ensure(groups.len() < 2, "unflat-span", || {
+                        })
+                    })?;
+                    self.ensure(!sim.expr_spans_unflat(expr, &p.slots), "unflat-span", || {
+                        let mut groups: Vec<usize> = expr
+                            .slots()
+                            .iter()
+                            .map(|&s| sim.group_of_slot(&p.slots[s]))
+                            .filter(|&g| sim.is_unflat(g))
+                            .collect();
+                        groups.sort_unstable();
+                        groups.dedup();
                         format!(
                             "step {at} ({kind}): predicate spans {} unflat list groups; the \
                              list-based processor evaluates a filter over at most one",
@@ -364,17 +363,11 @@ impl Verifier<'_> {
         // source — must be bound by the end. (A degenerate edge-less
         // pattern may declare nodes it never touches; the planner scans
         // only the start node, and that is pinned behavior.)
-        let mut node_used = vec![false; p.nodes.len()];
-        for e in &p.edges {
-            node_used[e.from] = true;
-            node_used[e.to] = true;
-        }
-        for s in &p.slots {
-            if let SlotSource::NodeProp { node, .. } = s.source {
-                node_used[node] = true;
-            }
-        }
-        for (i, (b, used)) in node_bound.iter().zip(&node_used).enumerate() {
+        for (i, b) in node_bound.iter().enumerate() {
+            let used = p.edges.iter().any(|e| e.from == i || e.to == i)
+                || p.slots
+                    .iter()
+                    .any(|s| matches!(s.source, SlotSource::NodeProp { node, .. } if node == i));
             self.ensure(*b || !used, "binding-complete", || {
                 format!("pattern node {i} ({}) is used but never bound by any step", p.nodes[i].var)
             })?;
@@ -388,7 +381,7 @@ impl Verifier<'_> {
         // Slots the sink consumes must be filled by a property step; slots
         // feeding only pushed predicates legitimately have none (the scan
         // evaluates them directly on the columns).
-        for s in self.sink_slots() {
+        for s in sink_slots(&p.ret) {
             self.ensure(s < p.slots.len(), "index-range", || {
                 format!("sink references slot ${s}, which exceeds the slot table")
             })?;
@@ -432,11 +425,11 @@ impl Verifier<'_> {
     /// `String` columns, `IN` list values comparable with their column.
     fn check_expr(&mut self, e: &PlanExpr, at: usize, kind: &str) -> Result<()> {
         let p = self.plan;
-        for s in e.slots() {
+        e.try_for_each_slot(&mut |s| {
             self.ensure(s < p.slots.len(), "index-range", || {
                 format!("step {at} ({kind}): predicate slot ${s} exceeds the slot table")
-            })?;
-        }
+            })
+        })?;
         match e {
             PlanExpr::Cmp { lhs, rhs, .. } => {
                 let dt = |s: &PlanScalar| match s {
@@ -444,11 +437,11 @@ impl Verifier<'_> {
                     PlanScalar::Const(v) => v.data_type(), // NULL compares UNKNOWN: allowed
                 };
                 if let (Some(a), Some(b)) = (dt(lhs), dt(rhs)) {
-                    let rendered = self.name_of(e);
                     self.ensure(comparable(a, b), "expr-type", || {
                         format!(
                             "step {at} ({kind}): comparison between incomparable types \
-                             {a:?} and {b:?} in ({rendered})"
+                             {a:?} and {b:?} in ({})",
+                            crate::optimize::expr_str(e, &p.slots)
                         )
                     })?;
                 }
@@ -484,23 +477,6 @@ impl Verifier<'_> {
             PlanExpr::Not(inner) => self.check_expr(inner, at, kind)?,
         }
         Ok(())
-    }
-
-    fn name_of(&self, e: &PlanExpr) -> String {
-        crate::optimize::expr_str(e, &self.plan.slots)
-    }
-
-    /// Every slot the sink reads (projection columns, aggregate inputs,
-    /// grouping keys). Indexes are *not* yet validated — callers check.
-    fn sink_slots(&self) -> Vec<usize> {
-        match &self.plan.ret {
-            PlanReturn::CountStar => Vec::new(),
-            PlanReturn::Props(ids) => ids.clone(),
-            PlanReturn::Sum(s) | PlanReturn::Min(s) | PlanReturn::Max(s) => vec![*s],
-            PlanReturn::GroupBy { keys, aggs } => {
-                keys.iter().copied().chain(aggs.iter().filter_map(|a| a.slot)).collect()
-            }
-        }
     }
 
     /// Phase 3 — the sink: header arity, ORDER BY column range, DISTINCT
@@ -640,6 +616,18 @@ impl Verifier<'_> {
         }
         Ok(())
     }
+}
+
+/// Every slot the sink reads (projection columns, aggregate inputs,
+/// grouping keys). Indexes are *not* yet validated — callers check.
+fn sink_slots(ret: &PlanReturn) -> impl Iterator<Item = usize> + '_ {
+    let (cols, one, aggs): (&[usize], Option<usize>, &[PlanAgg]) = match ret {
+        PlanReturn::CountStar => (&[], None, &[]),
+        PlanReturn::Props(ids) => (ids, None, &[]),
+        PlanReturn::Sum(s) | PlanReturn::Min(s) | PlanReturn::Max(s) => (&[], Some(*s), &[]),
+        PlanReturn::GroupBy { keys, aggs } => (keys, None, aggs),
+    };
+    cols.iter().copied().chain(one).chain(aggs.iter().filter_map(|a| a.slot))
 }
 
 /// Shared with [`Value::data_type`]: keep the import used and the rule

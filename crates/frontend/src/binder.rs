@@ -36,7 +36,8 @@ enum VarKind {
 struct Binder<'a> {
     src: &'a str,
     catalog: &'a Catalog,
-    vars: Vec<(String, VarKind)>,
+    /// Every bound variable, named by a slice of the AST it was bound from.
+    vars: Vec<(&'a str, VarKind)>,
     nodes: Vec<NodePattern>,
     edges: Vec<EdgePattern>,
 }
@@ -49,16 +50,16 @@ impl<'a> Binder<'a> {
     }
 
     fn lookup(&self, name: &str) -> Option<VarKind> {
-        self.vars.iter().find(|(n, _)| n == name).map(|(_, k)| *k)
+        self.vars.iter().find(|(n, _)| *n == name).map(|(_, k)| *k)
     }
 
     fn var_names(&self) -> impl Iterator<Item = &str> {
-        self.vars.iter().map(|(n, _)| n.as_str())
+        self.vars.iter().map(|(n, _)| *n)
     }
 
     // -- pattern binding ---------------------------------------------------
 
-    fn bind_node(&mut self, pat: &ast::NodePat) -> BindResult<usize> {
+    fn bind_node(&mut self, pat: &'a ast::NodePat) -> BindResult<usize> {
         let name = &pat.var.text;
         match (&pat.label, self.lookup(name)) {
             (Some(_), Some(_)) => Err(self.err(
@@ -85,7 +86,7 @@ impl<'a> Binder<'a> {
                 };
                 let idx = self.nodes.len();
                 self.nodes.push(NodePattern { var: name.clone(), label: label.text.clone() });
-                self.vars.push((name.clone(), VarKind::Node { idx, label: label_id }));
+                self.vars.push((name, VarKind::Node { idx, label: label_id }));
                 Ok(idx)
             }
             (None, Some(VarKind::Node { idx, .. })) => Ok(idx),
@@ -106,7 +107,7 @@ impl<'a> Binder<'a> {
         }
     }
 
-    fn bind_edge(&mut self, edge: &ast::EdgePat, from: usize, to: usize) -> BindResult<()> {
+    fn bind_edge(&mut self, edge: &'a ast::EdgePat, from: usize, to: usize) -> BindResult<()> {
         // Written direction: `<-[..]-` swaps the endpoints.
         let (from, to) = match edge.dir {
             ast::Dir::Right => (from, to),
@@ -132,7 +133,7 @@ impl<'a> Binder<'a> {
                     return Err(self.err(v.span, format!("duplicate variable `{}`", v.text), None));
                 }
                 let idx = self.edges.len();
-                self.vars.push((v.text.clone(), VarKind::Edge { idx, label: label_id }));
+                self.vars.push((&v.text, VarKind::Edge { idx, label: label_id }));
                 Some(v.text.clone())
             }
             None => None,
@@ -141,7 +142,7 @@ impl<'a> Binder<'a> {
         Ok(())
     }
 
-    fn bind_paths(&mut self, paths: &[ast::Path]) -> BindResult<()> {
+    fn bind_paths(&mut self, paths: &'a [ast::Path]) -> BindResult<()> {
         for path in paths {
             let mut prev = self.bind_node(&path.head)?;
             for (edge, node) in &path.steps {
@@ -480,7 +481,7 @@ impl<'a> Binder<'a> {
                                 .vars
                                 .iter()
                                 .filter(|(_, k)| matches!(k, VarKind::Node { .. }))
-                                .map(|(n, _)| n.as_str());
+                                .map(|(n, _)| *n);
                             let hint = did_you_mean(&v.text, node_vars);
                             return Err(self.err(
                                 v.span,
@@ -511,7 +512,7 @@ impl<'a> Binder<'a> {
                                     .vars
                                     .iter()
                                     .filter(|(_, k)| matches!(k, VarKind::Edge { .. }))
-                                    .map(|(n, _)| n.as_str());
+                                    .map(|(n, _)| *n);
                                 let hint = did_you_mean(&v.text, edge_vars);
                                 return Err(self.err(
                                     v.span,
@@ -540,23 +541,29 @@ pub fn bind(
     source: &str,
     catalog: &Catalog,
 ) -> Result<PatternQuery, Diagnostic> {
-    let mut b =
-        Binder { src: source, catalog, vars: Vec::new(), nodes: Vec::new(), edges: Vec::new() };
+    // Every path contributes its head node and one edge and node per step:
+    // upper bounds (a node referred back to binds nothing new) that size
+    // each table once.
+    let edges: usize = query.paths.iter().map(|p| p.steps.len()).sum();
+    let nodes = query.paths.len() + edges;
+    let mut b = Binder {
+        src: source,
+        catalog,
+        vars: Vec::with_capacity(nodes + edges),
+        nodes: Vec::with_capacity(nodes),
+        edges: Vec::with_capacity(edges),
+    };
     b.bind_paths(&query.paths)?;
 
     // Top-level conjunctions become separate predicate entries, matching
     // how builder programs chain `.filter(..)` calls.
-    let mut predicates = Vec::new();
-    if let Some(expr) = &query.predicate {
-        match expr {
-            ast::Expr::And(parts) => {
-                for p in parts {
-                    predicates.push(b.lower_expr(p)?);
-                }
-            }
-            other => predicates.push(b.lower_expr(other)?),
+    let predicates = match &query.predicate {
+        Some(ast::Expr::And(parts)) => {
+            parts.iter().map(|p| b.lower_expr(p)).collect::<BindResult<Vec<_>>>()?
         }
-    }
+        Some(other) => vec![b.lower_expr(other)?],
+        None => Vec::new(),
+    };
 
     let ret = b.lower_return(&query.ret)?;
 

@@ -7,6 +7,15 @@
 //! not fused into single tokens — the parser assembles arrows from `Dash`,
 //! `Lt` and `Gt` so that `a.x < -5` lexes the same way as `<-[:knows]-`.
 //!
+//! Tokens are spans, not payloads: a token is its kind plus its byte range,
+//! and the parser reads an identifier's spelling, a number's digits or a
+//! string's contents from `&src[span]` when — and only if — it needs them
+//! ([`Token::text`], [`int_value`], [`float_value`], [`str_value`]). Lexing
+//! a query therefore allocates nothing but the token vector. The lexer
+//! still *validates* everything it classifies: escapes are checked,
+//! and an integer magnitude must fit the sign in front of it, so the
+//! value readers cannot fail on a token the lexer produced.
+//!
 //! This module is on the analyzer's hot-panic/as-cast lint paths: it must
 //! not panic on any input (the token-soup proptest feeds it arbitrary
 //! bytes), so all indexing goes through `get` and all failures surface as
@@ -14,14 +23,22 @@
 
 use crate::diag::{Diagnostic, Phase, Span};
 
-/// One lexical token. Identifier payloads keep their original spelling;
-/// keyword recognition is case-insensitive and happens in the parser.
-#[derive(Debug, Clone, PartialEq)]
+/// The kind of a lexical token. Payloads are not stored: a token's text is
+/// `&src[span]` ([`Token::text`]). Keyword recognition is case-insensitive
+/// and happens in the parser.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tok {
-    Ident(String),
-    Int(i64),
-    Float(f64),
-    Str(String),
+    /// An identifier or contextual keyword, spelled as in the source.
+    Ident,
+    /// An unsigned integer magnitude (digits, `_` separators allowed). A
+    /// leading `-` is its own [`Tok::Dash`] token: the parser reads the
+    /// sign and the magnitude together ([`int_value`]), which is how
+    /// `-9223372036854775808` reaches `i64::MIN`.
+    Int,
+    /// A float (`digits.digits`, `_` separators allowed).
+    Float,
+    /// A single-quoted string literal; the span includes both quotes.
+    Str,
     LParen,
     RParen,
     LBrack,
@@ -43,13 +60,20 @@ pub enum Tok {
 }
 
 impl Tok {
-    /// Short human name used in parser error messages.
-    pub fn describe(&self) -> String {
+    /// Short human name used in parser error messages; `text` is the
+    /// token's source text.
+    pub fn describe(self, text: &str) -> String {
         match self {
-            Tok::Ident(s) => format!("`{s}`"),
-            Tok::Int(v) => format!("integer `{v}`"),
-            Tok::Float(v) => format!("float `{v}`"),
-            Tok::Str(_) => "string literal".to_string(),
+            Tok::Ident => format!("`{text}`"),
+            Tok::Int => match magnitude(text) {
+                Some(v) => format!("integer `{v}`"),
+                None => format!("integer `{text}`"),
+            },
+            Tok::Float => match parse_float(text) {
+                Some(v) => format!("float `{v}`"),
+                None => format!("float `{text}`"),
+            },
+            Tok::Str => "string literal".to_string(),
             Tok::LParen => "`(`".to_string(),
             Tok::RParen => "`)`".to_string(),
             Tok::LBrack => "`[`".to_string(),
@@ -70,11 +94,141 @@ impl Tok {
     }
 }
 
-/// A token plus its byte span in the source.
-#[derive(Debug, Clone, PartialEq)]
+/// A token: its kind plus its byte span in the source. `Copy`, so looking
+/// ahead never touches the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     pub tok: Tok,
     pub span: Span,
+}
+
+impl Token {
+    /// The token's source text, `&src[span]` (empty for [`Tok::Eof`]).
+    pub fn text(self, src: &str) -> &str {
+        text(src, self.span)
+    }
+}
+
+/// A lexical error: what went wrong and where, rendered into a
+/// [`Diagnostic`] only once lexing has failed. Small on purpose: every
+/// token the lexer returns travels in a `Result` with room for one, and a
+/// full `Diagnostic` there made each token several times dearer.
+#[derive(Debug, Clone, Copy)]
+enum LexError {
+    UnterminatedString(Span),
+    UnknownEscape(Span),
+    IntOutOfRange(Span),
+    BadFloat(Span),
+    UnexpectedChar(Span),
+}
+
+impl LexError {
+    fn render(self, src: &str) -> Diagnostic {
+        let (span, msg, hint) = match self {
+            LexError::UnterminatedString(span) => (
+                span,
+                "unterminated string literal".to_string(),
+                Some("strings are single-quoted: 'like this'"),
+            ),
+            LexError::UnknownEscape(span) => (
+                span,
+                "unknown escape sequence in string literal".to_string(),
+                Some("supported escapes: \\' \\\\ \\n \\t \\r"),
+            ),
+            LexError::IntOutOfRange(span) => (
+                span,
+                format!("integer literal `{}` is out of range", text(src, span)),
+                Some("64-bit signed integers only"),
+            ),
+            LexError::BadFloat(span) => {
+                (span, format!("invalid float literal `{}`", text(src, span)), None)
+            }
+            LexError::UnexpectedChar(span) => {
+                let shown = src.get(span.start..span.end).unwrap_or("?");
+                (span, format!("unexpected character `{shown}`"), None)
+            }
+        };
+        Diagnostic::new(Phase::Lex, src, span, msg, hint.map(str::to_string))
+    }
+}
+
+/// `&src[span]`, empty when the span is not a slice of `src`.
+fn text(src: &str, span: Span) -> &str {
+    src.get(span.start..span.end).unwrap_or_default()
+}
+
+/// The value of an integer token, with the sign read in front of it:
+/// `negative` admits the one magnitude only a negative literal has,
+/// `9223372036854775808` (`i64::MIN`).
+pub fn int_value(src: &str, t: Token, negative: bool) -> Result<i64, Diagnostic> {
+    signed(t.text(src), negative).ok_or_else(|| LexError::IntOutOfRange(t.span).render(src))
+}
+
+/// The value of a float token.
+pub fn float_value(src: &str, t: Token) -> Result<f64, Diagnostic> {
+    parse_float(t.text(src)).ok_or_else(|| LexError::BadFloat(t.span).render(src))
+}
+
+/// The contents of a string token, escapes decoded. The lexer has already
+/// rejected unknown escapes and unterminated strings.
+pub fn str_value(src: &str, t: Token) -> String {
+    let end = t.span.end.saturating_sub(1);
+    let inner = src.get(t.span.start + 1..end).unwrap_or_default();
+    if !inner.contains('\\') {
+        return inner.to_owned();
+    }
+    let mut out = String::with_capacity(inner.len());
+    let mut chars = inner.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => out.push('\n'),
+            Some('t') => out.push('\t'),
+            Some('r') => out.push('\r'),
+            // `\'` and `\\` stand for themselves.
+            Some(other) => out.push(other),
+            None => {}
+        }
+    }
+    out
+}
+
+/// Integer digits as an `i64` under the sign in front of them, or `None`
+/// out of range.
+fn signed(text: &str, negative: bool) -> Option<i64> {
+    let m = magnitude(text)?;
+    if negative {
+        0i64.checked_sub_unsigned(m)
+    } else {
+        i64::try_from(m).ok()
+    }
+}
+
+/// The magnitude of integer digits with `_` separators skipped, or `None`
+/// above `u64::MAX` (or for text that is not digits).
+fn magnitude(text: &str) -> Option<u64> {
+    let mut v: u64 = 0;
+    for b in text.bytes() {
+        match b {
+            b'_' => {}
+            b'0'..=b'9' => v = v.checked_mul(10)?.checked_add(u64::from(b - b'0'))?,
+            _ => return None,
+        }
+    }
+    Some(v)
+}
+
+/// A float's digits with `_` separators skipped. Only a literal that uses
+/// separators pays for a copy.
+fn parse_float(text: &str) -> Option<f64> {
+    if text.contains('_') {
+        text.chars().filter(|c| *c != '_').collect::<String>().parse().ok()
+    } else {
+        text.parse().ok()
+    }
 }
 
 struct Lexer<'a> {
@@ -91,10 +245,6 @@ impl<'a> Lexer<'a> {
     fn peek_at(&self, offset: usize) -> Option<u8> {
         let idx = self.pos + offset;
         self.bytes.get(idx).copied()
-    }
-
-    fn err(&self, span: Span, msg: String, hint: Option<String>) -> Diagnostic {
-        Diagnostic::new(Phase::Lex, self.src, span, msg, hint)
     }
 
     /// Skip whitespace and `//` / `--` line comments.
@@ -127,11 +277,13 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        let text = self.src.get(start..self.pos).unwrap_or_default().to_string();
-        Token { tok: Tok::Ident(text), span: Span::new(start, self.pos) }
+        Token { tok: Tok::Ident, span: Span::new(start, self.pos) }
     }
 
-    fn number(&mut self) -> Result<Token, Diagnostic> {
+    /// A number. An integer is range-checked against the sign in front of
+    /// it (`negative`: the previous token is a `-`), so only a negative
+    /// literal may carry the magnitude of `i64::MIN`.
+    fn number(&mut self, negative: bool) -> Result<Token, LexError> {
         let start = self.pos;
         let mut is_float = false;
         while let Some(b) = self.peek() {
@@ -146,75 +298,43 @@ impl<'a> Lexer<'a> {
             }
         }
         let span = Span::new(start, self.pos);
-        let raw = self.src.get(start..self.pos).unwrap_or_default();
-        let digits: String = raw.chars().filter(|c| *c != '_').collect();
         if is_float {
-            match digits.parse::<f64>() {
-                Ok(v) => Ok(Token { tok: Tok::Float(v), span }),
-                Err(_) => Err(self.err(span, format!("invalid float literal `{raw}`"), None)),
-            }
-        } else {
-            match digits.parse::<i64>() {
-                Ok(v) => Ok(Token { tok: Tok::Int(v), span }),
-                Err(_) => Err(self.err(
-                    span,
-                    format!("integer literal `{raw}` is out of range"),
-                    Some("64-bit signed integers only".to_string()),
-                )),
-            }
+            // `digits.digits` with separators removed always parses.
+            return Ok(Token { tok: Tok::Float, span });
+        }
+        match signed(text(self.src, span), negative) {
+            Some(_) => Ok(Token { tok: Tok::Int, span }),
+            None => Err(LexError::IntOutOfRange(span)),
         }
     }
 
-    fn string(&mut self) -> Result<Token, Diagnostic> {
+    /// A string literal: checks its escapes and finds its closing quote.
+    /// The contents are decoded later, by [`str_value`].
+    fn string(&mut self) -> Result<Token, LexError> {
         let start = self.pos;
         self.pos += 1; // opening quote
-        let mut value = String::new();
         loop {
             match self.peek() {
-                None => {
-                    return Err(self.err(
-                        Span::new(start, start + 1),
-                        "unterminated string literal".to_string(),
-                        Some("strings are single-quoted: 'like this'".to_string()),
-                    ));
-                }
+                None => return Err(LexError::UnterminatedString(Span::new(start, start + 1))),
                 Some(b'\'') => {
                     self.pos += 1;
-                    return Ok(Token { tok: Tok::Str(value), span: Span::new(start, self.pos) });
+                    return Ok(Token { tok: Tok::Str, span: Span::new(start, self.pos) });
                 }
                 Some(b'\\') => {
                     let esc_start = self.pos;
                     self.pos += 1;
-                    let replacement = match self.peek() {
-                        Some(b'\'') => '\'',
-                        Some(b'\\') => '\\',
-                        Some(b'n') => '\n',
-                        Some(b't') => '\t',
-                        Some(b'r') => '\r',
+                    match self.peek() {
+                        Some(b'\'' | b'\\' | b'n' | b't' | b'r') => self.pos += 1,
                         other => {
                             let width = other.map_or(0, |_| self.char_width());
                             let esc_end = self.pos + width;
-                            return Err(self.err(
-                                Span::new(esc_start, esc_end),
-                                "unknown escape sequence in string literal".to_string(),
-                                Some("supported escapes: \\' \\\\ \\n \\t \\r".to_string()),
-                            ));
+                            return Err(LexError::UnknownEscape(Span::new(esc_start, esc_end)));
                         }
-                    };
-                    value.push(replacement);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one whole UTF-8 character (multi-byte chars
-                    // never contain the `'` or `\` bytes, but advancing by
-                    // char keeps `value` well-formed).
-                    if let Some(c) = self.src.get(self.pos..).and_then(|s| s.chars().next()) {
-                        value.push(c);
-                        self.pos += c.len_utf8();
-                    } else {
-                        self.pos += 1;
                     }
                 }
+                // Multi-byte UTF-8 characters never contain the `'` or `\`
+                // bytes, so stepping byte by byte finds the same quote.
+                Some(_) => self.pos += 1,
             }
         }
     }
@@ -230,7 +350,8 @@ impl<'a> Lexer<'a> {
         Token { tok, span: Span::new(start, self.pos) }
     }
 
-    fn next_token(&mut self) -> Result<Option<Token>, Diagnostic> {
+    /// The next token; `prev` is the kind of the one before it.
+    fn next_token(&mut self, prev: Tok) -> Result<Option<Token>, LexError> {
         self.skip_trivia();
         let Some(b) = self.peek() else { return Ok(None) };
         let t = match b {
@@ -254,14 +375,11 @@ impl<'a> Lexer<'a> {
                 _ => self.punct(Tok::Gt, 1),
             },
             b'\'' => self.string()?,
-            b if b.is_ascii_digit() => self.number()?,
+            b if b.is_ascii_digit() => self.number(prev == Tok::Dash)?,
             b if b.is_ascii_alphabetic() || b == b'_' => self.ident(),
             _ => {
-                let width = self.char_width();
-                let end = self.pos + width;
-                let span = Span::new(self.pos, end);
-                let shown = self.src.get(self.pos..end).unwrap_or("?");
-                return Err(self.err(span, format!("unexpected character `{shown}`"), None));
+                let end = self.pos + self.char_width();
+                return Err(LexError::UnexpectedChar(Span::new(self.pos, end)));
             }
         };
         Ok(Some(t))
@@ -271,8 +389,12 @@ impl<'a> Lexer<'a> {
 /// Tokenize `source`, appending a zero-width [`Tok::Eof`] marker.
 pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostic> {
     let mut lx = Lexer { src: source, bytes: source.as_bytes(), pos: 0 };
-    let mut out = Vec::new();
-    while let Some(t) = lx.next_token()? {
+    // Query text runs about three bytes per token (identifiers, spaces,
+    // punctuation): half the length is room enough for one allocation.
+    let mut out = Vec::with_capacity(source.len() / 2 + 1);
+    let mut prev = Tok::Eof;
+    while let Some(t) = lx.next_token(prev).map_err(|e| e.render(source))? {
+        prev = t.tok;
         out.push(t);
     }
     let end = source.len();
@@ -288,38 +410,61 @@ mod tests {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
+    /// Every token with its source text.
+    fn spelled(src: &str) -> Vec<(Tok, &str)> {
+        lex(src).unwrap().into_iter().map(|t| (t.tok, t.text(src))).collect()
+    }
+
     #[test]
     fn pattern_tokens() {
         assert_eq!(
-            toks("(a:Person)-[k:knows]->(b)"),
+            spelled("(a:Person)-[k:knows]->(b)"),
             vec![
-                Tok::LParen,
-                Tok::Ident("a".into()),
-                Tok::Colon,
-                Tok::Ident("Person".into()),
-                Tok::RParen,
-                Tok::Dash,
-                Tok::LBrack,
-                Tok::Ident("k".into()),
-                Tok::Colon,
-                Tok::Ident("knows".into()),
-                Tok::RBrack,
-                Tok::Dash,
-                Tok::Gt,
-                Tok::LParen,
-                Tok::Ident("b".into()),
-                Tok::RParen,
-                Tok::Eof,
+                (Tok::LParen, "("),
+                (Tok::Ident, "a"),
+                (Tok::Colon, ":"),
+                (Tok::Ident, "Person"),
+                (Tok::RParen, ")"),
+                (Tok::Dash, "-"),
+                (Tok::LBrack, "["),
+                (Tok::Ident, "k"),
+                (Tok::Colon, ":"),
+                (Tok::Ident, "knows"),
+                (Tok::RBrack, "]"),
+                (Tok::Dash, "-"),
+                (Tok::Gt, ">"),
+                (Tok::LParen, "("),
+                (Tok::Ident, "b"),
+                (Tok::RParen, ")"),
+                (Tok::Eof, ""),
             ]
         );
     }
 
+    /// The span is the payload: slicing the source by each token's span
+    /// gives back exactly the text the token was read from.
+    #[test]
+    fn spans_reproduce_token_text() {
+        let src = "MATCH (a:Person)<-[e_1:knows]-(b)\n  WHERE a.x <= -1_000 AND b.s <> 'it\\'s' \
+                   // note\n  OR b.f >= 3.25 -- trailing\nRETURN count(*), 'Ünï'";
+        let expected = [
+            "MATCH", "(", "a", ":", "Person", ")", "<", "-", "[", "e_1", ":", "knows", "]", "-",
+            "(", "b", ")", "WHERE", "a", ".", "x", "<=", "-", "1_000", "AND", "b", ".", "s", "<>",
+            "'it\\'s'", "OR", "b", ".", "f", ">=", "3.25", "RETURN", "count", "(", "*", ")", ",",
+            "'Ünï'", "",
+        ];
+        let texts: Vec<&str> = lex(src).unwrap().iter().map(|t| t.text(src)).collect();
+        assert_eq!(texts, expected);
+    }
+
     #[test]
     fn numbers_and_underscores() {
-        assert_eq!(
-            toks("1_400_000_000 3.5"),
-            vec![Tok::Int(1_400_000_000), Tok::Float(3.5), Tok::Eof]
-        );
+        let src = "1_400_000_000 3.5 1_0.2_5";
+        let ts = lex(src).unwrap();
+        assert_eq!(toks(src), vec![Tok::Int, Tok::Float, Tok::Float, Tok::Eof]);
+        assert_eq!(int_value(src, ts[0], false).unwrap(), 1_400_000_000);
+        assert_eq!(float_value(src, ts[1]).unwrap(), 3.5);
+        assert_eq!(float_value(src, ts[2]).unwrap(), 10.25);
     }
 
     #[test]
@@ -332,12 +477,20 @@ mod tests {
 
     #[test]
     fn strings_and_escapes() {
-        assert_eq!(toks(r"'a\'b\\c'"), vec![Tok::Str("a'b\\c".into()), Tok::Eof]);
+        let src = r"'a\'b\\c' 'plain' '\n\t\r'";
+        let ts = lex(src).unwrap();
+        assert_eq!(toks(src), vec![Tok::Str, Tok::Str, Tok::Str, Tok::Eof]);
+        assert_eq!(str_value(src, ts[0]), "a'b\\c");
+        assert_eq!(str_value(src, ts[1]), "plain");
+        assert_eq!(str_value(src, ts[2]), "\n\t\r");
     }
 
     #[test]
     fn comments_are_trivia() {
-        assert_eq!(toks("1 // x\n-- y\n2"), vec![Tok::Int(1), Tok::Int(2), Tok::Eof]);
+        assert_eq!(
+            spelled("1 // x\n-- y\n2"),
+            vec![(Tok::Int, "1"), (Tok::Int, "2"), (Tok::Eof, "")]
+        );
     }
 
     #[test]
@@ -351,6 +504,16 @@ mod tests {
     fn integer_overflow_is_reported() {
         let err = lex("99999999999999999999").unwrap_err();
         assert!(err.message.contains("out of range"));
+    }
+
+    #[test]
+    fn only_a_negative_literal_reaches_i64_min() {
+        assert!(lex("-9223372036854775808").is_ok());
+        assert!(lex("- 9_223_372_036_854_775_808").is_ok());
+        assert!(lex("-9223372036854775809").is_err());
+        let err = lex("9223372036854775808").unwrap_err();
+        assert!(err.message.contains("`9223372036854775808` is out of range"), "{}", err.message);
+        assert!(lex("9223372036854775807").is_ok());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::ast::{
     VertexRef,
 };
 use crate::diag::{Diagnostic, Phase, Span};
-use crate::lexer::{lex, Tok, Token};
+use crate::lexer::{float_value, int_value, lex, str_value, Tok, Token};
 
 struct Parser<'a> {
     src: &'a str,
@@ -24,23 +24,32 @@ struct Parser<'a> {
     i: usize,
 }
 
-fn is_kw(tok: &Tok, kw: &str) -> bool {
-    matches!(tok, Tok::Ident(s) if s.eq_ignore_ascii_case(kw))
-}
-
 impl<'a> Parser<'a> {
+    /// The current token. Tokens are `Copy` spans, so a peek never clones
+    /// heap data: the parser reads a token's text from the source only
+    /// where the grammar needs it.
     fn peek(&self) -> Token {
         // `toks` always ends with an Eof token and the cursor never moves
         // past it, so the fallback is unreachable in practice.
         self.toks
             .get(self.i)
-            .cloned()
+            .copied()
             .unwrap_or(Token { tok: Tok::Eof, span: Span::new(self.src.len(), self.src.len()) })
     }
 
     fn peek_tok_at(&self, offset: usize) -> Tok {
         let idx = self.i + offset;
-        self.toks.get(idx).map_or(Tok::Eof, |t| t.tok.clone())
+        self.toks.get(idx).map_or(Tok::Eof, |t| t.tok)
+    }
+
+    /// The source text of `t`.
+    fn text(&self, t: Token) -> &'a str {
+        t.text(self.src)
+    }
+
+    /// Is `t` the (case-insensitive) keyword `kw`?
+    fn is_kw(&self, t: Token, kw: &str) -> bool {
+        t.tok == Tok::Ident && self.text(t).eq_ignore_ascii_case(kw)
     }
 
     fn advance(&mut self) {
@@ -62,7 +71,11 @@ impl<'a> Parser<'a> {
 
     fn err_here(&self, expected: &str) -> Diagnostic {
         let t = self.peek();
-        self.err(t.span, format!("expected {expected}, found {}", t.tok.describe()), None)
+        self.err(t.span, format!("expected {expected}, found {}", self.describe(t)), None)
+    }
+
+    fn describe(&self, t: Token) -> String {
+        t.tok.describe(self.text(t))
     }
 
     fn expect_tok(&mut self, tok: Tok, expected: &str) -> Result<Span, Diagnostic> {
@@ -76,7 +89,7 @@ impl<'a> Parser<'a> {
     }
 
     fn at_kw(&self, kw: &str) -> bool {
-        is_kw(&self.peek().tok, kw)
+        self.is_kw(self.peek(), kw)
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
@@ -90,7 +103,7 @@ impl<'a> Parser<'a> {
 
     fn expect_kw(&mut self, kw: &str) -> Result<Span, Diagnostic> {
         let t = self.peek();
-        if is_kw(&t.tok, kw) {
+        if self.is_kw(t, kw) {
             self.advance();
             Ok(t.span)
         } else {
@@ -101,9 +114,9 @@ impl<'a> Parser<'a> {
     /// A plain identifier (any spelling — keywords are contextual).
     fn expect_ident(&mut self, what: &str) -> Result<Ident, Diagnostic> {
         let t = self.peek();
-        if let Tok::Ident(s) = t.tok {
+        if t.tok == Tok::Ident {
             self.advance();
-            Ok(Ident::new(s, t.span))
+            Ok(Ident::new(self.text(t), t.span))
         } else {
             Err(self.err_here(what))
         }
@@ -127,7 +140,7 @@ impl<'a> Parser<'a> {
     /// `[var:label]` / `[:label]` — the bracketed middle of an edge.
     fn edge_body(&mut self) -> Result<(Option<Ident>, Ident), Diagnostic> {
         self.expect_tok(Tok::LBrack, "`[` to open the edge pattern")?;
-        let var = if matches!(self.peek().tok, Tok::Ident(_)) {
+        let var = if self.peek().tok == Tok::Ident {
             Some(self.expect_ident("an edge variable")?)
         } else {
             None
@@ -175,46 +188,45 @@ impl<'a> Parser<'a> {
     fn literal(&mut self) -> Result<Lit, Diagnostic> {
         let t = self.peek();
         match t.tok {
-            Tok::Int(v) => {
+            Tok::Int => {
                 self.advance();
-                Ok(Lit { kind: LitKind::Int(v), span: t.span })
+                Ok(Lit { kind: LitKind::Int(int_value(self.src, t, false)?), span: t.span })
             }
-            Tok::Float(v) => {
+            Tok::Float => {
                 self.advance();
-                Ok(Lit { kind: LitKind::Float(v), span: t.span })
+                Ok(Lit { kind: LitKind::Float(float_value(self.src, t)?), span: t.span })
             }
-            Tok::Str(s) => {
+            Tok::Str => {
                 self.advance();
-                Ok(Lit { kind: LitKind::Str(s), span: t.span })
+                Ok(Lit { kind: LitKind::Str(str_value(self.src, t)), span: t.span })
             }
+            // The sign and the magnitude are read together, so `-` followed
+            // by the magnitude of `i64::MIN` is that value, not an overflow.
             Tok::Dash => {
                 self.advance();
                 let n = self.bump();
+                let span = t.span.merge(n.span);
                 match n.tok {
-                    Tok::Int(v) => {
-                        Ok(Lit { kind: LitKind::Int(v.wrapping_neg()), span: t.span.merge(n.span) })
-                    }
-                    Tok::Float(v) => {
-                        Ok(Lit { kind: LitKind::Float(-v), span: t.span.merge(n.span) })
+                    Tok::Int => Ok(Lit { kind: LitKind::Int(int_value(self.src, n, true)?), span }),
+                    Tok::Float => {
+                        Ok(Lit { kind: LitKind::Float(-float_value(self.src, n)?), span })
                     }
                     _ => Err(self.err(
-                        t.span.merge(n.span),
-                        format!("expected a number after `-`, found {}", n.tok.describe()),
+                        span,
+                        format!("expected a number after `-`, found {}", self.describe(n)),
                         None,
                     )),
                 }
             }
-            Tok::Ident(ref s) if s.eq_ignore_ascii_case("true") => {
+            _ if self.is_kw(t, "true") => {
                 self.advance();
                 Ok(Lit { kind: LitKind::Bool(true), span: t.span })
             }
-            Tok::Ident(ref s) if s.eq_ignore_ascii_case("false") => {
+            _ if self.is_kw(t, "false") => {
                 self.advance();
                 Ok(Lit { kind: LitKind::Bool(false), span: t.span })
             }
-            Tok::Ident(ref s)
-                if s.eq_ignore_ascii_case("date") && self.peek_tok_at(1) == Tok::LParen =>
-            {
+            _ if self.is_kw(t, "date") && self.peek_tok_at(1) == Tok::LParen => {
                 self.advance();
                 self.advance();
                 let neg = self.peek().tok == Tok::Dash;
@@ -222,12 +234,12 @@ impl<'a> Parser<'a> {
                     self.advance();
                 }
                 let n = self.peek();
-                let Tok::Int(v) = n.tok else {
+                if n.tok != Tok::Int {
                     return Err(self.err_here("an integer timestamp inside date(...)"));
-                };
+                }
                 self.advance();
                 let close = self.expect_tok(Tok::RParen, "`)` to close date(...)")?;
-                let value = if neg { v.wrapping_neg() } else { v };
+                let value = int_value(self.src, n, neg)?;
                 Ok(Lit { kind: LitKind::Date(value), span: t.span.merge(close) })
             }
             _ => Err(self.err_here("a literal (integer, float, 'string', true/false, date(n))")),
@@ -236,7 +248,8 @@ impl<'a> Parser<'a> {
 
     fn operand(&mut self) -> Result<Operand, Diagnostic> {
         let t = self.peek();
-        if let Tok::Ident(ref s) = t.tok {
+        if t.tok == Tok::Ident {
+            let s = self.text(t);
             let reserved = ["true", "false"].iter().any(|k| s.eq_ignore_ascii_case(k));
             let date_call = s.eq_ignore_ascii_case("date") && self.peek_tok_at(1) == Tok::LParen;
             if !reserved && !date_call {
@@ -293,14 +306,14 @@ impl<'a> Parser<'a> {
     fn comparison(&mut self) -> Result<Expr, Diagnostic> {
         let lhs = self.operand()?;
         let t = self.peek();
-        let str_op = if is_kw(&t.tok, "CONTAINS") {
+        let str_op = if self.is_kw(t, "CONTAINS") {
             self.advance();
             Some(StrOp::Contains)
-        } else if is_kw(&t.tok, "STARTS") {
+        } else if self.is_kw(t, "STARTS") {
             self.advance();
             self.expect_kw("WITH")?;
             Some(StrOp::StartsWith)
-        } else if is_kw(&t.tok, "ENDS") {
+        } else if self.is_kw(t, "ENDS") {
             self.advance();
             self.expect_kw("WITH")?;
             Some(StrOp::EndsWith)
@@ -326,7 +339,7 @@ impl<'a> Parser<'a> {
             }
             return Ok(Expr::StrMatch { op, prop, pattern: pat });
         }
-        if is_kw(&t.tok, "IN") {
+        if self.is_kw(t, "IN") {
             self.advance();
             let Operand::Prop(prop) = lhs else {
                 return Err(self.err(
@@ -390,8 +403,8 @@ impl<'a> Parser<'a> {
 
     fn ret_item(&mut self) -> Result<RetItem, Diagnostic> {
         let t = self.peek();
-        if let Tok::Ident(ref s) = t.tok {
-            if let Some(func) = Self::agg_func(s) {
+        if t.tok == Tok::Ident {
+            if let Some(func) = Self::agg_func(self.text(t)) {
                 if self.peek_tok_at(1) == Tok::LParen {
                     self.advance();
                     self.advance();
@@ -465,7 +478,9 @@ impl<'a> Parser<'a> {
         let predicate = if self.eat_kw("WHERE") { Some(self.expr()?) } else { None };
         self.expect_kw("RETURN")?;
         let distinct = self.eat_kw("DISTINCT");
-        let mut ret = vec![self.ret_item()?];
+        // Most RETURN lists fit in four items; a longer one grows once.
+        let mut ret = Vec::with_capacity(4);
+        ret.push(self.ret_item()?);
         while self.peek().tok == Tok::Comma {
             self.advance();
             ret.push(self.ret_item()?);
@@ -481,11 +496,11 @@ impl<'a> Parser<'a> {
             let kw = self.peek().span;
             self.advance();
             let t = self.peek();
-            let Tok::Int(v) = t.tok else {
+            if t.tok != Tok::Int {
                 return Err(self.err_here("a non-negative integer after LIMIT"));
-            };
+            }
             self.advance();
-            Some(Limit { value: v, span: kw.merge(t.span) })
+            Some(Limit { value: int_value(self.src, t, false)?, span: kw.merge(t.span) })
         } else {
             None
         };
@@ -636,6 +651,44 @@ mod tests {
             panic!("expected comparison")
         };
         assert_eq!(l.kind, LitKind::Int(-5));
+    }
+
+    /// The right-hand literal of the only comparison in `q`.
+    fn rhs_lit(q: Query) -> LitKind {
+        let Some(Expr::Cmp { rhs: Operand::Lit(l), .. }) = q.predicate else {
+            panic!("expected a comparison against a literal")
+        };
+        l.kind
+    }
+
+    #[test]
+    fn i64_min_is_a_literal_in_both_positions() {
+        let q = parse("MATCH (a:Person) WHERE a.id = -9223372036854775808 RETURN a.id").unwrap();
+        assert_eq!(rhs_lit(q), LitKind::Int(i64::MIN));
+        let q =
+            parse("MATCH (a:Person) WHERE a.d > date(-9223372036854775808) RETURN a.id").unwrap();
+        assert_eq!(rhs_lit(q), LitKind::Date(i64::MIN));
+        let q = parse("MATCH (a:Person) WHERE a.id = 9223372036854775807 RETURN a.id").unwrap();
+        assert_eq!(rhs_lit(q), LitKind::Int(i64::MAX));
+        // Without the sign the same magnitude is still out of range.
+        for text in [
+            "MATCH (a:Person) WHERE a.id = 9223372036854775808 RETURN a.id",
+            "MATCH (a:Person) WHERE a.d > date(9223372036854775808) RETURN a.id",
+            "MATCH (a:Person) WHERE a.id = -9223372036854775809 RETURN a.id",
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.phase, Phase::Lex, "{text}");
+            assert!(err.message.contains("is out of range"), "{}", err.message);
+        }
+    }
+
+    #[test]
+    fn extreme_literals_print_and_reparse() {
+        for kind in [LitKind::Int(i64::MIN), LitKind::Date(i64::MIN), LitKind::Int(i64::MAX)] {
+            let lit = Lit { kind: kind.clone(), span: Span::ZERO };
+            let q = parse(&format!("MATCH (a:P) WHERE a.x = {lit} RETURN a.x")).unwrap();
+            assert_eq!(rhs_lit(q), kind);
+        }
     }
 
     #[test]

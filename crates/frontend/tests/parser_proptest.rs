@@ -27,14 +27,27 @@ fn ident(pool: &'static [&'static str]) -> impl Strategy<Value = Ident> {
     (0..pool.len()).prop_map(|i| Ident::new(pool[i], Span::ZERO))
 }
 
+/// Integer payloads: a wide range plus the edges of `i64`, where the sign
+/// and the magnitude must be read together (`i64::MIN` has no positive
+/// twin).
+fn int() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -1_000_000_000_000i64..1_000_000_000_000,
+        Just(i64::MIN),
+        Just(i64::MAX),
+        Just(0),
+        Just(-1),
+    ]
+}
+
 fn lit() -> impl Strategy<Value = Lit> {
     let kind = prop_oneof![
-        (-1_000_000_000_000i64..1_000_000_000_000).prop_map(LitKind::Int),
+        int().prop_map(LitKind::Int),
         ((-999i32..1000), (0i32..100))
             .prop_map(|(a, b)| LitKind::Float(f64::from(a) + f64::from(b) / 100.0)),
         (0..STRINGS.len()).prop_map(|i| LitKind::Str(STRINGS[i].to_owned())),
         any::<bool>().prop_map(LitKind::Bool),
-        (-1_000_000_000_000i64..1_000_000_000_000).prop_map(LitKind::Date),
+        int().prop_map(LitKind::Date),
     ];
     kind.prop_map(|kind| Lit { kind, span: Span::ZERO })
 }

@@ -1,0 +1,193 @@
+//! The lookup allocation budget: heap allocations per phase of the nine
+//! short-read templates (`IS01`–`IS07`, `IC07`, `IC08`), counted exactly.
+//!
+//! A lookup executes in microseconds, so what sits in front of execution —
+//! lex, parse, bind, plan, verify, compile — sets its latency, and most of
+//! that cost is allocator traffic. An allocation count is a function of
+//! the text, the catalog and the code alone: it repeats exactly on any
+//! machine, so it is pinned here as a number rather than as a timing.
+//!
+//! The counting allocator counts per thread, so the other tests of this
+//! binary and the parallel test runner do not pollute the counts, and the
+//! engine runs serially whatever `GFCL_THREADS` says. `alloc`,
+//! `alloc_zeroed` and `realloc` each count one.
+//!
+//! Before span-only tokens, borrowed peeks, the apply/undo order search
+//! and the sized compile, the same nine templates on the same graph took:
+//!
+//! ```text
+//! template  parse  bind  plan  run_plan
+//! IS01         82    32    93        57
+//! IS02         91    41   115        59
+//! IS03         61    24    71        63
+//! IS04         40    13    36        30
+//! IS05         56    22    64        38
+//! IS06         86    39   103        50
+//! IS07         91    41   115        63
+//! IC07         76    33    98        94
+//! IC08         91    41   120        29
+//! total       674   286   815       483   (2 258, ~251 per lookup)
+//! ```
+//!
+//! With them the nine take 235 / 238 / 301 / 339 (1 113, ~124 per lookup).
+//! What is left is mostly what the results own: AST identifiers, the
+//! `PatternQuery` and `LogicalPlan` names, result rows, decoded strings and
+//! the header. The ceilings below are those counts plus 10 %; reading
+//! `GFCL_VERIFY` (CI sets it) costs each plan one more. A change that adds
+//! a per-token `String`, clones a search state per candidate or collects a
+//! `Vec` per chunk state fails a number here before any timing run.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use gfcl_core::{Engine, ExecOptions, GfClEngine};
+use gfcl_datagen::SocialParams;
+use gfcl_storage::{ColumnarGraph, StorageConfig};
+use gfcl_workloads::corpus;
+use gfcl_workloads::LdbcParams;
+
+/// `System`, counting allocations on the calling thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: an allocation during thread teardown is simply not counted.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; counting touches a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's contract for `alloc` is passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's contract for `realloc` is passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract for `dealloc` is passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on this thread, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// The templates of the benchmark's `lookup.resident` workload.
+const TEMPLATES: [&str; 9] =
+    ["IS01", "IS02", "IS03", "IS04", "IS05", "IS06", "IS07", "IC07", "IC08"];
+
+const PHASES: [&str; 4] = ["parse", "bind", "plan", "run_plan"];
+
+/// Per-template counts before the allocation work, in `TEMPLATES` order
+/// (see the module docs): no phase may ever be worse than this.
+const PARENT: [[u64; 4]; 9] = [
+    [82, 32, 93, 57],
+    [91, 41, 115, 59],
+    [61, 24, 71, 63],
+    [40, 13, 36, 30],
+    [56, 22, 64, 38],
+    [86, 39, 103, 50],
+    [91, 41, 115, 63],
+    [76, 33, 98, 94],
+    [91, 41, 120, 29],
+];
+
+/// Ceilings on each phase's total over the nine templates: this tree's
+/// counts plus 10 %.
+const CEILING: [u64; 4] = [258, 261, 331, 372];
+
+#[test]
+fn lookups_stay_within_their_allocation_budget() {
+    // The benchmark's graph, with the parameters the counts above were
+    // taken at.
+    let raw = gfcl_datagen::generate_social(SocialParams::scale(8_000));
+    let graph = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
+    let engine = GfClEngine::with_options(graph, ExecOptions::serial());
+    let catalog = engine.catalog();
+    let p = LdbcParams { person_id: 1234, comment_id: 800, ..LdbcParams::for_scale(8_000) };
+    let entries: Vec<_> = corpus::ldbc_corpus(&p)
+        .into_iter()
+        .filter(|e| TEMPLATES.contains(&e.name.as_str()))
+        .collect();
+    assert_eq!(entries.len(), TEMPLATES.len());
+
+    let mut counts = [[0u64; 4]; 9];
+    for (ti, e) in entries.iter().enumerate() {
+        // One warm-up pass, so one-time initialisation is not counted.
+        for pass in 0..2 {
+            // Errors are rendered inside the count: they never happen here.
+            let (parse, ast) = counted(|| gfcl_frontend::parse(&e.text).map_err(|e| e.to_string()));
+            let ast = ast.unwrap_or_else(|err| panic!("{}: {err}", e.name));
+            let (bind, q) =
+                counted(|| gfcl_frontend::bind(&ast, &e.text, catalog).map_err(|e| e.to_string()));
+            let q = q.unwrap_or_else(|err| panic!("{}: {err}", e.name));
+            let (plan, lp) = counted(|| engine.plan(&q));
+            let lp = lp.unwrap_or_else(|err| panic!("{}: {err}", e.name));
+            let (run, out) = counted(|| engine.run_plan(&lp));
+            out.unwrap_or_else(|err| panic!("{}: {err}", e.name));
+            if pass == 1 {
+                counts[ti] = [parse, bind, plan, run];
+            }
+        }
+    }
+
+    println!("template  {:>6}  {:>6}  {:>6}  {:>8}", PHASES[0], PHASES[1], PHASES[2], PHASES[3]);
+    let mut totals = [0u64; 4];
+    for (name, row) in TEMPLATES.iter().zip(&counts) {
+        println!("{name:<8}  {:>6}  {:>6}  {:>6}  {:>8}", row[0], row[1], row[2], row[3]);
+        for (t, c) in totals.iter_mut().zip(row) {
+            *t += c;
+        }
+    }
+    let all: u64 = totals.iter().sum();
+    println!(
+        "total     {:>6}  {:>6}  {:>6}  {:>8}   ({all}, {:.1} per lookup)",
+        totals[0],
+        totals[1],
+        totals[2],
+        totals[3],
+        all as f64 / TEMPLATES.len() as f64
+    );
+
+    for (ti, (row, parent)) in counts.iter().zip(&PARENT).enumerate() {
+        for (pi, (c, p)) in row.iter().zip(parent).enumerate() {
+            assert!(
+                c <= p,
+                "{} {}: {c} allocations, more than the {p} before the allocation work",
+                TEMPLATES[ti],
+                PHASES[pi]
+            );
+        }
+    }
+    for (pi, (t, ceiling)) in totals.iter().zip(&CEILING).enumerate() {
+        assert!(
+            t <= ceiling,
+            "{}: {t} allocations over the nine lookups; the budget is {ceiling}",
+            PHASES[pi]
+        );
+    }
+}
