@@ -13,6 +13,7 @@
 //! | `as-cast` | codec/format files | narrowing `as` casts where `try_from` exists |
 //! | `pub-undocumented` | the facade `src/lib.rs` | top-level `pub` items without a doc comment |
 //! | `env-mutation` | every source *and test* file | `set_var(` / `remove_var(`: tests in one binary share the process environment |
+//! | `ambient-env` | shipped library code under `src/` and `crates/*/src/`, except the config module, `crates/bench/` and binaries | `env::var(` / `env::var_os(` / `env::vars(`: configuration is parsed once, by `gfcl_core::Config` |
 //!
 //! A finding is suppressed by a `// lint: allow(reason)` comment on the
 //! same line or the line above — the annotation *is* the justification and
@@ -65,6 +66,11 @@ pub struct FileClass {
     /// An integration-test file (`tests/`, `crates/*/tests/`): test code
     /// from its first line, so only `env-mutation` applies.
     pub test_file: bool,
+    /// Shipped library code under `src/` and `crates/*/src/`, where an
+    /// environment read is ambient configuration. The one parser
+    /// (`crates/core/src/config.rs`) and the process edges that call it —
+    /// the bench crate and binaries — are not library code.
+    pub library: bool,
 }
 
 /// Files on the query/page hot path (see `ARCHITECTURE.md`).
@@ -122,6 +128,11 @@ pub fn classify(rel_path: &str) -> FileClass {
         facade: rel_path == "src/lib.rs",
         read_path: READ_PATHS.contains(&rel_path),
         test_file: rel_path.starts_with("tests/") || rel_path.contains("/tests/"),
+        library: (rel_path.starts_with("src/") || rel_path.starts_with("crates/"))
+            && rel_path.contains("src/")
+            && !rel_path.contains("src/bin/")
+            && !rel_path.starts_with("crates/bench/")
+            && rel_path != "crates/core/src/config.rs",
     }
 }
 
@@ -259,8 +270,8 @@ pub fn scan_source(rel_path: &str, source: &str, class: FileClass) -> Vec<Findin
                 line: lineno,
                 rule: "env-mutation",
                 msg: "mutating the process environment: tests in one binary run \
-                      concurrently and every `from_env` reader sees the write — drive the \
-                      pure `from_vars` body with an explicit lookup instead"
+                      concurrently and each sees the others' writes — drive `Config::parse` \
+                      with an explicit lookup instead"
                     .into(),
             });
         }
@@ -336,6 +347,16 @@ pub fn scan_source(rel_path: &str, source: &str, class: FileClass) -> Vec<Findin
                             .into(),
                     );
                 }
+            }
+            if class.library
+                && ["env::var(", "env::var_os(", "env::vars("].iter().any(|p| line.contains(p))
+            {
+                emit(
+                    "ambient-env",
+                    "reading the process environment in library code: add the variable to \
+                     `gfcl_core::Config` and take the parsed value as an argument"
+                        .into(),
+                );
             }
             if class.codec {
                 if let Some(t) = narrowing_cast(&line) {
@@ -582,7 +603,7 @@ mod tests {
 
     #[test]
     fn env_mutation_is_flagged_in_shipped_and_test_code() {
-        let test_file = classify("crates/core/tests/pushdown_env.rs");
+        let test_file = classify("crates/core/tests/config.rs");
         assert!(test_file.test_file && classify("tests/engine_smoke.rs").test_file);
         assert!(!classify("crates/core/src/driver.rs").test_file);
         for src in ["std::env::set_var(\"GFCL_THREADS\", \"4\");", "env::remove_var(name);"] {
@@ -602,16 +623,48 @@ mod tests {
     }
 
     #[test]
+    fn ambient_env_is_flagged_in_library_code_only() {
+        let driver = classify("crates/core/src/driver.rs");
+        assert!(driver.library && classify("src/lib.rs").library);
+        for src in [
+            "let t = std::env::var(\"GFCL_THREADS\").ok();",
+            "if env::var_os(name).is_some() {}",
+            "for (k, v) in std::env::vars() {}",
+        ] {
+            assert_eq!(rules(src, driver), vec!["ambient-env"], "{src}");
+            // The one parser, the bench crate and binaries are process
+            // edges; tests, and a test-module tail, read what they like.
+            for edge in [
+                "crates/core/src/config.rs",
+                "crates/bench/src/lib.rs",
+                "crates/workloads/src/bin/crash_writer.rs",
+                "src/bin/tool.rs",
+                "crates/core/tests/config.rs",
+                "tests/engine_smoke.rs",
+            ] {
+                assert!(rules(src, classify(edge)).is_empty(), "{edge}: {src}");
+            }
+            let tail = format!("fn f() {{}}\n#[cfg(test)]\nmod tests {{\n    {src}\n}}\n");
+            assert!(rules(&tail, driver).is_empty(), "{src}");
+        }
+        // Other `env` calls, comments and string literals are not reads.
+        assert!(rules("let d = std::env::temp_dir();", driver).is_empty());
+        assert!(rules("// never call env::var( here", driver).is_empty());
+        assert!(rules("let m = \"env::var(\";", driver).is_empty());
+    }
+
+    #[test]
     fn classify_matches_the_rule_scopes() {
         assert!(classify("crates/core/src/exec.rs").hot_path);
         assert!(classify("crates/core/src/agg.rs").hot_path);
         assert!(classify("crates/columnar/src/paged_array.rs").hot_path);
         assert!(classify("crates/columnar/src/paged_array.rs").codec);
         assert!(classify("crates/storage/src/buffer_pool.rs").hot_path);
-        // The pre-rename names classify as nothing: a stale list entry
-        // would silently stop covering the rewritten code.
+        // The pre-rename names classify as plain library code: a stale list
+        // entry would silently stop covering the rewritten code.
+        let library = FileClass { library: true, ..FileClass::default() };
         for old in ["crates/columnar/src/paged.rs", "crates/storage/src/pager.rs"] {
-            assert_eq!(classify(old), FileClass::default(), "{old}");
+            assert_eq!(classify(old), library, "{old}");
         }
         assert!(classify("crates/common/src/codec.rs").codec);
         assert!(classify("crates/frontend/src/lexer.rs").hot_path);
@@ -626,7 +679,7 @@ mod tests {
         assert!(classify("crates/storage/src/buffer_pool.rs").read_path);
         assert!(!classify("crates/storage/src/format.rs").read_path);
         assert!(classify("src/lib.rs").facade);
-        assert_eq!(classify("crates/core/src/plan.rs"), FileClass::default());
+        assert_eq!(classify("crates/core/src/plan.rs"), library);
         assert!(classify("crates/workloads/tests/chaos.rs").test_file);
     }
 }

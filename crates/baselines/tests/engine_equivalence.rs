@@ -7,16 +7,19 @@ use std::sync::Arc;
 
 use gfcl_baselines::{GfCvEngine, GfRvEngine, RelEngine};
 use gfcl_core::query::{col, contains, eq, ge, gt, lit, lt, starts_with, PatternQuery};
-use gfcl_core::{Engine, GfClEngine};
+use gfcl_core::{Config, Engine, GfClEngine};
 use gfcl_datagen::{MovieParams, PowerLawParams, SocialParams};
 use gfcl_storage::{ColumnarGraph, EdgePropLayout, RawGraph, RowGraph, StorageConfig};
 
-/// All four engines over one raw graph.
+/// All four engines over one raw graph, GF-CL under the process
+/// configuration (CI's `parallel` job runs this binary with
+/// `GFCL_THREADS=4`).
 fn engines(raw: &RawGraph, cfg: StorageConfig) -> Vec<Box<dyn Engine>> {
     let col_graph = Arc::new(ColumnarGraph::build(raw, cfg).unwrap());
     let row_graph = Arc::new(RowGraph::build(raw).unwrap());
+    let exec = Config::from_env().expect("GFCL_* configuration").exec;
     vec![
-        Box::new(GfClEngine::new(col_graph.clone())),
+        Box::new(GfClEngine::with_options(col_graph.clone(), exec)),
         Box::new(GfCvEngine::new(col_graph.clone())),
         Box::new(GfRvEngine::new(row_graph)),
         Box::new(RelEngine::new(col_graph)),

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use gfcl_baselines::{GfCvEngine, GfRvEngine, RelEngine};
 use gfcl_common::DataType;
 use gfcl_core::query::{col, ge, gt, le, lit, lt, PatternQuery, QueryBuilder};
-use gfcl_core::{Engine, GfClEngine};
+use gfcl_core::{Config, Engine, GfClEngine};
 use gfcl_storage::{
     Cardinality, Catalog, ColumnarGraph, EdgePropLayout, PropertyDef, RawGraph, RowGraph,
     StorageConfig,
@@ -193,10 +193,12 @@ proptest! {
     fn engines_agree_on_random_graphs(g in graph_strategy(), t1 in -20i64..20, t2 in -20i64..20) {
         let raw = to_raw(&g);
         let row = Arc::new(RowGraph::build(&raw).unwrap());
+        // CI's `parallel` job runs this binary with `GFCL_THREADS=4`.
+        let exec = Config::from_env().expect("GFCL_* configuration").exec;
         for cfg in configs() {
             let colg = Arc::new(ColumnarGraph::build(&raw, cfg).unwrap());
             let engines: Vec<Box<dyn Engine>> = vec![
-                Box::new(GfClEngine::new(colg.clone())),
+                Box::new(GfClEngine::with_options(colg.clone(), exec)),
                 Box::new(GfCvEngine::new(colg.clone())),
                 Box::new(GfRvEngine::new(row.clone())),
                 Box::new(RelEngine::new(colg)),

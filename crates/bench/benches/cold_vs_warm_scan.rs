@@ -18,9 +18,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gfcl_bench::{banner, expect_count, fmt_factor, fmt_ms, record, time_query, TextTable};
+use gfcl_bench::{banner, expect_count, fmt_factor, fmt_ms, gfcl, record, time_query, TextTable};
 use gfcl_core::query::{col, ge, lit, PatternQuery};
-use gfcl_core::{Engine, GfClEngine};
+use gfcl_core::Engine;
 use gfcl_datagen::PowerLawParams;
 use gfcl_storage::{ColumnarGraph, StorageConfig};
 
@@ -58,17 +58,21 @@ fn main() {
     let q = scan_ge(lo);
 
     // (a) All-resident baseline.
-    let resident_engine = GfClEngine::new(Arc::clone(&built));
+    let resident_engine = gfcl(Arc::clone(&built));
     let (t_resident, card) = time_query(&resident_engine, &q);
     record("cold_vs_warm_scan/selective/resident", t_resident);
 
     // (b) Cold: a fresh open per run — the pool starts empty and every
     // page the scan cannot prune faults from disk. Median of 5 runs.
-    let reopen = || Arc::new(ColumnarGraph::open(&path, StorageConfig::default()).unwrap());
+    let mut storage = StorageConfig::default();
+    if let Some(pages) = gfcl_bench::config().buffer_pool_pages {
+        storage.buffer_pool_pages = pages;
+    }
+    let reopen = || Arc::new(ColumnarGraph::open(&path, storage).unwrap());
     let mut cold_times: Vec<f64> = (0..5)
         .map(|_| {
             let g = reopen();
-            let engine = GfClEngine::new(Arc::clone(&g));
+            let engine = gfcl(Arc::clone(&g));
             let t0 = Instant::now();
             let out = engine.execute(&q).expect("cold scan must run");
             let dt = t0.elapsed().as_secs_f64();
@@ -83,7 +87,7 @@ fn main() {
     // The skip-rate invariant, measured on one dedicated cold run so the
     // counters cover exactly one execution.
     let g = reopen();
-    let engine = GfClEngine::new(Arc::clone(&g));
+    let engine = gfcl(Arc::clone(&g));
     engine.execute(&q).unwrap();
     let stats = g.buffer_pool().unwrap().stats();
     let page_skip_rate =
@@ -96,7 +100,7 @@ fn main() {
 
     // (c) Warm: same reopened graph, pool already holds every surviving
     // page — pins are hits, no I/O.
-    let warm_engine = GfClEngine::new(Arc::clone(&g));
+    let warm_engine = gfcl(Arc::clone(&g));
     let (t_warm, card_warm) = time_query(&warm_engine, &q);
     assert_eq!(card_warm, card, "warm run changed the count");
     record("cold_vs_warm_scan/selective/warm", t_warm);

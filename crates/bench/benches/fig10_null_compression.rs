@@ -15,11 +15,10 @@
 
 use std::sync::Arc;
 
-use gfcl_bench::{banner, fmt_ms, time_query, TextTable};
+use gfcl_bench::{banner, fmt_ms, gfcl, time_query, TextTable};
 use gfcl_columnar::NullKind;
 use gfcl_common::{human_bytes, MemoryUsage};
 use gfcl_core::query::PatternQuery;
-use gfcl_core::GfClEngine;
 use gfcl_storage::{ColumnarGraph, StorageConfig};
 
 fn creation_date_query() -> PatternQuery {
@@ -67,7 +66,7 @@ fn main() {
                 StorageConfig { null_compress: true, null_kind: *kind, ..StorageConfig::default() };
             let g = ColumnarGraph::build(&raw, cfg).unwrap();
             col_bytes.push(g.vertex_prop(comment, date_prop).memory_bytes());
-            let engine = GfClEngine::new(Arc::new(g));
+            let engine = gfcl(Arc::new(g));
             let (secs, _) = time_query(&engine, &creation_date_query());
             ms.push(secs);
         }

@@ -8,8 +8,7 @@
 
 use std::sync::Arc;
 
-use gfcl_bench::{banner, fmt_ms, time_query, TextTable};
-use gfcl_core::GfClEngine;
+use gfcl_bench::{banner, fmt_ms, gfcl, time_query, TextTable};
 use gfcl_storage::{ColumnarGraph, EdgePropLayout, RawGraph, StorageConfig};
 use gfcl_workloads::{khop, KhopMode};
 
@@ -66,7 +65,7 @@ fn main() {
                 edge_prop_layout: EdgePropLayout::Pages { k },
                 ..StorageConfig::default()
             };
-            let engine = GfClEngine::new(Arc::new(ColumnarGraph::build(&d.raw, cfg).unwrap()));
+            let engine = gfcl(Arc::new(ColumnarGraph::build(&d.raw, cfg).unwrap()));
             let t1 = time_query(
                 &engine,
                 &khop(d.node, d.edge, d.prop, 1, KhopMode::Chain(d.threshold), false),
@@ -84,7 +83,7 @@ fn main() {
             edge_prop_layout: EdgePropLayout::EdgeColumns,
             ..StorageConfig::default()
         };
-        let engine = GfClEngine::new(Arc::new(ColumnarGraph::build(&d.raw, cfg).unwrap()));
+        let engine = gfcl(Arc::new(ColumnarGraph::build(&d.raw, cfg).unwrap()));
         let t1 = time_query(
             &engine,
             &khop(d.node, d.edge, d.prop, 1, KhopMode::Chain(d.threshold), false),

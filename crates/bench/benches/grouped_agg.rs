@@ -14,9 +14,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gfcl_bench::{banner, fmt_factor, fmt_ms, record, time_plan, TextTable};
+use gfcl_bench::{banner, fmt_factor, fmt_ms, gfcl, record, time_plan, TextTable};
 use gfcl_core::query::{Agg, PatternQuery, SortDir};
-use gfcl_core::{Engine, GfClEngine, QueryOutput};
+use gfcl_core::{Engine, QueryOutput};
 use gfcl_storage::{ColumnarGraph, StorageConfig};
 
 /// k-hop chain over LINK, grouped by the start vertex: COUNT(*) per group.
@@ -51,7 +51,7 @@ fn main() {
 
     let raw = gfcl_bench::flickr(8_000);
     let graph = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
-    let engine = GfClEngine::new(graph);
+    let engine = gfcl(graph);
 
     let mut table = TextTable::new(vec![
         "query",

@@ -19,9 +19,9 @@
 
 use std::sync::Arc;
 
-use gfcl_bench::{banner, fmt_factor, fmt_ms, time_plan, TextTable};
+use gfcl_bench::{banner, fmt_factor, fmt_ms, gfcl, time_plan, TextTable};
 use gfcl_core::query::{col, eq, lit, lt, PatternQuery, QueryBuilder};
-use gfcl_core::{Engine, GfClEngine};
+use gfcl_core::Engine;
 use gfcl_storage::{ColumnarGraph, StorageConfig};
 
 /// k-hop LINK chain with a predicate on the far endpoint's `id`.
@@ -66,7 +66,7 @@ fn main() {
     let raw = gfcl_bench::flickr(8_000);
     let n = raw.vertex_count(0) as i64;
     let graph = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
-    let engine = GfClEngine::new(graph);
+    let engine = gfcl(graph);
 
     let queries: Vec<(String, PatternQuery)> = vec![
         (format!("2-hop, far id < {}", n / 50), far_end_query(2, FarPred::IdBelow(n / 50))),

@@ -17,10 +17,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gfcl_bench::{banner, fmt_factor, fmt_ms, quick, record, time_plan, TextTable};
+use gfcl_bench::{banner, fmt_factor, fmt_ms, gfcl, quick, record, time_plan, TextTable};
 use gfcl_core::plan::{plan_with, PlanOptions};
 use gfcl_core::query::{col, ge, gt, lit, PatternQuery};
-use gfcl_core::GfClEngine;
 use gfcl_datagen::PowerLawParams;
 use gfcl_storage::{ColumnarGraph, RawGraph, StorageConfig};
 
@@ -88,7 +87,7 @@ fn main() {
     );
 
     let graph = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
-    let engine = GfClEngine::new(graph.clone());
+    let engine = gfcl(graph.clone());
     let catalog = graph.catalog().clone();
 
     let n_i = n as i64;

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use gfcl_bench::{assert_same_count, banner, fmt_factor, fmt_ms, time_query, TextTable};
+use gfcl_bench::{assert_same_count, banner, fmt_factor, fmt_ms, gfcl, time_query, TextTable};
 use gfcl_core::GfClEngine;
 use gfcl_storage::{ColumnarGraph, EdgePropLayout, RawGraph, StorageConfig};
 use gfcl_workloads::khop::{khop, KhopMode};
@@ -33,8 +33,8 @@ fn engines(raw: &RawGraph) -> (GfClEngine, GfClEngine) {
     let cols =
         StorageConfig { edge_prop_layout: EdgePropLayout::EdgeColumns, ..StorageConfig::default() };
     (
-        GfClEngine::new(Arc::new(ColumnarGraph::build(raw, pages).unwrap())),
-        GfClEngine::new(Arc::new(ColumnarGraph::build(raw, cols).unwrap())),
+        gfcl(Arc::new(ColumnarGraph::build(raw, pages).unwrap())),
+        gfcl(Arc::new(ColumnarGraph::build(raw, cols).unwrap())),
     )
 }
 

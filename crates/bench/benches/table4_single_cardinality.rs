@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use gfcl_bench::{assert_same_count, banner, fmt_ms, time_query, TextTable};
+use gfcl_bench::{assert_same_count, banner, fmt_ms, gfcl, time_query, TextTable};
 use gfcl_common::human_bytes;
 use gfcl_core::{Engine, GfClEngine};
 use gfcl_storage::{ColumnarGraph, RawGraph, StorageConfig};
@@ -21,7 +21,7 @@ fn build(raw: &RawGraph, vcols: bool, null_compress: bool) -> (GfClEngine, usize
     let g = ColumnarGraph::build(raw, cfg).unwrap();
     let label = g.catalog().edge_label_id("replyOfComment").unwrap();
     let (fwd, bwd, props) = g.edge_label_memory(label);
-    (GfClEngine::new(Arc::new(g)), fwd + bwd + props)
+    (gfcl(Arc::new(g)), fwd + bwd + props)
 }
 
 fn main() {

@@ -10,8 +10,7 @@
 use std::sync::Arc;
 
 use gfcl_baselines::GfCvEngine;
-use gfcl_bench::{assert_same_count, banner, fmt_factor, fmt_ms, time_query, TextTable};
-use gfcl_core::GfClEngine;
+use gfcl_bench::{assert_same_count, banner, fmt_factor, fmt_ms, gfcl, time_query, TextTable};
 use gfcl_storage::{ColumnarGraph, RawGraph, StorageConfig};
 use gfcl_workloads::{khop, KhopMode};
 
@@ -67,7 +66,7 @@ fn main() {
 
     for d in &datasets {
         let graph = Arc::new(ColumnarGraph::build(&d.raw, StorageConfig::default()).unwrap());
-        let cl = GfClEngine::new(graph.clone());
+        let cl = gfcl(graph.clone());
         let cv = GfCvEngine::new(graph);
         for (mode_name, mode) in
             [("FILTER", KhopMode::LastEdgeGt(d.threshold)), ("COUNT(*)", KhopMode::CountStar)]

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use gfcl_baselines::{GfCvEngine, GfRvEngine, RelEngine};
-use gfcl_bench::{banner, fmt_ms, time_query, TextTable};
+use gfcl_bench::{banner, fmt_ms, gfcl, time_query, TextTable};
 use gfcl_core::{Engine, PatternQuery};
 use gfcl_storage::{ColumnarGraph, RawGraph, RowGraph, StorageConfig};
 use gfcl_workloads::job;
@@ -35,7 +35,7 @@ fn engines(raw: &RawGraph) -> Vec<Box<dyn Engine>> {
 // Thin wrapper so the GF-CL constructor reads uniformly above.
 #[allow(non_snake_case)]
 fn GfClEngine(g: Arc<ColumnarGraph>) -> gfcl_core::GfClEngine {
-    gfcl_core::GfClEngine::new(g)
+    gfcl(g)
 }
 
 /// Run one suite; returns per-query relative slowdowns vs GF-RV keyed by

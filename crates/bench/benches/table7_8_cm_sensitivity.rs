@@ -9,11 +9,10 @@
 
 use std::sync::Arc;
 
-use gfcl_bench::{banner, fmt_ms, time_query, TextTable};
+use gfcl_bench::{banner, fmt_ms, gfcl, time_query, TextTable};
 use gfcl_columnar::{NullKind, RankParams};
 use gfcl_common::human_bytes;
 use gfcl_core::query::PatternQuery;
-use gfcl_core::GfClEngine;
 use gfcl_storage::{ColumnarGraph, StorageConfig};
 
 fn creation_date_query() -> PatternQuery {
@@ -54,7 +53,7 @@ fn main() {
                 null_kind: NullKind::Jacobson(params),
                 ..StorageConfig::default()
             };
-            let engine = GfClEngine::new(Arc::new(ColumnarGraph::build(&raw, cfg).unwrap()));
+            let engine = gfcl(Arc::new(ColumnarGraph::build(&raw, cfg).unwrap()));
             let (secs, _) = time_query(&engine, &creation_date_query());
             row.push(fmt_ms(secs));
         }

@@ -16,10 +16,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gfcl_bench::{banner, fmt_ms, quick, record, time_plan, TextTable};
+use gfcl_bench::{banner, fmt_ms, gfcl, quick, record, time_plan, TextTable};
 use gfcl_core::plan::{plan_with, PlanOptions};
 use gfcl_core::query::PatternQuery;
-use gfcl_core::GfClEngine;
 use gfcl_datagen::SocialParams;
 use gfcl_storage::{Catalog, ColumnarGraph, StorageConfig};
 use gfcl_workloads::grouped;
@@ -55,7 +54,7 @@ fn main() {
     let persons = ((8_000f64 * gfcl_bench::scale()) as usize).max(400);
     let raw = gfcl_datagen::generate_social(SocialParams::scale(persons));
     let graph = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
-    let engine = GfClEngine::new(graph.clone());
+    let engine = gfcl(graph.clone());
     let catalog = graph.catalog().clone();
 
     let params = LdbcParams::for_scale(persons);

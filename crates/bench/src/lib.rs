@@ -14,12 +14,25 @@
 //! Set `GFCL_SCALE` (float, default 1.0) to grow or shrink every dataset.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use gfcl_core::{Engine, LogicalPlan, QueryOutput};
+use gfcl_core::plan::plan_with;
+use gfcl_core::{Config, Engine, GfClEngine, LogicalPlan, QueryOutput};
 use gfcl_datagen::{MovieParams, PowerLawParams, SocialParams};
-use gfcl_storage::RawGraph;
+use gfcl_storage::{ColumnarGraph, RawGraph};
+
+/// The engine's `GFCL_*` variables, parsed once per bench binary: [`gfcl`]
+/// runs at its `exec`, [`time_query`] plans under its `plan`.
+pub fn config() -> &'static Config {
+    static CONFIG: OnceLock<Config> = OnceLock::new();
+    CONFIG.get_or_init(|| Config::from_env().unwrap_or_else(|e| panic!("{e}")))
+}
+
+/// GF-CL over `graph` at the configured execution options.
+pub fn gfcl(graph: Arc<ColumnarGraph>) -> GfClEngine {
+    GfClEngine::with_options(graph, config().exec)
+}
 
 /// Global dataset scale multiplier from `GFCL_SCALE`.
 pub fn scale() -> f64 {
@@ -140,9 +153,9 @@ pub fn time_plan(engine: &dyn Engine, plan: &LogicalPlan) -> (f64, u64) {
     (avg, card)
 }
 
-/// Plan + measure.
+/// Plan (under the configured [`gfcl_core::PlanOptions`]) + measure.
 pub fn time_query(engine: &dyn Engine, q: &gfcl_core::PatternQuery) -> (f64, u64) {
-    let plan = engine.plan(q).expect("query must plan");
+    let plan = plan_with(q, engine.catalog(), &config().plan).expect("query must plan");
     time_plan(engine, &plan)
 }
 

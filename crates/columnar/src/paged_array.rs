@@ -31,8 +31,8 @@ use std::sync::{Arc, OnceLock};
 use gfcl_common::{MemoryUsage, Reader, Result, Writer};
 
 /// On-disk page size. 64 KiB amortizes fault overhead over ~8K adjacency
-/// entries while keeping a 4 MB debugging pool (`GFCL_BUFFER_MB=4`) at a
-/// useful 64 frames.
+/// entries while keeping a starved 4 MiB pool, the size the persistence
+/// suite is run at, at a useful 64 frames.
 pub const PAGE_SIZE: usize = 65536;
 
 /// A source of pinned pages — implemented by the buffer pool in

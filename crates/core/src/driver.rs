@@ -48,29 +48,24 @@ use crate::plan::{LogicalPlan, PlanReturn};
 pub struct ExecOptions {
     /// Number of worker pipelines. `1` (the default) runs the historical
     /// serial path on the calling thread; `n > 1` spawns `n` scoped
-    /// workers that partition the scan morsel-by-morsel. Validated at
-    /// execution time: `0` (the sentinel [`ExecOptions::from_env`] stores
-    /// for garbage `GFCL_THREADS` input) is an
-    /// [`Error::Plan`](gfcl_common::Error::Plan) naming the variable.
+    /// workers that partition the scan morsel-by-morsel. Must be positive:
+    /// a caller-built `0` fails every query with an
+    /// [`Error::Plan`](gfcl_common::Error::Plan) naming the field.
     pub threads: usize,
     /// Scan morsel size: how many vertices each pipeline claims per pull.
     /// [`SCAN_MORSEL`] (1024) by default — equal to the zone-map block, so
     /// one pruned block skips exactly one morsel; tune the two geometries
-    /// together via `GFCL_MORSEL`. Validated at execution time: `0` (the
-    /// sentinel [`ExecOptions::from_env`] stores for garbage input) is an
-    /// [`Error::Plan`](gfcl_common::Error::Plan).
+    /// together. Must be positive, like `threads`.
     pub morsel_size: usize,
-    /// Wall-clock budget in milliseconds (`GFCL_TIME_LIMIT_MS`); `None`
-    /// is unlimited. Checked at morsel boundaries, so an over-budget
-    /// query fails with
+    /// Wall-clock budget in milliseconds; `None` is unlimited. Checked at
+    /// morsel boundaries, so an over-budget query fails with
     /// [`Error::Canceled`](gfcl_common::Error::Canceled) within one
-    /// morsel of the limit. `Some(0)` is the invalid-input sentinel,
-    /// rejected at execution time.
+    /// morsel of the limit. `Some(0)` is rejected like a zero `threads`.
     pub time_limit_ms: Option<u64>,
-    /// Tracked-operator-memory budget in bytes (`GFCL_MEM_LIMIT_MB`,
-    /// converted); `None` is unlimited. Covers the allocating sinks —
-    /// group tables, top-k buffers, distinct sets, result rows — summed
-    /// across workers. `Some(0)` is the invalid-input sentinel.
+    /// Tracked-operator-memory budget in bytes; `None` is unlimited.
+    /// Covers the allocating sinks — group tables, top-k buffers, distinct
+    /// sets, result rows — summed across workers. `Some(0)` is rejected
+    /// like a zero `threads`.
     pub mem_limit_bytes: Option<u64>,
 }
 
@@ -111,60 +106,17 @@ impl ExecOptions {
         ExecOptions { mem_limit_bytes: Some(bytes), ..self }
     }
 
-    /// Read the worker count from `GFCL_THREADS`, the scan morsel size
-    /// from `GFCL_MORSEL`, and the query budgets from
-    /// `GFCL_TIME_LIMIT_MS` / `GFCL_MEM_LIMIT_MB` (unset or empty ⇒ the
-    /// default for each). This is how CI drives the whole test suite
-    /// through the parallel path without touching call sites.
-    ///
-    /// A set-but-invalid value (unparsable, or zero where a positive
-    /// integer is required) is *not* silently defaulted: it is recorded
-    /// as that option's invalid sentinel (`0` for `threads` and
-    /// `morsel_size`, `Some(0)` for the budgets), which every execution
-    /// rejects with a plan error naming the variable — a typo in a tuning
-    /// or budget knob must not quietly change what was measured or
-    /// enforced.
-    pub fn from_env() -> ExecOptions {
-        ExecOptions::from_vars(|name| std::env::var(name).ok())
-    }
-
-    /// [`ExecOptions::from_env`] over an explicit variable lookup — the
-    /// pure body, testable without touching the process environment.
-    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> ExecOptions {
-        // Unset/empty → None; set → Some(parsed positive) or Some(0).
-        let positive = |name: &str| -> Option<u64> {
-            let s = var(name).filter(|s| !s.trim().is_empty())?;
-            Some(s.trim().parse::<u64>().ok().filter(|&v| v > 0).unwrap_or(0))
-        };
-        let threads = positive("GFCL_THREADS").unwrap_or(1) as usize;
-        let morsel_size = positive("GFCL_MORSEL").unwrap_or(SCAN_MORSEL as u64) as usize;
-        let time_limit_ms = positive("GFCL_TIME_LIMIT_MS");
-        let mem_limit_bytes =
-            positive("GFCL_MEM_LIMIT_MB").map(|mb| mb.saturating_mul(1024 * 1024));
-        ExecOptions { threads, morsel_size, time_limit_ms, mem_limit_bytes }
-    }
-
-    /// Reject the invalid-input sentinels [`ExecOptions::from_env`]
-    /// records, naming the environment variable that produced each.
+    /// Reject the zero values a caller can build but no query can run
+    /// under, naming the field.
     fn validate(&self) -> Result<()> {
-        let bad = |what: &str| {
-            Err(gfcl_common::Error::Plan(format!(
-                "{what} must be a positive integer (check ExecOptions / the environment)"
-            )))
+        let zero = match self {
+            ExecOptions { threads: 0, .. } => "threads",
+            ExecOptions { morsel_size: 0, .. } => "morsel_size",
+            ExecOptions { time_limit_ms: Some(0), .. } => "time_limit_ms",
+            ExecOptions { mem_limit_bytes: Some(0), .. } => "mem_limit_bytes",
+            _ => return Ok(()),
         };
-        if self.threads == 0 {
-            return bad("worker count (GFCL_THREADS)");
-        }
-        if self.morsel_size == 0 {
-            return bad("scan morsel size (GFCL_MORSEL)");
-        }
-        if self.time_limit_ms == Some(0) {
-            return bad("time limit (GFCL_TIME_LIMIT_MS)");
-        }
-        if self.mem_limit_bytes == Some(0) {
-            return bad("memory limit (GFCL_MEM_LIMIT_MB)");
-        }
-        Ok(())
+        Err(gfcl_common::Error::Plan(format!("ExecOptions::{zero} must be positive, got 0")))
     }
 
     /// The declarative budget slice of these options.

@@ -147,11 +147,10 @@ pub struct GfClEngine {
 }
 
 impl GfClEngine {
-    /// Engine with options from the environment ([`ExecOptions::from_env`]:
-    /// `GFCL_THREADS` workers, serial when unset — the paper's
-    /// configuration and bit-identical to the historical executor).
+    /// Engine with [`ExecOptions::default`]: serial — the paper's
+    /// configuration and bit-identical to the historical executor.
     pub fn new(graph: Arc<ColumnarGraph>) -> Self {
-        GfClEngine::with_options(graph, ExecOptions::from_env())
+        GfClEngine::with_options(graph, ExecOptions::default())
     }
 
     /// Engine with explicit execution options.
@@ -161,9 +160,10 @@ impl GfClEngine {
 
     /// Engine over one MVCC snapshot of a mutable [`gfcl_storage::GraphStore`]:
     /// queries observe `(baseline ⊎ delta) ∖ tombstones` as of the
-    /// snapshot's epoch, isolated from concurrent writers.
+    /// snapshot's epoch, isolated from concurrent writers. Serial, like
+    /// [`GfClEngine::new`].
     pub fn with_snapshot(snapshot: &GraphSnapshot) -> Self {
-        GfClEngine::with_snapshot_options(snapshot, ExecOptions::from_env())
+        GfClEngine::with_snapshot_options(snapshot, ExecOptions::default())
     }
 
     /// [`GfClEngine::with_snapshot`] with explicit execution options.

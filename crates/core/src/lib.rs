@@ -25,10 +25,13 @@
 //! * [`engine`] — the [`Engine`] trait and [`GfClEngine`];
 //! * [`verify`] — the structural plan verifier: every plan is checked as a
 //!   dataflow typecheck (def-before-use, schema/type flow, unflat-span,
-//!   pushdown eligibility, bookkeeping) before any engine compiles it.
+//!   pushdown eligibility, bookkeeping) before any engine compiles it;
+//! * [`config`] — [`Config`], the one parser of the `GFCL_*` variables,
+//!   called once at a process edge.
 
 pub mod agg;
 pub mod chunk;
+pub mod config;
 pub mod driver;
 pub mod engine;
 pub mod exec;
@@ -39,6 +42,7 @@ pub mod pred;
 pub mod query;
 pub mod verify;
 
+pub use config::Config;
 pub use driver::ExecOptions;
 pub use engine::{Engine, GfClEngine, QueryOutput};
 pub use govern::{CancelReason, CancelToken, QueryBudget, QueryGovernor};

@@ -229,12 +229,11 @@ pub struct PlanOptions {
     /// Push eligible scan-node filter conjuncts into the scan step
     /// (`PlanStep::ScanAll::pushed`), enabling zone-map block skipping and
     /// selection-aware property reads. On by default; `GFCL_NO_PUSHDOWN`
-    /// is the environment escape hatch.
+    /// turns it off in a [`Config`](crate::Config).
     pub pushdown: bool,
     /// Run the structural plan verifier ([`crate::verify`]) on the finished
-    /// plan before returning it. On by default; `GFCL_NO_VERIFY` is the
-    /// environment escape hatch, and `GFCL_VERIFY=strict` overrides the
-    /// escape hatch (CI exports it so every suite plans with verification).
+    /// plan before returning it. On by default; `GFCL_NO_VERIFY` turns it
+    /// off in a [`Config`](crate::Config).
     pub verify: bool,
 }
 
@@ -245,39 +244,22 @@ impl Default for PlanOptions {
 }
 
 impl PlanOptions {
-    /// Options from the environment: `GFCL_NO_PUSHDOWN` set to anything
-    /// but empty/`0` disables filter pushdown (the escape hatch used by
-    /// the pushdown-equivalence suites and for triaging pruning bugs);
-    /// `GFCL_NO_VERIFY` likewise disables plan verification, unless
-    /// `GFCL_VERIFY=strict` forces it back on.
-    pub fn from_env() -> PlanOptions {
-        PlanOptions::from_vars(|name| std::env::var(name).ok())
-    }
-
-    /// [`PlanOptions::from_env`] over an explicit variable lookup — the
-    /// pure body, testable without touching the process environment.
-    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> PlanOptions {
-        let set = |name: &str| var(name).is_some_and(|v| !v.trim().is_empty() && v.trim() != "0");
-        let strict = var("GFCL_VERIFY").is_some_and(|v| v.trim() == "strict");
-        PlanOptions { pushdown: !set("GFCL_NO_PUSHDOWN"), verify: strict || !set("GFCL_NO_VERIFY") }
-    }
-
     /// Planning with filter pushdown disabled (every predicate stays a
     /// `Filter` step).
     pub fn no_pushdown() -> PlanOptions {
         PlanOptions { pushdown: false, ..PlanOptions::default() }
     }
 
-    /// Planning with the structural verifier disabled — the programmatic
-    /// form of `GFCL_NO_VERIFY`, used by the verifier-overhead bench.
+    /// Planning with the structural verifier disabled, as `GFCL_NO_VERIFY`
+    /// parses to; used by the verifier-overhead bench.
     pub fn no_verify() -> PlanOptions {
         PlanOptions { verify: false, ..PlanOptions::default() }
     }
 }
 
-/// Plan `query` against `catalog` (options from the environment).
+/// Plan `query` against `catalog` under [`PlanOptions::default`].
 pub fn plan(query: &PatternQuery, catalog: &Catalog) -> Result<LogicalPlan> {
-    plan_with(query, catalog, &PlanOptions::from_env())
+    plan_with(query, catalog, &PlanOptions::default())
 }
 
 /// Plan `query` against `catalog` under explicit [`PlanOptions`].

@@ -10,11 +10,11 @@
 //! engine compiles it.
 //!
 //! [`verify_plan`] runs from [`crate::plan::plan_with`] on every plan by
-//! default (`GFCL_NO_VERIFY` is the escape hatch, `GFCL_VERIFY=strict`
-//! overrides the escape hatch — CI exports it) and again from the EXPLAIN
-//! renderer, which prints the `verified: N invariants` line. Violations are
-//! [`Error::Plan`] values naming the violated rule, the offending step and
-//! the variable or slot involved, e.g.
+//! default (`GFCL_NO_VERIFY`, through a [`Config`](crate::Config), is the
+//! escape hatch; [`crate::plan::plan`] never takes it) and again from the
+//! EXPLAIN renderer, which prints the `verified: N invariants` line.
+//! Violations are [`Error::Plan`] values naming the violated rule, the
+//! offending step and the variable or slot involved, e.g.
 //!
 //! ```text
 //! plan verifier: [def-before-use] step 4 (FILTER): slot $2 (b.age) is

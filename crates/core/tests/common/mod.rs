@@ -1,0 +1,49 @@
+//! Variable tables for the [`Config::parse`] suites (`config.rs`,
+//! `env_knobs.rs`): every case drives the parser through an explicit
+//! lookup, so no test reads or mutates the process environment.
+
+use gfcl_common::{Error, Result};
+use gfcl_core::Config;
+
+/// Every production variable `Config::parse` reads.
+pub const VARS: [&str; 12] = [
+    "GFCL_THREADS",
+    "GFCL_MORSEL",
+    "GFCL_TIME_LIMIT_MS",
+    "GFCL_MEM_LIMIT_MB",
+    "GFCL_NO_PUSHDOWN",
+    "GFCL_NO_VERIFY",
+    "GFCL_BUFFER_MB",
+    "GFCL_FAULT_SEED",
+    "GFCL_FAULT_TRANSIENT_PPM",
+    "GFCL_FAULT_PERMANENT_PPM",
+    "GFCL_FAULT_FLIP_PPM",
+    "GFCL_FAULT_STICKY_FLIP_PPM",
+];
+
+/// `Config::parse` over a fixed table of set variables.
+pub fn parse(table: &[(&str, &str)]) -> Result<Config> {
+    Config::parse(|name| table.iter().find(|(k, _)| *k == name).map(|(_, v)| (*v).to_owned()))
+}
+
+/// `name` set to each of `values` alone is rejected, naming `name`.
+pub fn assert_rejected(name: &str, values: &[&str]) {
+    for v in values {
+        match parse(&[(name, v)]) {
+            Err(Error::Invalid(msg)) => assert!(msg.contains(name), "{name}={v:?}: {msg}"),
+            other => panic!("{name}={v:?} must be rejected naming the variable, got {other:?}"),
+        }
+    }
+}
+
+/// `name` set to each value of `cases` alone parses to its `field`.
+pub fn assert_accepted<T: PartialEq + std::fmt::Debug>(
+    name: &str,
+    field: impl Fn(&Config) -> T,
+    cases: &[(&str, T)],
+) {
+    for (v, want) in cases {
+        let config = parse(&[(name, v)]).unwrap_or_else(|e| panic!("{name}={v:?}: {e}"));
+        assert_eq!(&field(&config), want, "{name}={v:?}");
+    }
+}

@@ -5,12 +5,15 @@
 use std::sync::Arc;
 
 use gfcl_core::query::{col, contains, ge, gt, lit, lt, PatternQuery};
-use gfcl_core::{Engine, GfClEngine, QueryOutput};
+use gfcl_core::{Config, Engine, GfClEngine, QueryOutput};
 use gfcl_datagen::SocialParams;
 use gfcl_storage::{ColumnarGraph, EdgePropLayout, RawGraph, StorageConfig};
 
+/// GF-CL under the process configuration: CI's `parallel` job runs this
+/// binary with `GFCL_THREADS=4`.
 fn engine_with(raw: &RawGraph, cfg: StorageConfig) -> GfClEngine {
-    GfClEngine::new(Arc::new(ColumnarGraph::build(raw, cfg).unwrap()))
+    let exec = Config::from_env().expect("GFCL_* configuration").exec;
+    GfClEngine::with_options(Arc::new(ColumnarGraph::build(raw, cfg).unwrap()), exec)
 }
 
 fn engine(raw: &RawGraph) -> GfClEngine {

@@ -68,8 +68,8 @@ impl PageFile for File {
     }
 }
 
-/// Default pool capacity when neither [`crate::StorageConfig`] nor the
-/// `GFCL_BUFFER_MB` environment variable says otherwise: 64 MiB of pages.
+/// Default pool capacity, [`crate::StorageConfig::buffer_pool_pages`]
+/// unless the caller sets it: 64 MiB of pages.
 pub const DEFAULT_POOL_PAGES: usize = 64 * 1024 * 1024 / PAGE_SIZE;
 
 /// Counters exposed for tests, benches and the memory breakdown.
@@ -172,38 +172,6 @@ impl BufferPool {
             faults: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             pages_skipped: AtomicU64::new(0),
-        }
-    }
-
-    /// Pool capacity from the `GFCL_BUFFER_MB` environment variable, or
-    /// `default_pages` when the variable is unset or empty. The floor is
-    /// one page. A set-but-unparsable value is an error naming the
-    /// variable — a typo in the sizing knob must not silently run the
-    /// default geometry.
-    pub fn capacity_from_env(default_pages: usize) -> Result<usize> {
-        BufferPool::capacity_from_vars(default_pages, |name| std::env::var(name).ok())
-    }
-
-    /// [`BufferPool::capacity_from_env`] over an explicit variable lookup —
-    /// the pure body, testable without touching the process environment.
-    pub fn capacity_from_vars(
-        default_pages: usize,
-        var: impl Fn(&str) -> Option<String>,
-    ) -> Result<usize> {
-        match var("GFCL_BUFFER_MB") {
-            None => Ok(default_pages.max(1)),
-            Some(s) if s.trim().is_empty() => Ok(default_pages.max(1)),
-            Some(s) => match s.trim().parse::<usize>() {
-                Ok(mb) => match mb.checked_mul(1024 * 1024) {
-                    Some(bytes) => Ok((bytes / PAGE_SIZE).max(1)),
-                    None => Err(Error::Invalid(format!(
-                        "GFCL_BUFFER_MB = {mb} MiB overflows the addressable pool size"
-                    ))),
-                },
-                Err(_) => Err(Error::Invalid(format!(
-                    "GFCL_BUFFER_MB must be a non-negative integer number of MiB, got {s:?}"
-                ))),
-            },
         }
     }
 
@@ -565,10 +533,10 @@ mod tests {
     }
 
     #[test]
-    fn env_capacity_floor_is_one_page() {
-        let unset = |_: &str| None;
-        assert_eq!(BufferPool::capacity_from_vars(0, unset).unwrap(), 1);
-        assert_eq!(BufferPool::capacity_from_vars(17, unset).unwrap(), 17);
+    fn capacity_floor_is_one_page() {
+        let (f, sums, path) = page_file("floor", 1);
+        assert_eq!(BufferPool::new(f, 0, 0, sums).capacity(), 1);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

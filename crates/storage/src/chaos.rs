@@ -5,22 +5,19 @@
 //! is detected exactly the way real corruption would be: a flipped bit
 //! fails the page checksum, the pool retries, and either the retry heals
 //! it (one-shot flips, transient read errors) or the fault propagates as
-//! a clean per-query [`Error::Storage`]
+//! a clean per-query [`Error::Storage`](gfcl_common::Error::Storage)
 //! (sticky flips, permanent read errors).
 //!
 //! Everything is driven by one seeded xorshift generator, so a failing
 //! chaos run reproduces from its printed seed. Rates are expressed in
-//! parts-per-million of page reads; [`FaultConfig::from_env`] reads them
-//! from the `GFCL_FAULT_*` environment variables (validated — garbage is
-//! an error naming the variable), and
-//! [`ColumnarGraph::open`](crate::ColumnarGraph::open) arms the injector
-//! whenever any of them is set.
+//! parts-per-million of page reads. Injection is armed only through
+//! [`ColumnarGraph::open_with_faults`](crate::ColumnarGraph::open_with_faults);
+//! a process that wants it from the `GFCL_FAULT_*` variables gets the
+//! [`FaultConfig`] from `gfcl_core::Config`.
 
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::sync::Mutex;
-
-use gfcl_common::{Error, Result};
 
 use crate::buffer_pool::PageFile;
 
@@ -55,50 +52,6 @@ impl FaultConfig {
             && self.permanent_ppm == 0
             && self.flip_ppm == 0
             && self.sticky_flip_ppm == 0
-    }
-
-    /// Read a fault configuration from `GFCL_FAULT_SEED`,
-    /// `GFCL_FAULT_TRANSIENT_PPM`, `GFCL_FAULT_PERMANENT_PPM`,
-    /// `GFCL_FAULT_FLIP_PPM` and `GFCL_FAULT_STICKY_FLIP_PPM`. `None`
-    /// when every variable is unset or empty; a set-but-unparsable value
-    /// is an error naming the variable (a typo must not silently run
-    /// without injection).
-    pub fn from_env() -> Result<Option<FaultConfig>> {
-        FaultConfig::from_vars(|name| std::env::var(name).ok())
-    }
-
-    /// [`FaultConfig::from_env`] over an explicit variable lookup — the
-    /// pure body, testable without touching the process environment.
-    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Option<FaultConfig>> {
-        let number = |name: &str| -> Result<Option<u64>> {
-            match var(name) {
-                None => Ok(None),
-                Some(s) if s.trim().is_empty() => Ok(None),
-                Some(s) => s.trim().parse::<u64>().map(Some).map_err(|_| {
-                    Error::Invalid(format!("{name} must be a non-negative integer, got {s:?}"))
-                }),
-            }
-        };
-        let seed = number("GFCL_FAULT_SEED")?;
-        let transient = number("GFCL_FAULT_TRANSIENT_PPM")?;
-        let permanent = number("GFCL_FAULT_PERMANENT_PPM")?;
-        let flip = number("GFCL_FAULT_FLIP_PPM")?;
-        let sticky = number("GFCL_FAULT_STICKY_FLIP_PPM")?;
-        if seed.is_none()
-            && transient.is_none()
-            && permanent.is_none()
-            && flip.is_none()
-            && sticky.is_none()
-        {
-            return Ok(None);
-        }
-        Ok(Some(FaultConfig {
-            seed: seed.unwrap_or(0),
-            transient_ppm: transient.unwrap_or(0) as u32,
-            permanent_ppm: permanent.unwrap_or(0) as u32,
-            flip_ppm: flip.unwrap_or(0) as u32,
-            sticky_flip_ppm: sticky.unwrap_or(0) as u32,
-        }))
     }
 }
 
@@ -314,13 +267,5 @@ mod tests {
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6), "different seeds diverge");
-    }
-
-    #[test]
-    fn env_parsing_rejects_garbage_naming_the_variable() {
-        assert_eq!(FaultConfig::from_vars(|_| None).unwrap(), None);
-        let flip_only = |name: &str| (name == "GFCL_FAULT_FLIP_PPM").then(|| "often".to_owned());
-        let err = FaultConfig::from_vars(flip_only).unwrap_err();
-        assert!(err.to_string().contains("GFCL_FAULT_FLIP_PPM"), "{err}");
     }
 }

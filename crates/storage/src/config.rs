@@ -64,9 +64,9 @@ pub struct StorageConfig {
     pub zone_maps: bool,
     /// Buffer pool capacity (in 64 KiB pages) used when the graph is
     /// reopened from disk with [`crate::ColumnarGraph::open`]. Ignored for
-    /// in-memory builds. The `GFCL_BUFFER_MB` environment variable
-    /// overrides it at open time. Runtime-only: not part of the persisted
-    /// structural configuration.
+    /// in-memory builds; used as given, floor one page (`GFCL_BUFFER_MB`
+    /// reaches it only through `gfcl_core::Config`). Runtime-only: not part
+    /// of the persisted structural configuration.
     pub buffer_pool_pages: usize,
 }
 

@@ -140,16 +140,13 @@ impl ColumnarGraph {
 
     /// Open a graph saved by [`ColumnarGraph::save`]. Metadata is read and
     /// verified eagerly; value pages are faulted on demand through a
-    /// [`BufferPool`] of `config.buffer_pool_pages` pages (`GFCL_BUFFER_MB`
-    /// overrides). All structural configuration comes from the file — only
-    /// the pool size is taken from `config`. Any malformed, truncated or
-    /// corrupted input yields [`Error::Storage`], never a panic.
-    ///
-    /// When any `GFCL_FAULT_*` variable is set, post-open page reads go
-    /// through a seeded [`FaultConfig`](crate::chaos::FaultConfig)
-    /// injector (the chaos tier); see [`ColumnarGraph::open_with_faults`].
+    /// [`BufferPool`] of `config.buffer_pool_pages` pages. All structural
+    /// configuration comes from the file — only the pool size is taken
+    /// from `config`. Any malformed, truncated or corrupted input yields
+    /// [`Error::Storage`], never a panic. No fault is ever injected; see
+    /// [`ColumnarGraph::open_with_faults`] for the chaos tier's door.
     pub fn open(path: impl AsRef<Path>, config: StorageConfig) -> Result<ColumnarGraph> {
-        Self::open_with_faults(path, config, crate::chaos::FaultConfig::from_env()?)
+        Self::open_with_faults(path, config, None)
     }
 
     /// [`ColumnarGraph::open`] with an explicit fault-injection
@@ -231,7 +228,7 @@ impl ColumnarGraph {
             return Err(Error::Storage("metadata checksum mismatch".into()));
         }
 
-        let capacity = BufferPool::capacity_from_env(config.buffer_pool_pages)?;
+        let capacity = config.buffer_pool_pages;
         let pool = match faults {
             Some(cfg) if !cfg.is_disabled() => {
                 let store = crate::chaos::FailingStore::new(file, cfg);
@@ -277,12 +274,7 @@ mod tests {
         assert_eq!(m0.pageable, 0);
         assert!(m1.pageable > 0, "reopened graph should page its value arrays");
         assert!(m1.resident < m0.resident);
-        // GFCL_BUFFER_MB (set by CI's persistence job) overrides the
-        // config capacity, so assert the env-resolved value.
-        assert_eq!(
-            back.buffer_pool().unwrap().capacity(),
-            BufferPool::capacity_from_env(2).unwrap()
-        );
+        assert_eq!(back.buffer_pool().unwrap().capacity(), 2);
 
         // Catalog, counts, properties, adjacency, pk lookups all agree.
         assert_eq!(back.catalog().vertex_label_count(), g.catalog().vertex_label_count());

@@ -6,10 +6,10 @@
 //! wrapped in [`FailingStore`], so every query faults pages constantly
 //! and every fault flavor (transient read errors, permanent read errors,
 //! one-shot checksum bit-flips, sticky bit-flips) hits the pool's
-//! retry-then-propagate path. The seed comes from `GFCL_FAULT_SEED` when
-//! the CI chaos job sets it and is printed in every assertion, so a
-//! failing run reproduces with `GFCL_FAULT_SEED=<seed> cargo test --test
-//! chaos`.
+//! retry-then-propagate path. The seed comes from `GFCL_FAULT_SEED`
+//! (through `Config::from_env`) when the CI chaos job sets it and is
+//! printed in every assertion, so a failing run reproduces with
+//! `GFCL_FAULT_SEED=<seed> cargo test --test chaos`.
 //!
 //! WAL append (fsync-path) failures are injected separately through
 //! [`GraphStore::inject_wal_append_failure`] against the crashkit
@@ -23,14 +23,14 @@ use std::sync::Arc;
 use gfcl_baselines::{GfCvEngine, GfRvEngine, RelEngine};
 use gfcl_common::Error;
 use gfcl_core::query::{col, ge, lit, lt, Agg, PatternQuery};
-use gfcl_core::{Engine, ExecOptions, GfClEngine};
+use gfcl_core::{Config, Engine, ExecOptions, GfClEngine};
 use gfcl_datagen::PowerLawParams;
 use gfcl_storage::{ColumnarGraph, FaultConfig, GraphStore, RawGraph, RowGraph, StorageConfig};
 use gfcl_workloads::crashkit;
 
 /// Worker counts under test (the chaos CI job also re-runs the whole
-/// binary with `GFCL_THREADS=4`, which `ExecOptions::from_env`-built
-/// engines pick up on top of this explicit matrix).
+/// binary with `GFCL_THREADS=4`, which the engines built from [`env`]
+/// pick up on top of this explicit matrix).
 const THREADS: [usize; 2] = [1, 4];
 
 /// A pool this small evicts constantly, so faults fire on re-reads too.
@@ -42,15 +42,20 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gfcl_chaos_{}_{name}.gfcl", std::process::id()))
 }
 
+/// The process configuration: `GFCL_FAULT_SEED` and `GFCL_THREADS`.
+fn env() -> Config {
+    Config::from_env().unwrap_or_else(|e| panic!("GFCL_* configuration: {e}"))
+}
+
 /// The run's base seed: `GFCL_FAULT_SEED` when the chaos job sets it,
 /// a fixed default otherwise. Printed in every failure message.
 fn base_seed() -> u64 {
-    match std::env::var("GFCL_FAULT_SEED") {
-        Ok(s) => s.trim().parse().unwrap_or_else(|_| {
-            panic!("GFCL_FAULT_SEED must be an integer, got {s:?}");
-        }),
-        Err(_) => 0xC0FFEE,
-    }
+    env().faults.map_or(0xC0FFEE, |f| f.seed)
+}
+
+/// GF-CL at the process configuration's worker count.
+fn gfcl(graph: Arc<ColumnarGraph>) -> GfClEngine {
+    GfClEngine::with_options(graph, env().exec)
 }
 
 fn queries(n: i64) -> Vec<(String, PatternQuery)> {
@@ -304,15 +309,15 @@ fn faulty_graph_coexists_with_healthy_graph_in_one_process() {
     std::fs::remove_file(&path).ok();
 
     let (qname, q) = &queries(NODES as i64)[1];
-    let reference = GfClEngine::new(Arc::clone(&built)).execute(q).unwrap().canonical();
+    let reference = gfcl(Arc::clone(&built)).execute(q).unwrap().canonical();
 
     // Half of all reads fail permanently: this query errors quickly.
-    let sick = GfClEngine::new(faulty);
+    let sick = gfcl(faulty);
     let seen_err = (0..4).any(|_| sick.execute(q).is_err());
     assert!(seen_err, "seed={}: 50% permanent faults never tripped {qname}", cfg.seed);
 
     // The healthy pool in the same process is completely unaffected.
-    let well = GfClEngine::new(healthy);
+    let well = gfcl(healthy);
     for _ in 0..2 {
         assert_eq!(well.execute(q).unwrap().canonical(), reference);
     }
@@ -361,9 +366,8 @@ fn wal_append_failure_is_a_clean_error_and_does_not_poison_the_store() {
 
 #[test]
 fn chaos_config_round_trips_through_open() {
-    // `ColumnarGraph::open` arms the injector from GFCL_FAULT_* itself;
-    // the explicit-config seam used by this suite must behave identically
-    // to a disabled environment: no faults, identical answers.
+    // A disabled injector through the explicit-config seam this suite
+    // uses behaves exactly like no injector: no faults, identical answers.
     let raw = RawGraph::example();
     let built = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
     let path = tmp("roundtrip");
@@ -378,7 +382,7 @@ fn chaos_config_round_trips_through_open() {
     );
     std::fs::remove_file(&path).ok();
     let q = PatternQuery::builder().node("a", "PERSON").returns_count().build();
-    let a = GfClEngine::new(built).execute(&q).unwrap();
-    let b = GfClEngine::new(reopened).execute(&q).unwrap();
+    let a = gfcl(built).execute(&q).unwrap();
+    let b = gfcl(reopened).execute(&q).unwrap();
     assert_eq!(a, b);
 }

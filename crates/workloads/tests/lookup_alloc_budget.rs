@@ -32,10 +32,10 @@
 //! With them the nine take 235 / 238 / 301 / 339 (1 113, ~124 per lookup).
 //! What is left is mostly what the results own: AST identifiers, the
 //! `PatternQuery` and `LogicalPlan` names, result rows, decoded strings and
-//! the header. The ceilings below are those counts plus 10 %; reading
-//! `GFCL_VERIFY` (CI sets it) costs each plan one more. A change that adds
-//! a per-token `String`, clones a search state per candidate or collects a
-//! `Vec` per chunk state fails a number here before any timing run.
+//! the header. The ceilings below are those counts plus 10 %. A change
+//! that adds a per-token `String`, clones a search state per candidate or
+//! collects a `Vec` per chunk state fails a number here before any timing
+//! run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use gfcl_baselines::{GfCvEngine, RelEngine};
 use gfcl_core::query::{col, eq, ge, lit, lt, starts_with, Agg, PatternQuery};
-use gfcl_core::{Engine, ExecOptions, GfClEngine};
+use gfcl_core::{Config, Engine, ExecOptions, GfClEngine};
 use gfcl_datagen::{PowerLawParams, SocialParams};
 use gfcl_storage::{ColumnarGraph, RawGraph, StorageConfig};
 use gfcl_workloads::{ga_queries, khop, ldbc, KhopMode, LdbcParams};
@@ -46,17 +46,16 @@ fn assert_persistence_equivalent(raw: &RawGraph, name: &str, queries: &[(String,
     let built = Arc::new(ColumnarGraph::build(raw, StorageConfig::default()).unwrap());
     let path = tmp(name);
     built.save(&path).unwrap();
-    let config = StorageConfig { buffer_pool_pages: TINY_POOL_PAGES, ..StorageConfig::default() };
+    // CI's persistence job sets GFCL_BUFFER_MB to run this at a larger
+    // (still starved) pool.
+    let env = Config::from_env().expect("GFCL_* configuration");
+    let pool_pages = env.buffer_pool_pages.unwrap_or(TINY_POOL_PAGES);
+    let config = StorageConfig { buffer_pool_pages: pool_pages, ..StorageConfig::default() };
     let reopened = Arc::new(ColumnarGraph::open(&path, config).unwrap());
     std::fs::remove_file(&path).unwrap();
 
     let pool = reopened.buffer_pool().expect("reopened graph has a pool");
-    // CI's persistence job sets GFCL_BUFFER_MB, which overrides the
-    // per-test capacity — assert whatever the env resolution says.
-    assert_eq!(
-        pool.capacity(),
-        gfcl_storage::BufferPool::capacity_from_env(TINY_POOL_PAGES).unwrap()
-    );
+    assert_eq!(pool.capacity(), pool_pages);
     assert!(
         reopened.memory_breakdown().pageable > 0,
         "{name}: reopened graph should serve value arrays from disk"

@@ -3,7 +3,7 @@
 //! single-bit flips at every region of the file, truncation to every
 //! prefix length, a duplicated tail record — and reopen.
 //!
-//! The contract (`GFCL_VERIFY=strict` in CI): [`GraphStore::open`] either
+//! The contract: [`GraphStore::open`] either
 //!
 //! * recovers a **commit-boundary prefix** of the stream (damage confined
 //!   to the torn-write window at the tail), answering queries exactly

@@ -12,10 +12,12 @@ use std::time::Instant;
 use gfcl::datagen::{generate_movies, MovieParams};
 use gfcl::workloads::job;
 use gfcl::{
-    ColumnarGraph, Engine, GfClEngine, GfCvEngine, GfRvEngine, RelEngine, RowGraph, StorageConfig,
+    ColumnarGraph, Config, Engine, GfClEngine, GfCvEngine, GfRvEngine, RelEngine, RowGraph,
+    StorageConfig,
 };
 
-fn main() {
+fn main() -> gfcl::Result<()> {
+    let config = Config::from_env()?;
     let titles = 4_000;
     println!("generating IMDb-like movie graph with {titles} titles ...");
     let raw = generate_movies(MovieParams::scale(titles));
@@ -24,7 +26,7 @@ fn main() {
     let columnar = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
     let row = Arc::new(RowGraph::build(&raw).unwrap());
     let engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(GfClEngine::new(columnar.clone())),
+        Box::new(GfClEngine::with_options(columnar.clone(), config.exec)),
         Box::new(GfCvEngine::new(columnar.clone())),
         Box::new(GfRvEngine::new(row)),
         Box::new(RelEngine::new(columnar)),
@@ -50,4 +52,5 @@ fn main() {
         println!("{:>12} | {}", count.unwrap(), cells.join("  "));
     }
     println!("\nAll engines returned identical counts.");
+    Ok(())
 }

@@ -14,13 +14,16 @@
 //! - `:quit`             — exit (also Ctrl-D)
 //!
 //! Anything else is compiled (parse → bind) and executed on the list-based
-//! GF-CL engine; frontend errors print their caret diagnostics.
+//! GF-CL engine; frontend errors print their caret diagnostics. The
+//! `GFCL_*` variables (`GFCL_THREADS`, `GFCL_NO_PUSHDOWN`, ...) set how
+//! queries are planned and run.
 
 use std::io::{BufRead, Write as _};
 use std::sync::Arc;
 
 use gfcl::datagen::{MovieParams, SocialParams};
-use gfcl::{ColumnarGraph, Engine, GfClEngine, QueryOutput, RawGraph, StorageConfig};
+use gfcl::plan::{plan_with, PlanOptions};
+use gfcl::{ColumnarGraph, Config, Engine, GfClEngine, QueryOutput, RawGraph, StorageConfig};
 
 fn build_graph() -> RawGraph {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -72,10 +75,16 @@ fn print_output(out: &QueryOutput) {
     }
 }
 
-fn main() {
+/// Compile `text` and plan it under `opts`.
+fn plan(engine: &GfClEngine, opts: &PlanOptions, text: &str) -> gfcl::Result<gfcl::LogicalPlan> {
+    plan_with(&gfcl::frontend::compile(text, engine.catalog())?, engine.catalog(), opts)
+}
+
+fn main() -> gfcl::Result<()> {
+    let config = Config::from_env()?;
     let raw = build_graph();
-    let graph = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
-    let engine = GfClEngine::new(graph);
+    let graph = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default())?);
+    let engine = GfClEngine::with_options(graph, config.exec);
     println!(
         "{} vertices, {} edges loaded. `:schema` lists labels, `:explain <q>` shows the plan,\n\
          `:quit` exits. Example:\n  MATCH (a:PERSON)-[e:WORKAT]->(b:ORG) RETURN a.name, b.name",
@@ -104,18 +113,16 @@ fn main() {
             continue;
         }
         if let Some(text) = line.strip_prefix(":explain") {
-            match gfcl::frontend::compile(text.trim(), engine.catalog()) {
-                Ok(q) => match engine.explain(&q) {
-                    Ok(plan) => print!("{plan}"),
-                    Err(e) => println!("plan error: {e}"),
-                },
+            match plan(&engine, &config.plan, text.trim()) {
+                Ok(p) => print!("{}", gfcl::optimize::render_explain(&p, engine.catalog())),
                 Err(e) => println!("{e}"),
             }
             continue;
         }
-        match gfcl::query_on(&engine, line) {
+        match plan(&engine, &config.plan, line).and_then(|p| engine.run_plan(&p)) {
             Ok(out) => print_output(&out),
             Err(e) => println!("{e}"),
         }
     }
+    Ok(())
 }

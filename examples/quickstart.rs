@@ -9,11 +9,13 @@ use std::sync::Arc;
 
 use gfcl::query::{col, gt, lit, lt, PatternQuery};
 use gfcl::{
-    human_bytes, ColumnarGraph, Engine, GfClEngine, GfCvEngine, GfRvEngine, MemoryUsage,
+    human_bytes, ColumnarGraph, Config, Engine, GfClEngine, GfCvEngine, GfRvEngine, MemoryUsage,
     QueryOutput, RawGraph, RelEngine, RowGraph, StorageConfig,
 };
 
-fn main() {
+fn main() -> gfcl::Result<()> {
+    // `GFCL_THREADS` and the other `GFCL_*` variables, parsed once.
+    let config = Config::from_env()?;
     // The running example: 4 PERSONs, 2 ORGs, FOLLOWS/STUDYAT/WORKAT edges.
     let raw = RawGraph::example();
     println!(
@@ -46,7 +48,7 @@ fn main() {
         .build();
 
     let engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(GfClEngine::new(columnar.clone())),
+        Box::new(GfClEngine::with_options(columnar.clone(), config.exec)),
         Box::new(GfCvEngine::new(columnar.clone())),
         Box::new(GfRvEngine::new(row)),
         Box::new(RelEngine::new(columnar)),
@@ -65,4 +67,5 @@ fn main() {
             other => println!("  {other:?}"),
         }
     }
+    Ok(())
 }

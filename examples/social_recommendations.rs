@@ -11,9 +11,12 @@ use std::time::Instant;
 
 use gfcl::datagen::{generate_social, SocialParams};
 use gfcl::query::{col, eq, ge, lit, lit_date, PatternQuery};
-use gfcl::{ColumnarGraph, Engine, GfClEngine, GfCvEngine, GfRvEngine, RowGraph, StorageConfig};
+use gfcl::{
+    ColumnarGraph, Config, Engine, GfClEngine, GfCvEngine, GfRvEngine, RowGraph, StorageConfig,
+};
 
-fn main() {
+fn main() -> gfcl::Result<()> {
+    let config = Config::from_env()?;
     let persons = 2_000;
     println!("generating LDBC-like social network with {persons} persons ...");
     let raw = generate_social(SocialParams::scale(persons));
@@ -22,7 +25,7 @@ fn main() {
     let columnar = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
     let row = Arc::new(RowGraph::build(&raw).unwrap());
     let engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(GfClEngine::new(columnar.clone())),
+        Box::new(GfClEngine::with_options(columnar.clone(), config.exec)),
         Box::new(GfCvEngine::new(columnar)),
         Box::new(GfRvEngine::new(row)),
     ];
@@ -77,4 +80,5 @@ fn main() {
             println!("  {:6}  count={:<12}  {:?}", engine.name(), out.cardinality(), dt);
         }
     }
+    Ok(())
 }

@@ -125,8 +125,8 @@
 //! per-block zone maps (min/max synopses) — and the surviving selection
 //! mask makes every later property read over the scan group
 //! selection-aware. `EXPLAIN` shows the pushed predicates and the
-//! estimated block-skip ratio; `GFCL_NO_PUSHDOWN=1` (or
-//! [`plan::PlanOptions::no_pushdown`]) is the escape hatch:
+//! estimated block-skip ratio; [`plan::PlanOptions::no_pushdown`] (what
+//! `GFCL_NO_PUSHDOWN=1` parses to in a [`Config`]) is the escape hatch:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -156,10 +156,10 @@
 //! A built graph persists to a single-file page-addressed format
 //! ([`ColumnarGraph::save`]) and reopens behind a buffer pool
 //! ([`ColumnarGraph::open`]) whose capacity is set by
-//! [`StorageConfig::buffer_pool_pages`] or the `GFCL_BUFFER_MB` environment
-//! variable. Reopened value arrays stay on disk and fault 64 KiB pages in on
-//! demand — a pool smaller than the graph still answers every query
-//! identically, just with eviction traffic:
+//! [`StorageConfig::buffer_pool_pages`] ([`Config::buffer_pool_pages`]
+//! parses it from `GFCL_BUFFER_MB`). Reopened value arrays stay on disk and
+//! fault 64 KiB pages in on demand — a pool smaller than the graph still
+//! answers every query identically, just with eviction traffic:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -258,9 +258,8 @@
 //!
 //! Every query runs inside its own **fault domain**: a shared
 //! [`CancelToken`] checked at morsel boundaries, optional time/memory
-//! budgets ([`ExecOptions`] fields or `GFCL_TIME_LIMIT_MS` /
-//! `GFCL_MEM_LIMIT_MB`), and I/O error containment — a page that fails
-//! its checksum after bounded retries fails *that query* with
+//! budgets ([`ExecOptions`] fields), and I/O error containment — a page
+//! that fails its checksum after bounded retries fails *that query* with
 //! [`Error::Storage`](Error) while queries on healthy pages keep
 //! running. User cancellation and exceeded budgets surface as
 //! [`Error::Canceled`](Error) carrying the reason, elapsed time, and the
@@ -357,10 +356,11 @@ pub use gfcl_common::{
 };
 /// The query front-end and the paper's engine: [`PatternQuery`] +
 /// [`Engine`] (with `execute`/`explain`), the list-based [`GfClEngine`],
-/// plans, grouped aggregation ([`Agg`], `group_by`/`order_by`/`limit`), and
-/// execution options for morsel-driven parallelism.
+/// plans, grouped aggregation ([`Agg`], `group_by`/`order_by`/`limit`),
+/// execution options for morsel-driven parallelism, and [`Config`], the
+/// one parser of the `GFCL_*` variables.
 pub use gfcl_core::{
-    Agg, AggFunc, CancelReason, CancelToken, Engine, ExecOptions, GfClEngine, LogicalPlan,
+    Agg, AggFunc, CancelReason, CancelToken, Config, Engine, ExecOptions, GfClEngine, LogicalPlan,
     OrderSource, PatternQuery, QueryBudget, QueryOutput, SortDir,
 };
 /// The storage layer: catalogs (with build-time [`storage::Stats`]), the

@@ -9,15 +9,21 @@ use gfcl::query::{col, eq, gt, lit, PatternQuery};
 use gfcl::workloads::ldbc::{self, LdbcParams};
 use gfcl::workloads::{job, khop, khop_propless, KhopMode};
 use gfcl::{
-    ColumnarGraph, Engine, GfClEngine, GfCvEngine, GfRvEngine, RawGraph, RelEngine, RowGraph,
-    StorageConfig,
+    ColumnarGraph, Config, Engine, GfClEngine, GfCvEngine, GfRvEngine, RawGraph, RelEngine,
+    RowGraph, StorageConfig,
 };
+
+/// GF-CL under the process configuration: CI's `parallel` job runs this
+/// binary with `GFCL_THREADS=4`.
+fn gfcl(graph: Arc<ColumnarGraph>) -> GfClEngine {
+    GfClEngine::with_options(graph, Config::from_env().expect("GFCL_* configuration").exec)
+}
 
 fn engines(raw: &RawGraph, cfg: StorageConfig) -> Vec<Box<dyn Engine>> {
     let col_graph = Arc::new(ColumnarGraph::build(raw, cfg).unwrap());
     let row_graph = Arc::new(RowGraph::build(raw).unwrap());
     vec![
-        Box::new(GfClEngine::new(col_graph.clone())),
+        Box::new(gfcl(col_graph.clone())),
         Box::new(GfCvEngine::new(col_graph.clone())),
         Box::new(GfRvEngine::new(row_graph)),
         Box::new(RelEngine::new(col_graph)),
@@ -109,7 +115,7 @@ fn facade_quickstart_flow() {
     // The README quickstart, end to end.
     let raw = RawGraph::example();
     let graph = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
-    let engine = GfClEngine::new(graph);
+    let engine = gfcl(graph);
     let q = PatternQuery::builder()
         .node("a", "PERSON")
         .node("b", "ORG")

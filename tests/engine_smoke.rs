@@ -8,9 +8,15 @@ use std::sync::Arc;
 
 use gfcl::query::{col, gt, lit, lt, PatternQuery};
 use gfcl::{
-    ColumnarGraph, Engine, GfClEngine, GfCvEngine, GfRvEngine, QueryOutput, RawGraph, RelEngine,
-    RowGraph, StorageConfig,
+    ColumnarGraph, Config, Engine, GfClEngine, GfCvEngine, GfRvEngine, QueryOutput, RawGraph,
+    RelEngine, RowGraph, StorageConfig,
 };
+
+/// GF-CL under the process configuration: CI's `parallel` job runs this
+/// binary with `GFCL_THREADS=4`.
+fn gfcl(graph: Arc<ColumnarGraph>) -> GfClEngine {
+    GfClEngine::with_options(graph, Config::from_env().expect("GFCL_* configuration").exec)
+}
 
 fn example_1() -> PatternQuery {
     // MATCH (a:PERSON)-[e:WORKAT]->(b:ORG)
@@ -32,7 +38,7 @@ fn all_four_engines_construct_and_agree_on_figure_1() {
     let rowg = Arc::new(RowGraph::build(&raw).unwrap());
 
     let engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(GfClEngine::new(colg.clone())),
+        Box::new(gfcl(colg.clone())),
         Box::new(GfCvEngine::new(colg.clone())),
         Box::new(GfRvEngine::new(rowg)),
         Box::new(RelEngine::new(colg)),
@@ -77,7 +83,7 @@ fn the_largest_limit_returns_every_row_in_order() {
     };
     assert_eq!(rows, expected, "gfcl::query");
     let engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(GfClEngine::new(colg.clone())),
+        Box::new(gfcl(colg.clone())),
         Box::new(GfCvEngine::new(colg.clone())),
         Box::new(GfRvEngine::new(Arc::new(RowGraph::build(&raw).unwrap()))),
         Box::new(RelEngine::new(colg)),
@@ -88,4 +94,17 @@ fn the_largest_limit_returns_every_row_in_order() {
         };
         assert_eq!(rows, expected, "{}", engine.name());
     }
+}
+
+#[test]
+fn gfcl_runs_at_the_configured_worker_count() {
+    // Read `GFCL_THREADS` here without `Config`: the GF-CL engine these
+    // tests compare must run at the worker count the environment names.
+    let want = match std::env::var("GFCL_THREADS") {
+        Ok(s) if !s.trim().is_empty() => s.trim().parse().expect("GFCL_THREADS is a count"),
+        _ => 1,
+    };
+    let raw = RawGraph::example();
+    let colg = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
+    assert_eq!(gfcl(colg).options().threads, want);
 }
