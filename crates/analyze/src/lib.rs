@@ -100,6 +100,10 @@ const HOT_PATHS: &[&str] = &[
     // Error::Storage so recovery stays an open() away.
     "crates/storage/src/delta.rs",
     "crates/storage/src/wal.rs",
+    // The tries the delta keeps its state in: every overlay read and every
+    // commit walks them, and a path copy gone wrong is a pinned snapshot
+    // that changes under its reader.
+    "crates/storage/src/persistent.rs",
     // The governor sits on every morsel boundary (token check, memory
     // accounting): a panic here kills the very machinery that exists to
     // turn failures into per-query errors.
@@ -673,6 +677,7 @@ mod tests {
         assert!(classify("crates/core/src/optimize.rs").hot_path);
         assert!(classify("crates/storage/src/delta.rs").hot_path);
         assert!(classify("crates/storage/src/wal.rs").hot_path);
+        assert!(classify("crates/storage/src/persistent.rs").hot_path);
         assert!(!classify("crates/storage/src/store.rs").hot_path);
         assert!(classify("crates/common/src/govern.rs").hot_path);
         assert!(classify("crates/core/src/govern.rs").hot_path);

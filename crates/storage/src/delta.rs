@@ -9,20 +9,25 @@
 //! [`crate::OffsetRecycler`] so the delta's positional ID space stays dense,
 //! exactly as Section 7 prescribes for the baseline's vertex offsets.
 //!
-//! Two types split the write and read sides:
+//! One type is both sides. [`DeltaStore`] keeps every per-label structure
+//! in the persistent containers of [`crate::persistent`], so a clone costs
+//! one `Arc` bump per label and shares everything:
 //!
-//! * [`DeltaStore`] — the mutable accumulator. All mutations funnel through
-//!   [`DeltaStore::apply`] with an already-resolved [`ResolvedOp`], the same
-//!   entry point WAL replay uses, so a replayed log reconstructs the store
-//!   byte-for-byte. `apply` validates everything (arity, types, liveness,
-//!   primary-key uniqueness, cardinality constraints) and returns
-//!   [`Error::Storage`]/[`Error::Invalid`] on bad input — a corrupted WAL
-//!   record can never panic the open path.
-//! * [`DeltaSnapshot`] — an immutable, index-enriched freeze of the store
-//!   published to readers under one MVCC epoch. Queries resolve
-//!   `(baseline ⊎ delta) ∖ tombstones` through its lookup structures; the
-//!   baseline portion keeps its zone maps and compiled predicates, and only
-//!   rows/lists the delta actually touches pay the overlay price.
+//! * **Writes.** All mutations funnel through [`DeltaStore::apply`] with an
+//!   already-resolved [`ResolvedOp`], the same entry point WAL replay uses,
+//!   so a replayed log reconstructs the store exactly. `apply` validates
+//!   everything (arity, types, liveness, primary-key uniqueness,
+//!   cardinality constraints) and returns [`Error::Storage`]/
+//!   [`Error::Invalid`] on bad input — a corrupted WAL record can never
+//!   panic the open path. A write copies only the trie paths it touches;
+//!   a snapshot holding the old state never sees it.
+//! * **Reads.** A published store is a [`DeltaSnapshot`]: queries resolve
+//!   `(baseline ⊎ delta) ∖ tombstones` through its lookup structures — the
+//!   per-endpoint edge lists, the dirty-list and touched-block counts, the
+//!   string extensions — which `apply` maintains as it goes, so nothing is
+//!   rebuilt at commit. The baseline portion keeps its zone maps and
+//!   compiled predicates, and only rows/lists the delta touches pay the
+//!   overlay price.
 //!
 //! **ID spaces.** Vertices keep per-label positional offsets: baseline rows
 //! occupy `0..n_base` and delta rows occupy `n_base + slot` (slots recycled
@@ -35,13 +40,15 @@
 //! (deleted delta edges keep their slot with a `deleted` flag) so WAL
 //! replay and snapshot readers agree on indices.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::Arc;
 
-use gfcl_common::{DataType, Direction, Error, LabelId, Reader, Result, Value, Writer};
+use gfcl_columnar::{Dictionary, ZONE_BLOCK};
+use gfcl_common::{Direction, Error, LabelId, Reader, Result, Value, Writer};
 
-use crate::catalog::Catalog;
 use crate::columnar_graph::{AdjIndex, ColumnarGraph};
 use crate::mutation::OffsetRecycler;
+use crate::persistent::{PMap, PVec};
 
 /// A fully resolved mutation, the unit of WAL logging and replay.
 ///
@@ -80,7 +87,7 @@ pub enum EdgeTarget {
 pub struct DeltaEdge {
     pub src: u64,
     pub dst: u64,
-    pub props: Box<[Value]>,
+    pub props: Arc<[Value]>,
     pub deleted: bool,
 }
 
@@ -217,67 +224,162 @@ impl ResolvedOp {
     }
 }
 
-/// The mutable write store. One per [`crate::store::GraphStore`]; writers
-/// mutate a private clone and publish it wholesale on commit, so readers
-/// only ever observe the frozen [`DeltaSnapshot`]s.
+/// A property row, shared between every state that holds it.
+type Row = Arc<[Value]>;
+
+/// One vertex label's part of the delta.
 #[derive(Debug, Clone, Default)]
-pub struct DeltaStore {
-    /// Per vertex label: delta rows by slot (`None` = vacated by a delete).
-    v_rows: Vec<Vec<Option<Box<[Value]>>>>,
-    /// Per vertex label: slot allocator recycling vacated delta slots.
-    v_recycler: Vec<OffsetRecycler>,
-    /// Per vertex label: full post-image rows overriding baseline offsets.
-    v_updates: Vec<HashMap<u64, Box<[Value]>>>,
-    /// Per vertex label: tombstoned baseline offsets.
-    v_tombs: Vec<HashSet<u64>>,
-    /// Per vertex label: primary keys of live delta rows -> global offset.
-    v_pk: Vec<HashMap<i64, u64>>,
-    /// Per edge label: delta edges in insertion order (slots never reused).
-    e_rows: Vec<Vec<DeltaEdge>>,
-    /// Per edge label: tombstoned baseline edges, `(src, dst) -> occs`.
-    e_tombs: Vec<HashMap<(u64, u64), Vec<u32>>>,
-    /// `[elabel][dir]`: endpoint -> live delta edge indices in insertion
-    /// order, maintained incrementally on every edge mutation. This is the
-    /// same shape the snapshot publishes, kept live so vertex-delete
-    /// cascades, cardinality checks and delete-edge resolution cost
-    /// O(incident edges) instead of scanning every delta edge. Invariants:
-    /// only live edges appear, and a key with no edges is removed — so
-    /// `freeze` can publish a clone verbatim.
-    e_from: Vec<[HashMap<u64, Vec<u64>>; 2]>,
+struct VertexDelta {
+    /// Delta rows by slot (`None` = vacated by a delete).
+    rows: PVec<Option<Row>>,
+    /// Slot allocator recycling vacated delta slots.
+    recycler: OffsetRecycler,
+    /// Full post-image rows overriding baseline offsets.
+    updates: PMap<u64, Row>,
+    /// Tombstoned baseline offsets.
+    tombs: PMap<u64, ()>,
+    /// Primary keys of live delta rows -> global offset.
+    pk: PMap<i64, u64>,
+    /// `ZONE_BLOCK` index -> how many of its baseline offsets are
+    /// tombstoned or overridden: the blocks a pushed-down scan cannot
+    /// prune or probe positionally.
+    touched_blocks: PMap<u64, u32>,
+    /// Per property: extension dictionary (never used for non-strings).
+    exts: Vec<StrExt>,
 }
 
-impl DeltaStore {
-    pub fn new(catalog: &Catalog) -> DeltaStore {
-        let nv = catalog.vertex_label_count();
-        let ne = catalog.edge_label_count();
-        DeltaStore {
-            v_rows: vec![Vec::new(); nv],
-            v_recycler: vec![OffsetRecycler::new(); nv],
-            v_updates: vec![HashMap::new(); nv],
-            v_tombs: vec![HashSet::new(); nv],
-            v_pk: vec![HashMap::new(); nv],
-            e_rows: vec![Vec::new(); ne],
-            e_tombs: vec![HashMap::new(); ne],
-            e_from: (0..ne).map(|_| [HashMap::new(), HashMap::new()]).collect(),
+/// One edge label's part of the delta.
+#[derive(Debug, Clone, Default)]
+struct EdgeDelta {
+    /// Delta edges in insertion order (slots never reused).
+    rows: PVec<DeltaEdge>,
+    /// Tombstoned baseline edges, `(src, dst) -> occs`.
+    tombs: PMap<(u64, u64), Arc<[u32]>>,
+    /// Number of tombstoned baseline edges (occurrences over `tombs`).
+    tomb_count: usize,
+    /// `[dir]`: endpoint -> tombstoned baseline edges on that side of it.
+    /// With `from`, the lists that differ from the baseline.
+    tomb_ends: [PMap<u64, u32>; 2],
+    /// `[dir]`: endpoint -> live delta edge indices in insertion order.
+    /// Only live edges appear, and a key with no edges is removed, so key
+    /// presence alone says "has a live delta edge" — the vertex-delete
+    /// cascade, cardinality checks and delete-edge resolution cost
+    /// O(incident edges).
+    from: [PMap<u64, Arc<[u64]>>; 2],
+    /// `[prop][dir]` extension dictionaries.
+    exts: Vec<[StrExt; 2]>,
+}
+
+/// Add one to `key`'s count.
+fn count_in(counts: &mut PMap<u64, u32>, key: u64) {
+    let n = counts.get(&key).copied().unwrap_or(0);
+    counts.insert(key, n + 1);
+}
+
+impl VertexDelta {
+    /// Count `off` in its block's touched offsets.
+    fn touch_block(&mut self, off: u64) {
+        count_in(&mut self.touched_blocks, off / ZONE_BLOCK as u64);
+    }
+}
+
+impl EdgeDelta {
+    /// Append delta edge `idx` to `v`'s side-`d` list.
+    fn link(&mut self, d: usize, v: u64, idx: u64) {
+        let old = self.from[d].get(&v).map_or(&[][..], |list| &list[..]);
+        let list: Arc<[u64]> = old.iter().copied().chain([idx]).collect();
+        self.from[d].insert(v, list);
+    }
+
+    /// Drop delta edge `idx` from `v`'s side-`d` list.
+    fn unlink(&mut self, d: usize, v: u64, idx: u64) {
+        let Some(list) = self.from[d].get(&v) else { return };
+        let rest: Arc<[u64]> = list.iter().copied().filter(|&x| x != idx).collect();
+        if rest.is_empty() {
+            self.from[d].remove(&v);
+        } else {
+            self.from[d].insert(v, rest);
         }
     }
+}
 
-    /// True when no mutation is buffered (merge is a no-op).
-    pub fn is_empty(&self) -> bool {
-        self.v_rows.iter().all(|r| r.iter().all(Option::is_none))
-            && self.v_updates.iter().all(HashMap::is_empty)
-            && self.v_tombs.iter().all(HashSet::is_empty)
-            && self.e_rows.iter().all(|r| r.iter().all(|e| e.deleted))
-            && self.e_tombs.iter().all(HashMap::is_empty)
+/// The delta store: the writer's accumulator and, once published, the
+/// readers' [`DeltaSnapshot`]. A clone costs one `Arc` bump per label;
+/// writes through [`DeltaStore::apply`] copy only what they touch, so a
+/// writer works on a clone of the published state and readers holding
+/// that state never observe the writes.
+#[derive(Debug, Clone, Default)]
+pub struct DeltaStore {
+    /// Per vertex label.
+    v: Vec<Arc<VertexDelta>>,
+    /// Per edge label.
+    e: Vec<Arc<EdgeDelta>>,
+}
+
+/// A published [`DeltaStore`]: the state one MVCC epoch's readers pin.
+/// All lookups are by positional offset and are representation-agnostic:
+/// the columnar engines, the row-store engine and the relational baseline
+/// overlay the same snapshot over their own baselines.
+pub type DeltaSnapshot = DeltaStore;
+
+/// The baseline dictionary of a vertex property (`None` for non-strings).
+fn vertex_dict(base: &ColumnarGraph, label: LabelId, prop: usize) -> Option<&Dictionary> {
+    base.vertex_prop(label, prop).dictionary()
+}
+
+/// The baseline dictionary of an edge property in one traversal direction.
+fn edge_dict(
+    base: &ColumnarGraph,
+    label: LabelId,
+    dir: Direction,
+    prop: usize,
+) -> Option<&Dictionary> {
+    base.edge_prop_read(label, dir, prop).ok().and_then(|read| read.column().dictionary())
+}
+
+const DIRS: [Direction; 2] = [Direction::Fwd, Direction::Bwd];
+
+impl DeltaStore {
+    /// The empty delta over `base`, with each string property's extension
+    /// codes starting after its baseline dictionary.
+    pub fn new(base: &ColumnarGraph) -> DeltaStore {
+        let catalog = base.catalog();
+        let dict_len = |dict: Option<&Dictionary>| dict.map_or(0, Dictionary::len);
+        let v = (0..catalog.vertex_label_count() as LabelId)
+            .map(|l| {
+                let n_props = catalog.vertex_label(l).properties.len();
+                let exts = (0..n_props).map(|p| StrExt::new(dict_len(vertex_dict(base, l, p))));
+                Arc::new(VertexDelta { exts: exts.collect(), ..VertexDelta::default() })
+            })
+            .collect();
+        let e = (0..catalog.edge_label_count() as LabelId)
+            .map(|l| {
+                let n_props = catalog.edge_label(l).properties.len();
+                let exts = (0..n_props)
+                    .map(|p| DIRS.map(|dir| StrExt::new(dict_len(edge_dict(base, l, dir, p)))));
+                Arc::new(EdgeDelta { exts: exts.collect(), ..EdgeDelta::default() })
+            })
+            .collect();
+        DeltaStore { v, e }
     }
 
-    /// Number of buffered ops' worth of state, as a rough merge trigger.
+    /// True when no mutation is visible: no live delta row or edge, no
+    /// override, no tombstone. Every view helper is then the identity and
+    /// engines take their unmodified fast paths. (Vacated slots and
+    /// deleted delta edges are invisible, so they do not count.)
+    pub fn is_empty(&self) -> bool {
+        self.v.iter().all(|v| {
+            v.rows.len() == v.recycler.gaps() && v.updates.is_empty() && v.tombs.is_empty()
+        }) && self.e.iter().all(|e| e.from[0].is_empty() && e.tombs.is_empty())
+    }
+
+    /// Buffered entries — a merge-policy signal. Zero exactly when no op
+    /// has been applied: nothing an op adds ever leaves before a merge
+    /// (a slot stays when vacated, a deleted edge keeps its index, an
+    /// override dropped by a delete is replaced by its tombstone).
     pub fn mutation_count(&self) -> usize {
-        self.v_rows.iter().map(Vec::len).sum::<usize>()
-            + self.v_updates.iter().map(HashMap::len).sum::<usize>()
-            + self.v_tombs.iter().map(HashSet::len).sum::<usize>()
-            + self.e_rows.iter().map(Vec::len).sum::<usize>()
-            + self.e_tombs.iter().map(|t| t.values().map(Vec::len).sum::<usize>()).sum::<usize>()
+        self.v.iter().map(|v| v.rows.len() + v.updates.len() + v.tombs.len()).sum::<usize>()
+            + self.e.iter().map(|e| e.rows.len() + e.tomb_count).sum::<usize>()
     }
 
     // ---- effective-state queries (writer side) -----------------------------
@@ -285,32 +387,22 @@ impl DeltaStore {
     /// Is the vertex at global offset `off` visible?
     pub fn vertex_live(&self, base: &ColumnarGraph, label: LabelId, off: u64) -> bool {
         let n_base = base.vertex_count(label) as u64;
+        let v = &self.v[label as usize];
         if off < n_base {
-            !self.v_tombs[label as usize].contains(&off)
+            !v.tombs.contains_key(&off)
         } else {
-            let slot = (off - n_base) as usize;
-            self.v_rows[label as usize].get(slot).is_some_and(Option::is_some)
+            v.rows.get((off - n_base) as usize).is_some_and(Option::is_some)
         }
-    }
-
-    /// Effective vertex count including live and vacated delta slots (the
-    /// scan range is `0..n_base + delta_slots`).
-    pub fn scan_total(&self, base: &ColumnarGraph, label: LabelId) -> u64 {
-        base.vertex_count(label) as u64 + self.v_rows[label as usize].len() as u64
     }
 
     /// Effective primary-key lookup: delta rows shadow nothing (pk is
     /// unique), tombstoned baseline rows are invisible.
     pub fn lookup_pk(&self, base: &ColumnarGraph, label: LabelId, key: i64) -> Option<u64> {
-        if let Some(&off) = self.v_pk[label as usize].get(&key) {
+        if let Some(off) = self.pk_delta(label, key) {
             return Some(off);
         }
         let off = base.lookup_pk(label, key)?;
-        if self.v_tombs[label as usize].contains(&off) {
-            None
-        } else {
-            Some(off)
-        }
+        (!self.vertex_tombed(label, off)).then_some(off)
     }
 
     /// Effective property value of the vertex at `off` (must be live).
@@ -323,13 +415,12 @@ impl DeltaStore {
     ) -> Value {
         let n_base = base.vertex_count(label) as u64;
         if off < n_base {
-            if let Some(row) = self.v_updates[label as usize].get(&off) {
+            if let Some(row) = self.updated_row(label, off) {
                 return row[prop].clone();
             }
             base.vertex_prop(label, prop).value(off as usize)
         } else {
-            let slot = (off - n_base) as usize;
-            match self.v_rows[label as usize].get(slot).and_then(Option::as_ref) {
+            match self.delta_row(label, off - n_base) {
                 Some(row) => row[prop].clone(),
                 None => Value::Null,
             }
@@ -339,7 +430,7 @@ impl DeltaStore {
     /// The global offset the next `InsertVertex { label, .. }` will land
     /// on (recycled gap or fresh slot), without allocating it.
     pub fn peek_insert_offset(&self, base: &ColumnarGraph, label: LabelId) -> u64 {
-        base.vertex_count(label) as u64 + self.v_recycler[label as usize].peek()
+        base.vertex_count(label) as u64 + self.v[label as usize].recycler.peek()
     }
 
     /// Resolve "delete the first live `(src, dst)` edge" to a stable
@@ -354,23 +445,17 @@ impl DeltaStore {
     ) -> Result<EdgeTarget> {
         let n_base = base.vertex_count(base.catalog().edge_label(label).src) as u64;
         if src < n_base {
-            let tombs = self.e_tombs[label as usize].get(&(src, dst));
-            let is_tombed = |occ: u32| tombs.is_some_and(|v| v.contains(&occ));
             let n_occ = base_occurrences(base, label, src, dst);
-            for occ in 0..n_occ {
-                if !is_tombed(occ) {
-                    return Ok(EdgeTarget::Base { src, dst, occ });
-                }
+            if let Some(occ) = (0..n_occ).find(|&occ| !self.edge_tombed(label, src, dst, occ)) {
+                return Ok(EdgeTarget::Base { src, dst, occ });
             }
         }
         // The per-endpoint index lists live edges in insertion order, so
-        // the first `dst` match is the oldest live delta edge — the same
-        // answer the old full scan gave, at O(out-degree) cost.
-        if let Some(idxs) = self.e_from[label as usize][0].get(&src) {
-            for &idx in idxs {
-                if self.e_rows[label as usize][idx as usize].dst == dst {
-                    return Ok(EdgeTarget::Delta { idx });
-                }
+        // the first `dst` match is the oldest live delta edge, found at
+        // O(out-degree) cost.
+        for &idx in self.delta_edges_from(label, Direction::Fwd, src) {
+            if self.delta_edge(label, idx).dst == dst {
+                return Ok(EdgeTarget::Delta { idx });
             }
         }
         Err(Error::Invalid(format!(
@@ -383,7 +468,8 @@ impl DeltaStore {
 
     /// Validate and apply one resolved op. This is the only way state enters
     /// the store — the writer's transaction and WAL replay both call it, so
-    /// a committed log replays to exactly the state that was published.
+    /// a committed log replays to exactly the state that was published. A
+    /// rejected op changes nothing.
     pub fn apply(&mut self, base: &ColumnarGraph, op: &ResolvedOp) -> Result<()> {
         match op {
             ResolvedOp::InsertVertex { label, row } => self.insert_vertex(base, *label, row),
@@ -414,38 +500,54 @@ impl DeltaStore {
         }
     }
 
+    /// The writable part of vertex label `label` (copied if shared).
+    fn vertex_mut(&mut self, label: LabelId) -> &mut VertexDelta {
+        Arc::make_mut(&mut self.v[label as usize])
+    }
+
+    /// The writable part of edge label `label` (copied if shared).
+    fn edge_mut(&mut self, label: LabelId) -> &mut EdgeDelta {
+        Arc::make_mut(&mut self.e[label as usize])
+    }
+
     fn insert_vertex(&mut self, base: &ColumnarGraph, label: LabelId, row: &[Value]) -> Result<()> {
         self.check_vlabel(base, label)?;
         let def = base.catalog().vertex_label(label);
         let row = normalize_row(&def.name, &def.properties, row)?;
-        if let Some(pidx) = def.primary_key {
-            let key = row[pidx].as_i64().ok_or_else(|| {
-                Error::Invalid(format!("vertex label {} requires a non-null Int64 pk", def.name))
-            })?;
-            if self.lookup_pk(base, label, key).is_some() {
-                return Err(Error::Invalid(format!("duplicate primary key {key} on {}", def.name)));
+        let key = match def.primary_key {
+            Some(pidx) => {
+                let key = row[pidx].as_i64().ok_or_else(|| {
+                    Error::Invalid(format!(
+                        "vertex label {} requires a non-null Int64 pk",
+                        def.name
+                    ))
+                })?;
+                if self.lookup_pk(base, label, key).is_some() {
+                    return Err(Error::Invalid(format!(
+                        "duplicate primary key {key} on {}",
+                        def.name
+                    )));
+                }
+                Some(key)
             }
-            let slot = self.v_recycler[label as usize].allocate();
-            let off = base.vertex_count(label) as u64 + slot;
-            self.v_pk[label as usize].insert(key, off);
-            self.place_row(base, label, slot, row);
+            None => None,
+        };
+        let n_base = base.vertex_count(label) as u64;
+        let v = self.vertex_mut(label);
+        let slot = v.recycler.allocate();
+        if let Some(key) = key {
+            v.pk.insert(key, n_base + slot);
+        }
+        intern_vertex_strings(&mut v.exts, base, label, &row);
+        // The recycler hands out a vacated slot below its high-water mark,
+        // which equals rows.len(), or the next fresh one.
+        let slot = slot as usize;
+        if slot < v.rows.len() {
+            v.rows.set(slot, Some(row));
         } else {
-            let slot = self.v_recycler[label as usize].allocate();
-            self.place_row(base, label, slot, row);
+            v.rows.push(Some(row));
         }
         Ok(())
-    }
-
-    fn place_row(&mut self, _base: &ColumnarGraph, label: LabelId, slot: u64, row: Box<[Value]>) {
-        let rows = &mut self.v_rows[label as usize];
-        let slot = slot as usize;
-        if slot == rows.len() {
-            rows.push(Some(row));
-        } else {
-            // The recycler only hands out vacated slots below its
-            // high-water mark, which equals rows.len().
-            rows[slot] = Some(row);
-        }
     }
 
     fn update_vertex(
@@ -471,11 +573,14 @@ impl DeltaStore {
             }
         }
         let n_base = base.vertex_count(label) as u64;
+        let v = self.vertex_mut(label);
+        intern_vertex_strings(&mut v.exts, base, label, &row);
         if off < n_base {
-            self.v_updates[label as usize].insert(off, row);
+            if v.updates.insert(off, row).is_none() {
+                v.touch_block(off);
+            }
         } else {
-            let slot = (off - n_base) as usize;
-            self.v_rows[label as usize][slot] = Some(row);
+            v.rows.set((off - n_base) as usize, Some(row));
         }
         Ok(())
     }
@@ -500,20 +605,26 @@ impl DeltaStore {
                 self.drop_delta_side(elabel, 1, off);
             }
         }
-        let def = catalog.vertex_label(label);
-        if let Some(pidx) = def.primary_key {
-            if let Some(key) = self.vertex_value(base, label, off, pidx).as_i64() {
-                self.v_pk[label as usize].remove(&key);
-            }
-        }
+        let key = catalog
+            .vertex_label(label)
+            .primary_key
+            .and_then(|pidx| self.vertex_value(base, label, off, pidx).as_i64());
         let n_base = base.vertex_count(label) as u64;
+        let v = self.vertex_mut(label);
+        if let Some(key) = key {
+            v.pk.remove(&key);
+        }
         if off < n_base {
-            self.v_updates[label as usize].remove(&off);
-            self.v_tombs[label as usize].insert(off);
+            // An override gives way to the tombstone: the offset stays
+            // touched either way.
+            if v.updates.remove(&off).is_none() {
+                v.touch_block(off);
+            }
+            v.tombs.insert(off, ());
         } else {
             let slot = off - n_base;
-            self.v_rows[label as usize][slot as usize] = None;
-            self.v_recycler[label as usize].release(slot);
+            v.rows.set(slot as usize, None);
+            v.recycler.release(slot);
         }
         Ok(())
     }
@@ -522,25 +633,17 @@ impl DeltaStore {
     /// 1 = dst) is `v`, keeping both directions of the endpoint index
     /// consistent.
     fn drop_delta_side(&mut self, elabel: LabelId, d: usize, v: u64) {
-        let el = elabel as usize;
-        let Some(idxs) = self.e_from[el][d].remove(&v) else {
+        let Some(idxs) = self.e[elabel as usize].from[d].get(&v).cloned() else {
             return;
         };
-        let other = 1 - d;
-        for &idx in &idxs {
-            let i = idx as usize;
-            let (src, dst) = {
-                let e = &mut self.e_rows[el][i];
-                e.deleted = true;
-                (e.src, e.dst)
-            };
-            let other_v = if d == 0 { dst } else { src };
-            if let Some(list) = self.e_from[el][other].get_mut(&other_v) {
-                list.retain(|&x| x != idx);
-                if list.is_empty() {
-                    self.e_from[el][other].remove(&other_v);
-                }
-            }
+        let e = self.edge_mut(elabel);
+        e.from[d].remove(&v);
+        for &idx in idxs.iter() {
+            let edge = &e.rows[idx as usize];
+            let other_v = if d == 0 { edge.dst } else { edge.src };
+            let dead = DeltaEdge { deleted: true, ..edge.clone() };
+            e.rows.set(idx as usize, dead);
+            e.unlink(1 - d, other_v, idx);
         }
     }
 
@@ -553,28 +656,41 @@ impl DeltaStore {
             return;
         }
         let mut seen: HashMap<u64, u32> = HashMap::new();
-        let mut tomb = |tombs: &mut HashMap<(u64, u64), Vec<u32>>, nbr: u64| {
+        let mut tomb = |nbr: u64| {
             let occ = seen.entry(nbr).or_insert(0);
-            let key = if dir == Direction::Fwd { (v, nbr) } else { (nbr, v) };
-            let occs = tombs.entry(key).or_default();
-            if !occs.contains(occ) {
-                occs.push(*occ);
-            }
+            let (src, dst) = if dir == Direction::Fwd { (v, nbr) } else { (nbr, v) };
+            self.tomb_base_edge(elabel, src, dst, *occ);
             *occ += 1;
         };
         match base.adj(elabel, dir) {
             AdjIndex::Csr(csr) => {
-                let tombs = &mut self.e_tombs[elabel as usize];
                 for (_, nbr) in csr.iter_list(v) {
-                    tomb(tombs, nbr);
+                    tomb(nbr);
                 }
             }
             AdjIndex::SingleCard(s) => {
                 if let Some(nbr) = s.nbr(v) {
-                    tomb(&mut self.e_tombs[elabel as usize], nbr);
+                    tomb(nbr);
                 }
             }
         }
+    }
+
+    /// Tombstone the baseline edge `(src, dst, occ)`; `false` when it
+    /// already was.
+    fn tomb_base_edge(&mut self, elabel: LabelId, src: u64, dst: u64, occ: u32) -> bool {
+        let occs: Arc<[u32]> = match self.e[elabel as usize].tombs.get(&(src, dst)) {
+            Some(occs) if occs.contains(&occ) => return false,
+            Some(occs) => occs.iter().copied().chain([occ]).collect(),
+            None => Arc::new([occ]),
+        };
+        let e = self.edge_mut(elabel);
+        e.tombs.insert((src, dst), occs);
+        e.tomb_count += 1;
+        for (ends, v) in e.tomb_ends.iter_mut().zip([src, dst]) {
+            count_in(ends, v);
+        }
+        true
     }
 
     fn insert_edge(
@@ -608,11 +724,12 @@ impl DeltaStore {
                 )));
             }
         }
-        let l = label as usize;
-        let idx = self.e_rows[l].len() as u64;
-        self.e_rows[l].push(DeltaEdge { src, dst, props, deleted: false });
-        self.e_from[l][0].entry(src).or_default().push(idx);
-        self.e_from[l][1].entry(dst).or_default().push(idx);
+        let e = self.edge_mut(label);
+        let idx = e.rows.len() as u64;
+        intern_edge_strings(&mut e.exts, base, label, &props);
+        e.rows.push(DeltaEdge { src, dst, props, deleted: false });
+        e.link(0, src, idx);
+        e.link(1, dst, idx);
         Ok(())
     }
 
@@ -627,19 +744,18 @@ impl DeltaStore {
     ) -> bool {
         // The endpoint index holds only live edges and no empty lists, so
         // key presence alone answers the delta side in O(1).
-        if self.e_from[elabel as usize][dir_idx(dir)].contains_key(&v) {
+        if self.e[elabel as usize].from[dir_idx(dir)].contains_key(&v) {
             return true;
         }
         let from_label = base.catalog().edge_label(elabel).from_label(dir);
         if v >= base.vertex_count(from_label) as u64 {
             return false;
         }
-        let tombs = &self.e_tombs[elabel as usize];
         let mut seen: HashMap<u64, u32> = HashMap::new();
         let mut check = |nbr: u64| -> bool {
             let occ = seen.entry(nbr).or_insert(0);
-            let key = if dir == Direction::Fwd { (v, nbr) } else { (nbr, v) };
-            let alive = !tombs.get(&key).is_some_and(|occs| occs.contains(occ));
+            let (src, dst) = if dir == Direction::Fwd { (v, nbr) } else { (nbr, v) };
+            let alive = !self.edge_tombed(elabel, src, dst, *occ);
             *occ += 1;
             alive
         };
@@ -663,153 +779,169 @@ impl DeltaStore {
                         "no baseline edge ({src} -> {dst}, occurrence {occ})"
                     )));
                 }
-                let occs = self.e_tombs[label as usize].entry((src, dst)).or_default();
-                if occs.contains(&occ) {
+                if !self.tomb_base_edge(label, src, dst, occ) {
                     return Err(Error::Invalid(format!(
                         "baseline edge ({src} -> {dst}, occurrence {occ}) already deleted"
                     )));
                 }
-                occs.push(occ);
             }
             EdgeTarget::Delta { idx } => {
-                let l = label as usize;
-                let e = self.e_rows[l]
-                    .get_mut(idx as usize)
+                let edge = self.e[label as usize]
+                    .rows
+                    .get(idx as usize)
                     .filter(|e| !e.deleted)
                     .ok_or_else(|| Error::Invalid(format!("no live delta edge at index {idx}")))?;
-                e.deleted = true;
-                let (src, dst) = (e.src, e.dst);
-                for (d, v) in [(0, src), (1, dst)] {
-                    if let Some(list) = self.e_from[l][d].get_mut(&v) {
-                        list.retain(|&x| x != idx);
-                        if list.is_empty() {
-                            self.e_from[l][d].remove(&v);
-                        }
-                    }
-                }
+                let (src, dst) = (edge.src, edge.dst);
+                let dead = DeltaEdge { deleted: true, ..edge.clone() };
+                let e = self.edge_mut(label);
+                e.rows.set(idx as usize, dead);
+                e.unlink(0, src, idx);
+                e.unlink(1, dst, idx);
             }
         }
         Ok(())
     }
 
-    // ---- freeze ------------------------------------------------------------
+    // ---- vertices (reader side) --------------------------------------------
 
-    /// Freeze the current state into an immutable snapshot with the derived
-    /// read-side indices (from-indices, dirty sets, string extensions,
-    /// sorted offset lists for block-level checks).
-    pub fn freeze(&self, base: &ColumnarGraph) -> DeltaSnapshot {
-        let catalog = base.catalog();
-        let nv = catalog.vertex_label_count();
-        let ne = catalog.edge_label_count();
+    /// Number of delta vertex slots (live or vacated) for `label`; the scan
+    /// range extends to `n_base + delta_slots(label)`.
+    pub fn delta_slots(&self, label: LabelId) -> u64 {
+        self.v.get(label as usize).map_or(0, |v| v.rows.len() as u64)
+    }
 
-        let mut v_tombs_sorted = Vec::with_capacity(nv);
-        let mut v_touched_offs = Vec::with_capacity(nv);
-        let mut v_str_ext: Vec<Vec<StrExt>> = Vec::with_capacity(nv);
-        for l in 0..nv {
-            let mut tombs: Vec<u64> = self.v_tombs[l].iter().copied().collect();
-            tombs.sort_unstable();
-            // Baseline offsets a pushed-down scan cannot prune or probe
-            // positionally: tombstones and overridden rows.
-            let mut touched: Vec<u64> =
-                self.v_tombs[l].iter().chain(self.v_updates[l].keys()).copied().collect();
-            touched.sort_unstable();
-            touched.dedup();
-            v_tombs_sorted.push(tombs);
-            v_touched_offs.push(touched);
+    /// The delta row at `slot`, if live.
+    pub fn delta_row(&self, label: LabelId, slot: u64) -> Option<&[Value]> {
+        self.v.get(label as usize)?.rows.get(slot as usize)?.as_deref()
+    }
 
-            let def = catalog.vertex_label(l as LabelId);
-            let mut exts = Vec::with_capacity(def.properties.len());
-            for (p, pd) in def.properties.iter().enumerate() {
-                let mut ext = if pd.dtype == DataType::String {
-                    let dict = base.vertex_prop(l as LabelId, p).dictionary();
-                    StrExt::new(dict.map_or(0, |d| d.len()))
-                } else {
-                    StrExt::new(0)
-                };
-                if pd.dtype == DataType::String {
-                    let dict = base.vertex_prop(l as LabelId, p).dictionary();
-                    let mut note = |v: &Value| {
-                        if let Value::String(s) = v {
-                            if dict.and_then(|d| d.code_of(s)).is_none() {
-                                ext.intern(s);
-                            }
-                        }
-                    };
-                    for row in self.v_rows[l].iter().flatten() {
-                        note(&row[p]);
-                    }
-                    for row in self.v_updates[l].values() {
-                        note(&row[p]);
-                    }
-                }
-                exts.push(ext);
-            }
-            v_str_ext.push(exts);
+    /// The full post-image row overriding baseline offset `off`, if any.
+    pub fn updated_row(&self, label: LabelId, off: u64) -> Option<&[Value]> {
+        self.v.get(label as usize)?.updates.get(&off).map(|r| &r[..])
+    }
+
+    /// Is the baseline offset `off` tombstoned?
+    pub fn vertex_tombed(&self, label: LabelId, off: u64) -> bool {
+        self.v.get(label as usize).is_some_and(|v| v.tombs.contains_key(&off))
+    }
+
+    /// Does `label` carry any vertex-side mutation (rows, updates, tombs)?
+    pub fn vertex_label_touched(&self, label: LabelId) -> bool {
+        self.v
+            .get(label as usize)
+            .is_some_and(|v| !v.rows.is_empty() || !v.updates.is_empty() || !v.tombs.is_empty())
+    }
+
+    /// May tombstoned/overridden baseline offsets fall in `[start, end)`?
+    /// Answered per `ZONE_BLOCK`, one probe per block the range spans:
+    /// exact for a range inside one block and covering the block's part of
+    /// the range a scan asks about, conservative (`true` when the block
+    /// has a touched offset anywhere) for a narrower one.
+    pub fn base_range_touched(&self, label: LabelId, start: u64, end: u64) -> bool {
+        let Some(v) = self.v.get(label as usize) else { return false };
+        if start >= end || v.touched_blocks.is_empty() {
+            return false;
         }
+        let zb = ZONE_BLOCK as u64;
+        (start / zb..=(end - 1) / zb).any(|block| v.touched_blocks.contains_key(&block))
+    }
 
-        let mut e_from = Vec::with_capacity(ne);
-        let mut e_dirty = Vec::with_capacity(ne);
-        let mut e_str_ext: Vec<Vec<[StrExt; 2]>> = Vec::with_capacity(ne);
-        for l in 0..ne {
-            // The live per-endpoint index already has the snapshot's exact
-            // shape (live edges only, insertion order, no empty lists) —
-            // publish a clone instead of rebuilding from a full edge scan.
-            let fwd = self.e_from[l][0].clone();
-            let bwd = self.e_from[l][1].clone();
-            let mut dirty_fwd: HashSet<u64> = HashSet::new();
-            let mut dirty_bwd: HashSet<u64> = HashSet::new();
-            for &(src, dst) in self.e_tombs[l].keys() {
-                dirty_fwd.insert(src);
-                dirty_bwd.insert(dst);
-            }
-            dirty_fwd.extend(fwd.keys().copied());
-            dirty_bwd.extend(bwd.keys().copied());
-            e_from.push([fwd, bwd]);
-            e_dirty.push([dirty_fwd, dirty_bwd]);
+    /// Primary-key lookup against the delta only (`None` = ask the base,
+    /// then reject tombstoned hits).
+    pub fn pk_delta(&self, label: LabelId, key: i64) -> Option<u64> {
+        self.v.get(label as usize)?.pk.get(&key).copied()
+    }
 
-            let def = catalog.edge_label(l as LabelId);
-            let mut exts = Vec::with_capacity(def.properties.len());
-            for (p, pd) in def.properties.iter().enumerate() {
-                let mut pair = [StrExt::new(0), StrExt::new(0)];
-                if pd.dtype == DataType::String {
-                    for (d, dir) in [(0, Direction::Fwd), (1, Direction::Bwd)] {
-                        let dict_ref = base
-                            .edge_prop_read(l as LabelId, dir, p)
-                            .ok()
-                            .and_then(|read| read.column().dictionary());
-                        let mut ext = StrExt::new(dict_ref.map_or(0, |d| d.len()));
-                        for e in &self.e_rows[l] {
-                            if e.deleted {
-                                continue;
-                            }
-                            if let Value::String(s) = &e.props[p] {
-                                if dict_ref.and_then(|dd| dd.code_of(s)).is_none() {
-                                    ext.intern(s);
-                                }
-                            }
-                        }
-                        pair[d] = ext;
-                    }
-                }
-                exts.push(pair);
+    /// Extension dictionary of a string vertex property.
+    pub fn vertex_str_ext(&self, label: LabelId, prop: usize) -> Option<&StrExt> {
+        self.v.get(label as usize)?.exts.get(prop).filter(|e| !e.is_empty())
+    }
+
+    // ---- edges (reader side) -----------------------------------------------
+
+    /// Is the baseline edge `(src, dst, occ)` tombstoned?
+    pub fn edge_tombed(&self, label: LabelId, src: u64, dst: u64, occ: u32) -> bool {
+        self.e
+            .get(label as usize)
+            .and_then(|e| e.tombs.get(&(src, dst)))
+            .is_some_and(|occs| occs.contains(&occ))
+    }
+
+    /// Does the adjacency list of `from` in `(label, dir)` differ from the
+    /// baseline: does it hold a live delta edge or a tombstoned baseline
+    /// edge?
+    pub fn edge_list_dirty(&self, label: LabelId, dir: Direction, from: u64) -> bool {
+        let d = dir_idx(dir);
+        self.e
+            .get(label as usize)
+            .is_some_and(|e| e.from[d].contains_key(&from) || e.tomb_ends[d].contains_key(&from))
+    }
+
+    /// Does `(label, dir)` carry any edge mutation at all? (`false` keeps
+    /// the whole zero-copy extend path.)
+    pub fn edge_label_touched(&self, label: LabelId, dir: Direction) -> bool {
+        let d = dir_idx(dir);
+        self.e
+            .get(label as usize)
+            .is_some_and(|e| !e.from[d].is_empty() || !e.tomb_ends[d].is_empty())
+    }
+
+    /// Live delta edge indices whose `dir`-side endpoint is `from`.
+    pub fn delta_edges_from(&self, label: LabelId, dir: Direction, from: u64) -> &[u64] {
+        self.e
+            .get(label as usize)
+            .and_then(|e| e.from[dir_idx(dir)].get(&from))
+            .map_or(&[], |v| &v[..])
+    }
+
+    /// The delta edge at `idx` (deleted edges keep their slot).
+    pub fn delta_edge(&self, label: LabelId, idx: u64) -> &DeltaEdge {
+        &self.e[label as usize].rows[idx as usize]
+    }
+
+    /// Total delta edge slots for `label`.
+    pub fn delta_edge_count(&self, label: LabelId) -> u64 {
+        self.e.get(label as usize).map_or(0, |e| e.rows.len() as u64)
+    }
+
+    /// Extension dictionary of a string edge property for one traversal
+    /// direction.
+    pub fn edge_str_ext(&self, label: LabelId, dir: Direction, prop: usize) -> Option<&StrExt> {
+        self.e
+            .get(label as usize)?
+            .exts
+            .get(prop)
+            .map(|pair| &pair[dir_idx(dir)])
+            .filter(|e| !e.is_empty())
+    }
+}
+
+/// Give each string of a vertex row that its baseline dictionary lacks an
+/// extension code (strings already coded keep theirs).
+fn intern_vertex_strings(exts: &mut [StrExt], base: &ColumnarGraph, label: LabelId, row: &[Value]) {
+    for (p, (ext, v)) in exts.iter_mut().zip(row).enumerate() {
+        if let Value::String(s) = v {
+            if vertex_dict(base, label, p).and_then(|d| d.code_of(s)).is_none() {
+                ext.intern(s);
             }
-            e_str_ext.push(exts);
         }
+    }
+}
 
-        DeltaSnapshot {
-            empty: self.is_empty(),
-            v_rows: self.v_rows.clone(),
-            v_updates: self.v_updates.clone(),
-            v_tomb_set: self.v_tombs.clone(),
-            v_tombs_sorted,
-            v_touched_offs,
-            v_pk: self.v_pk.clone(),
-            v_str_ext,
-            e_rows: self.e_rows.clone(),
-            e_tombs: self.e_tombs.clone(),
-            e_from,
-            e_dirty,
-            e_str_ext,
+/// [`intern_vertex_strings`] for an edge row, per traversal direction.
+fn intern_edge_strings(
+    exts: &mut [[StrExt; 2]],
+    base: &ColumnarGraph,
+    label: LabelId,
+    props: &[Value],
+) {
+    for (p, (pair, v)) in exts.iter_mut().zip(props).enumerate() {
+        if let Value::String(s) = v {
+            for (ext, dir) in pair.iter_mut().zip(DIRS) {
+                if edge_dict(base, label, dir, p).and_then(|d| d.code_of(s)).is_none() {
+                    ext.intern(s);
+                }
+            }
         }
     }
 }
@@ -842,7 +974,8 @@ fn normalize_row(
     label_name: &str,
     defs: &[crate::catalog::PropertyDef],
     row: &[Value],
-) -> Result<Box<[Value]>> {
+) -> Result<Row> {
+    use gfcl_common::DataType;
     if row.len() != defs.len() {
         return Err(Error::Invalid(format!(
             "property row for {label_name} has {} values, schema has {}",
@@ -869,37 +1002,40 @@ fn normalize_row(
         };
         out.push(v);
     }
-    Ok(out.into_boxed_slice())
+    Ok(out.into())
 }
 
 /// Extension dictionary for one string property: codes continue after the
 /// baseline dictionary (`code = base_len + idx`), so a chunk's code vector
 /// can mix baseline and delta rows and still decode unambiguously.
+/// Append-only: a string keeps its one code until the next merge, whether
+/// or not a live row still holds it.
 #[derive(Debug, Clone, Default)]
 pub struct StrExt {
     base_len: u64,
-    strs: Vec<String>,
-    map: HashMap<String, u64>,
+    strs: PVec<Arc<str>>,
+    codes: PMap<Arc<str>, u64>,
 }
 
 impl StrExt {
     pub fn new(base_len: usize) -> StrExt {
-        StrExt { base_len: base_len as u64, strs: Vec::new(), map: HashMap::new() }
+        StrExt { base_len: base_len as u64, strs: PVec::new(), codes: PMap::new() }
     }
 
     fn intern(&mut self, s: &str) -> u64 {
-        if let Some(&c) = self.map.get(s) {
+        if let Some(&c) = self.codes.get(s) {
             return c;
         }
-        let code = self.base_len + self.strs.len() as u64;
-        self.strs.push(s.to_owned());
-        self.map.insert(s.to_owned(), code);
+        let code = self.code_end();
+        let s: Arc<str> = Arc::from(s);
+        self.strs.push(Arc::clone(&s));
+        self.codes.insert(s, code);
         code
     }
 
     /// Full code of `s` if it is an extension string.
     pub fn code_of(&self, s: &str) -> Option<u64> {
-        self.map.get(s).copied()
+        self.codes.get(s).copied()
     }
 
     /// Decode a full code `>= base_len()`.
@@ -924,159 +1060,7 @@ impl StrExt {
 
     /// Iterate `(full code, string)` over the extension entries.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &str)> {
-        self.strs.iter().enumerate().map(|(i, s)| (self.base_len + i as u64, s.as_str()))
-    }
-}
-
-/// An immutable freeze of the delta, published to readers under one MVCC
-/// epoch. All lookups are by positional offset and are representation-
-/// agnostic: the columnar engines, the row-store engine and the relational
-/// baseline overlay the same snapshot over their own baselines.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaSnapshot {
-    empty: bool,
-    v_rows: Vec<Vec<Option<Box<[Value]>>>>,
-    v_updates: Vec<HashMap<u64, Box<[Value]>>>,
-    v_tomb_set: Vec<HashSet<u64>>,
-    /// Tombstoned baseline offsets, sorted (block-overlap checks).
-    v_tombs_sorted: Vec<Vec<u64>>,
-    /// Sorted union of tombstoned + overridden baseline offsets: the rows a
-    /// compiled scan predicate must not trust positionally.
-    v_touched_offs: Vec<Vec<u64>>,
-    v_pk: Vec<HashMap<i64, u64>>,
-    /// `[label][prop]` extension dictionaries (empty for non-strings).
-    v_str_ext: Vec<Vec<StrExt>>,
-    e_rows: Vec<Vec<DeltaEdge>>,
-    e_tombs: Vec<HashMap<(u64, u64), Vec<u32>>>,
-    /// `[elabel][dir]`: from-vertex -> live delta edge indices, in
-    /// insertion order.
-    e_from: Vec<[HashMap<u64, Vec<u64>>; 2]>,
-    /// `[elabel][dir]`: from-vertices whose adjacency list differs from the
-    /// baseline (tombstoned entries or delta edges).
-    e_dirty: Vec<[HashSet<u64>; 2]>,
-    /// `[elabel][prop][dir]` extension dictionaries.
-    e_str_ext: Vec<Vec<[StrExt; 2]>>,
-}
-
-impl DeltaSnapshot {
-    /// An empty snapshot (the state of a freshly opened store).
-    pub fn empty_for(catalog: &Catalog) -> DeltaSnapshot {
-        DeltaStore::new(catalog).freeze_empty(catalog)
-    }
-
-    /// True when the snapshot holds no mutation at all — every view helper
-    /// is then the identity and engines take their unmodified fast paths.
-    pub fn is_empty(&self) -> bool {
-        self.empty
-    }
-
-    // ---- vertices ----------------------------------------------------------
-
-    /// Number of delta vertex slots (live or vacated) for `label`; the scan
-    /// range extends to `n_base + delta_slots(label)`.
-    pub fn delta_slots(&self, label: LabelId) -> u64 {
-        self.v_rows.get(label as usize).map_or(0, |r| r.len() as u64)
-    }
-
-    /// The delta row at `slot`, if live.
-    pub fn delta_row(&self, label: LabelId, slot: u64) -> Option<&[Value]> {
-        self.v_rows.get(label as usize)?.get(slot as usize)?.as_deref()
-    }
-
-    /// The full post-image row overriding baseline offset `off`, if any.
-    pub fn updated_row(&self, label: LabelId, off: u64) -> Option<&[Value]> {
-        self.v_updates.get(label as usize)?.get(&off).map(|r| &r[..])
-    }
-
-    /// Is the baseline offset `off` tombstoned?
-    pub fn vertex_tombed(&self, label: LabelId, off: u64) -> bool {
-        self.v_tomb_set.get(label as usize).is_some_and(|t| t.contains(&off))
-    }
-
-    /// Tombstoned baseline offsets of `label`, ascending — the order merge
-    /// removes them in.
-    pub fn vertex_tombs_sorted(&self, label: LabelId) -> &[u64] {
-        self.v_tombs_sorted.get(label as usize).map_or(&[], |v| &v[..])
-    }
-
-    /// Does `label` carry any vertex-side mutation (rows, updates, tombs)?
-    pub fn vertex_label_touched(&self, label: LabelId) -> bool {
-        let l = label as usize;
-        self.v_rows.get(l).is_some_and(|r| !r.is_empty())
-            || self.v_updates.get(l).is_some_and(|u| !u.is_empty())
-            || self.v_tomb_set.get(l).is_some_and(|t| !t.is_empty())
-    }
-
-    /// Do any tombstoned/overridden baseline offsets fall in `[start, end)`?
-    /// Sorted-vec binary search: the common all-clean scan block answers in
-    /// O(log n) without touching per-row state.
-    pub fn base_range_touched(&self, label: LabelId, start: u64, end: u64) -> bool {
-        let Some(offs) = self.v_touched_offs.get(label as usize) else {
-            return false;
-        };
-        let i = offs.partition_point(|&o| o < start);
-        offs.get(i).is_some_and(|&o| o < end)
-    }
-
-    /// Primary-key lookup against the delta only (`None` = ask the base,
-    /// then reject tombstoned hits).
-    pub fn pk_delta(&self, label: LabelId, key: i64) -> Option<u64> {
-        self.v_pk.get(label as usize)?.get(&key).copied()
-    }
-
-    /// Extension dictionary of a string vertex property.
-    pub fn vertex_str_ext(&self, label: LabelId, prop: usize) -> Option<&StrExt> {
-        self.v_str_ext.get(label as usize)?.get(prop).filter(|e| !e.is_empty())
-    }
-
-    // ---- edges -------------------------------------------------------------
-
-    /// Is the baseline edge `(src, dst, occ)` tombstoned?
-    pub fn edge_tombed(&self, label: LabelId, src: u64, dst: u64, occ: u32) -> bool {
-        self.e_tombs
-            .get(label as usize)
-            .and_then(|t| t.get(&(src, dst)))
-            .is_some_and(|occs| occs.contains(&occ))
-    }
-
-    /// Does the adjacency list of `from` in `(label, dir)` differ from the
-    /// baseline?
-    pub fn edge_list_dirty(&self, label: LabelId, dir: Direction, from: u64) -> bool {
-        self.e_dirty.get(label as usize).is_some_and(|d| d[dir_idx(dir)].contains(&from))
-    }
-
-    /// Does `(label, dir)` carry any edge mutation at all? (`false` keeps
-    /// the whole zero-copy extend path.)
-    pub fn edge_label_touched(&self, label: LabelId, dir: Direction) -> bool {
-        self.e_dirty.get(label as usize).is_some_and(|d| !d[dir_idx(dir)].is_empty())
-    }
-
-    /// Live delta edge indices whose `dir`-side endpoint is `from`.
-    pub fn delta_edges_from(&self, label: LabelId, dir: Direction, from: u64) -> &[u64] {
-        self.e_from
-            .get(label as usize)
-            .and_then(|d| d[dir_idx(dir)].get(&from))
-            .map_or(&[], |v| &v[..])
-    }
-
-    /// The delta edge at `idx` (deleted edges keep their slot).
-    pub fn delta_edge(&self, label: LabelId, idx: u64) -> &DeltaEdge {
-        &self.e_rows[label as usize][idx as usize]
-    }
-
-    /// Total delta edge slots for `label`.
-    pub fn delta_edge_count(&self, label: LabelId) -> u64 {
-        self.e_rows.get(label as usize).map_or(0, |r| r.len() as u64)
-    }
-
-    /// Extension dictionary of a string edge property for one traversal
-    /// direction.
-    pub fn edge_str_ext(&self, label: LabelId, dir: Direction, prop: usize) -> Option<&StrExt> {
-        self.e_str_ext
-            .get(label as usize)?
-            .get(prop)
-            .map(|pair| &pair[dir_idx(dir)])
-            .filter(|e| !e.is_empty())
+        self.strs.iter().enumerate().map(|(i, s)| (self.base_len + i as u64, &**s))
     }
 }
 
@@ -1084,49 +1068,6 @@ fn dir_idx(dir: Direction) -> usize {
     match dir {
         Direction::Fwd => 0,
         Direction::Bwd => 1,
-    }
-}
-
-impl DeltaStore {
-    /// [`DeltaStore::freeze`] without a baseline: only valid when the store
-    /// is empty (used to seed a store's first snapshot).
-    fn freeze_empty(&self, catalog: &Catalog) -> DeltaSnapshot {
-        debug_assert!(self.is_empty());
-        let nv = catalog.vertex_label_count();
-        let ne = catalog.edge_label_count();
-        DeltaSnapshot {
-            empty: true,
-            v_rows: vec![Vec::new(); nv],
-            v_updates: vec![HashMap::new(); nv],
-            v_tomb_set: vec![HashSet::new(); nv],
-            v_tombs_sorted: vec![Vec::new(); nv],
-            v_touched_offs: vec![Vec::new(); nv],
-            v_pk: vec![HashMap::new(); nv],
-            v_str_ext: (0..nv)
-                .map(|l| {
-                    catalog
-                        .vertex_label(l as LabelId)
-                        .properties
-                        .iter()
-                        .map(|_| StrExt::new(0))
-                        .collect()
-                })
-                .collect(),
-            e_rows: vec![Vec::new(); ne],
-            e_tombs: vec![HashMap::new(); ne],
-            e_from: (0..ne).map(|_| [HashMap::new(), HashMap::new()]).collect(),
-            e_dirty: (0..ne).map(|_| [HashSet::new(), HashSet::new()]).collect(),
-            e_str_ext: (0..ne)
-                .map(|l| {
-                    catalog
-                        .edge_label(l as LabelId)
-                        .properties
-                        .iter()
-                        .map(|_| [StrExt::new(0), StrExt::new(0)])
-                        .collect()
-                })
-                .collect(),
-        }
     }
 }
 
@@ -1153,7 +1094,7 @@ mod tests {
     fn insert_update_delete_roundtrip() {
         let g = example();
         let person = g.catalog().vertex_label_id("PERSON").unwrap();
-        let mut d = DeltaStore::new(g.catalog());
+        let mut d = DeltaStore::new(&g);
         assert!(d.is_empty());
 
         d.apply(&g, &ResolvedOp::InsertVertex { label: person, row: person_row("zoe", 31, "F") })
@@ -1174,6 +1115,7 @@ mod tests {
         assert!(!d.vertex_live(&g, person, off));
         assert_eq!(d.lookup_pk(&g, person, 31), None);
         assert!(d.is_empty(), "insert+delete cancels out");
+        assert_eq!(d.mutation_count(), 1, "but the vacated slot is still an entry");
 
         // The vacated slot is recycled by the next insert.
         d.apply(&g, &ResolvedOp::InsertVertex { label: person, row: person_row("yan", 20, "M") })
@@ -1185,7 +1127,7 @@ mod tests {
     fn pk_constraints_enforced() {
         let g = example();
         let person = g.catalog().vertex_label_id("PERSON").unwrap();
-        let mut d = DeltaStore::new(g.catalog());
+        let mut d = DeltaStore::new(&g);
         // Duplicate against the baseline (alice has age 45).
         let err = d
             .apply(&g, &ResolvedOp::InsertVertex { label: person, row: person_row("dup", 45, "F") })
@@ -1216,21 +1158,25 @@ mod tests {
         let g = example();
         let person = g.catalog().vertex_label_id("PERSON").unwrap();
         let follows = g.catalog().edge_label_id("FOLLOWS").unwrap();
-        let mut d = DeltaStore::new(g.catalog());
+        let mut d = DeltaStore::new(&g);
         // Vertex 0 has baseline FOLLOWS edges in both directions.
         d.apply(&g, &ResolvedOp::DeleteVertex { label: person, off: 0 }).unwrap();
-        let snap = d.freeze(&g);
-        assert!(snap.vertex_tombed(person, 0));
-        assert!(snap.edge_label_touched(follows, Direction::Fwd));
-        // Every baseline FOLLOWS edge out of 0 is tombstoned.
+        assert!(d.vertex_tombed(person, 0));
+        assert!(d.edge_label_touched(follows, Direction::Fwd));
+        assert!(d.base_range_touched(person, 0, 1));
+        assert!(!d.base_range_touched(person, ZONE_BLOCK as u64, 2 * ZONE_BLOCK as u64));
+        // Every baseline FOLLOWS edge out of 0 is tombstoned, and both of
+        // its endpoints' lists are dirty.
         if let AdjIndex::Csr(csr) = g.adj(follows, Direction::Fwd) {
             let mut seen: HashMap<u64, u32> = HashMap::new();
             for (_, nbr) in csr.iter_list(0) {
                 let occ = seen.entry(nbr).or_insert(0);
-                assert!(snap.edge_tombed(follows, 0, nbr, *occ));
+                assert!(d.edge_tombed(follows, 0, nbr, *occ));
+                assert!(d.edge_list_dirty(follows, Direction::Bwd, nbr));
                 *occ += 1;
             }
         }
+        assert!(d.edge_list_dirty(follows, Direction::Fwd, 0));
     }
 
     #[test]
@@ -1239,7 +1185,7 @@ mod tests {
         let workat = g.catalog().edge_label_id("WORKAT").unwrap();
         // Vertex 0 already works somewhere (n-1 label): a second WORKAT
         // edge from it must be rejected.
-        let mut d = DeltaStore::new(g.catalog());
+        let mut d = DeltaStore::new(&g);
         let err = d
             .apply(
                 &g,
@@ -1253,7 +1199,7 @@ mod tests {
     fn delete_edge_resolution_prefers_base_occurrences() {
         let g = example();
         let follows = g.catalog().edge_label_id("FOLLOWS").unwrap();
-        let mut d = DeltaStore::new(g.catalog());
+        let mut d = DeltaStore::new(&g);
         // Find one baseline FOLLOWS edge.
         let AdjIndex::Csr(csr) = g.adj(follows, Direction::Fwd) else { panic!() };
         let (src, dst) = (0u64, csr.iter_list(0).next().unwrap().1);
@@ -1274,7 +1220,7 @@ mod tests {
         let g = example();
         let person = g.catalog().vertex_label_id("PERSON").unwrap();
         let follows = g.catalog().edge_label_id("FOLLOWS").unwrap();
-        let mut d = DeltaStore::new(g.catalog());
+        let mut d = DeltaStore::new(&g);
         let n = g.vertex_count(person) as u64;
         d.apply(&g, &ResolvedOp::InsertVertex { label: person, row: person_row("zoe", 31, "F") })
             .unwrap();
@@ -1293,7 +1239,7 @@ mod tests {
             )
             .unwrap();
         }
-        let snap = d.freeze(&g);
+        let snap = d.clone();
         assert_eq!(snap.delta_edges_from(follows, Direction::Fwd, n), &[0, 1]);
         assert_eq!(snap.delta_edges_from(follows, Direction::Bwd, n), &[2]);
         assert_eq!(snap.delta_edges_from(follows, Direction::Bwd, 0), &[0]);
@@ -1304,21 +1250,22 @@ mod tests {
             &ResolvedOp::DeleteEdge { label: follows, target: EdgeTarget::Delta { idx: 0 } },
         )
         .unwrap();
-        let snap = d.freeze(&g);
-        assert_eq!(snap.delta_edges_from(follows, Direction::Fwd, n), &[1]);
-        assert!(snap.delta_edges_from(follows, Direction::Bwd, 0).is_empty());
+        assert_eq!(d.delta_edges_from(follows, Direction::Fwd, n), &[1]);
+        assert!(d.delta_edges_from(follows, Direction::Bwd, 0).is_empty());
+        // ... and leaves the clone taken before it untouched.
+        assert_eq!(snap.delta_edges_from(follows, Direction::Bwd, 0), &[0]);
+        assert!(!snap.delta_edge(follows, 0).deleted);
 
         // Resolution walks the index: the only live 0 -> n edge is idx 2.
         assert_eq!(d.resolve_delete_edge(&g, follows, 0, n).unwrap(), EdgeTarget::Delta { idx: 2 });
 
         // A vertex-delete cascade clears every incident delta edge.
         d.apply(&g, &ResolvedOp::DeleteVertex { label: person, off: n }).unwrap();
-        let snap = d.freeze(&g);
-        assert!(snap.delta_edges_from(follows, Direction::Fwd, n).is_empty());
-        assert!(snap.delta_edges_from(follows, Direction::Bwd, n).is_empty());
-        assert!(snap.delta_edges_from(follows, Direction::Bwd, n + 1).is_empty());
-        assert!(snap.delta_edge(follows, 1).deleted);
-        assert!(snap.delta_edge(follows, 2).deleted);
+        assert!(d.delta_edges_from(follows, Direction::Fwd, n).is_empty());
+        assert!(d.delta_edges_from(follows, Direction::Bwd, n).is_empty());
+        assert!(d.delta_edges_from(follows, Direction::Bwd, n + 1).is_empty());
+        assert!(d.delta_edge(follows, 1).deleted);
+        assert!(d.delta_edge(follows, 2).deleted);
     }
 
     #[test]
@@ -1353,21 +1300,30 @@ mod tests {
     fn snapshot_str_ext_extends_dictionary() {
         let g = example();
         let person = g.catalog().vertex_label_id("PERSON").unwrap();
-        let mut d = DeltaStore::new(g.catalog());
+        let mut d = DeltaStore::new(&g);
         d.apply(
             &g,
             &ResolvedOp::InsertVertex { label: person, row: person_row("zaphod", 42, "M") },
         )
         .unwrap();
-        let snap = d.freeze(&g);
         // "zaphod" is not a baseline name: it gets an extension code after
         // the baseline dictionary.
-        let ext = snap.vertex_str_ext(person, 0).expect("name ext");
+        let ext = d.vertex_str_ext(person, 0).expect("name ext").clone();
         let dict_len = g.vertex_prop(person, 0).dictionary().unwrap().len() as u64;
         let code = ext.code_of("zaphod").unwrap();
         assert!(code >= dict_len);
         assert_eq!(ext.decode(code), "zaphod");
         // "M" IS a baseline gender: no extension entry for it.
-        assert!(snap.vertex_str_ext(person, 2).is_none());
+        assert!(d.vertex_str_ext(person, 2).is_none());
+        // The code outlives the row until the next merge, and a new string
+        // takes the next one.
+        let off = g.vertex_count(person) as u64;
+        d.apply(&g, &ResolvedOp::DeleteVertex { label: person, off }).unwrap();
+        d.apply(&g, &ResolvedOp::InsertVertex { label: person, row: person_row("ford", 43, "M") })
+            .unwrap();
+        let now = d.vertex_str_ext(person, 0).unwrap();
+        assert_eq!(now.code_of("zaphod"), Some(code));
+        assert_eq!(now.code_of("ford"), Some(code + 1));
+        assert_eq!(ext.code_of("ford"), None, "the earlier clone did not change");
     }
 }

@@ -23,7 +23,9 @@
 //!   [`BufferPool`] a reopened graph faults its value pages through (an
 //!   indexed frame table under clock eviction);
 //! * [`mutation`] — the [`OffsetRecycler`] free-list the delta store keeps
-//!   its slot space dense with (Section 7's gap recycling).
+//!   its slot space dense with (Section 7's gap recycling);
+//! * [`persistent`] — the structurally shared [`PMap`] / [`PVec`] the delta
+//!   store keeps its state in, so a commit copies only what it writes.
 
 pub mod buffer_pool;
 pub mod catalog;
@@ -36,6 +38,7 @@ pub mod edge_prop_pages;
 pub mod edge_store;
 pub mod format;
 pub mod mutation;
+pub mod persistent;
 pub mod raw;
 pub mod row_graph;
 pub mod single_card;
@@ -53,6 +56,7 @@ pub use delta::{DeltaEdge, DeltaSnapshot, DeltaStore, EdgeTarget, ResolvedOp, St
 pub use edge_prop_pages::PropertyPages;
 pub use edge_store::EdgePropStore;
 pub use mutation::OffsetRecycler;
+pub use persistent::{PMap, PVec};
 pub use raw::{EdgeTable, PropData, RawGraph, VertexTable};
 pub use row_graph::{PropEntry, RowCsr, RowGraph};
 pub use single_card::SingleCardAdj;
@@ -78,7 +82,6 @@ const _: () = {
     assert_send_sync::<Stats>();
     assert_send_sync::<BufferPool>();
     assert_send_sync::<FailingStore>();
-    assert_send_sync::<DeltaSnapshot>();
     assert_send_sync::<DeltaStore>();
     assert_send_sync::<GraphStore>();
     assert_send_sync::<GraphSnapshot>();

@@ -16,13 +16,15 @@
 //! [`crate::wal`] and folded back into a fresh read-optimized baseline by
 //! `GraphStore::merge` in [`crate::store`].
 
-use gfcl_common::MemoryUsage;
+use crate::persistent::PVec;
 
 /// A free-list of deleted positional offsets, recycled LIFO (matching
-/// Neo4j's ID file behaviour the paper references).
+/// Neo4j's ID file behaviour the paper references). The list is a
+/// persistent [`PVec`], so a clone is one `Arc` bump and the delta store
+/// can share it with every snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct OffsetRecycler {
-    free: Vec<u64>,
+    free: PVec<u64>,
     next_fresh: u64,
 }
 
@@ -64,12 +66,6 @@ impl OffsetRecycler {
     /// High-water mark: offsets ever minted.
     pub fn high_water(&self) -> u64 {
         self.next_fresh
-    }
-}
-
-impl MemoryUsage for OffsetRecycler {
-    fn memory_bytes(&self) -> usize {
-        self.free.memory_bytes()
     }
 }
 

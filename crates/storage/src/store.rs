@@ -6,17 +6,20 @@
 //! exposes:
 //!
 //! * **Epoch-based MVCC snapshots.** Every commit publishes a new
-//!   [`GraphSnapshot`] — an `Arc` pairing the baseline with a frozen
-//!   [`DeltaSnapshot`] under a monotonically increasing epoch. Queries pin
-//!   one snapshot for their whole run, so in-flight morsel-parallel scans
-//!   read a consistent graph while writers proceed; nothing a writer does
-//!   can ever reach an already-pinned snapshot.
+//!   [`GraphSnapshot`] — an `Arc` pairing the baseline with the
+//!   transaction's [`DeltaSnapshot`] under a monotonically increasing
+//!   epoch. Queries pin one snapshot for their whole run, so in-flight
+//!   morsel-parallel scans read a consistent graph while writers proceed;
+//!   nothing a writer does can ever reach an already-pinned snapshot.
 //! * **Single-writer transactions.** [`GraphStore::begin_write`] hands out
-//!   a [`WriteTxn`] holding the writer lock and a private clone of the
-//!   delta. Ops validate and apply eagerly (so errors surface at the call,
+//!   a [`WriteTxn`] holding the writer lock and the published delta. The
+//!   first op clones it — one `Arc` bump per label, since the delta is
+//!   structurally shared — and every op copies only the trie paths it
+//!   writes. Ops validate and apply eagerly (so errors surface at the call,
 //!   not at commit), and `commit` makes them durable — WAL append +
-//!   `fdatasync` — before publishing the new snapshot. `abort` (or drop)
-//!   discards the clone; nothing leaks.
+//!   `fdatasync` — before publishing the transaction's delta as the new
+//!   snapshot's: nothing is copied or rebuilt at commit. `abort` (or drop)
+//!   discards the transaction's delta; nothing leaks.
 //! * **Merge.** [`GraphStore::merge`] folds the delta into a fresh
 //!   columnar baseline: the merged graph is exported to a [`RawGraph`] and
 //!   rebuilt through the normal build pipeline, which re-blocks zone maps,
@@ -156,7 +159,7 @@ const fn edge_ref_index(tag: u64) -> u64 {
     tag >> 1
 }
 
-/// One consistent read view: a baseline plus (optionally) a frozen delta,
+/// One consistent read view: a baseline plus (optionally) a published delta,
 /// and the single implementation of `(baseline ⊎ delta) ∖ tombstones`.
 /// `delta == None` means "clean" — every helper degenerates to the plain
 /// baseline read and the engines keep their fast paths.
@@ -417,18 +420,14 @@ impl GraphSnapshot {
     }
 }
 
-struct Inner {
-    base: Arc<ColumnarGraph>,
-    delta: DeltaStore,
-    wal: Option<WalWriter>,
-}
-
 /// A mutable graph: columnar baseline + delta store + WAL + snapshots.
 pub struct GraphStore {
-    inner: Mutex<Inner>,
+    wal: Mutex<Option<WalWriter>>,
     /// Held for the lifetime of a [`WriteTxn`] (and across merge): the
     /// single-writer lock. Readers never take it.
     writer: Mutex<()>,
+    /// The published state: the baseline and the delta the next writer
+    /// starts from.
     current: RwLock<Arc<GraphSnapshot>>,
     dir: Option<PathBuf>,
     config: StorageConfig,
@@ -439,7 +438,8 @@ impl GraphStore {
     /// nothing survives the process.
     pub fn in_memory(raw: &RawGraph, config: StorageConfig) -> Result<GraphStore> {
         let base = Arc::new(ColumnarGraph::build(raw, config)?);
-        Ok(Self::assemble(base, None, None, config, 0))
+        let delta = DeltaStore::new(&base);
+        Ok(Self::assemble(base, delta, None, None, config, 0))
     }
 
     /// Create a durable store in `dir`: build the baseline, write the
@@ -450,7 +450,8 @@ impl GraphStore {
         base.save(dir.join(GRAPH_FILE))?;
         let wal = WalWriter::create(&dir.join(WAL_FILE), wal::baseline_id(&base))?;
         fsync_dir(dir)?;
-        Ok(Self::assemble(base, Some(wal), Some(dir.to_path_buf()), config, 0))
+        let delta = DeltaStore::new(&base);
+        Ok(Self::assemble(base, delta, Some(wal), Some(dir.to_path_buf()), config, 0))
     }
 
     /// Reopen a durable store: open the paged graph file, repair any
@@ -506,7 +507,7 @@ impl GraphStore {
         let replayed = wal::replay(&wal_path, baseline)?;
         let (wal_writer, commits) = (WalWriter::open_for_append(&wal_path)?, replayed.commits);
 
-        let mut delta = DeltaStore::new(base.catalog());
+        let mut delta = DeltaStore::new(&base);
         let epoch = commits.len() as u64;
         for (i, commit) in commits.iter().enumerate() {
             for op in commit {
@@ -515,42 +516,36 @@ impl GraphStore {
                 })?;
             }
         }
-        let store = Self::assemble(base, Some(wal_writer), Some(dir.to_path_buf()), config, epoch);
-        lock(&store.inner).delta = delta.clone();
-        // Re-publish with the replayed delta (assemble published empty).
-        if !delta.is_empty() {
-            let inner = lock(&store.inner);
-            let snap = Arc::new(GraphSnapshot {
-                epoch,
-                base: inner.base.clone(),
-                delta: Arc::new(delta.freeze(&inner.base)),
-            });
-            drop(inner);
-            *store.current.write().unwrap_or_else(std::sync::PoisonError::into_inner) = snap;
-        }
-        Ok(store)
+        let dir = Some(dir.to_path_buf());
+        Ok(Self::assemble(base, delta, Some(wal_writer), dir, config, epoch))
     }
 
+    /// A store publishing `delta` over `base` at `epoch`.
     fn assemble(
         base: Arc<ColumnarGraph>,
+        delta: DeltaStore,
         wal: Option<WalWriter>,
         dir: Option<PathBuf>,
         config: StorageConfig,
         epoch: u64,
     ) -> GraphStore {
-        let delta = DeltaStore::new(base.catalog());
-        let snap = Arc::new(GraphSnapshot {
-            epoch,
-            base: base.clone(),
-            delta: Arc::new(delta.freeze(&base)),
-        });
+        let snap = Arc::new(GraphSnapshot { epoch, base, delta: Arc::new(delta) });
         GraphStore {
-            inner: Mutex::new(Inner { base, delta, wal }),
+            wal: Mutex::new(wal),
             writer: Mutex::new(()),
             current: RwLock::new(snap),
             dir,
             config,
         }
+    }
+
+    /// Publish the next epoch's snapshot (the caller holds the writer
+    /// lock) and return its epoch.
+    fn publish(&self, base: Arc<ColumnarGraph>, delta: Arc<DeltaSnapshot>) -> u64 {
+        let mut cur = self.current.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let epoch = cur.epoch + 1;
+        *cur = Arc::new(GraphSnapshot { epoch, base, delta });
+        epoch
     }
 
     /// Pin the current snapshot. Cheap (`Arc` clone); hold it for the
@@ -561,7 +556,7 @@ impl GraphStore {
 
     /// Number of buffered delta entries — a merge-policy signal.
     pub fn pending_mutations(&self) -> usize {
-        lock(&self.inner).delta.mutation_count()
+        self.snapshot().delta.mutation_count()
     }
 
     /// Fault-injection hook for the crash/chaos tiers: the next WAL
@@ -570,7 +565,7 @@ impl GraphStore {
     /// in-memory store. Not part of the public API surface.
     #[doc(hidden)]
     pub fn inject_wal_append_failure(&self, cut: usize) {
-        if let Some(wal) = lock(&self.inner).wal.as_mut() {
+        if let Some(wal) = lock(&self.wal).as_mut() {
             wal.inject_append_failure(cut);
         }
     }
@@ -579,10 +574,9 @@ impl GraphStore {
     /// merge) is active; readers are never blocked.
     pub fn begin_write(&self) -> WriteTxn<'_> {
         let guard = lock(&self.writer);
-        let inner = lock(&self.inner);
-        let base = inner.base.clone();
-        let delta = inner.delta.clone();
-        drop(inner);
+        // Under the writer lock the published snapshot is the latest state.
+        let snap = self.snapshot();
+        let (base, delta) = (Arc::clone(&snap.base), Arc::clone(&snap.delta));
         WriteTxn { store: self, _guard: guard, base, delta, ops: Vec::new() }
     }
 
@@ -602,14 +596,17 @@ impl GraphStore {
     /// the renames the new graph is adopted and its WAL rename is
     /// completed (the tmp WAL's baseline fingerprint — which folds in the
     /// graph's per-build nonce — proves it belongs to the new file).
+    ///
+    /// A no-op only when no op has been applied since the last merge: a
+    /// delta whose ops cancel out (an insert and its delete) still holds
+    /// log records and vacated slots, and merging drops both.
     pub fn merge(&self) -> Result<u64> {
         let _writer = lock(&self.writer);
-        let mut inner = lock(&self.inner);
-        if inner.delta.is_empty() {
-            return Ok(self.snapshot().epoch());
+        let snap = self.snapshot();
+        if snap.delta.mutation_count() == 0 {
+            return Ok(snap.epoch());
         }
-        let frozen = inner.delta.freeze(&inner.base);
-        let raw = merged_raw(&inner.base, &frozen)?;
+        let raw = merged_raw(&snap.base, &snap.delta)?;
         let new_base = Arc::new(ColumnarGraph::build(&raw, self.config)?);
         if let Some(dir) = &self.dir {
             let tmp_graph = dir.join(GRAPH_TMP);
@@ -625,28 +622,23 @@ impl GraphStore {
             std::fs::rename(&tmp_wal, dir.join(WAL_FILE))
                 .map_err(|e| io_err("swap wal file", e))?;
             fsync_dir(dir)?;
-            inner.wal = Some(WalWriter::open_for_append(&dir.join(WAL_FILE))?);
+            *lock(&self.wal) = Some(WalWriter::open_for_append(&dir.join(WAL_FILE))?);
         }
-        inner.base = new_base.clone();
-        inner.delta = DeltaStore::new(new_base.catalog());
-        let clean = Arc::new(inner.delta.freeze(&new_base));
-        drop(inner);
-        let mut cur = self.current.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let epoch = cur.epoch + 1;
-        *cur = Arc::new(GraphSnapshot { epoch, base: new_base, delta: clean });
-        Ok(epoch)
+        let clean = Arc::new(DeltaStore::new(&new_base));
+        Ok(self.publish(new_base, clean))
     }
 }
 
 /// A single-writer transaction over a [`GraphStore`]. Ops validate and
-/// apply to a private delta clone as they are issued; `commit` logs them
-/// durably and publishes the next snapshot; `abort` (or drop) discards
-/// everything.
+/// apply as they are issued to the transaction's own delta — a clone of
+/// the published one, taken at the first op and sharing every node the
+/// ops do not write; `commit` logs them durably and publishes that delta;
+/// `abort` (or drop) discards it.
 pub struct WriteTxn<'s> {
     store: &'s GraphStore,
     _guard: MutexGuard<'s, ()>,
     base: Arc<ColumnarGraph>,
-    delta: DeltaStore,
+    delta: Arc<DeltaStore>,
     ops: Vec<ResolvedOp>,
 }
 
@@ -738,30 +730,25 @@ impl WriteTxn<'_> {
     }
 
     fn run(&mut self, op: ResolvedOp) -> Result<()> {
-        self.delta.apply(&self.base, &op)?;
+        // The published delta is shared with every snapshot that pinned
+        // it: the first op takes the transaction's own (shallow) copy.
+        Arc::make_mut(&mut self.delta).apply(&self.base, &op)?;
         self.ops.push(op);
         Ok(())
     }
 
-    /// Durably commit: append one checksummed WAL record (fsync), install
-    /// the delta, and publish the next-epoch snapshot. Returns the new
-    /// epoch. On error nothing is installed.
+    /// Durably commit: append one checksummed WAL record (fsync), then
+    /// publish the transaction's delta as the next-epoch snapshot. Returns
+    /// the new epoch. On error nothing is published.
     pub fn commit(self) -> Result<u64> {
         let WriteTxn { store, _guard, base, delta, ops } = self;
         if ops.is_empty() {
             return Ok(store.snapshot().epoch());
         }
-        let mut inner = lock(&store.inner);
-        if let Some(w) = inner.wal.as_mut() {
+        if let Some(w) = lock(&store.wal).as_mut() {
             w.append_commit(&ops)?;
         }
-        inner.delta = delta;
-        let frozen = Arc::new(inner.delta.freeze(&base));
-        drop(inner);
-        let mut cur = store.current.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let epoch = cur.epoch + 1;
-        *cur = Arc::new(GraphSnapshot { epoch, base, delta: frozen });
-        Ok(epoch)
+        Ok(store.publish(base, delta))
     }
 
     /// Discard the transaction. (Dropping it does the same.)
@@ -1004,11 +991,65 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Everything a reader can see through `view`: every live vertex with
+    /// its values, and every list of every edge label both ways, as a
+    /// multiset (a rebuild regroups backward lists).
+    fn answers(view: GraphView<'_>) -> String {
+        let catalog = view.base().catalog();
+        let mut out = String::new();
+        for l in 0..catalog.vertex_label_count() as LabelId {
+            let n_props = catalog.vertex_label(l).properties.len();
+            for off in (0..view.scan_total(l)).filter(|&off| view.vertex_live(l, off)) {
+                let row: Vec<Value> = (0..n_props).map(|p| view.vertex_value(l, off, p)).collect();
+                out += &format!("v{l}@{off} {row:?}\n");
+            }
+        }
+        for l in 0..catalog.edge_label_count() as LabelId {
+            let def = catalog.edge_label(l);
+            for dir in [Direction::Fwd, Direction::Bwd] {
+                for from in 0..view.scan_total(def.from_label(dir)) {
+                    let mut nbrs = view.merged_adj(l, dir, from).0;
+                    nbrs.sort_unstable();
+                    out += &format!("e{l}{dir}@{from} {nbrs:?}\n");
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn merge_folds_a_delta_that_cancels_out() {
+        // An insert and its delete leave nothing a reader sees, but the log
+        // holds both records and the delta a vacated slot: merge folds them.
+        let dir = tmp_dir("cancel");
+        let store = GraphStore::create(&dir, &pk_raw(), StorageConfig::default()).unwrap();
+        let before = answers(store.snapshot().view());
+        let mut txn = store.begin_write();
+        let off = txn.insert_vertex("PERSON", &[("age", Value::Int64(31))]).unwrap();
+        txn.commit().unwrap();
+        let mut txn = store.begin_write();
+        txn.delete_vertex("PERSON", off).unwrap();
+        txn.commit().unwrap();
+        assert!(store.snapshot().view().is_clean());
+        assert_eq!(store.pending_mutations(), 1);
+
+        assert_eq!(store.merge().unwrap(), 3, "the merge published an epoch");
+        assert_eq!(store.pending_mutations(), 0);
+        let wal_len = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        assert_eq!(wal_len, wal::HEADER_LEN as u64, "the log is header-only");
+        let live = answers(store.snapshot().view());
+        assert_eq!(live, before);
+        drop(store);
+        let reopened = GraphStore::open(&dir, StorageConfig::default()).unwrap();
+        assert_eq!(answers(reopened.snapshot().view()), live);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn merged_raw_is_deterministic() {
         let raw = pk_raw();
         let base = ColumnarGraph::build(&raw, StorageConfig::default()).unwrap();
-        let mut d = DeltaStore::new(base.catalog());
+        let mut d = DeltaStore::new(&base);
         for op in [
             ResolvedOp::InsertVertex {
                 label: 0,
@@ -1018,9 +1059,8 @@ mod tests {
         ] {
             d.apply(&base, &op).unwrap();
         }
-        let snap = d.freeze(&base);
-        let a = merged_raw(&base, &snap).unwrap();
-        let b = merged_raw(&base, &snap).unwrap();
+        let a = merged_raw(&base, &d).unwrap();
+        let b = merged_raw(&base, &d).unwrap();
         // Spot-check structural equality via counts and a rebuild.
         assert_eq!(a.total_vertices(), b.total_vertices());
         assert_eq!(a.total_edges(), b.total_edges());

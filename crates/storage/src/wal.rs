@@ -54,7 +54,8 @@ use crate::delta::ResolvedOp;
 
 const MAGIC: &[u8; 4] = b"GWAL";
 const VERSION: u32 = 1;
-const HEADER_LEN: usize = 4 + 4 + 8;
+/// `magic | version u32 | baseline u64`: the size of an empty log.
+pub(crate) const HEADER_LEN: usize = 4 + 4 + 8;
 /// Frame prefix: `len u32 | checksum u64`.
 const FRAME_LEN: usize = 4 + 8;
 

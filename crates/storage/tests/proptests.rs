@@ -1,14 +1,19 @@
 //! Property-based tests of the storage invariants (DESIGN.md §5,
-//! invariants 4 and 5) and of the snapshot-read invariant at the seam
-//! every engine reads it through: `GraphView` over either baseline layout
-//! agrees with a rebuild of [`merged_raw`].
+//! invariants 4 and 5), of the snapshot-read invariant at the seam
+//! every engine reads it through — `GraphView` over either baseline layout
+//! agrees with a rebuild of [`merged_raw`] — and of the persistent
+//! containers the delta is kept in: each agrees with its std model, and a
+//! published snapshot never sees a later write.
+
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use gfcl_columnar::NullKind;
 use gfcl_common::{DataType, Direction, LabelId, Value};
 use gfcl_storage::edge_prop_pages::assign_insertion_order;
 use gfcl_storage::{
-    merged_raw, BaselineRead, Cardinality, Catalog, ColumnarGraph, Csr, CsrOptions, GraphStore,
-    GraphView, PropertyDef, RawGraph, RowGraph, StorageConfig,
+    merged_raw, BaselineRead, Cardinality, Catalog, ColumnarGraph, Csr, CsrOptions, GraphSnapshot,
+    GraphStore, GraphView, PMap, PVec, PropertyDef, RawGraph, RowGraph, StorageConfig, WriteTxn,
 };
 use proptest::prelude::*;
 
@@ -385,5 +390,393 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---- the persistent containers ----------------------------------------------
+
+/// A key whose hash is its residue mod 7: most keys share a full hash with
+/// others, so lookups, inserts and removals go through collision nodes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Clash(u16);
+
+impl Hash for Clash {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        (self.0 % 7).hash(h);
+    }
+}
+
+#[derive(Debug, Clone)]
+enum MapOp {
+    Insert(u16, u32),
+    Remove(u16),
+    /// Keep a clone of the map (and of the model) to check at the end.
+    Pin,
+}
+
+fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
+    let insert = || (0u16..700, any::<u32>()).prop_map(|(k, v)| MapOp::Insert(k, v));
+    let op = prop_oneof![insert(), insert(), (0u16..700).prop_map(MapOp::Remove), Just(MapOp::Pin)];
+    proptest::collection::vec(op, 0..1_500)
+}
+
+/// Run `ops` on a [`PMap`] and a `HashMap` side by side: every result
+/// agrees, and every pinned clone still equals the model it was pinned
+/// with after all later writes.
+fn check_map<K: Hash + Eq + Clone + std::fmt::Debug>(ops: &[MapOp], key: impl Fn(u16) -> K) {
+    let agree = |map: &PMap<K, u32>, model: &HashMap<u16, u32>| {
+        assert_eq!(map.len(), model.len());
+        for k in 0..700 {
+            assert_eq!(map.get(&key(k)), model.get(&k), "key {k}");
+        }
+    };
+    let mut map = PMap::new();
+    let mut model = HashMap::new();
+    let mut pinned = Vec::new();
+    for op in ops {
+        match *op {
+            MapOp::Insert(k, v) => assert_eq!(map.insert(key(k), v), model.insert(k, v)),
+            MapOp::Remove(k) => assert_eq!(map.remove(&key(k)), model.remove(&k)),
+            MapOp::Pin => pinned.push((map.clone(), model.clone())),
+        }
+    }
+    agree(&map, &model);
+    for (map, model) in &pinned {
+        agree(map, model);
+    }
+}
+
+#[derive(Debug, Clone)]
+enum VecOp {
+    Push(u32),
+    Pop,
+    Set(u16, u32),
+    Pin,
+}
+
+fn vec_ops() -> impl Strategy<Value = Vec<VecOp>> {
+    let push = || any::<u32>().prop_map(VecOp::Push);
+    let set = (any::<u16>(), any::<u32>()).prop_map(|(i, v)| VecOp::Set(i, v));
+    let op = prop_oneof![push(), push(), push(), Just(VecOp::Pop), set, Just(VecOp::Pin)];
+    // Pushes outnumber pops, so lengths pass 1 024 and the trie grows a
+    // third level (and shrinks back when pops win for a while).
+    proptest::collection::vec(op, 0..4_000)
+}
+
+fn check_vec(v: &PVec<u32>, model: &[u32]) {
+    assert_eq!(v.len(), model.len());
+    assert!(v.iter().eq(model.iter()));
+    for (i, x) in model.iter().enumerate() {
+        assert_eq!((v.get(i), &v[i]), (Some(x), x), "index {i}");
+    }
+    assert_eq!(v.get(model.len()), None);
+    assert_eq!(v.last(), model.last());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `PMap` is a `HashMap` whose clones are independent.
+    #[test]
+    fn pmap_matches_a_hash_map(ops in map_ops()) {
+        check_map(&ops, |k| u64::from(k) * 1_021);
+    }
+
+    /// The same with forced hash collisions.
+    #[test]
+    fn pmap_matches_a_hash_map_under_collisions(ops in map_ops()) {
+        check_map(&ops, Clash);
+    }
+
+    /// `PVec` is a `Vec` whose clones are independent.
+    #[test]
+    fn pvec_matches_a_vec(ops in vec_ops()) {
+        let mut v = PVec::new();
+        let mut model = Vec::new();
+        let mut pinned = Vec::new();
+        for op in &ops {
+            match *op {
+                VecOp::Push(x) => {
+                    v.push(x);
+                    model.push(x);
+                }
+                VecOp::Pop => prop_assert_eq!(v.pop(), model.pop()),
+                VecOp::Set(i, x) => {
+                    let i = usize::from(i) % model.len().max(1);
+                    let old = model.get_mut(i).map(|m| std::mem::replace(m, x));
+                    prop_assert_eq!(v.set(i, x), old);
+                }
+                VecOp::Pin => pinned.push((v.clone(), model.clone())),
+            }
+        }
+        check_vec(&v, &model);
+        for (v, model) in &pinned {
+            check_vec(v, model);
+        }
+    }
+}
+
+// ---- structural sharing never reaches a published snapshot ------------------
+
+/// Baseline `A` offsets are this far apart, so the harness's writes land in
+/// several zone blocks of `A`.
+const SPREAD: u64 = 700;
+/// Delta primary keys start here (baseline keys equal their offsets).
+const FIRST_DELTA_ID: i64 = 1_000_000;
+
+fn tagged(tag: &str, v: i64, of: i64) -> Value {
+    Value::String(format!("{tag}{}", v.rem_euclid(of)))
+}
+
+/// The seam test's schema with a string property on `A` and on `AB`: the
+/// baseline holds `s0..s3` and `t0..t2`, writes also use `s4..s7` and
+/// `t3..t5`, which take extension codes.
+fn sharing_base(n_a: usize, n_b: usize, ab: &[(u64, u64, i64)]) -> RawGraph {
+    let int = |name| PropertyDef::new(name, DataType::Int64);
+    let string = |name| PropertyDef::new(name, DataType::String);
+    let mut cat = Catalog::new();
+    let a = cat.add_vertex_label("A", vec![int("id"), int("x"), string("s")]).unwrap();
+    let b = cat.add_vertex_label("B", vec![int("id"), int("y")]).unwrap();
+    let many =
+        cat.add_edge_label("AB", a, b, Cardinality::ManyMany, vec![int("w"), string("t")]).unwrap();
+    let one = cat.add_edge_label("SINGLE", a, b, Cardinality::ManyOne, vec![int("w")]).unwrap();
+    cat.set_primary_key(a, "id").unwrap();
+    cat.set_primary_key(b, "id").unwrap();
+
+    let mut raw = RawGraph::new(cat);
+    let counts = [(n_a as u64 - 1) * SPREAD + 1, n_b as u64];
+    for (label, n) in [a, b].into_iter().zip(counts) {
+        let t = &mut raw.vertices[label as usize];
+        t.count = n as usize;
+        for v in 0..n as i64 {
+            t.props[0].push_i64(v);
+            t.props[1].push_i64((v * 7) % 23 - 11);
+            if label == a {
+                t.props[2].push_value(tagged("s", v, 4)).unwrap();
+            }
+        }
+    }
+    for &(src, dst, w) in ab {
+        let t = &mut raw.edges[many as usize];
+        t.src.push(src * SPREAD);
+        t.dst.push(dst);
+        t.props[0].push_i64(w);
+        t.props[1].push_value(tagged("t", w, 3)).unwrap();
+    }
+    for v in (0..n_a as u64).step_by(2) {
+        let t = &mut raw.edges[one as usize];
+        t.src.push(v * SPREAD);
+        t.dst.push(v % n_b as u64);
+        t.props[0].push_i64(v as i64 - 4);
+    }
+    raw.validate().unwrap();
+    raw
+}
+
+/// The live offsets ops draw operands from, and the last primary key used.
+#[derive(Clone)]
+struct Operands {
+    offs: [Vec<u64>; 2],
+    last_id: i64,
+}
+
+/// Issue `ops` in `txn` the way the seam test does, writing strings on `A`
+/// rows and `AB` edges. Rejected edge ops are part of the input space.
+fn issue(txn: &mut WriteTxn<'_>, at: &mut Operands, ops: &[Op]) {
+    let pick = |offs: &[u64], i: usize| offs[i % offs.len()];
+    for op in ops {
+        match *op {
+            Op::InsertA { x: v } | Op::InsertB { y: v } => {
+                let l = usize::from(matches!(op, Op::InsertB { .. }));
+                at.last_id += 1;
+                let mut row =
+                    vec![("id", Value::Int64(at.last_id)), (["x", "y"][l], Value::Int64(v))];
+                if l == 0 {
+                    row.push(("s", tagged("s", v, 8)));
+                }
+                let off = txn.insert_vertex(["A", "B"][l], &row).unwrap();
+                at.offs[l].push(off);
+            }
+            Op::UpdateA { slot, x } => {
+                let off = pick(&at.offs[0], slot);
+                let row = [("x", Value::Int64(x)), ("s", tagged("s", x, 8))];
+                txn.update_vertex("A", off, &row).unwrap();
+            }
+            Op::DeleteA { slot } | Op::DeleteB { slot } => {
+                let l = usize::from(matches!(op, Op::DeleteB { .. }));
+                if at.offs[l].len() > 1 {
+                    let off = at.offs[l].remove(slot % at.offs[l].len());
+                    txn.delete_vertex(["A", "B"][l], off).unwrap();
+                }
+            }
+            Op::InsertEdge { single, a, b, w } => {
+                let (src, dst) = (pick(&at.offs[0], a), pick(&at.offs[1], b));
+                let mut props = vec![("w", Value::Int64(w))];
+                if !single {
+                    props.push(("t", tagged("t", w, 6)));
+                }
+                let _ = txn.insert_edge(["AB", "SINGLE"][usize::from(single)], src, dst, &props);
+            }
+            Op::DeleteEdge { single, a, b } => {
+                let (src, dst) = (pick(&at.offs[0], a), pick(&at.offs[1], b));
+                let _ = txn.delete_edge(["AB", "SINGLE"][usize::from(single)], src, dst);
+            }
+        }
+    }
+}
+
+/// Everything a snapshot's delta answers, through its reader accessors:
+/// delta rows, updated rows, tombstones, primary-key hits, string
+/// extensions, touched zone blocks, per-endpoint delta edges both ways,
+/// dirty lists, delta edges and baseline-edge tombstones.
+fn dump(snap: &GraphSnapshot, raw: &RawGraph, max_id: i64) -> String {
+    use std::fmt::Write;
+    let (base, d) = (snap.base(), snap.delta());
+    let catalog = base.catalog();
+    let zb = gfcl_columnar::ZONE_BLOCK as u64;
+    let mut out = format!("empty {} entries {}\n", d.is_empty(), d.mutation_count());
+    for l in 0..catalog.vertex_label_count() as LabelId {
+        let n_base = base.vertex_count(l) as u64;
+        let _ =
+            writeln!(out, "v{l} slots {} touched {}", d.delta_slots(l), d.vertex_label_touched(l));
+        for slot in 0..d.delta_slots(l) {
+            let _ = writeln!(out, "  row {slot} {:?}", d.delta_row(l, slot));
+        }
+        for off in 0..n_base {
+            if let Some(row) = d.updated_row(l, off) {
+                let _ = writeln!(out, "  update {off} {row:?}");
+            }
+            if d.vertex_tombed(l, off) {
+                let _ = writeln!(out, "  tomb {off}");
+            }
+        }
+        for key in (0..n_base as i64).chain(FIRST_DELTA_ID..=max_id) {
+            if let Some(off) = d.pk_delta(l, key) {
+                let _ = writeln!(out, "  pk {key} -> {off}");
+            }
+        }
+        for p in 0..catalog.vertex_label(l).properties.len() {
+            let codes: Vec<_> =
+                d.vertex_str_ext(l, p).map(|e| e.iter().collect()).unwrap_or_default();
+            let _ = writeln!(out, "  ext {p} {codes:?}");
+        }
+        for block in 0..n_base.div_ceil(zb) {
+            let end = ((block + 1) * zb).min(n_base);
+            let _ = writeln!(out, "  block {block} {}", d.base_range_touched(l, block * zb, end));
+        }
+    }
+    for l in 0..catalog.edge_label_count() as LabelId {
+        let def = catalog.edge_label(l);
+        for dir in [Direction::Fwd, Direction::Bwd] {
+            let from_label = def.from_label(dir);
+            let total = base.vertex_count(from_label) as u64 + d.delta_slots(from_label);
+            let _ = writeln!(out, "e{l}{dir} touched {}", d.edge_label_touched(l, dir));
+            for from in 0..total {
+                let edges = d.delta_edges_from(l, dir, from);
+                if !edges.is_empty() || d.edge_list_dirty(l, dir, from) {
+                    let _ = writeln!(out, "  {from} dirty {edges:?}",);
+                }
+            }
+            for p in 0..def.properties.len() {
+                let codes: Vec<_> =
+                    d.edge_str_ext(l, dir, p).map(|e| e.iter().collect()).unwrap_or_default();
+                let _ = writeln!(out, "  ext {p} {codes:?}");
+            }
+        }
+        for idx in 0..d.delta_edge_count(l) {
+            let _ = writeln!(out, "  edge {idx} {:?}", d.delta_edge(l, idx));
+        }
+        let t = &raw.edges[l as usize];
+        let mut pairs: Vec<(u64, u64)> = t.src.iter().copied().zip(t.dst.iter().copied()).collect();
+        pairs.sort_unstable();
+        for (i, &(src, dst)) in pairs.iter().enumerate() {
+            let occ = pairs[..i].iter().filter(|&&p| p == (src, dst)).count() as u32;
+            let _ = writeln!(out, "  tombed {src} {dst} {occ} {}", d.edge_tombed(l, src, dst, occ));
+        }
+    }
+    out
+}
+
+/// One write batch and what becomes of it.
+#[derive(Debug, Clone)]
+enum Fate {
+    Commit,
+    /// Applied in a transaction that is then dropped.
+    Abort,
+    /// Committed with a WAL append that fails after `cut` bytes.
+    Fail {
+        cut: usize,
+    },
+}
+
+fn batches_strategy() -> impl Strategy<Value = Vec<(Fate, Vec<Op>)>> {
+    let fate = prop_oneof![
+        Just(Fate::Commit),
+        Just(Fate::Commit),
+        Just(Fate::Abort),
+        (0usize..48).prop_map(|cut| Fate::Fail { cut }),
+    ];
+    proptest::collection::vec((fate, proptest::collection::vec(op_strategy(), 1..6)), 1..14)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Writers share every node of the published delta they do not write,
+    /// so a write that copied too little would reach back into snapshots
+    /// readers hold. Random batches are committed, aborted or failed at the
+    /// WAL on a directory-backed store; every snapshot pinned along the way
+    /// must answer at the end exactly as it did when it was pinned.
+    #[test]
+    fn published_snapshots_never_see_later_writes(
+        (n_a, n_b, ab) in (2usize..6, 2usize..6).prop_flat_map(|(n_a, n_b)| {
+            let ab = proptest::collection::vec((0..n_a as u64, 0..n_b as u64, -30i64..30), 0..30);
+            (Just(n_a), Just(n_b), ab)
+        }),
+        batches in batches_strategy(),
+    ) {
+        let raw = sharing_base(n_a, n_b, &ab);
+        let dir = std::env::temp_dir().join(format!(
+            "gfcl_sharing_{}_{:x}",
+            std::process::id(),
+            ab.iter().fold(n_a as u64 * 31 + n_b as u64, |h, e| h.rotate_left(7) ^ e.0 ^ e.1 << 8)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = GraphStore::create(&dir, &raw, StorageConfig::default()).unwrap();
+        let max_id = FIRST_DELTA_ID + 6 * batches.len() as i64;
+        let mut at = Operands {
+            offs: [(0..n_a as u64).map(|i| i * SPREAD).collect(), (0..n_b as u64).collect()],
+            last_id: FIRST_DELTA_ID,
+        };
+        let mut pinned = Vec::new();
+        for (fate, ops) in &batches {
+            let snap = store.snapshot();
+            pinned.push((dump(&snap, &raw, max_id), snap));
+            let mut next = at.clone();
+            let mut txn = store.begin_write();
+            issue(&mut txn, &mut next, ops);
+            match fate {
+                Fate::Commit => {
+                    txn.commit().unwrap();
+                    at = next;
+                }
+                Fate::Abort => drop(txn),
+                Fate::Fail { cut } => {
+                    // An empty transaction never reaches the log: arm the
+                    // one-shot failure only for a commit that appends.
+                    if txn.op_count() > 0 {
+                        store.inject_wal_append_failure(*cut);
+                        prop_assert!(txn.commit().is_err(), "the injected WAL failure fired");
+                    }
+                }
+            }
+        }
+        let last = store.snapshot();
+        pinned.push((dump(&last, &raw, max_id), last));
+        for (i, (then, snap)) in pinned.iter().enumerate() {
+            prop_assert_eq!(&dump(snap, &raw, max_id), then, "snapshot {} changed", i);
+        }
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
