@@ -13,8 +13,9 @@
 //! * [`govern`] — per-query fault domains: the [`CancelToken`] tripped by
 //!   budgets, users and storage faults, and the thread-local fault scope
 //!   the storage layer reports into.
-//! * [`codec`] — byte-level encode/decode primitives and the FNV-1a
-//!   checksum of the on-disk paged format.
+//! * [`codec`] — byte-level encode/decode primitives and the checksums of
+//!   the on-disk paged format: FNV-1a for its header and metadata, a
+//!   4-lane word checksum for its data pages.
 
 pub mod codec;
 pub mod error;
@@ -23,7 +24,7 @@ pub mod ids;
 pub mod mem;
 pub mod types;
 
-pub use codec::{fnv1a_64, Reader, Writer};
+pub use codec::{fnv1a_64, page_checksum, Reader, Writer};
 pub use error::{Error, Result};
 pub use govern::{fault_scope, report_io_fault, CancelReason, CancelToken, FaultScope};
 pub use ids::{Direction, EdgeId, LabelId, VertexId, VertexOffset};

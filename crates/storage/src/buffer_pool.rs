@@ -23,8 +23,9 @@
 //! observe a half-evicted frame. Page reads — and their retry backoff —
 //! happen outside every lock.
 //!
-//! Every fault verifies the page's FNV-1a checksum against the checksum
-//! array loaded at open time. Structural problems are caught by
+//! Every fault verifies the page's [`page_checksum`] — a 4-lane word
+//! checksum that costs a few microseconds per 64 KiB page — against the
+//! checksum array loaded at open time. Structural problems are caught by
 //! [`open`](crate::ColumnarGraph::open) and surface as
 //! [`Error::Storage`](gfcl_common::Error). Post-open faults are **error
 //! propagation, not panics**: a failed read or checksum mismatch is
@@ -49,7 +50,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gfcl_columnar::{PageStore, PAGE_SIZE};
-use gfcl_common::{fnv1a_64, Error, Result};
+use gfcl_common::{fnv1a_64, page_checksum, Error, Result};
 
 /// How often one page read is attempted before the fault propagates to
 /// the owning query: the first read plus two retries.
@@ -224,7 +225,7 @@ impl BufferPool {
         self.file
             .read_page_at(&mut buf, page_no * PAGE_SIZE as u64)
             .map_err(|e| format!("read failed: {e}"))?;
-        let got = fnv1a_64(&buf);
+        let got = page_checksum(&buf);
         if got != expected {
             return Err(format!("checksum {got:#018x} != {expected:#018x}"));
         }
@@ -357,7 +358,7 @@ mod tests {
         let mut checksums = Vec::new();
         for i in 0..n {
             let page = vec![i as u8; PAGE_SIZE];
-            checksums.push(fnv1a_64(&page));
+            checksums.push(page_checksum(&page));
             f.write_all(&page).unwrap();
         }
         drop(f);

@@ -11,22 +11,31 @@
 //!   baselines for the Section 8.3 experiments,
 //! * a primary-key hash index per vertex label (the constant-time vertex
 //!   seek every native GDBMS provides).
+//!
+//! Each label's parts sit behind one `Arc` ([`VertexLabelParts`],
+//! [`EdgeLabelParts`]) and are built label by label, so a merge rebuilds
+//! only the labels its delta touched and shares the rest with the old
+//! baseline by pointer; a full build is the case where every label is
+//! built.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gfcl_columnar::{Column, NullKind, PageCursor, SegmentSink, SegmentSource, UIntArray};
+use gfcl_columnar::{
+    Column, NullKind, PageCursor, SegRef, SegmentSink, SegmentSource, UIntArray, PAGE_SIZE,
+};
 use gfcl_common::{
     DataType, Direction, Error, LabelId, MemoryUsage, Reader, Result, Value, Writer,
 };
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, EdgeLabelDef, VertexLabelDef};
 use crate::config::{EdgePropLayout, StorageConfig};
 use crate::csr::{Csr, CsrOptions};
 use crate::edge_prop_pages::PropertyPages;
 use crate::edge_store::EdgePropStore;
-use crate::raw::{PropData, RawGraph};
+use crate::raw::{EdgeTable, PropData, RawGraph, VertexTable};
 use crate::single_card::SingleCardAdj;
+use crate::stats::{EdgeLabelStats, Stats, VertexLabelStats};
 use crate::store::BaselineRead;
 
 /// Adjacency index of one (edge label, direction).
@@ -209,18 +218,182 @@ impl MemoryBreakdown {
     }
 }
 
+/// One vertex label's built parts: its property columns (with their zone
+/// maps and dictionaries) and its primary-key map. Immutable once built,
+/// so baselines that agree on the label share one by pointer.
+#[derive(Debug)]
+pub struct VertexLabelParts {
+    count: usize,
+    cols: Vec<Column>,
+    pk: Option<HashMap<i64, u64>>,
+}
+
+/// One edge label's built parts: its forward and backward adjacency
+/// indexes and its edge-property store. Shared like [`VertexLabelParts`].
+#[derive(Debug)]
+pub struct EdgeLabelParts {
+    count: usize,
+    fwd: AdjIndex,
+    bwd: AdjIndex,
+    props: EdgePropStore,
+}
+
+/// [`SegmentSink`] appending each segment, length-prefixed, to one buffer:
+/// a label's encoding with its value segments inline.
+#[derive(Default)]
+struct InlineSink {
+    data: Writer,
+    next_page: u64,
+}
+
+impl SegmentSink for InlineSink {
+    fn write_segment(&mut self, bytes: &[u8]) -> SegRef {
+        self.data.usize(bytes.len());
+        self.data.bytes(bytes);
+        let seg = SegRef {
+            start_page: self.next_page,
+            n_pages: bytes.len().div_ceil(PAGE_SIZE).max(1) as u64,
+        };
+        self.next_page += seg.n_pages;
+        seg
+    }
+}
+
+/// `meta` followed by the segments `sink` collected.
+fn inline_encoding(w: Writer, sink: InlineSink) -> Vec<u8> {
+    let mut out = w.into_bytes();
+    out.extend_from_slice(&sink.data.into_bytes());
+    out
+}
+
+impl VertexLabelParts {
+    fn build(def: &VertexLabelDef, table: &VertexTable, config: &StorageConfig) -> Result<Self> {
+        // Zone maps: scans consult them to skip whole blocks under
+        // pushed-down predicates.
+        let cols: Vec<Column> = table
+            .props
+            .iter()
+            .zip(&def.properties)
+            .map(|(prop, pdef)| {
+                let mut col = prop_to_column(prop, pdef.dtype, config);
+                if config.zone_maps {
+                    col.build_zone_map();
+                }
+                col
+            })
+            .collect();
+        let pk = match def.primary_key {
+            Some(j) => {
+                let col = &cols[j];
+                let mut map = HashMap::with_capacity(col.len());
+                for v in 0..col.len() {
+                    if let Some(key) = col.get_i64(v) {
+                        if map.insert(key, v as u64).is_some() {
+                            return Err(Error::Invalid(format!(
+                                "duplicate primary key {key} in {}",
+                                def.name
+                            )));
+                        }
+                    }
+                }
+                Some(map)
+            }
+            None => None,
+        };
+        Ok(VertexLabelParts { count: table.count, cols, pk })
+    }
+
+    /// The label as a save encodes it — count, columns and primary-key
+    /// map — with its value segments inline. Equal bytes mean equal built
+    /// parts: merges are checked against full rebuilds with it.
+    pub fn encoded(&self) -> Vec<u8> {
+        let (mut w, mut sink) = (Writer::new(), InlineSink::default());
+        w.usize(self.count);
+        encode_columns(&mut w, &mut sink, &self.cols);
+        encode_pk(&mut w, self.pk.as_ref());
+        inline_encoding(w, sink)
+    }
+}
+
+impl EdgeLabelParts {
+    fn build(
+        label: LabelId,
+        def: &EdgeLabelDef,
+        table: &EdgeTable,
+        n_src: usize,
+        n_dst: usize,
+        config: &StorageConfig,
+    ) -> Result<Self> {
+        let single_fwd = def.cardinality.is_single(Direction::Fwd) && config.single_card_in_vcols;
+        let single_bwd = def.cardinality.is_single(Direction::Bwd) && config.single_card_in_vcols;
+        let (fwd, bwd, props) = if single_fwd || single_bwd {
+            let prop_side = def.cardinality.property_side().expect("single-card label");
+            let (f, b) = build_single_card(
+                table,
+                n_src,
+                n_dst,
+                prop_side,
+                &def.properties,
+                config,
+                single_fwd,
+                single_bwd,
+            )?;
+            let props = if def.properties.is_empty() {
+                EdgePropStore::None
+            } else {
+                EdgePropStore::InVertexColumns
+            };
+            (f, b, props)
+        } else {
+            let (f, b, store) =
+                build_nn(table, n_src, n_dst, &def.properties, config, u64::from(label))?;
+            (AdjIndex::Csr(f), AdjIndex::Csr(b), store)
+        };
+        Ok(EdgeLabelParts { count: table.len(), fwd, bwd, props })
+    }
+
+    /// The label as a save encodes it — count, both adjacency indexes and
+    /// the property store — with its value segments inline (see
+    /// [`VertexLabelParts::encoded`]).
+    pub fn encoded(&self) -> Vec<u8> {
+        let (mut w, mut sink) = (Writer::new(), InlineSink::default());
+        w.usize(self.count);
+        self.fwd.encode(&mut w, &mut sink);
+        self.bwd.encode(&mut w, &mut sink);
+        self.props.encode(&mut w, &mut sink);
+        inline_encoding(w, sink)
+    }
+}
+
+/// Which labels a build makes from its raw tables. A full build makes
+/// every label; a merge makes the labels its delta touched and shares the
+/// rest with the previous baseline.
+#[derive(Debug)]
+pub(crate) struct LabelSet {
+    pub(crate) vertices: Vec<bool>,
+    pub(crate) edges: Vec<bool>,
+}
+
+impl LabelSet {
+    /// Every label of `catalog`.
+    pub(crate) fn all(catalog: &Catalog) -> LabelSet {
+        LabelSet {
+            vertices: vec![true; catalog.vertex_label_count()],
+            edges: vec![true; catalog.edge_label_count()],
+        }
+    }
+}
+
 /// The read-optimized columnar graph database.
 #[derive(Debug, Clone)]
 pub struct ColumnarGraph {
     catalog: Catalog,
     config: StorageConfig,
-    vertex_counts: Vec<usize>,
-    edge_counts: Vec<usize>,
-    vertex_props: Vec<Vec<Column>>,
-    fwd: Vec<AdjIndex>,
-    bwd: Vec<AdjIndex>,
-    edge_props: Vec<EdgePropStore>,
-    pk: Vec<Option<HashMap<i64, u64>>>,
+    /// Per vertex label, shared with every baseline built since the label
+    /// last changed.
+    vertices: Vec<Arc<VertexLabelParts>>,
+    /// Per edge label, shared likewise.
+    edges: Vec<Arc<EdgeLabelParts>>,
     /// Random per-build generation stamp, persisted with the graph. Two
     /// builds never share one, even from identical input — the WAL's
     /// baseline fingerprint folds it in so a log can never be mistaken
@@ -246,113 +419,70 @@ fn fresh_nonce() -> u64 {
 impl ColumnarGraph {
     /// Build from a raw graph under `config`.
     pub fn build(raw: &RawGraph, config: StorageConfig) -> Result<ColumnarGraph> {
-        raw.validate()?;
-        let mut catalog = raw.catalog.clone();
+        Self::build_labels(raw, config, &LabelSet::all(&raw.catalog), None)
+    }
+
+    /// The one build path: the labels in `rebuild` are built from their
+    /// tables in `raw`; every other label's parts and statistics are taken
+    /// from `prev` by pointer, and `raw`'s table for it is never read. A
+    /// full build is the case where `rebuild` holds every label.
+    pub(crate) fn build_labels(
+        raw: &RawGraph,
+        config: StorageConfig,
+        rebuild: &LabelSet,
+        prev: Option<&ColumnarGraph>,
+    ) -> Result<ColumnarGraph> {
+        let catalog = &raw.catalog;
+        let shared = || {
+            prev.and_then(|g| Some((g, g.catalog.stats()?))).ok_or_else(|| {
+                Error::Storage("a shared label needs a previous baseline with statistics".into())
+            })
+        };
         // Statistics are deterministic in the raw data, so every engine
-        // built from the same RawGraph plans with identical stats.
-        catalog.set_stats(crate::stats::Stats::collect(raw));
-        let vertex_counts: Vec<usize> = raw.vertices.iter().map(|t| t.count).collect();
-        let edge_counts: Vec<usize> = raw.edges.iter().map(|t| t.len()).collect();
+        // built from the same RawGraph plans with identical stats, and a
+        // shared label's statistics are those its table would yield.
+        let mut stats = Stats::default();
 
-        // Vertex property columns (+ their zone maps: scans consult these
-        // to skip whole blocks under pushed-down predicates).
-        let mut vertex_props = Vec::with_capacity(raw.vertices.len());
+        let mut vertices = Vec::with_capacity(raw.vertices.len());
         for (lid, table) in raw.vertices.iter().enumerate() {
-            let def = catalog.vertex_label(lid as LabelId);
-            let mut cols = Vec::with_capacity(table.props.len());
-            for (j, prop) in table.props.iter().enumerate() {
-                let mut col = prop_to_column(prop, def.properties[j].dtype, &config);
-                if config.zone_maps {
-                    col.build_zone_map();
-                }
-                cols.push(col);
-            }
-            vertex_props.push(cols);
-        }
-
-        // Adjacency indexes and edge property stores.
-        let mut fwd = Vec::with_capacity(raw.edges.len());
-        let mut bwd = Vec::with_capacity(raw.edges.len());
-        let mut edge_props = Vec::with_capacity(raw.edges.len());
-        for (eid, table) in raw.edges.iter().enumerate() {
-            let def = catalog.edge_label(eid as LabelId);
-            let n_src = vertex_counts[def.src as usize];
-            let n_dst = vertex_counts[def.dst as usize];
-            let single_fwd =
-                def.cardinality.is_single(Direction::Fwd) && config.single_card_in_vcols;
-            let single_bwd =
-                def.cardinality.is_single(Direction::Bwd) && config.single_card_in_vcols;
-
-            if single_fwd || single_bwd {
-                let prop_side = def.cardinality.property_side().expect("single-card label");
-                let (f, b) = build_single_card(
-                    table,
-                    def.src,
-                    def.dst,
-                    n_src,
-                    n_dst,
-                    prop_side,
-                    &catalog.edge_label(eid as LabelId).properties,
-                    &config,
-                    single_fwd,
-                    single_bwd,
-                )?;
-                fwd.push(f);
-                bwd.push(b);
-                edge_props.push(if def.properties.is_empty() {
-                    EdgePropStore::None
-                } else {
-                    EdgePropStore::InVertexColumns
-                });
+            let label = lid as LabelId;
+            if rebuild.vertices[lid] {
+                raw.validate_vertex_table(label)?;
+                let def = catalog.vertex_label(label);
+                vertices.push(Arc::new(VertexLabelParts::build(def, table, &config)?));
+                stats.vertices.push(VertexLabelStats::collect(table));
             } else {
-                let (f, b, store) = build_nn(
-                    table,
-                    n_src,
-                    n_dst,
-                    &catalog.edge_label(eid as LabelId).properties,
-                    &config,
-                    eid as u64,
-                )?;
-                fwd.push(AdjIndex::Csr(f));
-                bwd.push(AdjIndex::Csr(b));
-                edge_props.push(store);
+                let (prev, prev_stats) = shared()?;
+                vertices.push(Arc::clone(&prev.vertices[lid]));
+                stats.vertices.push(prev_stats.vertex(label).clone());
             }
         }
 
-        // Primary-key hash indexes.
-        let mut pk = Vec::with_capacity(raw.vertices.len());
-        for (lid, cols) in vertex_props.iter().enumerate() {
-            let def = catalog.vertex_label(lid as LabelId);
-            pk.push(match def.primary_key {
-                Some(j) => {
-                    let col = &cols[j];
-                    let mut map = HashMap::with_capacity(col.len());
-                    for v in 0..col.len() {
-                        if let Some(key) = col.get_i64(v) {
-                            if map.insert(key, v as u64).is_some() {
-                                return Err(Error::Invalid(format!(
-                                    "duplicate primary key {key} in {}",
-                                    def.name
-                                )));
-                            }
-                        }
-                    }
-                    Some(map)
-                }
-                None => None,
-            });
+        let mut edges = Vec::with_capacity(raw.edges.len());
+        for (eid, table) in raw.edges.iter().enumerate() {
+            let label = eid as LabelId;
+            if rebuild.edges[eid] {
+                let def = catalog.edge_label(label);
+                let n_src = vertices[def.src as usize].count;
+                let n_dst = vertices[def.dst as usize].count;
+                raw.validate_edge_table(label, n_src, n_dst)?;
+                let parts = EdgeLabelParts::build(label, def, table, n_src, n_dst, &config)?;
+                edges.push(Arc::new(parts));
+                stats.edges.push(EdgeLabelStats::collect(table, n_src, n_dst));
+            } else {
+                let (prev, prev_stats) = shared()?;
+                edges.push(Arc::clone(&prev.edges[eid]));
+                stats.edges.push(prev_stats.edge(label).clone());
+            }
         }
 
+        let mut catalog = catalog.clone();
+        catalog.set_stats(stats);
         Ok(ColumnarGraph {
             catalog,
             config,
-            vertex_counts,
-            edge_counts,
-            vertex_props,
-            fwd,
-            bwd,
-            edge_props,
-            pk,
+            vertices,
+            edges,
             build_nonce: fresh_nonce(),
             pool: None,
         })
@@ -373,32 +503,45 @@ impl ColumnarGraph {
     }
 
     pub fn vertex_count(&self, label: LabelId) -> usize {
-        self.vertex_counts[label as usize]
+        self.vertices[label as usize].count
     }
 
     pub fn edge_count(&self, label: LabelId) -> usize {
-        self.edge_counts[label as usize]
+        self.edges[label as usize].count
+    }
+
+    /// The built parts of vertex label `label`, shared by pointer with
+    /// every baseline that has not rebuilt the label since.
+    pub fn vertex_label_parts(&self, label: LabelId) -> &Arc<VertexLabelParts> {
+        &self.vertices[label as usize]
+    }
+
+    /// The built parts of edge label `label` (see
+    /// [`ColumnarGraph::vertex_label_parts`]).
+    pub fn edge_label_parts(&self, label: LabelId) -> &Arc<EdgeLabelParts> {
+        &self.edges[label as usize]
     }
 
     pub fn vertex_prop(&self, label: LabelId, prop: usize) -> &Column {
-        &self.vertex_props[label as usize][prop]
+        &self.vertices[label as usize].cols[prop]
     }
 
     /// Adjacency index of `(label, dir)`.
     pub fn adj(&self, label: LabelId, dir: Direction) -> &AdjIndex {
+        let e = &self.edges[label as usize];
         match dir {
-            Direction::Fwd => &self.fwd[label as usize],
-            Direction::Bwd => &self.bwd[label as usize],
+            Direction::Fwd => &e.fwd,
+            Direction::Bwd => &e.bwd,
         }
     }
 
     pub fn edge_prop_store(&self, label: LabelId) -> &EdgePropStore {
-        &self.edge_props[label as usize]
+        &self.edges[label as usize].props
     }
 
     /// Constant-time primary-key seek.
     pub fn lookup_pk(&self, label: LabelId, key: i64) -> Option<u64> {
-        self.pk[label as usize].as_ref()?.get(&key).copied()
+        self.vertices[label as usize].pk.as_ref()?.get(&key).copied()
     }
 
     /// Validate that `(label, dir)` can serve an access path that reads
@@ -433,7 +576,7 @@ impl ColumnarGraph {
         prop: usize,
     ) -> Result<EdgePropRead<'_>> {
         let def = self.catalog.edge_label(label);
-        match &self.edge_props[label as usize] {
+        match self.edge_prop_store(label) {
             EdgePropStore::None => {
                 Err(Error::Exec(format!("edge label {} has no properties", def.name)))
             }
@@ -533,39 +676,33 @@ impl ColumnarGraph {
     /// `(fwd adjacency, bwd adjacency, edge properties)` — used by the
     /// Table 4 experiment to report per-label costs.
     pub fn edge_label_memory(&self, label: LabelId) -> (usize, usize, usize) {
-        let fwd = self.fwd[label as usize].adjacency_bytes();
-        let bwd = self.bwd[label as usize].adjacency_bytes();
-        let mut props = self.edge_props[label as usize].memory_bytes();
-        for adj in [&self.fwd[label as usize], &self.bwd[label as usize]] {
+        let e = &self.edges[label as usize];
+        let mut props = e.props.memory_bytes();
+        // Single-cardinality edge properties live inside the SingleCardAdj
+        // vertex columns; count them as edge properties, per Table 2.
+        for adj in [&e.fwd, &e.bwd] {
             if let AdjIndex::SingleCard(s) = adj {
                 props += s.props_bytes();
             }
         }
-        (fwd, bwd, props)
+        (e.fwd.adjacency_bytes(), e.bwd.adjacency_bytes(), props)
     }
 
     /// Memory of the four Table 2 components.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
-        let vertex_props =
-            self.vertex_props.iter().flat_map(|cols| cols.iter()).map(Column::memory_bytes).sum();
-        let mut edge_props: usize = self.edge_props.iter().map(EdgePropStore::memory_bytes).sum();
-        // Single-cardinality edge properties live inside the SingleCardAdj
-        // vertex columns; count them as edge properties, per Table 2.
-        for adj in self.fwd.iter().chain(&self.bwd) {
-            if let AdjIndex::SingleCard(s) = adj {
-                edge_props += s.props_bytes();
-            }
+        let cols = || self.vertices.iter().flat_map(|v| v.cols.iter());
+        let vertex_props = cols().map(Column::memory_bytes).sum();
+        let (mut edge_props, mut fwd_adj, mut bwd_adj) = (0, 0, 0);
+        for l in 0..self.edges.len() {
+            let (f, b, p) = self.edge_label_memory(l as LabelId);
+            (fwd_adj, bwd_adj, edge_props) = (fwd_adj + f, bwd_adj + b, edge_props + p);
         }
-        let fwd_adj = self.fwd.iter().map(AdjIndex::adjacency_bytes).sum();
-        let bwd_adj = self.bwd.iter().map(AdjIndex::adjacency_bytes).sum();
-        let pageable = self
-            .vertex_props
-            .iter()
-            .flat_map(|cols| cols.iter())
-            .map(Column::pageable_bytes)
-            .sum::<usize>()
-            + self.fwd.iter().chain(&self.bwd).map(AdjIndex::pageable_bytes).sum::<usize>()
-            + self.edge_props.iter().map(EdgePropStore::pageable_bytes).sum::<usize>();
+        let pageable = cols().map(Column::pageable_bytes).sum::<usize>()
+            + self
+                .edges
+                .iter()
+                .map(|e| e.fwd.pageable_bytes() + e.bwd.pageable_bytes() + e.props.pageable_bytes())
+                .sum::<usize>();
         let total = vertex_props + edge_props + fwd_adj + bwd_adj;
         MemoryBreakdown {
             vertex_props,
@@ -597,46 +734,34 @@ impl ColumnarGraph {
         w.u64(self.build_nonce);
         self.config.encode(w);
         self.catalog.encode(w);
-        w.usize(self.vertex_counts.len());
-        for &c in &self.vertex_counts {
-            w.usize(c);
+        let (vs, es) = (&self.vertices, &self.edges);
+        w.usize(vs.len());
+        for v in vs {
+            w.usize(v.count);
         }
-        w.usize(self.edge_counts.len());
-        for &c in &self.edge_counts {
-            w.usize(c);
+        w.usize(es.len());
+        for e in es {
+            w.usize(e.count);
         }
-        w.usize(self.vertex_props.len());
-        for cols in &self.vertex_props {
-            w.usize(cols.len());
-            for col in cols {
-                col.encode(w, sink);
-            }
+        w.usize(vs.len());
+        for v in vs {
+            encode_columns(w, sink, &v.cols);
         }
-        w.usize(self.fwd.len());
-        for adj in &self.fwd {
-            adj.encode(w, sink);
+        w.usize(es.len());
+        for e in es {
+            e.fwd.encode(w, sink);
         }
-        w.usize(self.bwd.len());
-        for adj in &self.bwd {
-            adj.encode(w, sink);
+        w.usize(es.len());
+        for e in es {
+            e.bwd.encode(w, sink);
         }
-        w.usize(self.edge_props.len());
-        for ep in &self.edge_props {
-            ep.encode(w, sink);
+        w.usize(es.len());
+        for e in es {
+            e.props.encode(w, sink);
         }
-        // Primary-key maps as sorted (key, vertex) pairs: rebuilding them
-        // from the key column would fault every page at open time.
-        w.usize(self.pk.len());
-        for m in &self.pk {
-            w.opt(m.as_ref(), |w, m| {
-                let mut pairs: Vec<(i64, u64)> = m.iter().map(|(&k, &v)| (k, v)).collect();
-                pairs.sort_unstable();
-                w.usize(pairs.len());
-                for (k, v) in pairs {
-                    w.i64(k);
-                    w.u64(v);
-                }
-            });
+        w.usize(vs.len());
+        for v in vs {
+            encode_pk(w, v.pk.as_ref());
         }
     }
 
@@ -647,58 +772,30 @@ impl ColumnarGraph {
         r: &mut Reader<'_>,
         src: &dyn SegmentSource,
     ) -> Result<ColumnarGraph> {
+        /// `count`-prefixed list of `item`s.
+        fn list<'a, T>(
+            r: &mut Reader<'a>,
+            mut item: impl FnMut(&mut Reader<'a>) -> Result<T>,
+        ) -> Result<Vec<T>> {
+            let n = r.count()?;
+            let mut out = Vec::with_capacity(n);
+            for _ in 0..n {
+                out.push(item(r)?);
+            }
+            Ok(out)
+        }
         let build_nonce = r.u64()?;
         let config = StorageConfig::decode(r)?;
         let catalog = Catalog::decode(r)?;
-        let n_vc = r.count()?;
-        let mut vertex_counts = Vec::with_capacity(n_vc);
-        for _ in 0..n_vc {
-            vertex_counts.push(r.usize()?);
-        }
-        let n_ec = r.count()?;
-        let mut edge_counts = Vec::with_capacity(n_ec);
-        for _ in 0..n_ec {
-            edge_counts.push(r.usize()?);
-        }
-        let n_vp = r.count()?;
-        let mut vertex_props = Vec::with_capacity(n_vp);
-        for _ in 0..n_vp {
-            let n_cols = r.count()?;
-            let mut cols = Vec::with_capacity(n_cols);
-            for _ in 0..n_cols {
-                cols.push(Column::decode(r, src)?);
-            }
-            vertex_props.push(cols);
-        }
-        let n_fwd = r.count()?;
-        let mut fwd = Vec::with_capacity(n_fwd);
-        for _ in 0..n_fwd {
-            fwd.push(AdjIndex::decode(r, src)?);
-        }
-        let n_bwd = r.count()?;
-        let mut bwd = Vec::with_capacity(n_bwd);
-        for _ in 0..n_bwd {
-            bwd.push(AdjIndex::decode(r, src)?);
-        }
-        let n_ep = r.count()?;
-        let mut edge_props = Vec::with_capacity(n_ep);
-        for _ in 0..n_ep {
-            edge_props.push(EdgePropStore::decode(r, src)?);
-        }
-        let n_pk = r.count()?;
-        let mut pk = Vec::with_capacity(n_pk);
-        for _ in 0..n_pk {
-            pk.push(r.opt(|r| {
-                let n = r.count()?;
-                let mut map = HashMap::with_capacity(n);
-                for _ in 0..n {
-                    let k = r.i64()?;
-                    let v = r.u64()?;
-                    map.insert(k, v);
-                }
-                Ok(map)
-            })?);
-        }
+        let vertex_counts = list(r, Reader::usize)?;
+        let edge_counts = list(r, Reader::usize)?;
+        let vertex_props = list(r, |r| list(r, |r| Column::decode(r, src)))?;
+        let fwd = list(r, |r| AdjIndex::decode(r, src))?;
+        let bwd = list(r, |r| AdjIndex::decode(r, src))?;
+        let edge_props = list(r, |r| EdgePropStore::decode(r, src))?;
+        // Primary-key maps as sorted (key, vertex) pairs: rebuilding them
+        // from the key column would fault every page at open time.
+        let pk = list(r, |r| r.opt(|r| list(r, |r| Ok((r.i64()?, r.u64()?)))))?;
         // Cross-check the decoded shape against the catalog so a truncated
         // or tampered metadata stream fails here, not deep inside a query.
         let nv = catalog.vertex_label_count();
@@ -713,20 +810,44 @@ impl ColumnarGraph {
         {
             return Err(Error::Storage("metadata shape disagrees with catalog".into()));
         }
-        Ok(ColumnarGraph {
-            catalog,
-            config,
-            vertex_counts,
-            edge_counts,
-            vertex_props,
-            fwd,
-            bwd,
-            edge_props,
-            pk,
-            build_nonce,
-            pool: None,
-        })
+        let vertices = vertex_counts
+            .into_iter()
+            .zip(vertex_props)
+            .zip(pk)
+            .map(|((count, cols), pk)| {
+                let pk = pk.map(|pairs| pairs.into_iter().collect());
+                Arc::new(VertexLabelParts { count, cols, pk })
+            })
+            .collect();
+        let edges = edge_counts
+            .into_iter()
+            .zip(fwd.into_iter().zip(bwd))
+            .zip(edge_props)
+            .map(|((count, (fwd, bwd)), props)| Arc::new(EdgeLabelParts { count, fwd, bwd, props }))
+            .collect();
+        Ok(ColumnarGraph { catalog, config, vertices, edges, build_nonce, pool: None })
     }
+}
+
+/// A `count`-prefixed list of columns.
+fn encode_columns(w: &mut Writer, sink: &mut dyn SegmentSink, cols: &[Column]) {
+    w.usize(cols.len());
+    for col in cols {
+        col.encode(w, sink);
+    }
+}
+
+/// A primary-key map as sorted (key, vertex) pairs.
+fn encode_pk(w: &mut Writer, pk: Option<&HashMap<i64, u64>>) {
+    w.opt(pk, |w, m| {
+        let mut pairs: Vec<(i64, u64)> = m.iter().map(|(&k, &v)| (k, v)).collect();
+        pairs.sort_unstable();
+        w.usize(pairs.len());
+        for (k, v) in pairs {
+            w.i64(k);
+            w.u64(v);
+        }
+    });
 }
 
 /// NULL layout for a column with/without NULLs under `config`.
@@ -842,9 +963,7 @@ fn pseudo_shuffle(n: usize, seed: u64) -> Vec<u64> {
 
 #[allow(clippy::too_many_arguments)]
 fn build_single_card(
-    table: &crate::raw::EdgeTable,
-    _src_label: LabelId,
-    _dst_label: LabelId,
+    table: &EdgeTable,
     n_src: usize,
     n_dst: usize,
     prop_side: Direction,
@@ -897,7 +1016,7 @@ fn build_single_card(
 }
 
 fn build_nn(
-    table: &crate::raw::EdgeTable,
+    table: &EdgeTable,
     n_src: usize,
     n_dst: usize,
     prop_defs: &[crate::catalog::PropertyDef],
@@ -1012,7 +1131,7 @@ impl BaselineRead for ColumnarGraph {
     }
 
     fn vertex_count(&self, label: LabelId) -> usize {
-        self.vertex_counts[label as usize]
+        ColumnarGraph::vertex_count(self, label)
     }
 
     fn lookup_pk(&self, label: LabelId, key: i64) -> Option<u64> {
@@ -1339,7 +1458,7 @@ mod tests {
         let t = &raw.edges[follows as usize];
         let (bare, _) = Csr::build(g.vertex_count(0), &t.src, &t.dst, CsrOptions::default());
         assert!(!bare.has_edge_ids());
-        g.fwd[follows as usize] = AdjIndex::Csr(bare);
+        Arc::get_mut(&mut g.edges[follows as usize]).unwrap().fwd = AdjIndex::Csr(bare);
         let err = g.edge_prop_read(follows, Direction::Fwd, 0).unwrap_err();
         assert!(matches!(err, Error::Storage(_)), "{err:?}");
         assert!(err.to_string().contains("edge IDs not stored"));

@@ -832,6 +832,19 @@ impl DeltaStore {
             .is_some_and(|v| !v.rows.is_empty() || !v.updates.is_empty() || !v.tombs.is_empty())
     }
 
+    /// Does folding this delta into a baseline of `n_base` `label` vertices
+    /// move a vertex offset: change the label's vertex count, or renumber
+    /// a surviving baseline vertex (a tombstone below a survivor)? Either
+    /// changes what every adjacency list naming the label's vertices holds.
+    pub(crate) fn merge_moves_offsets(&self, label: LabelId, n_base: u64) -> bool {
+        let Some(v) = self.v.get(label as usize) else { return false };
+        let tombs = v.tombs.len() as u64;
+        let live_rows = (v.rows.len() - v.recycler.gaps()) as u64;
+        // Survivors keep their offsets exactly when the tombstones are the
+        // top `tombs` offsets.
+        live_rows != tombs || (n_base - tombs..n_base).any(|off| !v.tombs.contains_key(&off))
+    }
+
     /// May tombstoned/overridden baseline offsets fall in `[start, end)`?
     /// Answered per `ZONE_BLOCK`, one probe per block the range spans:
     /// exact for a range inside one block and covering the block's part of

@@ -49,7 +49,9 @@ pub mod wal;
 pub use buffer_pool::{BufferPool, PageFile, PoolStats, DEFAULT_POOL_PAGES, MAX_READ_ATTEMPTS};
 pub use catalog::{Cardinality, Catalog, EdgeLabelDef, PropertyDef, VertexLabelDef};
 pub use chaos::{FailingStore, FaultConfig};
-pub use columnar_graph::{AdjIndex, ColumnarGraph, EdgePropRead, MemoryBreakdown};
+pub use columnar_graph::{
+    AdjIndex, ColumnarGraph, EdgeLabelParts, EdgePropRead, MemoryBreakdown, VertexLabelParts,
+};
 pub use config::{EdgePropLayout, StorageConfig};
 pub use csr::{Csr, CsrOptions};
 pub use delta::{DeltaEdge, DeltaSnapshot, DeltaStore, EdgeTarget, ResolvedOp, StrExt};

@@ -237,63 +237,77 @@ impl RawGraph {
     /// Check structural consistency: property column lengths, endpoint
     /// offsets in range, and declared cardinality constraints.
     pub fn validate(&self) -> Result<()> {
-        for (lid, table) in self.vertices.iter().enumerate() {
-            let def = self.catalog.vertex_label(lid as u16);
-            if table.props.len() != def.properties.len() {
+        for l in 0..self.vertices.len() as u16 {
+            self.validate_vertex_table(l)?;
+        }
+        for l in 0..self.edges.len() as u16 {
+            let def = self.catalog.edge_label(l);
+            let n = |v: u16| self.vertices[v as usize].count;
+            self.validate_edge_table(l, n(def.src), n(def.dst))?;
+        }
+        Ok(())
+    }
+
+    /// [`RawGraph::validate`] for vertex label `lid`'s table alone.
+    pub(crate) fn validate_vertex_table(&self, lid: u16) -> Result<()> {
+        let (def, table) = (self.catalog.vertex_label(lid), &self.vertices[lid as usize]);
+        if table.props.len() != def.properties.len() {
+            return Err(Error::Invalid(format!(
+                "{}: {} property columns, schema has {}",
+                def.name,
+                table.props.len(),
+                def.properties.len()
+            )));
+        }
+        for (p, col) in table.props.iter().enumerate() {
+            if col.len() != table.count {
                 return Err(Error::Invalid(format!(
-                    "{}: {} property columns, schema has {}",
+                    "{}.{}: {} values for {} vertices",
                     def.name,
-                    table.props.len(),
-                    def.properties.len()
+                    def.properties[p].name,
+                    col.len(),
+                    table.count
                 )));
             }
-            for (p, col) in table.props.iter().enumerate() {
-                if col.len() != table.count {
-                    return Err(Error::Invalid(format!(
-                        "{}.{}: {} values for {} vertices",
-                        def.name,
-                        def.properties[p].name,
-                        col.len(),
-                        table.count
-                    )));
-                }
+        }
+        Ok(())
+    }
+
+    /// [`RawGraph::validate`] for edge label `lid`'s table alone, between
+    /// endpoint labels of `n_src` and `n_dst` vertices.
+    pub(crate) fn validate_edge_table(&self, lid: u16, n_src: usize, n_dst: usize) -> Result<()> {
+        let (def, table) = (self.catalog.edge_label(lid), &self.edges[lid as usize]);
+        let (n_src, n_dst) = (n_src as u64, n_dst as u64);
+        if table.src.len() != table.dst.len() {
+            return Err(Error::Invalid(format!("{}: src/dst length mismatch", def.name)));
+        }
+        for col in &table.props {
+            if col.len() != table.len() {
+                return Err(Error::Invalid(format!(
+                    "{}: property column length mismatch",
+                    def.name
+                )));
             }
         }
-        for (lid, table) in self.edges.iter().enumerate() {
-            let def = self.catalog.edge_label(lid as u16);
-            let n_src = self.vertices[def.src as usize].count as u64;
-            let n_dst = self.vertices[def.dst as usize].count as u64;
-            if table.src.len() != table.dst.len() {
-                return Err(Error::Invalid(format!("{}: src/dst length mismatch", def.name)));
-            }
-            for col in &table.props {
-                if col.len() != table.len() {
-                    return Err(Error::Invalid(format!(
-                        "{}: property column length mismatch",
-                        def.name
-                    )));
-                }
-            }
-            if table.src.iter().any(|&s| s >= n_src) || table.dst.iter().any(|&d| d >= n_dst) {
-                return Err(Error::Invalid(format!("{}: endpoint offset out of range", def.name)));
-            }
-            for dir in [Direction::Fwd, Direction::Bwd] {
-                if def.cardinality.is_single(dir) {
-                    let endpoints = match dir {
-                        Direction::Fwd => &table.src,
-                        Direction::Bwd => &table.dst,
-                    };
-                    let mut seen =
-                        vec![false; endpoints.iter().map(|&e| e as usize + 1).max().unwrap_or(0)];
-                    for &e in endpoints {
-                        if seen[e as usize] {
-                            return Err(Error::Invalid(format!(
-                                "{}: cardinality violated, vertex {e} has two edges ({dir})",
-                                def.name
-                            )));
-                        }
-                        seen[e as usize] = true;
+        if table.src.iter().any(|&s| s >= n_src) || table.dst.iter().any(|&d| d >= n_dst) {
+            return Err(Error::Invalid(format!("{}: endpoint offset out of range", def.name)));
+        }
+        for dir in [Direction::Fwd, Direction::Bwd] {
+            if def.cardinality.is_single(dir) {
+                let endpoints = match dir {
+                    Direction::Fwd => &table.src,
+                    Direction::Bwd => &table.dst,
+                };
+                let mut seen =
+                    vec![false; endpoints.iter().map(|&e| e as usize + 1).max().unwrap_or(0)];
+                for &e in endpoints {
+                    if seen[e as usize] {
+                        return Err(Error::Invalid(format!(
+                            "{}: cardinality violated, vertex {e} has two edges ({dir})",
+                            def.name
+                        )));
                     }
+                    seen[e as usize] = true;
                 }
             }
         }

@@ -15,17 +15,21 @@
 //!   scales — a production system would substitute HyperLogLog), the NULL
 //!   fraction, and the integer min/max for range-predicate selectivity.
 //!
-//! Statistics are computed from the [`RawGraph`] by [`Stats::collect`] and
-//! stashed on the [`crate::Catalog`] clone each storage build makes, so
-//! every engine built from the same raw data plans with identical
-//! statistics (and therefore picks identical orders — the cross-engine
-//! equivalence suites rely on this).
+//! Statistics are computed from the [`RawGraph`] by [`Stats::collect`] —
+//! label by label, through [`VertexLabelStats::collect`] and
+//! [`EdgeLabelStats::collect`] — and stashed on the [`crate::Catalog`]
+//! clone each storage build makes, so every engine built from the same raw
+//! data plans with identical statistics (and therefore picks identical
+//! orders — the cross-engine equivalence suites rely on this). A merge
+//! recollects only the labels it rebuilds and copies the rest: a label's
+//! statistics depend on its table and, for an edge label, its endpoint
+//! labels' vertex counts, which is exactly what decides a rebuild.
 
 use std::collections::HashSet;
 
 use gfcl_common::{Direction, LabelId, Reader, Result, Writer};
 
-use crate::raw::{PropData, RawGraph};
+use crate::raw::{EdgeTable, PropData, RawGraph, VertexTable};
 
 /// Statistics of one property column.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -74,35 +78,45 @@ pub struct Stats {
     pub edges: Vec<EdgeLabelStats>,
 }
 
+impl VertexLabelStats {
+    /// Statistics of one vertex label's table, one pass per column.
+    pub fn collect(table: &VertexTable) -> VertexLabelStats {
+        VertexLabelStats {
+            count: table.count as u64,
+            props: table.props.iter().map(prop_stats).collect(),
+        }
+    }
+}
+
+impl EdgeLabelStats {
+    /// Statistics of one edge label's table between endpoint labels of
+    /// `n_src` and `n_dst` vertices.
+    pub fn collect(table: &EdgeTable, n_src: usize, n_dst: usize) -> EdgeLabelStats {
+        let (avg_fwd, max_fwd) = degree_profile(&table.src, n_src);
+        let (avg_bwd, max_bwd) = degree_profile(&table.dst, n_dst);
+        EdgeLabelStats {
+            count: table.len() as u64,
+            avg_fwd_degree: avg_fwd,
+            max_fwd_degree: max_fwd,
+            avg_bwd_degree: avg_bwd,
+            max_bwd_degree: max_bwd,
+            props: table.props.iter().map(prop_stats).collect(),
+        }
+    }
+}
+
 impl Stats {
-    /// Collect statistics from a raw graph in one pass per column.
+    /// Collect statistics from a raw graph, label by label.
     pub fn collect(raw: &RawGraph) -> Stats {
-        let vertices = raw
-            .vertices
-            .iter()
-            .map(|t| VertexLabelStats {
-                count: t.count as u64,
-                props: t.props.iter().map(prop_stats).collect(),
-            })
-            .collect();
+        let vertices = raw.vertices.iter().map(VertexLabelStats::collect).collect();
         let edges = raw
             .edges
             .iter()
             .enumerate()
             .map(|(lid, t)| {
                 let def = raw.catalog.edge_label(lid as LabelId);
-                let n_src = raw.vertices[def.src as usize].count;
-                let n_dst = raw.vertices[def.dst as usize].count;
-                let (avg_fwd, max_fwd) = degree_profile(&t.src, n_src);
-                let (avg_bwd, max_bwd) = degree_profile(&t.dst, n_dst);
-                EdgeLabelStats {
-                    count: t.len() as u64,
-                    avg_fwd_degree: avg_fwd,
-                    max_fwd_degree: max_fwd,
-                    avg_bwd_degree: avg_bwd,
-                    max_bwd_degree: max_bwd,
-                    props: t.props.iter().map(prop_stats).collect(),
-                }
+                let n = |l: LabelId| raw.vertices[l as usize].count;
+                EdgeLabelStats::collect(t, n(def.src), n(def.dst))
             })
             .collect();
         Stats { vertices, edges }

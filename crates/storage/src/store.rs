@@ -21,10 +21,14 @@
 //!   snapshot's: nothing is copied or rebuilt at commit. `abort` (or drop)
 //!   discards the transaction's delta; nothing leaks.
 //! * **Merge.** [`GraphStore::merge`] folds the delta into a fresh
-//!   columnar baseline: the merged graph is exported to a [`RawGraph`] and
-//!   rebuilt through the normal build pipeline, which re-blocks zone maps,
-//!   recomputes statistics, and (for a directory-backed store) rewrites
-//!   the paged graph file atomically before truncating the WAL.
+//!   columnar baseline at the cost of what changed: only the labels the
+//!   delta touched are exported to a [`RawGraph`] and rebuilt through the
+//!   normal build pipeline (re-blocking their zone maps, recollecting their
+//!   statistics); every other label's built parts are shared with the old
+//!   baseline by pointer. A directory-backed store then rewrites the paged
+//!   graph file atomically before truncating the WAL, and a failure past
+//!   that rewrite's commit point stops the store taking writes until it is
+//!   reopened.
 //!
 //! [`GraphView`] is the read-side contract and the only implementation of
 //! `(baseline ⊎ delta) ∖ tombstones`: a `Copy` pair of baseline + optional
@@ -50,12 +54,13 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use gfcl_common::{Direction, Error, LabelId, Result, Value};
 
 use crate::catalog::Catalog;
-use crate::columnar_graph::ColumnarGraph;
+use crate::columnar_graph::{ColumnarGraph, LabelSet};
 use crate::config::StorageConfig;
 use crate::delta::{DeltaSnapshot, DeltaStore, ResolvedOp, StrExt};
 use crate::raw::RawGraph;
@@ -72,6 +77,21 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 fn io_err(what: &str, e: std::io::Error) -> Error {
     Error::Storage(format!("{what}: {e}"))
+}
+
+/// Why the store stopped taking writes, if it did: a merge that failed
+/// past its commit point. Lives under the writer lock.
+type Refusal = Option<String>;
+
+/// `Ok` unless the store stopped taking writes.
+fn writable(refusal: &Refusal) -> Result<()> {
+    match refusal {
+        None => Ok(()),
+        Some(why) => Err(Error::Storage(format!(
+            "the store takes no more writes: a merge failed past its commit point ({why}); \
+             reopen the store to recover"
+        ))),
+    }
 }
 
 /// Make the directory's entries (file creations, renames) durable. File
@@ -425,7 +445,10 @@ pub struct GraphStore {
     wal: Mutex<Option<WalWriter>>,
     /// Held for the lifetime of a [`WriteTxn`] (and across merge): the
     /// single-writer lock. Readers never take it.
-    writer: Mutex<()>,
+    writer: Mutex<Refusal>,
+    /// One-shot fault hook: the next merge fails right after its
+    /// commit-point rename (see [`GraphStore::inject_merge_failure`]).
+    fail_past_commit_point: AtomicBool,
     /// The published state: the baseline and the delta the next writer
     /// starts from.
     current: RwLock<Arc<GraphSnapshot>>,
@@ -532,7 +555,8 @@ impl GraphStore {
         let snap = Arc::new(GraphSnapshot { epoch, base, delta: Arc::new(delta) });
         GraphStore {
             wal: Mutex::new(wal),
-            writer: Mutex::new(()),
+            writer: Mutex::new(None),
+            fail_past_commit_point: AtomicBool::new(false),
             current: RwLock::new(snap),
             dir,
             config,
@@ -570,20 +594,37 @@ impl GraphStore {
         }
     }
 
+    /// Fault-injection hook for the crash tier: the next merge of a
+    /// durable store fails right after its commit-point rename, as if the
+    /// WAL rename had. One-shot. Not part of the public API surface.
+    #[doc(hidden)]
+    pub fn inject_merge_failure(&self) {
+        self.fail_past_commit_point.store(true, Ordering::Relaxed);
+    }
+
     /// Begin a write transaction. Blocks while another writer (or a
     /// merge) is active; readers are never blocked.
     pub fn begin_write(&self) -> WriteTxn<'_> {
-        let guard = lock(&self.writer);
+        let writer = lock(&self.writer);
         // Under the writer lock the published snapshot is the latest state.
         let snap = self.snapshot();
         let (base, delta) = (Arc::clone(&snap.base), Arc::clone(&snap.delta));
-        WriteTxn { store: self, _guard: guard, base, delta, ops: Vec::new() }
+        WriteTxn { store: self, writer, base, delta, ops: Vec::new() }
     }
 
-    /// Fold the delta into a fresh columnar baseline: export the merged
-    /// graph to a [`RawGraph`], rebuild (re-blocking zone maps and
-    /// recomputing statistics), atomically replace the paged graph file,
-    /// truncate the WAL, and publish the clean snapshot.
+    /// Fold the delta into a fresh columnar baseline, at the cost of what
+    /// changed. A vertex label is rebuilt iff the delta touched it (delta
+    /// rows, overrides, tombstones); an edge label iff the delta touched
+    /// its edges (live delta edges or baseline tombstones), or an endpoint
+    /// label's vertex count changes, or a surviving baseline vertex of an
+    /// endpoint label is renumbered (a tombstone below a survivor) — the
+    /// offsets its lists name move. Only those labels are exported and
+    /// rebuilt, re-blocking their zone maps and recollecting their
+    /// statistics; every other label's built parts and statistics are
+    /// shared with the old baseline by pointer. A reopened (paged)
+    /// baseline rebuilds every label, so the merged baseline is always
+    /// resident. Then the paged graph file is replaced atomically, the WAL
+    /// truncated, and the clean snapshot published.
     ///
     /// Crash protocol for the durable case: the new graph is written to
     /// `graph.gfcl.tmp` and its empty WAL to `graph.wal.tmp`; then
@@ -597,17 +638,27 @@ impl GraphStore {
     /// completed (the tmp WAL's baseline fingerprint — which folds in the
     /// graph's per-build nonce — proves it belongs to the new file).
     ///
+    /// A failure past the commit point (an fsync, the WAL rename, opening
+    /// the new log) leaves the directory naming the merged graph while
+    /// this process still appends to the old log, which a reopen no longer
+    /// pairs with it: every later commit and merge is refused with
+    /// [`Error::Storage`] until the store is reopened, so no commit is
+    /// acknowledged that the reopen would drop.
+    ///
     /// A no-op only when no op has been applied since the last merge: a
     /// delta whose ops cancel out (an insert and its delete) still holds
     /// log records and vacated slots, and merging drops both.
     pub fn merge(&self) -> Result<u64> {
-        let _writer = lock(&self.writer);
+        let mut writer = lock(&self.writer);
+        writable(&writer)?;
         let snap = self.snapshot();
         if snap.delta.mutation_count() == 0 {
             return Ok(snap.epoch());
         }
-        let raw = merged_raw(&snap.base, &snap.delta)?;
-        let new_base = Arc::new(ColumnarGraph::build(&raw, self.config)?);
+        let labels = rebuilt_labels(&snap.base, &snap.delta);
+        let raw = export(&snap.base, &snap.delta, &labels)?;
+        let new_base =
+            Arc::new(ColumnarGraph::build_labels(&raw, self.config, &labels, Some(&snap.base))?);
         if let Some(dir) = &self.dir {
             let tmp_graph = dir.join(GRAPH_TMP);
             let tmp_wal = dir.join(WAL_TMP);
@@ -618,14 +669,26 @@ impl GraphStore {
             fsync_dir(dir)?;
             std::fs::rename(&tmp_graph, dir.join(GRAPH_FILE))
                 .map_err(|e| io_err("swap graph file", e))?;
-            fsync_dir(dir)?;
-            std::fs::rename(&tmp_wal, dir.join(WAL_FILE))
-                .map_err(|e| io_err("swap wal file", e))?;
-            fsync_dir(dir)?;
-            *lock(&self.wal) = Some(WalWriter::open_for_append(&dir.join(WAL_FILE))?);
+            if let Err(e) = self.finish_merge(dir, &tmp_wal) {
+                *writer = Some(e.to_string());
+                return Err(e);
+            }
         }
         let clean = Arc::new(DeltaStore::new(&new_base));
         Ok(self.publish(new_base, clean))
+    }
+
+    /// The steps of a durable merge past its commit point: make the graph
+    /// rename durable, move the fresh log into place, and append to it.
+    fn finish_merge(&self, dir: &Path, tmp_wal: &Path) -> Result<()> {
+        fsync_dir(dir)?;
+        if self.fail_past_commit_point.swap(false, Ordering::Relaxed) {
+            return Err(Error::Storage("swap wal file: injected failure".into()));
+        }
+        std::fs::rename(tmp_wal, dir.join(WAL_FILE)).map_err(|e| io_err("swap wal file", e))?;
+        fsync_dir(dir)?;
+        *lock(&self.wal) = Some(WalWriter::open_for_append(&dir.join(WAL_FILE))?);
+        Ok(())
     }
 }
 
@@ -636,7 +699,7 @@ impl GraphStore {
 /// `abort` (or drop) discards it.
 pub struct WriteTxn<'s> {
     store: &'s GraphStore,
-    _guard: MutexGuard<'s, ()>,
+    writer: MutexGuard<'s, Refusal>,
     base: Arc<ColumnarGraph>,
     delta: Arc<DeltaStore>,
     ops: Vec<ResolvedOp>,
@@ -741,7 +804,8 @@ impl WriteTxn<'_> {
     /// publish the transaction's delta as the next-epoch snapshot. Returns
     /// the new epoch. On error nothing is published.
     pub fn commit(self) -> Result<u64> {
-        let WriteTxn { store, _guard, base, delta, ops } = self;
+        let WriteTxn { store, writer, base, delta, ops } = self;
+        writable(&writer)?;
         if ops.is_empty() {
             return Ok(store.snapshot().epoch());
         }
@@ -755,20 +819,62 @@ impl WriteTxn<'_> {
     pub fn abort(self) {}
 }
 
+/// The labels a merge of `delta` into `base` rebuilds, by the rule at
+/// [`GraphStore::merge`]; every other label keeps its built parts.
+fn rebuilt_labels(base: &ColumnarGraph, delta: &DeltaSnapshot) -> LabelSet {
+    let catalog = base.catalog();
+    if base.buffer_pool().is_some() {
+        return LabelSet::all(catalog);
+    }
+    let labels = |n: usize| 0..n as LabelId;
+    let moved: Vec<bool> = labels(catalog.vertex_label_count())
+        .map(|l| delta.merge_moves_offsets(l, base.vertex_count(l) as u64))
+        .collect();
+    LabelSet {
+        vertices: labels(catalog.vertex_label_count())
+            .map(|l| delta.vertex_label_touched(l))
+            .collect(),
+        edges: labels(catalog.edge_label_count())
+            .map(|l| {
+                let def = catalog.edge_label(l);
+                [Direction::Fwd, Direction::Bwd].into_iter().any(|d| delta.edge_label_touched(l, d))
+                    || moved[def.src as usize]
+                    || moved[def.dst as usize]
+            })
+            .collect(),
+    }
+}
+
 /// Export `baseline ⊎ delta ∖ tombstones` to a [`RawGraph`], the input of
-/// the normal build pipeline. Deterministic: baseline survivors keep
-/// their relative order (offsets ascending, adjacency in list order),
-/// delta rows/edges follow in slot/insertion order, and vertex offsets
-/// are compacted by the same rule every time.
+/// the normal build pipeline. Deterministic: live vertices keep their
+/// relative order (baseline survivors by offset, then delta rows by slot)
+/// and are compacted by the same rule every time, and each edge label's
+/// table lists every live edge grouped by source in that order, each
+/// source's edges in its merged forward-list order (baseline survivors,
+/// then delta edges by insertion). Building from that table and exporting
+/// again reproduces it, so a label shared by a merge is exactly the label
+/// a full rebuild from this export would make, once every label has been
+/// built from an export.
 pub fn merged_raw(base: &ColumnarGraph, delta: &DeltaSnapshot) -> Result<RawGraph> {
+    export(base, delta, &LabelSet::all(base.catalog()))
+}
+
+/// [`merged_raw`] for the labels in `labels` alone; every other table stays
+/// empty. A vertex label left out must be one the delta did not touch, so
+/// its offsets are unchanged.
+fn export(base: &ColumnarGraph, delta: &DeltaSnapshot, labels: &LabelSet) -> Result<RawGraph> {
     let view = GraphView::new(base, Some(delta));
     let catalog = base.catalog();
     let mut raw = RawGraph::new(catalog.clone());
 
-    // Vertices: survivors first (offset order), then live delta rows
-    // (slot order); `remap[label][old global offset] -> new offset`.
-    let mut remap: Vec<Vec<Option<u64>>> = Vec::with_capacity(catalog.vertex_label_count());
+    // `remap[label][old offset] -> new offset` for every exported vertex
+    // label; `None` for the others, whose offsets the merge keeps.
+    let mut remap: Vec<Option<Vec<Option<u64>>>> = Vec::with_capacity(raw.vertices.len());
     for (l, table) in raw.vertices.iter_mut().enumerate() {
+        if !labels.vertices[l] {
+            remap.push(None);
+            continue;
+        }
         let label = l as LabelId;
         let total = view.scan_total(label);
         let mut map = vec![None; total as usize];
@@ -781,49 +887,35 @@ pub fn merged_raw(base: &ColumnarGraph, delta: &DeltaSnapshot) -> Result<RawGrap
             }
         }
         table.count = next as usize;
-        remap.push(map);
+        remap.push(Some(map));
     }
+    let new_offset = |label: LabelId, off: u64| match &remap[label as usize] {
+        Some(map) => map[off as usize],
+        None => Some(off),
+    };
 
-    // Edges: baseline survivors in forward-adjacency order (a stable
-    // permutation of the original table order), then delta edges in
-    // insertion order.
-    let mut survivors: Vec<(u64, u64)> = Vec::new();
+    let mut list: Vec<(u64, u64)> = Vec::new();
     for (l, table) in raw.edges.iter_mut().enumerate() {
+        if !labels.edges[l] {
+            continue;
+        }
         let label = l as LabelId;
         let def = catalog.edge_label(label);
-        let (sl, dl) = (def.src as usize, def.dst as usize);
-        let mut push_edge = |src: u64, dst: u64, prop_at: &dyn Fn(usize) -> Result<Value>| {
-            // An endpoint the vertex export dropped takes its edges along.
-            let (Some(ns), Some(nd)) = (remap[sl][src as usize], remap[dl][dst as usize]) else {
-                return Ok(());
-            };
-            table.src.push(ns);
-            table.dst.push(nd);
-            for (p, col) in table.props.iter_mut().enumerate() {
-                col.push_value(prop_at(p)?)?;
-            }
-            Ok(())
-        };
-        for v in 0..base.vertex_count(def.src) as u64 {
-            survivors.clear();
-            view.for_each_live_edge(label, Direction::Fwd, v, |nbr, tag| {
-                // Delta edges are exported below, in global insertion order.
-                if !is_delta_edge_ref(tag) {
-                    survivors.push((nbr, tag));
+        for src in 0..view.scan_total(def.src) {
+            // A dead source took its edges along.
+            let Some(new_src) = new_offset(def.src, src) else { continue };
+            list.clear();
+            view.for_each_live_edge(label, Direction::Fwd, src, |nbr, tag| list.push((nbr, tag)));
+            for &(dst, tag) in &list {
+                let Some(new_dst) = new_offset(def.dst, dst) else { continue };
+                table.src.push(new_src);
+                table.dst.push(new_dst);
+                for (p, col) in table.props.iter_mut().enumerate() {
+                    col.push_value(view.edge_value(label, Direction::Fwd, src, tag, p)?)?;
                 }
-            });
-            for &(nbr, tag) in &survivors {
-                push_edge(v, nbr, &|p| view.edge_value(label, Direction::Fwd, v, tag, p))?;
-            }
-        }
-        for idx in 0..delta.delta_edge_count(label) {
-            let e = delta.delta_edge(label, idx);
-            if !e.deleted {
-                push_edge(e.src, e.dst, &|p| Ok(e.props[p].clone()))?;
             }
         }
     }
-    raw.validate()?;
     Ok(raw)
 }
 
@@ -1042,6 +1134,49 @@ mod tests {
         drop(store);
         let reopened = GraphStore::open(&dir, StorageConfig::default()).unwrap();
         assert_eq!(answers(reopened.snapshot().view()), live);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_merge_failing_past_its_commit_point_refuses_writes_until_reopened() {
+        let dir = tmp_dir("postcommit");
+        let store = GraphStore::create(&dir, &pk_raw(), StorageConfig::default()).unwrap();
+        let mut txn = store.begin_write();
+        let zoe = txn
+            .insert_vertex(
+                "PERSON",
+                &[("name", Value::String("zoe".into())), ("age", Value::Int64(31))],
+            )
+            .unwrap();
+        txn.insert_edge("FOLLOWS", zoe, 0, &[("since", Value::Int64(2024))]).unwrap();
+        txn.update_vertex("PERSON", 3, &[("name", Value::String("jen".into()))]).unwrap();
+        txn.commit().unwrap();
+        let acknowledged = answers(store.snapshot().view());
+
+        // The graph rename lands, the WAL rename does not: the directory
+        // names the merged graph, which a reopen pairs with the tmp log,
+        // while this process still holds the old log open.
+        store.inject_merge_failure();
+        let err = store.merge().unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "{err}");
+        assert!(dir.join(WAL_TMP).exists());
+
+        // A commit appended to the old log now would be acknowledged and
+        // then dropped by the reopen: every write is refused instead.
+        let mut txn = store.begin_write();
+        txn.insert_vertex("PERSON", &[("age", Value::Int64(77))]).unwrap();
+        let err = txn.commit().unwrap_err();
+        assert!(matches!(err, Error::Storage(_)) && err.to_string().contains("reopen"), "{err}");
+        let err = store.merge().unwrap_err();
+        assert!(err.to_string().contains("reopen"), "{err}");
+        assert_eq!(answers(store.snapshot().view()), acknowledged, "a refused write showed");
+
+        drop(store);
+        let reopened = GraphStore::open(&dir, StorageConfig::default()).unwrap();
+        assert_eq!(answers(reopened.snapshot().view()), acknowledged, "a commit was lost");
+        let mut txn = reopened.begin_write();
+        txn.insert_vertex("PERSON", &[("age", Value::Int64(77))]).unwrap();
+        txn.commit().expect("a reopened store takes writes again");
         std::fs::remove_dir_all(&dir).ok();
     }
 

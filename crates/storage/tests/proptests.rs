@@ -1,19 +1,23 @@
 //! Property-based tests of the storage invariants (DESIGN.md §5,
 //! invariants 4 and 5), of the snapshot-read invariant at the seam
 //! every engine reads it through — `GraphView` over either baseline layout
-//! agrees with a rebuild of [`merged_raw`] — and of the persistent
-//! containers the delta is kept in: each agrees with its std model, and a
-//! published snapshot never sees a later write.
+//! agrees with a rebuild of [`merged_raw`] — of the persistent containers
+//! the delta is kept in: each agrees with its std model, and a published
+//! snapshot never sees a later write — and of merge: it rebuilds exactly
+//! the labels its delta touched, each as a full rebuild would, and shares
+//! the rest by pointer.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use gfcl_columnar::NullKind;
 use gfcl_common::{DataType, Direction, LabelId, Value};
 use gfcl_storage::edge_prop_pages::assign_insertion_order;
 use gfcl_storage::{
-    merged_raw, BaselineRead, Cardinality, Catalog, ColumnarGraph, Csr, CsrOptions, GraphSnapshot,
-    GraphStore, GraphView, PMap, PVec, PropertyDef, RawGraph, RowGraph, StorageConfig, WriteTxn,
+    merged_raw, BaselineRead, Cardinality, Catalog, ColumnarGraph, Csr, CsrOptions, DeltaStore,
+    GraphSnapshot, GraphStore, GraphView, PMap, PVec, PropertyDef, RawGraph, RowGraph,
+    StorageConfig, WriteTxn,
 };
 use proptest::prelude::*;
 
@@ -532,6 +536,14 @@ fn tagged(tag: &str, v: i64, of: i64) -> Value {
 /// baseline holds `s0..s3` and `t0..t2`, writes also use `s4..s7` and
 /// `t3..t5`, which take extension codes.
 fn sharing_base(n_a: usize, n_b: usize, ab: &[(u64, u64, i64)]) -> RawGraph {
+    sharing_base_with(n_a, n_b, ab, 0)
+}
+
+/// [`sharing_base`], plus — when `n_c > 0` — labels the seam ops never
+/// name: a vertex label `C` of `n_c` vertices, an edge label `CC` among
+/// them, and a property-less edge label `AC` from every other spread `A`
+/// vertex, which only a delete's cascade or a moved `A` offset reaches.
+fn sharing_base_with(n_a: usize, n_b: usize, ab: &[(u64, u64, i64)], n_c: usize) -> RawGraph {
     let int = |name| PropertyDef::new(name, DataType::Int64);
     let string = |name| PropertyDef::new(name, DataType::String);
     let mut cat = Catalog::new();
@@ -542,8 +554,39 @@ fn sharing_base(n_a: usize, n_b: usize, ab: &[(u64, u64, i64)]) -> RawGraph {
     let one = cat.add_edge_label("SINGLE", a, b, Cardinality::ManyOne, vec![int("w")]).unwrap();
     cat.set_primary_key(a, "id").unwrap();
     cat.set_primary_key(b, "id").unwrap();
+    let untouched = (n_c > 0).then(|| {
+        let c = cat.add_vertex_label("C", vec![int("id"), string("z")]).unwrap();
+        let cc_props = vec![int("w"), string("t")];
+        let cc = cat.add_edge_label("CC", c, c, Cardinality::ManyMany, cc_props).unwrap();
+        let ac = cat.add_edge_label("AC", a, c, Cardinality::ManyMany, vec![]).unwrap();
+        cat.set_primary_key(c, "id").unwrap();
+        (c, cc, ac)
+    });
 
     let mut raw = RawGraph::new(cat);
+    if let Some((c, cc, ac)) = untouched {
+        let t = &mut raw.vertices[c as usize];
+        t.count = n_c;
+        for v in 0..n_c as i64 {
+            t.props[0].push_i64(v);
+            t.props[1].push_value(tagged("z", v, 3)).unwrap();
+        }
+        let n_c = n_c as u64;
+        for v in 0..n_c {
+            for (dst, w) in [((v * 3 + 1) % n_c, v as i64), ((v + 1) % n_c, -(v as i64))] {
+                let t = &mut raw.edges[cc as usize];
+                t.src.push(v);
+                t.dst.push(dst);
+                t.props[0].push_i64(w);
+                t.props[1].push_value(tagged("t", w, 3)).unwrap();
+            }
+        }
+        for v in (0..n_a as u64).step_by(2) {
+            let t = &mut raw.edges[ac as usize];
+            t.src.push(v * SPREAD);
+            t.dst.push(v % n_c);
+        }
+    }
     let counts = [(n_a as u64 - 1) * SPREAD + 1, n_b as u64];
     for (label, n) in [a, b].into_iter().zip(counts) {
         let t = &mut raw.vertices[label as usize];
@@ -778,5 +821,219 @@ proptest! {
         }
         drop(store);
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// ---- a merge rebuilds what changed and shares the rest ----------------------
+
+/// The labels a merge of `snap` must rebuild, worked out from the reader
+/// API alone: a vertex label the delta touched; an edge label whose edges
+/// it touched, or one with an endpoint label whose vertex count changes or
+/// whose surviving baseline vertices sit above a tombstone. A paged
+/// baseline rebuilds every label.
+fn expected_rebuilds(snap: &GraphSnapshot) -> (Vec<bool>, Vec<bool>) {
+    let (base, d, view) = (snap.base(), snap.delta(), snap.view());
+    let catalog = base.catalog();
+    let paged = base.buffer_pool().is_some();
+    let moved: Vec<bool> = (0..catalog.vertex_label_count() as LabelId)
+        .map(|l| {
+            let n = base.vertex_count(l) as u64;
+            let live = (0..view.scan_total(l)).filter(|&off| view.vertex_live(l, off)).count();
+            let mut offs = 0..n;
+            let renumbered = offs.by_ref().any(|off| d.vertex_tombed(l, off))
+                && offs.any(|off| !d.vertex_tombed(l, off));
+            live as u64 != n || renumbered
+        })
+        .collect();
+    let vertices = (0..catalog.vertex_label_count() as LabelId)
+        .map(|l| paged || d.vertex_label_touched(l))
+        .collect();
+    let edges = (0..catalog.edge_label_count() as LabelId)
+        .map(|l| {
+            let def = catalog.edge_label(l);
+            paged
+                || d.edge_label_touched(l, Direction::Fwd)
+                || d.edge_label_touched(l, Direction::Bwd)
+                || moved[def.src as usize]
+                || moved[def.dst as usize]
+        })
+        .collect();
+    (vertices, edges)
+}
+
+/// The bytes `graph` saves, with its build nonce and the two checksums
+/// that cover it zeroed.
+fn saved_modulo_nonce(graph: &ColumnarGraph, path: &std::path::Path) -> Vec<u8> {
+    graph.save(path).unwrap();
+    let mut bytes = std::fs::read(path).unwrap();
+    std::fs::remove_file(path).unwrap();
+    // Header: magic, version, page size, data pages, then the metadata
+    // offset at byte 20, its checksum at 36, the header's own at 68.
+    let meta_off = u64::from_le_bytes(bytes[20..28].try_into().unwrap()) as usize;
+    for range in [36..44, 68..76, meta_off..meta_off + 8] {
+        bytes[range].fill(0);
+    }
+    bytes
+}
+
+/// Everything a reader sees through `view`: every live vertex row by
+/// offset, and every non-empty list of every edge label both ways, with
+/// its property rows, as a multiset.
+fn answers(view: GraphView<'_>) -> String {
+    use std::fmt::Write;
+    let catalog = view.base().catalog();
+    let mut out = String::new();
+    for l in 0..catalog.vertex_label_count() as LabelId {
+        let n_props = catalog.vertex_label(l).properties.len();
+        for off in (0..view.scan_total(l)).filter(|&off| view.vertex_live(l, off)) {
+            let row: Vec<Value> = (0..n_props).map(|p| view.vertex_value(l, off, p)).collect();
+            let _ = writeln!(out, "v{l}@{off} {row:?}");
+        }
+    }
+    for l in 0..catalog.edge_label_count() as LabelId {
+        let def = catalog.edge_label(l);
+        for dir in [Direction::Fwd, Direction::Bwd] {
+            for from in 0..view.scan_total(def.from_label(dir)) {
+                let mut list = live_list(view, l, dir, from);
+                if !list.is_empty() {
+                    list.sort_by_cached_key(|e| format!("{e:?}"));
+                    let _ = writeln!(out, "e{l}{dir}@{from} {list:?}");
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Merge `store` and check the new baseline against a full rebuild from
+/// [`merged_raw`] of the state it merged: each rebuilt label encodes like
+/// the full rebuild's, each other label is the old baseline's by pointer,
+/// statistics and answers agree, and — once every label has been built
+/// from an export (`canonical`) — the whole save is the full rebuild's
+/// byte for byte, build nonce aside. Moves `at` to the merged offsets and
+/// returns the full rebuild, or `None` when there was nothing to merge.
+fn merge_and_check(
+    store: &GraphStore,
+    at: &mut Operands,
+    canonical: &mut bool,
+    path: &std::path::Path,
+) -> Option<ColumnarGraph> {
+    let before = store.snapshot();
+    if before.delta().mutation_count() == 0 {
+        assert_eq!(store.merge().unwrap(), before.epoch(), "an empty merge is a no-op");
+        return None;
+    }
+    let (vertices, edges) = expected_rebuilds(&before);
+    let merged = merged_raw(before.base(), before.delta()).unwrap();
+    let full = ColumnarGraph::build(&merged, StorageConfig::default()).unwrap();
+    store.merge().unwrap();
+    let after = store.snapshot();
+    let (old, new) = (before.base(), after.base());
+
+    for (l, &rebuilt) in vertices.iter().enumerate() {
+        let (was, now) =
+            (old.vertex_label_parts(l as LabelId), new.vertex_label_parts(l as LabelId));
+        if rebuilt {
+            let want = full.vertex_label_parts(l as LabelId).encoded();
+            assert!(now.encoded() == want, "vertex label {l} encodes unlike the full rebuild's");
+        } else {
+            assert!(Arc::ptr_eq(was, now), "vertex label {l} was rebuilt, not shared");
+        }
+    }
+    for (l, &rebuilt) in edges.iter().enumerate() {
+        let (was, now) = (old.edge_label_parts(l as LabelId), new.edge_label_parts(l as LabelId));
+        if rebuilt {
+            let want = full.edge_label_parts(l as LabelId).encoded();
+            assert!(now.encoded() == want, "edge label {l} encodes unlike the full rebuild's");
+        } else {
+            assert!(Arc::ptr_eq(was, now), "edge label {l} was rebuilt, not shared");
+        }
+    }
+    assert_eq!(new.catalog().stats(), full.catalog().stats());
+    *canonical |= vertices.iter().chain(&edges).all(|&rebuilt| rebuilt);
+    if *canonical {
+        assert!(saved_modulo_nonce(new, path) == saved_modulo_nonce(&full, path), "saves differ");
+    }
+    assert_eq!(answers(after.view()), answers(GraphView::clean(&full)));
+
+    // The ops address vertices by offset: follow them through the
+    // compaction by primary key.
+    for (l, offs) in at.offs.iter_mut().enumerate() {
+        for off in offs {
+            let id = before.view().vertex_value(l as LabelId, *off, 0).as_i64().unwrap();
+            *off = after.view().lookup_pk(l as LabelId, id).expect("a live operand survives");
+        }
+    }
+    Some(full)
+}
+
+/// Issue `ops` in committed batches of four.
+fn commit_batches(store: &GraphStore, at: &mut Operands, ops: &[Op]) {
+    for batch in ops.chunks(4) {
+        let mut txn = store.begin_write();
+        issue(&mut txn, at, batch);
+        txn.commit().unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Merge rebuilds exactly the labels its delta touched and shares the
+    /// rest by pointer, and the result is the full rebuild's: the seam op
+    /// mix over a schema with labels the ops never name (`C`, `CC`, and
+    /// `AC`, which only cascades and moved `A` offsets reach), several
+    /// merges in a row on an in-memory and a durable store, then — on the
+    /// durable one — a reopen that answers the same and a merge of the
+    /// paged baseline, which rebuilds every label.
+    #[test]
+    fn merges_rebuild_what_changed_and_share_the_rest(
+        (n_a, n_b, ab) in (2usize..5, 2usize..6).prop_flat_map(|(n_a, n_b)| {
+            let ab = proptest::collection::vec((0..n_a as u64, 0..n_b as u64, -30i64..30), 0..30);
+            (Just(n_a), Just(n_b), ab)
+        }),
+        rounds in proptest::collection::vec(proptest::collection::vec(op_strategy(), 1..8), 2..6),
+    ) {
+        let generated = sharing_base_with(n_a, n_b, &ab, 4);
+        // The durable store starts from a baseline built from an export:
+        // every baseline merged from it is built from exports too, so its
+        // saves match full rebuilds byte for byte from the first merge on.
+        let g = ColumnarGraph::build(&generated, StorageConfig::default()).unwrap();
+        let exported = merged_raw(&g, &DeltaStore::new(&g)).unwrap();
+        static STORES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        for durable in [false, true] {
+            let (raw, from_export) = if durable { (&exported, true) } else { (&generated, false) };
+            let n = STORES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = std::env::temp_dir().join(format!("gfcl_merge_{}_{n}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            let config = StorageConfig::default();
+            let store = if durable {
+                GraphStore::create(&dir, raw, config).unwrap()
+            } else {
+                GraphStore::in_memory(raw, config).unwrap()
+            };
+            let mut at = Operands {
+                offs: [(0..n_a as u64).map(|i| i * SPREAD).collect(), (0..n_b as u64).collect()],
+                last_id: FIRST_DELTA_ID,
+            };
+            let mut canonical = from_export;
+            let scratch = dir.join("compare.gfcl");
+            let mut last = None;
+            for ops in &rounds {
+                commit_batches(&store, &mut at, ops);
+                last = merge_and_check(&store, &mut at, &mut canonical, &scratch).or(last);
+            }
+            if durable {
+                drop(store);
+                let store = GraphStore::open(&dir, config).unwrap();
+                if let Some(full) = &last {
+                    prop_assert_eq!(answers(store.snapshot().view()), answers(GraphView::clean(full)));
+                }
+                commit_batches(&store, &mut at, &rounds[0]);
+                merge_and_check(&store, &mut at, &mut canonical, &scratch);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

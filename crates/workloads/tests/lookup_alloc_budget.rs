@@ -7,10 +7,9 @@
 //! the text, the catalog and the code alone: it repeats exactly on any
 //! machine, so it is pinned here as a number rather than as a timing.
 //!
-//! The counting allocator counts per thread, so the other tests of this
-//! binary and the parallel test runner do not pollute the counts, and the
-//! engine runs serially whatever `GFCL_THREADS` says. `alloc`,
-//! `alloc_zeroed` and `realloc` each count one.
+//! Allocations are counted per thread by the root `tests/support/
+//! counting_alloc.rs`, and the engine runs serially whatever
+//! `GFCL_THREADS` says.
 //!
 //! Before span-only tokens, borrowed peeks, the apply/undo order search
 //! and the sized compile, the same nine templates on the same graph took:
@@ -37,64 +36,17 @@
 //! collects a `Vec` per chunk state fails a number here before any timing
 //! run.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::sync::Arc;
 
+use counting_alloc::counted;
 use gfcl_core::{Engine, ExecOptions, GfClEngine};
 use gfcl_datagen::SocialParams;
 use gfcl_storage::{ColumnarGraph, StorageConfig};
 use gfcl_workloads::corpus;
 use gfcl_workloads::LdbcParams;
-
-/// `System`, counting allocations on the calling thread.
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    // `try_with`: an allocation during thread teardown is simply not counted.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` unchanged; counting touches a
-// const-initialised thread-local `Cell`, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        // SAFETY: the caller's contract for `alloc` is passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        // SAFETY: the caller's contract for `realloc` is passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract for `dealloc` is passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations `f` makes on this thread, and its result.
-fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
-}
 
 /// The templates of the benchmark's `lookup.resident` workload.
 const TEMPLATES: [&str; 9] =

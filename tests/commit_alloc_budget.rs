@@ -12,13 +12,10 @@
 //! of an allocation per commit from run to run (the string-extension maps
 //! hash strings under a per-process random key, which moves a trie node).
 //!
-//! The workload is `mixed_rw.store`'s write half on an in-memory store over
-//! the benchmark's 5 000-person graph: per cycle, insert a person, insert a
-//! `knows` edge from it to a random person, update a random person's
-//! `browserUsed`, and delete the person inserted four cycles earlier (in the
-//! first four cycles, rename the new person instead), each statement its
-//! own commit through `gfcl::execute_statement`. 400 cycles is one merge
-//! interval of the benchmark.
+//! The workload is `mixed_rw.store`'s write half (`support/write_cycle.rs`)
+//! on an in-memory store over the benchmark's 5 000-person graph, each
+//! statement its own commit through `gfcl::execute_statement`. 400 cycles
+//! is one merge interval of the benchmark.
 //!
 //! When every commit deep-cloned the delta (once to begin the transaction,
 //! once to freeze it for readers, re-interning every delta string and
@@ -28,71 +25,24 @@
 //! shared delta they take 35.5–35.6 and 37.2–37.3, and about 3 µs
 //! throughout.
 //!
-//! The counting allocator counts per thread, so the other tests of this
-//! binary and the parallel test runner do not pollute the counts. `alloc`,
-//! `alloc_zeroed` and `realloc` each count one.
+//! Allocations are counted per thread by `support/counting_alloc.rs`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+#[path = "support/write_cycle.rs"]
+mod write_cycle;
+
 use std::time::Instant;
 
 use gfcl::datagen::SocialParams;
 use gfcl::{GraphStore, StatementOutput, StorageConfig};
 
-/// `System`, counting allocations on the calling thread.
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    // `try_with`: an allocation during thread teardown is simply not counted.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` unchanged; counting touches a
-// const-initialised thread-local `Cell`, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        // SAFETY: the caller's contract for `alloc` is passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        // SAFETY: the caller's contract for `realloc` is passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract for `dealloc` is passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations `f` makes on this thread, and its result.
-fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
-}
+use counting_alloc::counted;
+use write_cycle::statements;
 
 const CYCLES: usize = 400;
 /// Cycles per row of the printed table; the first and the last are compared.
 const WINDOW: usize = 50;
-/// Cycles a deleted person trails its insert by (the benchmark's lag).
-const DELETE_LAG: i64 = 4;
 const KINDS: [&str; 4] = ["insert-vertex", "insert-edge", "update-vertex", "retire"];
 
 /// Mean allocations per commit, in the first window and in the last, may
@@ -100,36 +50,6 @@ const KINDS: [&str; 4] = ["insert-vertex", "insert-edge", "update-vertex", "reti
 const CEILING: f64 = 42.0;
 /// Late commits may allocate at most this much more than early ones.
 const GROWTH: f64 = 1.1;
-
-/// The cycle's four write statements; `rng` is a xorshift state.
-fn statements(cycle: i64, persons: i64, rng: &mut u64) -> [String; 4] {
-    let mut next = |n: i64| {
-        *rng ^= *rng << 13;
-        *rng ^= *rng >> 7;
-        *rng ^= *rng << 17;
-        (*rng % n as u64) as i64
-    };
-    let new = persons + cycle;
-    let (friend, updated) = (next(persons), next(persons));
-    let browser = ["Chrome", "Firefox", "Safari", "Opera"][next(4) as usize];
-    let date = 1_300_000_000 + next(200_000_000);
-    let retire = if cycle < DELETE_LAG {
-        format!("UPDATE VERTEX Person {new} SET (lName = 'Renamed')")
-    } else {
-        format!("DELETE VERTEX Person {}", new - DELETE_LAG)
-    };
-    [
-        format!(
-            "INSERT VERTEX Person (id = {new}, fName = 'Bench', lName = 'W{new}', \
-             gender = 'female', birthday = date({}), creationDate = date({date}), \
-             locationIP = '10.0.0.1', browserUsed = 'Chrome')",
-            date - 900_000_000
-        ),
-        format!("INSERT EDGE knows FROM Person {new} TO Person {friend} (date = date({date}))"),
-        format!("UPDATE VERTEX Person {updated} SET (browserUsed = '{browser}')"),
-        retire,
-    ]
-}
 
 #[test]
 fn commits_allocate_for_their_writes_not_for_the_delta() {
