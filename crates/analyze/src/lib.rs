@@ -93,6 +93,11 @@ const HOT_PATHS: &[&str] = &[
     // or an off-by-one here fails every query, not one.
     "crates/frontend/src/binder.rs",
     "crates/core/src/optimize.rs",
+    // A repeated text query is keyed and looked up here instead of being
+    // parsed: the key faces arbitrary user text, and the cache sits on
+    // every lookup of every engine sharing it.
+    "crates/frontend/src/template.rs",
+    "crates/core/src/cache.rs",
     // The write path: every Scan/Extend over a mutated graph reads the
     // delta overlay per row, and the WAL sits on every commit. A panic in
     // either corrupts no data (the WAL is write-ahead) but kills the

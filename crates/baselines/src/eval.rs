@@ -87,10 +87,13 @@ pub fn holds(expr: &PlanExpr, slot: &impl Fn(SlotId) -> Value) -> bool {
     eval_expr(expr, slot) == Some(true)
 }
 
+/// The baselines run literal-inlined plans only (`require_literals` is
+/// checked before any row is read), so a parameter never reaches here.
 fn scalar(s: &PlanScalar, slot: &impl Fn(SlotId) -> Value) -> Value {
     match s {
         PlanScalar::Slot(i) => slot(*i),
         PlanScalar::Const(c) => c.clone(),
+        PlanScalar::Param(_) => Value::Null,
     }
 }
 

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use gfcl_common::{Direction, Error, LabelId, Result, Value};
 use gfcl_core::agg::{self, GroupTable};
 use gfcl_core::engine::{Engine, QueryOutput};
-use gfcl_core::plan::{LogicalPlan, PlanReturn, PlanStep};
+use gfcl_core::plan::{seek_key, LogicalPlan, PlanReturn, PlanStep};
 use gfcl_storage::{Catalog, ColumnarGraph, DeltaSnapshot, GraphSnapshot, GraphView};
 
 use crate::eval::holds;
@@ -124,6 +124,7 @@ impl Engine for RelEngine {
 
 /// The execution body of [`Engine::run_plan`].
 fn drive(view: GraphView<'_>, plan: &LogicalPlan) -> Result<QueryOutput> {
+    plan.require_literals("REL", &[])?;
     let mut it = Inter::new(plan);
 
     for step in &plan.steps {
@@ -154,10 +155,11 @@ fn drive(view: GraphView<'_>, plan: &LogicalPlan) -> Result<QueryOutput> {
                     .vertex_label(label)
                     .primary_key
                     .ok_or_else(|| Error::Plan("pk seek without pk".into()))?;
+                let key = seek_key(key, &[])?;
                 let matches: Vec<u64> = (0..view.scan_total(label))
                     .filter(|&v| {
                         view.vertex_live(label, v)
-                            && view.vertex_value(label, v, pk_prop) == Value::Int64(*key)
+                            && view.vertex_value(label, v, pk_prop) == Value::Int64(key)
                     })
                     .collect();
                 it.n = matches.len();

@@ -13,7 +13,7 @@
 use gfcl_common::{Direction, Error, LabelId, Result, Value};
 use gfcl_core::agg::{self, GroupTable};
 use gfcl_core::engine::QueryOutput;
-use gfcl_core::plan::{LogicalPlan, PlanExpr, PlanReturn, PlanStep};
+use gfcl_core::plan::{seek_key, LogicalPlan, PlanExpr, PlanReturn, PlanStep};
 use gfcl_storage::{BaselineRead, GraphView};
 
 use crate::eval::holds;
@@ -192,6 +192,7 @@ fn vpull<B: BaselineRead>(ops: &mut [VOp], s: GraphView<'_, B>, t: &mut Tuple) -
 
 /// Execute a logical plan tuple-at-a-time over `view`.
 pub fn execute<B: BaselineRead>(view: GraphView<'_, B>, plan: &LogicalPlan) -> Result<QueryOutput> {
+    plan.require_literals("the Volcano baselines", &[])?;
     let mut ops: Vec<VOp> = Vec::with_capacity(plan.steps.len());
     // Direction of each bound edge (needed by property reads).
     let mut edge_dir: Vec<Option<Direction>> = vec![None; plan.edges.len()];
@@ -213,7 +214,7 @@ pub fn execute<B: BaselineRead>(view: GraphView<'_, B>, plan: &LogicalPlan) -> R
                 ops.push(VOp::ScanPk {
                     label: plan.nodes[*node].label,
                     node: *node,
-                    key: *key,
+                    key: seek_key(key, &[])?,
                     done: false,
                 });
             }

@@ -155,9 +155,13 @@ enum Partial {
 /// budgets, and any storage fault reported by a page read on a worker
 /// thread all trip the same per-query governor, which every worker
 /// observes at its next morsel boundary.
+///
+/// `params` are the values of the plan's parameters (empty for a plan whose
+/// literals are inlined); each worker resolves them as it compiles.
 pub fn execute(
     view: GraphView<'_>,
     plan: &LogicalPlan,
+    params: &[Value],
     opts: &ExecOptions,
     token: Option<Arc<CancelToken>>,
 ) -> Result<QueryOutput> {
@@ -175,7 +179,7 @@ pub fn execute(
 
     if threads == 1 {
         let _scope = fault_scope(gov.token());
-        let mut pipeline = compile(view, plan, &cursor)?;
+        let mut pipeline = compile(view, plan, &cursor, params)?;
         let partial = drive(view, plan, &mut pipeline, &gov)?;
         return finish(plan, [partial]);
     }
@@ -189,7 +193,7 @@ pub fn execute(
                     // thread trips the shared token, and every sibling
                     // stops at its next morsel boundary.
                     let _scope = fault_scope(gov.token());
-                    let mut pipeline = compile(view, plan, cursor)?;
+                    let mut pipeline = compile(view, plan, cursor, params)?;
                     drive(view, plan, &mut pipeline, gov)
                 })
             })

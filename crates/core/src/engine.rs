@@ -11,6 +11,7 @@ use std::sync::Arc;
 use gfcl_common::{Result, Value};
 use gfcl_storage::{Catalog, ColumnarGraph, DeltaSnapshot, GraphSnapshot, GraphView};
 
+use crate::cache::{PlanCache, PlanCacheStats};
 use crate::driver::{self, ExecOptions};
 use crate::govern::CancelToken;
 use crate::plan::{plan, LogicalPlan};
@@ -79,6 +80,23 @@ pub trait Engine {
     /// second engine, not a second method.
     fn run_plan(&self, plan: &LogicalPlan) -> Result<QueryOutput>;
 
+    /// Execute a plan whose [`PlanScalar::Param`](crate::plan::PlanScalar)
+    /// operands read `params`. Only an engine that offers a
+    /// [`plan_cache`](Engine::plan_cache) is ever handed such a plan; the
+    /// default runs literal-inlined plans and refuses parameters.
+    fn run_plan_with(&self, plan: &LogicalPlan, params: &[Value]) -> Result<QueryOutput> {
+        plan.require_literals(self.name(), params)?;
+        self.run_plan(plan)
+    }
+
+    /// The engine's plan cache, when it keeps one: text queries run through
+    /// `gfcl_frontend::run_text` (and so `gfcl::query_on`) then plan once
+    /// per template. `None` (the default) means every text query parses,
+    /// binds and plans afresh.
+    fn plan_cache(&self) -> Option<&PlanCache> {
+        None
+    }
+
     /// Plan and execute a query.
     fn execute(&self, q: &PatternQuery) -> Result<QueryOutput> {
         let p = plan(q, self.catalog())?;
@@ -134,6 +152,17 @@ pub trait Engine {
 
 /// GF-CL: columnar storage + list-based processor (the paper's system),
 /// optionally with morsel-driven intra-query parallelism.
+///
+/// The engine keeps a [`PlanCache`] for text queries: `gfcl::query_on` on
+/// a GF-CL engine looks the query's literal-normalised text up, and a
+/// template seen before by the *same engine* runs its stored, verified
+/// plan with the call's literals — lexing and execution only. A template
+/// is stored only when every comparison literal sits in an equality,
+/// `<>` or primary-key position, where the plan cannot depend on its
+/// value; a range comparison against a literal plans per call. `LIMIT`,
+/// `IN` lists and string patterns stay part of the key. The cache is
+/// bounded ([`crate::cache::PLAN_CACHE_CAPACITY`]) and starts empty, so an
+/// engine built per query (as `gfcl::query` does) never hits.
 pub struct GfClEngine {
     graph: Arc<ColumnarGraph>,
     /// The delta to overlay when the engine executes against a
@@ -144,6 +173,8 @@ pub struct GfClEngine {
     /// engine runs, handed out by [`Engine::cancel_handle`]. A trip
     /// sticks until [`CancelToken::reset`].
     cancel: Arc<CancelToken>,
+    /// Verified plans of the text queries this engine has run.
+    cache: PlanCache,
 }
 
 impl GfClEngine {
@@ -155,7 +186,13 @@ impl GfClEngine {
 
     /// Engine with explicit execution options.
     pub fn with_options(graph: Arc<ColumnarGraph>, opts: ExecOptions) -> Self {
-        GfClEngine { graph, delta: None, opts, cancel: Arc::new(CancelToken::new()) }
+        GfClEngine {
+            graph,
+            delta: None,
+            opts,
+            cancel: Arc::new(CancelToken::new()),
+            cache: PlanCache::default(),
+        }
     }
 
     /// Engine over one MVCC snapshot of a mutable [`gfcl_storage::GraphStore`]:
@@ -173,6 +210,7 @@ impl GfClEngine {
             delta: Some(Arc::clone(snapshot.delta())),
             opts,
             cancel: Arc::new(CancelToken::new()),
+            cache: PlanCache::default(),
         }
     }
 
@@ -183,6 +221,11 @@ impl GfClEngine {
     /// The options every `run_plan`/`execute` call uses.
     pub fn options(&self) -> &ExecOptions {
         &self.opts
+    }
+
+    /// What the engine's plan cache has done so far.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.cache.stats()
     }
 
     fn view(&self) -> GraphView<'_> {
@@ -200,7 +243,15 @@ impl Engine for GfClEngine {
     }
 
     fn run_plan(&self, plan: &LogicalPlan) -> Result<QueryOutput> {
-        driver::execute(self.view(), plan, &self.opts, Some(Arc::clone(&self.cancel)))
+        self.run_plan_with(plan, &[])
+    }
+
+    fn run_plan_with(&self, plan: &LogicalPlan, params: &[Value]) -> Result<QueryOutput> {
+        driver::execute(self.view(), plan, params, &self.opts, Some(Arc::clone(&self.cancel)))
+    }
+
+    fn plan_cache(&self) -> Option<&PlanCache> {
+        Some(&self.cache)
     }
 
     fn cancel_handle(&self) -> Option<Arc<CancelToken>> {

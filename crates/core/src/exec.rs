@@ -47,7 +47,7 @@ use gfcl_storage::{AdjIndex, ColumnarGraph, EdgePropRead, GraphView, StrExt};
 
 use crate::agg::{cmp_rows, AggState, GroupTable, OrdValue};
 use crate::chunk::{Chunk, ListGroup, NodeData, ValueVector, VecRef};
-use crate::plan::{LogicalPlan, PlanAgg, PlanStep, SlotSource};
+use crate::plan::{seek_key, LogicalPlan, PlanAgg, PlanStep, SlotSource};
 use crate::pred::{
     compile_pred, compile_row_pred, compile_scan_pred, BlockVerdict, CPred, EvalCtx, RowPred,
     ScanPred, SlotCol,
@@ -1169,11 +1169,14 @@ impl<'g> Pipeline<'g> {
 /// `cursor` (physical compilation). The pipeline executes against `view`:
 /// a clean view compiles to exactly the historical zero-copy operators,
 /// while a delta-overlaid snapshot additionally arms the per-operator
-/// dirty paths (`(baseline ⊎ delta) ∖ tombstones`).
+/// dirty paths (`(baseline ⊎ delta) ∖ tombstones`). Parameters resolve
+/// here, to `params[i]`, wherever constants become the seek key and the
+/// compiled predicates' operands.
 pub(crate) fn compile<'g>(
     view: GraphView<'g>,
     plan: &LogicalPlan,
     cursor: &'g ScanCursor<'g>,
+    params: &[Value],
 ) -> Result<Pipeline<'g>> {
     let g = view.base();
     // The chunk's list groups: a scan group plus at most one per extend.
@@ -1208,7 +1211,7 @@ pub(crate) fn compile<'g>(
                     .collect();
                 let compiled: Vec<ScanPred<'g>> = pushed
                     .iter()
-                    .map(|e| compile_scan_pred(e, &plan.slots, &scan_cols))
+                    .map(|e| compile_scan_pred(e, &plan.slots, &scan_cols, params))
                     .collect::<Result<_>>()?;
                 // On a touched label, recompile the same predicates for
                 // row-at-a-time evaluation through the view (delta-touched
@@ -1225,7 +1228,7 @@ pub(crate) fn compile<'g>(
                         .collect();
                     pushed
                         .iter()
-                        .map(|e| compile_row_pred(e, &plan.slots, &props, &scan_cols))
+                        .map(|e| compile_row_pred(e, &plan.slots, &props, &scan_cols, params))
                         .collect::<Result<_>>()?
                 } else {
                     Vec::new()
@@ -1247,7 +1250,7 @@ pub(crate) fn compile<'g>(
                 groups.push(ListGroup::with_vectors(vec![ValueVector::Empty]));
                 let out = VecRef { group: 0, vec: 0 };
                 node_locs[*node] = Some(out);
-                ops.push(Op::ScanPk { label, key: *key, out, cursor });
+                ops.push(Op::ScanPk { label, key: seek_key(key, params)?, out, cursor });
             }
             PlanStep::Extend { edge, edge_label, dir, from, to, .. } => {
                 let from_ref =
@@ -1354,7 +1357,7 @@ pub(crate) fn compile<'g>(
                 });
             }
             PlanStep::Filter { expr } => {
-                let pred = compile_pred(expr, &plan.slots, &slot_refs, &slot_cols)?;
+                let pred = compile_pred(expr, &plan.slots, &slot_refs, &slot_cols, params)?;
                 ops.push(Op::Filter { pred, mask: Vec::new() });
             }
         }

@@ -23,6 +23,8 @@
 //!   enforcing time/memory budgets and cooperative cancellation at morsel
 //!   boundaries, over the shared token storage faults report into;
 //! * [`engine`] — the [`Engine`] trait and [`GfClEngine`];
+//! * [`cache`] — the GF-CL engine's plan cache: verified plan templates
+//!   keyed on literal-normalised query text;
 //! * [`verify`] — the structural plan verifier: every plan is checked as a
 //!   dataflow typecheck (def-before-use, schema/type flow, unflat-span,
 //!   pushdown eligibility, bookkeeping) before any engine compiles it;
@@ -30,6 +32,7 @@
 //!   called once at a process edge.
 
 pub mod agg;
+pub mod cache;
 pub mod chunk;
 pub mod config;
 pub mod driver;
@@ -42,14 +45,15 @@ pub mod pred;
 pub mod query;
 pub mod verify;
 
+pub use cache::{PlanCache, PlanCacheStats, PLAN_CACHE_CAPACITY};
 pub use config::Config;
 pub use driver::ExecOptions;
 pub use engine::{Engine, GfClEngine, QueryOutput};
 pub use govern::{CancelReason, CancelToken, QueryBudget, QueryGovernor};
 pub use optimize::render_explain;
 pub use plan::{
-    plan as plan_query, plan_with as plan_query_with, LogicalPlan, OrderSource, PlanOptions,
-    PlanReturn, PlanStep,
+    plan as plan_query, plan_template, plan_with as plan_query_with, LogicalPlan, OrderSource,
+    PlanOptions, PlanReturn, PlanStep,
 };
 pub use query::{Agg, AggFunc, PatternQuery, ReturnSpec, SortDir};
 pub use verify::{verify_plan, VerifyReport};
@@ -65,4 +69,5 @@ const _: () = {
     assert_send_sync::<exec::ScanCursor<'static>>();
     assert_send_sync::<QueryGovernor>();
     assert_send_sync::<CancelToken>();
+    assert_send_sync::<PlanCache>();
 };

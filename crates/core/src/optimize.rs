@@ -115,11 +115,12 @@ fn range_fraction(ps: &PropStats, op: CmpOp, c: i64) -> Option<f64> {
     Some(frac.clamp(0.0, 1.0))
 }
 
-/// Selectivity of `slot op const`.
+/// Selectivity of `slot op const`; `c` is `None` for a parameter, whose
+/// value the cost model never sees (ranges against one take the default).
 fn cmp_const_sel(
     op: CmpOp,
     slot: &SlotDef,
-    c: &Value,
+    c: Option<&Value>,
     nodes: &[PlanNode],
     edges: &[PlanEdge],
     catalog: &Catalog,
@@ -137,7 +138,10 @@ fn cmp_const_sel(
         CmpOp::Eq => notnull / ndv,
         CmpOp::Ne => notnull * (1.0 - 1.0 / ndv),
         _ => {
-            let frac = c.as_i64().and_then(|k| range_fraction(ps, op, k)).unwrap_or(RANGE_SEL);
+            let frac = c
+                .and_then(Value::as_i64)
+                .and_then(|k| range_fraction(ps, op, k))
+                .unwrap_or(RANGE_SEL);
             notnull * frac
         }
     }
@@ -153,11 +157,11 @@ pub(crate) fn selectivity(
 ) -> f64 {
     let sel = match e {
         PlanExpr::Cmp { op, lhs, rhs } => match (lhs, rhs) {
-            (PlanScalar::Slot(s), PlanScalar::Const(c)) => {
-                cmp_const_sel(*op, &slots[*s], c, nodes, edges, catalog)
+            (PlanScalar::Slot(s), c @ (PlanScalar::Const(_) | PlanScalar::Param(_))) => {
+                cmp_const_sel(*op, &slots[*s], c.value(&[]), nodes, edges, catalog)
             }
-            (PlanScalar::Const(c), PlanScalar::Slot(s)) => {
-                cmp_const_sel(flip(*op), &slots[*s], c, nodes, edges, catalog)
+            (c @ (PlanScalar::Const(_) | PlanScalar::Param(_)), PlanScalar::Slot(s)) => {
+                cmp_const_sel(flip(*op), &slots[*s], c.value(&[]), nodes, edges, catalog)
             }
             (PlanScalar::Slot(a), PlanScalar::Slot(b)) => {
                 let ndv = |s: &usize| {
@@ -170,7 +174,7 @@ pub(crate) fn selectivity(
                     _ => RANGE_SEL,
                 }
             }
-            (PlanScalar::Const(_), PlanScalar::Const(_)) => 1.0,
+            _ => 1.0,
         },
         PlanExpr::StrMatch { slot, .. } => {
             let notnull = slot_stats(&slots[*slot], nodes, edges, catalog)
@@ -828,6 +832,7 @@ fn scalar_str(s: &PlanScalar, slots: &[SlotDef]) -> String {
     match s {
         PlanScalar::Slot(i) => slots[*i].name.clone(),
         PlanScalar::Const(v) => v.to_string(),
+        PlanScalar::Param(i) => format!("?{i}"),
     }
 }
 
@@ -897,6 +902,7 @@ pub fn render_explain(plan: &LogicalPlan, catalog: &Catalog) -> String {
                 let n = &plan.nodes[*node];
                 let def = catalog.vertex_label(n.label);
                 let pk = def.primary_key.map_or("pk", |i| def.properties[i].name.as_str());
+                let key = scalar_str(key, &plan.slots);
                 format!("SCAN_PK   ({}:{}) {}.{pk} = {key}", n.var, def.name, n.var)
             }
             PlanStep::Extend { edge, edge_label, dir, from, to, single } => {

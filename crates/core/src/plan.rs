@@ -30,6 +30,33 @@ pub type SlotId = usize;
 pub enum PlanScalar {
     Slot(SlotId),
     Const(Value),
+    /// Parameter `i` of a plan built by [`plan_template`]: its type is
+    /// [`LogicalPlan::params`]`[i]`, its value is supplied per execution.
+    Param(usize),
+}
+
+impl PlanScalar {
+    /// The value this operand stands for — the constant, or `params[i]`
+    /// for parameter `i` — or `None` for a slot or a parameter `params`
+    /// does not cover.
+    pub fn value<'v>(&'v self, params: &'v [Value]) -> Option<&'v Value> {
+        match self {
+            PlanScalar::Slot(_) => None,
+            PlanScalar::Const(v) => Some(v),
+            PlanScalar::Param(i) => params.get(*i),
+        }
+    }
+}
+
+/// The primary key a `ScanPk` step seeks under `params`.
+pub fn seek_key(key: &PlanScalar, params: &[Value]) -> Result<i64> {
+    key.value(params).and_then(Value::as_i64).ok_or_else(|| match key {
+        PlanScalar::Param(i) => Error::Plan(format!(
+            "primary-key seek reads parameter ?{i}, but {} value(s) were supplied",
+            params.len()
+        )),
+        _ => Error::Plan(format!("primary-key seek needs an integer key, got {key:?}")),
+    })
 }
 
 /// A resolved boolean expression over slots.
@@ -119,8 +146,9 @@ pub enum PlanStep {
     /// vertex-property columns — skipping whole blocks via zone maps —
     /// before any property read materializes a value.
     ScanAll { node: usize, pushed: Vec<PlanExpr> },
-    /// Seek the start node by primary key.
-    ScanPk { node: usize, key: i64 },
+    /// Seek the start node by primary key: an integer constant, or a
+    /// parameter of integer or date type.
+    ScanPk { node: usize, key: PlanScalar },
     /// Join an unbound node via the adjacency index of `edge_label`.
     Extend {
         /// Index into the query's edge list.
@@ -221,6 +249,27 @@ pub struct LogicalPlan {
     /// flat result, so their cost is bounded by this, not by the final
     /// step cardinality.
     pub sink_card: Option<f64>,
+    /// The type of every parameter [`PlanScalar::Param`] reads, by index:
+    /// empty for a plan whose literals are inlined, which is every plan
+    /// except a [`plan_template`] one.
+    pub params: Vec<DataType>,
+}
+
+impl LogicalPlan {
+    /// Fail unless this is a literal-inlined plan run without parameter
+    /// values: what `engine` accepts when it keeps no plan cache.
+    pub fn require_literals(&self, engine: &str, params: &[Value]) -> Result<()> {
+        if self.params.is_empty() && params.is_empty() {
+            Ok(())
+        } else {
+            Err(Error::Plan(format!(
+                "{engine} runs literal-inlined plans only; this plan has {} parameter(s) and \
+                 {} value(s) were supplied",
+                self.params.len(),
+                params.len()
+            )))
+        }
+    }
 }
 
 /// Knobs of the planning pass itself (not of any single query).
@@ -273,13 +322,32 @@ pub fn plan_with(
     // both entry points (previously an out-of-range edge endpoint would
     // panic here instead of erroring).
     query.validate()?;
-    Planner { query, catalog, opts: *opts }.run()
+    Planner { query, catalog, opts: *opts, params: &[] }.run()
+}
+
+/// Plan a query template under [`PlanOptions::default`]: every
+/// [`Scalar::Param`]`(i)` becomes [`PlanScalar::Param`]`(i)` of type
+/// `params[i]`, and the planner never sees a parameter's value. When
+/// [`PatternQuery::literal_invariant`] holds, the plan is therefore the one
+/// [`plan`] builds for the template with any values of those types
+/// inlined, and may be run again with new values; otherwise a range
+/// comparison was costed without its value, and the caller should plan
+/// the inlined query instead.
+pub fn plan_template(
+    query: &PatternQuery,
+    catalog: &Catalog,
+    params: &[DataType],
+) -> Result<LogicalPlan> {
+    query.validate()?;
+    Planner { query, catalog, opts: PlanOptions::default(), params }.run()
 }
 
 struct Planner<'a> {
     query: &'a PatternQuery,
     catalog: &'a Catalog,
     opts: PlanOptions,
+    /// Parameter types of a template; empty for a literal-inlined query.
+    params: &'a [DataType],
 }
 
 impl Planner<'_> {
@@ -313,13 +381,12 @@ impl Planner<'_> {
 
         // Detect a primary-key equality predicate usable as a seek, e.g.
         // `p.id = 22468883` on the start variable.
-        let mut pk_seek: Option<(usize, i64, usize)> = None; // (node, key, pred idx)
+        let mut pk_seek: Option<(usize, PlanScalar, usize)> = None; // (node, key, pred idx)
         for (pi, pred) in q.predicates.iter().enumerate() {
             if let Expr::Cmp { op: CmpOp::Eq, lhs, rhs } = pred {
                 let (pref, konst) = match (lhs, rhs) {
-                    (Scalar::Prop(p), Scalar::Const(c)) | (Scalar::Const(c), Scalar::Prop(p)) => {
-                        (p, c)
-                    }
+                    (Scalar::Prop(p), k @ (Scalar::Const(_) | Scalar::Param(_)))
+                    | (k @ (Scalar::Const(_) | Scalar::Param(_)), Scalar::Prop(p)) => (p, k),
                     _ => continue,
                 };
                 let Some(node) = q.node_idx(&pref.var) else { continue };
@@ -328,11 +395,23 @@ impl Planner<'_> {
                 if def.properties[pk_idx].name != pref.prop {
                     continue;
                 }
-                let Some(key) = konst.as_i64() else { continue };
+                let key = match konst {
+                    Scalar::Const(c) => match c.as_i64() {
+                        Some(k) => PlanScalar::Const(Value::Int64(k)),
+                        None => continue,
+                    },
+                    Scalar::Param(i) => match self.params.get(*i) {
+                        Some(DataType::Int64 | DataType::Date) => PlanScalar::Param(*i),
+                        _ => continue,
+                    },
+                    Scalar::Prop(_) => continue,
+                };
                 pk_seek = Some((node, key, pi));
                 break;
             }
         }
+
+        let pk_node = pk_seek.as_ref().map(|(n, _, _)| *n);
 
         // Resolve an explicit start hint early so unknown variables error
         // on every path.
@@ -351,9 +430,9 @@ impl Planner<'_> {
         //      hand-picked-plan policy.
         let (start, extend_seq, order_source) = if let Some(o) = &q.hints.edge_order {
             validate_edge_order(o, edges.len())?;
-            let start = match (hint_start, pk_seek) {
+            let start = match (hint_start, pk_node) {
                 (Some(s), _) => s,
-                (None, Some((node, _, _)))
+                (None, Some(node))
                     if o.first()
                         .is_none_or(|&e0| edges[e0].from == node || edges[e0].to == node) =>
                 {
@@ -379,25 +458,19 @@ impl Planner<'_> {
                 &edges,
                 self.catalog,
             );
-            let chosen = optimize::choose_order(
-                &nodes,
-                &edges,
-                self.catalog,
-                &preds,
-                pk_seek.map(|(n, _, _)| n),
-                hint_start,
-            );
+            let chosen =
+                optimize::choose_order(&nodes, &edges, self.catalog, &preds, pk_node, hint_start);
             match chosen {
                 Some(o) => (o.start, o.seq, OrderSource::Stats),
                 None => {
-                    let start = hint_start.or(pk_seek.map(|(n, _, _)| n)).unwrap_or(0);
+                    let start = hint_start.or(pk_node).unwrap_or(0);
                     let seq = self.bind_declaration(start, &nodes, &edges)?;
                     (start, seq, OrderSource::Declaration)
                 }
             }
         };
         // Only use the seek if it is on the start node.
-        let pk_seek = pk_seek.filter(|&(node, _, _)| node == start);
+        let pk_seek = pk_seek.filter(|(node, _, _)| *node == start);
 
         // Slot assignment: every distinct PropRef used in predicates or
         // returns gets one slot.
@@ -414,7 +487,7 @@ impl Planner<'_> {
         let mut resolved_preds: Vec<PlanExpr> =
             Vec::with_capacity(q.predicates.len() - usize::from(pk_seek.is_some()));
         for (pi, pred) in q.predicates.iter().enumerate() {
-            if pk_seek.map(|(_, _, skip)| skip) == Some(pi) {
+            if pk_seek.as_ref().map(|(_, _, skip)| *skip) == Some(pi) {
                 continue;
             }
             resolved_preds.push(self.resolve_expr(pred, &nodes, &edges, &mut slots)?);
@@ -632,6 +705,7 @@ impl Planner<'_> {
             order_source,
             step_cards,
             sink_card,
+            params: self.params.to_vec(),
         };
         // Reject plans whose order would make a filter span two unflat
         // list groups at plan time instead of mid-query. Reachable through
@@ -834,6 +908,12 @@ impl Planner<'_> {
         Ok(match s {
             Scalar::Prop(p) => PlanScalar::Slot(self.slot_of(p, false, nodes, edges, slots)?),
             Scalar::Const(c) => PlanScalar::Const(c.clone()),
+            Scalar::Param(i) if *i < self.params.len() => PlanScalar::Param(*i),
+            Scalar::Param(i) => {
+                return Err(Error::Plan(format!(
+                    "query parameter ?{i} has no type: plan a template through plan_template"
+                )))
+            }
         })
     }
 }
@@ -849,8 +929,8 @@ pub(crate) fn is_pushable(e: &PlanExpr, slots: &[SlotDef], node: usize) -> bool 
         |s: &SlotId| matches!(slots[*s].source, SlotSource::NodeProp { node: n, .. } if n == node);
     match e {
         PlanExpr::Cmp { lhs, rhs, .. } => match (lhs, rhs) {
-            (PlanScalar::Slot(s), PlanScalar::Const(_))
-            | (PlanScalar::Const(_), PlanScalar::Slot(s)) => on_node(s),
+            (PlanScalar::Slot(s), PlanScalar::Const(_) | PlanScalar::Param(_))
+            | (PlanScalar::Const(_) | PlanScalar::Param(_), PlanScalar::Slot(s)) => on_node(s),
             _ => false,
         },
         PlanExpr::StrMatch { slot, .. } | PlanExpr::InSet { slot, .. } => on_node(slot),
@@ -1226,7 +1306,10 @@ mod tests {
             .returns_count()
             .build();
         let p = plan(&q, &cat).unwrap();
-        assert!(matches!(p.steps[0], PlanStep::ScanPk { node: 0, key: 45 }));
+        assert!(matches!(
+            p.steps[0],
+            PlanStep::ScanPk { node: 0, key: PlanScalar::Const(Value::Int64(45)) }
+        ));
         // The pk predicate is consumed by the seek.
         assert!(!p.steps.iter().any(|s| matches!(s, PlanStep::Filter { .. })));
     }

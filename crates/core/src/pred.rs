@@ -731,14 +731,16 @@ impl<'g> ScanPred<'g> {
 
 /// Compile a resolved plan expression for the `Filter` operator.
 /// `slot_refs[slot]` locates each slot's vector; `slot_cols[slot]` is the
-/// storage column it reads (for dictionary pre-evaluation).
+/// storage column it reads (for dictionary pre-evaluation). Parameter `i`
+/// compiles as the constant `params[i]`.
 pub fn compile_pred(
     expr: &PlanExpr,
     slot_defs: &[SlotDef],
     slot_refs: &[VecRef],
     slot_cols: &[SlotCol<'_>],
+    params: &[Value],
 ) -> Result<CPred> {
-    let c = Compiler { slot_defs, slot_cols, loc_of: |s: SlotId| slot_refs[s] };
+    let c = Compiler { slot_defs, slot_cols, params, loc_of: |s: SlotId| slot_refs[s] };
     c.compile(expr)
 }
 
@@ -749,6 +751,7 @@ pub fn compile_scan_pred<'g>(
     expr: &PlanExpr,
     slot_defs: &[SlotDef],
     cols: &[SlotCol<'g>],
+    params: &[Value],
 ) -> Result<ScanPred<'g>> {
     if let Some(&s) = expr.slots().iter().find(|&&s| cols[s].col.is_none()) {
         return Err(Error::Plan(format!(
@@ -760,6 +763,7 @@ pub fn compile_scan_pred<'g>(
     let c = Compiler {
         slot_defs,
         slot_cols: cols,
+        params,
         loc_of: |s: SlotId| ScanOperand::new(cols[s].col.expect("checked above")),
     };
     c.compile(expr)
@@ -775,6 +779,7 @@ pub fn compile_row_pred<'g>(
     slot_defs: &[SlotDef],
     props: &[Option<usize>],
     cols: &[SlotCol<'g>],
+    params: &[Value],
 ) -> Result<RowPred<'g>> {
     if let Some(&s) = expr.slots().iter().find(|&&s| props[s].is_none()) {
         return Err(Error::Plan(format!(
@@ -786,6 +791,7 @@ pub fn compile_row_pred<'g>(
     let c = Compiler {
         slot_defs,
         slot_cols: cols,
+        params,
         loc_of: |s: SlotId| RowOperand {
             prop: props[s].expect("checked above"),
             dict: cols[s].col.and_then(Column::dictionary),
@@ -800,7 +806,15 @@ struct Compiler<'a, 'g, L, F: Fn(SlotId) -> L> {
     /// Backing storage columns (dictionary pre-evaluation) plus any delta
     /// string extensions growing their code spaces.
     slot_cols: &'a [SlotCol<'g>],
+    /// Values of the plan's parameters, by index.
+    params: &'a [Value],
     loc_of: F,
+}
+
+/// A comparison operand with any parameter resolved to its value.
+enum Operand<'v> {
+    Slot(SlotId),
+    Const(&'v Value),
 }
 
 impl<'g, L, F: Fn(SlotId) -> L> Compiler<'_, 'g, L, F> {
@@ -848,16 +862,29 @@ impl<'g, L, F: Fn(SlotId) -> L> Compiler<'_, 'g, L, F> {
         }
     }
 
+    fn operand<'v>(&'v self, s: &'v PlanScalar) -> Result<Operand<'v>> {
+        match s {
+            PlanScalar::Slot(i) => Ok(Operand::Slot(*i)),
+            _ => s.value(self.params).map(Operand::Const).ok_or_else(|| {
+                Error::Plan(format!(
+                    "predicate reads {s:?}, but {} parameter value(s) were supplied",
+                    self.params.len()
+                ))
+            }),
+        }
+    }
+
     fn compile_cmp(&self, op: CmpOp, lhs: &PlanScalar, rhs: &PlanScalar) -> Result<CPredG<L>> {
-        use PlanScalar::*;
-        let stype = |s: &PlanScalar| -> Option<DataType> {
+        use Operand::*;
+        let (lhs, rhs) = (self.operand(lhs)?, self.operand(rhs)?);
+        let stype = |s: &Operand<'_>| -> Option<DataType> {
             match s {
                 Slot(i) => Some(self.slot_defs[*i].dtype),
                 Const(v) => v.data_type(),
             }
         };
-        let lt = stype(lhs);
-        let rt = stype(rhs);
+        let lt = stype(&lhs);
+        let rt = stype(&rhs);
         // NULL constant: comparison is always UNKNOWN.
         if lt.is_none() || rt.is_none() {
             return Ok(CPredG::Unknown);
@@ -867,8 +894,8 @@ impl<'g, L, F: Fn(SlotId) -> L> Compiler<'_, 'g, L, F> {
         // String comparisons become dictionary bitmaps.
         if lt == DataType::String || rt == DataType::String {
             return match (lhs, rhs) {
-                (Slot(s), Const(c)) => self.string_cmp(*s, op, c),
-                (Const(c), Slot(s)) => self.string_cmp(*s, flip(op), c),
+                (Slot(s), Const(c)) => self.string_cmp(s, op, c),
+                (Const(c), Slot(s)) => self.string_cmp(s, flip(op), c),
                 (Slot(_), Slot(_)) => Err(Error::Plan(
                     "string comparisons between two variables are not supported \
                      (dictionaries are per-column)"
@@ -889,7 +916,7 @@ impl<'g, L, F: Fn(SlotId) -> L> Compiler<'_, 'g, L, F> {
                         expected: "BOOL".into(),
                         found: "non-bool".into(),
                     })?;
-                    let p = CPredG::BoolEq { slot: (self.loc_of)(*s), expected };
+                    let p = CPredG::BoolEq { slot: (self.loc_of)(s), expected };
                     Ok(if op == CmpOp::Ne { CPredG::Not(Box::new(p)) } else { p })
                 }
                 _ => Err(Error::Plan("unsupported boolean comparison".into())),
@@ -899,7 +926,7 @@ impl<'g, L, F: Fn(SlotId) -> L> Compiler<'_, 'g, L, F> {
         // Float if either side is a float; else integer/date.
         let is_float = lt == DataType::Float64 || rt == DataType::Float64;
         if is_float {
-            let f_operand = |s: &PlanScalar| -> Result<F64Operand<L>> {
+            let f_operand = |s: &Operand<'_>| -> Result<F64Operand<L>> {
                 Ok(match s {
                     Slot(i) => match self.slot_defs[*i].dtype {
                         DataType::Float64 => F64Operand::F64Slot((self.loc_of)(*i)),
@@ -910,9 +937,9 @@ impl<'g, L, F: Fn(SlotId) -> L> Compiler<'_, 'g, L, F> {
                     })?),
                 })
             };
-            return Ok(CPredG::CmpF64 { op, lhs: f_operand(lhs)?, rhs: f_operand(rhs)? });
+            return Ok(CPredG::CmpF64 { op, lhs: f_operand(&lhs)?, rhs: f_operand(&rhs)? });
         }
-        let i_operand = |s: &PlanScalar| -> Result<I64Operand<L>> {
+        let i_operand = |s: &Operand<'_>| -> Result<I64Operand<L>> {
             Ok(match s {
                 Slot(i) => I64Operand::Slot((self.loc_of)(*i)),
                 Const(v) => I64Operand::Const(v.as_i64().ok_or_else(|| Error::TypeMismatch {
@@ -921,7 +948,7 @@ impl<'g, L, F: Fn(SlotId) -> L> Compiler<'_, 'g, L, F> {
                 })?),
             })
         };
-        Ok(CPredG::CmpI64 { op, lhs: i_operand(lhs)?, rhs: i_operand(rhs)? })
+        Ok(CPredG::CmpI64 { op, lhs: i_operand(&lhs)?, rhs: i_operand(&rhs)? })
     }
 
     fn string_cmp(&self, slot: usize, op: CmpOp, konst: &Value) -> Result<CPredG<L>> {

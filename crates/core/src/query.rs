@@ -95,11 +95,14 @@ pub enum Expr {
     Not(Box<Expr>),
 }
 
-/// A scalar operand: a property reference or a constant.
+/// A scalar operand: a property reference, a constant, or a parameter.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Scalar {
     Prop(PropRef),
     Const(Value),
+    /// The `i`-th parameter of a query template: a literal whose value is
+    /// supplied per execution ([`crate::plan::plan_template`]).
+    Param(usize),
 }
 
 impl Expr {
@@ -275,6 +278,49 @@ impl PatternQuery {
     /// Index of an edge variable.
     pub fn edge_idx(&self, var: &str) -> Option<usize> {
         self.edges.iter().position(|e| e.var.as_deref() == Some(var))
+    }
+
+    /// Is a plan of this template valid for every value of its parameters?
+    /// The cost model reads a constant's value in one place only: the
+    /// min/max arm of a range comparison's selectivity. Equality, `<>` and
+    /// primary-key seeks are costed by NDV alone, so a template whose
+    /// parameters sit only there plans the same whatever their values.
+    pub fn literal_invariant(&self) -> bool {
+        fn invariant(e: &Expr) -> bool {
+            match e {
+                Expr::Cmp { op, lhs, rhs } => {
+                    matches!(op, CmpOp::Eq | CmpOp::Ne)
+                        || !matches!((lhs, rhs), (Scalar::Param(_), _) | (_, Scalar::Param(_)))
+                }
+                Expr::StrMatch { .. } | Expr::InSet { .. } => true,
+                Expr::And(es) | Expr::Or(es) => es.iter().all(invariant),
+                Expr::Not(inner) => invariant(inner),
+            }
+        }
+        self.predicates.iter().all(invariant)
+    }
+
+    /// Replace every parameter with its value from `params`, turning a
+    /// template back into the literal-inlined query it was bound from.
+    /// A parameter without a value stays a parameter (planning rejects it).
+    pub fn inline_params(&mut self, params: &[Value]) {
+        fn inline(e: &mut Expr, params: &[Value]) {
+            match e {
+                Expr::Cmp { lhs, rhs, .. } => {
+                    for s in [lhs, rhs] {
+                        if let Scalar::Param(i) = *s {
+                            if let Some(v) = params.get(i) {
+                                *s = Scalar::Const(v.clone());
+                            }
+                        }
+                    }
+                }
+                Expr::StrMatch { .. } | Expr::InSet { .. } => {}
+                Expr::And(es) | Expr::Or(es) => es.iter_mut().for_each(|e| inline(e, params)),
+                Expr::Not(inner) => inline(inner, params),
+            }
+        }
+        self.predicates.iter_mut().for_each(|e| inline(e, params));
     }
 
     /// Structural validation shared by both query entry points: the fluent

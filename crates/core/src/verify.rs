@@ -233,10 +233,23 @@ impl Verifier<'_> {
                         })?;
                     }
                 }
-                PlanStep::ScanPk { node, key: _ } => {
+                PlanStep::ScanPk { node, key } => {
                     self.ensure(*node < p.nodes.len(), "index-range", || {
                         format!("step {at} ({kind}): scan node {node} exceeds the node table")
                     })?;
+                    if let PlanScalar::Param(i) = key {
+                        let dtype = self.param_type(*i, at, kind)?;
+                        self.ensure(
+                            matches!(dtype, DataType::Int64 | DataType::Date),
+                            "expr-type",
+                            || {
+                                format!(
+                                    "step {at} ({kind}): seeks by parameter ?{i} of type \
+                                     {dtype:?}; a primary key is an integer"
+                                )
+                            },
+                        )?;
+                    }
                     let def = self.catalog.vertex_label(p.nodes[*node].label);
                     self.ensure(def.primary_key.is_some(), "extend-schema", || {
                         format!("step {at} ({kind}): label {} has no primary key to seek", def.name)
@@ -420,6 +433,19 @@ impl Verifier<'_> {
         Ok(())
     }
 
+    /// The type of parameter `i`, which must be in the plan's parameter
+    /// table (`index-range`).
+    fn param_type(&mut self, i: usize, at: usize, kind: &str) -> Result<DataType> {
+        let params = &self.plan.params;
+        self.ensure(i < params.len(), "index-range", || {
+            format!(
+                "step {at} ({kind}): parameter ?{i} exceeds the template's {} parameter(s)",
+                params.len()
+            )
+        })?;
+        Ok(params[i])
+    }
+
     /// Type-check one predicate: slot indexes in range, comparison operand
     /// types comparable under [`Value::compare`], string matches over
     /// `String` columns, `IN` list values comparable with their column.
@@ -432,11 +458,12 @@ impl Verifier<'_> {
         })?;
         match e {
             PlanExpr::Cmp { lhs, rhs, .. } => {
-                let dt = |s: &PlanScalar| match s {
-                    PlanScalar::Slot(i) => Some(p.slots[*i].dtype),
-                    PlanScalar::Const(v) => v.data_type(), // NULL compares UNKNOWN: allowed
+                let mut dt = |s: &PlanScalar| match s {
+                    PlanScalar::Slot(i) => Ok(Some(p.slots[*i].dtype)),
+                    PlanScalar::Const(v) => Ok(v.data_type()), // NULL compares UNKNOWN: allowed
+                    PlanScalar::Param(i) => self.param_type(*i, at, kind).map(Some),
                 };
-                if let (Some(a), Some(b)) = (dt(lhs), dt(rhs)) {
+                if let (Some(a), Some(b)) = (dt(lhs)?, dt(rhs)?) {
                     self.ensure(comparable(a, b), "expr-type", || {
                         format!(
                             "step {at} ({kind}): comparison between incomparable types \

@@ -11,8 +11,8 @@
 
 use gfcl_common::{DataType, Error, Value};
 use gfcl_core::plan::{LogicalPlan, PlanExpr, PlanScalar, PlanStep};
-use gfcl_core::query::{and, col, gt, lit, PatternQuery};
-use gfcl_core::{plan_query, verify_plan};
+use gfcl_core::query::{and, col, eq, gt, lit, PatternQuery, Scalar};
+use gfcl_core::{plan_query, plan_template, verify_plan};
 use gfcl_storage::{Catalog, ColumnarGraph, RawGraph, StorageConfig};
 
 fn catalog() -> Catalog {
@@ -430,5 +430,84 @@ fn rejects_doubly_filled_slot() {
         },
         "def-before-use",
         "filled twice",
+    );
+}
+
+/// A template plan: `MATCH (a:PERSON)-[e:FOLLOWS]->(b:PERSON) WHERE
+/// b.name = ?0 RETURN count(*)`, parameter 0 a string.
+fn template_plan(cat: &Catalog) -> LogicalPlan {
+    let q = PatternQuery::builder()
+        .node("a", "PERSON")
+        .node("b", "PERSON")
+        .edge("e", "FOLLOWS", "a", "b")
+        .filter(eq(col("b", "name"), Scalar::Param(0)))
+        .returns_count()
+        .build();
+    plan_template(&q, cat, &[DataType::String]).expect("template plans")
+}
+
+/// The first parameter operand of any predicate, pushed or filtered.
+fn first_param(p: &mut LogicalPlan) -> &mut PlanScalar {
+    fn find(e: &mut PlanExpr) -> Option<&mut PlanScalar> {
+        match e {
+            PlanExpr::Cmp { lhs, rhs, .. } => {
+                [lhs, rhs].into_iter().find(|s| matches!(s, PlanScalar::Param(_)))
+            }
+            PlanExpr::And(es) | PlanExpr::Or(es) => es.iter_mut().find_map(find),
+            PlanExpr::Not(inner) => find(inner),
+            PlanExpr::StrMatch { .. } | PlanExpr::InSet { .. } => None,
+        }
+    }
+    p.steps
+        .iter_mut()
+        .find_map(|s| match s {
+            PlanStep::Filter { expr } => find(expr),
+            PlanStep::ScanAll { pushed, .. } => pushed.iter_mut().find_map(find),
+            _ => None,
+        })
+        .expect("the template compares against a parameter")
+}
+
+#[test]
+fn rejects_parameter_index_past_the_template() {
+    let cat = catalog();
+    assert_rejected(
+        template_plan(&cat),
+        &cat,
+        |p| *first_param(p) = PlanScalar::Param(3),
+        "index-range",
+        "parameter ?3 exceeds the template's 1 parameter(s)",
+    );
+}
+
+#[test]
+fn rejects_parameter_of_the_wrong_type() {
+    let cat = catalog();
+    assert_rejected(
+        template_plan(&cat),
+        &cat,
+        |p| p.params[0] = DataType::Int64,
+        "expr-type",
+        "incomparable types String and Int64",
+    );
+}
+
+#[test]
+fn rejects_primary_key_seek_by_a_non_integer_parameter() {
+    let mut cat = catalog();
+    cat.set_primary_key(0, "age").unwrap();
+    let q = PatternQuery::builder()
+        .node("a", "PERSON")
+        .filter(eq(col("a", "age"), Scalar::Param(0)))
+        .returns_count()
+        .build();
+    let plan = plan_template(&q, &cat, &[DataType::Int64]).expect("template plans");
+    assert!(matches!(plan.steps[0], PlanStep::ScanPk { key: PlanScalar::Param(0), .. }));
+    assert_rejected(
+        plan,
+        &cat,
+        |p| p.params[0] = DataType::String,
+        "expr-type",
+        "seeks by parameter ?0 of type String",
     );
 }

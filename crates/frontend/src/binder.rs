@@ -16,6 +16,11 @@
 //! Everything past this point — planning, optimization, verification,
 //! execution — is byte-identical to the `QueryBuilder` path; the corpus
 //! harness in `crates/workloads` asserts that equivalence query by query.
+//!
+//! [`bind_template`] is the one other mode: every literal a comparison
+//! compares against (`true`/`false` aside, which are keywords) binds to a
+//! [`Scalar::Param`] instead of a [`Scalar::Const`], in text order, for the
+//! plan cache (see [`crate::template`]). Everything else binds as above.
 
 use crate::ast;
 use crate::diag::{did_you_mean, Diagnostic, Phase, Span};
@@ -40,6 +45,16 @@ struct Binder<'a> {
     vars: Vec<(&'a str, VarKind)>,
     nodes: Vec<NodePattern>,
     edges: Vec<EdgePattern>,
+    /// The parameters bound so far, when binding a template.
+    params: Option<TemplateParams>,
+}
+
+/// The parameters of a template bound by [`bind_template`], in index
+/// order: the value each literal had in the bound text, and its span.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TemplateParams {
+    pub values: Vec<Value>,
+    pub spans: Vec<Span>,
 }
 
 type BindResult<T> = Result<T, Diagnostic>;
@@ -216,7 +231,7 @@ impl<'a> Binder<'a> {
         }
     }
 
-    fn lower_operand(&self, op: &ast::Operand) -> BindResult<(Scalar, DataType)> {
+    fn lower_operand(&mut self, op: &ast::Operand) -> BindResult<(Scalar, DataType)> {
         match op {
             ast::Operand::Prop(p) => {
                 let (r, t) = self.resolve_prop(p)?;
@@ -224,12 +239,19 @@ impl<'a> Binder<'a> {
             }
             ast::Operand::Lit(l) => {
                 let (v, t) = Self::lit_value(l);
-                Ok((Scalar::Const(v), t))
+                match &mut self.params {
+                    Some(params) if t != DataType::Bool => {
+                        params.values.push(v);
+                        params.spans.push(l.span);
+                        Ok((Scalar::Param(params.values.len() - 1), t))
+                    }
+                    _ => Ok((Scalar::Const(v), t)),
+                }
             }
         }
     }
 
-    fn lower_expr(&self, e: &ast::Expr) -> BindResult<Expr> {
+    fn lower_expr(&mut self, e: &ast::Expr) -> BindResult<Expr> {
         match e {
             ast::Expr::Cmp { op, lhs, rhs } => {
                 let (ls, lt) = self.lower_operand(lhs)?;
@@ -541,6 +563,27 @@ pub fn bind(
     source: &str,
     catalog: &Catalog,
 ) -> Result<PatternQuery, Diagnostic> {
+    bind_with(query, source, catalog, None).map(|(q, _)| q)
+}
+
+/// Bind a parsed query as a template: like [`bind`], except that every
+/// comparison literal but `true`/`false` becomes a [`Scalar::Param`],
+/// numbered in text order. The diagnostics are [`bind`]'s.
+pub fn bind_template(
+    query: &ast::Query,
+    source: &str,
+    catalog: &Catalog,
+) -> Result<(PatternQuery, TemplateParams), Diagnostic> {
+    bind_with(query, source, catalog, Some(TemplateParams::default()))
+        .map(|(q, params)| (q, params.unwrap_or_default()))
+}
+
+fn bind_with(
+    query: &ast::Query,
+    source: &str,
+    catalog: &Catalog,
+    params: Option<TemplateParams>,
+) -> Result<(PatternQuery, Option<TemplateParams>), Diagnostic> {
     // Every path contributes its head node and one edge and node per step:
     // upper bounds (a node referred back to binds nothing new) that size
     // each table once.
@@ -552,6 +595,7 @@ pub fn bind(
         vars: Vec::with_capacity(nodes + edges),
         nodes: Vec::with_capacity(nodes),
         edges: Vec::with_capacity(edges),
+        params,
     };
     b.bind_paths(&query.paths)?;
 
@@ -602,7 +646,7 @@ pub fn bind(
 
     let hints = b.bind_using(&query.using)?;
 
-    Ok(PatternQuery {
+    let q = PatternQuery {
         nodes: b.nodes,
         edges: b.edges,
         predicates,
@@ -611,5 +655,6 @@ pub fn bind(
         limit,
         distinct: query.distinct,
         hints,
-    })
+    };
+    Ok((q, b.params))
 }

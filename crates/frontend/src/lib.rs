@@ -23,14 +23,21 @@
 //! EXPLAIN, and all four engines — is shared with the `QueryBuilder` API
 //! path unchanged. See `GRAMMAR.md` in this crate for the EBNF and the
 //! `RETURN`-lowering rules.
+//!
+//! [`run_text`] is the one entry point that does more: on an engine with a
+//! plan cache (GF-CL) it keys the text on its literal-normalised token
+//! stream ([`template`]) and reruns a verified plan for a template it has
+//! seen, paying for lexing and execution only.
 
 pub mod ast;
 pub mod binder;
 pub mod diag;
 pub mod lexer;
 pub mod parser;
+pub mod template;
 
 pub use diag::{Diagnostic, Phase, Span};
+pub use template::run_text;
 
 use gfcl_core::query::PatternQuery;
 use gfcl_storage::Catalog;

@@ -20,7 +20,7 @@ use crate::lexer::{float_value, int_value, lex, str_value, Tok, Token};
 
 struct Parser<'a> {
     src: &'a str,
-    toks: Vec<Token>,
+    toks: &'a [Token],
     i: usize,
 }
 
@@ -608,7 +608,12 @@ impl<'a> Parser<'a> {
 
 /// Lex and parse `source` into a spanned AST.
 pub fn parse(source: &str) -> Result<Query, Diagnostic> {
-    let toks = lex(source)?;
+    parse_tokens(source, &lex(source)?)
+}
+
+/// Parse the tokens [`lex`] produced from `source` into a spanned AST, so
+/// a caller that needed the tokens first does not lex twice.
+pub fn parse_tokens(source: &str, toks: &[Token]) -> Result<Query, Diagnostic> {
     let mut p = Parser { src: source, toks, i: 0 };
     p.query()
 }
@@ -617,7 +622,7 @@ pub fn parse(source: &str) -> Result<Query, Diagnostic> {
 /// `INSERT` / `UPDATE` / `DELETE` mutation.
 pub fn parse_statement(source: &str) -> Result<Statement, Diagnostic> {
     let toks = lex(source)?;
-    let mut p = Parser { src: source, toks, i: 0 };
+    let mut p = Parser { src: source, toks: &toks, i: 0 };
     p.statement()
 }
 

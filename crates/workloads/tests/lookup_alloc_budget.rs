@@ -35,6 +35,14 @@
 //! that adds a per-token `String`, clones a search state per candidate or
 //! collects a `Vec` per chunk state fails a number here before any timing
 //! run.
+//!
+//! A fifth row, `query_on (cached)`, counts the whole text path on an
+//! engine whose plan cache already holds the nine templates, each call
+//! with literals the cache has not seen: lex, key, cache lookup and
+//! `run_plan` of the stored plan — no parse, bind, plan or verify. It
+//! takes 405 on its draw, of which 378 are `run_plan`'s for those
+//! literals: the text path costs three allocations per lookup (the token
+//! vector, the key and the parameter values).
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -72,20 +80,36 @@ const PARENT: [[u64; 4]; 9] = [
 /// counts plus 10 %.
 const CEILING: [u64; 4] = [258, 261, 331, 372];
 
-#[test]
-fn lookups_stay_within_their_allocation_budget() {
-    // The benchmark's graph, with the parameters the counts above were
-    // taken at.
+/// Ceiling on the `query_on (cached)` row's total over the nine templates:
+/// its measured count (405 on the second draw, of which `run_plan` 378)
+/// plus 10 %.
+const CACHED_CEILING: u64 = 445;
+
+/// The benchmark's graph, serially.
+fn engine() -> GfClEngine {
     let raw = gfcl_datagen::generate_social(SocialParams::scale(8_000));
     let graph = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
-    let engine = GfClEngine::with_options(graph, ExecOptions::serial());
-    let catalog = engine.catalog();
-    let p = LdbcParams { person_id: 1234, comment_id: 800, ..LdbcParams::for_scale(8_000) };
+    GfClEngine::with_options(graph, ExecOptions::serial())
+}
+
+/// The nine templates with `person_id` / `comment_id` substituted.
+fn lookups(person_id: i64, comment_id: i64) -> Vec<corpus::CorpusEntry> {
+    let p = LdbcParams { person_id, comment_id, ..LdbcParams::for_scale(8_000) };
     let entries: Vec<_> = corpus::ldbc_corpus(&p)
         .into_iter()
         .filter(|e| TEMPLATES.contains(&e.name.as_str()))
         .collect();
     assert_eq!(entries.len(), TEMPLATES.len());
+    entries
+}
+
+#[test]
+fn lookups_stay_within_their_allocation_budget() {
+    // The benchmark's graph, with the parameters the counts above were
+    // taken at.
+    let engine = engine();
+    let catalog = engine.catalog();
+    let entries = lookups(1234, 800);
 
     let mut counts = [[0u64; 4]; 9];
     for (ti, e) in entries.iter().enumerate() {
@@ -142,4 +166,52 @@ fn lookups_stay_within_their_allocation_budget() {
             PHASES[pi]
         );
     }
+}
+
+#[test]
+fn cached_lookups_stay_within_their_allocation_budget() {
+    // Engines built per query pay nothing for a cache they never use.
+    let (n, _) = counted(gfcl_core::PlanCache::default);
+    assert_eq!(n, 0, "an empty plan cache allocates nothing");
+    let engine = engine();
+    // Warm the cache on one draw, then count a second: every counted call
+    // hits its template with literals the cache has not seen.
+    for e in lookups(1234, 800) {
+        gfcl_frontend::run_text(&engine, &e.text).unwrap_or_else(|err| panic!("{}: {err}", e.name));
+    }
+    let warm = engine.plan_cache_stats();
+    assert_eq!((warm.misses, warm.hits), (9, 0), "{warm:?}");
+    // Beside each count: what `run_plan` alone allocates for the same
+    // literals on a plan built outside the cache, i.e. the execution's
+    // share of the call (results own most of it).
+    let mut counts = [[0u64; 2]; 9];
+    for (ti, e) in lookups(4321, 1600).iter().enumerate() {
+        let (n, out) = counted(|| gfcl_frontend::run_text(&engine, &e.text).map(|_| ()));
+        out.unwrap_or_else(|err| panic!("{}: {err}", e.name));
+        let q = gfcl_frontend::compile(&e.text, engine.catalog()).unwrap();
+        let lp = engine.plan(&q).unwrap();
+        let (run, out) = counted(|| engine.run_plan(&lp).map(|_| ()));
+        out.unwrap_or_else(|err| panic!("{}: {err}", e.name));
+        counts[ti] = [n, run];
+    }
+    let after = engine.plan_cache_stats();
+    assert_eq!((after.misses, after.hits), (9, 9), "every counted call hits: {after:?}");
+
+    println!("template  query_on (cached)  of which run_plan");
+    let mut totals = [0u64; 2];
+    for (name, [n, run]) in TEMPLATES.iter().zip(&counts) {
+        println!("{name:<8}  {n:>17}  {run:>16}");
+        totals[0] += n;
+        totals[1] += run;
+    }
+    let [total, run] = totals;
+    println!(
+        "total     {total:>17}  {run:>16}   ({:.1} per lookup)",
+        total as f64 / TEMPLATES.len() as f64
+    );
+    assert!(
+        total <= CACHED_CEILING,
+        "query_on (cached): {total} allocations over the nine lookups; the budget is \
+         {CACHED_CEILING}"
+    );
 }

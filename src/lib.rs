@@ -361,7 +361,8 @@ pub use gfcl_common::{
 /// one parser of the `GFCL_*` variables.
 pub use gfcl_core::{
     Agg, AggFunc, CancelReason, CancelToken, Config, Engine, ExecOptions, GfClEngine, LogicalPlan,
-    OrderSource, PatternQuery, QueryBudget, QueryOutput, SortDir,
+    OrderSource, PatternQuery, PlanCacheStats, QueryBudget, QueryOutput, SortDir,
+    PLAN_CACHE_CAPACITY,
 };
 /// The storage layer: catalogs (with build-time [`storage::Stats`]), the
 /// [`RawGraph`] interchange format, and the columnar / row graph builds.
@@ -384,6 +385,10 @@ pub mod frontend {
 /// Frontend failures (lex/parse/bind) surface as [`Error::Plan`](Error)
 /// carrying the fully rendered diagnostic — locus, caret snippet, and any
 /// "did you mean" hint.
+///
+/// This builds a fresh engine per call, so its plan cache never hits: to
+/// plan a repeated template once, keep one [`GfClEngine`] and call
+/// [`query_on`] on it.
 pub fn query(graph: &std::sync::Arc<ColumnarGraph>, text: &str) -> Result<QueryOutput> {
     query_on(&GfClEngine::new(std::sync::Arc::clone(graph)), text)
 }
@@ -391,9 +396,33 @@ pub fn query(graph: &std::sync::Arc<ColumnarGraph>, text: &str) -> Result<QueryO
 /// Compile a text query against `engine`'s catalog and run it on that
 /// engine. Works with any [`Engine`] — the four built-ins or an external
 /// implementation.
+///
+/// On an engine that offers a plan cache ([`GfClEngine`] does) the query
+/// plans once per *template*: a text whose tokens match one this engine
+/// has run before, up to the values of its comparison literals, reruns
+/// that template's verified plan with the new values — lexing and
+/// execution only. A template is cached only when every such literal sits
+/// in an equality, `<>` or primary-key position (a range comparison's
+/// plan depends on its value, so it plans per call); `LIMIT`, `IN` lists
+/// and string patterns must match textually. Answers and diagnostics are
+/// those of the uncached path. [`GfClEngine::plan_cache_stats`] counts
+/// hits, misses, unreusable templates and evictions.
+///
+/// ```
+/// use std::sync::Arc;
+/// use gfcl::{ColumnarGraph, GfClEngine, RawGraph, StorageConfig};
+///
+/// let graph = ColumnarGraph::build(&RawGraph::example(), StorageConfig::default()).unwrap();
+/// let engine = GfClEngine::new(Arc::new(graph));
+/// for age in [45, 22, 45] {
+///     let text = format!("MATCH (a:PERSON) WHERE a.age = {age} RETURN a.name");
+///     gfcl::query_on(&engine, &text).unwrap();
+/// }
+/// let stats = engine.plan_cache_stats();
+/// assert_eq!((stats.misses, stats.hits), (1, 2));
+/// ```
 pub fn query_on(engine: &(impl Engine + ?Sized), text: &str) -> Result<QueryOutput> {
-    let q = gfcl_frontend::compile(text, engine.catalog())?;
-    engine.execute(&q)
+    gfcl_frontend::run_text(engine, text)
 }
 
 /// The result of [`execute_statement`]: query output, or the commit receipt
