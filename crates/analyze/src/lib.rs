@@ -73,9 +73,11 @@ pub struct FileClass {
     pub library: bool,
 }
 
-/// Files on the query/page hot path (see `ARCHITECTURE.md`).
+/// Files on the query/page hot path (see `ARCHITECTURE.md`); an entry
+/// ending in `/` covers every file under that directory.
 const HOT_PATHS: &[&str] = &[
-    "crates/core/src/exec.rs",
+    // The operators, one per file, their compilation and the sinks.
+    "crates/core/src/exec/",
     "crates/core/src/driver.rs",
     // The group table, the row order every sink finishes with and the
     // top-k comparison: every kept row and every group passes through it.
@@ -132,7 +134,9 @@ const CODEC_PATHS: &[&str] = &[
 /// Classify a workspace-relative path into its applicable rule groups.
 pub fn classify(rel_path: &str) -> FileClass {
     FileClass {
-        hot_path: HOT_PATHS.contains(&rel_path),
+        hot_path: HOT_PATHS
+            .iter()
+            .any(|&p| rel_path == p || (p.ends_with('/') && rel_path.starts_with(p))),
         codec: CODEC_PATHS.contains(&rel_path),
         facade: rel_path == "src/lib.rs",
         read_path: READ_PATHS.contains(&rel_path),
@@ -664,7 +668,9 @@ mod tests {
 
     #[test]
     fn classify_matches_the_rule_scopes() {
-        assert!(classify("crates/core/src/exec.rs").hot_path);
+        for f in ["mod", "cursor", "scan", "extend", "read", "filter", "sink", "compile"] {
+            assert!(classify(&format!("crates/core/src/exec/{f}.rs")).hot_path, "{f}");
+        }
         assert!(classify("crates/core/src/agg.rs").hot_path);
         assert!(classify("crates/columnar/src/paged_array.rs").hot_path);
         assert!(classify("crates/columnar/src/paged_array.rs").codec);
@@ -672,7 +678,11 @@ mod tests {
         // The pre-rename names classify as plain library code: a stale list
         // entry would silently stop covering the rewritten code.
         let library = FileClass { library: true, ..FileClass::default() };
-        for old in ["crates/columnar/src/paged.rs", "crates/storage/src/pager.rs"] {
+        for old in [
+            "crates/columnar/src/paged.rs",
+            "crates/storage/src/pager.rs",
+            "crates/core/src/exec.rs",
+        ] {
             assert_eq!(classify(old), library, "{old}");
         }
         assert!(classify("crates/common/src/codec.rs").codec);

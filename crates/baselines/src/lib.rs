@@ -7,7 +7,7 @@
 //!   the list-based processor's contribution (Section 8.6).
 //! * [`RelEngine`] — block-based hash joins over edge tables with no
 //!   adjacency index and no pk seek; the MonetDB/Vertica stand-in for the
-//!   Section 8.7 system comparison (see DESIGN.md §3).
+//!   Section 8.7 system comparison.
 //!
 //! All engines execute the same [`gfcl_core::plan::LogicalPlan`].
 

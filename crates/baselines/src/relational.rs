@@ -1,6 +1,6 @@
 //! The relational baseline: a block-based processor executing graph
 //! queries as **hash joins over edge tables**, the MonetDB/Vertica analog
-//! of Section 8.7 (see DESIGN.md §3 substitutions).
+//! of Section 8.7.
 //!
 //! Architectural differences from the graph engines, mirroring the paper's
 //! analysis:
@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use gfcl_common::{Direction, Error, LabelId, Result, Value};
-use gfcl_core::agg::{self, GroupTable};
+use gfcl_core::agg::{self, GroupTable, ScalarAgg};
 use gfcl_core::engine::{Engine, QueryOutput};
 use gfcl_core::plan::{seek_key, LogicalPlan, PlanReturn, PlanStep};
 use gfcl_storage::{Catalog, ColumnarGraph, DeltaSnapshot, GraphSnapshot, GraphView};
@@ -222,7 +222,6 @@ fn drive(view: GraphView<'_>, plan: &LogicalPlan) -> Result<QueryOutput> {
     }
 
     match &plan.ret {
-        PlanReturn::CountStar => Ok(QueryOutput::Count(it.n as u64)),
         PlanReturn::Props(slots) => {
             let mut rows = Vec::with_capacity(it.n);
             for i in 0..it.n {
@@ -251,48 +250,19 @@ fn drive(view: GraphView<'_>, plan: &LogicalPlan) -> Result<QueryOutput> {
             }
             Ok(table.into_output(plan))
         }
-        PlanReturn::Sum(slot) => {
-            let col = it.slots[*slot].as_ref().ok_or_else(|| Error::Plan("unfilled".into()))?;
-            let mut sum_i: i128 = 0;
-            let mut sum_f = 0.0f64;
-            let mut float = false;
-            for v in col {
-                match v {
-                    Value::Int64(x) | Value::Date(x) => sum_i += *x as i128,
-                    Value::Float64(x) => {
-                        float = true;
-                        sum_f += x;
+        // Whole-result COUNT(*) / SUM / MIN / MAX over the flat column.
+        _ => {
+            let mut agg = ScalarAgg::new(plan)?;
+            match agg.input() {
+                None => agg.fold(None, it.n as u64),
+                Some(s) => {
+                    let col = it.slots[s].as_ref().ok_or_else(|| Error::Plan("unfilled".into()))?;
+                    for v in col {
+                        agg.fold(Some(v), 1);
                     }
-                    _ => {}
                 }
             }
-            let value =
-                if float { Value::Float64(sum_f) } else { Value::Int64(agg::clamp_i128(sum_i)) };
-            Ok(QueryOutput::Agg { name: plan.header[0].clone(), value })
-        }
-        PlanReturn::Min(slot) | PlanReturn::Max(slot) => {
-            let want_min = matches!(plan.ret, PlanReturn::Min(_));
-            let col = it.slots[*slot].as_ref().ok_or_else(|| Error::Plan("unfilled".into()))?;
-            let mut best = Value::Null;
-            for v in col {
-                if v.is_null() {
-                    continue;
-                }
-                let replace = match best.compare(v) {
-                    None => best.is_null(),
-                    Some(ord) => {
-                        if want_min {
-                            ord == std::cmp::Ordering::Greater
-                        } else {
-                            ord == std::cmp::Ordering::Less
-                        }
-                    }
-                };
-                if replace {
-                    best = v.clone();
-                }
-            }
-            Ok(QueryOutput::Agg { name: plan.header[0].clone(), value: best })
+            Ok(agg.finish(plan))
         }
     }
 }

@@ -11,7 +11,7 @@
 //! tombstones` through the one overlay in `gfcl_storage`.
 
 use gfcl_common::{Direction, Error, LabelId, Result, Value};
-use gfcl_core::agg::{self, GroupTable};
+use gfcl_core::agg::{self, GroupTable, ScalarAgg};
 use gfcl_core::engine::QueryOutput;
 use gfcl_core::plan::{seek_key, LogicalPlan, PlanExpr, PlanReturn, PlanStep};
 use gfcl_storage::{BaselineRead, GraphView};
@@ -259,13 +259,6 @@ pub fn execute<B: BaselineRead>(view: GraphView<'_, B>, plan: &LogicalPlan) -> R
     };
 
     match &plan.ret {
-        PlanReturn::CountStar => {
-            let mut n = 0u64;
-            while vpull(&mut ops, view, &mut t)? {
-                n += 1;
-            }
-            Ok(QueryOutput::Count(n))
-        }
         PlanReturn::Props(slots) => {
             let mut rows = Vec::new();
             while vpull(&mut ops, view, &mut t)? {
@@ -286,47 +279,13 @@ pub fn execute<B: BaselineRead>(view: GraphView<'_, B>, plan: &LogicalPlan) -> R
             }
             Ok(table.into_output(plan))
         }
-        PlanReturn::Sum(slot) => {
-            let mut sum_i: i128 = 0;
-            let mut sum_f: f64 = 0.0;
-            let mut float = false;
+        // Whole-result COUNT(*) / SUM / MIN / MAX: one tuple at a time.
+        _ => {
+            let mut agg = ScalarAgg::new(plan)?;
             while vpull(&mut ops, view, &mut t)? {
-                match &t.slots[*slot] {
-                    Value::Int64(v) | Value::Date(v) => sum_i += *v as i128,
-                    Value::Float64(v) => {
-                        float = true;
-                        sum_f += v;
-                    }
-                    _ => {}
-                }
+                agg.fold(agg.input().map(|s| &t.slots[s]), 1);
             }
-            let value =
-                if float { Value::Float64(sum_f) } else { Value::Int64(agg::clamp_i128(sum_i)) };
-            Ok(QueryOutput::Agg { name: plan.header[0].clone(), value })
-        }
-        PlanReturn::Min(slot) | PlanReturn::Max(slot) => {
-            let want_min = matches!(plan.ret, PlanReturn::Min(_));
-            let mut best = Value::Null;
-            while vpull(&mut ops, view, &mut t)? {
-                let v = t.slots[*slot].clone();
-                if v.is_null() {
-                    continue;
-                }
-                let replace = match best.compare(&v) {
-                    None => best.is_null(),
-                    Some(ord) => {
-                        if want_min {
-                            ord == std::cmp::Ordering::Greater
-                        } else {
-                            ord == std::cmp::Ordering::Less
-                        }
-                    }
-                };
-                if replace {
-                    best = v;
-                }
-            }
-            Ok(QueryOutput::Agg { name: plan.header[0].clone(), value: best })
+            Ok(agg.finish(plan))
         }
     }
 }

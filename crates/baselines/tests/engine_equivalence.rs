@@ -1,7 +1,7 @@
-//! Invariant 6 (DESIGN.md): all four engines return identical results on
-//! the same logical queries — counts, row multisets, and aggregates — over
-//! both hand-built and generated graphs, under multiple storage
-//! configurations.
+//! Engine equivalence (ARCHITECTURE.md, "Data flow of one query"): all
+//! four engines return identical results on the same logical queries —
+//! counts, row multisets, and aggregates — over both hand-built and
+//! generated graphs, under multiple storage configurations.
 
 use std::sync::Arc;
 
@@ -325,6 +325,67 @@ fn sum_overflow_saturates_identically_on_every_engine() {
                 assert_eq!(value, Value::Int64(i64::MAX), "{} must saturate", e.name());
             }
             other => panic!("{}: expected aggregate, got {other:?}", e.name()),
+        }
+    }
+}
+
+#[test]
+fn scalar_aggregates_agree_by_value_on_every_engine() {
+    // `canonical()` renders Int64(0) and Float64(0.0) alike, so compare
+    // whole outputs: a whole-result SUM over a DOUBLE slot with no
+    // non-NULL input used to be Float64(0.0) on GF-CL and Int64(0) on the
+    // other three engines.
+    use gfcl_common::{DataType, Value};
+    use gfcl_storage::{Catalog, PropertyDef};
+
+    let props = [("k", DataType::Int64), ("x", DataType::Int64), ("y", DataType::Float64)];
+    let mut props: Vec<PropertyDef> = props.iter().map(|&(n, t)| PropertyDef::new(n, t)).collect();
+    props.push(PropertyDef::new("d", DataType::Date));
+    let mut cat = Catalog::new();
+    let a = cat.add_vertex_label("A", props).unwrap();
+    let mut raw = RawGraph::new(cat);
+    // k = 0, 1: x, y and d all NULL; k = 2, 3: values.
+    let rows = [
+        [Value::Int64(0), Value::Null, Value::Null, Value::Null],
+        [Value::Int64(1), Value::Null, Value::Null, Value::Null],
+        [Value::Int64(2), Value::Int64(-4), Value::Float64(1.5), Value::Date(19_000)],
+        [Value::Int64(3), Value::Int64(9), Value::Float64(-0.25), Value::Date(18_000)],
+    ];
+    let va = &mut raw.vertices[a as usize];
+    va.count = rows.len();
+    for row in rows {
+        for (col, v) in va.props.iter_mut().zip(row) {
+            col.push_value(v).unwrap();
+        }
+    }
+    raw.validate().unwrap();
+
+    let inputs = [
+        ("empty", Some(gt(col("a", "k"), lit(100)))),
+        ("all-NULL", Some(lt(col("a", "k"), lit(2)))),
+        ("mixed", None),
+    ];
+    let engines = engines(&raw, StorageConfig::default());
+    for (input, filter) in inputs {
+        let base = || {
+            let b = PatternQuery::builder().node("a", "A");
+            match &filter {
+                Some(f) => b.filter(f.clone()),
+                None => b,
+            }
+        };
+        let mut queries = vec![base().returns_count().build()];
+        for p in ["x", "y", "d"] {
+            queries.push(base().returns_sum("a", p).build());
+            queries.push(base().returns_min("a", p).build());
+            queries.push(base().returns_max("a", p).build());
+        }
+        for q in &queries {
+            let reference = engines[0].execute(q).unwrap();
+            for e in &engines[1..] {
+                let out = e.execute(q).unwrap();
+                assert_eq!(out, reference, "over {input} input: {} disagrees with GF-CL", e.name());
+            }
         }
     }
 }

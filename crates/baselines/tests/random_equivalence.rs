@@ -1,4 +1,5 @@
-//! Randomized cross-engine equivalence (DESIGN.md invariant 6): all four
+//! Randomized cross-engine equivalence (ARCHITECTURE.md, "Data flow of one
+//! query"): all four
 //! engines must return identical canonical results on randomized pattern
 //! queries over randomized small graphs, under randomized storage
 //! configurations.

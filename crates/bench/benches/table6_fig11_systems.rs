@@ -3,7 +3,7 @@
 //! engines, reported as runtimes and as relative factors vs GF-RV with the
 //! Figure 11 percentile summary.
 //!
-//! Substitutions (DESIGN.md §3): GF-RV stands in for the row/Volcano GDBMS
+//! Substitutions: GF-RV stands in for the row/Volcano GDBMS
 //! design point (Neo4j's architecture); REL — block hash joins over edge
 //! tables without adjacency indexes — stands in for MonetDB/Vertica.
 //!

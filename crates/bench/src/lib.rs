@@ -2,7 +2,8 @@
 //!
 //! Every table and figure of the paper's evaluation section has a
 //! `harness = false` bench target in `benches/` that regenerates it (see
-//! DESIGN.md §2 for the index). Common pieces live here: the measurement
+//! README.md, "Layout of the paper's experiments", for the index). Common
+//! pieces live here: the measurement
 //! protocol, dataset builders sized for a laptop, and a plain-text table
 //! printer that mimics the paper's layout.
 //!

@@ -1,5 +1,4 @@
-//! Property-based tests for the columnar compression invariants
-//! (DESIGN.md §5, invariants 1–3).
+//! Property-based tests for the columnar compression invariants.
 
 use gfcl_columnar::{Bitmap, Column, JacobsonRank, NullKind, NullMap, RankParams, UIntArray};
 use gfcl_common::DataType;

@@ -1,8 +1,9 @@
-//! Shared grouped-aggregation and row-finishing machinery.
+//! Shared aggregation and row-finishing machinery.
 //!
-//! The list-based processor's grouped sinks ([`crate::exec`]) and the
-//! baseline engines (`gfcl-baselines`) both fold matches into the same
-//! [`GroupTable`], so cross-engine results agree byte-for-byte: the LBP
+//! The list-based processor's sinks ([`crate::exec`]) and the baseline
+//! engines (`gfcl-baselines`) both fold matches into the same
+//! [`GroupTable`] (or, without grouping keys, [`ScalarAgg`]), so
+//! cross-engine results agree byte-for-byte: the LBP
 //! feeds it multiplicity-weighted values straight from unflat list groups,
 //! the baselines feed it one enumerated tuple at a time, and both finish
 //! through [`GroupTable::into_output`] / [`finalize_rows`], which order
@@ -22,7 +23,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
-use gfcl_common::{DataType, Value};
+use gfcl_common::{DataType, Error, Result, Value};
 
 use crate::engine::QueryOutput;
 use crate::plan::{LogicalPlan, PlanAgg, PlanReturn};
@@ -256,6 +257,73 @@ impl AggState {
     }
 }
 
+/// A whole-result aggregate — `RETURN count(*)`, `sum(x.p)`, `min(x.p)` or
+/// `max(x.p)` with no grouping key — as the one fold every engine feeds:
+/// GF-CL with multiplicity-weighted values straight from its chunk states,
+/// the baselines one enumerated tuple at a time. Sharing it keeps their
+/// answers identical down to the value's type: integer sums saturate to
+/// `i64` ([`clamp_i128`]), `MIN`/`MAX` follow [`improves`], and `SUM` is
+/// typed by its input slot — DOUBLE even over no input at all.
+#[derive(Debug)]
+pub struct ScalarAgg {
+    state: AggState,
+    /// The plan slot the fold reads; `None` for `COUNT(*)`.
+    input: Option<usize>,
+}
+
+impl ScalarAgg {
+    /// The fold of `plan`'s whole-result aggregate; an error for a plan
+    /// that returns rows.
+    pub fn new(plan: &LogicalPlan) -> Result<ScalarAgg> {
+        let (func, input) = match plan.ret {
+            PlanReturn::CountStar => (AggFunc::CountStar, None),
+            PlanReturn::Sum(s) => (AggFunc::Sum, Some(s)),
+            PlanReturn::Min(s) => (AggFunc::Min, Some(s)),
+            PlanReturn::Max(s) => (AggFunc::Max, Some(s)),
+            PlanReturn::Props(_) | PlanReturn::GroupBy { .. } => {
+                return Err(Error::Plan("not a whole-result aggregate".into()))
+            }
+        };
+        Ok(ScalarAgg { state: AggState::new(func), input })
+    }
+
+    /// The plan slot whose values the fold reads; `None` for `COUNT(*)`.
+    pub fn input(&self) -> Option<usize> {
+        self.input
+    }
+
+    /// Fold `mult` tuples whose input value is `value` (`None` for
+    /// `COUNT(*)`, which counts tuples without reading a value).
+    pub fn fold(&mut self, value: Option<&Value>, mult: u64) {
+        match value {
+            Some(v) => {
+                self.state.update(v, mult);
+            }
+            None => self.state.add_count(mult),
+        }
+    }
+
+    /// Associative merge of another worker's fold (worker barrier).
+    pub fn merge(&mut self, other: ScalarAgg) {
+        self.state.merge(other.state);
+    }
+
+    /// The query's output: a count, or the aggregate's value.
+    pub fn finish(self, plan: &LogicalPlan) -> QueryOutput {
+        let dtype = self.input.map(|s| plan.slots[s].dtype);
+        let value = match self.state {
+            AggState::Count(n) => return QueryOutput::Count(n),
+            // Unlike a group's, a whole-result SUM over no input is zero.
+            AggState::Sum { floats, .. } if dtype == Some(DataType::Float64) => {
+                Value::Float64(floats)
+            }
+            AggState::Sum { ints, .. } => Value::Int64(clamp_i128(ints)),
+            state => state.finish(dtype),
+        };
+        QueryOutput::Agg { name: plan.header[0].clone(), value }
+    }
+}
+
 /// A grouped-aggregation accumulator: group key → one [`AggState`] per
 /// aggregate. The map is unordered; a group's states do not depend on
 /// iteration order (each key merges its partials in worker order), and
@@ -453,13 +521,6 @@ pub fn finalize_rows(plan: &LogicalPlan, rows: Vec<Vec<Value>>) -> Vec<Vec<Value
         return rows;
     }
     order_and_limit(rows, &plan.order_by, plan.limit)
-}
-
-/// True when the plan's sink wants fully enumerated tuples sorted/limited
-/// (a top-k or distinct projection) rather than raw row streaming.
-pub fn needs_row_finish(plan: &LogicalPlan) -> bool {
-    matches!(plan.ret, PlanReturn::Props(_))
-        && (plan.distinct || !plan.order_by.is_empty() || plan.limit.is_some())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The pipeline driver: morsel-driven (optionally parallel) execution of a
-//! compiled [`LogicalPlan`] and the factorized aggregation sinks of
-//! Section 6.2.
+//! compiled [`LogicalPlan`], each worker draining its pipeline into the
+//! factorized sinks of Section 6.2.
 //!
 //! The paper evaluates the list-based processor single-threaded; this
 //! module adds intra-query parallelism in the style of morsel-driven
@@ -14,9 +14,10 @@
 //!   [`crate::chunk::Chunk`], and compiled predicates — instantiated from
 //!   the shared plan by `crate::exec::compile`, so no intermediate state
 //!   is ever shared;
-//! * each worker folds its chunk states into a private `Partial` sink
-//!   (count, sum, min/max, or rows);
-//! * the partials merge at the scope barrier, in worker-index order, into
+//! * each worker drains its pipeline into a private sink (`exec::Sink`: a
+//!   whole-result aggregate, projection rows, a DISTINCT set or a group
+//!   table) in one loop;
+//! * the sinks merge at the scope barrier, in worker-index order, into
 //!   the final [`QueryOutput`].
 //!
 //! Workers run under [`std::thread::scope`], so the graph and plan are
@@ -31,17 +32,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use gfcl_common::{DataType, Result, Value};
+use gfcl_common::{Result, Value};
 use gfcl_storage::GraphView;
 
-use crate::agg::{self, clamp_i128, improves, GroupTable, OrdValue};
 use crate::engine::QueryOutput;
-use crate::exec::{
-    compile, enumerate_rows, vector_value, Combos, DistinctSink, GroupBySink, Pipeline, ScanCursor,
-    TopKSink, SCAN_MORSEL,
-};
-use crate::govern::{fault_scope, row_bytes, CancelToken, MemTracker, QueryBudget, QueryGovernor};
-use crate::plan::{LogicalPlan, PlanReturn};
+use crate::exec::{compile, Pipeline, ScanCursor, Sink, SCAN_MORSEL};
+use crate::govern::{fault_scope, CancelToken, MemTracker, QueryBudget, QueryGovernor};
+use crate::plan::LogicalPlan;
 
 /// Execution options for the list-based processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,24 +125,6 @@ impl ExecOptions {
     }
 }
 
-/// One worker's private sink state. Merging partials is associative and
-/// performed in worker-index order, so results are deterministic for a
-/// fixed thread count (and for all integer aggregates, for *any* thread
-/// count).
-enum Partial {
-    Count(u64),
-    Sum {
-        ints: i128,
-        floats: f64,
-    },
-    Best(Value),
-    Rows(Vec<Vec<Value>>),
-    /// Grouped aggregation: one partial [`GroupTable`] per worker.
-    Grouped(GroupTable),
-    /// DISTINCT projection: one deduplicated row set per worker.
-    Distinct(std::collections::HashSet<Vec<OrdValue>>),
-}
-
 /// Execute a logical plan against a snapshot view — the baseline overlaid
 /// with the snapshot's delta (if any; [`GraphView::clean`] is exactly the
 /// immutable-graph path) — with `opts.threads` morsel-driven workers.
@@ -180,11 +159,10 @@ pub fn execute(
     if threads == 1 {
         let _scope = fault_scope(gov.token());
         let mut pipeline = compile(view, plan, &cursor, params)?;
-        let partial = drive(view, plan, &mut pipeline, &gov)?;
-        return finish(plan, [partial]);
+        return Ok(drive(view, plan, &mut pipeline, &gov)?.finish(plan));
     }
 
-    let partials: Vec<Result<Partial>> = std::thread::scope(|scope| {
+    let sinks: Vec<Result<Sink>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let (cursor, gov) = (&cursor, &gov);
@@ -203,218 +181,43 @@ pub fn execute(
         // propagation — recoverable failures arrive as the inner Result)
         handles.into_iter().map(|h| h.join().expect("LBP worker panicked")).collect()
     });
-    let partials = partials.into_iter().collect::<Result<Vec<_>>>()?;
-    finish(plan, partials)
+    let sinks = sinks.into_iter().collect::<Result<Vec<_>>>()?;
+    let sink = sinks.into_iter().reduce(Sink::merge);
+    Ok(sink.ok_or_else(|| gfcl_common::Error::Exec("no worker ran".into()))?.finish(plan))
 }
 
-/// Drain one pipeline into a [`Partial`] sink.
+/// Drain one pipeline into its sink: the one loop every plan shape runs.
 ///
 /// Fault-domain contract: the governor is checked after every pipeline
 /// state (and inside the scan's claim loop, which covers morsels the
 /// zone maps prune without producing a state), and once more after the
-/// loop drains — a partial is never published from a tripped query, so a
+/// loop drains — a sink is never published from a tripped query, so a
 /// zeroed placeholder page served to an I/O-faulted worker can never
 /// leak into results.
-fn drive(
+fn drive<'p, 'g>(
     view: GraphView<'_>,
-    plan: &LogicalPlan,
-    pipe: &mut Pipeline<'_>,
+    plan: &'p LogicalPlan,
+    pipe: &mut Pipeline<'g>,
     gov: &QueryGovernor,
-) -> Result<Partial> {
-    use crate::chunk::ValueVector;
-    match &plan.ret {
-        PlanReturn::CountStar => {
-            let mut count: u64 = 0;
-            while pipe.next_state(view)? {
-                gov.checkpoint()?;
-                count += pipe.chunk.tuple_count();
-            }
-            gov.checkpoint()?;
-            Ok(Partial::Count(count))
-        }
-        PlanReturn::Sum(slot) => {
-            let r = pipe.slot_refs[*slot];
-            let mut sum_i: i128 = 0;
-            let mut sum_f: f64 = 0.0;
-            while pipe.next_state(view)? {
-                gov.checkpoint()?;
-                let group = &pipe.chunk.groups[r.group];
-                let mult = pipe.chunk.tuple_count_excluding(r.group);
-                let mut add = |idx: usize| match &group.vectors[r.vec] {
-                    ValueVector::I64 { vals, valid, .. } if valid[idx] => {
-                        sum_i += vals[idx] as i128 * mult as i128;
-                    }
-                    ValueVector::F64 { vals, valid } if valid[idx] => {
-                        sum_f += vals[idx] * mult as f64;
-                    }
-                    _ => {}
-                };
-                if group.is_flat() {
-                    add(group.cur_idx as usize);
-                } else {
-                    for idx in group.iter_selected() {
-                        add(idx);
-                    }
-                }
-            }
-            gov.checkpoint()?;
-            Ok(Partial::Sum { ints: sum_i, floats: sum_f })
-        }
-        PlanReturn::Min(slot) | PlanReturn::Max(slot) => {
-            let want_min = matches!(plan.ret, PlanReturn::Min(_));
-            let r = pipe.slot_refs[*slot];
-            let r_col = pipe.slot_cols[*slot];
-            let mut best: Value = Value::Null;
-            while pipe.next_state(view)? {
-                gov.checkpoint()?;
-                let group = &pipe.chunk.groups[r.group];
-                let mut consider = |idx: usize| {
-                    let v = vector_value(&group.vectors[r.vec], idx, r_col);
-                    if improves(&best, &v, want_min) {
-                        best = v;
-                    }
-                };
-                if group.is_flat() {
-                    consider(group.cur_idx as usize);
-                } else {
-                    for idx in group.iter_selected() {
-                        consider(idx);
-                    }
-                }
-            }
-            gov.checkpoint()?;
-            Ok(Partial::Best(best))
-        }
-        PlanReturn::Props(slots) if plan.distinct => {
-            let mut sink = DistinctSink::new(pipe, slots);
-            let mut mem = MemTracker::new(gov);
-            while pipe.next_state(view)? {
-                sink.absorb(&pipe.chunk);
-                mem.update(sink.bytes);
-                gov.checkpoint()?;
-            }
-            gov.checkpoint()?;
-            Ok(Partial::Distinct(sink.set))
-        }
-        PlanReturn::Props(slots) if agg::needs_row_finish(plan) => {
-            let mut sink = TopKSink::new(pipe, plan, slots);
-            let mut mem = MemTracker::new(gov);
-            while pipe.next_state(view)? {
-                sink.absorb(&pipe.chunk);
-                mem.update(sink.bytes);
-                gov.checkpoint()?;
-            }
-            gov.checkpoint()?;
-            Ok(Partial::Rows(sink.rows))
-        }
-        PlanReturn::Props(slots) => {
-            let mut rows: Vec<Vec<Value>> = Vec::new();
-            let mut combos = Combos::default();
-            let mut mem = MemTracker::new(gov);
-            let mut bytes: u64 = 0;
-            while pipe.next_state(view)? {
-                let before = rows.len();
-                let col = |c: usize| (pipe.slot_refs[slots[c]], pipe.slot_cols[slots[c]]);
-                enumerate_rows(&pipe.chunk, slots.len(), col, &mut combos, &mut rows);
-                bytes += rows[before..].iter().map(|r| row_bytes(r)).sum::<u64>();
-                mem.update(bytes);
-                gov.checkpoint()?;
-            }
-            gov.checkpoint()?;
-            Ok(Partial::Rows(rows))
-        }
-        PlanReturn::GroupBy { keys, aggs } => {
-            let mut sink = GroupBySink::new(pipe, keys, aggs);
-            let mut mem = MemTracker::new(gov);
-            while pipe.next_state(view)? {
-                sink.absorb(&pipe.chunk);
-                mem.update(sink.approx_bytes());
-                gov.checkpoint()?;
-            }
-            gov.checkpoint()?;
-            Ok(Partial::Grouped(sink.finish()))
-        }
+) -> Result<Sink<'p, 'g>> {
+    let mut sink = Sink::new(plan, pipe)?;
+    let mut mem = MemTracker::new(gov);
+    while pipe.next_state(view)? {
+        sink.absorb(pipe);
+        mem.update(sink.bytes());
+        gov.checkpoint()?;
     }
-}
-
-/// Merge worker partials (in worker-index order) into the final output.
-fn finish(plan: &LogicalPlan, partials: impl IntoIterator<Item = Partial>) -> Result<QueryOutput> {
-    match &plan.ret {
-        PlanReturn::CountStar => {
-            let mut count: u64 = 0;
-            for p in partials {
-                if let Partial::Count(c) = p {
-                    count += c;
-                }
-            }
-            Ok(QueryOutput::Count(count))
-        }
-        PlanReturn::Sum(slot) => {
-            let dtype = plan.slots[*slot].dtype;
-            let mut sum_i: i128 = 0;
-            let mut sum_f: f64 = 0.0;
-            for p in partials {
-                if let Partial::Sum { ints, floats } = p {
-                    sum_i = sum_i.saturating_add(ints);
-                    sum_f += floats;
-                }
-            }
-            let value = match dtype {
-                DataType::Float64 => Value::Float64(sum_f),
-                // Saturate rather than truncate: `SUM` of in-domain i64
-                // values can exceed i64, and `as i64` would wrap silently.
-                _ => Value::Int64(clamp_i128(sum_i)),
-            };
-            Ok(QueryOutput::Agg { name: plan.header[0].clone(), value })
-        }
-        PlanReturn::Min(_) | PlanReturn::Max(_) => {
-            let want_min = matches!(plan.ret, PlanReturn::Min(_));
-            let mut best: Value = Value::Null;
-            for p in partials {
-                if let Partial::Best(v) = p {
-                    if improves(&best, &v, want_min) {
-                        best = v;
-                    }
-                }
-            }
-            Ok(QueryOutput::Agg { name: plan.header[0].clone(), value: best })
-        }
-        PlanReturn::Props(_) => {
-            let mut rows: Vec<Vec<Value>> = Vec::new();
-            for p in partials {
-                match p {
-                    // The first worker's rows are moved, not copied.
-                    Partial::Rows(r) if rows.is_empty() => rows = r,
-                    Partial::Rows(r) => rows.extend(r),
-                    Partial::Distinct(set) => {
-                        rows.extend(
-                            set.into_iter().map(|r| r.into_iter().map(|v| v.0).collect::<Vec<_>>()),
-                        );
-                    }
-                    _ => {}
-                }
-            }
-            let rows = agg::finalize_rows(plan, rows);
-            Ok(QueryOutput::Rows { header: plan.header.clone(), rows })
-        }
-        PlanReturn::GroupBy { aggs, .. } => {
-            let mut table = GroupTable::new(aggs);
-            for p in partials {
-                if let Partial::Grouped(t) = p {
-                    table.merge(t);
-                }
-            }
-            Ok(table.into_output(plan))
-        }
-    }
+    gov.checkpoint()?;
+    Ok(sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::{clamp_i128, improves};
 
     #[test]
-    fn exec_options_defaults_and_env() {
+    fn exec_options_defaults() {
         assert_eq!(ExecOptions::default().threads, 1);
         assert_eq!(ExecOptions::serial().threads, 1);
         assert_eq!(ExecOptions::with_threads(0).threads, 1, "clamped");

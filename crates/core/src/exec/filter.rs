@@ -1,0 +1,72 @@
+//! `Filter`: a compiled predicate over the (single) unflat group among its
+//! inputs, broadcasting flat operands, ANDed into the group's selection
+//! mask.
+
+use gfcl_common::{Error, Result};
+
+use crate::chunk::Chunk;
+use crate::pred::{CPred, EvalCtx};
+
+/// A predicate step of the pipeline.
+pub(super) struct Filter {
+    pub(super) pred: CPred,
+    /// Scratch verdicts of the target group, reused across states.
+    pub(super) mask: Vec<bool>,
+}
+
+impl Filter {
+    /// The child's next state in which some tuple satisfies the predicate,
+    /// with the failing positions unselected.
+    pub(super) fn next(
+        &mut self,
+        chunk: &mut Chunk,
+        mut child: impl FnMut(&mut Chunk) -> Result<bool>,
+    ) -> Result<bool> {
+        let Filter { pred, mask } = self;
+        loop {
+            if !child(chunk)? {
+                return Ok(false);
+            }
+            // Find the unflat group among the predicate's inputs.
+            let mut target: Option<usize> = None;
+            let mut multi = false;
+            for r in pred.vec_refs() {
+                if !chunk.groups[r.group].is_flat() {
+                    if target.is_some() && target != Some(r.group) {
+                        multi = true;
+                    }
+                    target = Some(r.group);
+                }
+            }
+            if multi {
+                return Err(Error::Exec(
+                    "filter spans two unflat list groups; the planner must flatten one first"
+                        .into(),
+                ));
+            }
+            match target {
+                None => {
+                    // All operands flat: keep/drop the single current tuple.
+                    let ctx = EvalCtx { chunk, target: usize::MAX, pos: 0 };
+                    if pred.holds(&ctx) {
+                        return Ok(true);
+                    }
+                }
+                Some(tg) => {
+                    let len = chunk.groups[tg].len;
+                    mask.clear();
+                    for p in 0..len {
+                        let keep = chunk.groups[tg].selected(p)
+                            && pred.holds(&EvalCtx { chunk, target: tg, pos: p });
+                        mask.push(keep);
+                    }
+                    let group = &mut chunk.groups[tg];
+                    group.and_mask(mask);
+                    if group.sel_count > 0 {
+                        return Ok(true);
+                    }
+                }
+            }
+        }
+    }
+}

@@ -1,0 +1,153 @@
+//! The list-based processor: physical operators and plan compilation
+//! (Section 6.2).
+//!
+//! This module owns the *static* half of execution: compiling a
+//! [`LogicalPlan`](crate::plan::LogicalPlan) into a `Pipeline` of physical
+//! operators plus the intermediate [`Chunk`] they fill, and the sinks a
+//! pipeline drains into. The *dynamic* half — driving one or more pipelines
+//! to completion and merging their sinks — lives in [`crate::driver`],
+//! which instantiates one `Pipeline` per worker thread from the same plan
+//! (morsel-driven parallelism).
+//!
+//! Operators pull chunk *states* from their child: each state is one
+//! configuration of the intermediate chunk's list groups (flattened
+//! positions + filled blocks) representing a set of tuples. Each operator
+//! is a struct in its own file with one `next` — `scan` (morsels claimed
+//! from the shared [`ScanCursor`]), `extend`, `read` (property blocks),
+//! `filter` — and one short `pull` is the only place a state passes from
+//! an operator to the one above it. `sink` holds what a pipeline drains
+//! into, `compile` turns a plan into a pipeline.
+
+mod compile;
+mod cursor;
+mod extend;
+mod filter;
+mod read;
+mod scan;
+mod sink;
+
+use gfcl_common::Result;
+use gfcl_storage::GraphView;
+
+use crate::chunk::{Chunk, VecRef};
+use crate::pred::SlotCol;
+
+pub(crate) use compile::compile;
+pub use cursor::{check_morsel_bounds, ScanCursor, SCAN_MORSEL};
+pub(crate) use sink::Sink;
+
+/// A physical operator. `ops[i]`'s child is `ops[i-1]`; `ops[0]` is a scan.
+enum Op<'g> {
+    ScanAll(scan::ScanAll<'g>),
+    ScanPk(scan::ScanPk<'g>),
+    ListExtend(extend::ListExtend),
+    ColumnExtend(extend::ColumnExtend),
+    ReadNodeProp(read::ReadNodeProp),
+    ReadEdgeProp(read::ReadEdgeProp),
+    Filter(filter::Filter),
+}
+
+/// Pull the next chunk state through `ops`: the last operator's `next`,
+/// handed a `child` that pulls the rest. This is the one place a chunk
+/// state passes from `ops[i]` to `ops[i + 1]`. `false` = drained.
+fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bool> {
+    // lint: allow(compile() always emits a scan as ops[0]; the plan
+    // verifier's scan-first rule rejects scanless plans before compilation)
+    let (op, children) = ops.split_last_mut().expect("pipeline has at least a scan");
+    let child = |chunk: &mut Chunk| pull(children, view, chunk);
+    match op {
+        Op::ScanAll(op) => op.next(view, chunk),
+        Op::ScanPk(op) => op.next(view, chunk),
+        Op::ListExtend(op) => op.next(view, chunk, child),
+        Op::ColumnExtend(op) => op.next(view, chunk, child),
+        Op::ReadNodeProp(op) => op.next(view, chunk, child),
+        Op::ReadEdgeProp(op) => op.next(view, chunk, child),
+        Op::Filter(op) => op.next(chunk, child),
+    }
+}
+
+/// One compiled operator pipeline plus the chunk it fills: the thread-
+/// private execution state of one worker. Any number of pipelines can be
+/// compiled from the same plan; pipelines sharing a [`ScanCursor`]
+/// partition the scan between them.
+pub(crate) struct Pipeline<'g> {
+    ops: Vec<Op<'g>>,
+    chunk: Chunk,
+    /// Vector location of each plan slot.
+    slot_refs: Vec<VecRef>,
+    /// Storage column (and any delta string extension) backing each slot
+    /// (dictionary decode at the sink).
+    slot_cols: Vec<SlotCol<'g>>,
+}
+
+impl<'g> Pipeline<'g> {
+    /// Pull the next chunk state through the pipeline. `false` = drained.
+    pub(crate) fn next_state(&mut self, view: GraphView<'_>) -> Result<bool> {
+        pull(&mut self.ops, view, &mut self.chunk)
+    }
+
+    /// Where plan slot `s` lives in the chunk, and its backing column.
+    fn slot(&self, s: usize) -> (VecRef, SlotCol<'g>) {
+        (self.slot_refs[s], self.slot_cols[s])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn operators_stay_small() {
+        // 160 bytes is what an operator took before operators carried page
+        // cursors. `compile` allocates `len * size_of::<Op>()` per query:
+        // a microsecond point read must not pay for paged-read state.
+        assert!(std::mem::size_of::<Op<'_>>() <= 160, "{}", std::mem::size_of::<Op<'_>>());
+    }
+
+    #[test]
+    fn cursor_hands_out_serial_morsel_sequence() {
+        let c = ScanCursor::new(2500);
+        assert_eq!(c.claim(SCAN_MORSEL as u64), Some((0, 1024)));
+        assert_eq!(c.claim(SCAN_MORSEL as u64), Some((1024, 2048)));
+        assert_eq!(c.claim(SCAN_MORSEL as u64), Some((2048, 2500)));
+        assert_eq!(c.claim(SCAN_MORSEL as u64), None);
+        assert_eq!(c.claim(SCAN_MORSEL as u64), None, "stays drained");
+    }
+
+    #[test]
+    fn cursor_partitions_exactly_under_concurrency() {
+        let total = 10_000u64;
+        let c = ScanCursor::new(total);
+        let ranges: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut got = Vec::new();
+                        while let Some(r) = c.claim(64) {
+                            got.push(r);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        let mut ranges = ranges;
+        ranges.sort_unstable();
+        // Disjoint, gap-free cover of [0, total).
+        let mut expect = 0;
+        for (s, e) in ranges {
+            assert_eq!(s, expect);
+            check_morsel_bounds(s, e, total).unwrap();
+            expect = e;
+        }
+        assert_eq!(expect, total);
+    }
+
+    #[test]
+    fn single_morsel_cursor_fires_once() {
+        let c = ScanCursor::new(1);
+        assert_eq!(c.claim(1), Some((0, 1)));
+        assert_eq!(c.claim(1), None);
+    }
+}

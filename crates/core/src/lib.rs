@@ -12,13 +12,14 @@
 //! * [`pred`] — compiled vectorized predicates (string predicates run on
 //!   dictionary codes);
 //! * [`exec`] — the LBP operators (Scan, ListExtend, ColumnExtend,
-//!   property readers, Filter), the grouped/top-k/distinct sinks, and
-//!   per-worker pipeline compilation;
-//! * [`agg`] — the aggregate-state and group-table machinery shared with
-//!   the baseline engines (so grouped results agree byte-for-byte);
+//!   property readers, Filter), one file each behind a single `pull`,
+//!   per-worker pipeline compilation, and the sinks a pipeline drains into
+//!   (whole-result, row/top-k, DISTINCT, grouped);
+//! * [`agg`] — the aggregate states, whole-result fold and group table
+//!   shared with the baseline engines (so results agree byte-for-byte);
 //! * [`driver`] — the morsel-driven pipeline driver: [`ExecOptions`],
-//!   parallel workers over a shared scan cursor, and the factorized
-//!   aggregation sinks with their partial-state merge;
+//!   parallel workers over a shared scan cursor, each draining its
+//!   pipeline in one loop, and the merge of their sinks at the barrier;
 //! * [`govern`] — per-query fault domains: the [`govern::QueryGovernor`]
 //!   enforcing time/memory budgets and cooperative cancellation at morsel
 //!   boundaries, over the shared token storage faults report into;

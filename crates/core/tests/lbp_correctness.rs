@@ -1,6 +1,5 @@
 //! End-to-end correctness of the list-based processor on the running
-//! example graph and on generated data, across every storage configuration
-//! (DESIGN.md invariants 6 and 7).
+//! example graph and on generated data, across every storage configuration.
 
 use std::sync::Arc;
 

@@ -1,4 +1,5 @@
-//! Seeded synthetic dataset generators (DESIGN.md §3 substitutions).
+//! Seeded synthetic dataset generators (the "§8 datasets" row of
+//! ARCHITECTURE.md's paper section → module map).
 //!
 //! The paper evaluates on LDBC SNB (SF10/SF100), IMDb/JOB, and two KONECT
 //! graphs (FLICKR, WIKI). Those datasets are multi-hundred-gigabyte and/or

@@ -1,6 +1,6 @@
 //! LDBC-SNB-like social network generator.
 //!
-//! Substitute for the LDBC SF10/SF100 datasets (DESIGN.md §3). Preserves the
+//! Substitute for the LDBC SF10/SF100 datasets. Preserves the
 //! structural ratios the paper's techniques exploit:
 //!
 //! * 8 vertex labels, 16 edge labels — ~10 of them property-less and ~10

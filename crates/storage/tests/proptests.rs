@@ -1,5 +1,5 @@
-//! Property-based tests of the storage invariants (DESIGN.md §5,
-//! invariants 4 and 5), of the snapshot-read invariant at the seam
+//! Property-based tests of the storage invariants, of the snapshot-read
+//! invariant at the seam
 //! every engine reads it through — `GraphView` over either baseline layout
 //! agrees with a rebuild of [`merged_raw`] — of the persistent containers
 //! the delta is kept in: each agrees with its std model, and a published

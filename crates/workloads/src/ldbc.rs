@@ -5,8 +5,7 @@
 //! The paper's modifications (Section 8.7.1) are inherited: variable-length
 //! paths are fixed to their maximum length, shortest-path queries and
 //! edge-(non)existence predicates are removed, and ORDER BY is dropped.
-//! Two further schema-level adaptations of ours (documented in
-//! EXPERIMENTS.md): `replyOf` targets posts only, so IS07's
+//! Two further schema-level adaptations of ours: `replyOf` targets posts only, so IS07's
 //! comment-of-comment step goes through the common parent post; and
 //! inequality joins (`t2 <> t1` in IC06) are dropped since the engines do
 //! not support variable inequality predicates.

@@ -341,9 +341,9 @@
 //! `crates/frontend/GRAMMAR.md`; `examples/query_repl.rs` is an interactive
 //! shell over the same entry points.
 //!
-//! See `ARCHITECTURE.md` for the paper-section → module map, `DESIGN.md`
-//! for the system inventory and `EXPERIMENTS.md` for the paper-vs-measured
-//! record of every table and figure.
+//! See `ARCHITECTURE.md` for the paper-section → module map and README.md,
+//! "Layout of the paper's experiments", for the bench target behind every
+//! table and figure.
 
 /// The three baseline engines of the evaluation (Section 8): GF-CV
 /// (columnar + Volcano), GF-RV (row store + Volcano) and the relational

@@ -1,6 +1,7 @@
 //! Workspace-level integration tests: the full stack (datagen -> storage ->
 //! planner -> all four engines) on the benchmark workloads, plus randomized
-//! cross-engine equivalence (DESIGN.md invariant 6 at scale).
+//! cross-engine equivalence at scale (ARCHITECTURE.md, "Data flow of one
+//! query").
 
 use std::sync::Arc;
 
