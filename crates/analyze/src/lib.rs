@@ -14,6 +14,7 @@
 //! | `pub-undocumented` | the facade `src/lib.rs` | top-level `pub` items without a doc comment |
 //! | `env-mutation` | every source *and test* file | `set_var(` / `remove_var(`: tests in one binary share the process environment |
 //! | `ambient-env` | shipped library code under `src/` and `crates/*/src/`, except the config module, `crates/bench/` and binaries | `env::var(` / `env::var_os(` / `env::vars(`: configuration is parsed once, by `gfcl_core::Config` |
+//! | `scalar-storage-read` | the engines' operators, the baselines, the store and the delta store | `get_i64(` / `iter_list(`: the two cursor-less reads storage keeps for the benchmark's probes; every reader walks storage through its own `ReadCursors` |
 //!
 //! A finding is suppressed by a `// lint: allow(reason)` comment on the
 //! same line or the line above — the annotation *is* the justification and
@@ -71,6 +72,10 @@ pub struct FileClass {
     /// (`crates/core/src/config.rs`) and the process edges that call it —
     /// the bench crate and binaries — are not library code.
     pub library: bool,
+    /// A reader of columnar storage: the operators, the baseline engines,
+    /// the store and the delta store. Each owns the page cursors it reads
+    /// through, so a cursor-less read here is a pin per value.
+    pub storage_reader: bool,
 }
 
 /// Files on the query/page hot path (see `ARCHITECTURE.md`); an entry
@@ -124,6 +129,15 @@ const HOT_PATHS: &[&str] = &[
 /// macros here are rejected even with a `// lint: allow` annotation.
 const READ_PATHS: &[&str] = &["crates/storage/src/buffer_pool.rs"];
 
+/// Readers of columnar storage (an entry ending in `/` covers its whole
+/// directory): they read through reader-owned cursors only.
+const STORAGE_READERS: &[&str] = &[
+    "crates/core/src/exec/",
+    "crates/baselines/src/",
+    "crates/storage/src/store.rs",
+    "crates/storage/src/delta.rs",
+];
+
 /// Codec / on-disk-format files where checked conversions exist.
 const CODEC_PATHS: &[&str] = &[
     "crates/common/src/codec.rs",
@@ -133,10 +147,11 @@ const CODEC_PATHS: &[&str] = &[
 
 /// Classify a workspace-relative path into its applicable rule groups.
 pub fn classify(rel_path: &str) -> FileClass {
+    let listed = |paths: &[&str]| {
+        paths.iter().any(|&p| rel_path == p || (p.ends_with('/') && rel_path.starts_with(p)))
+    };
     FileClass {
-        hot_path: HOT_PATHS
-            .iter()
-            .any(|&p| rel_path == p || (p.ends_with('/') && rel_path.starts_with(p))),
+        hot_path: listed(HOT_PATHS),
         codec: CODEC_PATHS.contains(&rel_path),
         facade: rel_path == "src/lib.rs",
         read_path: READ_PATHS.contains(&rel_path),
@@ -146,6 +161,7 @@ pub fn classify(rel_path: &str) -> FileClass {
             && !rel_path.contains("src/bin/")
             && !rel_path.starts_with("crates/bench/")
             && rel_path != "crates/core/src/config.rs",
+        storage_reader: listed(STORAGE_READERS),
     }
 }
 
@@ -370,6 +386,19 @@ pub fn scan_source(rel_path: &str, source: &str, class: FileClass) -> Vec<Findin
                      `gfcl_core::Config` and take the parsed value as an argument"
                         .into(),
                 );
+            }
+            if class.storage_reader {
+                if let Some(pat) = ["get_i64(", "iter_list("].iter().find(|p| line.contains(*p)) {
+                    emit(
+                        "scalar-storage-read",
+                        format!(
+                            "cursor-less `{pat}` in a storage reader: read through the \
+                             reader's own `ReadCursors` (`get_i64_with`, `nbr_at_with`, \
+                             `BaselineRead::for_each_adj_entry`) — the scalar read pins a \
+                             page per value and exists only for the benchmark's probes"
+                        ),
+                    );
+                }
             }
             if class.codec {
                 if let Some(t) = narrowing_cast(&line) {
@@ -664,6 +693,43 @@ mod tests {
         assert!(rules("let d = std::env::temp_dir();", driver).is_empty());
         assert!(rules("// never call env::var( here", driver).is_empty());
         assert!(rules("let m = \"env::var(\";", driver).is_empty());
+    }
+
+    #[test]
+    fn scalar_storage_reads_are_flagged_in_storage_readers_only() {
+        for reader in [
+            "crates/core/src/exec/read.rs",
+            "crates/baselines/src/volcano.rs",
+            "crates/baselines/src/relational.rs",
+            "crates/storage/src/store.rs",
+            "crates/storage/src/delta.rs",
+        ] {
+            let class = classify(reader);
+            assert!(class.storage_reader, "{reader}");
+            for src in ["let v = col.get_i64(i);", "for (pos, nbr) in csr.iter_list(v) {}"] {
+                assert_eq!(rules(src, class), vec!["scalar-storage-read"], "{reader}: {src}");
+            }
+            // The cursor reads are the point; comments, string literals, a
+            // justified line and the test tail pass.
+            assert!(rules("let v = col.get_i64_with(&mut cur.col, i);", class).is_empty());
+            assert!(rules("// never call get_i64( here", class).is_empty());
+            assert!(rules("let m = \"iter_list(\";", class).is_empty());
+            assert!(rules("// lint: allow(probe)\nlet v = col.get_i64(i);", class).is_empty());
+            let tail = "fn f() {}\n#[cfg(test)]\nmod tests {\n    csr.iter_list(0);\n}\n";
+            assert!(rules(tail, class).is_empty());
+        }
+        // Storage itself defines the two reads, and the benchmark and the
+        // examples call them.
+        for other in [
+            "crates/columnar/src/column.rs",
+            "crates/storage/src/csr.rs",
+            "crates/storage/src/columnar_graph.rs",
+            "crates/core/src/plan.rs",
+            "crates/bench/benches/micro.rs",
+        ] {
+            assert!(!classify(other).storage_reader, "{other}");
+            assert!(rules("let v = col.get_i64(i);", classify(other)).is_empty(), "{other}");
+        }
     }
 
     #[test]

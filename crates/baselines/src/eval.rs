@@ -24,7 +24,7 @@ pub fn scan_prop_map(slots: &[SlotDef], node: usize) -> Vec<usize> {
 }
 
 /// Evaluate `expr` with slot values provided by `slot`. `None` = UNKNOWN.
-pub fn eval_expr(expr: &PlanExpr, slot: &impl Fn(SlotId) -> Value) -> Option<bool> {
+pub fn eval_expr(expr: &PlanExpr, slot: &mut impl FnMut(SlotId) -> Value) -> Option<bool> {
     match expr {
         PlanExpr::Cmp { op, lhs, rhs } => {
             let a = scalar(lhs, slot);
@@ -83,13 +83,13 @@ pub fn eval_expr(expr: &PlanExpr, slot: &impl Fn(SlotId) -> Value) -> Option<boo
 }
 
 /// TRUE-only convenience.
-pub fn holds(expr: &PlanExpr, slot: &impl Fn(SlotId) -> Value) -> bool {
+pub fn holds(expr: &PlanExpr, slot: &mut impl FnMut(SlotId) -> Value) -> bool {
     eval_expr(expr, slot) == Some(true)
 }
 
 /// The baselines run literal-inlined plans only (`require_literals` is
 /// checked before any row is read), so a parameter never reaches here.
-fn scalar(s: &PlanScalar, slot: &impl Fn(SlotId) -> Value) -> Value {
+fn scalar(s: &PlanScalar, slot: &mut impl FnMut(SlotId) -> Value) -> Value {
     match s {
         PlanScalar::Slot(i) => slot(*i),
         PlanScalar::Const(c) => c.clone(),
@@ -119,40 +119,40 @@ mod tests {
 
     #[test]
     fn cmp_and_strings() {
-        let s = slots(vec![Value::Int64(5), Value::String("production company".into())]);
+        let mut s = slots(vec![Value::Int64(5), Value::String("production company".into())]);
         let gt = PlanExpr::Cmp {
             op: CmpOp::Gt,
             lhs: PlanScalar::Slot(0),
             rhs: PlanScalar::Const(Value::Int64(3)),
         };
-        assert_eq!(eval_expr(&gt, &s), Some(true));
+        assert_eq!(eval_expr(&gt, &mut s), Some(true));
         let m = PlanExpr::StrMatch { op: StrOp::Contains, slot: 1, pattern: "duction".into() };
-        assert_eq!(eval_expr(&m, &s), Some(true));
+        assert_eq!(eval_expr(&m, &mut s), Some(true));
         let m = PlanExpr::StrMatch { op: StrOp::StartsWith, slot: 1, pattern: "company".into() };
-        assert_eq!(eval_expr(&m, &s), Some(false));
+        assert_eq!(eval_expr(&m, &mut s), Some(false));
     }
 
     #[test]
     fn null_propagates_as_unknown() {
-        let s = slots(vec![Value::Null]);
+        let mut s = slots(vec![Value::Null]);
         let e = PlanExpr::Cmp {
             op: CmpOp::Eq,
             lhs: PlanScalar::Slot(0),
             rhs: PlanScalar::Const(Value::Int64(0)),
         };
-        assert_eq!(eval_expr(&e, &s), None);
-        assert!(!holds(&e, &s));
+        assert_eq!(eval_expr(&e, &mut s), None);
+        assert!(!holds(&e, &mut s));
         let in_set = PlanExpr::InSet { slot: 0, values: vec![Value::Int64(1)] };
-        assert_eq!(eval_expr(&in_set, &s), None);
+        assert_eq!(eval_expr(&in_set, &mut s), None);
     }
 
     #[test]
     fn in_set_compares_values() {
-        let s = slots(vec![Value::String("follows".into())]);
+        let mut s = slots(vec![Value::String("follows".into())]);
         let e = PlanExpr::InSet {
             slot: 0,
             values: vec![Value::String("follows".into()), Value::String("featured".into())],
         };
-        assert_eq!(eval_expr(&e, &s), Some(true));
+        assert_eq!(eval_expr(&e, &mut s), Some(true));
     }
 }

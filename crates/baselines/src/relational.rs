@@ -23,7 +23,7 @@ use gfcl_common::{Direction, Error, LabelId, Result, Value};
 use gfcl_core::agg::{self, GroupTable, ScalarAgg};
 use gfcl_core::engine::{Engine, QueryOutput};
 use gfcl_core::plan::{seek_key, LogicalPlan, PlanReturn, PlanStep};
-use gfcl_storage::{Catalog, ColumnarGraph, DeltaSnapshot, GraphSnapshot, GraphView};
+use gfcl_storage::{Catalog, ColumnarGraph, DeltaSnapshot, GraphSnapshot, GraphView, ReadCursors};
 
 use crate::eval::holds;
 use crate::in_fault_domain;
@@ -94,13 +94,14 @@ impl RelEngine {
 /// adjacency indexes avoid.
 fn build_edge_hash(
     view: GraphView<'_>,
+    cur: &mut ReadCursors,
     elabel: LabelId,
     dir: Direction,
 ) -> HashMap<u64, Vec<(u64, u64)>> {
     let from_label = view.base().catalog().edge_label(elabel).from_label(dir);
     let mut table: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
     for v in 0..view.scan_total(from_label) {
-        view.for_each_live_edge(elabel, dir, v, |nbr, tag| {
+        view.for_each_live_edge(cur, elabel, dir, v, |nbr, tag| {
             table.entry(v).or_default().push((nbr, tag));
         });
     }
@@ -128,6 +129,8 @@ fn drive(view: GraphView<'_>, plan: &LogicalPlan) -> Result<QueryOutput> {
     let mut it = Inter::new(plan);
 
     for step in &plan.steps {
+        // Each step reads storage through its own cursors.
+        let cur = &mut ReadCursors::default();
         match step {
             PlanStep::ScanAll { node, pushed } => {
                 let label = plan.nodes[*node].label;
@@ -139,7 +142,9 @@ fn drive(view: GraphView<'_>, plan: &LogicalPlan) -> Result<QueryOutput> {
                     .filter(|&v| {
                         view.vertex_live(label, v)
                             && pushed.iter().all(|e| {
-                                holds(e, &|slot| view.vertex_value(label, v, prop_of_slot[slot]))
+                                holds(e, &mut |slot| {
+                                    view.vertex_value(&mut cur.col, label, v, prop_of_slot[slot])
+                                })
                             })
                     })
                     .collect();
@@ -159,14 +164,15 @@ fn drive(view: GraphView<'_>, plan: &LogicalPlan) -> Result<QueryOutput> {
                 let matches: Vec<u64> = (0..view.scan_total(label))
                     .filter(|&v| {
                         view.vertex_live(label, v)
-                            && view.vertex_value(label, v, pk_prop) == Value::Int64(key)
+                            && view.vertex_value(&mut cur.col, label, v, pk_prop)
+                                == Value::Int64(key)
                     })
                     .collect();
                 it.n = matches.len();
                 it.nodes[*node] = Some(matches);
             }
             PlanStep::Extend { edge, edge_label, dir, from, to, .. } => {
-                let hash = build_edge_hash(view, *edge_label, *dir);
+                let hash = build_edge_hash(view, cur, *edge_label, *dir);
                 let probe =
                     it.nodes[*from].as_ref().ok_or_else(|| Error::Plan("unbound from".into()))?;
                 // Probe: one output row per (input row, matching edge).
@@ -192,8 +198,9 @@ fn drive(view: GraphView<'_>, plan: &LogicalPlan) -> Result<QueryOutput> {
                 let label = plan.nodes[*node].label;
                 let offs =
                     it.nodes[*node].as_ref().ok_or_else(|| Error::Plan("unbound node".into()))?;
+                let col = &mut cur.col;
                 it.slots[*slot] =
-                    Some(offs.iter().map(|&v| view.vertex_value(label, v, *prop)).collect());
+                    Some(offs.iter().map(|&v| view.vertex_value(col, label, v, *prop)).collect());
             }
             PlanStep::EdgeProp { edge, prop, slot } => {
                 let elabel = plan.edges[*edge].label;
@@ -201,7 +208,7 @@ fn drive(view: GraphView<'_>, plan: &LogicalPlan) -> Result<QueryOutput> {
                     it.edges[*edge].as_ref().ok_or_else(|| Error::Plan("unbound edge".into()))?;
                 let mut vals = Vec::with_capacity(it.n);
                 for i in 0..it.n {
-                    vals.push(view.edge_value(elabel, ec.dir, ec.from[i], ec.tag[i], *prop)?);
+                    vals.push(view.edge_value(cur, elabel, ec.dir, ec.from[i], ec.tag[i], *prop)?);
                 }
                 it.slots[*slot] = Some(vals);
             }
@@ -209,10 +216,10 @@ fn drive(view: GraphView<'_>, plan: &LogicalPlan) -> Result<QueryOutput> {
                 let mut keep = Vec::with_capacity(it.n);
                 for i in 0..it.n {
                     let slots = &it.slots;
-                    let read = |s: usize| -> Value {
+                    let mut read = |s: usize| -> Value {
                         slots[s].as_ref().map_or(Value::Null, |c| c[i].clone())
                     };
-                    if holds(expr, &read) {
+                    if holds(expr, &mut read) {
                         keep.push(i);
                     }
                 }

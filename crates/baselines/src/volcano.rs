@@ -4,17 +4,20 @@
 //! calls, exactly as in GraphflowDB's original processor (and Neo4j /
 //! Memgraph): values are produced one at a time, properties are read into
 //! the tuple as [`Value`]s, and every primitive computation pays an
-//! iterator-call round trip. The executor is generic over the baseline
-//! behind a [`GraphView`], so the same processor runs on the row store
-//! (GF-RV) and on columnar storage (GF-CV), isolating processing gains from
-//! storage gains as in Section 8.6 — and both observe `(baseline ⊎ delta) ∖
-//! tombstones` through the one overlay in `gfcl_storage`.
+//! iterator-call round trip. Each operator that reads storage owns its
+//! [`ReadCursors`], so on a paged graph a value costs a pin only when it
+//! lies on a page the operator has not touched recently. The executor is
+//! generic over the baseline behind a [`GraphView`], so the same processor
+//! runs on the row store (GF-RV) and on columnar storage (GF-CV), isolating
+//! processing gains from storage gains as in Section 8.6 — and both observe
+//! `(baseline ⊎ delta) ∖ tombstones` through the one overlay in
+//! `gfcl_storage`.
 
 use gfcl_common::{Direction, Error, LabelId, Result, Value};
 use gfcl_core::agg::{self, GroupTable, ScalarAgg};
 use gfcl_core::engine::QueryOutput;
 use gfcl_core::plan::{seek_key, LogicalPlan, PlanExpr, PlanReturn, PlanStep};
-use gfcl_storage::{BaselineRead, GraphView};
+use gfcl_storage::{BaselineRead, GraphView, ReadCursors};
 
 use crate::eval::holds;
 
@@ -49,6 +52,7 @@ enum VOp {
         /// pushed-predicate slots against storage (`usize::MAX` for slots
         /// of other variables, which pushed predicates never touch).
         prop_of_slot: Vec<usize>,
+        cur: ReadCursors,
     },
     ScanPk {
         label: LabelId,
@@ -64,12 +68,14 @@ enum VOp {
         edge: usize,
         /// What is left of the current source vertex's adjacency.
         state: ExtendState,
+        cur: ReadCursors,
     },
     ReadNodeProp {
         label: LabelId,
         node: usize,
         prop: usize,
         slot: usize,
+        cur: ReadCursors,
     },
     ReadEdgeProp {
         elabel: LabelId,
@@ -77,6 +83,7 @@ enum VOp {
         edge: usize,
         prop: usize,
         slot: usize,
+        cur: ReadCursors,
     },
     Filter {
         expr: PlanExpr,
@@ -101,16 +108,14 @@ enum ExtendState {
 fn vpull<B: BaselineRead>(ops: &mut [VOp], s: GraphView<'_, B>, t: &mut Tuple) -> Result<bool> {
     let (op, children) = ops.split_last_mut().expect("non-empty pipeline");
     match op {
-        VOp::ScanAll { label, node, next, total, pushed, prop_of_slot } => loop {
+        VOp::ScanAll { label, node, next, total, pushed, prop_of_slot, cur } => loop {
             if *next >= *total {
                 return Ok(false);
             }
             let v = *next;
             *next += 1;
-            let pass = s.vertex_live(*label, v)
-                && pushed
-                    .iter()
-                    .all(|e| holds(e, &|slot| s.vertex_value(*label, v, prop_of_slot[slot])));
+            let mut read = |slot| s.vertex_value(&mut cur.col, *label, v, prop_of_slot[slot]);
+            let pass = s.vertex_live(*label, v) && pushed.iter().all(|e| holds(e, &mut read));
             if pass {
                 t.nodes[*node] = v;
                 return Ok(true);
@@ -129,12 +134,12 @@ fn vpull<B: BaselineRead>(ops: &mut [VOp], s: GraphView<'_, B>, t: &mut Tuple) -
                 None => Ok(false),
             }
         }
-        VOp::Extend { elabel, dir, from, to, edge, state } => loop {
+        VOp::Extend { elabel, dir, from, to, edge, state, cur } => loop {
             let next = match state {
                 ExtendState::Base { pos, end } => {
                     let mut hit = None;
                     while hit.is_none() && *pos < *end {
-                        hit = s.base_entry(*elabel, *dir, *pos);
+                        hit = s.base_entry(cur, *elabel, *dir, *pos);
                         *pos += 1;
                     }
                     hit
@@ -158,24 +163,24 @@ fn vpull<B: BaselineRead>(ops: &mut [VOp], s: GraphView<'_, B>, t: &mut Tuple) -
             *state = match s.untouched_range(*elabel, *dir, src) {
                 Some((start, len)) => ExtendState::Base { pos: start, end: start + len },
                 None => {
-                    let (nbrs, tags) = s.merged_adj(*elabel, *dir, src);
+                    let (nbrs, tags) = s.merged_adj(cur, *elabel, *dir, src);
                     ExtendState::Merged { nbrs, tags, pos: 0 }
                 }
             };
         },
-        VOp::ReadNodeProp { label, node, prop, slot } => {
+        VOp::ReadNodeProp { label, node, prop, slot, cur } => {
             if !vpull(children, s, t)? {
                 return Ok(false);
             }
-            t.slots[*slot] = s.vertex_value(*label, t.nodes[*node], *prop);
+            t.slots[*slot] = s.vertex_value(&mut cur.col, *label, t.nodes[*node], *prop);
             Ok(true)
         }
-        VOp::ReadEdgeProp { elabel, dir, edge, prop, slot } => {
+        VOp::ReadEdgeProp { elabel, dir, edge, prop, slot, cur } => {
             if !vpull(children, s, t)? {
                 return Ok(false);
             }
             let e = t.edges[*edge];
-            t.slots[*slot] = s.edge_value(*elabel, *dir, e.from, e.tag, *prop)?;
+            t.slots[*slot] = s.edge_value(cur, *elabel, *dir, e.from, e.tag, *prop)?;
             Ok(true)
         }
         VOp::Filter { expr } => loop {
@@ -183,7 +188,7 @@ fn vpull<B: BaselineRead>(ops: &mut [VOp], s: GraphView<'_, B>, t: &mut Tuple) -
                 return Ok(false);
             }
             let slots = &t.slots;
-            if holds(expr, &|i| slots[i].clone()) {
+            if holds(expr, &mut |i| slots[i].clone()) {
                 return Ok(true);
             }
         },
@@ -208,6 +213,7 @@ pub fn execute<B: BaselineRead>(view: GraphView<'_, B>, plan: &LogicalPlan) -> R
                     total: view.scan_total(label),
                     pushed: pushed.clone(),
                     prop_of_slot,
+                    cur: ReadCursors::default(),
                 });
             }
             PlanStep::ScanPk { node, key } => {
@@ -227,6 +233,7 @@ pub fn execute<B: BaselineRead>(view: GraphView<'_, B>, plan: &LogicalPlan) -> R
                     to: *to,
                     edge: *edge,
                     state: ExtendState::Idle,
+                    cur: ReadCursors::default(),
                 });
             }
             PlanStep::NodeProp { node, prop, slot } => {
@@ -235,6 +242,7 @@ pub fn execute<B: BaselineRead>(view: GraphView<'_, B>, plan: &LogicalPlan) -> R
                     node: *node,
                     prop: *prop,
                     slot: *slot,
+                    cur: ReadCursors::default(),
                 });
             }
             PlanStep::EdgeProp { edge, prop, slot } => {
@@ -246,6 +254,7 @@ pub fn execute<B: BaselineRead>(view: GraphView<'_, B>, plan: &LogicalPlan) -> R
                     edge: *edge,
                     prop: *prop,
                     slot: *slot,
+                    cur: ReadCursors::default(),
                 });
             }
             PlanStep::Filter { expr } => ops.push(VOp::Filter { expr: expr.clone() }),

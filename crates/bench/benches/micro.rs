@@ -3,7 +3,9 @@
 //! lookup, and the two edge-property access paths of the property pages.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use gfcl_columnar::{Bitmap, Column, Dictionary, JacobsonRank, NullKind, RankParams, UIntArray};
+use gfcl_columnar::{
+    Bitmap, Column, Dictionary, JacobsonRank, NullKind, PageCursor, RankParams, UIntArray,
+};
 use gfcl_common::{DataType, Direction};
 use gfcl_storage::{ColumnarGraph, StorageConfig};
 
@@ -89,13 +91,18 @@ fn bench_edge_prop_paths(c: &mut Criterion) {
     // Forward: iterate a batch of adjacency lists reading ts in list order.
     grp.bench_function("fwd_list_order_1k_vertices", |b| {
         let read = g.edge_prop_read(link, Direction::Fwd, 0).unwrap();
+        let col = read.column();
+        let (mut cur, mut ids, mut nbr) = (PageCursor::new(), PageCursor::new(), PageCursor::new());
+        let mut flat = Vec::new();
         b.iter(|| {
             let mut acc = 0i64;
             for v in 0..1000u64 {
                 let (start, len) = fwd.list(v);
-                for p in start..start + len as u64 {
-                    let (col, flat) = g.resolve_edge_prop(read, link, Direction::Fwd, v, Some(p));
-                    acc += col.get_i64(flat as usize).unwrap_or(0);
+                flat.clear();
+                read.resolve_list(fwd, v, start..start + len as u64, &mut ids, &mut nbr, &mut flat)
+                    .unwrap();
+                for &f in &flat {
+                    acc += col.get_i64_with(&mut cur, f as usize).unwrap_or(0);
                 }
             }
             acc
@@ -105,13 +112,18 @@ fn bench_edge_prop_paths(c: &mut Criterion) {
     let bwd = g.adj(link, Direction::Bwd).as_csr().unwrap();
     grp.bench_function("bwd_random_1k_vertices", |b| {
         let read = g.edge_prop_read(link, Direction::Bwd, 0).unwrap();
+        let col = read.column();
+        let (mut cur, mut ids, mut nbr) = (PageCursor::new(), PageCursor::new(), PageCursor::new());
+        let mut flat = Vec::new();
         b.iter(|| {
             let mut acc = 0i64;
             for v in (0..n).step_by((n as usize / 1000).max(1)) {
                 let (start, len) = bwd.list(v);
-                for p in start..start + len as u64 {
-                    let (col, flat) = g.resolve_edge_prop(read, link, Direction::Bwd, v, Some(p));
-                    acc += col.get_i64(flat as usize).unwrap_or(0);
+                flat.clear();
+                read.resolve_list(bwd, v, start..start + len as u64, &mut ids, &mut nbr, &mut flat)
+                    .unwrap();
+                for &f in &flat {
+                    acc += col.get_i64_with(&mut cur, f as usize).unwrap_or(0);
                 }
             }
             acc

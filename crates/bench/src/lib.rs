@@ -247,17 +247,6 @@ pub fn banner(title: &str, paper_ref: &str) {
     println!();
 }
 
-/// Run a query on several engines, returning `(name, secs, cardinality)`.
-pub fn race(engines: &[&dyn Engine], q: &gfcl_core::PatternQuery) -> Vec<(String, f64, u64)> {
-    engines
-        .iter()
-        .map(|e| {
-            let (secs, card) = time_query(*e, q);
-            (e.name().to_owned(), secs, card)
-        })
-        .collect()
-}
-
 /// Extract a count (microbench sanity checks).
 pub fn expect_count(o: &QueryOutput) -> u64 {
     o.as_count().expect("count output")

@@ -207,7 +207,10 @@ impl Column {
         !self.nulls.is_valid(i)
     }
 
-    /// Read an `Int64`/`Date` value.
+    /// Read an `Int64`/`Date` value without a cursor: one pin per value on
+    /// a paged column. Kept only because the benchmark's column-read probe
+    /// calls it; every engine reads through [`Column::get_i64_with`] or a
+    /// range read.
     #[inline]
     pub fn get_i64(&self, i: usize) -> Option<i64> {
         match &self.data {
@@ -216,44 +219,9 @@ impl Column {
         }
     }
 
-    #[inline]
-    pub fn get_f64(&self, i: usize) -> Option<f64> {
-        match &self.data {
-            ColumnData::F64(v) => self.nulls.physical(i).map(|p| v.get(p)),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    pub fn get_bool(&self, i: usize) -> Option<bool> {
-        match &self.data {
-            ColumnData::Bool(v) => self.nulls.physical(i).map(|p| v.get(p)),
-            _ => None,
-        }
-    }
-
-    /// Read a dictionary code (string columns only).
-    #[inline]
-    pub fn get_code(&self, i: usize) -> Option<u64> {
-        match &self.data {
-            ColumnData::Str { codes, .. } => self.nulls.physical(i).map(|p| codes.get(p)),
-            _ => None,
-        }
-    }
-
-    /// Read and decode a string value.
-    #[inline]
-    pub fn get_str(&self, i: usize) -> Option<&str> {
-        match &self.data {
-            ColumnData::Str { dict, codes } => {
-                self.nulls.physical(i).map(|p| dict.decode(codes.get(p)))
-            }
-            _ => None,
-        }
-    }
-
-    /// [`Column::get_i64`] through a reader-owned page cursor: a gather
-    /// over one page of a paged column pins it once, not once per value.
+    /// Read an `Int64`/`Date` value through a reader-owned page cursor: a
+    /// gather over one page of a paged column pins it once, not once per
+    /// value. A NULL, or a column of another type, reads as `None`.
     #[inline]
     pub fn get_i64_with(&self, cur: &mut PageCursor, i: usize) -> Option<i64> {
         match &self.data {
@@ -278,7 +246,8 @@ impl Column {
         }
     }
 
-    /// [`Column::get_code`] through a reader-owned page cursor.
+    /// Read a dictionary code (string columns only) through a reader-owned
+    /// page cursor.
     #[inline]
     pub fn get_code_with(&self, cur: &mut PageCursor, i: usize) -> Option<u64> {
         match &self.data {
@@ -291,7 +260,7 @@ impl Column {
     /// validity flag per row (a NULL row reads as the default value,
     /// `false`). A NULL-free column is one range read of the value array;
     /// otherwise the NULL map is consulted per row, exactly as
-    /// [`Column::get_i64`] does, and the values step through `cur`.
+    /// [`Column::get_i64_with`] does, and the values step through `cur`.
     fn read_rows<T: Copy + Default>(
         &self,
         arr: &impl Values<T>,
@@ -314,7 +283,7 @@ impl Column {
     }
 
     /// Typed block read of an `Int64`/`Date` column (see
-    /// [`Column::get_i64`] for the per-row semantics); a column of another
+    /// [`Column::get_i64_with`] for the per-row semantics); a column of another
     /// type reads as all-NULL, as the scalar accessor does.
     pub fn read_i64_range(
         &self,
@@ -373,19 +342,20 @@ impl Column {
         }
     }
 
-    /// Read as a dynamically-typed [`Value`].
-    pub fn value(&self, i: usize) -> Value {
+    /// Read row `i` as a dynamically-typed [`Value`], through a
+    /// reader-owned page cursor.
+    pub fn value(&self, cur: &mut PageCursor, i: usize) -> Value {
         match &self.data {
-            ColumnData::I64(_) => match self.get_i64(i) {
+            ColumnData::I64(_) => match self.get_i64_with(cur, i) {
                 Some(v) if self.dtype == DataType::Date => Value::Date(v),
                 Some(v) => Value::Int64(v),
                 None => Value::Null,
             },
-            ColumnData::F64(_) => self.get_f64(i).map_or(Value::Null, Value::Float64),
-            ColumnData::Bool(_) => self.get_bool(i).map_or(Value::Null, Value::Bool),
-            ColumnData::Str { .. } => {
-                self.get_str(i).map_or(Value::Null, |s| Value::String(s.to_owned()))
-            }
+            ColumnData::F64(_) => self.get_f64_with(cur, i).map_or(Value::Null, Value::Float64),
+            ColumnData::Bool(_) => self.get_bool_with(cur, i).map_or(Value::Null, Value::Bool),
+            ColumnData::Str { dict, .. } => self
+                .get_code_with(cur, i)
+                .map_or(Value::Null, |c| Value::String(dict.decode(c).to_owned())),
         }
     }
 
@@ -409,10 +379,6 @@ impl Column {
             ColumnData::Str { dict, .. } => Some(dict),
             _ => None,
         }
-    }
-
-    pub fn null_map(&self) -> &NullMap {
-        &self.nulls
     }
 
     pub fn data(&self) -> &ColumnData {
@@ -627,8 +593,9 @@ mod tests {
     #[test]
     fn date_column_values() {
         let col = Column::from_i64(DataType::Date, &[Some(100), None], NullKind::Uncompressed);
-        assert_eq!(col.value(0), Value::Date(100));
-        assert_eq!(col.value(1), Value::Null);
+        let mut cur = PageCursor::new();
+        assert_eq!(col.value(&mut cur, 0), Value::Date(100));
+        assert_eq!(col.value(&mut cur, 1), Value::Null);
     }
 
     #[test]
@@ -636,11 +603,16 @@ mod tests {
         let values = vec![Some("de"), Some("us"), None, Some("de"), Some("fr")];
         for kind in kinds() {
             let col = Column::from_str(&values, kind, true);
-            assert_eq!(col.get_str(0), Some("de"));
-            assert_eq!(col.get_str(2), None);
-            assert_eq!(col.get_str(3), Some("de"));
-            assert_eq!(col.get_code(0), col.get_code(3), "same string, same code");
-            assert_ne!(col.get_code(0), col.get_code(4));
+            let cur = &mut PageCursor::new();
+            assert_eq!(col.value(cur, 0), Value::String("de".into()));
+            assert_eq!(col.value(cur, 2), Value::Null);
+            assert_eq!(col.value(cur, 3), Value::String("de".into()));
+            assert_eq!(
+                col.get_code_with(cur, 0),
+                col.get_code_with(cur, 3),
+                "same string, same code"
+            );
+            assert_ne!(col.get_code_with(cur, 0), col.get_code_with(cur, 4));
             let dict = col.dictionary().unwrap();
             assert_eq!(dict.len(), 3);
             assert_eq!(dict.code_width_bytes(), 1);
@@ -658,13 +630,14 @@ mod tests {
 
     #[test]
     fn f64_and_bool_columns() {
+        let cur = &mut PageCursor::new();
         let f = Column::from_f64(&[Some(1.5), None, Some(-2.0)], NullKind::jacobson_default());
-        assert_eq!(f.get_f64(0), Some(1.5));
-        assert_eq!(f.get_f64(1), None);
-        assert_eq!(f.value(2), Value::Float64(-2.0));
+        assert_eq!(f.get_f64_with(cur, 0), Some(1.5));
+        assert_eq!(f.get_f64_with(cur, 1), None);
+        assert_eq!(f.value(cur, 2), Value::Float64(-2.0));
         let b = Column::from_bool(&[Some(true), None], NullKind::Uncompressed);
-        assert_eq!(b.get_bool(0), Some(true));
-        assert_eq!(b.get_bool(1), None);
+        assert_eq!(b.get_bool_with(cur, 0), Some(true));
+        assert_eq!(b.get_bool_with(cur, 1), None);
         // Wrong-type accessor returns None rather than panicking.
         assert_eq!(b.get_i64(0), None);
     }
@@ -685,8 +658,9 @@ mod tests {
     fn all_null_string_column() {
         let values: Vec<Option<&str>> = vec![None, None];
         let col = Column::from_str(&values, NullKind::jacobson_default(), true);
-        assert_eq!(col.get_str(0), None);
-        assert_eq!(col.get_str(1), None);
+        let cur = &mut PageCursor::new();
+        assert_eq!(col.value(cur, 0), Value::Null);
+        assert_eq!(col.value(cur, 1), Value::Null);
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //!   resident vectors for built graphs, on-demand page faults through a
 //!   [`PageStore`] (the storage crate's buffer pool) for reopened ones,
 //!   read a block at a time (range reads, reader-owned [`PageCursor`]s).
+//!   A [`Column`] is read the same way: a range read per block, or a
+//!   positional read through the caller's cursor.
 
 pub mod bitmap;
 pub mod column;

@@ -16,7 +16,10 @@
 //! does:
 //!
 //! * [`ArrayData::get`] — the cold path: one page pin plus one
-//!   little-endian load per call.
+//!   little-endian load per call. No reader of a paged graph walks it:
+//!   the engines, the delta store and merge read through their own
+//!   cursors, and only the benchmark's scalar probe (`Column::get_i64`)
+//!   reads a paged array this way.
 //! * [`ArrayData::get_with`] — the same read through a reader-owned
 //!   [`PageCursor`], which keeps the pages it touched last pinned and goes
 //!   back to the store only when the page changes: a walk over one page

@@ -11,13 +11,14 @@
 //! the vertex-property columns the list-based processor scans.
 //!
 //! Zone maps live beside the column (not inside its compressed payload):
-//! the summaries are computed through the column's logical accessors, so
-//! every NULL layout (dense, sparse, Jacobson, ...) gets the same map.
+//! the summaries are computed through the column's logical block reads,
+//! so every NULL layout (dense, sparse, Jacobson, ...) gets the same map.
 
 use gfcl_common::{Error, MemoryUsage, Reader, Result, Writer};
 
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
+use crate::paged_array::PageCursor;
 
 /// Number of values summarized per zone-map block. Equal to the default
 /// scan morsel of the list-based processor, so a pruned block maps 1:1 to
@@ -98,14 +99,16 @@ impl ZoneMap {
         &self.blocks
     }
 
-    /// Build the zone map of `col` in one pass over its logical positions.
+    /// Build the zone map of `col` in one pass over its logical positions,
+    /// one range read per block.
     pub fn build(col: &Column) -> ZoneMap {
         let n = col.len();
         let mut blocks = Vec::with_capacity(n.div_ceil(ZONE_BLOCK));
         let dict_ndv = col.dictionary().map(crate::dictionary::Dictionary::len);
+        let mut read = BlockRead::default();
         for start in (0..n).step_by(ZONE_BLOCK) {
             let end = (start + ZONE_BLOCK).min(n);
-            blocks.push(summarize(col, start, end, dict_ndv));
+            blocks.push(read.summarize(col, start, end, dict_ndv));
         }
         ZoneMap { blocks }
     }
@@ -165,97 +168,87 @@ impl ZoneMap {
     }
 }
 
-/// Summarize logical positions `start..end` of `col`.
-fn summarize(col: &Column, start: usize, end: usize, dict_ndv: Option<usize>) -> ZoneEntry {
-    let len = (end - start) as u32;
-    let mut null_count = 0u32;
-    let info = match col.data() {
-        ColumnData::I64(_) => {
-            let (mut min, mut max) = (i64::MAX, i64::MIN);
-            for i in start..end {
-                match col.get_i64(i) {
-                    Some(v) => {
-                        min = min.min(v);
-                        max = max.max(v);
-                    }
-                    None => null_count += 1,
+/// The cursor and value buffers of a zone-map build, reused block to
+/// block.
+#[derive(Default)]
+struct BlockRead {
+    cur: PageCursor,
+    i64s: Vec<i64>,
+    f64s: Vec<f64>,
+    bools: Vec<bool>,
+    codes: Vec<u64>,
+    valid: Vec<bool>,
+}
+
+/// The non-NULL values of one block read.
+fn present<'a, T: Copy>(vals: &'a [T], valid: &'a [bool]) -> impl Iterator<Item = T> + 'a {
+    vals.iter().zip(valid).filter(|(_, &ok)| ok).map(|(&v, _)| v)
+}
+
+impl BlockRead {
+    /// Summarize logical positions `start..end` of `col` from one range
+    /// read of them.
+    fn summarize(
+        &mut self,
+        col: &Column,
+        start: usize,
+        end: usize,
+        dict_ndv: Option<usize>,
+    ) -> ZoneEntry {
+        let BlockRead { cur, i64s, f64s, bools, codes, valid } = self;
+        valid.clear();
+        let info = match col.data() {
+            ColumnData::I64(_) => {
+                i64s.clear();
+                col.read_i64_range(cur, start, end, i64s, valid);
+                match (present(i64s, valid).min(), present(i64s, valid).max()) {
+                    (Some(min), Some(max)) => ZoneInfo::I64 { min, max },
+                    _ => ZoneInfo::None, // all NULLs
                 }
             }
-            if min > max {
-                ZoneInfo::None // all NULLs
-            } else {
-                ZoneInfo::I64 { min, max }
-            }
-        }
-        ColumnData::F64(_) => {
-            let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-            let mut has_nan = false;
-            let mut any = false;
-            for i in start..end {
-                match col.get_f64(i) {
-                    Some(v) if v.is_nan() => {
-                        has_nan = true;
-                        any = true;
-                    }
-                    Some(v) => {
-                        min = min.min(v);
-                        max = max.max(v);
-                        any = true;
-                    }
-                    None => null_count += 1,
-                }
-            }
-            if any {
-                ZoneInfo::F64 { min, max, has_nan }
-            } else {
-                ZoneInfo::None
-            }
-        }
-        ColumnData::Bool(_) => {
-            let (mut any_true, mut any_false) = (false, false);
-            for i in start..end {
-                match col.get_bool(i) {
-                    Some(true) => any_true = true,
-                    Some(false) => any_false = true,
-                    None => null_count += 1,
-                }
-            }
-            if any_true || any_false {
-                ZoneInfo::Bool { any_true, any_false }
-            } else {
-                ZoneInfo::None
-            }
-        }
-        ColumnData::Str { .. } => {
-            let ndv = dict_ndv.unwrap_or(0);
-            if ndv > ZONE_DICT_MAX_NDV {
-                for i in start..end {
-                    if col.is_null(i) {
-                        null_count += 1;
-                    }
-                }
-                ZoneInfo::None
-            } else {
-                let mut present = Bitmap::zeros(ndv);
-                let mut any = false;
-                for i in start..end {
-                    match col.get_code(i) {
-                        Some(c) => {
-                            present.set(c as usize);
-                            any = true;
-                        }
-                        None => null_count += 1,
-                    }
-                }
-                if any {
-                    ZoneInfo::Codes { present }
+            ColumnData::F64(_) => {
+                f64s.clear();
+                col.read_f64_range(cur, start, end, f64s, valid);
+                let numbers = || present(f64s, valid).filter(|v| !v.is_nan());
+                let min = numbers().fold(f64::INFINITY, f64::min);
+                let max = numbers().fold(f64::NEG_INFINITY, f64::max);
+                let has_nan = present(f64s, valid).any(f64::is_nan);
+                if valid.contains(&true) {
+                    ZoneInfo::F64 { min, max, has_nan }
                 } else {
                     ZoneInfo::None
                 }
             }
-        }
-    };
-    ZoneEntry { len, null_count, info }
+            ColumnData::Bool(_) => {
+                bools.clear();
+                col.read_bool_range(cur, start, end, bools, valid);
+                let any_true = present(bools, valid).any(|v| v);
+                let any_false = present(bools, valid).any(|v| !v);
+                if any_true || any_false {
+                    ZoneInfo::Bool { any_true, any_false }
+                } else {
+                    ZoneInfo::None
+                }
+            }
+            ColumnData::Str { .. } => {
+                codes.clear();
+                col.read_code_range(cur, start, end, codes, valid);
+                let ndv = dict_ndv.unwrap_or(0);
+                if ndv > ZONE_DICT_MAX_NDV || !valid.contains(&true) {
+                    ZoneInfo::None
+                } else {
+                    let mut present_codes = Bitmap::zeros(ndv);
+                    for c in present(codes, valid) {
+                        present_codes.set(c as usize);
+                    }
+                    ZoneInfo::Codes { present: present_codes }
+                }
+            }
+        };
+        let len = (end - start) as u32;
+        let null_count = valid.iter().filter(|&&ok| !ok).count() as u32;
+        ZoneEntry { len, null_count, info }
+    }
 }
 
 impl MemoryUsage for ZoneMap {
@@ -358,8 +351,9 @@ mod tests {
         assert_eq!(e.null_count, 1);
         match &e.info {
             ZoneInfo::Codes { present } => {
-                let a = col.get_code(0).unwrap() as usize;
-                let b = col.get_code(1).unwrap() as usize;
+                let cur = &mut PageCursor::new();
+                let a = col.get_code_with(cur, 0).unwrap() as usize;
+                let b = col.get_code_with(cur, 1).unwrap() as usize;
                 assert!(present.get(a) && present.get(b));
                 assert_eq!(present.count_ones(), 2);
             }

@@ -1,7 +1,7 @@
 //! Property-based tests for the columnar compression invariants.
 
 use gfcl_columnar::{Bitmap, Column, JacobsonRank, NullKind, NullMap, RankParams, UIntArray};
-use gfcl_common::DataType;
+use gfcl_common::{DataType, Value};
 use proptest::prelude::*;
 
 fn null_kinds() -> Vec<NullKind> {
@@ -83,8 +83,10 @@ proptest! {
         proptest::option::weighted(0.7, "[a-e]{0,4}"), 0..200)) {
         for kind in null_kinds() {
             let col = Column::from_str(&values, kind, true);
+            let mut cur = PageCursor::new();
             for (i, v) in values.iter().enumerate() {
-                prop_assert_eq!(col.get_str(i), v.as_deref());
+                let want = v.as_ref().map_or(Value::Null, |s| Value::String(s.clone()));
+                prop_assert_eq!(col.value(&mut cur, i), want);
             }
         }
     }

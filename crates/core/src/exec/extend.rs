@@ -3,7 +3,7 @@
 //! single-cardinality edges (a neighbour column, in the source's group).
 
 use gfcl_common::{Direction, Error, LabelId, Result};
-use gfcl_storage::{AdjIndex, GraphView};
+use gfcl_storage::{AdjIndex, GraphView, ReadCursors};
 
 use super::read::{node_idx, ReadState};
 use crate::chunk::{Chunk, NodeData, ValueVector, VecRef};
@@ -95,12 +95,12 @@ impl ListExtend {
                 *active = false;
                 continue;
             };
-            let src = chunk.groups[from.group].vectors[from.vec].node_offset(g, &mut rd.nbr, i);
+            let src = chunk.groups[from.group].vectors[from.vec].node_offset(g, &mut rd.cur.nbr, i);
             if *maybe_dirty && (src >= *from_count || view.edge_list_dirty(*label, *dir, src)) {
                 // The delta touches this list (or the source vertex is
                 // delta-inserted and has no CSR entry): materialize the
                 // merged adjacency with tagged edge references.
-                let (nbrs, refs) = view.merged_adj(*label, *dir, src);
+                let (nbrs, refs) = view.merged_adj(&mut rd.cur, *label, *dir, src);
                 if nbrs.is_empty() {
                     continue;
                 }
@@ -182,15 +182,16 @@ impl ColumnExtend {
             // A tuple whose vertex has no such edge is marked `NO_NBR` here
             // and unselected below.
             let mut any_missing = false;
-            let ReadState { col, nbr, offs, .. } = rd;
-            let from_idx = node_idx(&chunk.groups[from.group].vectors[from.vec], g, n, nbr, offs)?;
+            let from_vec = &chunk.groups[from.group].vectors[from.vec];
             if *maybe_dirty {
                 // The delta touches this adjacency: resolve each tuple's
                 // neighbour through the view and record tagged edge
                 // references for downstream property reads.
+                let cur = &mut rd.cur;
                 let mut tags: Vec<u64> = Vec::with_capacity(n);
                 for i in 0..n {
-                    match view.single_nbr(*label, *dir, from_idx.at(i)) {
+                    let src = from_vec.node_offset(g, &mut cur.nbr, i);
+                    match view.single_nbr(cur, *label, *dir, src) {
                         Some((nb, tag)) => {
                             vals.push(nb);
                             tags.push(tag);
@@ -208,6 +209,8 @@ impl ColumnExtend {
                     *slot = Some(tags);
                 }
             } else {
+                let ReadCursors { col, nbr, offs, .. } = &mut rd.cur;
+                let from_idx = node_idx(from_vec, g, n, nbr, offs)?;
                 let adj = match g.adj(*label, *dir) {
                     AdjIndex::SingleCard(s) => s,
                     AdjIndex::Csr(_) => {

@@ -11,41 +11,32 @@
 
 use gfcl_columnar::{Column, Dictionary, PageCursor, UIntArray};
 use gfcl_common::{DataType, Direction, Error, LabelId, Result, Value};
-use gfcl_storage::{ColumnarGraph, EdgePropRead, GraphView, StrExt};
+use gfcl_storage::{ColumnarGraph, EdgePropRead, GraphView, ReadCursors, StrExt};
 
 use crate::chunk::{Chunk, NodeData, ValueVector, VecRef};
 
-/// The paged-read state of one operator: the page cursors its reads step
-/// through and the offset scratch of the block being filled. A cursor keeps
-/// the page it touched last pinned — that pin is the eviction guard for
-/// the walk — and [`ReadState::enter`] drops all of them when the pipeline
+/// The paged-read state of one operator: the [`ReadCursors`] its reads
+/// step through — the same bundle every other reader of the storage
+/// owns — and the morsel they were last used under. A cursor keeps the
+/// page it touched last pinned — that pin is the eviction guard for the
+/// walk — and [`ReadState::enter`] drops all of them when the pipeline
 /// moves on to another scan morsel, so a pin never outlives a morsel.
-/// A cursor is one pointer until it first meets a paged page, and an
-/// empty scratch owns no heap memory: over a resident graph this state
-/// costs an operator no allocation and three words, which keeps `Op` —
-/// and the allocation `compile` makes for the pipeline — as small as it
-/// was before operators carried cursors (`operators_stay_small`).
+/// Over a resident graph the bundle costs an operator no allocation and
+/// three words plus an empty scratch, which keeps `Op` — and the
+/// allocation `compile` makes for the pipeline — as small as it was
+/// before operators carried cursors (`operators_stay_small`).
 #[derive(Default)]
 pub(super) struct ReadState {
     /// The [`Chunk::morsel`] the cursors were last used under.
     morsel: u64,
-    /// The property (or single-cardinality neighbour) column being read.
-    pub(super) col: PageCursor,
-    /// Neighbour array of the CSR the input block views.
-    pub(super) nbr: PageCursor,
-    /// Edge-ID array of that CSR.
-    ids: PageCursor,
-    /// Vertex offsets / flat property indexes of the current block.
-    pub(super) offs: Vec<u64>,
+    pub(super) cur: ReadCursors,
 }
 
 impl ReadState {
     pub(super) fn enter(&mut self, morsel: u64) {
         if self.morsel != morsel {
             self.morsel = morsel;
-            self.col.clear();
-            self.nbr.clear();
-            self.ids.clear();
+            self.cur.clear();
         }
     }
 }
@@ -144,7 +135,7 @@ impl ReadNodeProp {
             std::mem::replace(&mut chunk.groups[out.group].vectors[out.vec], ValueVector::Empty);
         let ng = &chunk.groups[node.group];
         let sel = ng.sel.as_deref();
-        let ReadState { col: col_cur, nbr, offs, .. } = rd;
+        let ReadCursors { col: col_cur, nbr, offs, .. } = &mut rd.cur;
         let idx = node_idx(&ng.vectors[node.vec], g, n, nbr, offs)?;
         // Selection-aware either way: positions already unselected (by
         // a pushed scan predicate or an upstream filter) cost zero
@@ -156,7 +147,7 @@ impl ReadNodeProp {
             // codes past the baseline dictionary).
             fill_vector_from_values(
                 block,
-                |i| Ok(view.vertex_value(*label, idx.at(i), *prop)),
+                |i| Ok(view.vertex_value(col_cur, *label, idx.at(i), *prop)),
                 col.dictionary(),
                 view.vertex_str_ext(*label, *prop),
             )?
@@ -197,7 +188,6 @@ impl ReadEdgeProp {
             std::mem::replace(&mut chunk.groups[out.group].vectors[out.vec], ValueVector::Empty);
         let eg = &chunk.groups[edge.group];
         let sel = eg.sel.as_deref();
-        let ReadState { col: col_cur, nbr, ids, offs, .. } = rd;
         let block = (n, *dtype, reuse, sel);
         let filled = match &eg.vectors[edge.vec] {
             ValueVector::EdgeList { label, dir, from, start } => {
@@ -205,6 +195,7 @@ impl ReadEdgeProp {
                 // element: the indexed direction is one range read of
                 // the property column; every other layout resolves the
                 // list's flat indexes block-wise and gathers.
+                let ReadCursors { col: col_cur, nbr, ids, offs } = &mut rd.cur;
                 let read = g.edge_prop_read(*label, *dir, *prop)?;
                 let idx = match read {
                     EdgePropRead::ByPosition(_) => Idx::Run(*start),
@@ -226,19 +217,21 @@ impl ReadEdgeProp {
                     ));
                 };
                 let src_vec = if endpoint_is_nbr { *nbr_vec } else { *from_vec };
+                let ReadCursors { col: col_cur, nbr, offs, .. } = &mut rd.cur;
                 let idx = node_idx(&eg.vectors[src_vec], g, n, nbr, offs)?;
                 fill_vector(col, block, col_cur, idx)
             }
             // The dirty paths: tagged edge references — a merged list's,
             // or the ones `ColumnExtend` recorded — resolve
-            // value-at-a-time through the view, from the list's source
-            // vertex or from each tuple's own.
+            // value-at-a-time through the view and the operator's cursors,
+            // from the list's source vertex or from each tuple's own.
             ValueVector::EdgeRefs { label, dir, from, refs } => {
-                edge_values(view, (*label, *dir, *prop), block, |_| *from, refs)?
+                edge_values(view, &mut rd.cur, (*label, *dir, *prop), block, |_, _| *from, refs)?
             }
             ValueVector::SingleEdge { label, dir, from_vec, tags: Some(tags), .. } => {
-                let from = node_idx(&eg.vectors[*from_vec], g, n, nbr, offs)?;
-                edge_values(view, (*label, *dir, *prop), block, |i| from.at(i), tags)?
+                let from = &eg.vectors[*from_vec];
+                let from = |cur: &mut ReadCursors, i| from.node_offset(g, &mut cur.nbr, i);
+                edge_values(view, &mut rd.cur, (*label, *dir, *prop), block, from, tags)?
             }
             _ => return Err(Error::Exec("edge property read on non-edge vector".into())),
         };
@@ -359,18 +352,23 @@ fn fill_block<T: Copy + Default>(
 }
 
 /// [`fill_vector_from_values`] over tagged edge references: the `i`-th
-/// value is edge `tags[i]` of `(label, dir)`, traversed from `from(i)`.
+/// value is edge `tags[i]` of `(label, dir)`, traversed from `from(cur, i)`,
+/// both read through `cur`.
 fn edge_values(
     view: GraphView<'_>,
+    cur: &mut ReadCursors,
     (label, dir, prop): (LabelId, Direction, usize),
     block: Block<'_>,
-    from: impl Fn(usize) -> u64,
+    from: impl Fn(&mut ReadCursors, usize) -> u64,
     tags: &[u64],
 ) -> Result<ValueVector> {
     let col = view.base().edge_prop_read(label, dir, prop)?.column();
     fill_vector_from_values(
         block,
-        |i| view.edge_value(label, dir, from(i), tags[i], prop),
+        |i| {
+            let from = from(cur, i);
+            view.edge_value(cur, label, dir, from, tags[i], prop)
+        },
         col.dictionary(),
         view.edge_str_ext(label, dir, prop),
     )
@@ -384,11 +382,11 @@ fn edge_values(
 /// late-materialization decode works unchanged.
 fn fill_vector_from_values(
     (n, dtype, reuse, sel): Block<'_>,
-    get: impl Fn(usize) -> Result<Value>,
+    mut get: impl FnMut(usize) -> Result<Value>,
     dict: Option<&Dictionary>,
     ext: Option<&StrExt>,
 ) -> Result<ValueVector> {
-    let fill = (n, sel, &get);
+    let fill = (n, sel, &mut get);
     Ok(match dtype {
         DataType::Int64 | DataType::Date => {
             let (vals, valid) = fill_values(fill, take_bufs!(reuse, I64, n), |v| Ok(v.as_i64()))?;
@@ -426,7 +424,7 @@ fn fill_vector_from_values(
 /// the value `get` returns for a selected position when it has the block's
 /// type (`None`: NULL).
 fn fill_values<T: Default>(
-    (n, sel, get): (usize, Option<&[bool]>, &impl Fn(usize) -> Result<Value>),
+    (n, sel, get): (usize, Option<&[bool]>, &mut impl FnMut(usize) -> Result<Value>),
     (mut vals, mut valid): (Vec<T>, Vec<bool>),
     typed: impl Fn(Value) -> Result<Option<T>>,
 ) -> Result<(Vec<T>, Vec<bool>)> {

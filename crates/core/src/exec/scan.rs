@@ -56,6 +56,9 @@ impl ScanAll<'_> {
             for p in pushed.iter() {
                 p.clear_cursors();
             }
+            for p in row_pushed.iter() {
+                p.clear_cursors();
+            }
             let n = (end - start) as usize;
             // Evaluate the pushed predicates morsel-wide: one zone-map
             // verdict per overlapping block, row evaluation only where the

@@ -87,17 +87,6 @@ fn slot_stats<'a>(
     })
 }
 
-/// Mirror a comparison so the slot ends up on the left-hand side.
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        CmpOp::Eq | CmpOp::Ne => op,
-    }
-}
-
 /// Fraction of the `[min, max]` integer domain admitted by `slot op c`.
 fn range_fraction(ps: &PropStats, op: CmpOp, c: i64) -> Option<f64> {
     let (min, max) = (ps.min_i64?, ps.max_i64?);
@@ -161,7 +150,7 @@ pub(crate) fn selectivity(
                 cmp_const_sel(*op, &slots[*s], c.value(&[]), nodes, edges, catalog)
             }
             (c @ (PlanScalar::Const(_) | PlanScalar::Param(_)), PlanScalar::Slot(s)) => {
-                cmp_const_sel(flip(*op), &slots[*s], c.value(&[]), nodes, edges, catalog)
+                cmp_const_sel(op.flip(), &slots[*s], c.value(&[]), nodes, edges, catalog)
             }
             (PlanScalar::Slot(a), PlanScalar::Slot(b)) => {
                 let ndv = |s: &usize| {

@@ -227,12 +227,22 @@ impl PredReader<ScanOperand<'_>> for ScanCtx {
 
 /// Operand of a row-level predicate: a vertex property index plus the
 /// dictionary/extension needed to translate string values back into the
-/// compiled bitmap's code space.
-#[derive(Debug, Clone, Copy)]
+/// compiled bitmap's code space, and the page cursor its baseline reads
+/// step through (cleared with the scan's at every morsel claim).
+#[derive(Debug, Clone)]
 pub struct RowOperand<'g> {
     pub prop: usize,
     pub dict: Option<&'g Dictionary>,
     pub ext: Option<&'g StrExt>,
+    cur: RefCell<PageCursor>,
+}
+
+impl RowOperand<'_> {
+    /// This operand's property of the vertex `ctx` reads, through the
+    /// operand's cursor.
+    fn value(&self, ctx: &RowCtx<'_>) -> Value {
+        ctx.view.vertex_value(&mut self.cur.borrow_mut(), ctx.label, ctx.off, self.prop)
+    }
 }
 
 /// A pushed-down predicate recompiled for row-at-a-time evaluation through
@@ -251,7 +261,7 @@ pub struct RowCtx<'g> {
 impl<'g> PredReader<RowOperand<'g>> for RowCtx<'g> {
     #[inline]
     fn i64(&self, o: &RowOperand<'g>) -> Option<i64> {
-        match self.view.vertex_value(self.label, self.off, o.prop) {
+        match o.value(self) {
             Value::Int64(v) | Value::Date(v) => Some(v),
             _ => None,
         }
@@ -259,7 +269,7 @@ impl<'g> PredReader<RowOperand<'g>> for RowCtx<'g> {
 
     #[inline]
     fn f64(&self, o: &RowOperand<'g>) -> Option<f64> {
-        match self.view.vertex_value(self.label, self.off, o.prop) {
+        match o.value(self) {
             Value::Float64(v) => Some(v),
             _ => None,
         }
@@ -267,7 +277,7 @@ impl<'g> PredReader<RowOperand<'g>> for RowCtx<'g> {
 
     #[inline]
     fn bool(&self, o: &RowOperand<'g>) -> Option<bool> {
-        match self.view.vertex_value(self.label, self.off, o.prop) {
+        match o.value(self) {
             Value::Bool(v) => Some(v),
             _ => None,
         }
@@ -275,7 +285,7 @@ impl<'g> PredReader<RowOperand<'g>> for RowCtx<'g> {
 
     #[inline]
     fn code(&self, o: &RowOperand<'g>) -> Option<u64> {
-        match self.view.vertex_value(self.label, self.off, o.prop) {
+        match o.value(self) {
             Value::String(s) => o
                 .dict
                 .and_then(|d| d.code_of(&s))
@@ -292,6 +302,11 @@ impl<'g> RowPred<'g> {
     pub fn holds_row(&self, view: GraphView<'g>, label: LabelId, off: u64) -> bool {
         self.eval_with(&RowCtx { view, label, off }) == Some(true)
     }
+
+    /// Drop every operand's page pin (see [`ScanPred::clear_cursors`]).
+    pub fn clear_cursors(&self) {
+        self.for_each_operand(&mut |o| o.cur.borrow_mut().clear());
+    }
 }
 
 #[inline]
@@ -307,6 +322,34 @@ fn cmp_holds<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
 }
 
 impl<L> CPredG<L> {
+    /// Call `f` on every operand the predicate touches — the scan uses this
+    /// to skip-account a pruned block's pages and to drop the cursors.
+    pub fn for_each_operand(&self, f: &mut impl FnMut(&L)) {
+        match self {
+            CPredG::Const(_) | CPredG::Unknown => {}
+            CPredG::CmpI64 { lhs, rhs, .. } => {
+                for o in [lhs, rhs] {
+                    if let I64Operand::Slot(c) = o {
+                        f(c);
+                    }
+                }
+            }
+            CPredG::CmpF64 { lhs, rhs, .. } => {
+                for o in [lhs, rhs] {
+                    match o {
+                        F64Operand::F64Slot(c) | F64Operand::I64Slot(c) => f(c),
+                        F64Operand::Const(_) => {}
+                    }
+                }
+            }
+            CPredG::BoolEq { slot, .. }
+            | CPredG::CodeIn { slot, .. }
+            | CPredG::I64In { slot, .. } => f(slot),
+            CPredG::And(es) | CPredG::Or(es) => es.iter().for_each(|e| e.for_each_operand(f)),
+            CPredG::Not(e) => e.for_each_operand(f),
+        }
+    }
+
     /// Three-valued evaluation at one position. `None` = UNKNOWN.
     pub fn eval_with<R: PredReader<L>>(&self, r: &R) -> Option<bool> {
         match self {
@@ -553,34 +596,6 @@ impl<'g> ScanPred<'g> {
         self.eval_at(v) == Some(true)
     }
 
-    /// Call `f` on every operand the predicate touches — the scan uses this
-    /// to skip-account a pruned block's pages and to drop the cursors.
-    pub fn for_each_operand(&self, f: &mut impl FnMut(&ScanOperand<'g>)) {
-        match self {
-            CPredG::Const(_) | CPredG::Unknown => {}
-            CPredG::CmpI64 { lhs, rhs, .. } => {
-                for o in [lhs, rhs] {
-                    if let I64Operand::Slot(c) = o {
-                        f(c);
-                    }
-                }
-            }
-            CPredG::CmpF64 { lhs, rhs, .. } => {
-                for o in [lhs, rhs] {
-                    match o {
-                        F64Operand::F64Slot(c) | F64Operand::I64Slot(c) => f(c),
-                        F64Operand::Const(_) => {}
-                    }
-                }
-            }
-            CPredG::BoolEq { slot, .. }
-            | CPredG::CodeIn { slot, .. }
-            | CPredG::I64In { slot, .. } => f(slot),
-            CPredG::And(es) | CPredG::Or(es) => es.iter().for_each(|e| e.for_each_operand(f)),
-            CPredG::Not(e) => e.for_each_operand(f),
-        }
-    }
-
     /// Drop every operand's page pin (the scan calls this at each morsel
     /// claim, so a pin never outlives a morsel).
     pub fn clear_cursors(&self) {
@@ -598,7 +613,7 @@ impl<'g> ScanPred<'g> {
             CPredG::Const(false) | CPredG::Unknown => AllFalse,
             CPredG::CmpI64 { op, lhs, rhs } => match (lhs, rhs) {
                 (I64Operand::Slot(c), I64Operand::Const(k)) => prune_i64(c.col, b, *op, *k),
-                (I64Operand::Const(k), I64Operand::Slot(c)) => prune_i64(c.col, b, flip(*op), *k),
+                (I64Operand::Const(k), I64Operand::Slot(c)) => prune_i64(c.col, b, op.flip(), *k),
                 (I64Operand::Const(a), I64Operand::Const(k)) => {
                     if cmp_holds(*op, *a, *k) {
                         AllTrue
@@ -621,7 +636,7 @@ impl<'g> ScanPred<'g> {
                     }
                     (None, Some((c, int_col))) => {
                         let F64Operand::Const(k) = lhs else { unreachable!() };
-                        prune_f64(c, b, flip(*op), *k, int_col)
+                        prune_f64(c, b, op.flip(), *k, int_col)
                     }
                     _ => Mixed,
                 }
@@ -796,6 +811,7 @@ pub fn compile_row_pred<'g>(
             prop: props[s].expect("checked above"),
             dict: cols[s].col.and_then(Column::dictionary),
             ext: cols[s].ext,
+            cur: RefCell::default(),
         },
     };
     c.compile(expr)
@@ -895,7 +911,7 @@ impl<'g, L, F: Fn(SlotId) -> L> Compiler<'_, 'g, L, F> {
         if lt == DataType::String || rt == DataType::String {
             return match (lhs, rhs) {
                 (Slot(s), Const(c)) => self.string_cmp(s, op, c),
-                (Const(c), Slot(s)) => self.string_cmp(s, flip(op), c),
+                (Const(c), Slot(s)) => self.string_cmp(s, op.flip(), c),
                 (Slot(_), Slot(_)) => Err(Error::Plan(
                     "string comparisons between two variables are not supported \
                      (dictionaries are per-column)"
@@ -982,16 +998,6 @@ impl<'g, L, F: Fn(SlotId) -> L> Compiler<'_, 'g, L, F> {
             }),
             _ => dict.matching_codes(f),
         })
-    }
-}
-
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        o => o,
     }
 }
 

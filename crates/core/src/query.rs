@@ -62,6 +62,20 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// The comparison with its operands swapped (`a < b` ⇔ `b > a`), to
+    /// bring a slot to the left-hand side.
+    pub fn flip(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            CmpOp::Eq | CmpOp::Ne => self,
+        }
+    }
+}
+
 /// String predicates against a constant pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrOp {

@@ -50,12 +50,6 @@ impl Zipf {
     }
 }
 
-/// Scale a Zipf sampler's output so the empirical mean approaches
-/// `target_mean`: returns the multiplier to apply to samples.
-pub fn degree_scale(z: &Zipf, target_mean: f64) -> f64 {
-    target_mean / z.mean()
-}
-
 /// Pick an element of a weighted pool: earlier entries are exponentially
 /// more likely (rank-biased pick for realistic categorical skew).
 pub fn pick_skewed<'a, T>(pool: &'a [T], rng: &mut SmallRng) -> &'a T {

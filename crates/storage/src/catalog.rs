@@ -110,10 +110,6 @@ impl EdgeLabelDef {
             Direction::Bwd => self.dst,
         }
     }
-
-    pub fn has_properties(&self) -> bool {
-        !self.properties.is_empty()
-    }
 }
 
 /// The schema of a property graph database.

@@ -59,7 +59,8 @@ struct ChaosState {
     rng: u64,
     /// Page offsets that fail every read from now on.
     permanent: HashSet<u64>,
-    /// Page offset → remaining forced transient failures.
+    /// Page offset → remaining forced transient failures of its one
+    /// transient episode (0 once it has healed).
     transient_left: HashMap<u64, u32>,
     /// Page offset → (byte index, xor mask) applied on every read.
     sticky: HashMap<u64, (usize, u8)>,
@@ -137,24 +138,25 @@ impl PageFile for FailingStore {
             st.injected += 1;
             return Err(injected_err("permanent", offset));
         }
-        if let Some(n) = st.transient_left.get_mut(&offset) {
-            if *n > 0 {
+        // A page has at most one transient episode: readers faulting one
+        // page concurrently share it instead of re-rolling one another into
+        // new ones, so a transient fault alone is guaranteed to resolve
+        // within every reader's retry budget regardless of the rate.
+        let healed = match st.transient_left.get_mut(&offset) {
+            Some(n) if *n > 0 => {
                 *n -= 1;
                 st.injected += 1;
                 return Err(injected_err("transient", offset));
             }
-            st.transient_left.remove(&offset);
-            // The healing read is served clean with no further rolls, so a
-            // transient fault alone is guaranteed to resolve within the
-            // pool's retry budget regardless of the configured rate.
-            return self.inner.read_page_at(buf, offset);
-        }
+            Some(_) => true,
+            None => false,
+        };
         if roll(&mut st.rng, self.cfg.permanent_ppm) {
             st.permanent.insert(offset);
             st.injected += 1;
             return Err(injected_err("permanent", offset));
         }
-        if roll(&mut st.rng, self.cfg.transient_ppm) {
+        if !healed && roll(&mut st.rng, self.cfg.transient_ppm) {
             // Fail this read and possibly the next one — never more, so a
             // transient fault always heals within the pool's 3 attempts.
             let extra = (xorshift(&mut st.rng) % 2) as u32;

@@ -60,14 +60,6 @@ impl AdjIndex {
         }
     }
 
-    /// Degree of `v` in this direction.
-    pub fn degree(&self, v: u64) -> usize {
-        match self {
-            AdjIndex::Csr(c) => c.degree(v),
-            AdjIndex::SingleCard(s) => s.nbr(v).is_some() as usize,
-        }
-    }
-
     fn adjacency_bytes(&self) -> usize {
         match self {
             AdjIndex::Csr(c) => c.memory_bytes(),
@@ -138,9 +130,10 @@ impl<'g> EdgePropRead<'g> {
         }
     }
 
-    /// List-at-a-time twin of [`ColumnarGraph::resolve_edge_prop`]: append
-    /// to `out` the flat property indexes of CSR positions `positions` of
-    /// `from`'s list in `csr` (the CSR this access path was resolved for).
+    /// The edge-property resolver: append to `out` the flat property
+    /// indexes of CSR positions `positions` of `from`'s list in `csr` (the
+    /// CSR this access path was resolved for). A single edge is a list of
+    /// one position.
     /// The stored edge-ID components and — walking the non-indexed
     /// direction — the neighbours are block reads stepped through the
     /// caller's cursors (one pin per page per list, not per edge), and the
@@ -184,6 +177,36 @@ impl<'g> EdgePropRead<'g> {
             }
         }
         Ok(())
+    }
+}
+
+/// The page cursors one reader walks a graph's arrays through, and the
+/// offset scratch its list reads resolve into. Every reader of a
+/// [`ColumnarGraph`] — an operator of any engine, a delta-store walk, a
+/// merge export — owns one bundle and passes it to each read, so a pin is
+/// something the reader holds, never something a value costs. A cursor is
+/// one null pointer until it meets a paged page and the scratch owns no
+/// memory until a read fills it: over a resident graph a bundle costs no
+/// allocation. A bundle must only ever read one graph (cursors key their
+/// pages by page number).
+#[derive(Debug, Default)]
+pub struct ReadCursors {
+    /// Vertex columns: properties, and single-cardinality neighbours.
+    pub col: PageCursor,
+    /// CSR neighbour arrays.
+    pub nbr: PageCursor,
+    /// CSR edge-ID arrays.
+    pub ids: PageCursor,
+    /// Vertex offsets or flat property indexes of the block being read.
+    pub offs: Vec<u64>,
+}
+
+impl ReadCursors {
+    /// Release every pin the cursors hold.
+    pub fn clear(&mut self) {
+        self.col.clear();
+        self.nbr.clear();
+        self.ids.clear();
     }
 }
 
@@ -286,8 +309,9 @@ impl VertexLabelParts {
             Some(j) => {
                 let col = &cols[j];
                 let mut map = HashMap::with_capacity(col.len());
+                let mut cur = PageCursor::new();
                 for v in 0..col.len() {
-                    if let Some(key) = col.get_i64(v) {
+                    if let Some(key) = col.get_i64_with(&mut cur, v) {
                         if map.insert(key, v as u64).is_some() {
                             return Err(Error::Invalid(format!(
                                 "duplicate primary key {key} in {}",
@@ -618,9 +642,12 @@ impl ColumnarGraph {
         }
     }
 
-    /// Scalar edge-property read for tuple-at-a-time engines: `from` is the
-    /// traversal source vertex, `csr_pos` its CSR position (`None` for
-    /// single-cardinality traversals).
+    /// One edge property, for a caller without cursors of its own: `from`
+    /// is the traversal source vertex, `csr_pos` its CSR position (`None`
+    /// for single-cardinality traversals). Reads through a fresh
+    /// [`ReadCursors`], so on a paged graph every call pins afresh. Kept
+    /// only because the benchmark's edge-property probe calls it; engines
+    /// read through [`BaselineRead::edge_value`] with their own cursors.
     pub fn read_edge_prop(
         &self,
         label: LabelId,
@@ -629,47 +656,13 @@ impl ColumnarGraph {
         csr_pos: Option<u64>,
         prop: usize,
     ) -> Result<Value> {
-        let read = self.edge_prop_read(label, dir, prop)?;
-        let (col, flat) = self.resolve_edge_prop(read, label, dir, from, csr_pos);
-        Ok(col.value(flat as usize))
-    }
-
-    /// Resolve an [`EdgePropRead`] to `(column, flat index)` for one edge.
-    #[inline]
-    pub fn resolve_edge_prop<'g>(
-        &'g self,
-        read: EdgePropRead<'g>,
-        label: LabelId,
-        dir: Direction,
-        from: u64,
-        csr_pos: Option<u64>,
-    ) -> (&'g Column, u64) {
-        match read {
-            EdgePropRead::ByPosition(col) => (col, csr_pos.expect("CSR traversal")),
-            EdgePropRead::ByEdgeId(col) => {
-                let csr = self.adj(label, dir).as_csr().expect("CSR traversal");
-                (col, csr.edge_id_at(csr_pos.expect("CSR traversal")))
+        let token = match self.adj(label, dir) {
+            AdjIndex::Csr(_) => {
+                csr_pos.ok_or_else(|| Error::Exec("CSR edge without a position".into()))?
             }
-            EdgePropRead::ByPageOffset { pages, col, nbr_is_src } => {
-                let csr = self.adj(label, dir).as_csr().expect("CSR traversal");
-                let pos = csr_pos.expect("CSR traversal");
-                let src = if nbr_is_src { csr.nbr_at(pos) } else { from };
-                (col, pages.flat_index(src, csr.edge_id_at(pos)))
-            }
-            EdgePropRead::ByVertex { col, endpoint_is_nbr } => {
-                let endpoint = if endpoint_is_nbr {
-                    match self.adj(label, dir) {
-                        AdjIndex::Csr(c) => c.nbr_at(csr_pos.expect("CSR traversal")),
-                        AdjIndex::SingleCard(s) => {
-                            s.nbr(from).expect("edge exists for traversed vertex")
-                        }
-                    }
-                } else {
-                    from
-                };
-                (col, endpoint)
-            }
-        }
+            AdjIndex::SingleCard(_) => 0,
+        };
+        self.edge_value(&mut ReadCursors::default(), label, dir, from, token, prop)
     }
 
     /// Memory of one edge label's storage, split as
@@ -1148,57 +1141,52 @@ impl BaselineRead for ColumnarGraph {
         }
     }
 
-    fn adj_entry(&self, elabel: LabelId, dir: Direction, pos: u64) -> Option<(u64, u64)> {
-        match self.adj(elabel, dir) {
-            // The edge token is the CSR position; property reads resolve it
-            // through the same EdgePropRead machinery as the LBP — but one
-            // value at a time.
-            AdjIndex::Csr(c) => Some((c.nbr_at(pos), pos)),
-            AdjIndex::SingleCard(s) => s.nbr(pos).map(|nbr| (nbr, 0)),
-        }
-    }
-
-    fn for_each_adj_entry(
+    fn adj_entry(
         &self,
+        cur: &mut ReadCursors,
         elabel: LabelId,
         dir: Direction,
-        start: u64,
-        len: u64,
-        mut f: impl FnMut(u64, u64),
-    ) {
+        pos: u64,
+    ) -> Option<(u64, u64)> {
         match self.adj(elabel, dir) {
-            AdjIndex::Csr(c) => {
-                // One pin per page the list spans, not one per edge.
-                let mut cur = PageCursor::new();
-                for pos in start..start + len {
-                    f(c.nbr_at_with(&mut cur, pos), pos);
-                }
-            }
-            AdjIndex::SingleCard(s) => {
-                for nbr in (start..start + len).filter_map(|v| s.nbr(v)) {
-                    f(nbr, 0);
-                }
-            }
+            // The edge token is the CSR position; property reads resolve it
+            // through the same `EdgePropRead::resolve_list` as the LBP.
+            AdjIndex::Csr(c) => Some((c.nbr_at_with(&mut cur.nbr, pos), pos)),
+            AdjIndex::SingleCard(s) => s.nbr_with(&mut cur.col, pos).map(|nbr| (nbr, 0)),
         }
     }
 
-    fn vertex_value(&self, label: LabelId, off: u64, prop: usize) -> Value {
-        self.vertex_prop(label, prop).value(off as usize)
+    fn vertex_value(&self, cur: &mut PageCursor, label: LabelId, off: u64, prop: usize) -> Value {
+        self.vertex_prop(label, prop).value(cur, off as usize)
     }
 
     fn edge_value(
         &self,
+        cur: &mut ReadCursors,
         elabel: LabelId,
         dir: Direction,
         from: u64,
         token: u64,
         prop: usize,
     ) -> Result<Value> {
-        let csr_pos = match self.adj(elabel, dir) {
-            AdjIndex::Csr(_) => Some(token),
-            AdjIndex::SingleCard(_) => None,
+        let read = self.edge_prop_read(elabel, dir, prop)?;
+        let flat = match self.adj(elabel, dir) {
+            AdjIndex::Csr(csr) => {
+                let ReadCursors { nbr, ids, offs, .. } = cur;
+                offs.clear();
+                read.resolve_list(csr, from, token..token + 1, ids, nbr, offs)?;
+                offs[0]
+            }
+            // A vertex-column label keeps its properties in vertex columns
+            // (`EdgePropRead::ByVertex`): read at `from` or at its neighbour.
+            AdjIndex::SingleCard(s) => match read {
+                EdgePropRead::ByVertex { endpoint_is_nbr: false, .. } => from,
+                _ => s.nbr_with(&mut cur.col, from).ok_or_else(|| {
+                    Error::Storage("edge read at a vertex without the edge".into())
+                })?,
+            },
         };
-        self.read_edge_prop(elabel, dir, from, csr_pos, prop)
+        Ok(read.column().value(&mut cur.col, flat as usize))
     }
 }
 
@@ -1304,10 +1292,11 @@ mod tests {
         let g = ColumnarGraph::build(&raw, StorageConfig::default()).unwrap();
         let workat = g.catalog().edge_label_id("WORKAT").unwrap();
         let adj = g.adj(workat, Direction::Fwd).as_single().unwrap();
-        assert_eq!(adj.nbr(0), Some(0)); // alice -> UW
-        assert_eq!(adj.nbr(1), Some(1)); // bob -> UofT
-        assert_eq!(adj.nbr(2), None); // peter doesn't work
-                                      // doj readable from both directions.
+        let cur = &mut PageCursor::new();
+        assert_eq!(adj.nbr_with(cur, 0), Some(0)); // alice -> UW
+        assert_eq!(adj.nbr_with(cur, 1), Some(1)); // bob -> UofT
+        assert_eq!(adj.nbr_with(cur, 2), None); // peter doesn't work
+                                                // doj readable from both directions.
         assert_eq!(
             g.read_edge_prop(workat, Direction::Fwd, 0, None, 0).unwrap(),
             Value::Int64(2006)
@@ -1342,7 +1331,8 @@ mod tests {
         let raw = RawGraph::example();
         let g = ColumnarGraph::build(&raw, StorageConfig::default()).unwrap();
         let person = g.catalog().vertex_label_id("PERSON").unwrap();
-        assert_eq!(g.vertex_prop(person, 0).get_str(1), Some("bob"));
+        let cur = &mut PageCursor::new();
+        assert_eq!(g.vertex_prop(person, 0).value(cur, 1), Value::String("bob".into()));
         assert_eq!(g.vertex_prop(person, 1).get_i64(2), Some(17));
         assert_eq!(g.vertex_count(person), 4);
     }

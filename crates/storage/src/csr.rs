@@ -158,34 +158,12 @@ impl Csr {
         self.list(v).1
     }
 
-    /// Neighbour offset of the edge at CSR position `pos`.
-    #[inline]
-    pub fn nbr_at(&self, pos: u64) -> u64 {
-        self.nbr.get(pos as usize)
-    }
-
-    /// [`Csr::nbr_at`] through a reader-owned page cursor: stepping a list
-    /// costs one pin per page it spans, not one per edge.
+    /// Neighbour offset of the edge at CSR position `pos`, through a
+    /// reader-owned page cursor: stepping a list costs one pin per page it
+    /// spans, not one per edge.
     #[inline]
     pub fn nbr_at_with(&self, cur: &mut PageCursor, pos: u64) -> u64 {
         self.nbr.get_with(cur, pos as usize)
-    }
-
-    /// Edge ID component at CSR position `pos`, or `None` when the
-    /// decision tree omitted the array.
-    #[inline]
-    pub fn try_edge_id_at(&self, pos: u64) -> Option<u64> {
-        Some(self.edge_ids.as_ref()?.get(pos as usize))
-    }
-
-    /// Edge ID component at CSR position `pos`. Panics if the decision tree
-    /// omitted the array — callers must consult [`Csr::has_edge_ids`].
-    /// Query paths validate this once, when the access path is resolved in
-    /// `ColumnarGraph::edge_prop_read`, and surface
-    /// [`gfcl_common::Error::Storage`] instead of panicking per edge.
-    #[inline]
-    pub fn edge_id_at(&self, pos: u64) -> u64 {
-        self.try_edge_id_at(pos).expect("edge ids not stored for this label")
     }
 
     pub fn has_edge_ids(&self) -> bool {
@@ -197,12 +175,18 @@ impl Csr {
         &self.nbr
     }
 
+    /// The per-edge ID components, aligned with CSR positions; `None` when
+    /// the decision tree omitted them. Read through
+    /// `EdgePropRead::resolve_list`, which validates their presence.
     pub fn edge_ids_array(&self) -> Option<&UIntArray> {
         self.edge_ids.as_ref()
     }
 
     /// Iterate the `(csr position, nbr)` pairs of `v`'s list. The iterator
-    /// owns a page cursor: one pin per page the list spans.
+    /// owns a fresh page cursor: one pin per page the list spans, and on a
+    /// paged array a cursor table allocated per list. Kept only because
+    /// the benchmark's adjacency probe calls it; engines and the store step
+    /// lists with [`Csr::nbr_at_with`] through their own cursors.
     pub fn iter_list(&self, v: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
         let (start, len) = self.list(v);
         let mut cur = PageCursor::new();
@@ -294,9 +278,10 @@ mod tests {
         assert_eq!(csr.degree(3), 3);
         check_lists(&csr, &from, &nbr);
         // Permutation maps CSR positions back to input edges.
+        let mut cur = PageCursor::new();
         for p in 0..csr.n_edges() as u64 {
             let i = perm[p as usize] as usize;
-            assert_eq!(csr.nbr_at(p), nbr[i]);
+            assert_eq!(csr.nbr_at_with(&mut cur, p), nbr[i]);
         }
     }
 
@@ -344,12 +329,13 @@ mod tests {
         let (n, from, nbr) = sample_edges();
         let (mut csr, _) = Csr::build(n, &from, &nbr, CsrOptions::default());
         assert!(!csr.has_edge_ids());
-        assert_eq!(csr.try_edge_id_at(0), None, "omitted array is not a panic");
+        assert!(csr.edge_ids_array().is_none(), "omitted array is not a panic");
         let ids: Vec<u64> = (0..8).map(|i| i * 3).collect();
         csr.set_edge_ids(UIntArray::from_values(&ids, true));
         assert!(csr.has_edge_ids());
+        let (arr, mut cur) = (csr.edge_ids_array().unwrap(), PageCursor::new());
         for p in 0..8 {
-            assert_eq!(csr.edge_id_at(p), p * 3);
+            assert_eq!(arr.get_with(&mut cur, p), p as u64 * 3);
         }
     }
 
@@ -381,8 +367,10 @@ mod tests {
         assert_eq!(back.n_vertices(), csr.n_vertices());
         assert!(back.pageable_bytes() > 0, "per-edge arrays are paged");
         check_lists(&back, &from, &nbr);
+        let (a, b) = (back.edge_ids_array().unwrap(), csr.edge_ids_array().unwrap());
+        let (mut ca, mut cb) = (PageCursor::new(), PageCursor::new());
         for p in 0..8 {
-            assert_eq!(back.edge_id_at(p), csr.edge_id_at(p));
+            assert_eq!(a.get_with(&mut ca, p), b.get_with(&mut cb, p));
         }
         assert!(Csr::decode(&mut Reader::new(&bytes[..bytes.len() / 3]), &store).is_err());
     }

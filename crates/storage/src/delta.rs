@@ -43,12 +43,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gfcl_columnar::{Dictionary, ZONE_BLOCK};
+use gfcl_columnar::{Dictionary, PageCursor, ZONE_BLOCK};
 use gfcl_common::{Direction, Error, LabelId, Reader, Result, Value, Writer};
 
-use crate::columnar_graph::{AdjIndex, ColumnarGraph};
+use crate::columnar_graph::{ColumnarGraph, ReadCursors};
 use crate::mutation::OffsetRecycler;
 use crate::persistent::{PMap, PVec};
+use crate::store::{BaselineRead, GraphView};
 
 /// A fully resolved mutation, the unit of WAL logging and replay.
 ///
@@ -386,45 +387,13 @@ impl DeltaStore {
 
     /// Is the vertex at global offset `off` visible?
     pub fn vertex_live(&self, base: &ColumnarGraph, label: LabelId, off: u64) -> bool {
-        let n_base = base.vertex_count(label) as u64;
-        let v = &self.v[label as usize];
-        if off < n_base {
-            !v.tombs.contains_key(&off)
-        } else {
-            v.rows.get((off - n_base) as usize).is_some_and(Option::is_some)
-        }
+        GraphView::new(base, Some(self)).vertex_live(label, off)
     }
 
     /// Effective primary-key lookup: delta rows shadow nothing (pk is
     /// unique), tombstoned baseline rows are invisible.
     pub fn lookup_pk(&self, base: &ColumnarGraph, label: LabelId, key: i64) -> Option<u64> {
-        if let Some(off) = self.pk_delta(label, key) {
-            return Some(off);
-        }
-        let off = base.lookup_pk(label, key)?;
-        (!self.vertex_tombed(label, off)).then_some(off)
-    }
-
-    /// Effective property value of the vertex at `off` (must be live).
-    pub fn vertex_value(
-        &self,
-        base: &ColumnarGraph,
-        label: LabelId,
-        off: u64,
-        prop: usize,
-    ) -> Value {
-        let n_base = base.vertex_count(label) as u64;
-        if off < n_base {
-            if let Some(row) = self.updated_row(label, off) {
-                return row[prop].clone();
-            }
-            base.vertex_prop(label, prop).value(off as usize)
-        } else {
-            match self.delta_row(label, off - n_base) {
-                Some(row) => row[prop].clone(),
-                None => Value::Null,
-            }
-        }
+        GraphView::new(base, Some(self)).lookup_pk(label, key)
     }
 
     /// The global offset the next `InsertVertex { label, .. }` will land
@@ -564,7 +533,8 @@ impl DeltaStore {
         let def = base.catalog().vertex_label(label);
         let row = normalize_row(&def.name, &def.properties, row)?;
         if let Some(pidx) = def.primary_key {
-            let old = self.vertex_value(base, label, off, pidx);
+            let view = GraphView::new(base, Some(&*self));
+            let old = view.vertex_value(&mut PageCursor::new(), label, off, pidx);
             if old != row[pidx] {
                 return Err(Error::Invalid(format!(
                     "primary key of {} is immutable (delete and re-insert instead)",
@@ -605,10 +575,11 @@ impl DeltaStore {
                 self.drop_delta_side(elabel, 1, off);
             }
         }
-        let key = catalog
-            .vertex_label(label)
-            .primary_key
-            .and_then(|pidx| self.vertex_value(base, label, off, pidx).as_i64());
+        let key = catalog.vertex_label(label).primary_key.and_then(|pidx| {
+            GraphView::new(base, Some(&*self))
+                .vertex_value(&mut PageCursor::new(), label, off, pidx)
+                .as_i64()
+        });
         let n_base = base.vertex_count(label) as u64;
         let v = self.vertex_mut(label);
         if let Some(key) = key {
@@ -656,24 +627,13 @@ impl DeltaStore {
             return;
         }
         let mut seen: HashMap<u64, u32> = HashMap::new();
-        let mut tomb = |nbr: u64| {
+        let tomb = |nbr: u64| {
             let occ = seen.entry(nbr).or_insert(0);
             let (src, dst) = if dir == Direction::Fwd { (v, nbr) } else { (nbr, v) };
             self.tomb_base_edge(elabel, src, dst, *occ);
             *occ += 1;
         };
-        match base.adj(elabel, dir) {
-            AdjIndex::Csr(csr) => {
-                for (_, nbr) in csr.iter_list(v) {
-                    tomb(nbr);
-                }
-            }
-            AdjIndex::SingleCard(s) => {
-                if let Some(nbr) = s.nbr(v) {
-                    tomb(nbr);
-                }
-            }
-        }
+        for_each_base_nbr(base, elabel, dir, v, tomb);
     }
 
     /// Tombstone the baseline edge `(src, dst, occ)`; `false` when it
@@ -759,10 +719,9 @@ impl DeltaStore {
             *occ += 1;
             alive
         };
-        match base.adj(elabel, dir) {
-            AdjIndex::Csr(csr) => csr.iter_list(v).any(|(_, nbr)| check(nbr)),
-            AdjIndex::SingleCard(s) => s.nbr(v).is_some_and(check),
-        }
+        let mut alive = false;
+        for_each_base_nbr(base, elabel, dir, v, |nbr| alive |= check(nbr));
+        alive
     }
 
     fn delete_edge(
@@ -965,18 +924,23 @@ fn base_occurrences(base: &ColumnarGraph, label: LabelId, src: u64, dst: u64) ->
     if src >= base.vertex_count(slabel) as u64 {
         return 0;
     }
-    match base.adj(label, Direction::Fwd) {
-        AdjIndex::Csr(csr) => {
-            let mut n = 0;
-            for (_, nbr) in csr.iter_list(src) {
-                if nbr == dst {
-                    n += 1;
-                }
-            }
-            n
-        }
-        AdjIndex::SingleCard(s) => u32::from(s.nbr(src) == Some(dst)),
-    }
+    let mut n = 0;
+    for_each_base_nbr(base, label, Direction::Fwd, src, |nbr| n += u32::from(nbr == dst));
+    n
+}
+
+/// Visit the neighbours in the baseline `(elabel, dir)` list of the
+/// baseline vertex `v`, in list order, through one local cursor bundle.
+fn for_each_base_nbr(
+    base: &ColumnarGraph,
+    elabel: LabelId,
+    dir: Direction,
+    v: u64,
+    mut f: impl FnMut(u64),
+) {
+    let (start, len) = base.adj_range(elabel, dir, v);
+    let mut cur = ReadCursors::default();
+    base.for_each_adj_entry(&mut cur, elabel, dir, start, len, |nbr, _| f(nbr));
 }
 
 /// Normalize and validate a property row against its label's schema:
@@ -1087,6 +1051,7 @@ fn dir_idx(dir: Direction) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar_graph::AdjIndex;
     use crate::config::StorageConfig;
     use crate::raw::RawGraph;
 
@@ -1115,14 +1080,20 @@ mod tests {
         let off = g.vertex_count(person) as u64;
         assert!(d.vertex_live(&g, person, off));
         assert_eq!(d.lookup_pk(&g, person, 31), Some(off));
-        assert_eq!(d.vertex_value(&g, person, off, 0), Value::String("zoe".into()));
+        assert_eq!(
+            GraphView::new(&g, Some(&d)).vertex_value(&mut PageCursor::new(), person, off, 0),
+            Value::String("zoe".into())
+        );
 
         d.apply(
             &g,
             &ResolvedOp::UpdateVertex { label: person, off, row: person_row("zoey", 31, "F") },
         )
         .unwrap();
-        assert_eq!(d.vertex_value(&g, person, off, 0), Value::String("zoey".into()));
+        assert_eq!(
+            GraphView::new(&g, Some(&d)).vertex_value(&mut PageCursor::new(), person, off, 0),
+            Value::String("zoey".into())
+        );
 
         d.apply(&g, &ResolvedOp::DeleteVertex { label: person, off }).unwrap();
         assert!(!d.vertex_live(&g, person, off));

@@ -115,14 +115,6 @@ impl PropertyPages {
         &self.props[j]
     }
 
-    /// Page-level positional offset of the edge stored at flat position
-    /// `flat` in the list of source vertex `src` (build-time helper: the
-    /// offsets are what get written into adjacency lists).
-    #[inline]
-    pub fn page_offset_of(&self, src: u64, flat: u64) -> u64 {
-        flat - self.page_starts[src as usize / self.k]
-    }
-
     /// Flat index of the edge `(src, page_offset)` — the constant-time
     /// opposite-direction access path.
     #[inline]

@@ -251,6 +251,8 @@ impl ColumnarGraph {
 mod tests {
     use super::*;
     use crate::raw::RawGraph;
+    use crate::{BaselineRead, ReadCursors};
+    use gfcl_columnar::PageCursor;
     use gfcl_common::Direction;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -287,8 +289,9 @@ mod tests {
             let def = g.catalog().vertex_label(l);
             for (j, _) in def.properties.iter().enumerate() {
                 let (a, b) = (g.vertex_prop(l, j), back.vertex_prop(l, j));
+                let (ca, cb) = (&mut PageCursor::new(), &mut PageCursor::new());
                 for v in 0..g.vertex_count(l) {
-                    assert_eq!(a.value(v), b.value(v), "label {l} prop {j} vertex {v}");
+                    assert_eq!(a.value(ca, v), b.value(cb, v), "label {l} prop {j} vertex {v}");
                 }
             }
         }
@@ -296,8 +299,15 @@ mod tests {
             assert_eq!(back.edge_count(e), g.edge_count(e));
             for dir in [Direction::Fwd, Direction::Bwd] {
                 let n = g.vertex_count(g.catalog().edge_label(e).from_label(dir));
+                let list = |g: &ColumnarGraph, v| {
+                    let (start, len) = g.adj_range(e, dir, v);
+                    let mut entries = Vec::new();
+                    let cur = &mut ReadCursors::default();
+                    g.for_each_adj_entry(cur, e, dir, start, len, |nbr, t| entries.push((nbr, t)));
+                    entries
+                };
                 for v in 0..n as u64 {
-                    assert_eq!(back.adj(e, dir).degree(v), g.adj(e, dir).degree(v));
+                    assert_eq!(list(&back, v), list(&g, v));
                 }
             }
         }

@@ -12,7 +12,9 @@
 //!   vertex-column single-cardinality edges, and the edge-property design
 //!   space;
 //! * [`columnar_graph`] — the assembled [`ColumnarGraph`], configurable
-//!   through [`StorageConfig`] to reproduce every ablation in the paper;
+//!   through [`StorageConfig`] to reproduce every ablation in the paper,
+//!   and the [`ReadCursors`] every reader of it — each engine's operators,
+//!   the delta store, merge — walks its pages through;
 //! * [`row_graph`] — the interpreted-attribute-layout [`RowGraph`] (GF-RV);
 //! * [`store`] — the mutable [`GraphStore`] (baseline + [`delta`] store +
 //!   [`wal`], epoch snapshots, merge) and the one read-side overlay:
@@ -50,7 +52,8 @@ pub use buffer_pool::{BufferPool, PageFile, PoolStats, DEFAULT_POOL_PAGES, MAX_R
 pub use catalog::{Cardinality, Catalog, EdgeLabelDef, PropertyDef, VertexLabelDef};
 pub use chaos::{FailingStore, FaultConfig};
 pub use columnar_graph::{
-    AdjIndex, ColumnarGraph, EdgeLabelParts, EdgePropRead, MemoryBreakdown, VertexLabelParts,
+    AdjIndex, ColumnarGraph, EdgeLabelParts, EdgePropRead, MemoryBreakdown, ReadCursors,
+    VertexLabelParts,
 };
 pub use config::{EdgePropLayout, StorageConfig};
 pub use csr::{Csr, CsrOptions};

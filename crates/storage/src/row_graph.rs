@@ -14,9 +14,11 @@
 
 use std::collections::HashMap;
 
+use gfcl_columnar::PageCursor;
 use gfcl_common::{Direction, Error, LabelId, MemoryUsage, Result, Value};
 
 use crate::catalog::Catalog;
+use crate::columnar_graph::ReadCursors;
 use crate::raw::RawGraph;
 use crate::store::BaselineRead;
 
@@ -348,19 +350,27 @@ impl BaselineRead for RowGraph {
         (start, len as u64)
     }
 
-    fn adj_entry(&self, elabel: LabelId, dir: Direction, pos: u64) -> Option<(u64, u64)> {
+    // Rows are never paged: the reads below ignore the caller's cursors.
+    fn adj_entry(
+        &self,
+        _cur: &mut ReadCursors,
+        elabel: LabelId,
+        dir: Direction,
+        pos: u64,
+    ) -> Option<(u64, u64)> {
         let (edge_id, nbr_global) = self.adj(elabel, dir).pair_at(pos);
         // 8-byte global IDs are converted back to label offsets on use.
         let nbr_label = self.catalog.edge_label(elabel).nbr_label(dir);
         Some((self.offset_of_global(nbr_label, nbr_global), edge_id))
     }
 
-    fn vertex_value(&self, label: LabelId, off: u64, prop: usize) -> Value {
+    fn vertex_value(&self, _cur: &mut PageCursor, label: LabelId, off: u64, prop: usize) -> Value {
         self.read_vertex_prop(label, off, prop)
     }
 
     fn edge_value(
         &self,
+        _cur: &mut ReadCursors,
         elabel: LabelId,
         _dir: Direction,
         _from: u64,

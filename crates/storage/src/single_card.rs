@@ -55,14 +55,9 @@ impl SingleCardAdj {
         self.nulls.count_valid()
     }
 
-    /// The neighbour of `v`, if `v` has the edge. One constant-time column
-    /// read — no CSR offset indirection.
-    #[inline]
-    pub fn nbr(&self, v: u64) -> Option<u64> {
-        self.nulls.physical(v as usize).map(|p| self.nbr.get(p))
-    }
-
-    /// [`SingleCardAdj::nbr`] through a reader-owned page cursor.
+    /// The neighbour of `v`, if `v` has the edge, through a reader-owned
+    /// page cursor. One constant-time column read — no CSR offset
+    /// indirection.
     #[inline]
     pub fn nbr_with(&self, cur: &mut PageCursor, v: u64) -> Option<u64> {
         self.nulls.physical(v as usize).map(|p| self.nbr.get_with(cur, p))
@@ -153,10 +148,11 @@ mod tests {
             let adj = SingleCardAdj::build(&nbrs(), kind, true, vec![]);
             assert_eq!(adj.n_vertices(), 6);
             assert_eq!(adj.n_edges(), 3);
-            assert_eq!(adj.nbr(0), Some(3));
-            assert_eq!(adj.nbr(1), None);
-            assert_eq!(adj.nbr(2), Some(1));
-            assert_eq!(adj.nbr(5), Some(0));
+            let cur = &mut PageCursor::new();
+            assert_eq!(adj.nbr_with(cur, 0), Some(3));
+            assert_eq!(adj.nbr_with(cur, 1), None);
+            assert_eq!(adj.nbr_with(cur, 2), Some(1));
+            assert_eq!(adj.nbr_with(cur, 5), Some(0));
         }
     }
 
@@ -168,8 +164,9 @@ mod tests {
         let unc = SingleCardAdj::build(&nbrs, NullKind::Uncompressed, true, vec![]);
         let cmp = SingleCardAdj::build(&nbrs, NullKind::jacobson_default(), true, vec![]);
         assert!(cmp.adjacency_bytes() < unc.adjacency_bytes());
+        let (mut a, mut b) = (PageCursor::new(), PageCursor::new());
         for v in 0..10_000u64 {
-            assert_eq!(cmp.nbr(v), unc.nbr(v));
+            assert_eq!(cmp.nbr_with(&mut a, v), unc.nbr_with(&mut b, v));
         }
     }
 
@@ -190,8 +187,9 @@ mod tests {
         let back = SingleCardAdj::decode(&mut Reader::new(&bytes), &store).unwrap();
         assert_eq!(back.n_vertices(), 6);
         assert!(back.pageable_bytes() > 0);
+        let (mut a, mut b) = (PageCursor::new(), PageCursor::new());
         for v in 0..6u64 {
-            assert_eq!(back.nbr(v), adj.nbr(v));
+            assert_eq!(back.nbr_with(&mut a, v), adj.nbr_with(&mut b, v));
         }
         assert_eq!(back.prop(0).get_i64(0), Some(2006));
         assert_eq!(back.prop(0).get_i64(1), None);

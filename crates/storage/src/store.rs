@@ -35,7 +35,8 @@
 //! delta resolving scans, adjacency and property reads, generic over the
 //! positional [`BaselineRead`] trait so the list-based, Volcano and
 //! hash-join processors — over columnar or row storage — and `merge()` all
-//! consume the same overlay. When the delta is empty they see `None` and
+//! consume the same overlay, each through page cursors of its own
+//! ([`ReadCursors`]). When the delta is empty they see `None` and
 //! keep their unmodified zero-copy fast paths.
 //!
 //! ## Crash recovery
@@ -57,10 +58,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
+use gfcl_columnar::PageCursor;
 use gfcl_common::{Direction, Error, LabelId, Result, Value};
 
 use crate::catalog::Catalog;
-use crate::columnar_graph::{ColumnarGraph, LabelSet};
+use crate::columnar_graph::{ColumnarGraph, LabelSet, ReadCursors};
 use crate::config::StorageConfig;
 use crate::delta::{DeltaSnapshot, DeltaStore, ResolvedOp, StrExt};
 use crate::raw::RawGraph;
@@ -105,7 +107,10 @@ fn fsync_dir(dir: &Path) -> Result<()> {
 
 /// Positional reads over an immutable baseline graph — the narrow
 /// contract [`GraphView`] overlays a delta on. [`ColumnarGraph`] and
-/// [`RowGraph`](crate::RowGraph) implement it; every vertex offset is
+/// [`RowGraph`](crate::RowGraph) implement it. Every read steps through
+/// the caller's [`ReadCursors`] (a row graph, never paged, ignores them),
+/// so a reader walking a list or a column pins each page once. Every
+/// vertex offset is
 /// label-level and both layouts build their lists by the same stable
 /// grouping of the input edge table, so a delta recorded against the
 /// columnar baseline applies unchanged to a row graph built from the same
@@ -121,29 +126,40 @@ pub trait BaselineRead {
     /// Neighbour offset and storage-specific edge token (CSR position, row
     /// edge ID; 0 for vertex-column edges) at list position `pos`. `None`
     /// is a position holding no edge — a NULL in a vertex column.
-    fn adj_entry(&self, elabel: LabelId, dir: Direction, pos: u64) -> Option<(u64, u64)>;
+    fn adj_entry(
+        &self,
+        cur: &mut ReadCursors,
+        elabel: LabelId,
+        dir: Direction,
+        pos: u64,
+    ) -> Option<(u64, u64)>;
     /// Visit the edges at list positions `start..start + len`, in order, as
     /// `f(neighbour, token)`; positions holding no edge are skipped. The
-    /// list walk under [`GraphView::for_each_live_edge`]: a paged baseline
-    /// overrides it to step the list through one page cursor.
+    /// list walk under [`GraphView::for_each_live_edge`].
     fn for_each_adj_entry(
         &self,
+        cur: &mut ReadCursors,
         elabel: LabelId,
         dir: Direction,
         start: u64,
         len: u64,
         mut f: impl FnMut(u64, u64),
     ) {
-        for (nbr, token) in (start..start + len).filter_map(|p| self.adj_entry(elabel, dir, p)) {
-            f(nbr, token);
+        for pos in start..start + len {
+            if let Some((nbr, token)) = self.adj_entry(cur, elabel, dir, pos) {
+                f(nbr, token);
+            }
         }
     }
-    fn vertex_value(&self, label: LabelId, off: u64, prop: usize) -> Value;
+    /// Property `prop` of the baseline vertex at `off`, through the
+    /// caller's column cursor.
+    fn vertex_value(&self, cur: &mut PageCursor, label: LabelId, off: u64, prop: usize) -> Value;
     /// Edge property via the traversal source and an [`adj_entry`] token.
     ///
     /// [`adj_entry`]: BaselineRead::adj_entry
     fn edge_value(
         &self,
+        cur: &mut ReadCursors,
         elabel: LabelId,
         dir: Direction,
         from: u64,
@@ -243,13 +259,19 @@ impl<'g, B: BaselineRead> GraphView<'g, B> {
     }
 
     /// Effective property value of a (live) vertex.
-    pub fn vertex_value(&self, label: LabelId, off: u64, prop: usize) -> Value {
+    pub fn vertex_value(
+        &self,
+        cur: &mut PageCursor,
+        label: LabelId,
+        off: u64,
+        prop: usize,
+    ) -> Value {
         let n_base = self.base.vertex_count(label) as u64;
         if off < n_base {
             if let Some(row) = self.delta.and_then(|d| d.updated_row(label, off)) {
                 return row[prop].clone();
             }
-            self.base.vertex_value(label, off, prop)
+            self.base.vertex_value(cur, label, off, prop)
         } else {
             match self.delta.and_then(|d| d.delta_row(label, off - n_base)) {
                 Some(row) => row[prop].clone(),
@@ -317,8 +339,14 @@ impl<'g, B: BaselineRead> GraphView<'g, B> {
     /// Neighbour and edge-reference tag at baseline list position `pos` of
     /// an [untouched](GraphView::untouched_range) list (`None`: the
     /// position holds no edge).
-    pub fn base_entry(&self, label: LabelId, dir: Direction, pos: u64) -> Option<(u64, u64)> {
-        let (nbr, token) = self.base.adj_entry(label, dir, pos)?;
+    pub fn base_entry(
+        &self,
+        cur: &mut ReadCursors,
+        label: LabelId,
+        dir: Direction,
+        pos: u64,
+    ) -> Option<(u64, u64)> {
+        let (nbr, token) = self.base.adj_entry(cur, label, dir, pos)?;
         Some((nbr, base_edge_ref(token)))
     }
 
@@ -329,13 +357,14 @@ impl<'g, B: BaselineRead> GraphView<'g, B> {
     /// order — and only lists the delta touches pay for the counting.
     pub fn for_each_live_edge(
         &self,
+        cur: &mut ReadCursors,
         label: LabelId,
         dir: Direction,
         from: u64,
         mut f: impl FnMut(u64, u64),
     ) {
         if let Some((start, len)) = self.untouched_range(label, dir, from) {
-            self.base.for_each_adj_entry(label, dir, start, len, |nbr, token| {
+            self.base.for_each_adj_entry(cur, label, dir, start, len, |nbr, token| {
                 f(nbr, base_edge_ref(token));
             });
             return;
@@ -345,7 +374,7 @@ impl<'g, B: BaselineRead> GraphView<'g, B> {
         if from < self.base.vertex_count(from_label) as u64 {
             let (start, len) = self.base.adj_range(label, dir, from);
             let mut seen: HashMap<u64, u32> = HashMap::new();
-            self.base.for_each_adj_entry(label, dir, start, len, |nbr, token| {
+            self.base.for_each_adj_entry(cur, label, dir, start, len, |nbr, token| {
                 let occ = seen.entry(nbr).or_insert(0);
                 let (src, dst) = if dir == Direction::Fwd { (from, nbr) } else { (nbr, from) };
                 if !d.edge_tombed(label, src, dst, *occ) {
@@ -362,10 +391,16 @@ impl<'g, B: BaselineRead> GraphView<'g, B> {
 
     /// Materialize the merged adjacency list of a vertex:
     /// `(neighbours, edge-reference tags)`.
-    pub fn merged_adj(&self, label: LabelId, dir: Direction, from: u64) -> (Vec<u64>, Vec<u64>) {
+    pub fn merged_adj(
+        &self,
+        cur: &mut ReadCursors,
+        label: LabelId,
+        dir: Direction,
+        from: u64,
+    ) -> (Vec<u64>, Vec<u64>) {
         let mut nbrs = Vec::new();
         let mut refs = Vec::new();
-        self.for_each_live_edge(label, dir, from, |nbr, tag| {
+        self.for_each_live_edge(cur, label, dir, from, |nbr, tag| {
             nbrs.push(nbr);
             refs.push(tag);
         });
@@ -375,9 +410,15 @@ impl<'g, B: BaselineRead> GraphView<'g, B> {
     /// The single `(label, dir)` neighbour of `from` and its
     /// edge-reference tag, for single-cardinality directions (whose
     /// constraint the delta enforces, so at most one edge is live).
-    pub fn single_nbr(&self, label: LabelId, dir: Direction, from: u64) -> Option<(u64, u64)> {
+    pub fn single_nbr(
+        &self,
+        cur: &mut ReadCursors,
+        label: LabelId,
+        dir: Direction,
+        from: u64,
+    ) -> Option<(u64, u64)> {
         let mut first = None;
-        self.for_each_live_edge(label, dir, from, |nbr, tag| {
+        self.for_each_live_edge(cur, label, dir, from, |nbr, tag| {
             first = first.or(Some((nbr, tag)));
         });
         first
@@ -387,6 +428,7 @@ impl<'g, B: BaselineRead> GraphView<'g, B> {
     /// this view.
     pub fn edge_value(
         &self,
+        cur: &mut ReadCursors,
         label: LabelId,
         dir: Direction,
         from: u64,
@@ -399,7 +441,7 @@ impl<'g, B: BaselineRead> GraphView<'g, B> {
                 .ok_or_else(|| Error::Storage("delta edge reference on a clean view".into()))?;
             Ok(d.delta_edge(label, edge_ref_index(tag)).props[prop].clone())
         } else {
-            self.base.edge_value(label, dir, from, edge_ref_index(tag), prop)
+            self.base.edge_value(cur, label, dir, from, edge_ref_index(tag), prop)
         }
     }
 
@@ -739,8 +781,8 @@ impl WriteTxn<'_> {
             return Err(Error::Invalid(format!("update of a dead vertex at offset {off}")));
         }
         let n_props = self.base.catalog().vertex_label(l).properties.len();
-        let mut row: Vec<Value> =
-            (0..n_props).map(|p| self.delta.vertex_value(&self.base, l, off, p)).collect();
+        let (view, cur) = (GraphView::new(&*self.base, Some(&*self.delta)), &mut PageCursor::new());
+        let mut row: Vec<Value> = (0..n_props).map(|p| view.vertex_value(cur, l, off, p)).collect();
         for (name, v) in props {
             row[self.base.catalog().vertex_prop_idx(l, name)?] = v.clone();
         }
@@ -879,11 +921,12 @@ fn export(base: &ColumnarGraph, delta: &DeltaSnapshot, labels: &LabelSet) -> Res
         let total = view.scan_total(label);
         let mut map = vec![None; total as usize];
         let mut next = 0u64;
+        let mut cur = ReadCursors::default();
         for off in (0..total).filter(|&off| view.vertex_live(label, off)) {
             map[off as usize] = Some(next);
             next += 1;
             for (p, col) in table.props.iter_mut().enumerate() {
-                col.push_value(view.vertex_value(label, off, p))?;
+                col.push_value(view.vertex_value(&mut cur.col, label, off, p))?;
             }
         }
         table.count = next as usize;
@@ -901,17 +944,21 @@ fn export(base: &ColumnarGraph, delta: &DeltaSnapshot, labels: &LabelSet) -> Res
         }
         let label = l as LabelId;
         let def = catalog.edge_label(label);
+        let mut cur = ReadCursors::default();
         for src in 0..view.scan_total(def.src) {
             // A dead source took its edges along.
             let Some(new_src) = new_offset(def.src, src) else { continue };
             list.clear();
-            view.for_each_live_edge(label, Direction::Fwd, src, |nbr, tag| list.push((nbr, tag)));
+            view.for_each_live_edge(&mut cur, label, Direction::Fwd, src, |nbr, tag| {
+                list.push((nbr, tag));
+            });
             for &(dst, tag) in &list {
                 let Some(new_dst) = new_offset(def.dst, dst) else { continue };
                 table.src.push(new_src);
                 table.dst.push(new_dst);
                 for (p, col) in table.props.iter_mut().enumerate() {
-                    col.push_value(view.edge_value(label, Direction::Fwd, src, tag, p)?)?;
+                    let value = view.edge_value(&mut cur, label, Direction::Fwd, src, tag, p)?;
+                    col.push_value(value)?;
                 }
             }
         }
@@ -962,11 +1009,14 @@ mod tests {
         let v = after.view();
         assert_eq!(v.scan_total(0), 5);
         assert_eq!(v.lookup_pk(0, 31), Some(off));
-        assert_eq!(v.vertex_value(0, off, 0), Value::String("zoe".into()));
-        let (nbrs, refs) = v.merged_adj(0, Direction::Fwd, 0);
+        assert_eq!(v.vertex_value(&mut PageCursor::new(), 0, off, 0), Value::String("zoe".into()));
+        let (nbrs, refs) = v.merged_adj(&mut ReadCursors::default(), 0, Direction::Fwd, 0);
         assert!(nbrs.contains(&off));
         let i = nbrs.iter().position(|&n| n == off).unwrap();
-        assert_eq!(v.edge_value(0, Direction::Fwd, 0, refs[i], 0).unwrap(), Value::Int64(2024));
+        assert_eq!(
+            v.edge_value(&mut ReadCursors::default(), 0, Direction::Fwd, 0, refs[i], 0).unwrap(),
+            Value::Int64(2024)
+        );
     }
 
     #[test]
@@ -980,21 +1030,34 @@ mod tests {
 
         // Every edge is tagged, baseline ones (CSR and vertex-column alike)
         // included, and each tag reads back through the issuing view.
-        let (nbrs, tags) = after.view().merged_adj(0, Direction::Fwd, 0);
+        let (nbrs, tags) =
+            after.view().merged_adj(&mut ReadCursors::default(), 0, Direction::Fwd, 0);
         let delta_tag = tags[nbrs.iter().position(|&n| n == 2).unwrap()];
         assert!(is_delta_edge_ref(delta_tag));
         assert_eq!(tags.iter().filter(|&&t| is_delta_edge_ref(t)).count(), 1);
         for &tag in &tags {
-            after.view().edge_value(0, Direction::Fwd, 0, tag, 0).unwrap();
+            after
+                .view()
+                .edge_value(&mut ReadCursors::default(), 0, Direction::Fwd, 0, tag, 0)
+                .unwrap();
         }
-        let (uw, tag) = before.view().single_nbr(1, Direction::Fwd, 2).expect("peter STUDYAT");
+        let (uw, tag) = before
+            .view()
+            .single_nbr(&mut ReadCursors::default(), 1, Direction::Fwd, 2)
+            .expect("peter STUDYAT");
         assert!(uw == 0 && !is_delta_edge_ref(tag));
-        let doj = before.view().edge_value(1, Direction::Fwd, 2, tag, 0).unwrap();
+        let doj = before
+            .view()
+            .edge_value(&mut ReadCursors::default(), 1, Direction::Fwd, 2, tag, 0)
+            .unwrap();
         assert_eq!(doj, Value::Int64(2019));
 
         // A delta tag means nothing to a view without that delta.
         assert!(before.view().is_clean());
-        let err = before.view().edge_value(0, Direction::Fwd, 0, delta_tag, 0).unwrap_err();
+        let err = before
+            .view()
+            .edge_value(&mut ReadCursors::default(), 0, Direction::Fwd, 0, delta_tag, 0)
+            .unwrap_err();
         assert!(matches!(err, Error::Storage(_)), "{err}");
     }
 
@@ -1039,7 +1102,7 @@ mod tests {
         assert!(!v.vertex_live(0, 1));
         assert!(v.lookup_pk(0, 31).is_some());
         // bob's FOLLOWS edges died with him.
-        let (nbrs, _) = v.merged_adj(0, Direction::Fwd, 0);
+        let (nbrs, _) = v.merged_adj(&mut ReadCursors::default(), 0, Direction::Fwd, 0);
         assert!(!nbrs.contains(&1));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1076,9 +1139,15 @@ mod tests {
         let view = v.view();
         assert_eq!(view.scan_total(0), 4);
         let zoe_new = view.lookup_pk(0, 31).expect("zoe survived the merge");
-        assert_eq!(view.vertex_value(0, zoe_new, 0), Value::String("zoe".into()));
+        assert_eq!(
+            view.vertex_value(&mut PageCursor::new(), 0, zoe_new, 0),
+            Value::String("zoe".into())
+        );
         let jenny_new = view.lookup_pk(0, 23).expect("jenny survived");
-        assert_eq!(view.vertex_value(0, jenny_new, 0), Value::String("jen".into()));
+        assert_eq!(
+            view.vertex_value(&mut PageCursor::new(), 0, jenny_new, 0),
+            Value::String("jen".into())
+        );
         assert!(view.lookup_pk(0, 17).is_none(), "peter stayed deleted");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1092,7 +1161,9 @@ mod tests {
         for l in 0..catalog.vertex_label_count() as LabelId {
             let n_props = catalog.vertex_label(l).properties.len();
             for off in (0..view.scan_total(l)).filter(|&off| view.vertex_live(l, off)) {
-                let row: Vec<Value> = (0..n_props).map(|p| view.vertex_value(l, off, p)).collect();
+                let row: Vec<Value> = (0..n_props)
+                    .map(|p| view.vertex_value(&mut PageCursor::new(), l, off, p))
+                    .collect();
                 out += &format!("v{l}@{off} {row:?}\n");
             }
         }
@@ -1100,7 +1171,7 @@ mod tests {
             let def = catalog.edge_label(l);
             for dir in [Direction::Fwd, Direction::Bwd] {
                 for from in 0..view.scan_total(def.from_label(dir)) {
-                    let mut nbrs = view.merged_adj(l, dir, from).0;
+                    let mut nbrs = view.merged_adj(&mut ReadCursors::default(), l, dir, from).0;
                     nbrs.sort_unstable();
                     out += &format!("e{l}{dir}@{from} {nbrs:?}\n");
                 }
@@ -1228,7 +1299,10 @@ mod tests {
         let store = GraphStore::open(&dir, StorageConfig::default()).unwrap();
         let snap = store.snapshot();
         assert_eq!(snap.epoch(), 1, "the acknowledged commit survived");
-        assert_eq!(snap.view().vertex_value(0, 0, 0), Value::String("al".into()));
+        assert_eq!(
+            snap.view().vertex_value(&mut PageCursor::new(), 0, 0, 0),
+            Value::String("al".into())
+        );
         assert!(!dir.join(GRAPH_TMP).exists());
         assert!(!dir.join(WAL_TMP).exists());
         std::fs::remove_dir_all(&dir).ok();

@@ -11,12 +11,12 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use gfcl_columnar::NullKind;
+use gfcl_columnar::{NullKind, PageCursor};
 use gfcl_common::{DataType, Direction, LabelId, Value};
 use gfcl_storage::edge_prop_pages::assign_insertion_order;
 use gfcl_storage::{
     merged_raw, BaselineRead, Cardinality, Catalog, ColumnarGraph, Csr, CsrOptions, DeltaStore,
-    GraphSnapshot, GraphStore, GraphView, PMap, PVec, PropertyDef, RawGraph, RowGraph,
+    GraphSnapshot, GraphStore, GraphView, PMap, PVec, PropertyDef, RawGraph, ReadCursors, RowGraph,
     StorageConfig, WriteTxn,
 };
 use proptest::prelude::*;
@@ -291,15 +291,22 @@ fn live_list<B: BaselineRead>(
 ) -> Vec<(u64, Vec<Value>)> {
     let n_props = view.base().catalog().edge_label(label).properties.len();
     let mut edges = Vec::new();
-    view.for_each_live_edge(label, dir, from, |nbr, tag| edges.push((nbr, tag)));
+    view.for_each_live_edge(&mut ReadCursors::default(), label, dir, from, |nbr, tag| {
+        edges.push((nbr, tag))
+    });
     // The materialized list and the single-neighbour read sit on the walk.
-    let (nbrs, tags) = view.merged_adj(label, dir, from);
+    let (nbrs, tags) = view.merged_adj(&mut ReadCursors::default(), label, dir, from);
     assert_eq!(nbrs.into_iter().zip(tags).collect::<Vec<_>>(), edges);
-    assert_eq!(view.single_nbr(label, dir, from), edges.first().copied());
+    assert_eq!(
+        view.single_nbr(&mut ReadCursors::default(), label, dir, from),
+        edges.first().copied()
+    );
     edges
         .into_iter()
         .map(|(nbr, tag)| {
-            let row = (0..n_props).map(|p| view.edge_value(label, dir, from, tag, p).unwrap());
+            let row = (0..n_props).map(|p| {
+                view.edge_value(&mut ReadCursors::default(), label, dir, from, tag, p).unwrap()
+            });
             (nbr, row.collect())
         })
         .collect()
@@ -351,10 +358,12 @@ proptest! {
                     map.push(None);
                     continue;
                 };
+                // One cursor per graph: a cursor keys its pages by number.
+                let (cur, clean_cur) = (&mut PageCursor::new(), &mut PageCursor::new());
                 for (p, v) in [key, val].into_iter().map(Value::Int64).enumerate() {
-                    prop_assert_eq!(&col.vertex_value(label, off, p), &v);
-                    prop_assert_eq!(&row.vertex_value(label, off, p), &v);
-                    prop_assert_eq!(&clean.vertex_value(label, live, p), &v);
+                    prop_assert_eq!(&col.vertex_value(cur, label, off, p), &v);
+                    prop_assert_eq!(&row.vertex_value(cur, label, off, p), &v);
+                    prop_assert_eq!(&clean.vertex_value(clean_cur, label, live, p), &v);
                 }
                 prop_assert_eq!(col.lookup_pk(label, key), Some(off));
                 prop_assert_eq!(row.lookup_pk(label, key), Some(off));
@@ -886,7 +895,9 @@ fn answers(view: GraphView<'_>) -> String {
     for l in 0..catalog.vertex_label_count() as LabelId {
         let n_props = catalog.vertex_label(l).properties.len();
         for off in (0..view.scan_total(l)).filter(|&off| view.vertex_live(l, off)) {
-            let row: Vec<Value> = (0..n_props).map(|p| view.vertex_value(l, off, p)).collect();
+            let row: Vec<Value> = (0..n_props)
+                .map(|p| view.vertex_value(&mut PageCursor::new(), l, off, p))
+                .collect();
             let _ = writeln!(out, "v{l}@{off} {row:?}");
         }
     }
@@ -960,7 +971,11 @@ fn merge_and_check(
     // compaction by primary key.
     for (l, offs) in at.offs.iter_mut().enumerate() {
         for off in offs {
-            let id = before.view().vertex_value(l as LabelId, *off, 0).as_i64().unwrap();
+            let id = before
+                .view()
+                .vertex_value(&mut PageCursor::new(), l as LabelId, *off, 0)
+                .as_i64()
+                .unwrap();
             *off = after.view().lookup_pk(l as LabelId, id).expect("a live operand survives");
         }
     }

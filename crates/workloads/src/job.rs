@@ -8,8 +8,7 @@
 //! paper reports the largest LBP factorization gains (Section 8.7.2).
 
 use gfcl_core::query::{
-    col, contains, eq, ge, gt, in_set, le, lit, lt, ne, starts_with, Expr, PatternQuery,
-    QueryBuilder,
+    col, contains, eq, ge, gt, in_set, le, lit, lt, ne, starts_with, PatternQuery, QueryBuilder,
 };
 
 fn q() -> QueryBuilder {
@@ -701,11 +700,6 @@ pub fn all_queries() -> Vec<(String, PatternQuery)> {
 /// Queries as a map from name for selective lookups.
 pub fn query(name: &str) -> Option<PatternQuery> {
     all_queries().into_iter().find(|(n, _)| n == name).map(|(_, q)| q)
-}
-
-/// Helper: conjunction of filters (kept for workload extensions).
-pub fn all_of(filters: Vec<Expr>) -> Expr {
-    Expr::And(filters)
 }
 
 #[cfg(test)]

@@ -36,7 +36,13 @@ const THREADS: [usize; 2] = [1, 4];
 /// A pool this small evicts constantly, so faults fire on re-reads too.
 const TINY_POOL_PAGES: usize = 2;
 
-const NODES: usize = 400;
+/// Vertices of the chaos graph. Every engine reads through page cursors
+/// that keep the pages they walk pinned, so a query faults a page about
+/// once per cursor pass, not once per value: the graph is large enough
+/// (each column spans several 64 KiB pages) that each fault matrix still
+/// reads about a hundred pages from the faulty file, enough for each
+/// configured fault rate to fire.
+const NODES: usize = 50_000;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gfcl_chaos_{}_{name}.gfcl", std::process::id()))
@@ -215,8 +221,8 @@ fn transient_faults_always_heal_within_the_retry_budget() {
 #[test]
 fn permanent_faults_fail_queries_cleanly() {
     // 12% of page reads poison the page forever: with a 2-page pool over
-    // a ~1500-node graph, essentially every paged query trips. The
-    // contract (checked per run): correct result or clean Error::Storage.
+    // the chaos graph, paged queries trip. The contract (checked per
+    // run): correct result or clean Error::Storage.
     let cfg =
         FaultConfig { seed: base_seed() ^ 1, permanent_ppm: 120_000, ..FaultConfig::disabled() };
     let (_ok, err) = chaos_matrix(cfg);

@@ -15,7 +15,7 @@ use gfcl_baselines::{GfCvEngine, RelEngine};
 use gfcl_core::query::{col, eq, ge, lit, lt, starts_with, Agg, PatternQuery};
 use gfcl_core::{Config, Engine, ExecOptions, GfClEngine};
 use gfcl_datagen::{PowerLawParams, SocialParams};
-use gfcl_storage::{ColumnarGraph, RawGraph, StorageConfig};
+use gfcl_storage::{BufferPool, ColumnarGraph, PoolStats, RawGraph, StorageConfig};
 use gfcl_workloads::{ga_queries, khop, ldbc, KhopMode, LdbcParams};
 use proptest::prelude::*;
 
@@ -196,24 +196,9 @@ fn figure1_example_survives_reopen() {
     assert_persistence_equivalent(&raw, "example", &[("workat".into(), q)]);
 }
 
-/// Ceiling on buffer-pool pins (`hits + faults`) for one pass of the
-/// LDBC + GA + k-hop corpus (38 queries) over the scale-50 social graph.
-///
-/// A pin is a page cursor missing its slot, so the count is a function of
-/// the graph and the plans alone — not of the pool size, the machine or
-/// the clock — and repeats exactly. Every label of this graph fits one
-/// scan morsel and every value array one or two pages, so a query pins a
-/// page at most once per cursor that walks it: the corpus measures 208
-/// pins at 1 and at 4 workers, five or six per query. Reading through the
-/// pool per *value*, as the executor did before block reads, costs
-/// 779 755 pins on the same corpus. The ceiling is the measured 208 plus
-/// 10 %: room for a small plan change, none for a per-value read.
-const CORPUS_PIN_CEILING: u64 = 229;
-
-/// The pin budget: results over the reopened graph are identical to the
-/// resident build's, and the pool is off the per-value path.
-#[test]
-fn corpus_stays_within_its_pin_budget() {
+/// The pin budgets' corpus: the LDBC + GA + k-hop queries (38) over the
+/// scale-50 social graph.
+fn pin_corpus() -> (RawGraph, Vec<(String, PatternQuery)>) {
     let persons = 50;
     let raw = gfcl_datagen::generate_social(SocialParams::scale(persons));
     let p = LdbcParams::for_scale(persons);
@@ -231,16 +216,50 @@ fn corpus_stays_within_its_pin_budget() {
             }
         }
     }
+    (raw, queries)
+}
 
-    let built = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
-    let path = tmp("pin_budget");
+/// `raw` built in memory, and the same graph saved and reopened under a
+/// pool larger than its file, so nothing is ever evicted and a pin count
+/// depends on the reads alone.
+fn built_and_reopened(raw: &RawGraph, name: &str) -> (Arc<ColumnarGraph>, Arc<ColumnarGraph>) {
+    let built = Arc::new(ColumnarGraph::build(raw, StorageConfig::default()).unwrap());
+    let path = tmp(name);
     built.save(&path).unwrap();
     let file_pages = std::fs::metadata(&path).unwrap().len() / gfcl_columnar::PAGE_SIZE as u64;
-    // A pool larger than the file: nothing is ever evicted.
     let config =
         StorageConfig { buffer_pool_pages: 2 * file_pages as usize, ..StorageConfig::default() };
     let reopened = Arc::new(ColumnarGraph::open(&path, config).unwrap());
     std::fs::remove_file(&path).unwrap();
+    (built, reopened)
+}
+
+/// Pool pins (`hits + faults`) since `before`.
+fn pins_since(pool: &BufferPool, before: PoolStats) -> u64 {
+    let after = pool.stats();
+    (after.hits + after.faults) - (before.hits + before.faults)
+}
+
+/// Ceiling on buffer-pool pins (`hits + faults`) for one pass of the
+/// [`pin_corpus`] through GF-CL.
+///
+/// A pin is a page cursor missing its slot, so the count is a function of
+/// the graph and the plans alone — not of the pool size, the machine or
+/// the clock — and repeats exactly. Every label of this graph fits one
+/// scan morsel and every value array one or two pages, so a query pins a
+/// page at most once per cursor that walks it: the corpus measures 208
+/// pins at 1 and at 4 workers, five or six per query. Reading through the
+/// pool per *value*, as the executor did before block reads, costs
+/// 779 755 pins on the same corpus. The ceiling is the measured 208 plus
+/// 10 %: room for a small plan change, none for a per-value read.
+const CORPUS_PIN_CEILING: u64 = 229;
+
+/// The pin budget: results over the reopened graph are identical to the
+/// resident build's, and the pool is off the per-value path.
+#[test]
+fn corpus_stays_within_its_pin_budget() {
+    let (raw, queries) = pin_corpus();
+    let (built, reopened) = built_and_reopened(&raw, "pin_budget");
     let pool = reopened.buffer_pool().expect("reopened graph has a pool");
 
     for threads in THREADS {
@@ -253,13 +272,62 @@ fn corpus_stays_within_its_pin_budget() {
             let b = disk.execute(q).unwrap_or_else(|e| panic!("{qname} failed reopened: {e}"));
             assert_eq!(a.canonical(), b.canonical(), "{qname}: reopening changed the output");
         }
-        let after = pool.stats();
-        let pins = (after.hits + after.faults) - (before.hits + before.faults);
+        let pins = pins_since(pool, before);
         assert!(pins > 0, "the corpus never read through the pool");
         assert!(
             pins <= CORPUS_PIN_CEILING,
             "{} queries made {pins} pool pins at {threads} worker(s); the budget is \
              {CORPUS_PIN_CEILING} — is something reading through the pool per value again?",
+            queries.len()
+        );
+    }
+}
+
+/// Ceilings on the pins one pass of the [`pin_corpus`] makes through each
+/// reference engine: GF-CV (Volcano over columnar storage) and REL (hash
+/// joins over it). Each Volcano operator and each REL step reads through
+/// its own page cursors, so the counts are, like GF-CL's, a function of
+/// the graph and the plans alone: GF-CV measures 191 pins and REL 218.
+/// Reading a value at a time through the pool, as both did before they
+/// owned cursors, the same corpus cost 763 817 and 392 656 pins. Each
+/// ceiling is the measured count plus 10 %.
+const BASELINE_PIN_CEILINGS: [(&str, u64); 2] = [("GF-CV", 210), ("REL", 240)];
+
+/// The reference engines' pin budget: over the reopened graph GF-CV and REL
+/// answer the corpus exactly as GF-CL answers it over the resident build,
+/// and neither reads through the pool per value.
+#[test]
+fn baselines_stay_within_their_pin_budget() {
+    let (raw, queries) = pin_corpus();
+    let (built, reopened) = built_and_reopened(&raw, "baseline_pin_budget");
+    let pool = reopened.buffer_pool().expect("reopened graph has a pool");
+    let reference = GfClEngine::with_options(built, ExecOptions::serial());
+    let want: Vec<String> = queries
+        .iter()
+        .map(|(qname, q)| {
+            let out = reference.execute(q).unwrap_or_else(|e| panic!("{qname} failed: {e}"));
+            out.canonical()
+        })
+        .collect();
+
+    let engines: [Box<dyn Engine>; 2] = [
+        Box::new(GfCvEngine::new(Arc::clone(&reopened))),
+        Box::new(RelEngine::new(Arc::clone(&reopened))),
+    ];
+    for (engine, (name, ceiling)) in engines.iter().zip(BASELINE_PIN_CEILINGS) {
+        assert_eq!(engine.name(), name);
+        let before = pool.stats();
+        for ((qname, q), want) in queries.iter().zip(&want) {
+            let got = engine.execute(q).unwrap_or_else(|e| panic!("{qname} failed on {name}: {e}"));
+            assert_eq!(&got.canonical(), want, "{qname}: {name} disagrees with GF-CL");
+        }
+        let pins = pins_since(pool, before);
+        eprintln!("{name}: {} queries, {pins} pool pins (ceiling {ceiling})", queries.len());
+        assert!(pins > 0, "{name} never read through the pool");
+        assert!(
+            pins <= ceiling,
+            "{name} made {pins} pool pins over {} queries; the budget is {ceiling} — is it \
+             reading through the pool per value again?",
             queries.len()
         );
     }
