@@ -102,10 +102,19 @@ pub fn clamp_i128(v: i128) -> i64 {
 /// The running state of one aggregate within one group.
 #[derive(Debug, Clone)]
 pub enum AggState {
-    /// `COUNT(*)` / `COUNT(x.p)` — tuple or non-NULL-value count.
+    /// `COUNT(*)` / `COUNT(x.p)` — tuple or non-NULL-value count,
+    /// saturating at `u64::MAX` (and finished saturated to `i64`, like
+    /// `SUM`).
     Count(u64),
     /// `COUNT(DISTINCT x.p)` — distinct non-NULL values.
     Distinct(HashSet<OrdValue>),
+    /// `COUNT(DISTINCT x.p)` over a dictionary-encoded string slot, kept as
+    /// the set of its non-NULL codes: a slot's dictionary (and any delta
+    /// extension, which only interns strings the dictionary lacks) gives
+    /// every string one code, so distinct codes are distinct strings and
+    /// no string is ever decoded. Only the list-based processor's grouped
+    /// sink builds one, for every state of such a slot.
+    DistinctCodes(HashSet<u64>),
     /// `SUM` — exact `i128` for integers, `f64` for doubles; `seen` counts
     /// non-NULL inputs so an all-NULL group sums to NULL (SQL semantics).
     Sum { ints: i128, floats: f64, seen: u64 },
@@ -141,7 +150,7 @@ impl AggState {
         match self {
             AggState::Count(n) => {
                 if !value.is_null() {
-                    *n += mult;
+                    *n = n.saturating_add(mult);
                 }
                 0
             }
@@ -151,6 +160,11 @@ impl AggState {
                 } else {
                     0
                 }
+            }
+            // Codes never arrive as values: see `AggState::insert_code`.
+            AggState::DistinctCodes(_) => {
+                debug_assert!(false, "a code set folds codes, not values");
+                0
             }
             AggState::Sum { ints, floats, seen } => {
                 match value {
@@ -195,15 +209,40 @@ impl AggState {
     /// `COUNT(*)`: add `mult` tuples without reading any value.
     pub fn add_count(&mut self, mult: u64) {
         if let AggState::Count(n) = self {
-            *n += mult;
+            *n = n.saturating_add(mult);
         }
     }
 
-    /// Associative merge of two partial states (worker barrier).
-    pub fn merge(&mut self, other: AggState) {
+    /// Fold dictionary code `code` into a [`AggState::DistinctCodes`] set;
+    /// returns the heap growth, as [`AggState::update`] does.
+    pub fn insert_code(&mut self, code: u64) -> u64 {
+        match self {
+            AggState::DistinctCodes(set) => u64::from(set.insert(code)) * CODE_BYTES,
+            _ => 0,
+        }
+    }
+
+    /// Associative merge of two partial states (worker barrier, or a key
+    /// run folding into its group). Returns the heap growth of `self`:
+    /// what `other` held that `self` did not.
+    pub fn merge(&mut self, other: AggState) -> u64 {
         match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (AggState::Distinct(a), AggState::Distinct(b)) => a.extend(b),
+            (AggState::Count(a), AggState::Count(b)) => *a = a.saturating_add(b),
+            (AggState::Distinct(a), AggState::Distinct(b)) => {
+                let mut grew = 0;
+                for v in b {
+                    let bytes = crate::govern::value_bytes(&v.0);
+                    if a.insert(v) {
+                        grew += bytes;
+                    }
+                }
+                return grew;
+            }
+            (AggState::DistinctCodes(a), AggState::DistinctCodes(b)) => {
+                let before = a.len();
+                a.extend(b);
+                return (a.len() - before) as u64 * CODE_BYTES;
+            }
             (
                 AggState::Sum { ints, floats, seen },
                 AggState::Sum { ints: i2, floats: f2, seen: s2 },
@@ -214,7 +253,9 @@ impl AggState {
             }
             (AggState::Best { value, want_min }, AggState::Best { value: v2, .. }) => {
                 if improves(value, &v2, *want_min) {
+                    let old = string_heap(value);
                     *value = v2;
+                    return string_heap(value).saturating_sub(old);
                 }
             }
             (
@@ -228,14 +269,16 @@ impl AggState {
             // Both sides are built from the same plan's aggregate list.
             _ => debug_assert!(false, "merging mismatched aggregate states"),
         }
+        0
     }
 
     /// The final aggregate value. `dtype` is the input property's type
     /// (`None` for `COUNT(*)`), which decides the SUM output type.
     pub fn finish(self, dtype: Option<DataType>) -> Value {
         match self {
-            AggState::Count(n) => Value::Int64(n as i64),
+            AggState::Count(n) => Value::Int64(i64::try_from(n).unwrap_or(i64::MAX)),
             AggState::Distinct(set) => Value::Int64(set.len() as i64),
+            AggState::DistinctCodes(set) => Value::Int64(set.len() as i64),
             AggState::Sum { ints, floats, seen } => {
                 if seen == 0 {
                     Value::Null
@@ -290,6 +333,11 @@ impl ScalarAgg {
     /// The plan slot whose values the fold reads; `None` for `COUNT(*)`.
     pub fn input(&self) -> Option<usize> {
         self.input
+    }
+
+    /// The running state, for folds that read a block in place.
+    pub(crate) fn state_mut(&mut self) -> &mut AggState {
+        &mut self.state
     }
 
     /// Fold `mult` tuples whose input value is `value` (`None` for
@@ -355,25 +403,23 @@ impl GroupTable {
         }
     }
 
-    /// Merge the partial `states` of `key` into the table (one probe),
-    /// leaving `states` empty: a new key adopts them as they are.
-    pub(crate) fn merge_group(&mut self, key: Vec<Value>, states: &mut Vec<AggState>) {
-        let added = self.merge_states(key.into_iter().map(OrdValue).collect(), states);
-        self.bytes += added;
+    /// Merge the partial `states` of `key`, whose heap is `held` bytes,
+    /// into the table (one probe), leaving `states` empty, and charge the
+    /// table what it grew by: a new key adopts the states as they are (its
+    /// group plus `held`), a present key only what the merge added.
+    pub(crate) fn merge_group(&mut self, key: Vec<Value>, states: &mut Vec<AggState>, held: u64) {
+        self.bytes += self.merge_states(key.into_iter().map(OrdValue).collect(), states, held);
     }
 
-    /// [`GroupTable::merge_group`] over an already-wrapped key; returns
-    /// the new group's bytes, or 0 when the key was present.
-    fn merge_states(&mut self, key: Vec<OrdValue>, states: &mut Vec<AggState>) -> u64 {
+    /// [`GroupTable::merge_group`] over an already-wrapped key, charging
+    /// nothing; returns what it would charge.
+    fn merge_states(&mut self, key: Vec<OrdValue>, states: &mut Vec<AggState>, held: u64) -> u64 {
         match self.map.entry(key) {
             Entry::Occupied(mut e) => {
-                for (a, b) in e.get_mut().iter_mut().zip(states.drain(..)) {
-                    a.merge(b);
-                }
-                0
+                e.get_mut().iter_mut().zip(states.drain(..)).map(|(a, b)| a.merge(b)).sum()
             }
             Entry::Vacant(e) => {
-                let bytes = group_bytes(e.key(), states.len());
+                let bytes = group_bytes(e.key(), states.len()) + held;
                 e.insert(std::mem::take(states));
                 bytes
             }
@@ -404,19 +450,12 @@ impl GroupTable {
         self.bytes
     }
 
-    /// Fold in growth observed outside [`GroupTable::add_tuple`] — the
-    /// LBP sink feeds states through [`GroupTable::group`] directly and
-    /// reports the [`AggState::update`] totals here.
-    pub fn add_bytes(&mut self, bytes: u64) {
-        self.bytes += bytes;
-    }
-
     /// Merge another table's groups into this one (worker barrier; the
     /// callers merge in worker-index order).
     pub fn merge(&mut self, other: GroupTable) {
         self.bytes += other.bytes;
         for (key, mut states) in other.map {
-            self.merge_states(key, &mut states);
+            self.merge_states(key, &mut states, 0);
         }
     }
 
@@ -459,6 +498,9 @@ impl GroupTable {
         QueryOutput::Rows { header: plan.header.clone(), rows }
     }
 }
+
+/// Heap bytes charged per code of a [`AggState::DistinctCodes`] set.
+const CODE_BYTES: u64 = std::mem::size_of::<u64>() as u64;
 
 /// Heap estimate of one new group: its key values plus the key and state
 /// arrays.
@@ -567,6 +609,29 @@ mod tests {
         b.update(&Value::Int64(i64::MAX - 1), 1);
         a.merge(b);
         assert_eq!(a.finish(Some(DataType::Int64)), Value::Int64(i64::MAX), "saturates");
+    }
+
+    #[test]
+    fn count_saturates_like_sum() {
+        // COUNT(*) saturates where it used to wrap: add_count, update,
+        // merge and the i64 finish.
+        let mut c = AggState::new(AggFunc::CountStar);
+        c.add_count(u64::MAX - 1);
+        c.add_count(5);
+        assert_eq!(c.finish(None), Value::Int64(i64::MAX));
+        let mut a = AggState::new(AggFunc::Count { distinct: false });
+        a.update(&Value::Int64(1), u64::MAX);
+        let mut b = AggState::new(AggFunc::Count { distinct: false });
+        b.update(&Value::Int64(1), 3);
+        a.merge(b);
+        assert!(matches!(a, AggState::Count(u64::MAX)));
+        assert_eq!(a.finish(None), Value::Int64(i64::MAX));
+        // ... and a whole-result count keeps the saturated u64.
+        let mut huge = crate::chunk::ListGroup::new(0);
+        huge.reset(usize::MAX);
+        let chunk = crate::chunk::Chunk { groups: vec![huge.clone(), huge], morsel: 0 };
+        assert_eq!(chunk.tuple_count(), u64::MAX);
+        assert_eq!(chunk.tuple_count_excluding(0), usize::MAX as u64);
     }
 
     #[test]

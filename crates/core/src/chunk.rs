@@ -224,19 +224,19 @@ pub struct Chunk {
 
 impl Chunk {
     /// Number of tuples currently represented: the product of group
-    /// contributions (the `count(*)` fast path of Section 6.2).
+    /// contributions (the `count(*)` fast path of Section 6.2), saturating
+    /// at `u64::MAX` as `COUNT(*)` itself does.
     pub fn tuple_count(&self) -> u64 {
-        self.groups.iter().map(ListGroup::contribution).product()
+        self.tuple_count_excluding(usize::MAX)
     }
 
-    /// Product of contributions of all groups except `skip`.
+    /// Saturating product of contributions of all groups except `skip`.
     pub fn tuple_count_excluding(&self, skip: usize) -> u64 {
         self.groups
             .iter()
             .enumerate()
             .filter(|(g, _)| *g != skip)
-            .map(|(_, lg)| lg.contribution())
-            .product()
+            .fold(1, |n, (_, lg)| n.saturating_mul(lg.contribution()))
     }
 }
 

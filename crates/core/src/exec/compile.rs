@@ -100,7 +100,7 @@ pub(crate) fn compile<'g>(
                 node_locs[*node] = Some(out);
                 ops.push(Op::ScanPk(ScanPk { label, key: seek_key(key, params)?, out, cursor }));
             }
-            PlanStep::Extend { edge, edge_label, dir, from, to, .. } => {
+            PlanStep::Extend { edge, edge_label, dir, from, to, counted, .. } => {
                 let from_ref =
                     node_locs[*from].ok_or_else(|| Error::Plan("unbound from".into()))?;
                 let nbr_label = g.catalog().edge_label(*edge_label).nbr_label(*dir);
@@ -127,6 +127,7 @@ pub(crate) fn compile<'g>(
                             out_group,
                             maybe_dirty,
                             from_count: g.vertex_count(from_label) as u64,
+                            counted: *counted,
                             active: false,
                             owns_iter: false,
                             pos: -1,

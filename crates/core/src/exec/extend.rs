@@ -1,9 +1,16 @@
 //! The joins over adjacency: `ListExtend` for n-side edges (one CSR list
 //! per source vertex, in a new list group) and `ColumnExtend` for
 //! single-cardinality edges (a neighbour column, in the source's group).
+//!
+//! A `ListExtend` the plan marks *counted* (nothing downstream reads its
+//! source group or the group it opens) never hands on a list: per child
+//! state it sums the list lengths of the source's selected positions,
+//! flattens the source once, and opens an output group of that length with
+//! no vectors — one state per child state instead of one per source
+//! position, and the sinks count its tuples by multiplicity alone.
 
 use gfcl_common::{Direction, Error, LabelId, Result};
-use gfcl_storage::{AdjIndex, GraphView, ReadCursors};
+use gfcl_storage::{AdjIndex, Csr, GraphView, ReadCursors};
 
 use super::read::{node_idx, ReadState};
 use crate::chunk::{Chunk, NodeData, ValueVector, VecRef};
@@ -27,6 +34,9 @@ pub(super) struct ListExtend {
     /// Baseline vertex count of the from-side label: offsets past it
     /// have no CSR entry and always take the merged path.
     pub(super) from_count: u64,
+    /// [`crate::plan::PlanStep::Extend::counted`]: return one state per
+    /// child state whose output group only has a length.
+    pub(super) counted: bool,
     /// A chunk state is held from the child and being iterated.
     pub(super) active: bool,
     /// This op flattens the source group (it arrived unflat).
@@ -45,6 +55,9 @@ impl ListExtend {
         chunk: &mut Chunk,
         mut child: impl FnMut(&mut Chunk) -> Result<bool>,
     ) -> Result<bool> {
+        if self.counted {
+            return self.next_counted(view, chunk, child);
+        }
         let g = view.base();
         let ListExtend {
             label,
@@ -54,6 +67,7 @@ impl ListExtend {
             out_group,
             maybe_dirty,
             from_count,
+            counted: _,
             active,
             owns_iter,
             pos,
@@ -111,13 +125,7 @@ impl ListExtend {
                 og.vectors[1] = ValueVector::EdgeRefs { label: *label, dir: *dir, from: src, refs };
                 return Ok(true);
             }
-            let csr = match g.adj(*label, *dir) {
-                AdjIndex::Csr(c) => c,
-                AdjIndex::SingleCard(_) => {
-                    return Err(Error::Exec("ListExtend over vertex-column adjacency".into()))
-                }
-            };
-            let (start, len) = csr.list(src);
+            let (start, len) = csr_of(view, *label, *dir)?.list(src);
             if len == 0 {
                 continue; // empty list: tuple produces no matches
             }
@@ -129,6 +137,73 @@ impl ListExtend {
             };
             og.vectors[1] = ValueVector::EdgeList { label: *label, dir: *dir, from: src, start };
             return Ok(true);
+        }
+    }
+
+    /// Counted mode: the child's next state whose selected source positions
+    /// have a non-empty list between them, with the source flattened at its
+    /// first selected position and the output group holding the sum of
+    /// their list lengths (and no vectors). A source that arrived flat
+    /// counts its one list and stays as it is.
+    fn next_counted(
+        &mut self,
+        view: GraphView<'_>,
+        chunk: &mut Chunk,
+        mut child: impl FnMut(&mut Chunk) -> Result<bool>,
+    ) -> Result<bool> {
+        let g = view.base();
+        let ListExtend { label, dir, from, out_group, maybe_dirty, from_count, rd, .. } = self;
+        let csr = csr_of(view, *label, *dir)?;
+        // A list's length under the snapshot: the merged adjacency where the
+        // delta touches it (the dirty path's own test), the CSR's otherwise.
+        let list_len = |cur: &mut ReadCursors, src: u64| {
+            if *maybe_dirty && (src >= *from_count || view.edge_list_dirty(*label, *dir, src)) {
+                view.merged_adj(cur, *label, *dir, src).0.len()
+            } else {
+                csr.list(src).1
+            }
+        };
+        loop {
+            if !child(chunk)? {
+                return Ok(false);
+            }
+            rd.enter(chunk.morsel);
+            let fg = &chunk.groups[from.group];
+            let vec = &fg.vectors[from.vec];
+            let (total, first) = if fg.is_flat() {
+                let src = vec.node_offset(g, &mut rd.cur.nbr, fg.cur_idx as usize);
+                (list_len(&mut rd.cur, src), None)
+            } else {
+                // One block read of the source offsets, then one list
+                // lookup per selected position.
+                let mut offs = std::mem::take(&mut rd.cur.offs);
+                let idx = node_idx(vec, g, fg.len, &mut rd.cur.nbr, &mut offs)?;
+                let (mut total, mut first) = (0usize, None);
+                for i in fg.iter_selected() {
+                    first.get_or_insert(i);
+                    total += list_len(&mut rd.cur, idx.at(i));
+                }
+                rd.cur.offs = offs;
+                (total, first)
+            };
+            if total == 0 {
+                continue; // no selected source has a match
+            }
+            if let Some(p) = first {
+                chunk.groups[from.group].cur_idx = p as i64;
+            }
+            chunk.groups[*out_group].reset(total);
+            return Ok(true);
+        }
+    }
+}
+
+/// The CSR of `(label, dir)`; an error for a vertex-column adjacency.
+fn csr_of<'g>(view: GraphView<'g>, label: LabelId, dir: Direction) -> Result<&'g Csr> {
+    match view.base().adj(label, dir) {
+        AdjIndex::Csr(c) => Ok(c),
+        AdjIndex::SingleCard(_) => {
+            Err(Error::Exec("ListExtend over vertex-column adjacency".into()))
         }
     }
 }

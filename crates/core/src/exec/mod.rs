@@ -95,6 +95,7 @@ impl<'g> Pipeline<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::PlanStep;
 
     #[test]
     fn operators_stay_small() {
@@ -102,6 +103,66 @@ mod tests {
         // cursors. `compile` allocates `len * size_of::<Op>()` per query:
         // a microsecond point read must not pay for paged-read state.
         assert!(std::mem::size_of::<Op<'_>>() <= 160, "{}", std::mem::size_of::<Op<'_>>());
+    }
+
+    /// `N` vertices `0..8` and `L` edges chosen so that the 2-hop from
+    /// `a` is non-empty for exactly `a = 0` (`b = 1, 2`: lists of 1 and 2)
+    /// and `a = 2` (`b = 3, 4`: lists of 0 and 1); `a = 1, 4, 6` have a
+    /// 1-hop whose lists are all empty.
+    fn chain_graph() -> gfcl_storage::ColumnarGraph {
+        use gfcl_common::DataType;
+        use gfcl_storage::{Cardinality, Catalog, PropertyDef, RawGraph, StorageConfig};
+        let mut cat = Catalog::new();
+        let n = cat.add_vertex_label("N", vec![PropertyDef::new("id", DataType::Int64)]).unwrap();
+        let l = cat.add_edge_label("L", n, n, Cardinality::ManyMany, vec![]).unwrap();
+        let mut raw = RawGraph::new(cat);
+        let t = &mut raw.vertices[n as usize];
+        t.count = 8;
+        for id in 0..8 {
+            t.props[0].push_i64(id);
+        }
+        let e = &mut raw.edges[l as usize];
+        for (src, dst) in [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (4, 5), (6, 5)] {
+            e.src.push(src);
+            e.dst.push(dst);
+        }
+        gfcl_storage::ColumnarGraph::build(&raw, StorageConfig::default()).unwrap()
+    }
+
+    /// `(number of chunk states, COUNT(*))` of a `hops`-hop count from `v0`
+    /// over [`chain_graph`], scanned in morsels of `morsel` vertices.
+    fn count_states(hops: usize, morsel: u64) -> (usize, u64) {
+        let g = chain_graph();
+        let mut b = crate::query::PatternQuery::builder();
+        for i in 0..=hops {
+            b = b.node(&format!("v{i}"), "N");
+        }
+        for i in 0..hops {
+            b = b.edge(&format!("e{i}"), "L", &format!("v{i}"), &format!("v{}", i + 1));
+        }
+        let q = b.start_at("v0").edge_order((0..hops).collect()).returns_count().build();
+        let plan = crate::plan::plan(&q, g.catalog()).unwrap();
+        let counted = |s: &PlanStep| matches!(s, PlanStep::Extend { counted: true, .. });
+        assert!(counted(plan.steps.last().unwrap()), "the tail extend is counted");
+        let view = GraphView::clean(&g);
+        let cursor = ScanCursor::for_plan_view(view, &plan, morsel).unwrap();
+        let mut pipe = compile(view, &plan, &cursor, &[]).unwrap();
+        let (mut states, mut count) = (0, 0);
+        while pipe.next_state(view).unwrap() {
+            states += 1;
+            count += pipe.chunk.tuple_count();
+        }
+        (states, count)
+    }
+
+    #[test]
+    fn counted_extends_emit_one_state_per_child_state() {
+        // 2-hop: one state per `a` with a non-empty 2-hop (0 and 2), not
+        // one per `(a, b)` edge (7).
+        assert_eq!(count_states(2, SCAN_MORSEL as u64), (2, 4));
+        // 1-hop: one state per scan morsel holding an edge.
+        assert_eq!(count_states(1, 3), (3, 7));
+        assert_eq!(count_states(1, SCAN_MORSEL as u64), (1, 7));
     }
 
     #[test]

@@ -7,19 +7,29 @@
 //! contributions without ever enumerating tuples; the grouped sink
 //! enumerates only the positions of the groups holding *grouping keys*
 //! (usually flat by the time the sink runs); the groups holding aggregated
-//! extension lists are folded value-by-value with their multiplicity and are
-//! **never** flattened into tuples.
+//! extension lists are folded block by block with their multiplicity and
+//! are **never** flattened into tuples.
+//!
+//! Every aggregate input — a list, a flat position, a key entry — folds
+//! through one typed loop per (aggregate, block type) pair (`fold_block`):
+//! `COUNT(x)` reads validity only, `SUM`/`AVG` accumulate raw integers and
+//! floats in position order, `MIN`/`MAX` over numbers compare raw values,
+//! and `COUNT(DISTINCT)` over a dictionary-encoded slot keeps a set of
+//! codes. Only string `MIN`/`MAX` and `COUNT(DISTINCT)` over numbers build
+//! [`Value`]s. A counted tail extend reaches the sinks as a list group with
+//! a length and no vectors, which only ever contributes multiplicity.
 
 use gfcl_columnar::Column;
-use gfcl_common::{Result, Value};
+use gfcl_common::{DataType, Result, Value};
 
 use super::Pipeline;
 use crate::agg::{self, cmp_rows, AggState, GroupTable, OrdValue, ScalarAgg};
 use crate::chunk::{Chunk, ListGroup, ValueVector, VecRef};
 use crate::engine::QueryOutput;
 use crate::govern::{row_bytes, value_bytes};
-use crate::plan::{LogicalPlan, PlanAgg, PlanReturn};
+use crate::plan::{LogicalPlan, PlanAgg, PlanReturn, SlotDef};
 use crate::pred::SlotCol;
+use crate::query::AggFunc;
 
 /// What one pipeline drains into: the plan's `RETURN` as a fold over chunk
 /// states. Each worker owns one; at the barrier the later workers' sinks
@@ -43,7 +53,9 @@ impl<'p, 'g> Sink<'p, 'g> {
                 Sink::Distinct(DistinctSink::new(pipe, slots))
             }
             PlanReturn::Props(slots) => Sink::Rows(TopKSink::new(pipe, plan, slots)),
-            PlanReturn::GroupBy { keys, aggs } => Sink::Grouped(GroupBySink::new(pipe, keys, aggs)),
+            PlanReturn::GroupBy { keys, aggs } => {
+                Sink::Grouped(GroupBySink::new(pipe, &plan.slots, keys, aggs))
+            }
             _ => Sink::Scalar(ScalarAgg::new(plan)?),
         })
     }
@@ -111,15 +123,123 @@ fn absorb_scalar(agg: &mut ScalarAgg, pipe: &Pipeline<'_>) {
     };
     let (r, col) = pipe.slot(slot);
     let group = &chunk.groups[r.group];
-    let vec = &group.vectors[r.vec];
     let mult = chunk.tuple_count_excluding(r.group);
-    if group.is_flat() {
-        agg.fold(Some(&vector_value(vec, group.cur_idx as usize, col)), mult);
-    } else {
-        for i in group.iter_selected() {
-            agg.fold(Some(&vector_value(vec, i, col)), mult);
+    fold_block(agg.state_mut(), &group.vectors[r.vec], col, mult, positions(group));
+}
+
+/// The positions of `gr` a sink folds: its `cur_idx` when flat, its
+/// selected positions otherwise.
+fn positions(gr: &ListGroup) -> impl Iterator<Item = usize> + '_ {
+    let flat = gr.is_flat();
+    let (lo, hi) = if flat { (gr.cur_idx as usize, gr.cur_idx as usize + 1) } else { (0, gr.len) };
+    (lo..hi).filter(move |&i| flat || gr.selected(i))
+}
+
+/// Fold the entries of block `v` at positions `at`, each standing for
+/// `mult` tuples, into `state` — one typed loop per (aggregate, block
+/// type) pair, finishing exactly as [`AggState::update`] over each entry's
+/// [`Value`] in order would: the same integer and float sums (added in
+/// position order), the same MIN/MAX winner among equal and NaN values.
+/// Returns the state's heap growth.
+fn fold_block(
+    state: &mut AggState,
+    v: &ValueVector,
+    sc: SlotCol<'_>,
+    mult: u64,
+    at: impl Iterator<Item = usize>,
+) -> u64 {
+    use ValueVector::{Code, F64, I64};
+    if mult == 0 {
+        return 0; // as `AggState::update`: no tuple, no effect
+    }
+    match (state, v) {
+        (AggState::Count(n), _) => {
+            let valid = block_validity(v);
+            let seen = at.filter(|&i| valid[i]).count() as u64;
+            *n = n.saturating_add(seen.saturating_mul(mult));
+            0
+        }
+        (
+            AggState::Sum { ints, seen: count, .. } | AggState::Avg { ints, count, .. },
+            I64 { vals, valid, .. },
+        ) => {
+            for i in at.filter(|&i| valid[i]) {
+                *ints += vals[i] as i128 * mult as i128;
+                *count += mult;
+            }
+            0
+        }
+        (
+            AggState::Sum { floats, seen: count, .. } | AggState::Avg { floats, count, .. },
+            F64 { vals, valid },
+        ) => {
+            for i in at.filter(|&i| valid[i]) {
+                *floats += vals[i] * mult as f64;
+                *count += mult;
+            }
+            0
+        }
+        (
+            AggState::Best {
+                value: value @ (Value::Null | Value::Int64(_) | Value::Date(_)),
+                want_min,
+            },
+            I64 { vals, valid, date },
+        ) => {
+            let seed = value.as_i64();
+            if let Some(b) = best_of(seed, *want_min, at.filter(|&i| valid[i]).map(|i| vals[i])) {
+                *value = if *date { Value::Date(b) } else { Value::Int64(b) };
+            }
+            0
+        }
+        (
+            AggState::Best { value: value @ (Value::Null | Value::Float64(_)), want_min },
+            F64 { vals, valid },
+        ) => {
+            let seed = value.as_f64();
+            if let Some(b) = best_of(seed, *want_min, at.filter(|&i| valid[i]).map(|i| vals[i])) {
+                *value = Value::Float64(b);
+            }
+            0
+        }
+        (state @ AggState::DistinctCodes(_), Code { vals, valid }) => {
+            at.filter(|&i| valid[i]).map(|i| state.insert_code(vals[i])).sum()
+        }
+        (state, _) => at.map(|i| state.update(&vector_value(v, i, sc), mult)).sum(),
+    }
+}
+
+/// The validity mask of a property block.
+fn block_validity(v: &ValueVector) -> &[bool] {
+    match v {
+        ValueVector::I64 { valid, .. }
+        | ValueVector::F64 { valid, .. }
+        | ValueVector::Bool { valid, .. }
+        | ValueVector::Code { valid, .. } => valid,
+        // lint: allow(aggregate inputs are property slots; compile() never
+        // wires a node or edge vector into one)
+        _ => panic!("validity of a non-property vector"),
+    }
+}
+
+/// The MIN (`want_min`) or MAX of `seed` and `cands` under [`agg::improves`]'s
+/// rules for one numeric type: a candidate replaces the best only when
+/// strictly better, so the first of equal values (`0.0`, `-0.0`) stays, a
+/// NaN replaces only an empty best and is then never replaced. `None` when
+/// no candidate replaced `seed`.
+fn best_of<T: PartialOrd + Copy>(
+    seed: Option<T>,
+    want_min: bool,
+    cands: impl Iterator<Item = T>,
+) -> Option<T> {
+    let better = if want_min { std::cmp::Ordering::Greater } else { std::cmp::Ordering::Less };
+    let (mut best, mut replaced) = (seed, false);
+    for c in cands {
+        if best.is_none_or(|b| b.partial_cmp(&c) == Some(better)) {
+            (best, replaced) = (Some(c), true);
         }
     }
+    best.filter(|_| replaced)
 }
 
 /// Read position `idx` of a block as a [`Value`] (row materialization).
@@ -292,7 +412,9 @@ struct GroupShape<'g> {
     /// Distinct groups the keys live in, sorted (the only groups whose
     /// positions the sink ever enumerates).
     key_groups: Vec<usize>,
-    aggs: Vec<PlanAgg>,
+    /// A fresh state per aggregate, cloned at the start of every key run:
+    /// `COUNT(DISTINCT)` over a string slot is a code set.
+    fresh: Vec<AggState>,
 }
 
 /// The run cache: the states accumulated for one key since it was last
@@ -304,22 +426,36 @@ struct KeyRun {
     /// The run's key, decoded when the run started; `None` = no run.
     key: Option<Vec<Value>>,
     states: Vec<AggState>,
-    /// Heap growth of the run not yet folded into the table's estimate
-    /// (flushed together with the run itself).
+    /// Heap held by the run's states, charged while the run is open; its
+    /// flush charges the table only what merging the run added.
     bytes: u64,
-    /// Scratch: the dictionary codes of one list (`COUNT(DISTINCT)`).
-    codes: Vec<u64>,
 }
 
 impl<'g> GroupBySink<'g> {
-    fn new(pipe: &Pipeline<'g>, keys: &[usize], aggs: &[PlanAgg]) -> GroupBySink<'g> {
+    fn new(
+        pipe: &Pipeline<'g>,
+        slots: &[SlotDef],
+        keys: &[usize],
+        aggs: &[PlanAgg],
+    ) -> GroupBySink<'g> {
         let key_refs: Vec<_> = keys.iter().map(|&s| pipe.slot(s)).collect();
         let agg_refs: Vec<_> = aggs.iter().map(|a| a.slot.map(|s| pipe.slot(s))).collect();
         let mut key_groups: Vec<usize> = key_refs.iter().map(|(r, _)| r.group).collect();
         key_groups.sort_unstable();
         key_groups.dedup();
+        let fresh = aggs
+            .iter()
+            .map(|a| match (a.func, a.slot) {
+                (AggFunc::Count { distinct: true }, Some(s))
+                    if slots[s].dtype == DataType::String =>
+                {
+                    AggState::DistinctCodes(Default::default())
+                }
+                _ => AggState::new(a.func),
+            })
+            .collect();
         GroupBySink {
-            shape: GroupShape { key_refs, agg_refs, key_groups, aggs: aggs.to_vec() },
+            shape: GroupShape { key_refs, agg_refs, key_groups, fresh },
             table: GroupTable::new(aggs),
             run: KeyRun::default(),
             combos: Combos::default(),
@@ -337,7 +473,7 @@ impl<'g> GroupBySink<'g> {
                 return; // the state represents no tuples
             }
             if !shape.key_groups.contains(&gi) {
-                mult_nonkey *= c;
+                mult_nonkey = mult_nonkey.saturating_mul(c);
             }
         }
         if shape.key_groups.iter().all(|&g| chunk.groups[g].is_flat()) {
@@ -396,36 +532,26 @@ impl KeyRun {
                 key.push(vector_value(v, i, *col));
             }
             self.key = Some(key);
-            self.states.extend(shape.aggs.iter().map(|a| AggState::new(a.func)));
+            self.states.extend(shape.fresh.iter().cloned());
         }
         for (state, input) in self.states.iter_mut().zip(&shape.agg_refs) {
-            self.bytes += fold_agg(
-                state,
-                input,
-                chunk,
-                &shape.key_groups,
-                mult_nonkey,
-                &pos_in,
-                &mut self.codes,
-            );
+            self.bytes += fold_agg(state, input, chunk, &shape.key_groups, mult_nonkey, &pos_in);
         }
     }
 
     /// Merge the run into the table.
     fn flush(&mut self, table: &mut GroupTable) {
         if let Some(key) = self.key.take() {
-            table.merge_group(key, &mut self.states);
+            table.merge_group(key, &mut self.states, self.bytes);
         }
-        table.add_bytes(self.bytes);
         self.bytes = 0;
     }
 }
 
 /// Fold one aggregate input of one key combination into `state`.
 /// `pos_in` resolves the current position of a *key* group; `mult_nonkey`
-/// is the tuple count contributed by all non-key groups; `codes` is
-/// scratch. Returns the state's heap growth (see [`AggState::update`]) for
-/// memory budgeting.
+/// is the tuple count contributed by all non-key groups. Returns the
+/// state's heap growth (see [`AggState::update`]) for memory budgeting.
 fn fold_agg(
     state: &mut AggState,
     input: &Option<(VecRef, SlotCol<'_>)>,
@@ -433,42 +559,30 @@ fn fold_agg(
     key_groups: &[usize],
     mult_nonkey: u64,
     pos_in: impl Fn(usize) -> usize,
-    codes: &mut Vec<u64>,
 ) -> u64 {
     let Some((r, col)) = input else {
         // COUNT(*): pure multiplicity arithmetic, no values read.
         state.add_count(mult_nonkey);
         return 0;
     };
-    let vec = &chunk.groups[r.group].vectors[r.vec];
+    let gr = &chunk.groups[r.group];
+    let vec = &gr.vectors[r.vec];
     if key_groups.contains(&r.group) {
         // The input sits in a key group: one value per combo, weighted by
         // the other groups.
-        return state.update(&vector_value(vec, pos_in(r.group), *col), mult_nonkey);
+        let i = pos_in(r.group);
+        return fold_block(state, vec, *col, mult_nonkey, i..i + 1);
     }
     // The input sits in an extension group: fold its selected values with
-    // the multiplicity of every group but itself — never enumerating
-    // tuples. (`absorb` returned early on a zero contribution.)
-    let gr = &chunk.groups[r.group];
-    let excl = mult_nonkey / gr.contribution();
-    if gr.is_flat() {
-        return state.update(&vector_value(vec, gr.cur_idx as usize, *col), excl);
-    }
-    match (matches!(state, AggState::Distinct(_)), vec) {
-        // COUNT(DISTINCT) over dictionary codes: deduplicate the list's
-        // codes, then decode each distinct code once.
-        (true, ValueVector::Code { vals, valid }) => {
-            codes.clear();
-            codes.extend(gr.iter_selected().filter(|&i| valid[i]).map(|i| vals[i]));
-            codes.sort_unstable();
-            codes.dedup();
-            codes
-                .iter()
-                .map(|&c| state.update(&Value::String(code_str(c, *col).to_owned()), excl))
-                .sum()
-        }
-        _ => gr.iter_selected().map(|i| state.update(&vector_value(vec, i, *col), excl)).sum(),
-    }
+    // the multiplicity of every non-key group but itself — never
+    // enumerating tuples. (`absorb` returned early on a zero contribution.)
+    let excl = chunk
+        .groups
+        .iter()
+        .enumerate()
+        .filter(|&(g, _)| g != r.group && !key_groups.contains(&g))
+        .fold(1u64, |m, (_, other)| m.saturating_mul(other.contribution()));
+    fold_block(state, vec, *col, excl, positions(gr))
 }
 
 /// Row sink for projections.
@@ -704,5 +818,104 @@ impl<'g> DistinctSink<'g> {
             }
         });
         self.bytes += grew;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gfcl_columnar::NullKind;
+    use proptest::prelude::*;
+
+    /// A block of `kind` (0 = Int64, 1 = Date, 2 = Double, 3 = Bool,
+    /// 4 = dictionary codes of `DICT`) from `(is_null, raw)` entries; raw
+    /// doubles include NaN and both zeros.
+    fn block(kind: u8, entries: &[(bool, i64)]) -> ValueVector {
+        let valid = entries.iter().map(|&(null, _)| !null).collect();
+        let raws = entries.iter().map(|&(_, r)| r);
+        match kind {
+            0 | 1 => ValueVector::I64 { vals: raws.collect(), valid, date: kind == 1 },
+            2 => {
+                let f = |r: i64| match r {
+                    -4 => f64::NAN,
+                    -3 => -0.0,
+                    -2 => 0.0,
+                    r => r as f64 * 0.5,
+                };
+                ValueVector::F64 { vals: raws.map(f).collect(), valid }
+            }
+            3 => ValueVector::Bool { vals: raws.map(|r| r > 0).collect(), valid },
+            _ => ValueVector::Code {
+                vals: raws.map(|r| r.rem_euclid(DICT.len() as i64) as u64).collect(),
+                valid,
+            },
+        }
+    }
+
+    const DICT: [&str; 5] = ["Chrome", "Firefox", "Opera", "Safari", "Zeta"];
+
+    /// A finished value as comparable bits (NaN payloads and the sign of
+    /// zero included).
+    fn bits(v: &Value) -> String {
+        match v {
+            Value::Float64(f) => format!("f64:{:x}", f.to_bits()),
+            v => format!("{v:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn typed_folds_match_per_value_updates(
+            kind in 0u8..5,
+            func in 0u8..6,
+            blocks in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u8..4, -4i64..6, 0u8..4), 0..24),
+                    0u64..4,
+                ),
+                1..4,
+            ),
+        ) {
+            let func = match func {
+                0 => AggFunc::Count { distinct: false },
+                1 => AggFunc::Count { distinct: true },
+                2 => AggFunc::Sum,
+                3 => AggFunc::Avg,
+                4 => AggFunc::Min,
+                _ => AggFunc::Max,
+            };
+            let strings: Vec<Value> = DICT.iter().map(|&s| Value::String(s.into())).collect();
+            let dict = Column::from_values(DataType::String, &strings, NullKind::None).unwrap();
+            let sc = SlotCol::clean(Some(&dict));
+            let mut typed = match func {
+                AggFunc::Count { distinct: true } if kind == 4 => {
+                    AggState::DistinctCodes(Default::default())
+                }
+                f => AggState::new(f),
+            };
+            let mut reference = AggState::new(func);
+            for (entries, mult) in &blocks {
+                let rows: Vec<(bool, i64)> = entries.iter().map(|&(n, r, _)| (n == 0, r)).collect();
+                let v = block(kind, &rows);
+                // A position is selected unless its third draw is 0.
+                let selected = |i: &usize| entries[*i].2 != 0;
+                fold_block(&mut typed, &v, sc, *mult, (0..entries.len()).filter(selected));
+                for i in (0..entries.len()).filter(selected) {
+                    reference.update(&vector_value(&v, i, sc), *mult);
+                }
+            }
+            let dtype = match kind {
+                0 => DataType::Int64,
+                1 => DataType::Date,
+                2 => DataType::Float64,
+                3 => DataType::Bool,
+                _ => DataType::String,
+            };
+            prop_assert_eq!(
+                bits(&typed.finish(Some(dtype))),
+                bits(&reference.finish(Some(dtype)))
+            );
+        }
     }
 }

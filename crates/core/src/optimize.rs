@@ -626,7 +626,7 @@ impl GroupSim {
         self.unflat.push(true);
     }
 
-    fn group_of_node(&self, n: usize) -> usize {
+    pub(crate) fn group_of_node(&self, n: usize) -> usize {
         self.place[n]
     }
 
@@ -894,7 +894,7 @@ pub fn render_explain(plan: &LogicalPlan, catalog: &Catalog) -> String {
                 let key = scalar_str(key, &plan.slots);
                 format!("SCAN_PK   ({}:{}) {}.{pk} = {key}", n.var, def.name, n.var)
             }
-            PlanStep::Extend { edge, edge_label, dir, from, to, single } => {
+            PlanStep::Extend { edge, edge_label, dir, from, to, single, counted } => {
                 let flattens = sim.extend(*edge, *from, *to, *single);
                 let label = &catalog.edge_label(*edge_label).name;
                 let evar =
@@ -905,7 +905,13 @@ pub fn render_explain(plan: &LogicalPlan, catalog: &Catalog) -> String {
                     Direction::Bwd => format!("({fv})<-[{evar}:{label}]-({tv})"),
                 };
                 let op = if *single { "ColumnExtend" } else { "ListExtend" };
-                let flat = if flattens { format!(", flattens ({fv})") } else { String::new() };
+                let flat = if *counted {
+                    format!(", counted: ({fv}) not flattened")
+                } else if flattens {
+                    format!(", flattens ({fv})")
+                } else {
+                    String::new()
+                };
                 format!("EXTEND    {arrow}  [{op}{flat}]")
             }
             PlanStep::NodeProp { slot, .. } | PlanStep::EdgeProp { slot, .. } => {

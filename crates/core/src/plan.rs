@@ -160,6 +160,13 @@ pub enum PlanStep {
         /// Cardinality is single in `dir` (planner-level; engines consult
         /// storage for the actual index kind).
         single: bool,
+        /// Nothing after this step reads its source list group or the group
+        /// it opens (no later extend from, property read of, or filter over
+        /// a variable in either, and no `RETURN` slot in either): the
+        /// operator may sum the source's list lengths instead of flattening
+        /// the source one position at a time. Only ever set on a CSR extend
+        /// (`single == false`); decided once, by the planner.
+        counted: bool,
     },
     /// Materialize a node property into a slot.
     NodeProp { node: usize, prop: usize, slot: SlotId },
@@ -192,6 +199,21 @@ pub enum PlanReturn {
         keys: Vec<SlotId>,
         aggs: Vec<PlanAgg>,
     },
+}
+
+impl PlanReturn {
+    /// Every slot the sink reads: projection columns, grouping keys and
+    /// aggregate inputs. Indexes are *not* validated — the verifier checks
+    /// them.
+    pub fn slots(&self) -> impl Iterator<Item = SlotId> + '_ {
+        let (cols, one, aggs): (&[SlotId], Option<SlotId>, &[PlanAgg]) = match self {
+            PlanReturn::CountStar => (&[], None, &[]),
+            PlanReturn::Props(ids) => (ids, None, &[]),
+            PlanReturn::Sum(s) | PlanReturn::Min(s) | PlanReturn::Max(s) => (&[], Some(*s), &[]),
+            PlanReturn::GroupBy { keys, aggs } => (keys, None, aggs),
+        };
+        cols.iter().copied().chain(one).chain(aggs.iter().filter_map(|a| a.slot))
+    }
 }
 
 /// Resolved metadata of one pattern node.
@@ -628,6 +650,7 @@ impl Planner<'_> {
                 from,
                 to,
                 single: def.cardinality.is_single(dir),
+                counted: false,
             });
             node_bound[to] = true;
             edge_bound[ei] = true;
@@ -671,15 +694,7 @@ impl Planner<'_> {
                         expr.for_each_slot(|sl| used[sl] = true);
                     }
                 }
-                match &ret {
-                    PlanReturn::CountStar => {}
-                    PlanReturn::Props(ids) => ids.iter().for_each(|&s| used[s] = true),
-                    PlanReturn::Sum(s) | PlanReturn::Min(s) | PlanReturn::Max(s) => used[*s] = true,
-                    PlanReturn::GroupBy { keys, aggs } => {
-                        keys.iter().for_each(|&s| used[s] = true);
-                        aggs.iter().filter_map(|a| a.slot).for_each(|s| used[s] = true);
-                    }
-                }
+                ret.slots().for_each(|s| used[s] = true);
                 steps.retain(|s| match s {
                     PlanStep::NodeProp { slot, .. } | PlanStep::EdgeProp { slot, .. } => {
                         used[*slot]
@@ -688,6 +703,9 @@ impl Planner<'_> {
                 });
             }
         }
+
+        // The steps are final: mark the extends nothing downstream reads.
+        mark_counted(&mut steps, &ret, &slots);
 
         let step_cards = optimize::estimate_steps(&steps, &nodes, &edges, &slots, self.catalog);
         let sink_card =
@@ -915,6 +933,70 @@ impl Planner<'_> {
                 )))
             }
         })
+    }
+}
+
+/// Set [`PlanStep::Extend::counted`] on every CSR extend whose source list
+/// group and new list group no later step and no `RETURN` slot reads.
+/// Plans are a handful of steps, so the groups are recomputed per question
+/// ([`node_group`]) rather than tabulated: the rule allocates nothing.
+fn mark_counted(steps: &mut [PlanStep], ret: &PlanReturn, slots: &[SlotDef]) {
+    for i in 0..steps.len() {
+        let PlanStep::Extend { from, single: false, .. } = steps[i] else { continue };
+        let groups = [node_group(steps, from), opened_group(steps, i)];
+        let read = |g: usize| groups.contains(&g);
+        let slot_read = |s: SlotId| read(slot_group(steps, &slots[s]));
+        let later_read = steps[i + 1..].iter().any(|step| match step {
+            PlanStep::Extend { from, .. } => read(node_group(steps, *from)),
+            PlanStep::NodeProp { node, .. } => read(node_group(steps, *node)),
+            PlanStep::EdgeProp { edge, .. } => read(edge_group(steps, *edge)),
+            PlanStep::Filter { expr } => !expr.all_slots(|s| !slot_read(s)),
+            PlanStep::ScanAll { .. } | PlanStep::ScanPk { .. } => false,
+        });
+        let ret_read = ret.slots().any(slot_read);
+        if let PlanStep::Extend { counted, .. } = &mut steps[i] {
+            *counted = !later_read && !ret_read;
+        }
+    }
+}
+
+/// The list group the executor places node `n` in: 0 for the scanned node,
+/// the group a CSR extend opens for its target, its source's group for a
+/// single-cardinality extend's target.
+fn node_group(steps: &[PlanStep], n: usize) -> usize {
+    let mut opened = 0;
+    for step in steps {
+        if let PlanStep::Extend { from, to, single, .. } = *step {
+            opened += usize::from(!single);
+            if to == n {
+                return if single { node_group(steps, from) } else { opened };
+            }
+        }
+    }
+    0
+}
+
+/// The list group of pattern edge `e`: its target node's.
+fn edge_group(steps: &[PlanStep], e: usize) -> usize {
+    steps
+        .iter()
+        .find_map(|step| match *step {
+            PlanStep::Extend { edge, to, .. } if edge == e => Some(node_group(steps, to)),
+            _ => None,
+        })
+        .unwrap_or(0)
+}
+
+/// The list group the CSR extend at `steps[i]` opens.
+fn opened_group(steps: &[PlanStep], i: usize) -> usize {
+    steps[..=i].iter().filter(|s| matches!(s, PlanStep::Extend { single: false, .. })).count()
+}
+
+/// The list group of the variable behind slot `def`.
+fn slot_group(steps: &[PlanStep], def: &SlotDef) -> usize {
+    match def.source {
+        SlotSource::NodeProp { node, .. } => node_group(steps, node),
+        SlotSource::EdgeProp { edge, .. } => edge_group(steps, edge),
     }
 }
 

@@ -93,7 +93,8 @@ impl Verifier<'_> {
 
     fn run(&mut self) -> Result<()> {
         self.check_tables()?;
-        self.check_steps()?;
+        let sim = self.check_steps()?;
+        self.check_counted(&sim)?;
         self.check_sink()?;
         self.check_cards()?;
         Ok(())
@@ -184,8 +185,9 @@ impl Verifier<'_> {
     /// Phase 2 — the step sequence: scan placement, def-before-use dataflow,
     /// extend schema consistency, pushed-predicate eligibility, and the
     /// unflat-span rule (via the same [`GroupSim`] the order enumerator
-    /// uses). Bookkeeping mirrors the executor's compile pass.
-    fn check_steps(&mut self) -> Result<()> {
+    /// uses). Bookkeeping mirrors the executor's compile pass. Returns the
+    /// finished group walk.
+    fn check_steps(&mut self) -> Result<GroupSim> {
         let p = self.plan;
         self.ensure(!p.steps.is_empty(), "scan-first", || "plan has no steps".into())?;
         self.ensure(
@@ -257,7 +259,7 @@ impl Verifier<'_> {
                     node_bound[*node] = true;
                     sim.scan(*node);
                 }
-                PlanStep::Extend { edge, edge_label, dir, from, to, single } => {
+                PlanStep::Extend { edge, edge_label, dir, from, to, single, .. } => {
                     self.ensure(*edge < p.edges.len(), "index-range", || {
                         format!("step {at} ({kind}): edge {edge} exceeds the edge table")
                     })?;
@@ -394,13 +396,71 @@ impl Verifier<'_> {
         // Slots the sink consumes must be filled by a property step; slots
         // feeding only pushed predicates legitimately have none (the scan
         // evaluates them directly on the columns).
-        for s in sink_slots(&p.ret) {
+        for s in p.ret.slots() {
             self.ensure(s < p.slots.len(), "index-range", || {
                 format!("sink references slot ${s}, which exceeds the slot table")
             })?;
             self.ensure(slot_filled[s], "def-before-use", || {
                 format!("sink reads slot ${s} ({}) but no property step fills it", p.slots[s].name)
             })?;
+        }
+        Ok(sim)
+    }
+
+    /// Phase 2b — counted extends (`counted-extend`): a step marked
+    /// [`PlanStep::Extend::counted`] hands downstream only the *number* of
+    /// its list entries, with its source group flattened at an arbitrary
+    /// position, so it must be a CSR extend whose source group and new
+    /// group no later step (extend source, property read, filter slot) and
+    /// no sink slot reads. `sim` is phase 2's finished walk: a variable
+    /// never changes group once placed, so its final placement is the one
+    /// every step saw. A plan without a counted step evaluates no check
+    /// here.
+    fn check_counted(&mut self, sim: &GroupSim) -> Result<()> {
+        let p = self.plan;
+        for (i, step) in p.steps.iter().enumerate() {
+            let PlanStep::Extend { from, to, single, counted: true, .. } = *step else {
+                continue;
+            };
+            let at = i + 1;
+            self.ensure(!single, "counted-extend", || {
+                format!(
+                    "step {at} (EXTEND): a single-cardinality extend opens no list group to count"
+                )
+            })?;
+            let groups = [sim.group_of_node(from), sim.group_of_node(to)];
+            let slot_group = |s: usize| sim.group_of_slot(&p.slots[s]);
+            for (j, later) in p.steps.iter().enumerate().skip(i + 1) {
+                let check = |v: &mut Self, g: usize| {
+                    v.ensure(!groups.contains(&g), "counted-extend", || {
+                        format!(
+                            "step {} ({}): reads list group {g}, which the counted extend at \
+                             step {at} hands on as a bare count",
+                            j + 1,
+                            step_kind(later)
+                        )
+                    })
+                };
+                match later {
+                    PlanStep::Extend { from, .. } => check(self, sim.group_of_node(*from))?,
+                    PlanStep::NodeProp { slot, .. } | PlanStep::EdgeProp { slot, .. } => {
+                        check(self, slot_group(*slot))?
+                    }
+                    PlanStep::Filter { expr } => {
+                        expr.try_for_each_slot(&mut |s| check(self, slot_group(s)))?
+                    }
+                    PlanStep::ScanAll { .. } | PlanStep::ScanPk { .. } => {}
+                }
+            }
+            for s in p.ret.slots() {
+                self.ensure(!groups.contains(&slot_group(s)), "counted-extend", || {
+                    format!(
+                        "sink reads slot ${s} ({}), which lives in a list group the counted \
+                         extend at step {at} hands on as a bare count",
+                        p.slots[s].name
+                    )
+                })?;
+            }
         }
         Ok(())
     }
@@ -643,18 +703,6 @@ impl Verifier<'_> {
         }
         Ok(())
     }
-}
-
-/// Every slot the sink reads (projection columns, aggregate inputs,
-/// grouping keys). Indexes are *not* yet validated — callers check.
-fn sink_slots(ret: &PlanReturn) -> impl Iterator<Item = usize> + '_ {
-    let (cols, one, aggs): (&[usize], Option<usize>, &[PlanAgg]) = match ret {
-        PlanReturn::CountStar => (&[], None, &[]),
-        PlanReturn::Props(ids) => (ids, None, &[]),
-        PlanReturn::Sum(s) | PlanReturn::Min(s) | PlanReturn::Max(s) => (&[], Some(*s), &[]),
-        PlanReturn::GroupBy { keys, aggs } => (keys, None, aggs),
-    };
-    cols.iter().copied().chain(one).chain(aggs.iter().filter_map(|a| a.slot))
 }
 
 /// Shared with [`Value::data_type`]: keep the import used and the rule

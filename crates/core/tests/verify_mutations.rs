@@ -511,3 +511,43 @@ fn rejects_primary_key_seek_by_a_non_integer_parameter() {
         "seeks by parameter ?0 of type String",
     );
 }
+
+/// LDBC IC05 — forums of friends-of-friends joined recently, and their
+/// posts: the planner does not count its tail `co` extend, because the
+/// sink returns `f.title` from that extend's source group.
+#[test]
+fn rejects_counting_an_extend_whose_source_the_sink_reads() {
+    let raw = gfcl_datagen::generate_social(gfcl_datagen::SocialParams::scale(40));
+    let cat = ColumnarGraph::build(&raw, StorageConfig::default()).unwrap().catalog().clone();
+    let q = PatternQuery::builder()
+        .node("p1", "Person")
+        .node("p2", "Person")
+        .node("p3", "Person")
+        .node("f", "Forum")
+        .node("pst", "Post")
+        .edge("k1", "knows", "p1", "p2")
+        .edge("k2", "knows", "p2", "p3")
+        .edge("hm", "hasMember", "f", "p3")
+        .edge("co", "containerOf", "f", "pst")
+        .filter(eq(col("p1", "id"), lit(20i64)))
+        .filter(gt(col("hm", "date"), gfcl_core::query::lit_date(1_267_302_820)))
+        .returns(&[("f", "title")])
+        .build();
+    let plan = plan_query(&q, &cat).expect("IC05 plans");
+    let co = plan
+        .steps
+        .iter()
+        .position(|s| matches!(s, PlanStep::Extend { edge: 3, counted: false, .. }))
+        .expect("IC05 extends along co, uncounted");
+    assert_rejected(
+        plan,
+        &cat,
+        |p| {
+            if let PlanStep::Extend { counted, .. } = &mut p.steps[co] {
+                *counted = true;
+            }
+        },
+        "counted-extend",
+        "sink reads slot",
+    );
+}

@@ -150,6 +150,31 @@ fn grouped_and_topk_sinks_are_accounted() {
 }
 
 #[test]
+fn distinct_sets_are_charged_once() {
+    // Comments' browsers per author gender: a handful of groups holding a
+    // handful of short strings between them. The grouped sink folds one key
+    // run per author, and every run re-finds the same browsers; the budget
+    // must see what the table holds, not one charge per run.
+    let raw = gfcl_datagen::generate_social(gfcl_datagen::SocialParams::scale(2_000));
+    let g = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
+    let q = PatternQuery::builder()
+        .node("c", "Comment")
+        .node("a", "Person")
+        .edge("hc", "hasCreator", "c", "a")
+        .group_by(&[("a", "gender")])
+        .returns_agg(vec![gfcl_core::query::Agg::count_distinct("c", "browserUsed")])
+        .build();
+    let expected =
+        GfClEngine::with_options(Arc::clone(&g), ExecOptions::serial()).execute(&q).unwrap();
+    assert!(expected.cardinality() >= 2, "{expected:?}");
+    for threads in THREADS {
+        let opts = ExecOptions::with_threads(threads).mem_limit_bytes(16 * 1024);
+        let got = GfClEngine::with_options(Arc::clone(&g), opts).execute(&q);
+        assert_eq!(got.unwrap(), expected, "threads={threads}");
+    }
+}
+
+#[test]
 fn canceling_one_engine_does_not_disturb_another() {
     let victim = GfClEngine::with_options(big_graph(), ExecOptions::serial());
     let bystander = GfClEngine::with_options(big_graph(), ExecOptions::serial());
