@@ -15,6 +15,7 @@
 //! | `env-mutation` | every source *and test* file | `set_var(` / `remove_var(`: tests in one binary share the process environment |
 //! | `ambient-env` | shipped library code under `src/` and `crates/*/src/`, except the config module, `crates/bench/` and binaries | `env::var(` / `env::var_os(` / `env::vars(`: configuration is parsed once, by `gfcl_core::Config` |
 //! | `scalar-storage-read` | the engines' operators, the baselines, the store and the delta store | `get_i64(` / `iter_list(`: the two cursor-less reads storage keeps for the benchmark's probes; every reader walks storage through its own `ReadCursors` |
+//! | `layout-predicate` | `crates/core/src/` and the columnar build (`crates/storage/src/columnar_graph.rs`) | `is_single(`: the cardinality constraint alone does not say whether an extend is a `ColumnExtend` or a `ListExtend`; `Catalog::column_extend` does |
 //!
 //! A finding is suppressed by a `// lint: allow(reason)` comment on the
 //! same line or the line above — the annotation *is* the justification and
@@ -76,6 +77,12 @@ pub struct FileClass {
     /// the store and the delta store. Each owns the page cursors it reads
     /// through, so a cursor-less read here is a pin per value.
     pub storage_reader: bool,
+    /// Code that lays a chunk out by list groups or stores the adjacency
+    /// that layout reads: the planner, the cost model, the verifier and
+    /// the executor, and the columnar build. A single-cardinality label is
+    /// a `ColumnExtend` only where the graph keeps it in a vertex column,
+    /// so they all ask `Catalog::column_extend`, never the constraint.
+    pub layout: bool,
 }
 
 /// Files on the query/page hot path (see `ARCHITECTURE.md`); an entry
@@ -138,6 +145,11 @@ const STORAGE_READERS: &[&str] = &[
     "crates/storage/src/delta.rs",
 ];
 
+/// Files that decide between `ColumnExtend` and `ListExtend` (an entry
+/// ending in `/` covers its whole directory). The constraint checks of the
+/// raw graph and the delta store are not layout decisions.
+const LAYOUT_PATHS: &[&str] = &["crates/core/src/", "crates/storage/src/columnar_graph.rs"];
+
 /// Codec / on-disk-format files where checked conversions exist.
 const CODEC_PATHS: &[&str] = &[
     "crates/common/src/codec.rs",
@@ -162,6 +174,7 @@ pub fn classify(rel_path: &str) -> FileClass {
             && !rel_path.starts_with("crates/bench/")
             && rel_path != "crates/core/src/config.rs",
         storage_reader: listed(STORAGE_READERS),
+        layout: listed(LAYOUT_PATHS),
     }
 }
 
@@ -399,6 +412,15 @@ pub fn scan_source(rel_path: &str, source: &str, class: FileClass) -> Vec<Findin
                         ),
                     );
                 }
+            }
+            if class.layout && line.contains("is_single(") {
+                emit(
+                    "layout-predicate",
+                    "`is_single(` chooses between ColumnExtend and ListExtend by the \
+                     cardinality constraint alone: call `Catalog::column_extend`, which also \
+                     knows whether the graph stores the label in a vertex column"
+                        .into(),
+                );
             }
             if class.codec {
                 if let Some(t) = narrowing_cast(&line) {
@@ -733,6 +755,41 @@ mod tests {
     }
 
     #[test]
+    fn layout_predicate_is_flagged_where_layout_is_decided() {
+        for f in [
+            "crates/core/src/plan.rs",
+            "crates/core/src/optimize.rs",
+            "crates/core/src/verify.rs",
+            "crates/core/src/exec/compile.rs",
+            "crates/storage/src/columnar_graph.rs",
+        ] {
+            let class = classify(f);
+            assert!(class.layout, "{f}");
+            let src = "let single = def.cardinality.is_single(dir);";
+            assert_eq!(rules(src, class), vec!["layout-predicate"], "{f}");
+            // The predicate itself, `is_single_any`, comments, string
+            // literals and the test tail pass.
+            assert!(rules("let single = catalog.column_extend(label, dir);", class).is_empty());
+            assert!(rules("let n = card.is_single_any();", class).is_empty());
+            assert!(rules("// never call is_single( here", class).is_empty());
+            assert!(rules("let m = \"is_single(\";", class).is_empty());
+            let tail = "fn f() {}\n#[cfg(test)]\nmod tests {\n    c.is_single(Fwd);\n}\n";
+            assert!(rules(tail, class).is_empty(), "{f}");
+        }
+        // The constraint checks of the raw graph and the delta store, and
+        // the catalog that defines both, are not layout decisions.
+        for other in [
+            "crates/storage/src/raw.rs",
+            "crates/storage/src/delta.rs",
+            "crates/storage/src/catalog.rs",
+            "crates/baselines/src/cv.rs",
+        ] {
+            assert!(!classify(other).layout, "{other}");
+            assert!(rules("if card.is_single(dir) {}", classify(other)).is_empty(), "{other}");
+        }
+    }
+
+    #[test]
     fn classify_matches_the_rule_scopes() {
         for f in ["mod", "cursor", "scan", "extend", "read", "filter", "sink", "compile"] {
             assert!(classify(&format!("crates/core/src/exec/{f}.rs")).hot_path, "{f}");
@@ -744,13 +801,11 @@ mod tests {
         // The pre-rename names classify as plain library code: a stale list
         // entry would silently stop covering the rewritten code.
         let library = FileClass { library: true, ..FileClass::default() };
-        for old in [
-            "crates/columnar/src/paged.rs",
-            "crates/storage/src/pager.rs",
-            "crates/core/src/exec.rs",
-        ] {
+        for old in ["crates/columnar/src/paged.rs", "crates/storage/src/pager.rs"] {
             assert_eq!(classify(old), library, "{old}");
         }
+        let layout = FileClass { layout: true, ..library };
+        assert_eq!(classify("crates/core/src/exec.rs"), layout);
         assert!(classify("crates/common/src/codec.rs").codec);
         assert!(classify("crates/frontend/src/lexer.rs").hot_path);
         assert!(classify("crates/frontend/src/parser.rs").hot_path);
@@ -765,7 +820,7 @@ mod tests {
         assert!(classify("crates/storage/src/buffer_pool.rs").read_path);
         assert!(!classify("crates/storage/src/format.rs").read_path);
         assert!(classify("src/lib.rs").facade);
-        assert_eq!(classify("crates/core/src/plan.rs"), library);
+        assert_eq!(classify("crates/core/src/plan.rs"), layout);
         assert!(classify("crates/workloads/tests/chaos.rs").test_file);
     }
 }

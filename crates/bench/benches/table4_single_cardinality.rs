@@ -6,6 +6,10 @@
 //! NULL-compressing the ~50%-empty lists shrinks vertex columns by 1.75x
 //! (839.93 MB -> 478.86 MB) vs only 1.4x for CSR (offsets cannot be
 //! compressed without losing constant-time access).
+//!
+//! Under the CSR configuration the planner plans each single-cardinality
+//! extend as the `ListExtend` the executor runs (`Catalog::column_extend`),
+//! so both columns time the same plan shape the storage dictates.
 
 use std::sync::Arc;
 

@@ -1,5 +1,6 @@
-//! Plan-verifier overhead: planning with the structural verifier on
-//! (`PlanOptions::default()`) vs off (`PlanOptions::no_verify()`).
+//! Plan-verifier overhead: `verify_plan` timed on each finished plan
+//! beside the `plan_with` call that built it (and, like every planning
+//! call, verified it once already).
 //!
 //! Not an experiment from the paper — it prices the PR-7 plan verifier.
 //! Verification is a pure pass over the finished `LogicalPlan` (no graph
@@ -10,35 +11,46 @@
 //!   (plan + execute) time — i.e. verification is free at query scale.
 //!
 //! The recorded rows (`verify_overhead/...`) are absolute times, so the
-//! perf-trajectory gate (`bench_compare`) additionally pins planning time
-//! with verification against future regressions.
+//! perf-trajectory gate (`bench_compare`) additionally pins planning and
+//! verification time against future regressions.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use gfcl_bench::{banner, fmt_ms, gfcl, quick, record, time_plan, TextTable};
-use gfcl_core::plan::{plan_with, PlanOptions};
+use gfcl_core::plan::{plan_with, LogicalPlan, PlanOptions};
 use gfcl_core::query::PatternQuery;
+use gfcl_core::verify::verify_plan;
 use gfcl_datagen::SocialParams;
 use gfcl_storage::{Catalog, ColumnarGraph, StorageConfig};
 use gfcl_workloads::grouped;
 use gfcl_workloads::ldbc::{self, LdbcParams};
 
-/// Median seconds per single `plan_with` call: `reps` repetitions of a
-/// `k`-plan loop (planning is microseconds, so single calls are below
-/// timer resolution).
-fn plan_secs(q: &PatternQuery, cat: &Catalog, opts: &PlanOptions, k: usize, reps: usize) -> f64 {
+/// Median seconds per single call of `f`: `reps` repetitions of a
+/// `k`-call loop (planning and verifying are microseconds, so single calls
+/// are below timer resolution).
+fn median_secs<T>(mut f: impl FnMut() -> T, k: usize, reps: usize) -> f64 {
     let mut times: Vec<f64> = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
             for _ in 0..k {
-                std::hint::black_box(plan_with(q, cat, opts).unwrap());
+                std::hint::black_box(f());
             }
             t0.elapsed().as_secs_f64() / k as f64
         })
         .collect();
     times.sort_by(f64::total_cmp);
     times[reps / 2]
+}
+
+/// Median seconds per `plan_with` call of `q`.
+fn plan_secs(q: &PatternQuery, cat: &Catalog, k: usize, reps: usize) -> f64 {
+    median_secs(|| plan_with(q, cat, &PlanOptions::default()).unwrap(), k, reps)
+}
+
+/// Median seconds per `verify_plan` call on the finished `plan`.
+fn verify_secs(plan: &LogicalPlan, cat: &Catalog, k: usize, reps: usize) -> f64 {
+    median_secs(|| verify_plan(plan, cat).unwrap(), k, reps)
 }
 
 fn fmt_us(secs: f64) -> String {
@@ -63,54 +75,40 @@ fn main() {
 
     let (k, reps) = if quick() { (16, 3) } else { (64, 5) };
 
-    let mut table = TextTable::new(vec![
-        "query",
-        "plan off (us)",
-        "plan on (us)",
-        "verify (us)",
-        "e2e (ms)",
-        "verify/e2e",
-    ]);
+    let mut table =
+        TextTable::new(vec!["query", "plan (us)", "verify (us)", "e2e (ms)", "verify/e2e"]);
     let mut total_verify = 0.0f64;
-    let mut total_plan_on = 0.0f64;
-    let mut total_plan_off = 0.0f64;
+    let mut total_plan = 0.0f64;
     let mut total_e2e = 0.0f64;
     for (name, q) in &queries {
-        let on = PlanOptions::default();
-        let off = PlanOptions::no_verify();
-        let t_off = plan_secs(q, &catalog, &off, k, reps);
-        let t_on = plan_secs(q, &catalog, &on, k, reps);
-        let delta = t_on - t_off;
-
-        let plan = plan_with(q, &catalog, &on).unwrap();
+        let t_plan = plan_secs(q, &catalog, k, reps);
+        let plan = plan_with(q, &catalog, &PlanOptions::default()).unwrap();
+        let t_verify = verify_secs(&plan, &catalog, k, reps);
         let (t_exec, _card) = time_plan(&engine, &plan);
-        let e2e = t_on + t_exec;
+        let e2e = t_plan + t_exec;
 
-        total_verify += delta;
-        total_plan_on += t_on;
-        total_plan_off += t_off;
+        total_verify += t_verify;
+        total_plan += t_plan;
         total_e2e += e2e;
         table.row(vec![
             name.clone(),
-            fmt_us(t_off),
-            fmt_us(t_on),
-            fmt_us(delta),
+            fmt_us(t_plan),
+            fmt_us(t_verify),
             fmt_ms(e2e),
-            format!("{:.3}%", 100.0 * delta / e2e),
+            format!("{:.3}%", 100.0 * t_verify / e2e),
         ]);
     }
     table.print();
     println!();
 
-    record("verify_overhead/plan-verify-on", total_plan_on);
-    record("verify_overhead/plan-verify-off", total_plan_off);
+    record("verify_overhead/plan", total_plan);
+    record("verify_overhead/verify", total_verify);
     record("verify_overhead/end-to-end", total_e2e);
 
     let ratio = total_verify / total_e2e;
     println!(
-        "suite totals: plan off {} ms, plan on {} ms, verifier {} ms, end-to-end {} ms",
-        fmt_ms(total_plan_off),
-        fmt_ms(total_plan_on),
+        "suite totals: plan {} ms (verification included), verifier {} ms, end-to-end {} ms",
+        fmt_ms(total_plan),
         fmt_ms(total_verify),
         fmt_ms(total_e2e),
     );

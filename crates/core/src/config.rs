@@ -2,7 +2,9 @@
 //! [`Config::from_env`] at a process edge — an example, a bench, a test
 //! binary — which hands each part to the constructor that takes it. The
 //! library reads the environment nowhere else; README's "Configuration"
-//! table lists each variable's field, default and accepted range.
+//! table lists each variable's field, default and accepted range. What is
+//! not a knob stays out: plan verification and the storage layout the
+//! planner plans by are not switchable here.
 //!
 //! Values are trimmed; unset or blank means the default. Anything else out
 //! of range — garbage, a zero where a positive value is required, a rate
@@ -25,8 +27,9 @@ pub struct Config {
     /// `GFCL_THREADS`, `GFCL_MORSEL`, `GFCL_TIME_LIMIT_MS` and
     /// `GFCL_MEM_LIMIT_MB`, for [`GfClEngine::with_options`](crate::GfClEngine::with_options).
     pub exec: ExecOptions,
-    /// `GFCL_NO_PUSHDOWN` and `GFCL_NO_VERIFY` (set and not `0` turns the
-    /// pass off), for [`plan_with`](crate::plan::plan_with).
+    /// `GFCL_NO_PUSHDOWN` (set and not `0` turns filter pushdown off), for
+    /// [`plan_with`](crate::plan::plan_with). Plan verification has no
+    /// switch: every plan is verified.
     pub plan: PlanOptions,
     /// `GFCL_BUFFER_MB` in pages (floor one), for
     /// [`StorageConfig::buffer_pool_pages`](gfcl_storage::StorageConfig::buffer_pool_pages).
@@ -81,10 +84,7 @@ impl Config {
                 time_limit_ms: number(&var, "GFCL_TIME_LIMIT_MS", positive, |&n| n > 0)?,
                 mem_limit_bytes: mem_mb.map(|mb| mb << 20),
             },
-            plan: PlanOptions {
-                pushdown: !flag("GFCL_NO_PUSHDOWN"),
-                verify: !flag("GFCL_NO_VERIFY"),
-            },
+            plan: PlanOptions { pushdown: !flag("GFCL_NO_PUSHDOWN") },
             buffer_pool_pages: pool_mb.map(|mb| ((mb << 20) / PAGE_SIZE).max(1)),
             faults: (seed.is_some() || rates.iter().any(Option::is_some)).then_some(faults),
         })

@@ -1,8 +1,11 @@
 //! Physical compilation: a [`LogicalPlan`]'s steps become a worker's
-//! operator pipeline and the chunk it fills.
+//! operator pipeline and the chunk it fills. The plan fixes the chunk
+//! layout: each `Extend` lowers to the operator its `single` flag names,
+//! and an adjacency stored the other way fails in that operator with
+//! [`gfcl_common::Error::Exec`].
 
 use gfcl_common::{Direction, Error, Result, Value};
-use gfcl_storage::{AdjIndex, GraphView};
+use gfcl_storage::GraphView;
 
 use super::extend::{ColumnExtend, ListExtend};
 use super::filter::Filter;
@@ -100,7 +103,7 @@ pub(crate) fn compile<'g>(
                 node_locs[*node] = Some(out);
                 ops.push(Op::ScanPk(ScanPk { label, key: seek_key(key, params)?, out, cursor }));
             }
-            PlanStep::Extend { edge, edge_label, dir, from, to, counted, .. } => {
+            PlanStep::Extend { edge, edge_label, dir, from, to, single, counted } => {
                 let from_ref =
                     node_locs[*from].ok_or_else(|| Error::Plan("unbound from".into()))?;
                 let nbr_label = g.catalog().edge_label(*edge_label).nbr_label(*dir);
@@ -110,57 +113,54 @@ pub(crate) fn compile<'g>(
                 // this label changed.
                 let maybe_dirty = view.edge_label_touched(*edge_label, *dir)
                     || view.vertex_label_touched(from_label);
-                match g.adj(*edge_label, *dir) {
-                    AdjIndex::Csr(_) => {
-                        let out_group = groups.len();
-                        groups.push(ListGroup::with_vectors(vec![
-                            ValueVector::Empty,
-                            ValueVector::Empty,
-                        ]));
-                        node_locs[*to] = Some(VecRef { group: out_group, vec: 0 });
-                        edge_locs[*edge] = Some((VecRef { group: out_group, vec: 1 }, *dir));
-                        ops.push(Op::ListExtend(ListExtend {
-                            label: *edge_label,
-                            dir: *dir,
-                            nbr_label,
-                            from: from_ref,
-                            out_group,
-                            maybe_dirty,
-                            from_count: g.vertex_count(from_label) as u64,
-                            counted: *counted,
-                            active: false,
-                            owns_iter: false,
-                            pos: -1,
-                            single_shot_done: false,
-                            rd: ReadState::default(),
-                        }));
-                    }
-                    AdjIndex::SingleCard(_) => {
-                        let gidx = from_ref.group;
-                        let vectors = &mut groups[gidx].vectors;
-                        let nv = vectors.len();
-                        vectors.push(ValueVector::Empty);
-                        let ev = vectors.len();
-                        vectors.push(ValueVector::SingleEdge {
-                            label: *edge_label,
-                            dir: *dir,
-                            from_vec: from_ref.vec,
-                            nbr_vec: nv,
-                            tags: None,
-                        });
-                        node_locs[*to] = Some(VecRef { group: gidx, vec: nv });
-                        edge_locs[*edge] = Some((VecRef { group: gidx, vec: ev }, *dir));
-                        ops.push(Op::ColumnExtend(ColumnExtend {
-                            label: *edge_label,
-                            dir: *dir,
-                            nbr_label,
-                            from: from_ref,
-                            node_out: VecRef { group: gidx, vec: nv },
-                            edge_out: VecRef { group: gidx, vec: ev },
-                            maybe_dirty,
-                            rd: ReadState::default(),
-                        }));
-                    }
+                if !*single {
+                    let out_group = groups.len();
+                    groups.push(ListGroup::with_vectors(vec![
+                        ValueVector::Empty,
+                        ValueVector::Empty,
+                    ]));
+                    node_locs[*to] = Some(VecRef { group: out_group, vec: 0 });
+                    edge_locs[*edge] = Some((VecRef { group: out_group, vec: 1 }, *dir));
+                    ops.push(Op::ListExtend(ListExtend {
+                        label: *edge_label,
+                        dir: *dir,
+                        nbr_label,
+                        from: from_ref,
+                        out_group,
+                        maybe_dirty,
+                        from_count: g.vertex_count(from_label) as u64,
+                        counted: *counted,
+                        active: false,
+                        owns_iter: false,
+                        pos: -1,
+                        single_shot_done: false,
+                        rd: ReadState::default(),
+                    }));
+                } else {
+                    let gidx = from_ref.group;
+                    let vectors = &mut groups[gidx].vectors;
+                    let nv = vectors.len();
+                    vectors.push(ValueVector::Empty);
+                    let ev = vectors.len();
+                    vectors.push(ValueVector::SingleEdge {
+                        label: *edge_label,
+                        dir: *dir,
+                        from_vec: from_ref.vec,
+                        nbr_vec: nv,
+                        tags: None,
+                    });
+                    node_locs[*to] = Some(VecRef { group: gidx, vec: nv });
+                    edge_locs[*edge] = Some((VecRef { group: gidx, vec: ev }, *dir));
+                    ops.push(Op::ColumnExtend(ColumnExtend {
+                        label: *edge_label,
+                        dir: *dir,
+                        nbr_label,
+                        from: from_ref,
+                        node_out: VecRef { group: gidx, vec: nv },
+                        edge_out: VecRef { group: gidx, vec: ev },
+                        maybe_dirty,
+                        rd: ReadState::default(),
+                    }));
                 }
             }
             PlanStep::NodeProp { node, prop, slot } => {

@@ -27,17 +27,16 @@ impl Filter {
             if !child(chunk)? {
                 return Ok(false);
             }
-            // Find the unflat group among the predicate's inputs.
-            let mut target: Option<usize> = None;
-            let mut multi = false;
-            for r in pred.vec_refs() {
+            // Find the unflat group among the predicate's inputs. The
+            // verifier rejects a planned filter over two; a plan handed to
+            // `run_plan` from elsewhere still fails here, not wrongly.
+            let (mut target, mut multi) = (None, false);
+            pred.for_each_operand(&mut |r| {
                 if !chunk.groups[r.group].is_flat() {
-                    if target.is_some() && target != Some(r.group) {
-                        multi = true;
-                    }
+                    multi |= target.is_some_and(|t| t != r.group);
                     target = Some(r.group);
                 }
-            }
+            });
             if multi {
                 return Err(Error::Exec(
                     "filter spans two unflat list groups; the planner must flatten one first"

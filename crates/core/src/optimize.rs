@@ -27,19 +27,23 @@
 //! * **Executability** — the LBP's `Filter` operator cannot evaluate a
 //!   predicate spanning two *unflat* list groups (see
 //!   [`crate::exec`]); candidate orders that would require one are
-//!   rejected during enumeration, and `check_executable` verifies hinted
-//!   and declaration-order plans at plan time instead of failing
-//!   mid-query.
+//!   rejected during enumeration, so a statistics-chosen plan is
+//!   executable by construction. A hinted or declaration-order plan that
+//!   needs one fails the verifier's `unflat-span` rule at plan time
+//!   instead of failing mid-query.
 //!
-//! The same machinery renders `EXPLAIN` output ([`render_explain`]): the
+//! `GroupSim` is the one model of list groups: the enumeration, the
+//! planner's counted-extend marking, the verifier and the `EXPLAIN`
+//! renderer ([`render_explain`]) all read it. The renderer prints the
 //! chosen order with per-step cardinality estimates, the physical operator
 //! each extend compiles to (`ListExtend` vs `ColumnExtend`) and the flatten
 //! points where a factorized group collapses.
 
+use std::convert::Infallible;
 use std::fmt::Write as _;
 
 use gfcl_columnar::UIntArray;
-use gfcl_common::{DataType, Direction, Error, Result, Value};
+use gfcl_common::{DataType, Direction, Value};
 use gfcl_storage::{Catalog, PropStats, Stats};
 
 use crate::plan::{
@@ -278,14 +282,13 @@ struct Cost<'a> {
 }
 
 /// The order under construction: the list group each bound variable lives
-/// in (mirroring [`crate::exec::compile`]), running cardinality and
-/// accumulated cost. The search owns exactly one: it [applies](Cost::apply)
-/// an extend to it and [undoes](Cost::undo) the extend on the way back, so
-/// trying a candidate order allocates nothing.
+/// in, running cardinality and accumulated cost. The search owns exactly
+/// one: it [applies](Cost::apply) an extend to it and [undoes](Cost::undo)
+/// the extend on the way back, so trying a candidate order allocates
+/// nothing.
 struct SimState {
-    /// List-group placement of every bound variable — a variable is bound
-    /// exactly when it has a group — shared with the hinted-order
-    /// executability check so both mirror [`crate::exec`].
+    /// List-group placement of every bound variable: a variable is bound
+    /// exactly when it has a group.
     groups: GroupSim,
     /// Indexes of the multi-variable predicates applied so far, in order.
     applied: Vec<usize>,
@@ -366,7 +369,7 @@ impl<'a> Cost<'a> {
             (false, true) => (Direction::Bwd, e.to, e.from),
             _ => return None, // cycle or disconnected
         };
-        let single = self.catalog.edge_label(e.label).cardinality.is_single(dir);
+        let single = self.catalog.column_extend(e.label, dir);
         let undo = Undo {
             card: st.card,
             cost: st.cost,
@@ -524,7 +527,7 @@ pub(crate) fn choose_order(
     })
 }
 
-// ---- Per-step estimates and plan-time executability -----------------------
+// ---- Per-step estimates and the list-group model ---------------------------
 
 /// Estimated cardinality after each plan step (`None` per step when the
 /// catalog has no statistics). Scans set the running estimate, extends
@@ -597,11 +600,14 @@ pub(crate) fn estimate_sink(
     })
 }
 
-/// Tracks which list group every pattern variable's vectors land in when
-/// [`crate::exec::compile`] lowers the plan, and which groups are still
-/// unflat. `Extend` over a CSR (`single == false`) compiles to a
-/// `ListExtend`, which flattens its source group and opens a new one;
-/// single-cardinality extends compile to `ColumnExtend` and stay in place.
+/// Which list group every pattern variable's vectors land in, and which
+/// groups are still unflat, as the plan lays the chunk out. An `Extend`
+/// with `single == false` is a `ListExtend`, which flattens its source
+/// group and opens a new one; one with `single == true` is a
+/// `ColumnExtend` and stays in its source's group. The planner sets the
+/// flag from [`Catalog::column_extend`] and [`crate::exec::compile`] lowers
+/// each extend by it, so the plan is the one description of the layout and
+/// this is the one model of it.
 pub(crate) struct GroupSim {
     /// The list group of every node, then of every edge; `usize::MAX`
     /// until a scan or an extend places it.
@@ -611,7 +617,7 @@ pub(crate) struct GroupSim {
 }
 
 impl GroupSim {
-    pub(crate) fn new(n_nodes: usize, n_edges: usize) -> GroupSim {
+    fn new(n_nodes: usize, n_edges: usize) -> GroupSim {
         // Every extend opens at most one group: size the table once.
         let mut unflat = Vec::with_capacity(n_edges + 1);
         unflat.push(true); // group 0 = the scan group
@@ -630,7 +636,7 @@ impl GroupSim {
         self.place[n]
     }
 
-    fn group_of_edge(&self, e: usize) -> usize {
+    pub(crate) fn group_of_edge(&self, e: usize) -> usize {
         self.place[self.n_nodes..][e]
     }
 
@@ -640,7 +646,7 @@ impl GroupSim {
         self.place[self.n_nodes..][edge] = g;
     }
 
-    pub(crate) fn scan(&mut self, node: usize) {
+    fn scan(&mut self, node: usize) {
         self.place[node] = 0;
     }
 
@@ -654,20 +660,52 @@ impl GroupSim {
         self.group_of_edge(e) != usize::MAX
     }
 
-    /// Apply an extend; returns `true` when it flattens its source group
-    /// (a `ListExtend` whose source was still unflat).
-    pub(crate) fn extend(&mut self, edge: usize, from: usize, to: usize, single: bool) -> bool {
+    /// Does an extend from node `from` flatten its source group: is it a
+    /// `ListExtend` whose source is still unflat?
+    fn flattens(&self, from: usize, single: bool) -> bool {
+        !single && self.unflat[self.group_of_node(from)]
+    }
+
+    /// Apply an extend; returns [`GroupSim::flattens`] as it stood before.
+    fn extend(&mut self, edge: usize, from: usize, to: usize, single: bool) -> bool {
+        let flattens = self.flattens(from, single);
         let src = self.group_of_node(from);
         if single {
             self.put(to, edge, src);
-            false
         } else {
-            let flattens = self.unflat[src];
             self.unflat[src] = false;
             self.unflat.push(true);
             self.put(to, edge, self.unflat.len() - 1);
-            flattens
         }
+        flattens
+    }
+
+    /// Replay `steps` over `n_nodes` nodes and `n_edges` edges:
+    /// `visit(i, step, sim)` sees step `i` with every earlier step applied,
+    /// then the step itself is applied (a scan places its node, an extend
+    /// its target and its edge). A visitor's error ends the walk before its
+    /// step is applied, so a checker rejects an out-of-range step before the
+    /// walk indexes with it. Returns the finished placement: a variable
+    /// never moves once placed, so it is the group every step saw.
+    pub(crate) fn replay<E>(
+        n_nodes: usize,
+        n_edges: usize,
+        steps: &[PlanStep],
+        mut visit: impl FnMut(usize, &PlanStep, &GroupSim) -> Result<(), E>,
+    ) -> Result<GroupSim, E> {
+        let mut sim = GroupSim::new(n_nodes, n_edges);
+        for (i, step) in steps.iter().enumerate() {
+            visit(i, step, &sim)?;
+            match *step {
+                PlanStep::ScanAll { node, .. } | PlanStep::ScanPk { node, .. } => sim.scan(node),
+                PlanStep::Extend { edge, from, to, single, .. } => {
+                    sim.extend(edge, from, to, single);
+                }
+                // Property reads and filters place no variable.
+                _ => {}
+            }
+        }
+        Ok(sim)
     }
 
     /// Undo the latest [`GroupSim::extend`] `(edge, from, to, single)`,
@@ -714,35 +752,6 @@ impl GroupSim {
     pub(crate) fn expr_spans_unflat(&self, expr: &PlanExpr, slots: &[SlotDef]) -> bool {
         self.spans_unflat(|f| expr.for_each_slot(|s| f(self.group_of_slot(&slots[s]))))
     }
-}
-
-/// Verify that every `Filter` step touches at most one unflat list group —
-/// the invariant [`crate::exec`]'s `Filter` operator enforces at runtime.
-/// Orders chosen by the optimizer satisfy this by construction; hinted
-/// orders are checked here so a bad `edge_order` fails at plan time with
-/// [`Error::Plan`] instead of mid-query.
-pub(crate) fn check_executable(plan: &LogicalPlan) -> Result<()> {
-    let mut sim = GroupSim::new(plan.nodes.len(), plan.edges.len());
-    for step in &plan.steps {
-        match step {
-            PlanStep::ScanAll { node, .. } | PlanStep::ScanPk { node, .. } => sim.scan(*node),
-            PlanStep::Extend { edge, from, to, single, .. } => {
-                sim.extend(*edge, *from, *to, *single);
-            }
-            PlanStep::NodeProp { .. } | PlanStep::EdgeProp { .. } => {}
-            PlanStep::Filter { expr } => {
-                if sim.expr_spans_unflat(expr, &plan.slots) {
-                    return Err(Error::Plan(format!(
-                        "edge order is not executable: predicate ({}) would span two unflat \
-                         list groups, which the list-based processor cannot evaluate; use a \
-                         different edge order (e.g. via edge_order hints)",
-                        expr_str(expr, &plan.slots)
-                    )));
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Estimated fraction of zone-map blocks a pushed-down predicate lets the
@@ -878,16 +887,14 @@ pub fn render_explain(plan: &LogicalPlan, catalog: &Catalog) -> String {
         plan.nodes.len(),
         plan.edges.len()
     );
-    let mut sim = GroupSim::new(plan.nodes.len(), plan.edges.len());
-    for (i, step) in plan.steps.iter().enumerate() {
+    let (n_nodes, n_edges) = (plan.nodes.len(), plan.edges.len());
+    let Ok(sim) = GroupSim::replay(n_nodes, n_edges, &plan.steps, |i, step, sim| {
         let desc = match step {
             PlanStep::ScanAll { node, .. } => {
-                sim.scan(*node);
                 let n = &plan.nodes[*node];
                 format!("SCAN      ({}:{})", n.var, catalog.vertex_label(n.label).name)
             }
             PlanStep::ScanPk { node, key } => {
-                sim.scan(*node);
                 let n = &plan.nodes[*node];
                 let def = catalog.vertex_label(n.label);
                 let pk = def.primary_key.map_or("pk", |i| def.properties[i].name.as_str());
@@ -895,7 +902,7 @@ pub fn render_explain(plan: &LogicalPlan, catalog: &Catalog) -> String {
                 format!("SCAN_PK   ({}:{}) {}.{pk} = {key}", n.var, def.name, n.var)
             }
             PlanStep::Extend { edge, edge_label, dir, from, to, single, counted } => {
-                let flattens = sim.extend(*edge, *from, *to, *single);
+                let flattens = sim.flattens(*from, *single);
                 let label = &catalog.edge_label(*edge_label).name;
                 let evar =
                     plan.edges[*edge].var.as_deref().map_or_else(String::new, ToOwned::to_owned);
@@ -937,7 +944,8 @@ pub fn render_explain(plan: &LogicalPlan, catalog: &Catalog) -> String {
                 let _ = writeln!(out, "      pushed: {}{skip}{io}", expr_str(e, &plan.slots));
             }
         }
-    }
+        Ok::<(), Infallible>(())
+    });
     // Grouped sink: which groups hold keys (and must be enumerated when
     // still unflat) vs the unflat groups the aggregates fold by
     // multiplicity without ever flattening.

@@ -11,11 +11,19 @@
 //! declaration order. In every case properties are read as soon as their
 //! variable is bound and each filter is applied at the earliest step where
 //! all of its inputs are bound.
+//!
+//! The plan fixes the chunk layout: each extend is a `ColumnExtend` (stays
+//! in its source's list group) or a `ListExtend` (flattens the source and
+//! opens a group) by [`Catalog::column_extend`], which answers from what the
+//! graph stores, and the executor lowers it that way. Every finished plan
+//! passes the structural verifier ([`crate::verify`]) before it is returned.
+
+use std::convert::Infallible;
 
 use gfcl_common::{DataType, Direction, Error, LabelId, Result, Value};
 use gfcl_storage::Catalog;
 
-use crate::optimize;
+use crate::optimize::{self, GroupSim};
 use crate::query::{
     AggFunc, CmpOp, Expr, PatternQuery, PropRef, ReturnSpec, Scalar, SortDir, StrOp,
 };
@@ -157,8 +165,10 @@ pub enum PlanStep {
         dir: Direction,
         from: usize,
         to: usize,
-        /// Cardinality is single in `dir` (planner-level; engines consult
-        /// storage for the actual index kind).
+        /// [`Catalog::column_extend`] of `(edge_label, dir)`: a
+        /// `ColumnExtend` through a vertex column that stays in the source's
+        /// list group, else a `ListExtend` through a CSR that opens one. The
+        /// LBP compiles the operator this names.
         single: bool,
         /// Nothing after this step reads its source list group or the group
         /// it opens (no later extend from, property read of, or filter over
@@ -302,15 +312,11 @@ pub struct PlanOptions {
     /// selection-aware property reads. On by default; `GFCL_NO_PUSHDOWN`
     /// turns it off in a [`Config`](crate::Config).
     pub pushdown: bool,
-    /// Run the structural plan verifier ([`crate::verify`]) on the finished
-    /// plan before returning it. On by default; `GFCL_NO_VERIFY` turns it
-    /// off in a [`Config`](crate::Config).
-    pub verify: bool,
 }
 
 impl Default for PlanOptions {
     fn default() -> Self {
-        PlanOptions { pushdown: true, verify: true }
+        PlanOptions { pushdown: true }
     }
 }
 
@@ -318,13 +324,7 @@ impl PlanOptions {
     /// Planning with filter pushdown disabled (every predicate stays a
     /// `Filter` step).
     pub fn no_pushdown() -> PlanOptions {
-        PlanOptions { pushdown: false, ..PlanOptions::default() }
-    }
-
-    /// Planning with the structural verifier disabled, as `GFCL_NO_VERIFY`
-    /// parses to; used by the verifier-overhead bench.
-    pub fn no_verify() -> PlanOptions {
-        PlanOptions { verify: false, ..PlanOptions::default() }
+        PlanOptions { pushdown: false }
     }
 }
 
@@ -642,14 +642,13 @@ impl Planner<'_> {
 
         emit_available(&mut steps, node_bound, edge_bound, slot_filled, &mut pending);
         for (ei, dir, from, to) in extend_seq {
-            let def = self.catalog.edge_label(edges[ei].label);
             steps.push(PlanStep::Extend {
                 edge: ei,
                 edge_label: edges[ei].label,
                 dir,
                 from,
                 to,
-                single: def.cardinality.is_single(dir),
+                single: self.catalog.column_extend(edges[ei].label, dir),
                 counted: false,
             });
             node_bound[to] = true;
@@ -705,7 +704,7 @@ impl Planner<'_> {
         }
 
         // The steps are final: mark the extends nothing downstream reads.
-        mark_counted(&mut steps, &ret, &slots);
+        mark_counted(&mut steps, &ret, &slots, nodes.len(), edges.len());
 
         let step_cards = optimize::estimate_steps(&steps, &nodes, &edges, &slots, self.catalog);
         let sink_card =
@@ -725,21 +724,12 @@ impl Planner<'_> {
             sink_card,
             params: self.params.to_vec(),
         };
-        // Reject plans whose order would make a filter span two unflat
-        // list groups at plan time instead of mid-query. Reachable through
-        // edge_order hints and through the declaration-order fallback;
-        // optimizer-chosen orders are executable by construction (the
-        // search rejects every order that is not), so they skip the walk.
-        if plan.order_source != OrderSource::Stats {
-            optimize::check_executable(&plan)?;
-        }
-        // Full structural verification ([`crate::verify`]): def-before-use
-        // dataflow, schema/type flow, pushdown eligibility, bookkeeping.
-        // Deny by default; `GFCL_NO_VERIFY` / `PlanOptions::no_verify` is
-        // the escape hatch.
-        if self.opts.verify {
-            crate::verify::verify_plan(&plan, self.catalog)?;
-        }
+        // Full structural verification ([`crate::verify`]) of every plan:
+        // def-before-use dataflow, schema/type flow, pushdown eligibility,
+        // bookkeeping — and the unflat-span rule, which rejects a hinted or
+        // declaration order whose filter would span two unflat list groups
+        // here instead of mid-query (statistics-chosen orders never do).
+        crate::verify::verify_plan(&plan, self.catalog)?;
         Ok(plan)
     }
 
@@ -937,19 +927,25 @@ impl Planner<'_> {
 }
 
 /// Set [`PlanStep::Extend::counted`] on every CSR extend whose source list
-/// group and new list group no later step and no `RETURN` slot reads.
-/// Plans are a handful of steps, so the groups are recomputed per question
-/// ([`node_group`]) rather than tabulated: the rule allocates nothing.
-fn mark_counted(steps: &mut [PlanStep], ret: &PlanReturn, slots: &[SlotDef]) {
+/// group and new list group no later step and no `RETURN` slot reads, by
+/// the list groups [`GroupSim`] places the variables in.
+fn mark_counted(
+    steps: &mut [PlanStep],
+    ret: &PlanReturn,
+    slots: &[SlotDef],
+    n_nodes: usize,
+    n_edges: usize,
+) {
+    let Ok(sim) = GroupSim::replay(n_nodes, n_edges, steps, |_, _, _| Ok::<(), Infallible>(()));
     for i in 0..steps.len() {
-        let PlanStep::Extend { from, single: false, .. } = steps[i] else { continue };
-        let groups = [node_group(steps, from), opened_group(steps, i)];
+        let PlanStep::Extend { from, to, single: false, .. } = steps[i] else { continue };
+        let groups = [sim.group_of_node(from), sim.group_of_node(to)];
         let read = |g: usize| groups.contains(&g);
-        let slot_read = |s: SlotId| read(slot_group(steps, &slots[s]));
+        let slot_read = |s: SlotId| read(sim.group_of_slot(&slots[s]));
         let later_read = steps[i + 1..].iter().any(|step| match step {
-            PlanStep::Extend { from, .. } => read(node_group(steps, *from)),
-            PlanStep::NodeProp { node, .. } => read(node_group(steps, *node)),
-            PlanStep::EdgeProp { edge, .. } => read(edge_group(steps, *edge)),
+            PlanStep::Extend { from, .. } => read(sim.group_of_node(*from)),
+            PlanStep::NodeProp { node, .. } => read(sim.group_of_node(*node)),
+            PlanStep::EdgeProp { edge, .. } => read(sim.group_of_edge(*edge)),
             PlanStep::Filter { expr } => !expr.all_slots(|s| !slot_read(s)),
             PlanStep::ScanAll { .. } | PlanStep::ScanPk { .. } => false,
         });
@@ -957,46 +953,6 @@ fn mark_counted(steps: &mut [PlanStep], ret: &PlanReturn, slots: &[SlotDef]) {
         if let PlanStep::Extend { counted, .. } = &mut steps[i] {
             *counted = !later_read && !ret_read;
         }
-    }
-}
-
-/// The list group the executor places node `n` in: 0 for the scanned node,
-/// the group a CSR extend opens for its target, its source's group for a
-/// single-cardinality extend's target.
-fn node_group(steps: &[PlanStep], n: usize) -> usize {
-    let mut opened = 0;
-    for step in steps {
-        if let PlanStep::Extend { from, to, single, .. } = *step {
-            opened += usize::from(!single);
-            if to == n {
-                return if single { node_group(steps, from) } else { opened };
-            }
-        }
-    }
-    0
-}
-
-/// The list group of pattern edge `e`: its target node's.
-fn edge_group(steps: &[PlanStep], e: usize) -> usize {
-    steps
-        .iter()
-        .find_map(|step| match *step {
-            PlanStep::Extend { edge, to, .. } if edge == e => Some(node_group(steps, to)),
-            _ => None,
-        })
-        .unwrap_or(0)
-}
-
-/// The list group the CSR extend at `steps[i]` opens.
-fn opened_group(steps: &[PlanStep], i: usize) -> usize {
-    steps[..=i].iter().filter(|s| matches!(s, PlanStep::Extend { single: false, .. })).count()
-}
-
-/// The list group of the variable behind slot `def`.
-fn slot_group(steps: &[PlanStep], def: &SlotDef) -> usize {
-    match def.source {
-        SlotSource::NodeProp { node, .. } => node_group(steps, node),
-        SlotSource::EdgeProp { edge, .. } => edge_group(steps, edge),
     }
 }
 

@@ -323,7 +323,8 @@ fn cmp_holds<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
 
 impl<L> CPredG<L> {
     /// Call `f` on every operand the predicate touches — the scan uses this
-    /// to skip-account a pruned block's pages and to drop the cursors.
+    /// to skip-account a pruned block's pages and to drop the cursors, the
+    /// filter to find the list group it evaluates over.
     pub fn for_each_operand(&self, f: &mut impl FnMut(&L)) {
         match self {
             CPredG::Const(_) | CPredG::Unknown => {}
@@ -433,40 +434,6 @@ impl CPred {
     #[inline]
     pub fn holds(&self, ctx: &EvalCtx<'_>) -> bool {
         self.eval(ctx) == Some(true)
-    }
-
-    /// All slots (as vector refs) this predicate touches.
-    pub fn vec_refs(&self) -> Vec<VecRef> {
-        let mut out = Vec::new();
-        self.collect_refs(&mut out);
-        out
-    }
-
-    fn collect_refs(&self, out: &mut Vec<VecRef>) {
-        match self {
-            CPredG::Const(_) | CPredG::Unknown => {}
-            CPredG::CmpI64 { lhs, rhs, .. } => {
-                if let I64Operand::Slot(r) = lhs {
-                    out.push(*r);
-                }
-                if let I64Operand::Slot(r) = rhs {
-                    out.push(*r);
-                }
-            }
-            CPredG::CmpF64 { lhs, rhs, .. } => {
-                for o in [lhs, rhs] {
-                    match o {
-                        F64Operand::F64Slot(r) | F64Operand::I64Slot(r) => out.push(*r),
-                        F64Operand::Const(_) => {}
-                    }
-                }
-            }
-            CPredG::BoolEq { slot, .. }
-            | CPredG::CodeIn { slot, .. }
-            | CPredG::I64In { slot, .. } => out.push(*slot),
-            CPredG::And(es) | CPredG::Or(es) => es.iter().for_each(|e| e.collect_refs(out)),
-            CPredG::Not(e) => e.collect_refs(out),
-        }
     }
 }
 

@@ -9,10 +9,14 @@
 //! one pass over the finished plan, as a dataflow typecheck, *before* any
 //! engine compiles it.
 //!
-//! [`verify_plan`] runs from [`crate::plan::plan_with`] on every plan by
-//! default (`GFCL_NO_VERIFY`, through a [`Config`](crate::Config), is the
-//! escape hatch; [`crate::plan::plan`] never takes it) and again from the
-//! EXPLAIN renderer, which prints the `verified: N invariants` line.
+//! [`verify_plan`] runs from [`crate::plan::plan_with`] on every plan —
+//! there is no switch — and again from the EXPLAIN renderer, which prints
+//! the `verified: N invariants` line. The step walk reads list groups from
+//! `GroupSim`, the model the order search and the renderer share, and
+//! the `extend-schema` rule holds each extend's `single` flag to
+//! [`Catalog::column_extend`], the predicate the columnar build stores the
+//! label by; its `unflat-span` rule is what rejects a hinted or
+//! declaration order the list-based processor cannot run.
 //! Violations are [`Error::Plan`] values naming the violated rule, the
 //! offending step and the variable or slot involved, e.g.
 //!
@@ -183,10 +187,9 @@ impl Verifier<'_> {
     }
 
     /// Phase 2 — the step sequence: scan placement, def-before-use dataflow,
-    /// extend schema consistency, pushed-predicate eligibility, and the
-    /// unflat-span rule (via the same [`GroupSim`] the order enumerator
-    /// uses). Bookkeeping mirrors the executor's compile pass. Returns the
-    /// finished group walk.
+    /// extend schema and layout consistency, pushed-predicate eligibility,
+    /// and the unflat-span rule, checked on a [`GroupSim::replay`] of the
+    /// steps. Returns the finished group walk.
     fn check_steps(&mut self) -> Result<GroupSim> {
         let p = self.plan;
         self.ensure(!p.steps.is_empty(), "scan-first", || "plan has no steps".into())?;
@@ -200,9 +203,7 @@ impl Verifier<'_> {
         let mut marks = vec![false; p.nodes.len() + p.edges.len() + p.slots.len()];
         let (node_bound, marks_rest) = marks.split_at_mut(p.nodes.len());
         let (edge_bound, slot_filled) = marks_rest.split_at_mut(p.edges.len());
-        let mut sim = GroupSim::new(p.nodes.len(), p.edges.len());
-
-        for (i, step) in p.steps.iter().enumerate() {
+        let sim = GroupSim::replay(p.nodes.len(), p.edges.len(), &p.steps, |i, step, sim| {
             let at = i + 1; // EXPLAIN numbers steps from 1; error messages match
             let kind = step_kind(step);
             if i > 0 {
@@ -223,7 +224,6 @@ impl Verifier<'_> {
                         format!("step {at} ({kind}): scan node {node} exceeds the node table")
                     })?;
                     node_bound[*node] = true;
-                    sim.scan(*node);
                     for e in pushed {
                         self.check_expr(e, at, kind)?;
                         self.ensure(is_pushable(e, &p.slots, *node), "pushed-scan-only", || {
@@ -257,7 +257,6 @@ impl Verifier<'_> {
                         format!("step {at} ({kind}): label {} has no primary key to seek", def.name)
                     })?;
                     node_bound[*node] = true;
-                    sim.scan(*node);
                 }
                 PlanStep::Extend { edge, edge_label, dir, from, to, single, .. } => {
                     self.ensure(*edge < p.edges.len(), "index-range", || {
@@ -291,18 +290,15 @@ impl Verifier<'_> {
                             expected.0, expected.1
                         )
                     })?;
-                    let def = self.catalog.edge_label(pe.label);
-                    self.ensure(
-                        *single == def.cardinality.is_single(*dir),
-                        "extend-schema",
-                        || {
-                            format!(
-                                "step {at} ({kind}): single={single} contradicts catalog \
-                             cardinality {:?} for label {} in {dir:?}",
-                                def.cardinality, def.name
-                            )
-                        },
-                    )?;
+                    let column = self.catalog.column_extend(pe.label, *dir);
+                    self.ensure(*single == column, "extend-schema", || {
+                        format!(
+                            "step {at} ({kind}): single={single} contradicts catalog layout: \
+                             label {} extends through a {} in {dir:?}",
+                            self.catalog.edge_label(pe.label).name,
+                            if column { "vertex column" } else { "CSR" }
+                        )
+                    })?;
                     self.ensure(node_bound[*from], "def-before-use", || {
                         format!(
                             "step {at} ({kind}): extends from unbound node ({})",
@@ -321,7 +317,6 @@ impl Verifier<'_> {
                     })?;
                     node_bound[*to] = true;
                     edge_bound[*edge] = true;
-                    sim.extend(*edge, *from, *to, *single);
                 }
                 PlanStep::NodeProp { node, prop, slot } => {
                     self.check_prop_read(at, kind, *slot, slot_filled, || SlotSource::NodeProp {
@@ -372,7 +367,8 @@ impl Verifier<'_> {
                     })?;
                 }
             }
-        }
+            Ok(())
+        })?;
 
         // Every node the plan *uses* — an edge endpoint or a property
         // source — must be bound by the end. (A degenerate edge-less

@@ -65,9 +65,6 @@ fn gfcl_no_pushdown_disables_the_rewrite() {
     // Set to anything but "0" turns a flag on; "0" and blanks do not.
     let flags = [("", true), (" ", true), ("0", true), (" 0 ", true), ("1", false), ("no", false)];
     assert_accepted("GFCL_NO_PUSHDOWN", |c| c.plan.pushdown, &flags);
-    assert_accepted("GFCL_NO_VERIFY", |c| c.plan.verify, &flags);
-    // `GFCL_VERIFY=strict` no longer overrides the escape hatch.
-    assert!(!parse(&[("GFCL_NO_VERIFY", "1"), ("GFCL_VERIFY", "strict")]).unwrap().plan.verify);
 }
 
 #[test]

@@ -409,3 +409,57 @@ fn star_with_selective_filter_between_same_label_branches() {
     // follows of b): b=0: 1x(1x1)=1; b=1: 3x(1x1)=3; b=2: 1x(1x2)=2; b=3: 0.
     assert_eq!(engine(&raw).execute(&q).unwrap().cardinality(), 6);
 }
+
+#[test]
+fn cross_branch_filter_plans_by_the_stored_layout() {
+    // MATCH (a:PERSON)-[w:WORKAT]->(o:ORG), (a)-[f:FOLLOWS]->(b:PERSON)
+    // WHERE o.estd > b.age RETURN count(*). WORKAT is n-1: a ColumnExtend
+    // that keeps `o` in `a`'s list group when the graph stores it in a
+    // vertex column, a ListExtend that opens a group of its own when
+    // `single_card_in_vcols` is off, and then no order from `a` keeps the
+    // filter inside one unflat group.
+    let query = |start: Option<&str>| {
+        let mut b = PatternQuery::builder()
+            .node("a", "PERSON")
+            .node("o", "ORG")
+            .node("b", "PERSON")
+            .edge("w", "WORKAT", "a", "o")
+            .edge("f", "FOLLOWS", "a", "b")
+            .filter(gt(col("o", "estd"), col("b", "age")));
+        if let Some(var) = start {
+            b = b.start_at(var);
+        }
+        b.returns_count().build()
+    };
+    // Brute force, the tuple-at-a-time answer GF-CV gives (4).
+    let age = [45, 54, 17, 23];
+    let estd = [1934, 1885];
+    let workat = [(0usize, 0usize), (1, 1)];
+    let follows = [(0usize, 1usize), (1, 2), (0, 3), (1, 3), (2, 3), (3, 1), (2, 1), (2, 0)];
+    let expected = QueryOutput::Count(
+        workat
+            .iter()
+            .flat_map(|&(a, o)| follows.iter().filter(move |&&(f, b)| f == a && estd[o] > age[b]))
+            .count() as u64,
+    );
+    let raw = RawGraph::example();
+    for cfg in all_configs() {
+        let e = engine_with(&raw, cfg);
+        assert_eq!(e.execute(&query(None)).unwrap(), expected, "{cfg:?}");
+        // Starting at `a` either plans and answers the same, or fails in
+        // the planner, never mid-query.
+        match e.plan(&query(Some("a"))) {
+            Ok(p) => assert_eq!(e.run_plan(&p).unwrap(), expected, "{cfg:?}"),
+            Err(gfcl_common::Error::Plan(msg)) => assert!(msg.contains("unflat"), "{cfg:?}: {msg}"),
+            Err(err) => panic!("{cfg:?}: expected a plan or a planner error, got {err:?}"),
+        }
+    }
+    // Starting at `b` reaches `a` first, then extends WORKAT forward: the
+    // plan and EXPLAIN name the operator the executor runs.
+    let csr = StorageConfig { single_card_in_vcols: false, ..StorageConfig::default() };
+    for (cfg, op) in [(StorageConfig::default(), "[ColumnExtend"), (csr, "[ListExtend")] {
+        let text = engine_with(&raw, cfg).explain(&query(Some("b"))).unwrap();
+        let line = text.lines().find(|l| l.contains(")-[w:WORKAT]->(")).expect("WORKAT forward");
+        assert!(line.contains(op), "{cfg:?}: {text}");
+    }
+}

@@ -124,6 +124,11 @@ pub struct Catalog {
     /// the raw data. `None` for a bare schema-only catalog, in which case
     /// the planner falls back to declaration-order joins.
     stats: Option<Stats>,
+    /// Single-cardinality edges are stored in CSRs, not vertex columns
+    /// (`StorageConfig::single_card_in_vcols` off, the Table 4 ablation).
+    /// Set by the columnar build and open; never encoded — the saved
+    /// configuration already carries it.
+    single_card_in_csrs: bool,
 }
 
 impl Catalog {
@@ -233,6 +238,24 @@ impl Catalog {
     /// Graph statistics, if a storage build attached them.
     pub fn stats(&self) -> Option<&Stats> {
         self.stats.as_ref()
+    }
+
+    /// Record where the columnar storage keeps single-cardinality edges
+    /// (`StorageConfig::single_card_in_vcols`), which
+    /// [`Catalog::column_extend`] reads.
+    pub(crate) fn set_single_card_in_vcols(&mut self, in_vcols: bool) {
+        self.single_card_in_csrs = !in_vcols;
+    }
+
+    /// Does traversing `label` in `dir` read a vertex column — at most one
+    /// neighbour per vertex, a `ColumnExtend` that stays in its source's
+    /// list group — rather than a CSR list, a `ListExtend` that opens a new
+    /// one? The single-cardinality constraint *and* vertex-column storage
+    /// (Section 4.1.2): the one predicate the columnar build stores a label
+    /// by and the planner, cost model and plan verifier lay out its chunk
+    /// by. A schema-only catalog answers for the default storage.
+    pub fn column_extend(&self, label: LabelId, dir: Direction) -> bool {
+        !self.single_card_in_csrs && self.edge_label(label).cardinality.is_single(dir)
     }
 
     pub fn vertex_labels(&self) -> &[VertexLabelDef] {

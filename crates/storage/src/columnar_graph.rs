@@ -28,7 +28,7 @@ use gfcl_common::{
     DataType, Direction, Error, LabelId, MemoryUsage, Reader, Result, Value, Writer,
 };
 
-use crate::catalog::{Catalog, EdgeLabelDef, VertexLabelDef};
+use crate::catalog::{Catalog, VertexLabelDef};
 use crate::config::{EdgePropLayout, StorageConfig};
 use crate::csr::{Csr, CsrOptions};
 use crate::edge_prop_pages::PropertyPages;
@@ -342,14 +342,15 @@ impl VertexLabelParts {
 impl EdgeLabelParts {
     fn build(
         label: LabelId,
-        def: &EdgeLabelDef,
+        catalog: &Catalog,
         table: &EdgeTable,
         n_src: usize,
         n_dst: usize,
         config: &StorageConfig,
     ) -> Result<Self> {
-        let single_fwd = def.cardinality.is_single(Direction::Fwd) && config.single_card_in_vcols;
-        let single_bwd = def.cardinality.is_single(Direction::Bwd) && config.single_card_in_vcols;
+        let def = catalog.edge_label(label);
+        let single_fwd = catalog.column_extend(label, Direction::Fwd);
+        let single_bwd = catalog.column_extend(label, Direction::Bwd);
         let (fwd, bwd, props) = if single_fwd || single_bwd {
             let prop_side = def.cardinality.property_side().expect("single-card label");
             let (f, b) = build_single_card(
@@ -456,7 +457,8 @@ impl ColumnarGraph {
         rebuild: &LabelSet,
         prev: Option<&ColumnarGraph>,
     ) -> Result<ColumnarGraph> {
-        let catalog = &raw.catalog;
+        let mut catalog = raw.catalog.clone();
+        catalog.set_single_card_in_vcols(config.single_card_in_vcols);
         let shared = || {
             prev.and_then(|g| Some((g, g.catalog.stats()?))).ok_or_else(|| {
                 Error::Storage("a shared label needs a previous baseline with statistics".into())
@@ -490,7 +492,7 @@ impl ColumnarGraph {
                 let n_src = vertices[def.src as usize].count;
                 let n_dst = vertices[def.dst as usize].count;
                 raw.validate_edge_table(label, n_src, n_dst)?;
-                let parts = EdgeLabelParts::build(label, def, table, n_src, n_dst, &config)?;
+                let parts = EdgeLabelParts::build(label, &catalog, table, n_src, n_dst, &config)?;
                 edges.push(Arc::new(parts));
                 stats.edges.push(EdgeLabelStats::collect(table, n_src, n_dst));
             } else {
@@ -500,7 +502,6 @@ impl ColumnarGraph {
             }
         }
 
-        let mut catalog = catalog.clone();
         catalog.set_stats(stats);
         Ok(ColumnarGraph {
             catalog,
@@ -779,7 +780,8 @@ impl ColumnarGraph {
         }
         let build_nonce = r.u64()?;
         let config = StorageConfig::decode(r)?;
-        let catalog = Catalog::decode(r)?;
+        let mut catalog = Catalog::decode(r)?;
+        catalog.set_single_card_in_vcols(config.single_card_in_vcols);
         let vertex_counts = list(r, Reader::usize)?;
         let edge_counts = list(r, Reader::usize)?;
         let vertex_props = list(r, |r| list(r, |r| Column::decode(r, src)))?;

@@ -53,7 +53,10 @@ pub struct StorageConfig {
     /// Layout used when `null_compress` is set.
     pub null_kind: NullKind,
     /// Store single-cardinality edges (and their properties) in vertex
-    /// columns instead of CSRs (Section 4.1.2; Table 4 ablation).
+    /// columns instead of CSRs (Section 4.1.2; Table 4 ablation). Off, a
+    /// single-cardinality extend is a `ListExtend` in the plan, in EXPLAIN
+    /// and in the executor alike: the graph's catalog answers
+    /// [`Catalog::column_extend`](crate::Catalog::column_extend) from this.
     pub single_card_in_vcols: bool,
     /// n-n edge property layout (Table 3 / Section 8.3 ablation).
     pub edge_prop_layout: EdgePropLayout,
