@@ -62,8 +62,7 @@ fn main() {
         let mut ms = Vec::new();
         let mut col_bytes = Vec::new();
         for (_, kind) in &layouts {
-            let cfg =
-                StorageConfig { null_compress: true, null_kind: *kind, ..StorageConfig::default() };
+            let cfg = StorageConfig { nulls: *kind, ..StorageConfig::default() };
             let g = ColumnarGraph::build(&raw, cfg).unwrap();
             col_bytes.push(g.vertex_prop(comment, date_prop).memory_bytes());
             let engine = gfcl(Arc::new(g));

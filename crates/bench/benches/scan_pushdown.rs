@@ -5,8 +5,8 @@
 //! (min/max synopses over the vertex-property columns), skips whole
 //! morsels no row of which can match, and seeds the selection mask before
 //! any property read materializes a value. The baseline is the same query
-//! planned with `PlanOptions::no_pushdown()` (the `GFCL_NO_PUSHDOWN`
-//! escape hatch): read the property into a vector, then filter.
+//! planned with `PlanOptions::no_pushdown()`: read the property into a
+//! vector, then filter.
 //!
 //! Asserted floors (outside quick mode):
 //! * ≥ 5x on a selective (≤ 1% selectivity) range filter over a

@@ -14,14 +14,15 @@
 use std::sync::Arc;
 
 use gfcl_bench::{assert_same_count, banner, fmt_ms, gfcl, time_query, TextTable};
+use gfcl_columnar::NullKind;
 use gfcl_common::human_bytes;
 use gfcl_core::{Engine, GfClEngine};
 use gfcl_storage::{ColumnarGraph, RawGraph, StorageConfig};
 use gfcl_workloads::khop_propless;
 
-fn build(raw: &RawGraph, vcols: bool, null_compress: bool) -> (GfClEngine, usize) {
-    let cfg =
-        StorageConfig { single_card_in_vcols: vcols, null_compress, ..StorageConfig::default() };
+fn build(raw: &RawGraph, vcols: bool, compress: bool) -> (GfClEngine, usize) {
+    let nulls = if compress { NullKind::jacobson_default() } else { NullKind::Uncompressed };
+    let cfg = StorageConfig { single_card_in_vcols: vcols, nulls, ..StorageConfig::default() };
     let g = ColumnarGraph::build(raw, cfg).unwrap();
     let label = g.catalog().edge_label_id("replyOfComment").unwrap();
     let (fwd, bwd, props) = g.edge_label_memory(label);

@@ -48,11 +48,8 @@ fn main() {
         let raw = gfcl_bench::social_with_nulls(4_000, 1.0 - non_null_pct as f64 / 100.0);
         let mut row = vec![format!("{non_null_pct}")];
         for params in combos() {
-            let cfg = StorageConfig {
-                null_compress: true,
-                null_kind: NullKind::Jacobson(params),
-                ..StorageConfig::default()
-            };
+            let cfg =
+                StorageConfig { nulls: NullKind::Jacobson(params), ..StorageConfig::default() };
             let engine = gfcl(Arc::new(ColumnarGraph::build(&raw, cfg).unwrap()));
             let (secs, _) = time_query(&engine, &creation_date_query());
             row.push(fmt_ms(secs));
@@ -72,11 +69,7 @@ fn main() {
     let mut row = vec!["overhead".to_owned()];
     let mut elems = 0usize;
     for params in combos() {
-        let cfg = StorageConfig {
-            null_compress: true,
-            null_kind: NullKind::Jacobson(params),
-            ..StorageConfig::default()
-        };
+        let cfg = StorageConfig { nulls: NullKind::Jacobson(params), ..StorageConfig::default() };
         let g = ColumnarGraph::build(&raw, cfg).unwrap();
         let col = g.vertex_prop(comment, date_prop);
         elems = col.len();

@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use gfcl_core::plan::plan_with;
 use gfcl_core::{Config, Engine, GfClEngine, LogicalPlan, QueryOutput};
 use gfcl_datagen::{MovieParams, PowerLawParams, SocialParams};
 use gfcl_storage::{ColumnarGraph, RawGraph};
@@ -154,9 +153,9 @@ pub fn time_plan(engine: &dyn Engine, plan: &LogicalPlan) -> (f64, u64) {
     (avg, card)
 }
 
-/// Plan (under the configured [`gfcl_core::PlanOptions`]) + measure.
+/// Plan + measure.
 pub fn time_query(engine: &dyn Engine, q: &gfcl_core::PatternQuery) -> (f64, u64) {
-    let plan = plan_with(q, engine.catalog(), &config().plan).expect("query must plan");
+    let plan = engine.plan(q).expect("query must plan");
     time_plan(engine, &plan)
 }
 

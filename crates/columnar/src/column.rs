@@ -61,7 +61,9 @@ impl Values<u64> for UIntArray {
     }
 }
 
-/// An immutable typed column with pluggable NULL compression.
+/// An immutable typed column with pluggable NULL compression. The
+/// constructors lay out NULLs with the given [`NullKind`]; a column with no
+/// NULL gets [`NullMap::AllValid`] whatever the kind.
 #[derive(Debug, Clone)]
 pub struct Column {
     dtype: DataType,
@@ -77,7 +79,7 @@ impl Column {
     pub fn from_i64(dtype: DataType, values: &[Option<i64>], kind: NullKind) -> Column {
         debug_assert!(matches!(dtype, DataType::Int64 | DataType::Date));
         let valid: Vec<bool> = values.iter().map(Option::is_some).collect();
-        let nulls = NullMap::build(&valid, kind);
+        let nulls = NullMap::for_column(&valid, kind);
         let data: Vec<i64> = if nulls.is_dense() {
             values.iter().map(|v| v.unwrap_or(0)).collect()
         } else {
@@ -93,7 +95,7 @@ impl Column {
     /// Build from `Option<f64>` values.
     pub fn from_f64(values: &[Option<f64>], kind: NullKind) -> Column {
         let valid: Vec<bool> = values.iter().map(Option::is_some).collect();
-        let nulls = NullMap::build(&valid, kind);
+        let nulls = NullMap::for_column(&valid, kind);
         let data: Vec<f64> = if nulls.is_dense() {
             values.iter().map(|v| v.unwrap_or(0.0)).collect()
         } else {
@@ -109,7 +111,7 @@ impl Column {
     /// Build from `Option<bool>` values.
     pub fn from_bool(values: &[Option<bool>], kind: NullKind) -> Column {
         let valid: Vec<bool> = values.iter().map(Option::is_some).collect();
-        let nulls = NullMap::build(&valid, kind);
+        let nulls = NullMap::for_column(&valid, kind);
         let data: Vec<bool> = if nulls.is_dense() {
             values.iter().map(|v| v.unwrap_or(false)).collect()
         } else {
@@ -127,7 +129,7 @@ impl Column {
     /// (the pre-compression configurations of Table 2).
     pub fn from_str<S: AsRef<str>>(values: &[Option<S>], kind: NullKind, suppress: bool) -> Column {
         let valid: Vec<bool> = values.iter().map(Option::is_some).collect();
-        let nulls = NullMap::build(&valid, kind);
+        let nulls = NullMap::for_column(&valid, kind);
         let mut dict = Dictionary::new();
         let mut raw_codes: Vec<u64> = Vec::new();
         if nulls.is_dense() {
@@ -567,13 +569,7 @@ mod tests {
     use crate::rank::RankParams;
 
     fn kinds() -> Vec<NullKind> {
-        vec![
-            NullKind::Uncompressed,
-            NullKind::Sparse,
-            NullKind::Ranges,
-            NullKind::Vanilla,
-            NullKind::Jacobson(RankParams::default()),
-        ]
+        vec![NullKind::Uncompressed, NullKind::Vanilla, NullKind::Jacobson(RankParams::default())]
     }
 
     #[test]
@@ -624,7 +620,7 @@ mod tests {
         let values: Vec<Option<i64>> =
             (0..1000).map(|i| if i % 10 == 0 { Some(i) } else { None }).collect();
         let dense = Column::from_i64(DataType::Int64, &values, NullKind::Uncompressed);
-        let sparse = Column::from_i64(DataType::Int64, &values, NullKind::Sparse);
+        let sparse = Column::from_i64(DataType::Int64, &values, NullKind::jacobson_default());
         assert!(sparse.data_bytes() < dense.data_bytes() / 5);
     }
 

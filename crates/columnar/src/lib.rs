@@ -14,9 +14,10 @@
 //!   the dictionary (evaluate once per distinct value).
 //! * [`JacobsonRank`] — a simplified Jacobson bit-vector index giving
 //!   constant-time rank queries over a NULL bitmap (Figure 7).
-//! * [`NullMap`] — the design space of NULL-compression layouts from Abadi
-//!   plus the paper's Jacobson-enhanced layout, all behind one API that maps
-//!   logical positions to physical positions in a dense non-NULL array.
+//! * [`NullMap`] — the NULL layouts Figure 10 compares (uncompressed,
+//!   Abadi's vanilla bit string, the paper's Jacobson-indexed bit string)
+//!   behind one API that maps logical positions to physical positions in a
+//!   dense non-NULL array.
 //! * [`Column`] — a typed column combining physical values with a
 //!   [`NullMap`]; the building block for vertex columns, edge columns and
 //!   property pages.

@@ -1,19 +1,19 @@
 //! NULL / empty-list compression layouts (Section 5.3).
 //!
-//! All compressed layouts follow Abadi's design: non-NULL elements are
-//! stored **densely** in a values array, and a secondary structure maps a
+//! Compressed layouts follow Abadi's bit-string design: non-NULL elements
+//! are stored **densely** in a values array, and a bit string maps a
 //! logical position to the physical position of its value (its *rank*).
-//! [`NullMap`] is that secondary structure, with five interchangeable
-//! layouts:
+//! [`NullMap`] is that secondary structure. A caller picks one of the
+//! three [`NullKind`]s Figure 10 compares; `AllValid` is never requested,
+//! only derived (a column with no NULL, a CSR whose empty lists are not
+//! compressed):
 //!
 //! | Layout          | Source                   | `physical(p)` cost     |
 //! |-----------------|--------------------------|------------------------|
-//! | `AllValid`      | no NULLs at all          | O(1), identity         |
+//! | `AllValid`      | derived: nothing is NULL | O(1), identity         |
 //! | `Uncompressed`  | values kept at all slots | O(1), identity         |
-//! | `Sparse`        | Abadi #1 (>90% NULL)     | O(log n) binary search |
-//! | `Ranges`        | Abadi #2 (dense runs)    | O(log r) binary search |
-//! | `Vanilla`       | Abadi #3 (1 bit/elem)    | **O(p)** linear rank   |
-//! | `Jacobson`      | paper's #3 + rank index  | O(1), 2 bits/elem      |
+//! | `Vanilla`       | Abadi's bit string       | **O(p)** linear rank   |
+//! | `Jacobson`      | paper's bit string + rank index | O(1), 2 bits/elem |
 //!
 //! The same structure compresses empty adjacency lists in CSRs (a vertex
 //! with an empty list is a "NULL" CSR entry) — Section 8.4.
@@ -22,22 +22,15 @@ use gfcl_common::{Error, MemoryUsage, Reader, Result, Writer};
 
 use crate::bitmap::Bitmap;
 use crate::rank::{JacobsonRank, RankParams};
-use crate::uint_array::UIntArray;
 
 /// Which NULL layout to build (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NullKind {
-    /// Assert no NULLs; zero overhead.
-    None,
     /// Keep values at every slot plus a validity bitmap; no compression.
     Uncompressed,
-    /// Abadi #1: sorted list of non-NULL positions.
-    Sparse,
-    /// Abadi #2: (start, length) runs of non-NULL positions.
-    Ranges,
-    /// Abadi #3: bit string, rank computed by scanning (slow baseline).
+    /// Abadi's bit string, rank computed by scanning (slow baseline).
     Vanilla,
-    /// Abadi #3 + Jacobson rank index: the paper's J-NULL.
+    /// The bit string + Jacobson rank index: the paper's J-NULL.
     Jacobson(RankParams),
 }
 
@@ -46,89 +39,31 @@ impl NullKind {
     pub fn jacobson_default() -> Self {
         NullKind::Jacobson(RankParams::default())
     }
+
+    /// `true` for the layouts that store only the non-NULL values.
+    pub fn compresses(self) -> bool {
+        !matches!(self, NullKind::Uncompressed)
+    }
 }
 
 /// Secondary structure mapping logical column positions to physical
 /// positions in a dense non-NULL values array.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NullMap {
-    AllValid {
-        len: usize,
-    },
-    Uncompressed {
-        valid: Bitmap,
-        n_valid: usize,
-    },
-    Sparse {
-        len: usize,
-        /// Sorted logical positions of the non-NULL values.
-        positions: UIntArray,
-    },
-    Ranges {
-        len: usize,
-        /// Start of each maximal non-NULL run (sorted).
-        starts: UIntArray,
-        /// Length of each run.
-        run_lens: UIntArray,
-        /// Number of non-NULL values before each run.
-        prefix: UIntArray,
-        n_valid: usize,
-    },
-    Vanilla {
-        bits: Bitmap,
-        n_valid: usize,
-    },
-    Jacobson {
-        bits: Bitmap,
-        rank: JacobsonRank,
-    },
+    AllValid { len: usize },
+    Uncompressed { valid: Bitmap, n_valid: usize },
+    Vanilla { bits: Bitmap, n_valid: usize },
+    Jacobson { bits: Bitmap, rank: JacobsonRank },
 }
 
 impl NullMap {
     /// Build the chosen layout from a validity slice.
     pub fn build(valid: &[bool], kind: NullKind) -> NullMap {
         match kind {
-            NullKind::None => {
-                debug_assert!(valid.iter().all(|&v| v), "NullKind::None requires all-valid data");
-                NullMap::AllValid { len: valid.len() }
-            }
             NullKind::Uncompressed => NullMap::Uncompressed {
                 valid: Bitmap::from_bools(valid),
                 n_valid: valid.iter().filter(|&&v| v).count(),
             },
-            NullKind::Sparse => {
-                let pos: Vec<u64> =
-                    valid.iter().enumerate().filter(|(_, &v)| v).map(|(i, _)| i as u64).collect();
-                NullMap::Sparse { len: valid.len(), positions: UIntArray::from_values(&pos, true) }
-            }
-            NullKind::Ranges => {
-                let mut starts = Vec::new();
-                let mut run_lens = Vec::new();
-                let mut prefix = Vec::new();
-                let mut n_valid = 0u64;
-                let mut i = 0usize;
-                while i < valid.len() {
-                    if valid[i] {
-                        let start = i;
-                        while i < valid.len() && valid[i] {
-                            i += 1;
-                        }
-                        starts.push(start as u64);
-                        run_lens.push((i - start) as u64);
-                        prefix.push(n_valid);
-                        n_valid += (i - start) as u64;
-                    } else {
-                        i += 1;
-                    }
-                }
-                NullMap::Ranges {
-                    len: valid.len(),
-                    starts: UIntArray::from_values(&starts, true),
-                    run_lens: UIntArray::from_values(&run_lens, true),
-                    prefix: UIntArray::from_values(&prefix, true),
-                    n_valid: n_valid as usize,
-                }
-            }
             NullKind::Vanilla => NullMap::Vanilla {
                 bits: Bitmap::from_bools(valid),
                 n_valid: valid.iter().filter(|&&v| v).count(),
@@ -141,13 +76,20 @@ impl NullMap {
         }
     }
 
+    /// The map of a column: `AllValid` when nothing is NULL, else `kind`.
+    pub(crate) fn for_column(valid: &[bool], kind: NullKind) -> NullMap {
+        if valid.iter().all(|&v| v) {
+            NullMap::AllValid { len: valid.len() }
+        } else {
+            NullMap::build(valid, kind)
+        }
+    }
+
     /// Logical length of the column.
     pub fn len(&self) -> usize {
         match self {
             NullMap::AllValid { len } => *len,
             NullMap::Uncompressed { valid, .. } => valid.len(),
-            NullMap::Sparse { len, .. } => *len,
-            NullMap::Ranges { len, .. } => *len,
             NullMap::Vanilla { bits, .. } => bits.len(),
             NullMap::Jacobson { bits, .. } => bits.len(),
         }
@@ -162,8 +104,6 @@ impl NullMap {
         match self {
             NullMap::AllValid { len } => *len,
             NullMap::Uncompressed { n_valid, .. } => *n_valid,
-            NullMap::Sparse { positions, .. } => positions.len(),
-            NullMap::Ranges { n_valid, .. } => *n_valid,
             NullMap::Vanilla { n_valid, .. } => *n_valid,
             NullMap::Jacobson { rank, .. } => rank.count_ones(),
         }
@@ -175,10 +115,6 @@ impl NullMap {
         match self {
             NullMap::AllValid { .. } => true,
             NullMap::Uncompressed { valid, .. } => valid.get(i),
-            NullMap::Sparse { positions, .. } => binary_search_uint(positions, i as u64).is_some(),
-            NullMap::Ranges { starts, run_lens, .. } => {
-                range_lookup(starts, run_lens, i as u64).is_some()
-            }
             NullMap::Vanilla { bits, .. } => bits.get(i),
             NullMap::Jacobson { bits, .. } => bits.get(i),
         }
@@ -192,11 +128,6 @@ impl NullMap {
         match self {
             NullMap::AllValid { .. } => Some(i),
             NullMap::Uncompressed { valid, .. } => valid.get(i).then_some(i),
-            NullMap::Sparse { positions, .. } => binary_search_uint(positions, i as u64),
-            NullMap::Ranges { starts, run_lens, prefix, .. } => {
-                range_lookup(starts, run_lens, i as u64)
-                    .map(|(run, delta)| prefix.get(run) as usize + delta)
-            }
             NullMap::Vanilla { bits, .. } => {
                 // Deliberately linear: the vanilla baseline of Figure 10.
                 bits.get(i).then(|| bits.rank_scan(i))
@@ -213,7 +144,9 @@ impl NullMap {
     /// Encode into a metadata stream. NULL maps stay fully resident after a
     /// reopen (they are consulted on every access), so everything is
     /// inline; the Jacobson rank index stores only its parameters and is
-    /// rebuilt deterministically from the bit string on decode.
+    /// rebuilt deterministically from the bit string on decode. Tags 2 and
+    /// 3 belonged to the retired position-list and run-list layouts and
+    /// are rejected on decode.
     pub fn encode(&self, w: &mut Writer) {
         match self {
             NullMap::AllValid { len } => {
@@ -223,19 +156,6 @@ impl NullMap {
             NullMap::Uncompressed { valid, n_valid } => {
                 w.u8(1);
                 valid.encode(w);
-                w.usize(*n_valid);
-            }
-            NullMap::Sparse { len, positions } => {
-                w.u8(2);
-                w.usize(*len);
-                positions.encode_inline(w);
-            }
-            NullMap::Ranges { len, starts, run_lens, prefix, n_valid } => {
-                w.u8(3);
-                w.usize(*len);
-                starts.encode_inline(w);
-                run_lens.encode_inline(w);
-                prefix.encode_inline(w);
                 w.usize(*n_valid);
             }
             NullMap::Vanilla { bits, n_valid } => {
@@ -258,14 +178,6 @@ impl NullMap {
         Ok(match r.u8()? {
             0 => NullMap::AllValid { len: r.usize()? },
             1 => NullMap::Uncompressed { valid: Bitmap::decode(r)?, n_valid: r.usize()? },
-            2 => NullMap::Sparse { len: r.usize()?, positions: UIntArray::decode_inline(r)? },
-            3 => NullMap::Ranges {
-                len: r.usize()?,
-                starts: UIntArray::decode_inline(r)?,
-                run_lens: UIntArray::decode_inline(r)?,
-                prefix: UIntArray::decode_inline(r)?,
-                n_valid: r.usize()?,
-            },
             4 => NullMap::Vanilla { bits: Bitmap::decode(r)?, n_valid: r.usize()? },
             5 => {
                 let bits = Bitmap::decode(r)?;
@@ -279,15 +191,11 @@ impl NullMap {
     }
 
     /// Bytes of the secondary structure only (the Figure 10 / Table 8
-    /// "overhead" number: bit strings + prefix sums + positions).
+    /// "overhead" number: bit strings + rank index).
     pub fn overhead_bytes(&self) -> usize {
         match self {
             NullMap::AllValid { .. } => 0,
             NullMap::Uncompressed { valid, .. } => valid.memory_bytes(),
-            NullMap::Sparse { positions, .. } => positions.memory_bytes(),
-            NullMap::Ranges { starts, run_lens, prefix, .. } => {
-                starts.memory_bytes() + run_lens.memory_bytes() + prefix.memory_bytes()
-            }
             NullMap::Vanilla { bits, .. } => bits.memory_bytes(),
             NullMap::Jacobson { bits, rank } => bits.memory_bytes() + rank.overhead_bytes(),
         }
@@ -300,50 +208,6 @@ impl MemoryUsage for NullMap {
     }
 }
 
-/// Binary search for `target` in a sorted `UIntArray`; returns its index.
-#[inline]
-fn binary_search_uint(arr: &UIntArray, target: u64) -> Option<usize> {
-    let mut lo = 0usize;
-    let mut hi = arr.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        let v = arr.get(mid);
-        if v < target {
-            lo = mid + 1;
-        } else if v > target {
-            hi = mid;
-        } else {
-            return Some(mid);
-        }
-    }
-    None
-}
-
-/// Find the run containing `target`; returns `(run index, offset in run)`.
-#[inline]
-fn range_lookup(starts: &UIntArray, run_lens: &UIntArray, target: u64) -> Option<(usize, usize)> {
-    if starts.is_empty() {
-        return None;
-    }
-    // Largest run with start <= target.
-    let mut lo = 0usize;
-    let mut hi = starts.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if starts.get(mid) <= target {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    if lo == 0 {
-        return None;
-    }
-    let run = lo - 1;
-    let delta = target - starts.get(run);
-    (delta < run_lens.get(run)).then_some((run, delta as usize))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,8 +215,6 @@ mod tests {
     fn all_kinds() -> Vec<NullKind> {
         vec![
             NullKind::Uncompressed,
-            NullKind::Sparse,
-            NullKind::Ranges,
             NullKind::Vanilla,
             NullKind::jacobson_default(),
             NullKind::Jacobson(RankParams::new(8, 8).unwrap()),
@@ -395,7 +257,8 @@ mod tests {
 
     #[test]
     fn all_valid_has_zero_overhead() {
-        let map = NullMap::build(&vec![true; 1000], NullKind::None);
+        let map = NullMap::for_column(&vec![true; 1000], NullKind::jacobson_default());
+        assert_eq!(map, NullMap::AllValid { len: 1000 });
         assert_eq!(map.overhead_bytes(), 0);
         assert!(map.is_dense());
         assert_eq!(map.physical(999), Some(999));
@@ -419,29 +282,18 @@ mod tests {
     }
 
     #[test]
-    fn sparse_is_compact_for_very_sparse_columns() {
-        let valid: Vec<bool> = (0..10_000).map(|i| i % 100 == 0).collect();
-        let sparse = NullMap::build(&valid, NullKind::Sparse);
-        let vanilla = NullMap::build(&valid, NullKind::Vanilla);
-        assert!(sparse.overhead_bytes() < vanilla.overhead_bytes());
-    }
-
-    #[test]
     fn encode_roundtrip_every_layout() {
         let valid: Vec<bool> = (0..700).map(|i| i % 4 != 1 && i % 31 != 0).collect();
-        for kind in all_kinds().into_iter().chain([NullKind::None]) {
-            let map = if matches!(kind, NullKind::None) {
-                NullMap::build(&vec![true; 700], kind)
-            } else {
-                NullMap::build(&valid, kind)
-            };
+        let all_valid = NullMap::for_column(&[true; 700], NullKind::Uncompressed);
+        let maps = all_kinds().into_iter().map(|kind| NullMap::build(&valid, kind));
+        for map in maps.chain([all_valid]) {
             let mut w = Writer::new();
             map.encode(&mut w);
             let bytes = w.into_bytes();
             let back = NullMap::decode(&mut Reader::new(&bytes)).unwrap();
-            assert_eq!(back, map, "{kind:?}");
+            assert_eq!(back, map);
             for i in 0..map.len() {
-                assert_eq!(back.physical(i), map.physical(i), "{kind:?} at {i}");
+                assert_eq!(back.physical(i), map.physical(i), "{map:?} at {i}");
             }
         }
     }
@@ -456,6 +308,19 @@ mod tests {
         NullMap::build(&[true, false, true], NullKind::jacobson_default()).encode(&mut w);
         let bytes = w.into_bytes();
         assert!(NullMap::decode(&mut Reader::new(&bytes[..bytes.len() - 2])).is_err());
+    }
+
+    #[test]
+    fn retired_layout_tags_are_storage_errors() {
+        // Tags 2 and 3 named the position-list and run-list layouts.
+        for tag in [2u8, 3] {
+            let mut w = Writer::new();
+            w.u8(tag);
+            w.usize(4);
+            let bytes = w.into_bytes();
+            let err = NullMap::decode(&mut Reader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, Error::Storage(_)), "tag {tag}: {err:?}");
+        }
     }
 
     #[test]

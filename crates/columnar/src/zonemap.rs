@@ -278,7 +278,7 @@ mod tests {
         // the exact [start, end) slice, including the short tail block.
         let n = ZONE_BLOCK * 2 + ZONE_BLOCK / 2;
         let values: Vec<Option<i64>> = (0..n as i64).map(Some).collect();
-        let col = Column::from_i64(DataType::Int64, &values, NullKind::None);
+        let col = Column::from_i64(DataType::Int64, &values, NullKind::Uncompressed);
         let zm = ZoneMap::build(&col);
         assert_eq!(zm.n_blocks(), 3);
         for (b, e) in zm.blocks().iter().enumerate() {
@@ -303,7 +303,7 @@ mod tests {
     fn all_null_and_single_value_blocks() {
         let mut values: Vec<Option<i64>> = vec![None; ZONE_BLOCK];
         values.extend(std::iter::repeat_n(Some(7i64), ZONE_BLOCK));
-        for kind in [NullKind::Uncompressed, NullKind::Sparse, NullKind::jacobson_default()] {
+        for kind in [NullKind::Uncompressed, NullKind::Vanilla, NullKind::jacobson_default()] {
             let col = Column::from_i64(DataType::Int64, &values, kind);
             let zm = ZoneMap::build(&col);
             assert_eq!(zm.n_blocks(), 2);
@@ -331,7 +331,7 @@ mod tests {
             _ => panic!("f64 info expected"),
         }
         // An all-NaN block keeps the empty-range sentinel.
-        let col = Column::from_f64(&[Some(f64::NAN)], NullKind::None);
+        let col = Column::from_f64(&[Some(f64::NAN)], NullKind::Uncompressed);
         let zm = ZoneMap::build(&col);
         match zm.block(0).info {
             ZoneInfo::F64 { min, max, has_nan } => {
@@ -405,7 +405,7 @@ mod tests {
 
     #[test]
     fn empty_column_has_no_blocks() {
-        let col = Column::from_i64(DataType::Int64, &[], NullKind::None);
+        let col = Column::from_i64(DataType::Int64, &[], NullKind::Uncompressed);
         assert_eq!(ZoneMap::build(&col).n_blocks(), 0);
     }
 }

@@ -7,8 +7,6 @@ use proptest::prelude::*;
 fn null_kinds() -> Vec<NullKind> {
     vec![
         NullKind::Uncompressed,
-        NullKind::Sparse,
-        NullKind::Ranges,
         NullKind::Vanilla,
         NullKind::Jacobson(RankParams::default()),
         NullKind::Jacobson(RankParams::new(8, 8).unwrap()),
@@ -95,8 +93,7 @@ proptest! {
     /// 0..count_valid, in order.
     #[test]
     fn physical_positions_are_dense_and_ordered(valid in proptest::collection::vec(any::<bool>(), 0..600)) {
-        for kind in [NullKind::Sparse, NullKind::Ranges, NullKind::Vanilla,
-                     NullKind::jacobson_default()] {
+        for kind in [NullKind::Vanilla, NullKind::jacobson_default()] {
             let map = NullMap::build(&valid, kind);
             let mut expected = 0usize;
             for (i, &v) in valid.iter().enumerate() {

@@ -1,77 +1,19 @@
-//! Vertex and edge identifier schemes (Sections 4.1.2 and 4.2 of the paper).
+//! Label IDs and traversal directions (Sections 4.1.2 and 4.2 of the
+//! paper).
 //!
-//! * A vertex ID is a pair `(vertex label, label-level positional offset)`.
-//!   Offsets of the same label are consecutive, so the offset doubles as the
-//!   index into that label's vertex columns.
-//! * An n-n edge ID is a triple `(edge label, source vertex ID, page-level
-//!   positional offset)`. The page-level offset — together with the paper's
-//!   single-indexed property pages — gives constant-time access to the
-//!   edge's properties from *either* direction.
-//!
-//! In adjacency lists these IDs are never stored whole: Section 5.2 factors
-//! out the edge label (lists are clustered by label), the neighbour's vertex
-//! ID (it is the other member of the `(edge, neighbour)` pair) and, per the
-//! Figure 6 decision tree, often the positional offset itself. The structs
-//! here are the *logical* identifiers used at API boundaries.
+//! A vertex is addressed as `(vertex label, label-level positional offset)`
+//! and an n-n edge as `(edge label, source vertex, page-level positional
+//! offset)`. No struct holds either whole: Section 5.2 factors out the edge
+//! label (lists are clustered by label), the neighbour's vertex ID (it is
+//! the other member of the `(edge, neighbour)` pair) and, per the Figure 6
+//! decision tree, often the positional offset itself, so the engines pass
+//! a [`LabelId`] next to a plain `u64` offset.
 
 use std::fmt;
 
 /// Index of a vertex or edge label in the catalog. 16 bits: real property
 /// graphs have tens of labels (LDBC: 8 vertex + 15 edge).
 pub type LabelId = u16;
-
-/// Label-level positional offset of a vertex: its index within all vertices
-/// of its label, and therefore into the label's vertex columns.
-pub type VertexOffset = u64;
-
-/// Logical vertex identifier: `(label, label-level positional offset)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct VertexId {
-    pub label: LabelId,
-    pub offset: VertexOffset,
-}
-
-impl VertexId {
-    pub fn new(label: LabelId, offset: VertexOffset) -> Self {
-        VertexId { label, offset }
-    }
-}
-
-impl fmt::Display for VertexId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "v{}:{}", self.label, self.offset)
-    }
-}
-
-/// Logical n-n edge identifier per the paper's new scheme:
-/// `(edge label, source vertex, page-level positional offset)`.
-///
-/// Two edges are equal iff all three components are equal; this is exactly
-/// the identification property (i) the paper requires, while property (ii)
-/// — reading the offset `o` directly from the ID — is what makes
-/// opposite-direction property reads constant time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EdgeId {
-    pub label: LabelId,
-    /// Source vertex (or destination, if the property pages are indexed
-    /// backward; the indexed direction is a per-label storage choice).
-    pub src: VertexId,
-    /// Page-level positional offset within the property page of
-    /// `src.offset / k`.
-    pub page_offset: u64,
-}
-
-impl EdgeId {
-    pub fn new(label: LabelId, src: VertexId, page_offset: u64) -> Self {
-        EdgeId { label, src, page_offset }
-    }
-}
-
-impl fmt::Display for EdgeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "e{}:({},{})", self.label, self.src, self.page_offset)
-    }
-}
 
 /// Traversal direction of an adjacency index. Every GDBMS double-indexes
 /// edges (Section 3): forward lists are grouped by source, backward lists by
@@ -112,24 +54,6 @@ impl fmt::Display for Direction {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vertex_id_ordering_groups_by_label() {
-        let a = VertexId::new(0, 10);
-        let b = VertexId::new(1, 0);
-        assert!(a < b, "label is the major sort key");
-    }
-
-    #[test]
-    fn edge_id_equality_uses_all_components() {
-        let v = VertexId::new(2, 5);
-        let e1 = EdgeId::new(1, v, 7);
-        let e2 = EdgeId::new(1, v, 8);
-        let e3 = EdgeId::new(1, VertexId::new(2, 6), 7);
-        assert_ne!(e1, e2);
-        assert_ne!(e1, e3);
-        assert_eq!(e1, EdgeId::new(1, v, 7));
-    }
 
     #[test]
     fn direction_reverse_roundtrips() {

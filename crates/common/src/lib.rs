@@ -4,9 +4,8 @@
 //!
 //! * [`DataType`] / [`Value`] — the property type system of the property
 //!   graph model (Section 2 of the paper).
-//! * [`VertexId`] / [`EdgeId`] — the paper's vertex and edge ID schemes
-//!   (Section 4): a vertex is `(label, label-level positional offset)`, an
-//!   n-n edge is `(edge label, source vertex, page-level positional offset)`.
+//! * [`LabelId`] / [`Direction`] — label indexes and traversal directions
+//!   of the paper's ID schemes (Section 4).
 //! * [`MemoryUsage`] — exact heap accounting, used by the memory-reduction
 //!   experiments (Table 2) so reported sizes are measurements.
 //! * [`Error`] / [`Result`] — the error type shared by storage and engines.
@@ -27,6 +26,6 @@ pub mod types;
 pub use codec::{fnv1a_64, page_checksum, Reader, Writer};
 pub use error::{Error, Result};
 pub use govern::{fault_scope, report_io_fault, CancelReason, CancelToken, FaultScope};
-pub use ids::{Direction, EdgeId, LabelId, VertexId, VertexOffset};
+pub use ids::{Direction, LabelId};
 pub use mem::{human_bytes, MemoryUsage};
 pub use types::{DataType, Value};

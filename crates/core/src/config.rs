@@ -3,8 +3,8 @@
 //! binary — which hands each part to the constructor that takes it. The
 //! library reads the environment nowhere else; README's "Configuration"
 //! table lists each variable's field, default and accepted range. What is
-//! not a knob stays out: plan verification and the storage layout the
-//! planner plans by are not switchable here.
+//! not a knob stays out: filter pushdown, plan verification and the storage
+//! layout the planner plans by are not switchable here.
 //!
 //! Values are trimmed; unset or blank means the default. Anything else out
 //! of range — garbage, a zero where a positive value is required, a rate
@@ -18,7 +18,6 @@ use gfcl_common::{Error, Result};
 use gfcl_storage::FaultConfig;
 
 use crate::driver::ExecOptions;
-use crate::plan::PlanOptions;
 
 /// The process configuration. [`Config::default`] is what an empty
 /// environment parses to.
@@ -27,10 +26,6 @@ pub struct Config {
     /// `GFCL_THREADS`, `GFCL_MORSEL`, `GFCL_TIME_LIMIT_MS` and
     /// `GFCL_MEM_LIMIT_MB`, for [`GfClEngine::with_options`](crate::GfClEngine::with_options).
     pub exec: ExecOptions,
-    /// `GFCL_NO_PUSHDOWN` (set and not `0` turns filter pushdown off), for
-    /// [`plan_with`](crate::plan::plan_with). Plan verification has no
-    /// switch: every plan is verified.
-    pub plan: PlanOptions,
     /// `GFCL_BUFFER_MB` in pages (floor one), for
     /// [`StorageConfig::buffer_pool_pages`](gfcl_storage::StorageConfig::buffer_pool_pages).
     pub buffer_pool_pages: Option<usize>,
@@ -49,7 +44,6 @@ impl Config {
     /// Parse the configuration from a variable lookup (`None` = unset).
     pub fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Config> {
         let var = |name: &str| var(name).map(|s| s.trim().to_owned()).filter(|s| !s.is_empty());
-        let flag = |name| var(name).is_some_and(|v| v != "0");
         let (positive, any) = ("a positive integer", "a non-negative integer");
         let rate = |name| number::<u32>(&var, name, "a rate in 0..=1000000", |&r| r <= 1_000_000);
         let rates = [
@@ -84,7 +78,6 @@ impl Config {
                 time_limit_ms: number(&var, "GFCL_TIME_LIMIT_MS", positive, |&n| n > 0)?,
                 mem_limit_bytes: mem_mb.map(|mb| mb << 20),
             },
-            plan: PlanOptions { pushdown: !flag("GFCL_NO_PUSHDOWN") },
             buffer_pool_pages: pool_mb.map(|mb| ((mb << 20) / PAGE_SIZE).max(1)),
             faults: (seed.is_some() || rates.iter().any(Option::is_some)).then_some(faults),
         })

@@ -886,7 +886,7 @@ mod tests {
                 _ => AggFunc::Max,
             };
             let strings: Vec<Value> = DICT.iter().map(|&s| Value::String(s.into())).collect();
-            let dict = Column::from_values(DataType::String, &strings, NullKind::None).unwrap();
+            let dict = Column::from_values(DataType::String, &strings, NullKind::Uncompressed).unwrap();
             let sc = SlotCol::clean(Some(&dict));
             let mut typed = match func {
                 AggFunc::Count { distinct: true } if kind == 4 => {

@@ -309,8 +309,8 @@ impl LogicalPlan {
 pub struct PlanOptions {
     /// Push eligible scan-node filter conjuncts into the scan step
     /// (`PlanStep::ScanAll::pushed`), enabling zone-map block skipping and
-    /// selection-aware property reads. On by default; `GFCL_NO_PUSHDOWN`
-    /// turns it off in a [`Config`](crate::Config).
+    /// selection-aware property reads. On by default; off only in the
+    /// reference plans that pushdown is checked and measured against.
     pub pushdown: bool,
 }
 
@@ -667,8 +667,8 @@ impl Planner<'_> {
         // itself, where storage can evaluate it positionally on the
         // columns and skip whole blocks via zone maps. Semantically a
         // no-op (the same mask is ANDed into the scan group either way),
-        // so `GFCL_NO_PUSHDOWN` exists purely as a triage/benchmark
-        // escape hatch.
+        // so `PlanOptions::no_pushdown` exists only as the reference plan
+        // of the equivalence suite and the `scan_pushdown` bench.
         if self.opts.pushdown {
             if let Some(PlanStep::ScanAll { node: scan_node, .. }) = steps.first() {
                 let scan_node = *scan_node;

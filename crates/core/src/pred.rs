@@ -1137,7 +1137,7 @@ mod tests {
     #[test]
     fn nan_blocks_are_never_all_true_for_ordered_ops() {
         let values = vec![Some(1.0f64), Some(f64::NAN), Some(3.0)];
-        let mut col = Column::from_f64(&values, NullKind::None);
+        let mut col = Column::from_f64(&values, NullKind::Uncompressed);
         col.build_zone_map();
         let lt: ScanPred<'_> = CPredG::CmpF64 {
             op: CmpOp::Lt,
@@ -1167,7 +1167,8 @@ mod tests {
         // Regression: `col <> NaN` is TRUE for every row (IEEE 754:
         // `x != NaN` always holds), including over an all-NaN block — the
         // pruner must never report AllFalse for it.
-        let mut all_nan = Column::from_f64(&[Some(f64::NAN), Some(f64::NAN)], NullKind::None);
+        let mut all_nan =
+            Column::from_f64(&[Some(f64::NAN), Some(f64::NAN)], NullKind::Uncompressed);
         all_nan.build_zone_map();
         fn ne_nan(c: &Column) -> ScanPred<'_> {
             CPredG::CmpF64 {
@@ -1178,7 +1179,7 @@ mod tests {
         }
         assert_eq!(ne_nan(&all_nan).eval_at(0), Some(true));
         assert_eq!(ne_nan(&all_nan).prune(0), BlockVerdict::AllTrue);
-        let mut mixed = Column::from_f64(&[Some(1.0), Some(f64::NAN)], NullKind::None);
+        let mut mixed = Column::from_f64(&[Some(1.0), Some(f64::NAN)], NullKind::Uncompressed);
         mixed.build_zone_map();
         assert_ne!(ne_nan(&mixed).prune(0), BlockVerdict::AllFalse);
         // Other comparisons with a NaN constant are false for every row;

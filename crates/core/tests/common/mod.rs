@@ -6,12 +6,11 @@ use gfcl_common::{Error, Result};
 use gfcl_core::Config;
 
 /// Every production variable `Config::parse` reads.
-pub const VARS: [&str; 11] = [
+pub const VARS: [&str; 10] = [
     "GFCL_THREADS",
     "GFCL_MORSEL",
     "GFCL_TIME_LIMIT_MS",
     "GFCL_MEM_LIMIT_MB",
-    "GFCL_NO_PUSHDOWN",
     "GFCL_BUFFER_MB",
     "GFCL_FAULT_SEED",
     "GFCL_FAULT_TRANSIENT_PPM",

@@ -3,7 +3,7 @@
 //! process environment. Each variable has a table of accepted values
 //! (with the field they land in) and of rejected ones; every rejection
 //! is an `Error::Invalid` naming the variable, returned at parse time.
-//! This file holds the execution and planner variables and the totality
+//! This file holds the execution variables and the totality
 //! property over all of them; the storage-layer ones are in
 //! `env_knobs.rs`.
 
@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use common::{assert_accepted, assert_rejected, parse, VARS};
 use gfcl_common::Error;
-use gfcl_core::plan::{plan_with, PlanOptions, PlanStep};
 use gfcl_core::query::{col, ge, lit, PatternQuery};
 use gfcl_core::{Config, Engine, ExecOptions, GfClEngine};
 use gfcl_storage::{ColumnarGraph, RawGraph, StorageConfig};
@@ -39,32 +38,12 @@ fn run(opts: ExecOptions) -> gfcl_common::Result<gfcl_core::QueryOutput> {
 fn an_empty_environment_is_the_default() {
     assert_eq!(parse(&[]).unwrap(), Config::default());
     assert_eq!(Config::default().exec, ExecOptions::serial());
-    assert_eq!(Config::default().plan, PlanOptions::default());
     // Variables the parser does not own are ignored, including the
     // removed `GFCL_VERIFY`.
     assert_eq!(
         parse(&[("GFCL_VERIFY", "strict"), ("GFCL_SCALE", "x")]).unwrap(),
         Config::default()
     );
-}
-
-#[test]
-fn gfcl_no_pushdown_disables_the_rewrite() {
-    let catalog = RawGraph::example().catalog;
-    let pushed = |table: &[(&str, &str)]| {
-        let p = plan_with(&filtered_query(), &catalog, &parse(table).unwrap().plan).unwrap();
-        match &p.steps[0] {
-            PlanStep::ScanAll { pushed, .. } => pushed.len(),
-            s => panic!("expected a scan, got {s:?}"),
-        }
-    };
-    assert_eq!(pushed(&[]), 1);
-    assert_eq!(pushed(&[("GFCL_NO_PUSHDOWN", "1")]), 0);
-    assert_eq!(pushed(&[("GFCL_NO_PUSHDOWN", "yes")]), 0);
-
-    // Set to anything but "0" turns a flag on; "0" and blanks do not.
-    let flags = [("", true), (" ", true), ("0", true), (" 0 ", true), ("1", false), ("no", false)];
-    assert_accepted("GFCL_NO_PUSHDOWN", |c| c.plan.pushdown, &flags);
 }
 
 #[test]

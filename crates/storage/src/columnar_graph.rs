@@ -21,16 +21,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gfcl_columnar::{
-    Column, NullKind, PageCursor, SegRef, SegmentSink, SegmentSource, UIntArray, PAGE_SIZE,
-};
+use gfcl_columnar::{Column, PageCursor, SegRef, SegmentSink, SegmentSource, UIntArray, PAGE_SIZE};
 use gfcl_common::{
     DataType, Direction, Error, LabelId, MemoryUsage, Reader, Result, Value, Writer,
 };
 
 use crate::catalog::{Catalog, VertexLabelDef};
 use crate::config::{EdgePropLayout, StorageConfig};
-use crate::csr::{Csr, CsrOptions};
+use crate::csr::Csr;
 use crate::edge_prop_pages::PropertyPages;
 use crate::edge_store::EdgePropStore;
 use crate::raw::{EdgeTable, PropData, RawGraph, VertexTable};
@@ -845,20 +843,9 @@ fn encode_pk(w: &mut Writer, pk: Option<&HashMap<i64, u64>>) {
     });
 }
 
-/// NULL layout for a column with/without NULLs under `config`.
-fn pick_kind(has_nulls: bool, config: &StorageConfig) -> NullKind {
-    if !has_nulls {
-        NullKind::None
-    } else if config.null_compress {
-        config.null_kind
-    } else {
-        NullKind::Uncompressed
-    }
-}
-
 /// Convert a raw property column (identity order).
 fn prop_to_column(prop: &PropData, dtype: DataType, config: &StorageConfig) -> Column {
-    let kind = pick_kind(prop.null_fraction() > 0.0, config);
+    let kind = config.nulls;
     match prop {
         PropData::I64(v) => Column::from_i64(dtype, v, kind),
         PropData::F64(v) => Column::from_f64(v, kind),
@@ -880,19 +867,19 @@ fn gather_column(
     match prop {
         PropData::I64(v) => {
             let g: Vec<Option<i64>> = order.iter().map(|&i| v[i as usize]).collect();
-            Column::from_i64(dtype, &g, pick_kind(g.iter().any(Option::is_none), config))
+            Column::from_i64(dtype, &g, config.nulls)
         }
         PropData::F64(v) => {
             let g: Vec<Option<f64>> = order.iter().map(|&i| v[i as usize]).collect();
-            Column::from_f64(&g, pick_kind(g.iter().any(Option::is_none), config))
+            Column::from_f64(&g, config.nulls)
         }
         PropData::Bool(v) => {
             let g: Vec<Option<bool>> = order.iter().map(|&i| v[i as usize]).collect();
-            Column::from_bool(&g, pick_kind(g.iter().any(Option::is_none), config))
+            Column::from_bool(&g, config.nulls)
         }
         PropData::Str(v) => {
             let g: Vec<Option<&str>> = order.iter().map(|&i| v[i as usize].as_deref()).collect();
-            Column::from_str(&g, pick_kind(g.iter().any(Option::is_none), config), true)
+            Column::from_str(&g, config.nulls, true)
         }
     }
 }
@@ -911,28 +898,28 @@ fn scatter_column(
             for (i, &k) in keys.iter().enumerate() {
                 out[k as usize] = v[i];
             }
-            Column::from_i64(dtype, &out, pick_kind(out.iter().any(Option::is_none), config))
+            Column::from_i64(dtype, &out, config.nulls)
         }
         PropData::F64(v) => {
             let mut out: Vec<Option<f64>> = vec![None; n];
             for (i, &k) in keys.iter().enumerate() {
                 out[k as usize] = v[i];
             }
-            Column::from_f64(&out, pick_kind(out.iter().any(Option::is_none), config))
+            Column::from_f64(&out, config.nulls)
         }
         PropData::Bool(v) => {
             let mut out: Vec<Option<bool>> = vec![None; n];
             for (i, &k) in keys.iter().enumerate() {
                 out[k as usize] = v[i];
             }
-            Column::from_bool(&out, pick_kind(out.iter().any(Option::is_none), config))
+            Column::from_bool(&out, config.nulls)
         }
         PropData::Str(v) => {
             let mut out: Vec<Option<&str>> = vec![None; n];
             for (i, &k) in keys.iter().enumerate() {
                 out[k as usize] = v[i].as_deref();
             }
-            Column::from_str(&out, pick_kind(out.iter().any(Option::is_none), config), true)
+            Column::from_str(&out, config.nulls, true)
         }
     }
 }
@@ -967,7 +954,6 @@ fn build_single_card(
     single_fwd: bool,
     single_bwd: bool,
 ) -> Result<(AdjIndex, AdjIndex)> {
-    let kind = pick_kind(true, config); // absent edges are NULLs
     let build_side = |from: &[u64], nbrs: &[u64], n_from: usize, with_props: bool| {
         let mut opt: Vec<Option<u64>> = vec![None; n_from];
         for (i, &f) in from.iter().enumerate() {
@@ -982,7 +968,7 @@ fn build_single_card(
         } else {
             Vec::new()
         };
-        SingleCardAdj::build(&opt, kind, config.zero_suppress, props)
+        SingleCardAdj::build(&opt, config.nulls, config.zero_suppress, props)
     };
 
     let fwd: AdjIndex = if single_fwd {
@@ -990,21 +976,13 @@ fn build_single_card(
     } else {
         // n-side of a 1-n label: plain CSR without edge IDs (decision tree:
         // single cardinality => no positional offsets).
-        let opts = CsrOptions {
-            zero_suppress: config.zero_suppress,
-            compress_empty: config.null_compress.then_some(config.null_kind),
-        };
-        let (csr, _) = Csr::build(n_src, &table.src, &table.dst, opts);
+        let (csr, _) = Csr::build(n_src, &table.src, &table.dst, config.csr_options());
         AdjIndex::Csr(csr)
     };
     let bwd: AdjIndex = if single_bwd {
         AdjIndex::SingleCard(build_side(&table.dst, &table.src, n_dst, prop_side == Direction::Bwd))
     } else {
-        let opts = CsrOptions {
-            zero_suppress: config.zero_suppress,
-            compress_empty: config.null_compress.then_some(config.null_kind),
-        };
-        let (csr, _) = Csr::build(n_dst, &table.dst, &table.src, opts);
+        let (csr, _) = Csr::build(n_dst, &table.dst, &table.src, config.csr_options());
         AdjIndex::Csr(csr)
     };
     Ok((fwd, bwd))
@@ -1018,10 +996,7 @@ fn build_nn(
     config: &StorageConfig,
     label_seed: u64,
 ) -> Result<(Csr, Csr, EdgePropStore)> {
-    let opts = CsrOptions {
-        zero_suppress: config.zero_suppress,
-        compress_empty: config.null_compress.then_some(config.null_kind),
-    };
+    let opts = config.csr_options();
     let (mut fwd, perm_f) = Csr::build(n_src, &table.src, &table.dst, opts);
     let (mut bwd, perm_b) = Csr::build(n_dst, &table.dst, &table.src, opts);
     let m = table.len();
@@ -1201,6 +1176,7 @@ impl MemoryUsage for ColumnarGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrOptions;
     use crate::raw::RawGraph;
 
     fn configs() -> Vec<StorageConfig> {

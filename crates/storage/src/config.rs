@@ -9,6 +9,8 @@
 use gfcl_columnar::{NullKind, RankParams};
 use gfcl_common::{Error, Reader, Result, Writer};
 
+use crate::csr::CsrOptions;
+
 /// How n-n edge properties are stored (Section 4.2 design space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgePropLayout {
@@ -47,11 +49,14 @@ pub struct StorageConfig {
     /// adjacency-list component in the narrowest byte width that fits its
     /// maximum value. The `+0-SUPR` step.
     pub zero_suppress: bool,
-    /// NULL-compress sparse vertex/edge property columns and empty
-    /// adjacency lists with `null_kind`. The `+NULL` step.
-    pub null_compress: bool,
-    /// Layout used when `null_compress` is set.
-    pub null_kind: NullKind,
+    /// NULL layout of property columns and single-cardinality adjacency
+    /// columns, and of a CSR's empty lists (Section 5.3). `Jacobson` is
+    /// the `+NULL` step; `Vanilla` is Figure 10's linear-rank baseline;
+    /// `Uncompressed` keeps a value slot and a validity bit per vertex or
+    /// edge in columns and one offsets entry per vertex in CSRs, as the
+    /// ladder's steps before `+NULL` do. A column with no NULL stores no
+    /// map under any layout.
+    pub nulls: NullKind,
     /// Store single-cardinality edges (and their properties) in vertex
     /// columns instead of CSRs (Section 4.1.2; Table 4 ablation). Off, a
     /// single-cardinality extend is a `ListExtend` in the plan, in EXPLAIN
@@ -79,8 +84,7 @@ impl Default for StorageConfig {
         StorageConfig {
             new_ids: true,
             zero_suppress: true,
-            null_compress: true,
-            null_kind: NullKind::jacobson_default(),
+            nulls: NullKind::jacobson_default(),
             single_card_in_vcols: true,
             edge_prop_layout: EdgePropLayout::pages_default(),
             zone_maps: true,
@@ -96,19 +100,23 @@ impl StorageConfig {
         StorageConfig {
             new_ids: false,
             zero_suppress: false,
-            null_compress: false,
+            nulls: NullKind::Uncompressed,
             ..StorageConfig::default()
         }
     }
 
     /// `+NEW-IDS`: factored vertex/edge ID schemes on top of `+COLS`.
     pub fn new_ids() -> Self {
-        StorageConfig { zero_suppress: false, null_compress: false, ..StorageConfig::default() }
+        StorageConfig {
+            zero_suppress: false,
+            nulls: NullKind::Uncompressed,
+            ..StorageConfig::default()
+        }
     }
 
     /// `+0-SUPR`: leading-0 suppression on top of `+NEW-IDS`.
     pub fn zero_supr() -> Self {
-        StorageConfig { null_compress: false, ..StorageConfig::default() }
+        StorageConfig { nulls: NullKind::Uncompressed, ..StorageConfig::default() }
     }
 
     /// `+NULL` — the complete GF-CL storage (same as `default()`).
@@ -126,14 +134,18 @@ impl StorageConfig {
         ]
     }
 
+    /// How this configuration builds a CSR.
+    pub(crate) fn csr_options(&self) -> CsrOptions {
+        CsrOptions { zero_suppress: self.zero_suppress, nulls: self.nulls }
+    }
+
     /// Encode the *structural* fields for the on-disk format — everything
     /// that shaped the persisted layout. `buffer_pool_pages` is a runtime
     /// knob and deliberately not stored: the opener chooses its own pool.
     pub fn encode(&self, w: &mut Writer) {
         w.bool(self.new_ids);
         w.bool(self.zero_suppress);
-        w.bool(self.null_compress);
-        encode_null_kind(w, self.null_kind);
+        encode_null_kind(w, self.nulls);
         w.bool(self.single_card_in_vcols);
         match self.edge_prop_layout {
             EdgePropLayout::Pages { k } => {
@@ -151,8 +163,7 @@ impl StorageConfig {
     pub fn decode(r: &mut Reader<'_>) -> Result<StorageConfig> {
         let new_ids = r.bool()?;
         let zero_suppress = r.bool()?;
-        let null_compress = r.bool()?;
-        let null_kind = decode_null_kind(r)?;
+        let nulls = decode_null_kind(r)?;
         let single_card_in_vcols = r.bool()?;
         let edge_prop_layout = match r.u8()? {
             0 => EdgePropLayout::Pages { k: r.usize()? },
@@ -164,8 +175,7 @@ impl StorageConfig {
         Ok(StorageConfig {
             new_ids,
             zero_suppress,
-            null_compress,
-            null_kind,
+            nulls,
             single_card_in_vcols,
             edge_prop_layout,
             zone_maps,
@@ -174,12 +184,11 @@ impl StorageConfig {
     }
 }
 
+/// Tags follow [`gfcl_columnar::NullMap`]'s; 0, 2 and 3 named layouts
+/// that are gone and are rejected on decode.
 fn encode_null_kind(w: &mut Writer, kind: NullKind) {
     match kind {
-        NullKind::None => w.u8(0),
         NullKind::Uncompressed => w.u8(1),
-        NullKind::Sparse => w.u8(2),
-        NullKind::Ranges => w.u8(3),
         NullKind::Vanilla => w.u8(4),
         NullKind::Jacobson(p) => {
             w.u8(5);
@@ -191,10 +200,7 @@ fn encode_null_kind(w: &mut Writer, kind: NullKind) {
 
 fn decode_null_kind(r: &mut Reader<'_>) -> Result<NullKind> {
     Ok(match r.u8()? {
-        0 => NullKind::None,
         1 => NullKind::Uncompressed,
-        2 => NullKind::Sparse,
-        3 => NullKind::Ranges,
         4 => NullKind::Vanilla,
         5 => {
             let (c, m) = (r.u32()?, r.u32()?);
@@ -216,7 +222,7 @@ mod tests {
         let ladder = StorageConfig::ladder();
         assert_eq!(ladder.len(), 4);
         let flags =
-            |c: &StorageConfig| [c.new_ids, c.zero_suppress, c.null_compress].map(|b| b as u8);
+            |c: &StorageConfig| [c.new_ids, c.zero_suppress, c.nulls.compresses()].map(|b| b as u8);
         for w in ladder.windows(2) {
             let a = flags(&w[0].1);
             let b = flags(&w[1].1);
@@ -238,6 +244,33 @@ mod tests {
     }
 
     #[test]
+    fn every_null_layout_roundtrips_and_retired_ones_are_rejected() {
+        let kinds = [
+            NullKind::Uncompressed,
+            NullKind::Vanilla,
+            NullKind::Jacobson(RankParams::new(4, 8).unwrap()),
+        ];
+        for nulls in kinds {
+            let cfg = StorageConfig { nulls, ..StorageConfig::default() };
+            let mut w = Writer::new();
+            cfg.encode(&mut w);
+            let back = StorageConfig::decode(&mut Reader::new(&w.into_bytes())).unwrap();
+            assert_eq!(back, cfg);
+        }
+        // Tags 0, 2 and 3 named the assert-no-NULL, position-list and
+        // run-list layouts.
+        for tag in [0u8, 2, 3] {
+            let mut w = Writer::new();
+            StorageConfig::default().encode(&mut w);
+            let mut bytes = w.into_bytes();
+            assert_eq!(bytes[2], 5, "the NULL layout follows the two leading flags");
+            bytes[2] = tag;
+            let err = StorageConfig::decode(&mut Reader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, Error::Storage(_)), "tag {tag}: {err:?}");
+        }
+    }
+
+    #[test]
     fn buffer_pool_pages_is_not_structural() {
         let cfg = StorageConfig { buffer_pool_pages: 7, ..StorageConfig::default() };
         let mut w = Writer::new();
@@ -249,7 +282,8 @@ mod tests {
     #[test]
     fn default_is_full_gfcl() {
         let c = StorageConfig::default();
-        assert!(c.new_ids && c.zero_suppress && c.null_compress && c.single_card_in_vcols);
+        assert!(c.new_ids && c.zero_suppress && c.single_card_in_vcols);
+        assert_eq!(c.nulls, NullKind::jacobson_default());
         assert_eq!(c.edge_prop_layout, EdgePropLayout::Pages { k: 128 });
     }
 }

@@ -15,7 +15,8 @@
 //! Vertices with empty adjacency lists can be NULL-compressed: the offsets
 //! array then stores entries only for non-empty vertices and a
 //! [`NullMap`] (Jacobson by default) maps vertex offsets to them in
-//! constant time.
+//! constant time. Uncompressed, the offsets keep one entry per vertex and
+//! already encode an empty list as two equal offsets, so no map is stored.
 
 use gfcl_columnar::{NullKind, NullMap, PageCursor, SegmentSink, SegmentSource, UIntArray};
 use gfcl_common::{MemoryUsage, Reader, Result, Writer};
@@ -25,14 +26,15 @@ use gfcl_common::{MemoryUsage, Reader, Result, Writer};
 pub struct CsrOptions {
     /// Leading-0 suppression of the offsets and neighbour arrays.
     pub zero_suppress: bool,
-    /// Compress empty adjacency lists with this layout (`None` keeps one
-    /// offsets entry per vertex).
-    pub compress_empty: Option<NullKind>,
+    /// Empty-list layout: `Vanilla` or `Jacobson` store offsets only for
+    /// non-empty lists behind that [`NullMap`]; `Uncompressed` keeps one
+    /// offsets entry per vertex and an `AllValid` map.
+    pub nulls: NullKind,
 }
 
 impl Default for CsrOptions {
     fn default() -> Self {
-        CsrOptions { zero_suppress: true, compress_empty: None }
+        CsrOptions { zero_suppress: true, nulls: NullKind::Uncompressed }
     }
 }
 
@@ -89,29 +91,22 @@ impl Csr {
             input_of_pos[p] = i as u64;
         }
 
-        let (offsets, empties) = match opts.compress_empty {
-            None => {
-                let offsets = UIntArray::from_values(&starts, opts.zero_suppress);
-                (offsets, NullMap::build(&vec![true; n_vertices], NullKind::None))
-            }
-            Some(kind) => {
-                let valid: Vec<bool> = degree.iter().map(|&d| d > 0).collect();
-                let map = NullMap::build(&valid, kind);
-                if map.is_dense() {
-                    // Dense layouts (Uncompressed) map positions through the
-                    // identity, so the offsets array must stay full-length.
-                    (UIntArray::from_values(&starts, opts.zero_suppress), map)
-                } else {
-                    let mut compact = Vec::with_capacity(valid.iter().filter(|&&v| v).count() + 1);
-                    for (v, &nonempty) in valid.iter().enumerate() {
-                        if nonempty {
-                            compact.push(starts[v]);
-                        }
-                    }
-                    compact.push(m as u64);
-                    (UIntArray::from_values(&compact, opts.zero_suppress), map)
+        let (offsets, empties) = if opts.nulls.compresses() {
+            let valid: Vec<bool> = degree.iter().map(|&d| d > 0).collect();
+            let mut compact = Vec::with_capacity(valid.iter().filter(|&&v| v).count() + 1);
+            for (v, &nonempty) in valid.iter().enumerate() {
+                if nonempty {
+                    compact.push(starts[v]);
                 }
             }
+            compact.push(m as u64);
+            (
+                UIntArray::from_values(&compact, opts.zero_suppress),
+                NullMap::build(&valid, opts.nulls),
+            )
+        } else {
+            let offsets = UIntArray::from_values(&starts, opts.zero_suppress);
+            (offsets, NullMap::AllValid { len: n_vertices })
         };
 
         let csr = Csr {
@@ -288,8 +283,8 @@ mod tests {
     #[test]
     fn build_with_empty_list_compression() {
         let (n, from, nbr) = sample_edges();
-        for kind in [NullKind::jacobson_default(), NullKind::Vanilla, NullKind::Sparse] {
-            let opts = CsrOptions { zero_suppress: true, compress_empty: Some(kind) };
+        for nulls in [NullKind::jacobson_default(), NullKind::Vanilla] {
+            let opts = CsrOptions { zero_suppress: true, nulls };
             let (csr, _) = Csr::build(n, &from, &nbr, opts);
             assert_eq!(csr.degree(2), 0);
             assert_eq!(csr.degree(5), 0);
@@ -307,7 +302,7 @@ mod tests {
             1000,
             &from,
             &nbr,
-            CsrOptions { zero_suppress: true, compress_empty: Some(NullKind::jacobson_default()) },
+            CsrOptions { zero_suppress: true, nulls: NullKind::jacobson_default() },
         )
         .0;
         assert!(cmp.offsets_bytes() < unc.offsets_bytes());
@@ -318,8 +313,13 @@ mod tests {
     fn zero_suppression_narrows_arrays() {
         let (n, from, nbr) = sample_edges();
         let narrow = Csr::build(n, &from, &nbr, CsrOptions::default()).0;
-        let wide =
-            Csr::build(n, &from, &nbr, CsrOptions { zero_suppress: false, compress_empty: None }).0;
+        let wide = Csr::build(
+            n,
+            &from,
+            &nbr,
+            CsrOptions { zero_suppress: false, nulls: NullKind::Uncompressed },
+        )
+        .0;
         assert!(narrow.memory_bytes() < wide.memory_bytes());
         check_lists(&wide, &from, &nbr);
     }
@@ -341,13 +341,15 @@ mod tests {
 
     #[test]
     fn dense_null_layout_keeps_full_offsets() {
-        // Regression: Uncompressed empty-list "compression" maps positions
-        // through the identity, so offsets must not be compacted.
+        // Uncompressed keeps one offsets entry per vertex and stores no
+        // validity bitmap: equal offsets already say "empty list".
         let (n, from, nbr) = sample_edges();
-        let opts = CsrOptions { zero_suppress: true, compress_empty: Some(NullKind::Uncompressed) };
+        let opts = CsrOptions { zero_suppress: true, nulls: NullKind::Uncompressed };
         let (csr, _) = Csr::build(n, &from, &nbr, opts);
         check_lists(&csr, &from, &nbr);
         assert_eq!(csr.degree(5), 0);
+        assert_eq!(csr.offsets.len(), n + 1);
+        assert_eq!(csr.empties, NullMap::AllValid { len: n });
     }
 
     #[test]
@@ -355,8 +357,7 @@ mod tests {
         use gfcl_columnar::paged_array::mem::{MemSink, MemStore};
         use gfcl_common::{Reader, Writer};
         let (n, from, nbr) = sample_edges();
-        let opts =
-            CsrOptions { zero_suppress: true, compress_empty: Some(NullKind::jacobson_default()) };
+        let opts = CsrOptions { zero_suppress: true, nulls: NullKind::jacobson_default() };
         let (mut csr, _) = Csr::build(n, &from, &nbr, opts);
         csr.set_edge_ids(UIntArray::from_values(&[0, 1, 2, 3, 4, 5, 6, 7], true));
         let store = MemStore::new();
@@ -382,8 +383,7 @@ mod tests {
         for v in 0..5 {
             assert_eq!(csr.degree(v), 0);
         }
-        let opts =
-            CsrOptions { zero_suppress: true, compress_empty: Some(NullKind::jacobson_default()) };
+        let opts = CsrOptions { zero_suppress: true, nulls: NullKind::jacobson_default() };
         let (csr, _) = Csr::build(5, &[], &[], opts);
         assert_eq!(csr.degree(3), 0);
     }

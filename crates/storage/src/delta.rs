@@ -676,8 +676,9 @@ impl DeltaStore {
         // Cardinality constraints stay invariants of the merged view: a
         // single-cardinality endpoint must not already have a live edge.
         let card = def.cardinality;
+        let (view, cur) = (GraphView::new(base, Some(&*self)), &mut ReadCursors::default());
         for (dir, v) in [(Direction::Fwd, src), (Direction::Bwd, dst)] {
-            if card.is_single(dir) && self.effective_degree_nonzero(base, label, dir, v) {
+            if card.is_single(dir) && view.single_nbr(cur, label, dir, v).is_some() {
                 return Err(Error::Invalid(format!(
                     "cardinality violation: {} already has a live {} edge in direction {dir}",
                     v, def.name
@@ -691,37 +692,6 @@ impl DeltaStore {
         e.link(0, src, idx);
         e.link(1, dst, idx);
         Ok(())
-    }
-
-    /// Does the (live) vertex `v` have at least one live `(elabel, dir)`
-    /// edge in the merged view?
-    fn effective_degree_nonzero(
-        &self,
-        base: &ColumnarGraph,
-        elabel: LabelId,
-        dir: Direction,
-        v: u64,
-    ) -> bool {
-        // The endpoint index holds only live edges and no empty lists, so
-        // key presence alone answers the delta side in O(1).
-        if self.e[elabel as usize].from[dir_idx(dir)].contains_key(&v) {
-            return true;
-        }
-        let from_label = base.catalog().edge_label(elabel).from_label(dir);
-        if v >= base.vertex_count(from_label) as u64 {
-            return false;
-        }
-        let mut seen: HashMap<u64, u32> = HashMap::new();
-        let mut check = |nbr: u64| -> bool {
-            let occ = seen.entry(nbr).or_insert(0);
-            let (src, dst) = if dir == Direction::Fwd { (v, nbr) } else { (nbr, v) };
-            let alive = !self.edge_tombed(elabel, src, dst, *occ);
-            *occ += 1;
-            alive
-        };
-        let mut alive = false;
-        for_each_base_nbr(base, elabel, dir, v, |nbr| alive |= check(nbr));
-        alive
     }
 
     fn delete_edge(
@@ -843,7 +813,7 @@ impl DeltaStore {
     /// baseline: does it hold a live delta edge or a tombstoned baseline
     /// edge?
     pub fn edge_list_dirty(&self, label: LabelId, dir: Direction, from: u64) -> bool {
-        let d = dir_idx(dir);
+        let d = dir.index();
         self.e
             .get(label as usize)
             .is_some_and(|e| e.from[d].contains_key(&from) || e.tomb_ends[d].contains_key(&from))
@@ -852,7 +822,7 @@ impl DeltaStore {
     /// Does `(label, dir)` carry any edge mutation at all? (`false` keeps
     /// the whole zero-copy extend path.)
     pub fn edge_label_touched(&self, label: LabelId, dir: Direction) -> bool {
-        let d = dir_idx(dir);
+        let d = dir.index();
         self.e
             .get(label as usize)
             .is_some_and(|e| !e.from[d].is_empty() || !e.tomb_ends[d].is_empty())
@@ -862,7 +832,7 @@ impl DeltaStore {
     pub fn delta_edges_from(&self, label: LabelId, dir: Direction, from: u64) -> &[u64] {
         self.e
             .get(label as usize)
-            .and_then(|e| e.from[dir_idx(dir)].get(&from))
+            .and_then(|e| e.from[dir.index()].get(&from))
             .map_or(&[], |v| &v[..])
     }
 
@@ -883,7 +853,7 @@ impl DeltaStore {
             .get(label as usize)?
             .exts
             .get(prop)
-            .map(|pair| &pair[dir_idx(dir)])
+            .map(|pair| &pair[dir.index()])
             .filter(|e| !e.is_empty())
     }
 }
@@ -1041,13 +1011,6 @@ impl StrExt {
     }
 }
 
-fn dir_idx(dir: Direction) -> usize {
-    match dir {
-        Direction::Fwd => 0,
-        Direction::Bwd => 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1170,13 +1133,29 @@ mod tests {
         // Vertex 0 already works somewhere (n-1 label): a second WORKAT
         // edge from it must be rejected.
         let mut d = DeltaStore::new(&g);
-        let err = d
-            .apply(
-                &g,
-                &ResolvedOp::InsertEdge { label: workat, src: 0, dst: 0, props: vec![Value::Null] },
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("cardinality"), "{err}");
+        let insert = |d: &mut DeltaStore, dst| {
+            let op =
+                ResolvedOp::InsertEdge { label: workat, src: 0, dst, props: vec![Value::Null] };
+            d.apply(&g, &op)
+        };
+        let rejected = |r: Result<()>| r.is_err_and(|e| e.to_string().contains("cardinality"));
+        assert!(rejected(insert(&mut d, 0)));
+        // Once the baseline edge is deleted, one new edge is accepted and a
+        // second is rejected against that delta edge.
+        let mut cur = ReadCursors::default();
+        let (org, _) =
+            GraphView::new(&g, None).single_nbr(&mut cur, workat, Direction::Fwd, 0).unwrap();
+        let target = d.resolve_delete_edge(&g, workat, 0, org).unwrap();
+        assert!(matches!(target, EdgeTarget::Base { occ: 0, .. }));
+        d.apply(&g, &ResolvedOp::DeleteEdge { label: workat, target }).unwrap();
+        insert(&mut d, org).unwrap();
+        assert!(rejected(insert(&mut d, 1 - org)));
+        // Deleting that delta edge frees the endpoint again.
+        let target = d.resolve_delete_edge(&g, workat, 0, org).unwrap();
+        assert!(matches!(target, EdgeTarget::Delta { .. }));
+        d.apply(&g, &ResolvedOp::DeleteEdge { label: workat, target }).unwrap();
+        insert(&mut d, 1 - org).unwrap();
+        assert!(rejected(insert(&mut d, org)));
     }
 
     #[test]

@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn double_indexed_costs_twice_columns() {
         let values: Vec<Option<i64>> = (0..1000).map(Some).collect();
-        let col = Column::from_i64(DataType::Int64, &values, NullKind::None);
+        let col = Column::from_i64(DataType::Int64, &values, NullKind::Uncompressed);
         let single = EdgePropStore::Columns { props: vec![col.clone()] };
         let double = EdgePropStore::DoubleIndexed { fwd: vec![col.clone()], bwd: vec![col] };
         assert_eq!(double.memory_bytes(), 2 * single.memory_bytes());

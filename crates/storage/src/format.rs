@@ -38,8 +38,9 @@ use crate::config::StorageConfig;
 
 const MAGIC: [u8; 4] = *b"GFCL";
 /// v2 added the graph's per-build generation nonce to the metadata stream;
-/// v3 replaced FNV-1a with [`page_checksum`] for data pages.
-const VERSION: u32 = 3;
+/// v3 replaced FNV-1a with [`page_checksum`] for data pages; v4 stores the
+/// configuration's NULL layout as one tag instead of a switch and a tag.
+const VERSION: u32 = 4;
 /// Header bytes covered by the trailing header checksum.
 const HEADER_LEN: usize = 4 + 4 + 4 + 7 * 8;
 
@@ -344,16 +345,17 @@ mod tests {
 
     #[test]
     fn open_refuses_an_older_format_version() {
-        // A v2 file checksums its data pages with FNV-1a: reading it as v3
-        // would report every page as corrupt, so it is refused up front.
+        // A v3 file stores its NULL layout as a switch and a tag: reading
+        // it as v4 would misparse its configuration, so it is refused up
+        // front.
         let path = tmp("version");
         build_example().save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let err = ColumnarGraph::open(&path, StorageConfig::default()).unwrap_err();
         std::fs::remove_file(&path).unwrap();
-        assert!(err.to_string().contains("unsupported format version 2"), "{err}");
+        assert!(err.to_string().contains("unsupported format version 3"), "{err}");
     }
 
     #[test]

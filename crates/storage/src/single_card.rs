@@ -138,13 +138,7 @@ mod tests {
 
     #[test]
     fn lookup_all_layouts() {
-        for kind in [
-            NullKind::Uncompressed,
-            NullKind::jacobson_default(),
-            NullKind::Vanilla,
-            NullKind::Sparse,
-            NullKind::Ranges,
-        ] {
+        for kind in [NullKind::Uncompressed, NullKind::jacobson_default(), NullKind::Vanilla] {
             let adj = SingleCardAdj::build(&nbrs(), kind, true, vec![]);
             assert_eq!(adj.n_vertices(), 6);
             assert_eq!(adj.n_edges(), 3);

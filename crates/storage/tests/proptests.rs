@@ -35,9 +35,8 @@ proptest! {
     fn csr_roundtrips_and_transposes((n, edges) in edges_strategy()) {
         let src: Vec<u64> = edges.iter().map(|e| e.0).collect();
         let dst: Vec<u64> = edges.iter().map(|e| e.1).collect();
-        for compress in [None, Some(NullKind::jacobson_default()), Some(NullKind::Sparse),
-                         Some(NullKind::Uncompressed)] {
-            let opts = CsrOptions { zero_suppress: true, compress_empty: compress };
+        for nulls in [NullKind::Uncompressed, NullKind::Vanilla, NullKind::jacobson_default()] {
+            let opts = CsrOptions { zero_suppress: true, nulls };
             let (fwd, _) = Csr::build(n, &src, &dst, opts);
             let (bwd, _) = Csr::build(n, &dst, &src, opts);
 

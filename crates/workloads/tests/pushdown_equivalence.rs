@@ -7,8 +7,7 @@
 //! This is the safety net for the whole pushdown path: a zone map whose
 //! min/max is off by one, a block verdict that miscounts NULLs, or a
 //! selection-aware fill that skips a live position all show up here as an
-//! output mismatch against the `PlanOptions::no_pushdown()` plan
-//! (`GFCL_NO_PUSHDOWN` is the same switch, environment-shaped).
+//! output mismatch against the `PlanOptions::no_pushdown()` plan.
 
 use std::sync::Arc;
 

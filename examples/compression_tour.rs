@@ -1,6 +1,6 @@
 //! A tour of the columnar compression layer (Sections 4–5): leading-0
-//! suppression, dictionary encoding, and the NULL-compression design space
-//! with the Jacobson rank index, measured on a sparse column.
+//! suppression, dictionary encoding, and the three NULL layouts of
+//! Figure 10 (Uncompressed, Vanilla, Jacobson), measured on a sparse column.
 //!
 //! ```sh
 //! cargo run --release --example compression_tour
@@ -29,7 +29,7 @@ fn main() {
     let browsers = ["Chrome", "Firefox", "Safari", "Internet Explorer", "Opera"];
     let values: Vec<Option<&str>> =
         (0..1_000_000).map(|i| Some(browsers[i % browsers.len()])).collect();
-    let col = Column::from_str(&values, NullKind::None, true);
+    let col = Column::from_str(&values, NullKind::Uncompressed, true);
     println!(
         "  1M browser strings -> {} ({} distinct values, {}-byte codes)",
         human_bytes(col.memory_bytes()),
@@ -44,16 +44,14 @@ fn main() {
         matching.count_ones()
     );
 
-    // ---- NULL compression design space (Section 5.3, Figure 10) ----
+    // ---- NULL compression layouts (Section 5.3, Figure 10) ----
     println!("\n== NULL compression at 30% density ==");
     let n = 2_000_000usize;
     let sparse: Vec<Option<i64>> =
         (0..n).map(|i| ((i * 2654435761) % 10 < 3).then_some(i as i64)).collect();
     let layouts: Vec<(&str, NullKind)> = vec![
         ("Uncompressed", NullKind::Uncompressed),
-        ("Sparse positions (Abadi #1)", NullKind::Sparse),
-        ("Range pairs    (Abadi #2)", NullKind::Ranges),
-        ("Vanilla bitmap (Abadi #3)", NullKind::Vanilla),
+        ("Vanilla bitmap", NullKind::Vanilla),
         ("J-NULL (Jacobson, m=c=16)", NullKind::Jacobson(RankParams::default())),
     ];
     println!("  {:<28} {:>10} {:>12} {:>16}", "layout", "total", "overhead", "1M random reads");

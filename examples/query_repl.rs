@@ -15,14 +15,13 @@
 //!
 //! Anything else is compiled (parse → bind) and executed on the list-based
 //! GF-CL engine; frontend errors print their caret diagnostics. The
-//! `GFCL_*` variables (`GFCL_THREADS`, `GFCL_NO_PUSHDOWN`, ...) set how
-//! queries are planned and run.
+//! `GFCL_*` variables (`GFCL_THREADS`, `GFCL_TIME_LIMIT_MS`, ...) set how
+//! queries are run.
 
 use std::io::{BufRead, Write as _};
 use std::sync::Arc;
 
 use gfcl::datagen::{MovieParams, SocialParams};
-use gfcl::plan::{plan_with, PlanOptions};
 use gfcl::{ColumnarGraph, Config, Engine, GfClEngine, QueryOutput, RawGraph, StorageConfig};
 
 fn build_graph() -> RawGraph {
@@ -75,9 +74,9 @@ fn print_output(out: &QueryOutput) {
     }
 }
 
-/// Compile `text` and plan it under `opts`.
-fn plan(engine: &GfClEngine, opts: &PlanOptions, text: &str) -> gfcl::Result<gfcl::LogicalPlan> {
-    plan_with(&gfcl::frontend::compile(text, engine.catalog())?, engine.catalog(), opts)
+/// Compile `text` and plan it.
+fn plan(engine: &GfClEngine, text: &str) -> gfcl::Result<gfcl::LogicalPlan> {
+    engine.plan(&gfcl::frontend::compile(text, engine.catalog())?)
 }
 
 fn main() -> gfcl::Result<()> {
@@ -113,13 +112,13 @@ fn main() -> gfcl::Result<()> {
             continue;
         }
         if let Some(text) = line.strip_prefix(":explain") {
-            match plan(&engine, &config.plan, text.trim()) {
+            match plan(&engine, text.trim()) {
                 Ok(p) => print!("{}", gfcl::optimize::render_explain(&p, engine.catalog())),
                 Err(e) => println!("{e}"),
             }
             continue;
         }
-        match plan(&engine, &config.plan, line).and_then(|p| engine.run_plan(&p)) {
+        match plan(&engine, line).and_then(|p| engine.run_plan(&p)) {
             Ok(out) => print_output(&out),
             Err(e) => println!("{e}"),
         }

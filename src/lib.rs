@@ -125,8 +125,8 @@
 //! per-block zone maps (min/max synopses) — and the surviving selection
 //! mask makes every later property read over the scan group
 //! selection-aware. `EXPLAIN` shows the pushed predicates and the
-//! estimated block-skip ratio; [`plan::PlanOptions::no_pushdown`] (what
-//! `GFCL_NO_PUSHDOWN=1` parses to in a [`Config`]) is the escape hatch:
+//! estimated block-skip ratio; [`plan::PlanOptions::no_pushdown`] plans
+//! the same query without the rewrite:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -352,7 +352,7 @@ pub use gfcl_baselines::{GfCvEngine, GfRvEngine, RelEngine};
 /// Foundation vocabulary shared by every crate: property values and types,
 /// IDs, directions, errors, and exact memory accounting.
 pub use gfcl_common::{
-    human_bytes, DataType, Direction, EdgeId, Error, LabelId, MemoryUsage, Result, Value, VertexId,
+    human_bytes, DataType, Direction, Error, LabelId, MemoryUsage, Result, Value,
 };
 /// The query front-end and the paper's engine: [`PatternQuery`] +
 /// [`Engine`] (with `execute`/`explain`), the list-based [`GfClEngine`],
