@@ -52,6 +52,12 @@ impl Bitmap {
         (self.words[i >> 6] >> (i & 63)) & 1 == 1
     }
 
+    /// Backing word `w`: bits `64 w .. 64 w + 64`, LSB-first.
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
     #[inline]
     pub fn set(&mut self, i: usize) {
         debug_assert!(i < self.len);

@@ -76,8 +76,9 @@ impl NullMap {
         }
     }
 
-    /// The map of a column: `AllValid` when nothing is NULL, else `kind`.
-    pub(crate) fn for_column(valid: &[bool], kind: NullKind) -> NullMap {
+    /// The map of a column, or of a single-cardinality adjacency: `AllValid`
+    /// when nothing is NULL, else `kind`.
+    pub fn for_column(valid: &[bool], kind: NullKind) -> NullMap {
         if valid.iter().all(|&v| v) {
             NullMap::AllValid { len: valid.len() }
         } else {

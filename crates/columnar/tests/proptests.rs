@@ -59,6 +59,35 @@ proptest! {
         }
     }
 
+    /// Invariant 2 (ter): the shift-and-mask rank equals the linear scan
+    /// at every position under every valid `(c, m)`. The length is drawn
+    /// as whole 256-element blocks (`m = 8`), whole chunks and a
+    /// remainder, so bitmaps end mid-block and mid-chunk as well as on
+    /// their boundaries; the density ranges from empty to full.
+    #[test]
+    fn jacobson_rank_matches_rank_scan_for_every_param(
+        blocks in 0usize..4,
+        chunks in 0usize..20,
+        rem in 0usize..16,
+        density in 0u32..=8,
+        seed in any::<u64>(),
+    ) {
+        let len = blocks * 256 + chunks * 16 + rem;
+        let bm = Bitmap::from_fn(len, |i| {
+            let x = (seed ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            (x >> 61) < u64::from(density)
+        });
+        for c in [4u32, 8, 16] {
+            for m in [8u32, 16, 24, 32] {
+                let idx = JacobsonRank::build(&bm, RankParams::new(c, m).unwrap());
+                for p in 0..len {
+                    prop_assert_eq!(idx.rank(&bm, p), bm.rank_scan(p), "c={} m={} p={}", c, m, p);
+                }
+                prop_assert_eq!(idx.count_ones(), bm.count_ones());
+            }
+        }
+    }
+
     /// Invariant 3: every NULL layout agrees with the uncompressed column.
     #[test]
     fn null_layouts_agree(values in proptest::collection::vec(

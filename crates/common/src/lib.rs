@@ -12,6 +12,8 @@
 //! * [`govern`] — per-query fault domains: the [`CancelToken`] tripped by
 //!   budgets, users and storage faults, and the thread-local fault scope
 //!   the storage layer reports into.
+//! * [`hash`] — the one integer hasher of every integer-keyed hash table
+//!   (the delta store's persistent maps, the query sinks' sets and tables).
 //! * [`codec`] — byte-level encode/decode primitives and the checksums of
 //!   the on-disk paged format: FNV-1a for its header and metadata, a
 //!   4-lane word checksum for its data pages.
@@ -19,6 +21,7 @@
 pub mod codec;
 pub mod error;
 pub mod govern;
+pub mod hash;
 pub mod ids;
 pub mod mem;
 pub mod types;

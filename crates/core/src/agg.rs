@@ -5,24 +5,27 @@
 //! [`GroupTable`] (or, without grouping keys, [`ScalarAgg`]), so
 //! cross-engine results agree byte-for-byte: the LBP
 //! feeds it multiplicity-weighted values straight from unflat list groups,
-//! the baselines feed it one enumerated tuple at a time, and both finish
-//! through [`GroupTable::into_output`] / [`finalize_rows`], which order
-//! rows by the total [`Value::total_cmp`] order before applying
+//! keyed by raw block entries and decoded once per group, the baselines
+//! feed it one enumerated tuple at a time, keyed by [`OrdValue`]s, and
+//! both finish through the table's row finish / [`finalize_rows`], which
+//! order rows by the total [`Value::total_cmp`] order before applying
 //! `ORDER BY` / `LIMIT`.
 //!
-//! Determinism: the table is a hash map whose key equality and hash both
-//! follow the total value order ([`OrdValue`]), every aggregate state
-//! merges associatively (integer sums in `i128`, `AVG` as exact sum +
-//! count divided once at the end), and the order contract is kept once,
-//! at finish: [`GroupTable::into_output`] sorts the finished rows by
+//! Determinism: the table is a hash map whose key equality follows the
+//! total value order (raw entries of one slot are equal exactly when their
+//! values are; [`OrdValue`] compares by [`Value::total_cmp`]), every
+//! aggregate state merges associatively (integer sums in `i128`, `AVG` as
+//! exact sum + count divided once at the end), and the order contract is
+//! kept once, at finish: the table's row finish sorts the finished rows by
 //! [`cmp_rows`]. So the final output is identical for any worker count and
 //! any morsel interleaving — modulo float addition order for `SUM`/`AVG`
 //! over DOUBLE columns, which inherits the whole-result `SUM` caveat.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::borrow::Borrow;
+use std::collections::{BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
 
+use gfcl_common::hash::{IntMap, IntSet};
 use gfcl_common::{DataType, Error, Result, Value};
 
 use crate::engine::QueryOutput;
@@ -108,13 +111,15 @@ pub enum AggState {
     Count(u64),
     /// `COUNT(DISTINCT x.p)` — distinct non-NULL values.
     Distinct(HashSet<OrdValue>),
-    /// `COUNT(DISTINCT x.p)` over a dictionary-encoded string slot, kept as
-    /// the set of its non-NULL codes: a slot's dictionary (and any delta
-    /// extension, which only interns strings the dictionary lacks) gives
-    /// every string one code, so distinct codes are distinct strings and
-    /// no string is ever decoded. Only the list-based processor's grouped
-    /// sink builds one, for every state of such a slot.
-    DistinctCodes(HashSet<u64>),
+    /// `COUNT(DISTINCT x.p)` in the list-based processor, kept as the set
+    /// of the slot's non-NULL raw block entries: the integer, the float's
+    /// bits, the bool or the dictionary code. Within one slot raw equality
+    /// is value equality — a slot's dictionary (and any delta extension,
+    /// which only interns strings the dictionary lacks) gives every string
+    /// one code, and float bits separate ±0 and NaN payloads exactly as
+    /// `total_cmp` does — so no value is ever built or decoded. Only the
+    /// grouped sink builds one, for every `COUNT(DISTINCT)` it folds.
+    DistinctCodes(IntSet<u64>),
     /// `SUM` — exact `i128` for integers, `f64` for doubles; `seen` counts
     /// non-NULL inputs so an all-NULL group sums to NULL (SQL semantics).
     Sum { ints: i128, floats: f64, seen: u64 },
@@ -213,7 +218,7 @@ impl AggState {
         }
     }
 
-    /// Fold dictionary code `code` into a [`AggState::DistinctCodes`] set;
+    /// Fold raw entry `code` into a [`AggState::DistinctCodes`] set;
     /// returns the heap growth, as [`AggState::update`] does.
     pub fn insert_code(&mut self, code: u64) -> u64 {
         match self {
@@ -372,58 +377,64 @@ impl ScalarAgg {
     }
 }
 
+/// What a [`GroupTable`] keys its groups by: hashable, with a heap
+/// estimate for memory budgeting and an empty key for the one group of an
+/// aggregate without grouping keys.
+pub trait GroupKey: Hash + Eq + Default {
+    /// Heap bytes the key owns beyond its own size.
+    fn heap_bytes(&self) -> u64;
+}
+
+/// The baselines' key: the grouping values themselves.
+impl GroupKey for Vec<OrdValue> {
+    fn heap_bytes(&self) -> u64 {
+        self.iter().map(|k| crate::govern::value_bytes(&k.0)).sum()
+    }
+}
+
+/// The list-based processor's key: one raw block entry per grouping slot
+/// (see [`AggState::DistinctCodes`] for why raw equality is value
+/// equality within a slot), decoded once per group at finish.
+impl GroupKey for Box<[Option<u64>]> {
+    fn heap_bytes(&self) -> u64 {
+        std::mem::size_of_val::<[Option<u64>]>(self) as u64
+    }
+}
+
 /// A grouped-aggregation accumulator: group key → one [`AggState`] per
-/// aggregate. The map is unordered; a group's states do not depend on
+/// aggregate. Every group's states live in one flat arena, the map holding
+/// only each key's group index, so a new group is one key insert and one
+/// arena extend. The map is unordered; a group's states do not depend on
 /// iteration order (each key merges its partials in worker order), and
-/// output order is imposed once, by [`GroupTable::into_output`].
+/// output order is imposed once, when the table finishes its rows.
 #[derive(Debug)]
-pub struct GroupTable {
+pub struct GroupTable<K = Vec<OrdValue>> {
     aggs: Vec<PlanAgg>,
-    map: HashMap<Vec<OrdValue>, Vec<AggState>>,
-    /// Running heap estimate: key bytes + state array per group, plus the
-    /// growth reported by [`AggState::update`] at the feeding sites.
+    /// A fresh state per aggregate, cloned for every new group.
+    fresh: Vec<AggState>,
+    /// Key → the group's index.
+    map: IntMap<K, usize>,
+    /// Group `g`'s states at `g * fresh.len() ..`, in group-index order.
+    states: Vec<AggState>,
+    /// Running heap estimate: key and state arena per group, plus the
+    /// growth the feeding sites report ([`AggState::update`]).
     bytes: u64,
 }
 
 impl GroupTable {
     /// Empty table for the given aggregate list.
     pub fn new(aggs: &[PlanAgg]) -> GroupTable {
-        GroupTable { aggs: aggs.to_vec(), map: HashMap::new(), bytes: 0 }
+        GroupTable::with_states(aggs, aggs.iter().map(|a| AggState::new(a.func)).collect())
     }
 
     /// The aggregate states of `key`, created on first sight (one probe).
-    pub fn group(&mut self, key: Vec<Value>) -> &mut Vec<AggState> {
+    fn group(&mut self, key: Vec<Value>) -> &mut [AggState] {
         let key: Vec<OrdValue> = key.into_iter().map(OrdValue).collect();
-        match self.map.entry(key) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                self.bytes += group_bytes(e.key(), self.aggs.len());
-                e.insert(self.aggs.iter().map(|a| AggState::new(a.func)).collect())
-            }
-        }
-    }
-
-    /// Merge the partial `states` of `key`, whose heap is `held` bytes,
-    /// into the table (one probe), leaving `states` empty, and charge the
-    /// table what it grew by: a new key adopts the states as they are (its
-    /// group plus `held`), a present key only what the merge added.
-    pub(crate) fn merge_group(&mut self, key: Vec<Value>, states: &mut Vec<AggState>, held: u64) {
-        self.bytes += self.merge_states(key.into_iter().map(OrdValue).collect(), states, held);
-    }
-
-    /// [`GroupTable::merge_group`] over an already-wrapped key, charging
-    /// nothing; returns what it would charge.
-    fn merge_states(&mut self, key: Vec<OrdValue>, states: &mut Vec<AggState>, held: u64) -> u64 {
-        match self.map.entry(key) {
-            Entry::Occupied(mut e) => {
-                e.get_mut().iter_mut().zip(states.drain(..)).map(|(a, b)| a.merge(b)).sum()
-            }
-            Entry::Vacant(e) => {
-                let bytes = group_bytes(e.key(), states.len()) + held;
-                e.insert(std::mem::take(states));
-                bytes
-            }
-        }
+        let g = match self.map.get(&key) {
+            Some(&g) => g,
+            None => self.insert(key),
+        };
+        self.states_mut(g)
     }
 
     /// Fold one fully-enumerated tuple (the baselines' path): `values[i]`
@@ -431,16 +442,72 @@ impl GroupTable {
     /// the tuple itself — unlike `COUNT(x.p)` with a NULL input).
     pub fn add_tuple(&mut self, key: Vec<Value>, values: &[Option<Value>]) {
         let mut grew = 0u64;
-        {
-            let states = self.group(key);
-            for (st, v) in states.iter_mut().zip(values) {
-                match v {
-                    None => st.add_count(1),
-                    Some(v) => grew += st.update(v, 1),
-                }
+        for (st, v) in self.group(key).iter_mut().zip(values) {
+            match v {
+                None => st.add_count(1),
+                Some(v) => grew += st.update(v, 1),
             }
         }
         self.bytes += grew;
+    }
+
+    /// Finish every group into output rows — its key values, then its
+    /// aggregates — in [`cmp_rows`] order under `ORDER BY` / `LIMIT`, and
+    /// wrap them as rows output.
+    pub fn into_output(self, plan: &LogicalPlan) -> QueryOutput {
+        let rows = self.into_rows(plan, |key| key.into_iter().map(|k| k.0).collect());
+        QueryOutput::Rows { header: plan.header.clone(), rows }
+    }
+}
+
+impl<K: GroupKey> GroupTable<K> {
+    /// Empty table whose new groups start from `fresh`, one state per
+    /// aggregate of `aggs`.
+    pub(crate) fn with_states(aggs: &[PlanAgg], fresh: Vec<AggState>) -> GroupTable<K> {
+        debug_assert_eq!(aggs.len(), fresh.len());
+        GroupTable {
+            aggs: aggs.to_vec(),
+            fresh,
+            map: IntMap::default(),
+            states: Vec::new(),
+            bytes: 0,
+        }
+    }
+
+    /// Add the new group `key` with fresh states; returns its index.
+    fn insert(&mut self, key: K) -> usize {
+        let g = self.map.len();
+        self.bytes += group_bytes(&key, self.fresh.len());
+        self.map.insert(key, g);
+        self.states.extend(self.fresh.iter().cloned());
+        g
+    }
+
+    /// The index of the group of the borrowed `key`, created on first
+    /// sight: a present key is one probe and allocates nothing.
+    pub(crate) fn group_index<Q>(&mut self, key: &Q) -> usize
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned + ?Sized,
+        Q::Owned: Into<K>,
+    {
+        match self.map.get(key) {
+            Some(&g) => g,
+            None => self.insert(key.to_owned().into()),
+        }
+    }
+
+    /// The states of group `g`, one per aggregate.
+    pub(crate) fn states_mut(&mut self, g: usize) -> &mut [AggState] {
+        let n = self.fresh.len();
+        let (lo, hi) = (g * n, (g + 1) * n);
+        &mut self.states[lo..hi]
+    }
+
+    /// Charge heap growth a feeding site reported (see
+    /// [`AggState::update`]).
+    pub(crate) fn charge(&mut self, bytes: u64) {
+        self.bytes += bytes;
     }
 
     /// The table's heap estimate for memory budgeting. Conservative on
@@ -452,10 +519,24 @@ impl GroupTable {
 
     /// Merge another table's groups into this one (worker barrier; the
     /// callers merge in worker-index order).
-    pub fn merge(&mut self, other: GroupTable) {
+    pub fn merge(&mut self, other: GroupTable<K>) {
         self.bytes += other.bytes;
-        for (key, mut states) in other.map {
-            self.merge_states(key, &mut states, 0);
+        let n = self.fresh.len();
+        let (keys, states) = other.into_parts();
+        let mut states = states.into_iter();
+        for key in keys {
+            let theirs = states.by_ref().take(n);
+            match self.map.get(&key) {
+                Some(&g) => {
+                    for (a, b) in self.states_mut(g).iter_mut().zip(theirs) {
+                        a.merge(b);
+                    }
+                }
+                None => {
+                    self.map.insert(key, self.map.len());
+                    self.states.extend(theirs);
+                }
+            }
         }
     }
 
@@ -469,45 +550,56 @@ impl GroupTable {
         self.map.is_empty()
     }
 
-    /// Finish every group into output rows (keys then aggregates), put
-    /// them in [`cmp_rows`] order — the one place the table's order
-    /// contract is kept — under `ORDER BY` / `LIMIT`, and wrap as rows
-    /// output.
-    pub fn into_output(mut self, plan: &LogicalPlan) -> QueryOutput {
+    /// The keys in group-index order, and the state arena.
+    fn into_parts(self) -> (Vec<K>, Vec<AggState>) {
+        let mut keys: Vec<Option<K>> = (0..self.map.len()).map(|_| None).collect();
+        for (key, g) in self.map {
+            keys[g] = Some(key);
+        }
+        (keys.into_iter().flatten().collect(), self.states)
+    }
+
+    /// Finish every group into an output row — `key_row(key)` then the
+    /// aggregates — and put the rows in [`cmp_rows`] order, the one place
+    /// the table's order contract is kept, under `ORDER BY` / `LIMIT`.
+    pub(crate) fn into_rows(
+        mut self,
+        plan: &LogicalPlan,
+        mut key_row: impl FnMut(K) -> Vec<Value>,
+    ) -> Vec<Vec<Value>> {
         // SQL semantics: an aggregate without GROUP BY keys returns exactly
         // one row even over an empty match set (COUNT(*) = 0, SUM/AVG/
         // MIN/MAX = NULL) — seed the single keyless group if nothing fed it.
         if let PlanReturn::GroupBy { keys, .. } = &plan.ret {
             if keys.is_empty() && self.map.is_empty() {
-                self.group(Vec::new());
+                self.insert(K::default());
             }
         }
         let dtypes: Vec<Option<DataType>> =
             self.aggs.iter().map(|a| a.slot.map(|s| plan.slots[s].dtype)).collect();
-        let mut rows: Vec<Vec<Value>> = self
-            .map
+        let n = self.fresh.len();
+        let (keys, states) = self.into_parts();
+        let mut states = states.into_iter();
+        let rows = keys
             .into_iter()
-            .map(|(key, states)| {
-                key.into_iter()
-                    .map(|k| k.0)
-                    .chain(states.into_iter().zip(&dtypes).map(|(st, dt)| st.finish(*dt)))
-                    .collect()
+            .map(|key| {
+                let mut row = key_row(key);
+                row.extend(states.by_ref().take(n).zip(&dtypes).map(|(st, dt)| st.finish(*dt)));
+                row
             })
             .collect();
-        rows = order_and_limit(rows, &plan.order_by, plan.limit);
-        QueryOutput::Rows { header: plan.header.clone(), rows }
+        order_and_limit(rows, &plan.order_by, plan.limit)
     }
 }
 
 /// Heap bytes charged per code of a [`AggState::DistinctCodes`] set.
 const CODE_BYTES: u64 = std::mem::size_of::<u64>() as u64;
 
-/// Heap estimate of one new group: its key values plus the key and state
-/// arrays.
-fn group_bytes(key: &[OrdValue], n_aggs: usize) -> u64 {
-    key.iter().map(|k| crate::govern::value_bytes(&k.0)).sum::<u64>()
+/// Heap estimate of one new group: its key, its map entry and its states.
+fn group_bytes<K: GroupKey>(key: &K, n_aggs: usize) -> u64 {
+    key.heap_bytes()
+        + (std::mem::size_of::<K>() + std::mem::size_of::<usize>()) as u64
         + (n_aggs * std::mem::size_of::<AggState>()) as u64
-        + (std::mem::size_of::<Vec<OrdValue>>() + std::mem::size_of::<Vec<AggState>>()) as u64
 }
 
 /// Total deterministic row comparison: the `ORDER BY` keys first, then the
@@ -659,7 +751,7 @@ mod tests {
         t.add_tuple(vec![Value::Null], &[None]);
         t.add_tuple(vec![Value::Int64(0)], &[None]);
         assert_eq!(t.len(), 2);
-        let mut keys: Vec<_> = t.map.keys().cloned().collect();
+        let (mut keys, _) = t.into_parts();
         keys.sort();
         assert_eq!(keys[0][0], OrdValue(Value::Null));
     }

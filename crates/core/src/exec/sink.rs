@@ -14,22 +14,44 @@
 //! through one typed loop per (aggregate, block type) pair (`fold_block`):
 //! `COUNT(x)` reads validity only, `SUM`/`AVG` accumulate raw integers and
 //! floats in position order, `MIN`/`MAX` over numbers compare raw values,
-//! and `COUNT(DISTINCT)` over a dictionary-encoded slot keeps a set of
-//! codes. Only string `MIN`/`MAX` and `COUNT(DISTINCT)` over numbers build
-//! [`Value`]s. A counted tail extend reaches the sinks as a list group with
-//! a length and no vectors, which only ever contributes multiplicity.
+//! and `COUNT(DISTINCT)` keeps a set of raw entries. Only string
+//! `MIN`/`MAX` builds [`Value`]s. A counted tail extend reaches the sinks
+//! as a list group with a length and no vectors, which only ever
+//! contributes multiplicity.
+//!
+//! The sinks stay encoded: they key, compare and deduplicate by *raw
+//! entries* ([`raw_entry`]: the integer, the float's bits, the bool or the
+//! dictionary / delta-extension code, `None` for NULL), which within one
+//! slot are equal exactly when the values are, and decode a row to
+//! [`Value`]s ([`raw_value`]) only when it leaves the sink:
+//!
+//! | sink | keeps | decodes |
+//! |---|---|---|
+//! | `GROUP BY` | a [`GroupTable`] keyed by raw key rows | each group's key, once, at finish |
+//! | `DISTINCT` | a set of raw rows | each distinct row, once, at finish |
+//! | `ORDER BY … LIMIT k` | a heap of `k` decoded rows | a candidate entering the heap; the rest are rejected by a typed compare of the leading numeric key, or on a tie (or a string key, as `&str`) by comparing in place |
+//! | projection rows | every row, decoded | every cell, as it arrives |
+//! | whole-result aggregate | one [`AggState`] | nothing but string `MIN`/`MAX` |
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 use gfcl_columnar::Column;
+use gfcl_common::hash::IntSet;
 use gfcl_common::{DataType, Result, Value};
 
 use super::Pipeline;
-use crate::agg::{self, cmp_rows, AggState, GroupTable, OrdValue, ScalarAgg};
+use crate::agg::{self, cmp_rows, AggState, GroupKey, GroupTable, ScalarAgg};
 use crate::chunk::{Chunk, ListGroup, ValueVector, VecRef};
 use crate::engine::QueryOutput;
-use crate::govern::{row_bytes, value_bytes};
+use crate::govern::row_bytes;
 use crate::plan::{LogicalPlan, PlanAgg, PlanReturn, SlotDef};
 use crate::pred::SlotCol;
 use crate::query::AggFunc;
+
+/// A row of raw entries (see [`raw_entry`]): the key of the grouped and
+/// `DISTINCT` sinks.
+type RawKey = Box<[Option<u64>]>;
 
 /// What one pipeline drains into: the plan's `RETURN` as a fold over chunk
 /// states. Each worker owns one; at the barrier the later workers' sinks
@@ -50,9 +72,11 @@ impl<'p, 'g> Sink<'p, 'g> {
     pub(crate) fn new(plan: &'p LogicalPlan, pipe: &Pipeline<'g>) -> Result<Sink<'p, 'g>> {
         Ok(match &plan.ret {
             PlanReturn::Props(slots) if plan.distinct => {
-                Sink::Distinct(DistinctSink::new(pipe, slots))
+                Sink::Distinct(DistinctSink::new(pipe, &plan.slots, slots))
             }
-            PlanReturn::Props(slots) => Sink::Rows(TopKSink::new(pipe, plan, slots)),
+            PlanReturn::Props(slots) => {
+                Sink::Rows(TopKSink::new(pipe, slots, &plan.order_by, plan.limit))
+            }
             PlanReturn::GroupBy { keys, aggs } => {
                 Sink::Grouped(GroupBySink::new(pipe, &plan.slots, keys, aggs))
             }
@@ -75,9 +99,9 @@ impl<'p, 'g> Sink<'p, 'g> {
     pub(crate) fn bytes(&self) -> u64 {
         match self {
             Sink::Scalar(_) => 0,
-            Sink::Rows(sink) => sink.bytes,
+            Sink::Rows(sink) => sink.kept.bytes,
             Sink::Distinct(sink) => sink.bytes,
-            Sink::Grouped(sink) => sink.table.approx_bytes() + sink.run.bytes,
+            Sink::Grouped(sink) => sink.table.approx_bytes(),
         }
     }
 
@@ -87,12 +111,9 @@ impl<'p, 'g> Sink<'p, 'g> {
     pub(crate) fn merge(mut self, other: Sink<'p, 'g>) -> Sink<'p, 'g> {
         match (&mut self, other) {
             (Sink::Scalar(a), Sink::Scalar(b)) => a.merge(b),
-            (Sink::Rows(a), Sink::Rows(b)) => a.rows.extend(b.rows),
+            (Sink::Rows(a), Sink::Rows(b)) => a.kept.rows.extend(b.kept.rows),
             (Sink::Distinct(a), Sink::Distinct(b)) => a.set.extend(b.set),
-            (Sink::Grouped(a), Sink::Grouped(b)) => {
-                a.run.flush(&mut a.table);
-                a.table.merge(b.finish());
-            }
+            (Sink::Grouped(a), Sink::Grouped(b)) => a.table.merge(b.table),
             // Every worker builds its sink from the same plan.
             _ => debug_assert!(false, "merging mismatched sinks"),
         }
@@ -103,11 +124,12 @@ impl<'p, 'g> Sink<'p, 'g> {
     pub(crate) fn finish(self, plan: &LogicalPlan) -> QueryOutput {
         let rows: Vec<Vec<Value>> = match self {
             Sink::Scalar(agg) => return agg.finish(plan),
-            Sink::Grouped(sink) => return sink.finish().into_output(plan),
-            Sink::Rows(sink) => sink.rows,
-            Sink::Distinct(sink) => {
-                sink.set.into_iter().map(|r| r.into_iter().map(|v| v.0).collect()).collect()
+            Sink::Grouped(sink) => {
+                let rows = sink.into_rows(plan);
+                return QueryOutput::Rows { header: plan.header.clone(), rows };
             }
+            Sink::Rows(sink) => sink.kept.rows,
+            Sink::Distinct(sink) => sink.into_rows(),
         };
         QueryOutput::Rows { header: plan.header.clone(), rows: agg::finalize_rows(plan, rows) }
     }
@@ -148,7 +170,7 @@ fn fold_block(
     mult: u64,
     at: impl Iterator<Item = usize>,
 ) -> u64 {
-    use ValueVector::{Code, F64, I64};
+    use ValueVector::{F64, I64};
     if mult == 0 {
         return 0; // as `AggState::update`: no tuple, no effect
     }
@@ -202,8 +224,8 @@ fn fold_block(
             }
             0
         }
-        (state @ AggState::DistinctCodes(_), Code { vals, valid }) => {
-            at.filter(|&i| valid[i]).map(|i| state.insert_code(vals[i])).sum()
+        (state @ AggState::DistinctCodes(_), _) => {
+            at.filter_map(|i| raw_entry(v, i)).map(|raw| state.insert_code(raw)).sum()
         }
         (state, _) => at.map(|i| state.update(&vector_value(v, i, sc), mult)).sum(),
     }
@@ -232,7 +254,7 @@ fn best_of<T: PartialOrd + Copy>(
     want_min: bool,
     cands: impl Iterator<Item = T>,
 ) -> Option<T> {
-    let better = if want_min { std::cmp::Ordering::Greater } else { std::cmp::Ordering::Less };
+    let better = if want_min { Ordering::Greater } else { Ordering::Less };
     let (mut best, mut replaced) = (seed, false);
     for c in cands {
         if best.is_none_or(|b| b.partial_cmp(&c) == Some(better)) {
@@ -246,42 +268,34 @@ fn best_of<T: PartialOrd + Copy>(
 /// `sc` provides the dictionary (and any delta string extension) for
 /// decoding string codes.
 fn vector_value(v: &ValueVector, idx: usize, sc: SlotCol<'_>) -> Value {
+    raw_value(raw_entry(v, idx), block_dtype(v), sc)
+}
+
+/// The value type of a property block's entries.
+fn block_dtype(v: &ValueVector) -> DataType {
     match v {
-        ValueVector::I64 { vals, valid, date } => {
-            if valid[idx] {
-                if *date {
-                    Value::Date(vals[idx])
-                } else {
-                    Value::Int64(vals[idx])
-                }
-            } else {
-                Value::Null
-            }
-        }
-        ValueVector::F64 { vals, valid } => {
-            if valid[idx] {
-                Value::Float64(vals[idx])
-            } else {
-                Value::Null
-            }
-        }
-        ValueVector::Bool { vals, valid } => {
-            if valid[idx] {
-                Value::Bool(vals[idx])
-            } else {
-                Value::Null
-            }
-        }
-        ValueVector::Code { vals, valid } => {
-            if valid[idx] {
-                Value::String(code_str(vals[idx], sc).to_owned())
-            } else {
-                Value::Null
-            }
-        }
-        // lint: allow(callers pass property/node slots only; compile()
-        // never wires an EdgeList vector into a value sink)
+        ValueVector::I64 { date: true, .. } => DataType::Date,
+        ValueVector::I64 { .. } => DataType::Int64,
+        ValueVector::F64 { .. } => DataType::Float64,
+        ValueVector::Bool { .. } => DataType::Bool,
+        ValueVector::Code { .. } => DataType::String,
+        // lint: allow(callers pass property slots only; compile() never
+        // wires a node or edge vector into a value sink)
         _ => panic!("vector_value on non-scalar vector"),
+    }
+}
+
+/// The value a raw entry of a slot of type `dtype` stands for — the one
+/// decode of every sink, run once per row that leaves it. A string is
+/// decoded through the slot's dictionary or delta extension.
+fn raw_value(raw: Option<u64>, dtype: DataType, sc: SlotCol<'_>) -> Value {
+    let Some(raw) = raw else { return Value::Null };
+    match dtype {
+        DataType::Int64 => Value::Int64(raw as i64),
+        DataType::Date => Value::Date(raw as i64),
+        DataType::Float64 => Value::Float64(f64::from_bits(raw)),
+        DataType::Bool => Value::Bool(raw != 0),
+        DataType::String => Value::String(code_str(raw, sc).to_owned()),
     }
 }
 
@@ -303,22 +317,24 @@ fn code_str<'g>(code: u64, sc: SlotCol<'g>) -> &'g str {
 
 /// `vector_value(v, idx, sc).total_cmp(other)` without materializing the
 /// block's value: a string is compared as the dictionary's borrowed `&str`.
-fn cmp_entry(v: &ValueVector, idx: usize, sc: SlotCol<'_>, other: &Value) -> std::cmp::Ordering {
+fn cmp_entry(v: &ValueVector, idx: usize, sc: SlotCol<'_>, other: &Value) -> Ordering {
     match (v, other) {
         (ValueVector::Code { vals, valid }, Value::String(s)) if valid[idx] => {
             code_str(vals[idx], sc).cmp(s.as_str())
         }
         // Strings rank above every other type.
-        (ValueVector::Code { valid, .. }, _) if valid[idx] => std::cmp::Ordering::Greater,
+        (ValueVector::Code { valid, .. }, _) if valid[idx] => Ordering::Greater,
         // Every other entry is a heap-free `Value`.
         _ => vector_value(v, idx, sc).total_cmp(other),
     }
 }
 
-/// A grouping-key entry of a block, comparable without decoding: the
-/// integer, the float's bits, the bool or the dictionary code, `None` for
-/// NULL. A slot's block type and dictionary are fixed for the pipeline, so
-/// equal entries of one slot are equal values.
+/// An entry of a block, comparable without decoding: the integer, the
+/// float's bits, the bool or the dictionary code, `None` for NULL. A
+/// slot's block type and dictionary are fixed for the pipeline, so equal
+/// entries of one slot are equal values — codes are unique per string, and
+/// float bits are equal exactly when `total_cmp` says so (±0 and NaN
+/// payloads apart).
 fn raw_entry(v: &ValueVector, idx: usize) -> Option<u64> {
     match v {
         ValueVector::I64 { vals, valid, .. } if valid[idx] => Some(vals[idx] as u64),
@@ -389,46 +405,37 @@ fn next_selected(gr: &ListGroup, after: Option<usize>) -> Option<usize> {
 /// Grouped-aggregation sink: flattens only the grouping keys, folding every
 /// other list group into the per-group [`AggState`]s by multiplicity.
 ///
-/// Consecutive key combinations almost always carry the *same* key values
-/// (the flattened scan side advances one position per many downstream
-/// states), so the sink accumulates the current key's states in a run
-/// cache and touches the group table only on key changes — one table probe
-/// per key run instead of one per chunk state. The cache compares keys as
-/// raw block entries ([`raw_entry`]) and decodes a key to [`Value`]s once,
-/// when its run starts.
+/// The table is keyed by raw key entries ([`raw_entry`]) and a key is
+/// decoded to [`Value`]s once, when its group leaves the sink. Consecutive
+/// key combinations almost always carry the *same* key (the flattened scan
+/// side advances one position per many downstream states), so the sink
+/// remembers the last key and its group and probes the table only when the
+/// key changes — one probe per key run instead of one per chunk state —
+/// folding straight into the group's states.
 pub(crate) struct GroupBySink<'g> {
     shape: GroupShape<'g>,
-    table: GroupTable,
+    table: GroupTable<RawKey>,
     run: KeyRun,
     combos: Combos,
 }
 
 /// Where a grouped sink's inputs live in the chunk (fixed at compile).
 struct GroupShape<'g> {
-    /// Key slot locations + backing columns (string decode at the sink).
-    key_refs: Vec<(VecRef, SlotCol<'g>)>,
+    /// Key slot locations, backing columns and types (decode at finish).
+    key_refs: Vec<(VecRef, SlotCol<'g>, DataType)>,
     /// Aggregate input locations (`None` = `COUNT(*)`).
     agg_refs: Vec<Option<(VecRef, SlotCol<'g>)>>,
     /// Distinct groups the keys live in, sorted (the only groups whose
     /// positions the sink ever enumerates).
     key_groups: Vec<usize>,
-    /// A fresh state per aggregate, cloned at the start of every key run:
-    /// `COUNT(DISTINCT)` over a string slot is a code set.
-    fresh: Vec<AggState>,
 }
 
-/// The run cache: the states accumulated for one key since it was last
-/// seen changing.
+/// The key of the combination folded last and its group in the table.
 #[derive(Default)]
 struct KeyRun {
-    /// Raw entries of the run's key.
     raw: Vec<Option<u64>>,
-    /// The run's key, decoded when the run started; `None` = no run.
-    key: Option<Vec<Value>>,
-    states: Vec<AggState>,
-    /// Heap held by the run's states, charged while the run is open; its
-    /// flush charges the table only what merging the run added.
-    bytes: u64,
+    /// `None` before the first combination.
+    group: Option<usize>,
 }
 
 impl<'g> GroupBySink<'g> {
@@ -438,25 +445,28 @@ impl<'g> GroupBySink<'g> {
         keys: &[usize],
         aggs: &[PlanAgg],
     ) -> GroupBySink<'g> {
-        let key_refs: Vec<_> = keys.iter().map(|&s| pipe.slot(s)).collect();
+        let key_refs: Vec<_> = keys
+            .iter()
+            .map(|&s| {
+                let (r, sc) = pipe.slot(s);
+                (r, sc, slots[s].dtype)
+            })
+            .collect();
         let agg_refs: Vec<_> = aggs.iter().map(|a| a.slot.map(|s| pipe.slot(s))).collect();
-        let mut key_groups: Vec<usize> = key_refs.iter().map(|(r, _)| r.group).collect();
+        let mut key_groups: Vec<usize> = key_refs.iter().map(|(r, ..)| r.group).collect();
         key_groups.sort_unstable();
         key_groups.dedup();
+        // Every `COUNT(DISTINCT)` keeps a set of raw entries.
         let fresh = aggs
             .iter()
-            .map(|a| match (a.func, a.slot) {
-                (AggFunc::Count { distinct: true }, Some(s))
-                    if slots[s].dtype == DataType::String =>
-                {
-                    AggState::DistinctCodes(Default::default())
-                }
-                _ => AggState::new(a.func),
+            .map(|a| match a.func {
+                AggFunc::Count { distinct: true } => AggState::DistinctCodes(Default::default()),
+                f => AggState::new(f),
             })
             .collect();
         GroupBySink {
-            shape: GroupShape { key_refs, agg_refs, key_groups, fresh },
-            table: GroupTable::new(aggs),
+            shape: GroupShape { key_refs, agg_refs, key_groups },
+            table: GroupTable::with_states(aggs, fresh),
             run: KeyRun::default(),
             combos: Combos::default(),
         }
@@ -497,54 +507,46 @@ impl<'g> GroupBySink<'g> {
         });
     }
 
-    /// Flush the run cache and hand back the completed table.
-    fn finish(mut self) -> GroupTable {
-        self.run.flush(&mut self.table);
-        self.table
+    /// The finished groups, keys decoded, in output order.
+    fn into_rows(self, plan: &LogicalPlan) -> Vec<Vec<Value>> {
+        let key_refs = &self.shape.key_refs;
+        self.table.into_rows(plan, |key| {
+            key.iter()
+                .zip(key_refs)
+                .map(|(&raw, &(_, sc, dtype))| raw_value(raw, dtype, sc))
+                .collect()
+        })
     }
 }
 
 impl KeyRun {
     /// Fold the key combination whose key-group positions `pos_in`
-    /// resolves into the run, first flushing the run into `table` if the
+    /// resolves into its group, probing the table only when the
     /// combination's key differs from the run's.
     fn fold(
         &mut self,
         shape: &GroupShape<'_>,
-        table: &mut GroupTable,
+        table: &mut GroupTable<RawKey>,
         chunk: &Chunk,
         mult_nonkey: u64,
         pos_in: impl Fn(usize) -> usize,
     ) {
-        let entry = |r: &VecRef| (&chunk.groups[r.group].vectors[r.vec], pos_in(r.group));
-        let same = self.key.is_some()
-            && shape.key_refs.iter().zip(&self.raw).all(|((r, _), &raw)| {
-                let (v, i) = entry(r);
-                raw_entry(v, i) == raw
-            });
-        if !same {
-            self.flush(table);
-            self.raw.clear();
-            let mut key = Vec::with_capacity(shape.key_refs.len());
-            for (r, col) in &shape.key_refs {
-                let (v, i) = entry(r);
-                self.raw.push(raw_entry(v, i));
-                key.push(vector_value(v, i, *col));
+        let raw = |r: &VecRef| raw_entry(&chunk.groups[r.group].vectors[r.vec], pos_in(r.group));
+        let group = match self.group {
+            Some(g) if shape.key_refs.iter().zip(&self.raw).all(|((r, ..), &k)| raw(r) == k) => g,
+            _ => {
+                self.raw.clear();
+                self.raw.extend(shape.key_refs.iter().map(|(r, ..)| raw(r)));
+                let g = table.group_index(self.raw.as_slice());
+                self.group = Some(g);
+                g
             }
-            self.key = Some(key);
-            self.states.extend(shape.fresh.iter().cloned());
+        };
+        let mut grew = 0;
+        for (state, input) in table.states_mut(group).iter_mut().zip(&shape.agg_refs) {
+            grew += fold_agg(state, input, chunk, &shape.key_groups, mult_nonkey, &pos_in);
         }
-        for (state, input) in self.states.iter_mut().zip(&shape.agg_refs) {
-            self.bytes += fold_agg(state, input, chunk, &shape.key_groups, mult_nonkey, &pos_in);
-        }
-    }
-
-    /// Merge the run into the table.
-    fn flush(&mut self, table: &mut GroupTable) {
-        if let Some(key) = self.key.take() {
-            table.merge_group(key, &mut self.states, self.bytes);
-        }
-        self.bytes = 0;
+        table.charge(grew);
     }
 }
 
@@ -588,13 +590,18 @@ fn fold_agg(
 /// Row sink for projections.
 ///
 /// Under `LIMIT k` it keeps a bounded max-heap of at most `k` rows under
-/// [`cmp_rows`], the worst kept row on top. Each candidate is compared
-/// with that top straight from the chunk vectors ([`cmp_entry`]), so a row
-/// that would not displace it costs one comparison and allocates nothing;
-/// only rows entering the heap are materialized. A worker therefore holds
-/// O(k) rows whatever the result size, which is safe because the top-k of
-/// a union is the top-k of the per-worker top-ks. Without a `LIMIT` every
-/// row is kept in arrival order; the finish sorts them when there is an
+/// [`cmp_rows`], the worst kept row on top. A candidate is compared with
+/// that top straight from the chunk vectors: first its leading `ORDER BY`
+/// entry against the top's, kept typed ([`Bound`]), which settles every
+/// candidate whose key differs; only a tie (or a key the bound cannot
+/// type) runs the full in-place comparison ([`cmp_candidate`]). When the
+/// projection reads one unflat group, a loop skips the positions whose
+/// leading entry the bound rejects without building a candidate for each
+/// ([`next_contender`]). A rejected row allocates nothing; only rows
+/// entering the heap are materialized. A worker therefore holds O(k) rows
+/// whatever the result size, which is safe because the top-k of a union
+/// is the top-k of the per-worker top-ks. Without a `LIMIT` every row is
+/// kept in arrival order; the finish sorts them when there is an
 /// `ORDER BY`.
 pub(crate) struct TopKSink<'p, 'g> {
     /// The projected slots, borrowed from the plan: without a `LIMIT` their
@@ -608,17 +615,165 @@ pub(crate) struct TopKSink<'p, 'g> {
     cols: Vec<(VecRef, SlotCol<'g>, usize)>,
     order_by: &'p [(usize, bool)],
     limit: Option<usize>,
-    /// The kept rows: a heap under a limit, arrival order otherwise.
-    rows: Vec<Vec<Value>>,
-    /// Heap estimate of `rows`, kept incrementally.
-    bytes: u64,
+    kept: Kept,
     combos: Combos,
 }
 
+/// The rows a [`TopKSink`] holds: a heap under a limit, arrival order
+/// otherwise.
+#[derive(Default)]
+struct Kept {
+    rows: Vec<Vec<Value>>,
+    /// The heap top's leading `ORDER BY` value once the heap is full.
+    bound: Bound,
+    /// Heap estimate of `rows`, kept incrementally.
+    bytes: u64,
+}
+
+/// The full heap's worst leading `ORDER BY` value, typed so that a
+/// candidate is settled by one integer or float compare.
+#[derive(Debug, Clone, Copy, Default)]
+enum Bound {
+    Int(i64),
+    Float(f64),
+    Null,
+    /// A string or bool key, or a heap not yet full: compare in full.
+    #[default]
+    Untyped,
+}
+
+impl Bound {
+    fn of(v: &Value) -> Bound {
+        match v {
+            Value::Int64(x) | Value::Date(x) => Bound::Int(*x),
+            Value::Float64(x) => Bound::Float(*x),
+            Value::Null => Bound::Null,
+            _ => Bound::Untyped,
+        }
+    }
+
+    /// The first position `i` of `at` for which `keep(i, ord)` holds,
+    /// where `ord` is `vector_value(v, i).total_cmp(bound)` when the
+    /// bound's type settles it without building the value, `None`
+    /// otherwise. The one definition of the typed order: the block's type
+    /// is matched once per call, so a scan over many positions is one
+    /// typed loop.
+    fn find(
+        self,
+        v: &ValueVector,
+        mut at: Range<usize>,
+        mut keep: impl FnMut(usize, Option<Ordering>) -> bool,
+    ) -> Option<usize> {
+        match (v, self) {
+            (ValueVector::I64 { vals, valid, .. }, Bound::Int(b)) => {
+                at.find(|&i| keep(i, Some(if valid[i] { vals[i].cmp(&b) } else { Ordering::Less })))
+            }
+            (ValueVector::F64 { vals, valid }, Bound::Float(b)) => at.find(|&i| {
+                keep(i, Some(if valid[i] { vals[i].total_cmp(&b) } else { Ordering::Less }))
+            }),
+            // NULL ranks below every value.
+            (v, Bound::Null) => {
+                let valid = block_validity(v);
+                at.find(|&i| {
+                    keep(i, Some(if valid[i] { Ordering::Greater } else { Ordering::Equal }))
+                })
+            }
+            _ => at.find(|&i| keep(i, None)),
+        }
+    }
+
+    /// How the candidate whose leading `ORDER BY` entry is `v[i]` ranks
+    /// against the bound under the direction `desc`: `Greater` rejects it
+    /// outright, `Less` keeps it, and a tie or `None` (a bound the block's
+    /// type does not settle) leaves it to the full comparison.
+    fn rank(self, v: &ValueVector, i: usize, desc: bool) -> Option<Ordering> {
+        let mut ord = None;
+        self.find(v, i..i + 1, |_, o| {
+            ord = o;
+            true
+        });
+        ord.map(|o| if desc { o.reverse() } else { o })
+    }
+}
+
+/// The first selected position of the unflat group `gr` at or after
+/// `from` whose leading entry in `v` the bound does not reject under the
+/// direction `desc`: every position it skips, [`Kept::offer`] would
+/// reject too.
+fn next_contender(
+    gr: &ListGroup,
+    v: &ValueVector,
+    from: usize,
+    bound: Bound,
+    desc: bool,
+) -> Option<usize> {
+    // `rank`'s `Greater`, before the direction is applied.
+    let reject = Some(if desc { Ordering::Less } else { Ordering::Greater });
+    bound.find(v, from..gr.len, |i, ord| gr.selected(i) && ord != reject)
+}
+
+impl Kept {
+    /// Offer the candidate row whose column `c` reads `entry(c)` to the
+    /// heap of at most `k` rows, `mult` times.
+    fn offer<'a>(
+        &mut self,
+        (k, mult, n_cols): (usize, u64, usize),
+        order_by: &[(usize, bool)],
+        entry: impl Fn(usize) -> (&'a ValueVector, usize, SlotCol<'a>),
+    ) {
+        let (heap, first) = (&mut self.rows, order_by.first());
+        if heap.len() == k {
+            let lead = first.and_then(|&(col, desc)| {
+                let (v, i, _) = entry(col);
+                self.bound.rank(v, i, desc)
+            });
+            match lead {
+                Some(Ordering::Greater) => return,
+                Some(Ordering::Less) => {}
+                // A tie on the leading key, or a key the bound cannot
+                // type: the full comparison decides.
+                _ => {
+                    if cmp_candidate(&heap[0], order_by, &entry).is_ge() {
+                        return;
+                    }
+                }
+            }
+        }
+        let row: Vec<Value> = (0..n_cols)
+            .map(|c| {
+                let (v, i, sc) = entry(c);
+                vector_value(v, i, sc)
+            })
+            .collect();
+        for _ in 0..mult {
+            if heap.len() < k {
+                self.bytes += row_bytes(&row);
+                heap.push(row.clone());
+                let last = heap.len() - 1;
+                sift_up(heap, last, order_by);
+            } else if cmp_rows(&row, &heap[0], order_by).is_lt() {
+                self.bytes = self.bytes - row_bytes(&heap[0]) + row_bytes(&row);
+                heap[0] = row.clone();
+                sift_down(heap, 0, order_by);
+            } else {
+                break;
+            }
+        }
+        if let (Some(&(col, _)), true) = (first, heap.len() == k) {
+            self.bound = Bound::of(&heap[0][col]);
+        }
+    }
+}
+
 impl<'p, 'g> TopKSink<'p, 'g> {
-    fn new(pipe: &Pipeline<'g>, plan: &'p LogicalPlan, slots: &'p [usize]) -> TopKSink<'p, 'g> {
+    fn new(
+        pipe: &Pipeline<'g>,
+        slots: &'p [usize],
+        order_by: &'p [(usize, bool)],
+        limit: Option<usize>,
+    ) -> TopKSink<'p, 'g> {
         let (mut ref_groups, mut cols) = (Vec::new(), Vec::new());
-        if plan.limit.is_some() {
+        if limit.is_some() {
             ref_groups = slots.iter().map(|&s| pipe.slot_refs[s].group).collect();
             ref_groups.sort_unstable();
             ref_groups.dedup();
@@ -634,10 +789,9 @@ impl<'p, 'g> TopKSink<'p, 'g> {
             slots,
             ref_groups,
             cols,
-            order_by: &plan.order_by,
-            limit: plan.limit,
-            rows: Vec::new(),
-            bytes: 0,
+            order_by,
+            limit,
+            kept: Kept::default(),
             combos: Combos::default(),
         }
     }
@@ -648,7 +802,7 @@ impl<'p, 'g> TopKSink<'p, 'g> {
             // Every tuple of the state is a row: enumerate the Cartesian
             // product, decoding strings through their dictionaries (late
             // materialization). `rows` grows once, by the tuple count.
-            let rows = &mut self.rows;
+            let rows = &mut self.kept.rows;
             let before = rows.len();
             rows.reserve(usize::try_from(chunk.tuple_count()).unwrap_or(0));
             self.combos.for_each(chunk, None, |pos| {
@@ -658,7 +812,7 @@ impl<'p, 'g> TopKSink<'p, 'g> {
                 };
                 rows.push(slots.iter().map(value).collect());
             });
-            self.bytes += rows[before..].iter().map(|r| row_bytes(r)).sum::<u64>();
+            self.kept.bytes += rows[before..].iter().map(|r| row_bytes(r)).sum::<u64>();
             return;
         };
         if k == 0 {
@@ -675,37 +829,36 @@ impl<'p, 'g> TopKSink<'p, 'g> {
                 mult = mult.saturating_mul(c);
             }
         }
-        let (cols, order_by, heap, bytes) =
-            (&self.cols, self.order_by, &mut self.rows, &mut self.bytes);
-        self.combos.for_each(chunk, Some(&self.ref_groups), |pos| {
-            let entry = |c: usize| {
-                let (r, sc, gi) = cols[c];
-                (&chunk.groups[r.group].vectors[r.vec], pos[gi], sc)
-            };
-            if heap.len() == k && cmp_candidate(&heap[0], order_by, entry).is_ge() {
-                return;
-            }
-            let row: Vec<Value> = (0..slots.len())
-                .map(|c| {
-                    let (v, i, sc) = entry(c);
-                    vector_value(v, i, sc)
-                })
-                .collect();
-            for _ in 0..mult {
-                if heap.len() < k {
-                    *bytes += row_bytes(&row);
-                    heap.push(row.clone());
-                    let last = heap.len() - 1;
-                    sift_up(heap, last, order_by);
-                } else if cmp_rows(&row, &heap[0], order_by).is_lt() {
-                    *bytes = *bytes - row_bytes(&heap[0]) + row_bytes(&row);
-                    heap[0] = row.clone();
-                    sift_down(heap, 0, order_by);
-                } else {
-                    break;
+        let (cols, order_by, kept) = (&self.cols, self.order_by, &mut self.kept);
+        let shape = (k, mult, slots.len());
+        let entry = |pos: &[usize], c: usize| {
+            let (r, sc, gi) = cols[c];
+            (&chunk.groups[r.group].vectors[r.vec], pos[gi], sc)
+        };
+        match self.ref_groups[..] {
+            // One unflat projected group: once the heap is full, skip
+            // straight to the positions the bound does not reject.
+            [g] if !chunk.groups[g].is_flat() => {
+                let gr = &chunk.groups[g];
+                let lead =
+                    order_by.first().map(|&(col, desc)| (&gr.vectors[cols[col].0.vec], desc));
+                let mut from = 0;
+                loop {
+                    let next = match lead {
+                        Some((v, desc)) if kept.rows.len() == k => {
+                            next_contender(gr, v, from, kept.bound, desc)
+                        }
+                        _ => next_selected(gr, from.checked_sub(1)),
+                    };
+                    let Some(i) = next else { break };
+                    kept.offer(shape, order_by, |c| entry(&[i], c));
+                    from = i + 1;
                 }
             }
-        });
+            _ => self.combos.for_each(chunk, Some(&self.ref_groups), |pos| {
+                kept.offer(shape, order_by, |c| entry(pos, c));
+            }),
+        }
     }
 }
 
@@ -714,8 +867,8 @@ impl<'p, 'g> TopKSink<'p, 'g> {
 fn cmp_candidate<'a>(
     kept: &[Value],
     order_by: &[(usize, bool)],
-    entry: impl Fn(usize) -> (&'a ValueVector, usize, SlotCol<'a>),
-) -> std::cmp::Ordering {
+    entry: &impl Fn(usize) -> (&'a ValueVector, usize, SlotCol<'a>),
+) -> Ordering {
     for &(col, desc) in order_by {
         let (v, i, sc) = entry(col);
         let ord = cmp_entry(v, i, sc, &kept[col]);
@@ -731,7 +884,7 @@ fn cmp_candidate<'a>(
             return ord;
         }
     }
-    std::cmp::Ordering::Equal
+    Ordering::Equal
 }
 
 /// Restore the max-heap order under [`cmp_rows`] from position `i` up.
@@ -767,30 +920,43 @@ fn sift_down(heap: &mut [Vec<Value>], mut i: usize, order_by: &[(usize, bool)]) 
     }
 }
 
-/// DISTINCT sink: deduplicates projection rows into a canonical-order set.
-/// Factorization pays off here too — only the groups actually referenced by
-/// the projection are enumerated, so `DISTINCT a.x` over a many-neighbour
-/// extension never walks the neighbour lists of unprojected variables.
+/// DISTINCT sink: deduplicates projection rows as raw entry rows and
+/// decodes each distinct row once, at finish. Factorization pays off here
+/// too — only the groups actually referenced by the projection are
+/// enumerated, so `DISTINCT a.x` over a many-neighbour extension never
+/// walks the neighbour lists of unprojected variables.
 pub(crate) struct DistinctSink<'g> {
-    refs: Vec<(VecRef, SlotCol<'g>)>,
+    /// Per projected column: its location, backing column and type, and
+    /// the index of its group in `ref_groups`.
+    cols: Vec<(VecRef, SlotCol<'g>, DataType, usize)>,
     /// Distinct groups referenced by the projection, sorted.
     ref_groups: Vec<usize>,
-    set: std::collections::HashSet<Vec<OrdValue>>,
+    set: IntSet<RawKey>,
+    /// The candidate row, reused: only a row not yet in `set` is copied.
+    row: Vec<Option<u64>>,
     /// Heap estimate of `set`, grown on every fresh insertion.
     bytes: u64,
     combos: Combos,
 }
 
 impl<'g> DistinctSink<'g> {
-    fn new(pipe: &Pipeline<'g>, slots: &[usize]) -> DistinctSink<'g> {
-        let refs: Vec<_> = slots.iter().map(|&s| pipe.slot(s)).collect();
-        let mut ref_groups: Vec<usize> = refs.iter().map(|(r, _)| r.group).collect();
+    fn new(pipe: &Pipeline<'g>, defs: &[SlotDef], slots: &[usize]) -> DistinctSink<'g> {
+        let mut ref_groups: Vec<usize> = slots.iter().map(|&s| pipe.slot_refs[s].group).collect();
         ref_groups.sort_unstable();
         ref_groups.dedup();
+        let cols = slots
+            .iter()
+            .map(|&s| {
+                let (r, sc) = pipe.slot(s);
+                let gi = ref_groups.iter().position(|&g| g == r.group).unwrap_or_default();
+                (r, sc, defs[s].dtype, gi)
+            })
+            .collect();
         DistinctSink {
-            refs,
+            cols,
             ref_groups,
-            set: std::collections::HashSet::new(),
+            set: IntSet::default(),
+            row: Vec::new(),
             bytes: 0,
             combos: Combos::default(),
         }
@@ -800,24 +966,36 @@ impl<'g> DistinctSink<'g> {
         if chunk.groups.iter().any(|gr| gr.contribution() == 0) {
             return;
         }
-        let (refs, ref_groups, set) = (&self.refs, &self.ref_groups, &mut self.set);
+        let (cols, set, row) = (&self.cols, &mut self.set, &mut self.row);
         let mut grew = 0u64;
-        self.combos.for_each(chunk, Some(ref_groups), |pos| {
-            let row: Vec<OrdValue> = refs
-                .iter()
-                .map(|(r, col)| {
-                    // lint: allow(ref_groups is built from these same refs
-                    // in new(), so every r.group is present)
-                    let i = pos[ref_groups.iter().position(|&g| g == r.group).expect("ref group")];
-                    OrdValue(vector_value(&chunk.groups[r.group].vectors[r.vec], i, *col))
-                })
-                .collect();
-            let row_heap: u64 = row.iter().map(|v| value_bytes(&v.0)).sum();
-            if set.insert(row) {
-                grew += row_heap + std::mem::size_of::<Vec<OrdValue>>() as u64;
+        self.combos.for_each(chunk, Some(&self.ref_groups), |pos| {
+            row.clear();
+            row.extend(
+                cols.iter().map(|&(r, _, _, gi)| {
+                    raw_entry(&chunk.groups[r.group].vectors[r.vec], pos[gi])
+                }),
+            );
+            if !set.contains(row.as_slice()) {
+                let key: RawKey = row.as_slice().into();
+                grew += key.heap_bytes() + std::mem::size_of::<RawKey>() as u64;
+                set.insert(key);
             }
         });
         self.bytes += grew;
+    }
+
+    /// The distinct rows, decoded, in no particular order.
+    fn into_rows(self) -> Vec<Vec<Value>> {
+        let cols = &self.cols;
+        self.set
+            .into_iter()
+            .map(|key| {
+                key.iter()
+                    .zip(cols)
+                    .map(|(&raw, &(_, sc, dtype, _))| raw_value(raw, dtype, sc))
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -831,6 +1009,11 @@ mod tests {
     /// 4 = dictionary codes of `DICT`) from `(is_null, raw)` entries; raw
     /// doubles include NaN and both zeros.
     fn block(kind: u8, entries: &[(bool, i64)]) -> ValueVector {
+        block_of(kind, entries, DICT.len() as u64)
+    }
+
+    /// [`block`] with string codes drawn from `0..codes`.
+    fn block_of(kind: u8, entries: &[(bool, i64)], codes: u64) -> ValueVector {
         let valid = entries.iter().map(|&(null, _)| !null).collect();
         let raws = entries.iter().map(|&(_, r)| r);
         match kind {
@@ -846,7 +1029,7 @@ mod tests {
             }
             3 => ValueVector::Bool { vals: raws.map(|r| r > 0).collect(), valid },
             _ => ValueVector::Code {
-                vals: raws.map(|r| r.rem_euclid(DICT.len() as i64) as u64).collect(),
+                vals: raws.map(|r| r.rem_euclid(codes as i64) as u64).collect(),
                 valid,
             },
         }
@@ -889,9 +1072,7 @@ mod tests {
             let dict = Column::from_values(DataType::String, &strings, NullKind::Uncompressed).unwrap();
             let sc = SlotCol::clean(Some(&dict));
             let mut typed = match func {
-                AggFunc::Count { distinct: true } if kind == 4 => {
-                    AggState::DistinctCodes(Default::default())
-                }
+                AggFunc::Count { distinct: true } => AggState::DistinctCodes(Default::default()),
                 f => AggState::new(f),
             };
             let mut reference = AggState::new(func);
@@ -916,6 +1097,252 @@ mod tests {
                 bits(&typed.finish(Some(dtype))),
                 bits(&reference.finish(Some(dtype)))
             );
+        }
+    }
+
+    /// The type of a [`block`] kind.
+    fn dtype_of(kind: u8) -> DataType {
+        [DataType::Int64, DataType::Date, DataType::Float64, DataType::Bool, DataType::String]
+            [kind as usize]
+    }
+
+    /// A plan over `slots` (one per column) returning `ret`.
+    fn test_plan(
+        dtypes: &[DataType],
+        ret: PlanReturn,
+        order_by: Vec<(usize, bool)>,
+        limit: Option<usize>,
+        distinct: bool,
+    ) -> LogicalPlan {
+        let slots = dtypes
+            .iter()
+            .enumerate()
+            .map(|(i, &dtype)| SlotDef {
+                source: crate::plan::SlotSource::NodeProp { node: 0, prop: i },
+                dtype,
+                for_return: true,
+                name: format!("c{i}"),
+            })
+            .collect();
+        LogicalPlan {
+            nodes: Vec::new(),
+            edges: Vec::new(),
+            slots,
+            steps: Vec::new(),
+            header: (0..8).map(|i| format!("h{i}")).collect(),
+            ret,
+            order_by,
+            limit,
+            distinct,
+            order_source: crate::plan::OrderSource::Declaration,
+            step_cards: Vec::new(),
+            sink_card: None,
+            params: Vec::new(),
+        }
+    }
+
+    /// One drawn chunk state: rows of `(selected, entry per column)`, the
+    /// multiplicity an unprojected list group adds, and whether the row
+    /// group is flattened (to its first selected position).
+    type State = (Vec<(u8, (u8, i64), (u8, i64), (u8, i64))>, u64, bool);
+
+    /// Feed `states` to two sinks of `plan` — the first `split` to worker
+    /// 0, the rest to worker 1 — merge them in worker order and finish.
+    /// Returns the output and, as the reference, every tuple the states
+    /// represent, materialized through `vector_value`.
+    fn run_sinks(
+        plan: &LogicalPlan,
+        kinds: &[u8],
+        sc: SlotCol<'_>,
+        codes: u64,
+        states: &[State],
+        split: usize,
+    ) -> (QueryOutput, Vec<Vec<Value>>) {
+        let n = kinds.len();
+        let slot_cols =
+            kinds.iter().map(|&k| if k == 4 { sc } else { SlotCol::default() }).collect();
+        let mut pipe = Pipeline {
+            ops: Vec::new(),
+            chunk: Chunk { groups: Vec::new(), morsel: 0 },
+            slot_refs: (0..n).map(|vec| VecRef { group: 0, vec }).collect(),
+            slot_cols,
+        };
+        let mut sinks = [Sink::new(plan, &pipe).unwrap(), Sink::new(plan, &pipe).unwrap()];
+        let mut reference = Vec::new();
+        for (s, (rows, mult, flat)) in states.iter().enumerate() {
+            let entries = |c: usize| -> Vec<(bool, i64)> {
+                rows.iter()
+                    .map(|r| [r.1, r.2, r.3][c])
+                    .map(|(null, raw)| (null == 0, raw))
+                    .collect()
+            };
+            let vectors = (0..n).map(|c| block_of(kinds[c], &entries(c), codes)).collect();
+            let mut g0 = ListGroup::with_vectors(vectors);
+            g0.reset(rows.len());
+            for (i, r) in rows.iter().enumerate() {
+                if r.0 == 0 {
+                    g0.unselect(i);
+                }
+            }
+            let first = g0.iter_selected().next();
+            if let (true, Some(i)) = (*flat, first) {
+                g0.cur_idx = i as i64;
+            }
+            let mut g1 = ListGroup::new(0);
+            g1.reset(*mult as usize);
+            pipe.chunk = Chunk { groups: vec![g0, g1], morsel: 0 };
+            sinks[usize::from(s >= split)].absorb(&pipe);
+            let g0 = &pipe.chunk.groups[0];
+            for i in positions(g0) {
+                let row: Vec<Value> = (0..n)
+                    .map(|c| vector_value(&g0.vectors[c], i, slot_col(kinds[c], sc)))
+                    .collect();
+                reference.extend(std::iter::repeat_n(row, *mult as usize));
+            }
+        }
+        let [a, b] = sinks;
+        (a.merge(b).finish(plan), reference)
+    }
+
+    fn slot_col(kind: u8, sc: SlotCol<'_>) -> SlotCol<'_> {
+        if kind == 4 {
+            sc
+        } else {
+            SlotCol::default()
+        }
+    }
+
+    fn row_bits(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+        rows.iter().map(|r| r.iter().map(bits).collect()).collect()
+    }
+
+    /// A string slot whose code space holds both baseline dictionary codes
+    /// and delta-extension codes (names the committed persons added), and
+    /// its code count. Codes follow insertion order, not string order.
+    fn with_string_slot(f: impl FnOnce(SlotCol<'_>, u64)) {
+        use gfcl_storage::{GraphStore, RawGraph, StorageConfig};
+        let store = GraphStore::in_memory(&RawGraph::example(), StorageConfig::default()).unwrap();
+        let mut txn = store.begin_write();
+        for name in ["Ana", "zoe", "Bob", "alicia"] {
+            let props = [
+                ("name", Value::String(name.into())),
+                ("age", Value::Int64(30)),
+                ("gender", Value::String("F".into())),
+            ];
+            txn.insert_vertex("PERSON", &props).unwrap();
+        }
+        txn.commit().unwrap();
+        let snap = store.snapshot();
+        let view = snap.view();
+        let ext = view.vertex_str_ext(0, 0).expect("new names extend the dictionary");
+        assert!(ext.base_len() > 0 && !ext.is_empty());
+        f(SlotCol { col: Some(view.base().vertex_prop(0, 0)), ext: Some(ext) }, ext.code_end());
+    }
+
+    fn states_strategy() -> impl Strategy<Value = Vec<State>> {
+        let entry = || (0u8..4, -4i64..6);
+        let row = (0u8..5, entry(), entry(), entry());
+        proptest::collection::vec((proptest::collection::vec(row, 0..24), 0u64..4, 0u8..4), 1..6)
+            .prop_map(|states| {
+                states.into_iter().map(|(rows, mult, flat)| (rows, mult, flat == 0)).collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every encoded sink against the `Value` path, after two workers'
+        /// sinks merge in worker order: top-k against `order_and_limit`
+        /// over the materialized rows (ties, NaN, ±0, NULL, dates, codes
+        /// and delta-extension codes out of string order), `DISTINCT`
+        /// against a `BTreeSet` of rows, `GROUP BY` against
+        /// `GroupTable::add_tuple`, and string `COUNT(DISTINCT)` against a
+        /// set of decoded strings.
+        #[test]
+        fn encoded_sinks_match_the_value_path(
+            kinds in proptest::collection::vec(0u8..5, 1..4),
+            states in states_strategy(),
+            split in 0usize..6,
+            order in proptest::collection::vec((0usize..3, any::<bool>()), 0..3),
+            limit in proptest::option::weighted(0.8, 0usize..9),
+            n_keys in 0usize..3,
+        ) {
+            with_string_slot(|sc, codes| {
+                let n = kinds.len();
+                let dtypes: Vec<DataType> = kinds.iter().map(|&k| dtype_of(k)).collect();
+                let order: Vec<(usize, bool)> = order.iter().map(|&(c, d)| (c % n, d)).collect();
+                let slots: Vec<usize> = (0..n).collect();
+
+                // Top-k (and, without a limit, the plain row sink).
+                let ret = PlanReturn::Props(slots.clone());
+                let plan = test_plan(&dtypes, ret.clone(), order.clone(), limit, false);
+                let (out, all) = run_sinks(&plan, &kinds, sc, codes, &states, split);
+                let QueryOutput::Rows { rows: got, .. } = out else { panic!("rows") };
+                let mut want = agg::order_and_limit(all.clone(), &order, limit);
+                let mut got = got;
+                if order.is_empty() && limit.is_none() {
+                    // Arrival order: compare as multisets.
+                    got.sort_by(|a, b| cmp_rows(a, b, &[]));
+                    want.sort_by(|a, b| cmp_rows(a, b, &[]));
+                }
+                assert_eq!(row_bits(&got), row_bits(&want), "top-k {kinds:?} {order:?} {limit:?}");
+
+                // DISTINCT.
+                let plan = test_plan(&dtypes, ret, Vec::new(), None, true);
+                let (out, _) = run_sinks(&plan, &kinds, sc, codes, &states, split);
+                let QueryOutput::Rows { rows: got, .. } = out else { panic!("rows") };
+                let set: std::collections::BTreeSet<Vec<agg::OrdValue>> =
+                    all.iter().map(|r| r.iter().cloned().map(agg::OrdValue).collect()).collect();
+                let want: Vec<Vec<Value>> =
+                    set.into_iter().map(|r| r.into_iter().map(|v| v.0).collect()).collect();
+                assert_eq!(row_bits(&got), row_bits(&want), "distinct {kinds:?}");
+
+                // GROUP BY the first `n_keys` columns, aggregating the last.
+                let keys: Vec<usize> = (0..n_keys.min(n - 1)).collect();
+                let input = Some(n - 1);
+                let mut aggs = vec![
+                    PlanAgg { func: AggFunc::CountStar, slot: None },
+                    PlanAgg { func: AggFunc::Count { distinct: false }, slot: input },
+                    PlanAgg { func: AggFunc::Count { distinct: true }, slot: input },
+                    PlanAgg { func: AggFunc::Min, slot: input },
+                    PlanAgg { func: AggFunc::Max, slot: input },
+                ];
+                if kinds[n - 1] <= 1 {
+                    // Exact integer sums: the same in any addition order.
+                    aggs.push(PlanAgg { func: AggFunc::Sum, slot: input });
+                    aggs.push(PlanAgg { func: AggFunc::Avg, slot: input });
+                }
+                let ret = PlanReturn::GroupBy { keys: keys.clone(), aggs: aggs.clone() };
+                let plan = test_plan(&dtypes, ret, Vec::new(), None, false);
+                let (out, _) = run_sinks(&plan, &kinds, sc, codes, &states, split);
+                let QueryOutput::Rows { rows: got, .. } = out else { panic!("rows") };
+                let mut table = GroupTable::new(&aggs);
+                for row in &all {
+                    let values: Vec<Option<Value>> =
+                        aggs.iter().map(|a| a.slot.map(|s| row[s].clone())).collect();
+                    table.add_tuple(keys.iter().map(|&k| row[k].clone()).collect(), &values);
+                }
+                let QueryOutput::Rows { rows: want, .. } = table.into_output(&plan) else {
+                    panic!("rows")
+                };
+                assert_eq!(row_bits(&got), row_bits(&want), "group by {keys:?} of {kinds:?}");
+
+                // String COUNT(DISTINCT): the number of distinct decoded strings.
+                if kinds[n - 1] == 4 {
+                    for g in &got {
+                        let key = &g[..keys.len()];
+                        let strings: std::collections::BTreeSet<&str> = all
+                            .iter()
+                            .filter(|r| keys.iter().zip(key).all(|(&k, v)| bits(&r[k]) == bits(v)))
+                            .filter_map(|r| match &r[n - 1] {
+                                Value::String(s) => Some(s.as_str()),
+                                _ => None,
+                            })
+                            .collect();
+                        assert_eq!(g[keys.len() + 2], Value::Int64(strings.len() as i64));
+                    }
+                }
+            });
         }
     }
 }

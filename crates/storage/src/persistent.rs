@@ -20,11 +20,12 @@
 //! lists, integers): a path copy clones up to 32 of them.
 
 use std::borrow::Borrow;
-use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::ops::Index;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
+
+use gfcl_common::hash::IntHasher;
 
 /// Hash bits, and list positions, consumed per trie level.
 const BITS: u32 = 5;
@@ -34,49 +35,10 @@ const MASK: usize = WIDTH - 1;
 /// bits 60..64, so two keys that still agree below it have equal hashes.
 const LAST_SHIFT: u32 = 60;
 
-/// The maps' hasher. Integers — the offsets, primary keys and endpoint
-/// pairs the delta is keyed by — go through a multiply-rotate: cheap, and
-/// for a single integer a bijection (as is the finalizer), so distinct
-/// integer keys never share a full hash. Byte strings come from outside
-/// the program, so they go through std's randomly keyed SipHash first: no
-/// one can craft a set of them that all land in one collision node.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn mix(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        static KEYS: OnceLock<RandomState> = OnceLock::new();
-        self.mix(KEYS.get_or_init(RandomState::new).hash_one(bytes));
-    }
-
-    fn write_u8(&mut self, x: u8) {
-        self.mix(u64::from(x));
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.mix(x);
-    }
-
-    fn finish(&self) -> u64 {
-        // murmur3's finalizer: every input bit reaches every output bit,
-        // so each level's five bits are spread even for dense offsets.
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^ (h >> 33)
-    }
-}
-
+/// The maps' hash: [`IntHasher`]'s multiply-rotate for the integers the
+/// delta is keyed by, seeded SipHash for byte strings.
 fn hash_of<Q: Hash + ?Sized>(key: &Q) -> u64 {
-    let mut h = KeyHasher::default();
+    let mut h = IntHasher::default();
     key.hash(&mut h);
     h.finish()
 }

@@ -27,7 +27,8 @@ pub struct SingleCardAdj {
 
 impl SingleCardAdj {
     /// Build from per-vertex optional neighbours. `kind` is the NULL layout
-    /// (Uncompressed keeps a dense neighbour array).
+    /// (Uncompressed keeps a dense neighbour array); as for a column, a
+    /// direction every vertex has gets `AllValid`, read with no rank.
     pub fn build(
         nbrs: &[Option<u64>],
         kind: NullKind,
@@ -35,7 +36,7 @@ impl SingleCardAdj {
         props: Vec<Column>,
     ) -> SingleCardAdj {
         let valid: Vec<bool> = nbrs.iter().map(Option::is_some).collect();
-        let nulls = NullMap::build(&valid, kind);
+        let nulls = NullMap::for_column(&valid, kind);
         let values: Vec<u64> = if nulls.is_dense() {
             nbrs.iter().map(|n| n.unwrap_or(0)).collect()
         } else {

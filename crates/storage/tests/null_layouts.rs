@@ -1,12 +1,13 @@
 //! Every NULL layout a `StorageConfig` can name stores and reads back every
 //! NULL and every empty list: columns of all four types, the
-//! single-cardinality adjacency column, a CSR with empty lists and a whole
+//! single-cardinality adjacency column (also fully populated, where it
+//! keeps no NULL map), a CSR with empty lists and a whole
 //! `ColumnarGraph` built from a raw graph with NULLs. CI runs this file in
 //! release as well, where `debug_assert!`s are compiled out: a layout that
 //! only a debug assertion guards passes in debug and corrupts in release.
 
-use gfcl_columnar::{Column, NullKind, PageCursor, RankParams};
-use gfcl_common::{DataType, Direction, LabelId, Value};
+use gfcl_columnar::{Column, NullKind, PageCursor, RankParams, UIntArray};
+use gfcl_common::{DataType, Direction, LabelId, MemoryUsage, Value};
 use gfcl_storage::{
     ColumnarGraph, Csr, CsrOptions, GraphView, PropData, RawGraph, ReadCursors, SingleCardAdj,
     StorageConfig,
@@ -76,6 +77,25 @@ fn single_card_reads_back(nulls: NullKind) {
     let cur = &mut PageCursor::new();
     for (v, want) in nbrs.iter().enumerate() {
         assert_eq!(adj.nbr_with(cur, v as u64), *want, "{nulls:?} at {v}");
+    }
+    // A fully populated direction (every person is located somewhere)
+    // stores no NULL map under any layout: its bytes are the neighbour
+    // array's alone, and every read is the identity, with no rank.
+    let full: Vec<u64> = (0..N as u64).map(|v| v * 5 % N as u64).collect();
+    let adj = SingleCardAdj::build(
+        &full.iter().copied().map(Some).collect::<Vec<_>>(),
+        nulls,
+        true,
+        vec![],
+    );
+    assert_eq!(adj.n_edges(), N, "{nulls:?}");
+    assert_eq!(
+        adj.adjacency_bytes(),
+        UIntArray::from_values(&full, true).memory_bytes(),
+        "{nulls:?}"
+    );
+    for (v, &want) in full.iter().enumerate() {
+        assert_eq!(adj.nbr_with(cur, v as u64), Some(want), "{nulls:?} full at {v}");
     }
 }
 

@@ -7,7 +7,10 @@
 //! 2. a property test: grouped aggregation over random power-law graphs
 //!    equals a naive enumerate-then-fold reference (computed in this file
 //!    from plain projection rows, independent of the engine's aggregate
-//!    machinery), at `threads = 1` and `threads = 4`.
+//!    machinery), at `threads = 1` and `threads = 4`;
+//! 3. named cases for the sinks that compare and deduplicate raw entries:
+//!    a DOUBLE `ORDER BY … LIMIT` over NaN, ±0 and NULL, and `DISTINCT`
+//!    over a string slot whose codes reach into a delta string extension.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -17,7 +20,7 @@ use gfcl_common::Value;
 use gfcl_core::query::{col, gt, lit, Agg, PatternQuery, SortDir};
 use gfcl_core::{Engine, ExecOptions, GfClEngine, QueryOutput};
 use gfcl_datagen::{PowerLawParams, SocialParams};
-use gfcl_storage::{ColumnarGraph, RowGraph, StorageConfig};
+use gfcl_storage::{merged_raw, ColumnarGraph, GraphStore, RowGraph, StorageConfig};
 use gfcl_workloads::{ga_queries, LdbcParams};
 use proptest::prelude::*;
 
@@ -297,5 +300,147 @@ proptest! {
             };
             prop_assert_eq!(&got, &expected, "threads={} order={} k={}", threads, order, k);
         }
+    }
+}
+
+// ---- Named cases: sinks over raw entries ------------------------------------
+
+/// Rows with every float as its bits, so NaN payloads and the sign of zero
+/// compare exactly (`Value`'s `PartialEq` says `NaN != NaN`, `0.0 == -0.0`).
+fn row_bits(out: &QueryOutput) -> Vec<Vec<String>> {
+    let QueryOutput::Rows { rows, .. } = out else { panic!("rows expected, got {out:?}") };
+    let bits = |v: &Value| match v {
+        Value::Float64(f) => format!("f64:{:x}", f.to_bits()),
+        v => format!("{v:?}"),
+    };
+    rows.iter().map(|r| r.iter().map(bits).collect()).collect()
+}
+
+/// `ITEM(id, score DOUBLE, tag)`: 1 200 items whose scores cycle through
+/// NaN, a negative-payload NaN, ±0, ±infinity, NULL and heavily tied
+/// finite values, so the top-k threshold sits in long ties whatever the
+/// order. `tag` is a permutation of the ids out of scan order, so the row
+/// tie-break disagrees with arrival order.
+fn double_items() -> gfcl_storage::RawGraph {
+    use gfcl_common::DataType::{Float64, Int64};
+    use gfcl_storage::{Catalog, PropertyDef, RawGraph};
+    let mut cat = Catalog::new();
+    let item = cat
+        .add_vertex_label(
+            "ITEM",
+            vec![
+                PropertyDef::new("id", Int64),
+                PropertyDef::new("score", Float64),
+                PropertyDef::new("tag", Int64),
+            ],
+        )
+        .unwrap();
+    cat.set_primary_key(item, "id").unwrap();
+    let mut raw = RawGraph::new(cat);
+    let t = &mut raw.vertices[item as usize];
+    let specials = [
+        Some(f64::NAN),
+        Some(-f64::NAN),
+        Some(0.0),
+        Some(-0.0),
+        Some(f64::INFINITY),
+        Some(f64::NEG_INFINITY),
+        None,
+    ];
+    t.count = 1_200;
+    for i in 0..1_200usize {
+        t.props[0].push_i64(i as i64);
+        t.props[2].push_i64((i as i64 * 7_919) % 1_201);
+        match i % 10 {
+            0..=6 => match specials[(i / 10) % specials.len()] {
+                Some(x) => t.props[1].push_f64(x),
+                None => t.props[1].push_null(),
+            },
+            k => t.props[1].push_f64((k as f64 - 8.0) * 0.5 + (i % 3) as f64),
+        }
+    }
+    raw
+}
+
+#[test]
+fn double_order_by_limit_orders_nan_and_signed_zeros_like_the_full_sort() {
+    let raw = double_items();
+    let graph = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
+    let cv = GfCvEngine::new(Arc::clone(&graph));
+    let all = GfClEngine::with_options(Arc::clone(&graph), ExecOptions::serial())
+        .execute(
+            &PatternQuery::builder()
+                .node("n", "ITEM")
+                .returns(&[("n", "score"), ("n", "tag")])
+                .build(),
+        )
+        .unwrap();
+    let QueryOutput::Rows { rows: all, .. } = all else { panic!("rows expected") };
+    for dir in [SortDir::Desc, SortDir::Asc] {
+        for k in [1usize, 7, 10, 150, 1_199, 5_000] {
+            let q = PatternQuery::builder()
+                .node("n", "ITEM")
+                .returns(&[("n", "score"), ("n", "tag")])
+                .order_by(0, dir)
+                .limit(k)
+                .build();
+            let plan = gfcl_core::plan_query(&q, graph.catalog()).unwrap();
+            let header = plan.header.clone();
+            let want = QueryOutput::Rows {
+                header,
+                rows: gfcl_core::agg::finalize_rows(&plan, all.clone()),
+            };
+            assert_eq!(row_bits(&cv.execute(&q).unwrap()), row_bits(&want), "GF-CV {dir:?} {k}");
+            for threads in [1usize, 4] {
+                let opts = ExecOptions::with_threads(threads).morsel(64);
+                let got = GfClEngine::with_options(Arc::clone(&graph), opts).execute(&q).unwrap();
+                assert_eq!(row_bits(&got), row_bits(&want), "threads={threads} {dir:?} {k}");
+            }
+        }
+    }
+}
+
+#[test]
+fn distinct_strings_on_a_mutated_snapshot_decode_extension_codes() {
+    let raw = gfcl_datagen::generate_social(SocialParams::scale(300));
+    let store = GraphStore::in_memory(&raw, StorageConfig::default()).unwrap();
+    let mut txn = store.begin_write();
+    // Browsers the baseline dictionary lacks land in the delta's string
+    // extension, one of them on a baseline person; an old one recurs.
+    for (i, browser) in ["Lynx", "Arc", "Lynx", "Chrome", "Brave"].into_iter().enumerate() {
+        let props = [
+            ("id", Value::Int64(9_000 + i as i64)),
+            ("browserUsed", Value::String(browser.into())),
+            ("creationDate", Value::Date(1_400_000_000)),
+        ];
+        txn.insert_vertex("Person", &props).unwrap();
+    }
+    let p0 = txn.lookup_pk("Person", 0).unwrap().unwrap();
+    txn.update_vertex("Person", p0, &[("browserUsed", Value::String("Netscape".into()))]).unwrap();
+    txn.commit().unwrap();
+    let snap = store.snapshot();
+
+    let q = PatternQuery::builder()
+        .node("p", "Person")
+        .returns(&[("p", "browserUsed"), ("p", "gender")])
+        .distinct()
+        .build();
+    let rebuilt = Arc::new(
+        ColumnarGraph::build(
+            &merged_raw(snap.base(), snap.delta()).unwrap(),
+            StorageConfig::default(),
+        )
+        .unwrap(),
+    );
+    let want = GfClEngine::with_options(rebuilt, ExecOptions::serial()).execute(&q).unwrap();
+    let QueryOutput::Rows { rows, .. } = &want else { panic!("rows expected") };
+    for browser in ["Lynx", "Arc", "Brave", "Netscape"] {
+        assert!(rows.iter().any(|r| r[0] == Value::String(browser.into())), "{browser}");
+    }
+    assert_eq!(GfCvEngine::with_snapshot(&snap).execute(&q).unwrap(), want, "GF-CV+delta");
+    for threads in [1usize, 4] {
+        let opts = ExecOptions::with_threads(threads).morsel(64);
+        let got = GfClEngine::with_snapshot_options(&snap, opts).execute(&q).unwrap();
+        assert_eq!(got, want, "threads={threads}");
     }
 }
