@@ -240,7 +240,7 @@ fn drive(view: GraphView<'_>, plan: &LogicalPlan) -> Result<QueryOutput> {
                 );
             }
             let rows = agg::finalize_rows(plan, rows);
-            Ok(QueryOutput::Rows { header: plan.header.clone(), rows })
+            Ok(QueryOutput::Rows { header: Arc::clone(&plan.header), rows })
         }
         PlanReturn::GroupBy { keys, aggs } => {
             // Fold the flat materialized intermediate row-by-row into

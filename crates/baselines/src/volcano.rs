@@ -13,6 +13,8 @@
 //! `(baseline ⊎ delta) ∖ tombstones` through the one overlay in
 //! `gfcl_storage`.
 
+use std::sync::Arc;
+
 use gfcl_common::{Direction, Error, LabelId, Result, Value};
 use gfcl_core::agg::{self, GroupTable, ScalarAgg};
 use gfcl_core::engine::QueryOutput;
@@ -274,7 +276,7 @@ pub fn execute<B: BaselineRead>(view: GraphView<'_, B>, plan: &LogicalPlan) -> R
                 rows.push(slots.iter().map(|&s| t.slots[s].clone()).collect());
             }
             let rows = agg::finalize_rows(plan, rows);
-            Ok(QueryOutput::Rows { header: plan.header.clone(), rows })
+            Ok(QueryOutput::Rows { header: Arc::clone(&plan.header), rows })
         }
         PlanReturn::GroupBy { keys, aggs } => {
             // The naive reference: enumerate every tuple, fold it into the

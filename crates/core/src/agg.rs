@@ -24,6 +24,7 @@
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use gfcl_common::hash::{IntMap, IntSet};
 use gfcl_common::{DataType, Error, Result, Value};
@@ -456,7 +457,7 @@ impl GroupTable {
     /// wrap them as rows output.
     pub fn into_output(self, plan: &LogicalPlan) -> QueryOutput {
         let rows = self.into_rows(plan, |key| key.into_iter().map(|k| k.0).collect());
-        QueryOutput::Rows { header: plan.header.clone(), rows }
+        QueryOutput::Rows { header: Arc::clone(&plan.header), rows }
     }
 }
 

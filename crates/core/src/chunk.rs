@@ -131,6 +131,9 @@ pub struct ListGroup {
     pub sel: Option<Vec<bool>>,
     /// Number of selected positions.
     pub sel_count: usize,
+    /// The buffer of the last mask [`ListGroup::reset`] cleared, reused by
+    /// the next one, so a group selects without allocating once it has.
+    spare_sel: Vec<bool>,
 }
 
 impl ListGroup {
@@ -141,15 +144,24 @@ impl ListGroup {
 
     /// An empty, unflat group over these blocks.
     pub fn with_vectors(vectors: Vec<ValueVector>) -> ListGroup {
-        ListGroup { vectors, len: 0, cur_idx: -1, sel: None, sel_count: 0 }
+        ListGroup { vectors, len: 0, cur_idx: -1, sel: None, sel_count: 0, spare_sel: Vec::new() }
     }
 
     /// Reset for a new fill of length `len`: unflat, all selected.
     pub fn reset(&mut self, len: usize) {
         self.len = len;
         self.cur_idx = -1;
-        self.sel = None;
+        if let Some(mask) = self.sel.take() {
+            self.spare_sel = mask;
+        }
         self.sel_count = len;
+    }
+
+    /// The spare mask buffer, emptied.
+    fn spare_mask(&mut self) -> Vec<bool> {
+        let mut mask = std::mem::take(&mut self.spare_sel);
+        mask.clear();
+        mask
     }
 
     pub fn is_flat(&self) -> bool {
@@ -189,7 +201,9 @@ impl ListGroup {
                 self.sel_count = count;
             }
             None => {
-                self.sel = Some(mask.to_vec());
+                let mut sel = self.spare_mask();
+                sel.extend_from_slice(mask);
+                self.sel = Some(sel);
                 self.sel_count = mask.iter().filter(|&&b| b).count();
             }
         }
@@ -197,8 +211,12 @@ impl ListGroup {
 
     /// Unselect a single position.
     pub fn unselect(&mut self, i: usize) {
-        let len = self.len;
-        let sel = self.sel.get_or_insert_with(|| vec![true; len]);
+        if self.sel.is_none() {
+            let mut all = self.spare_mask();
+            all.resize(self.len, true);
+            self.sel = Some(all);
+        }
+        let Some(sel) = &mut self.sel else { return };
         if sel[i] {
             sel[i] = false;
             self.sel_count -= 1;
@@ -228,6 +246,24 @@ impl Chunk {
     /// at `u64::MAX` as `COUNT(*)` itself does.
     pub fn tuple_count(&self) -> u64 {
         self.tuple_count_excluding(usize::MAX)
+    }
+
+    /// Empty this chunk for another run of the same plan: every group
+    /// unflat, with no tuples and no selection, and the morsel sequence
+    /// restarted — the state of a fresh chunk of its layout. The vectors
+    /// stay, so the next run refills their buffers in place; only the tags
+    /// a `ColumnExtend` records on a mutated snapshot go, as a fresh chunk
+    /// has none.
+    pub fn recycle(&mut self) {
+        self.morsel = 0;
+        for g in &mut self.groups {
+            g.reset(0);
+            for v in &mut g.vectors {
+                if let ValueVector::SingleEdge { tags, .. } = v {
+                    *tags = None;
+                }
+            }
+        }
     }
 
     /// Saturating product of contributions of all groups except `skip`.

@@ -11,9 +11,10 @@
 //! * a shared [`ScanCursor`] hands out disjoint `[next, next + 1024)`
 //!   vertex ranges with one `fetch_add` per morsel;
 //! * each worker owns a **private pipeline** — operators, intermediate
-//!   [`crate::chunk::Chunk`], and compiled predicates — instantiated from
-//!   the shared plan by `crate::exec::compile`, so no intermediate state
-//!   is ever shared;
+//!   [`crate::chunk::Chunk`], and compiled predicates — bound from the
+//!   plan's shared layout (`crate::exec::Layout`), so no intermediate state
+//!   is ever shared. A plan-cache entry ([`CachedPlan`]) keeps its layout,
+//!   and lends each worker a chunk its earlier calls left behind;
 //! * each worker drains its pipeline into a private sink (`exec::Sink`: a
 //!   whole-result aggregate, projection rows, a DISTINCT set or a group
 //!   table) in one loop;
@@ -35,8 +36,10 @@ use std::time::Duration;
 use gfcl_common::{Result, Value};
 use gfcl_storage::GraphView;
 
+use crate::cache::CachedPlan;
+use crate::chunk::Chunk;
 use crate::engine::QueryOutput;
-use crate::exec::{compile, Pipeline, ScanCursor, Sink, SCAN_MORSEL};
+use crate::exec::{Layout, Pipeline, ScanCursor, Sink, SCAN_MORSEL};
 use crate::govern::{fault_scope, CancelToken, MemTracker, QueryBudget, QueryGovernor};
 use crate::plan::LogicalPlan;
 
@@ -136,10 +139,34 @@ impl ExecOptions {
 /// observes at its next morsel boundary.
 ///
 /// `params` are the values of the plan's parameters (empty for a plan whose
-/// literals are inlined); each worker resolves them as it compiles.
+/// literals are inlined); each worker resolves them as it binds.
 pub fn execute(
     view: GraphView<'_>,
     plan: &LogicalPlan,
+    params: &[Value],
+    opts: &ExecOptions,
+    token: Option<Arc<CancelToken>>,
+) -> Result<QueryOutput> {
+    run(view, plan, None, params, opts, token)
+}
+
+/// [`execute`] of a plan-cache entry: its stored layout instead of one
+/// built for the call, and chunks taken from its pool, handed back only
+/// when the call succeeds.
+pub(crate) fn execute_cached(
+    view: GraphView<'_>,
+    entry: &CachedPlan,
+    params: &[Value],
+    opts: &ExecOptions,
+    token: Option<Arc<CancelToken>>,
+) -> Result<QueryOutput> {
+    run(view, entry.plan(), Some(entry), params, opts, token)
+}
+
+fn run(
+    view: GraphView<'_>,
+    plan: &LogicalPlan,
+    cached: Option<&CachedPlan>,
     params: &[Value],
     opts: &ExecOptions,
     token: Option<Arc<CancelToken>>,
@@ -152,27 +179,42 @@ pub fn execute(
     token.check()?;
     let gov = QueryGovernor::new(token, opts.budget());
     let cursor = ScanCursor::for_plan_view(view, plan, opts.morsel_size as u64)?.governed(&gov);
+    let fresh;
+    let layout = match cached {
+        Some(entry) => &entry.layout,
+        None => {
+            fresh = Layout::new(plan)?;
+            &fresh
+        }
+    };
+    let pool = cached.map(|entry| &entry.chunks);
+    let chunk = || pool.map_or_else(|| layout.chunk(), |p| p.take(layout));
     // Never spawn more workers than there are morsels to hand out.
     let max_useful = (cursor.total() as usize).div_ceil(opts.morsel_size).max(1);
     let threads = opts.threads.min(max_useful);
 
     if threads == 1 {
         let _scope = fault_scope(gov.token());
-        let mut pipeline = compile(view, plan, &cursor, params)?;
-        return Ok(drive(view, plan, &mut pipeline, &gov)?.finish(plan));
+        let mut pipeline = layout.bind(view, plan, &cursor, params, chunk())?;
+        let out = drive(view, plan, &mut pipeline, &gov)?.finish(plan);
+        if let Some(pool) = pool {
+            pool.put(pipeline.into_chunk());
+        }
+        return Ok(out);
     }
 
-    let sinks: Vec<Result<Sink>> = std::thread::scope(|scope| {
+    let done: Vec<Result<(Sink, Chunk)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let (cursor, gov) = (&cursor, &gov);
+                let (cursor, gov, chunk) = (&cursor, &gov, &chunk);
                 scope.spawn(move || {
                     // Per-worker fault domain: a page-read failure on this
                     // thread trips the shared token, and every sibling
                     // stops at its next morsel boundary.
                     let _scope = fault_scope(gov.token());
-                    let mut pipeline = compile(view, plan, cursor, params)?;
-                    drive(view, plan, &mut pipeline, gov)
+                    let mut pipeline = layout.bind(view, plan, cursor, params, chunk())?;
+                    let sink = drive(view, plan, &mut pipeline, gov)?;
+                    Ok((sink, pipeline.into_chunk()))
                 })
             })
             .collect();
@@ -181,9 +223,15 @@ pub fn execute(
         // propagation — recoverable failures arrive as the inner Result)
         handles.into_iter().map(|h| h.join().expect("LBP worker panicked")).collect()
     });
-    let sinks = sinks.into_iter().collect::<Result<Vec<_>>>()?;
+    let (sinks, chunks): (Vec<Sink>, Vec<Chunk>) =
+        done.into_iter().collect::<Result<Vec<_>>>()?.into_iter().unzip();
     let sink = sinks.into_iter().reduce(Sink::merge);
-    Ok(sink.ok_or_else(|| gfcl_common::Error::Exec("no worker ran".into()))?.finish(plan))
+    let out = sink.ok_or_else(|| gfcl_common::Error::Exec("no worker ran".into()))?.finish(plan);
+    // Every worker succeeded: their chunks serve the template's next calls.
+    if let Some(pool) = pool {
+        chunks.into_iter().for_each(|c| pool.put(c));
+    }
+    Ok(out)
 }
 
 /// Drain one pipeline into its sink: the one loop every plan shape runs.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use gfcl_common::{Result, Value};
 use gfcl_storage::{Catalog, ColumnarGraph, DeltaSnapshot, GraphSnapshot, GraphView};
 
-use crate::cache::{PlanCache, PlanCacheStats};
+use crate::cache::{CachedPlan, PlanCache, PlanCacheStats};
 use crate::driver::{self, ExecOptions};
 use crate::govern::CancelToken;
 use crate::plan::{plan, LogicalPlan};
@@ -23,7 +23,7 @@ pub enum QueryOutput {
     /// `COUNT(*)`.
     Count(u64),
     /// Materialized projection rows.
-    Rows { header: Vec<String>, rows: Vec<Vec<Value>> },
+    Rows { header: Arc<[String]>, rows: Vec<Vec<Value>> },
     /// A single aggregate value.
     Agg { name: String, value: Value },
 }
@@ -87,6 +87,14 @@ pub trait Engine {
     fn run_plan_with(&self, plan: &LogicalPlan, params: &[Value]) -> Result<QueryOutput> {
         plan.require_literals(self.name(), params)?;
         self.run_plan(plan)
+    }
+
+    /// Execute a template of this engine's [`plan_cache`](Engine::plan_cache)
+    /// with `params`. An engine that compiles plans keeps the entry's
+    /// compiled form and scratch between calls; the default runs its plan
+    /// with [`run_plan_with`](Engine::run_plan_with).
+    fn run_cached(&self, entry: &CachedPlan, params: &[Value]) -> Result<QueryOutput> {
+        self.run_plan_with(entry.plan(), params)
     }
 
     /// The engine's plan cache, when it keeps one: text queries run through
@@ -248,6 +256,16 @@ impl Engine for GfClEngine {
 
     fn run_plan_with(&self, plan: &LogicalPlan, params: &[Value]) -> Result<QueryOutput> {
         driver::execute(self.view(), plan, params, &self.opts, Some(Arc::clone(&self.cancel)))
+    }
+
+    fn run_cached(&self, entry: &CachedPlan, params: &[Value]) -> Result<QueryOutput> {
+        driver::execute_cached(
+            self.view(),
+            entry,
+            params,
+            &self.opts,
+            Some(Arc::clone(&self.cancel)),
+        )
     }
 
     fn plan_cache(&self) -> Option<&PlanCache> {

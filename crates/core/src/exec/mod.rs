@@ -2,11 +2,12 @@
 //! (Section 6.2).
 //!
 //! This module owns the *static* half of execution: compiling a
-//! [`LogicalPlan`](crate::plan::LogicalPlan) into a `Pipeline` of physical
-//! operators plus the intermediate [`Chunk`] they fill, and the sinks a
-//! pipeline drains into. The *dynamic* half — driving one or more pipelines
-//! to completion and merging their sinks — lives in [`crate::driver`],
-//! which instantiates one `Pipeline` per worker thread from the same plan
+//! [`LogicalPlan`](crate::plan::LogicalPlan) into a `Layout` once and
+//! binding that into a `Pipeline` of physical operators plus the
+//! intermediate [`Chunk`] they fill, per call, and the sinks a pipeline
+//! drains into. The *dynamic* half — driving one or more pipelines to
+//! completion and merging their sinks — lives in [`crate::driver`], which
+//! binds one `Pipeline` per worker thread from the same layout
 //! (morsel-driven parallelism).
 //!
 //! Operators pull chunk *states* from their child: each state is one
@@ -16,7 +17,7 @@
 //! from the shared [`ScanCursor`]), `extend`, `read` (property blocks),
 //! `filter` — and one short `pull` is the only place a state passes from
 //! an operator to the one above it. `sink` holds what a pipeline drains
-//! into, `compile` turns a plan into a pipeline.
+//! into, `compile` turns a plan into a layout and a layout into a pipeline.
 
 mod compile;
 mod cursor;
@@ -32,7 +33,7 @@ use gfcl_storage::GraphView;
 use crate::chunk::{Chunk, VecRef};
 use crate::pred::SlotCol;
 
-pub(crate) use compile::compile;
+pub(crate) use compile::Layout;
 pub use cursor::{check_morsel_bounds, ScanCursor, SCAN_MORSEL};
 pub(crate) use sink::Sink;
 
@@ -42,8 +43,8 @@ enum Op<'g> {
     ScanPk(scan::ScanPk<'g>),
     ListExtend(extend::ListExtend),
     ColumnExtend(extend::ColumnExtend),
-    ReadNodeProp(read::ReadNodeProp),
-    ReadEdgeProp(read::ReadEdgeProp),
+    ReadNodeProp(read::ReadNodeProp<'g>),
+    ReadEdgeProp(read::ReadEdgeProp<'g>),
     Filter(filter::Filter),
 }
 
@@ -66,18 +67,15 @@ fn pull(ops: &mut [Op<'_>], view: GraphView<'_>, chunk: &mut Chunk) -> Result<bo
     }
 }
 
-/// One compiled operator pipeline plus the chunk it fills: the thread-
+/// One bound operator pipeline plus the chunk it fills: the thread-
 /// private execution state of one worker. Any number of pipelines can be
-/// compiled from the same plan; pipelines sharing a [`ScanCursor`]
+/// bound from the same [`Layout`]; pipelines sharing a [`ScanCursor`]
 /// partition the scan between them.
 pub(crate) struct Pipeline<'g> {
     ops: Vec<Op<'g>>,
     chunk: Chunk,
-    /// Vector location of each plan slot.
-    slot_refs: Vec<VecRef>,
-    /// Storage column (and any delta string extension) backing each slot
-    /// (dictionary decode at the sink).
-    slot_cols: Vec<SlotCol<'g>>,
+    /// Where each slot lives and which operator reads it.
+    layout: &'g Layout,
 }
 
 impl<'g> Pipeline<'g> {
@@ -86,9 +84,16 @@ impl<'g> Pipeline<'g> {
         pull(&mut self.ops, view, &mut self.chunk)
     }
 
-    /// Where plan slot `s` lives in the chunk, and its backing column.
+    /// Where plan slot `s` lives in the chunk, and the storage column (and
+    /// any delta string extension) its operator reads: the sinks decode
+    /// dictionary codes through it.
     fn slot(&self, s: usize) -> (VecRef, SlotCol<'g>) {
-        (self.slot_refs[s], self.slot_cols[s])
+        (self.layout.slot_refs[s], compile::slot_col(&self.ops, self.layout.slot_ops[s]))
+    }
+
+    /// The chunk the pipeline filled, as the last state left it.
+    pub(crate) fn into_chunk(self) -> Chunk {
+        self.chunk
     }
 }
 
@@ -100,7 +105,7 @@ mod tests {
     #[test]
     fn operators_stay_small() {
         // 160 bytes is what an operator took before operators carried page
-        // cursors. `compile` allocates `len * size_of::<Op>()` per query:
+        // cursors. `Layout::bind` allocates `len * size_of::<Op>()` per query:
         // a microsecond point read must not pay for paged-read state.
         assert!(std::mem::size_of::<Op<'_>>() <= 160, "{}", std::mem::size_of::<Op<'_>>());
     }
@@ -146,7 +151,8 @@ mod tests {
         assert!(counted(plan.steps.last().unwrap()), "the tail extend is counted");
         let view = GraphView::clean(&g);
         let cursor = ScanCursor::for_plan_view(view, &plan, morsel).unwrap();
-        let mut pipe = compile(view, &plan, &cursor, &[]).unwrap();
+        let layout = Layout::new(&plan).unwrap();
+        let mut pipe = layout.bind(view, &plan, &cursor, &[], layout.chunk()).unwrap();
         let (mut states, mut count) = (0, 0);
         while pipe.next_state(view).unwrap() {
             states += 1;

@@ -103,7 +103,7 @@ fn csr_missing() -> Error {
 }
 
 /// A vertex property read over a node block of the chunk.
-pub(super) struct ReadNodeProp {
+pub(super) struct ReadNodeProp<'g> {
     pub(super) node: VecRef,
     pub(super) out: VecRef,
     pub(super) label: LabelId,
@@ -112,10 +112,14 @@ pub(super) struct ReadNodeProp {
     /// Does the snapshot's delta touch this label's vertices? `true` ⇒
     /// values resolve row-at-a-time through the view.
     pub(super) touched: bool,
+    /// The property's column and any delta string extension: the slot
+    /// this operator fills decodes its dictionary codes through them.
+    pub(super) col: &'g Column,
+    pub(super) ext: Option<&'g StrExt>,
     pub(super) rd: ReadState,
 }
 
-impl ReadNodeProp {
+impl ReadNodeProp<'_> {
     /// The child's next state with the property block filled.
     pub(super) fn next(
         &mut self,
@@ -126,11 +130,10 @@ impl ReadNodeProp {
         if !child(chunk)? {
             return Ok(false);
         }
-        let ReadNodeProp { node, out, label, prop, dtype, touched, rd } = self;
+        let ReadNodeProp { node, out, label, prop, dtype, touched, col, ext, rd } = self;
         let g = view.base();
         rd.enter(chunk.morsel);
         let n = chunk.groups[node.group].len;
-        let col = g.vertex_prop(*label, *prop);
         let reuse =
             std::mem::replace(&mut chunk.groups[out.group].vectors[out.vec], ValueVector::Empty);
         let ng = &chunk.groups[node.group];
@@ -149,7 +152,7 @@ impl ReadNodeProp {
                 block,
                 |i| Ok(view.vertex_value(col_cur, *label, idx.at(i), *prop)),
                 col.dictionary(),
-                view.vertex_str_ext(*label, *prop),
+                *ext,
             )?
         } else {
             fill_vector(col, block, col_cur, idx)
@@ -161,15 +164,19 @@ impl ReadNodeProp {
 
 /// An edge property read over an edge block of the chunk, in the direction
 /// its extend traversed the edge.
-pub(super) struct ReadEdgeProp {
+pub(super) struct ReadEdgeProp<'g> {
     pub(super) edge: VecRef,
     pub(super) out: VecRef,
     pub(super) prop: usize,
     pub(super) dtype: DataType,
+    /// The property's column in the traversed direction and any delta
+    /// string extension, for the slot this operator fills.
+    pub(super) col: &'g Column,
+    pub(super) ext: Option<&'g StrExt>,
     pub(super) rd: ReadState,
 }
 
-impl ReadEdgeProp {
+impl ReadEdgeProp<'_> {
     /// The child's next state with the property block filled.
     pub(super) fn next(
         &mut self,
@@ -180,7 +187,7 @@ impl ReadEdgeProp {
         if !child(chunk)? {
             return Ok(false);
         }
-        let ReadEdgeProp { edge, out, prop, dtype, rd } = self;
+        let ReadEdgeProp { edge, out, prop, dtype, rd, .. } = self;
         let g = view.base();
         rd.enter(chunk.morsel);
         let n = chunk.groups[edge.group].len;

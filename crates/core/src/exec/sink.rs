@@ -35,6 +35,7 @@
 
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Arc;
 
 use gfcl_columnar::Column;
 use gfcl_common::hash::IntSet;
@@ -126,12 +127,12 @@ impl<'p, 'g> Sink<'p, 'g> {
             Sink::Scalar(agg) => return agg.finish(plan),
             Sink::Grouped(sink) => {
                 let rows = sink.into_rows(plan);
-                return QueryOutput::Rows { header: plan.header.clone(), rows };
+                return QueryOutput::Rows { header: Arc::clone(&plan.header), rows };
             }
             Sink::Rows(sink) => sink.kept.rows,
             Sink::Distinct(sink) => sink.into_rows(),
         };
-        QueryOutput::Rows { header: plan.header.clone(), rows: agg::finalize_rows(plan, rows) }
+        QueryOutput::Rows { header: Arc::clone(&plan.header), rows: agg::finalize_rows(plan, rows) }
     }
 }
 
@@ -347,14 +348,18 @@ fn raw_entry(v: &ValueVector, idx: usize) -> Option<u64> {
 
 /// Scratch for enumerating a chunk state's Cartesian product: the current
 /// position of every enumerated group, then the first selected position
-/// each wraps back to. A sink owns one and reuses it for every state, so
-/// enumeration allocates nothing per state.
+/// each wraps back to. For up to 8 groups it lives on the stack; a sink
+/// enumerating more owns a buffer and reuses it for every state. Either way enumeration allocates nothing per state, and a plan
+/// of a few extends nothing per query.
 #[derive(Default)]
 struct Combos {
     buf: Vec<usize>,
 }
 
 impl Combos {
+    /// Positions kept on the stack: two per group, for up to 8 groups.
+    const INLINE: usize = 16;
+
     /// Call `f` with the current position of each of `groups` (`None`: of
     /// every group of the chunk, in order) for every combination of their
     /// selected positions, in odometer order — the last group fastest. A
@@ -363,15 +368,22 @@ impl Combos {
     fn for_each(&mut self, chunk: &Chunk, groups: Option<&[usize]>, mut f: impl FnMut(&[usize])) {
         let n = groups.map_or(chunk.groups.len(), <[usize]>::len);
         let group = |i: usize| &chunk.groups[groups.map_or(i, |gs| gs[i])];
-        self.buf.clear();
-        for i in 0..n {
+        let len = 2 * n;
+        let mut inline = [0; Combos::INLINE];
+        let buf = if len <= Combos::INLINE {
+            &mut inline[..len]
+        } else {
+            self.buf.resize(len, 0);
+            &mut self.buf[..]
+        };
+        let (pos, first) = buf.split_at_mut(n);
+        for (i, p) in pos.iter_mut().enumerate() {
             match next_selected(group(i), None) {
-                Some(p) => self.buf.push(p),
+                Some(sel) => *p = sel,
                 None => return,
             }
         }
-        self.buf.extend_from_within(..);
-        let (pos, first) = self.buf.split_at_mut(n);
+        first.copy_from_slice(pos);
         loop {
             f(pos);
             let mut i = n;
@@ -774,7 +786,7 @@ impl<'p, 'g> TopKSink<'p, 'g> {
     ) -> TopKSink<'p, 'g> {
         let (mut ref_groups, mut cols) = (Vec::new(), Vec::new());
         if limit.is_some() {
-            ref_groups = slots.iter().map(|&s| pipe.slot_refs[s].group).collect();
+            ref_groups = slots.iter().map(|&s| pipe.slot(s).0.group).collect();
             ref_groups.sort_unstable();
             ref_groups.dedup();
             cols = slots
@@ -941,7 +953,7 @@ pub(crate) struct DistinctSink<'g> {
 
 impl<'g> DistinctSink<'g> {
     fn new(pipe: &Pipeline<'g>, defs: &[SlotDef], slots: &[usize]) -> DistinctSink<'g> {
-        let mut ref_groups: Vec<usize> = slots.iter().map(|&s| pipe.slot_refs[s].group).collect();
+        let mut ref_groups: Vec<usize> = slots.iter().map(|&s| pipe.slot(s).0.group).collect();
         ref_groups.sort_unstable();
         ref_groups.dedup();
         let cols = slots
@@ -1001,6 +1013,7 @@ impl<'g> DistinctSink<'g> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::{Layout, Op};
     use super::*;
     use gfcl_columnar::NullKind;
     use proptest::prelude::*;
@@ -1159,13 +1172,11 @@ mod tests {
         split: usize,
     ) -> (QueryOutput, Vec<Vec<Value>>) {
         let n = kinds.len();
-        let slot_cols =
-            kinds.iter().map(|&k| if k == 4 { sc } else { SlotCol::default() }).collect();
+        let layout = Layout::for_columns(n);
         let mut pipe = Pipeline {
-            ops: Vec::new(),
+            ops: kinds.iter().map(|&k| reader(slot_col(k, sc))).collect(),
             chunk: Chunk { groups: Vec::new(), morsel: 0 },
-            slot_refs: (0..n).map(|vec| VecRef { group: 0, vec }).collect(),
-            slot_cols,
+            layout: &layout,
         };
         let mut sinks = [Sink::new(plan, &pipe).unwrap(), Sink::new(plan, &pipe).unwrap()];
         let mut reference = Vec::new();
@@ -1202,6 +1213,29 @@ mod tests {
         }
         let [a, b] = sinks;
         (a.merge(b).finish(plan), reference)
+    }
+
+    /// An operator whose slot decodes through `sc`: a read of its column,
+    /// or, for a slot without one, an operator that reads none.
+    fn reader(sc: SlotCol<'_>) -> Op<'_> {
+        let at = VecRef { group: 0, vec: 0 };
+        match sc.col {
+            Some(col) => Op::ReadNodeProp(super::super::read::ReadNodeProp {
+                node: at,
+                out: at,
+                label: 0,
+                prop: 0,
+                dtype: DataType::String,
+                touched: false,
+                col,
+                ext: sc.ext,
+                rd: Default::default(),
+            }),
+            None => Op::Filter(super::super::filter::Filter {
+                pred: crate::pred::CPred::Const(true),
+                mask: Vec::new(),
+            }),
+        }
     }
 
     fn slot_col(kind: u8, sc: SlotCol<'_>) -> SlotCol<'_> {

@@ -25,7 +25,8 @@
 //!   boundaries, over the shared token storage faults report into;
 //! * [`engine`] — the [`Engine`] trait and [`GfClEngine`];
 //! * [`cache`] — the GF-CL engine's plan cache: verified plan templates
-//!   keyed on literal-normalised query text;
+//!   keyed on literal-normalised query text, each with its compiled layout
+//!   and a pool of the chunks its calls reuse;
 //! * [`verify`] — the structural plan verifier: every plan is checked as a
 //!   dataflow typecheck (def-before-use, schema/type flow, unflat-span,
 //!   pushdown eligibility, bookkeeping) before any engine compiles it;
@@ -46,7 +47,7 @@ pub mod pred;
 pub mod query;
 pub mod verify;
 
-pub use cache::{PlanCache, PlanCacheStats, PLAN_CACHE_CAPACITY};
+pub use cache::{CachedPlan, PlanCache, PlanCacheStats, PLAN_CACHE_CAPACITY};
 pub use config::Config;
 pub use driver::ExecOptions;
 pub use engine::{Engine, GfClEngine, QueryOutput};
@@ -71,4 +72,5 @@ const _: () = {
     assert_send_sync::<QueryGovernor>();
     assert_send_sync::<CancelToken>();
     assert_send_sync::<PlanCache>();
+    assert_send_sync::<CachedPlan>();
 };

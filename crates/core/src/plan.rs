@@ -19,13 +19,14 @@
 //! passes the structural verifier ([`crate::verify`]) before it is returned.
 
 use std::convert::Infallible;
+use std::sync::Arc;
 
 use gfcl_common::{DataType, Direction, Error, LabelId, Result, Value};
 use gfcl_storage::Catalog;
 
 use crate::optimize::{self, GroupSim};
 use crate::query::{
-    AggFunc, CmpOp, Expr, PatternQuery, PropRef, ReturnSpec, Scalar, SortDir, StrOp,
+    Agg, AggFunc, CmpOp, Expr, PatternQuery, PropRef, ReturnSpec, Scalar, SortDir, StrOp,
 };
 
 /// A resolved reference to a slot holding a property value during
@@ -262,8 +263,9 @@ pub struct LogicalPlan {
     pub slots: Vec<SlotDef>,
     pub steps: Vec<PlanStep>,
     pub ret: PlanReturn,
-    /// Header names for row outputs.
-    pub header: Vec<String>,
+    /// Header names for row outputs, shared with every output that has
+    /// them.
+    pub header: Arc<[String]>,
     /// `ORDER BY` keys: `(output column, descending)`, applied by the sink.
     pub order_by: Vec<(usize, bool)>,
     /// `LIMIT n`, applied by the sink after any ordering.
@@ -515,59 +517,55 @@ impl Planner<'_> {
             resolved_preds.push(self.resolve_expr(pred, &nodes, &edges, &mut slots)?);
         }
 
-        // Return clause.
-        let (ret, header) = match &q.ret {
-            ReturnSpec::CountStar => (PlanReturn::CountStar, vec!["count(*)".to_owned()]),
+        // Return clause. The header is collected straight into its shared
+        // slice: one allocation for the names' array.
+        let (ret, header): (PlanReturn, Arc<[String]>) = match &q.ret {
+            ReturnSpec::CountStar => (PlanReturn::CountStar, Arc::from(["count(*)".to_owned()])),
             ReturnSpec::Props(ps) => {
                 let mut ids = Vec::with_capacity(ps.len());
-                let mut header = Vec::with_capacity(ps.len());
                 for p in ps {
                     ids.push(self.slot_of(p, true, &nodes, &edges, &mut slots)?);
-                    header.push(dotted(&p.var, &p.prop));
                 }
-                (PlanReturn::Props(ids), header)
+                (PlanReturn::Props(ids), ps.iter().map(|p| dotted(&p.var, &p.prop)).collect())
             }
             ReturnSpec::Sum(p) => {
                 let s = self.agg_slot_of(p, "SUM", &nodes, &edges, &mut slots)?;
-                (PlanReturn::Sum(s), vec![format!("sum({}.{})", p.var, p.prop)])
+                (PlanReturn::Sum(s), Arc::from([format!("sum({}.{})", p.var, p.prop)]))
             }
             ReturnSpec::Min(p) => {
                 let s = self.agg_slot_of(p, "MIN", &nodes, &edges, &mut slots)?;
-                (PlanReturn::Min(s), vec![format!("min({}.{})", p.var, p.prop)])
+                (PlanReturn::Min(s), Arc::from([format!("min({}.{})", p.var, p.prop)]))
             }
             ReturnSpec::Max(p) => {
                 let s = self.agg_slot_of(p, "MAX", &nodes, &edges, &mut slots)?;
-                (PlanReturn::Max(s), vec![format!("max({}.{})", p.var, p.prop)])
+                (PlanReturn::Max(s), Arc::from([format!("max({}.{})", p.var, p.prop)]))
             }
             ReturnSpec::GroupBy { keys, aggs } => {
                 let mut key_ids = Vec::with_capacity(keys.len());
-                let mut header = Vec::with_capacity(keys.len() + aggs.len());
                 for k in keys {
                     // Keys are materialized per output row (strings decode
                     // at the sink, like projection columns).
                     key_ids.push(self.slot_of(k, true, &nodes, &edges, &mut slots)?);
-                    header.push(dotted(&k.var, &k.prop));
                 }
                 let mut plan_aggs = Vec::with_capacity(aggs.len());
                 for a in aggs {
-                    let (slot, rendered) = match &a.prop {
-                        None => (None, "*".to_owned()),
-                        Some(p) => {
-                            let name = agg_name(a.func);
-                            (
-                                Some(self.agg_slot_of(p, name, &nodes, &edges, &mut slots)?),
-                                dotted(&p.var, &p.prop),
-                            )
-                        }
+                    let slot = match &a.prop {
+                        None => None,
+                        Some(p) => Some(self.agg_slot_of(
+                            p,
+                            agg_name(a.func),
+                            &nodes,
+                            &edges,
+                            &mut slots,
+                        )?),
                     };
-                    header.push(match a.func {
-                        AggFunc::Count { distinct: true } => {
-                            format!("count(distinct {rendered})")
-                        }
-                        _ => format!("{}({rendered})", agg_name(a.func).to_lowercase()),
-                    });
                     plan_aggs.push(PlanAgg { func: a.func, slot });
                 }
+                let header = keys
+                    .iter()
+                    .map(|k| dotted(&k.var, &k.prop))
+                    .chain(aggs.iter().map(agg_header))
+                    .collect();
                 (PlanReturn::GroupBy { keys: key_ids, aggs: plan_aggs }, header)
             }
         };
@@ -999,6 +997,16 @@ fn dotted(var: &str, prop: &str) -> String {
     s.push('.');
     s.push_str(prop);
     s
+}
+
+/// The output column name of aggregate `a`: `count(*)`, `sum(x.p)`,
+/// `count(distinct x.p)`.
+fn agg_header(a: &Agg) -> String {
+    let rendered = a.prop.as_ref().map_or_else(|| "*".to_owned(), |p| dotted(&p.var, &p.prop));
+    match a.func {
+        AggFunc::Count { distinct: true } => format!("count(distinct {rendered})"),
+        _ => format!("{}({rendered})", agg_name(a.func).to_lowercase()),
+    }
 }
 
 /// Upper-case display name of an aggregate function.

@@ -712,83 +712,80 @@ impl<'g> ScanPred<'g> {
 // ---- Compilation -----------------------------------------------------------
 
 /// Compile a resolved plan expression for the `Filter` operator.
-/// `slot_refs[slot]` locates each slot's vector; `slot_cols[slot]` is the
+/// `slot_refs[slot]` locates each slot's vector; `col_of(slot)` is the
 /// storage column it reads (for dictionary pre-evaluation). Parameter `i`
 /// compiles as the constant `params[i]`.
-pub fn compile_pred(
+pub fn compile_pred<'g>(
     expr: &PlanExpr,
     slot_defs: &[SlotDef],
     slot_refs: &[VecRef],
-    slot_cols: &[SlotCol<'_>],
+    col_of: impl Fn(SlotId) -> SlotCol<'g>,
     params: &[Value],
 ) -> Result<CPred> {
-    let c = Compiler { slot_defs, slot_cols, params, loc_of: |s: SlotId| slot_refs[s] };
+    let c = Compiler { slot_defs, col_of, params, loc_of: |s: SlotId| slot_refs[s] };
     c.compile(expr)
 }
 
 /// Compile a pushed-down scan predicate: every slot resolves directly to
-/// its vertex-property column (`cols[slot]`, `None` for slots that are not
-/// properties of the scanned node — an internal planner error).
+/// its vertex-property column (`col_of(slot)`, without a column for slots
+/// that are not properties of the scanned node — an internal planner
+/// error).
 pub fn compile_scan_pred<'g>(
     expr: &PlanExpr,
     slot_defs: &[SlotDef],
-    cols: &[SlotCol<'g>],
+    col_of: impl Fn(SlotId) -> SlotCol<'g> + Copy,
     params: &[Value],
 ) -> Result<ScanPred<'g>> {
-    if let Some(&s) = expr.slots().iter().find(|&&s| cols[s].col.is_none()) {
-        return Err(Error::Plan(format!(
-            "pushed-down predicate references slot {s} ({}), which is not a property of \
-             the scanned node",
-            slot_defs[s].name
-        )));
+    if let Some(s) = expr.slots().into_iter().find(|&s| col_of(s).col.is_none()) {
+        return Err(foreign_slot(s, slot_defs));
     }
-    let c = Compiler {
-        slot_defs,
-        slot_cols: cols,
-        params,
-        loc_of: |s: SlotId| ScanOperand::new(cols[s].col.expect("checked above")),
-    };
-    c.compile(expr)
+    let loc_of = |s: SlotId| ScanOperand::new(col_of(s).col.expect("checked above"));
+    Compiler { slot_defs, col_of, params, loc_of }.compile(expr)
 }
 
 /// Recompile a pushed-down scan predicate for row-at-a-time evaluation
-/// through a [`GraphView`]: `props[slot]` is the scanned label's property
+/// through a [`GraphView`]: `prop_of(slot)` is the scanned label's property
 /// index behind each slot (`None` for foreign slots, which pushed
 /// predicates never reference). The bitmap code spaces are identical to
 /// [`compile_scan_pred`]'s, so the two forms cannot disagree on a row.
 pub fn compile_row_pred<'g>(
     expr: &PlanExpr,
     slot_defs: &[SlotDef],
-    props: &[Option<usize>],
-    cols: &[SlotCol<'g>],
+    prop_of: impl Fn(SlotId) -> Option<usize>,
+    col_of: impl Fn(SlotId) -> SlotCol<'g> + Copy,
     params: &[Value],
 ) -> Result<RowPred<'g>> {
-    if let Some(&s) = expr.slots().iter().find(|&&s| props[s].is_none()) {
-        return Err(Error::Plan(format!(
-            "pushed-down predicate references slot {s} ({}), which is not a property of \
-             the scanned node",
-            slot_defs[s].name
-        )));
+    if let Some(s) = expr.slots().into_iter().find(|&s| prop_of(s).is_none()) {
+        return Err(foreign_slot(s, slot_defs));
     }
     let c = Compiler {
         slot_defs,
-        slot_cols: cols,
+        col_of,
         params,
         loc_of: |s: SlotId| RowOperand {
-            prop: props[s].expect("checked above"),
-            dict: cols[s].col.and_then(Column::dictionary),
-            ext: cols[s].ext,
+            prop: prop_of(s).expect("checked above"),
+            dict: col_of(s).col.and_then(Column::dictionary),
+            ext: col_of(s).ext,
             cur: RefCell::default(),
         },
     };
     c.compile(expr)
 }
 
-struct Compiler<'a, 'g, L, F: Fn(SlotId) -> L> {
+/// A pushed-down predicate reads `slot`, which the scanned node does not own.
+fn foreign_slot(slot: SlotId, slot_defs: &[SlotDef]) -> Error {
+    Error::Plan(format!(
+        "pushed-down predicate references slot {slot} ({}), which is not a property of the \
+         scanned node",
+        slot_defs[slot].name
+    ))
+}
+
+struct Compiler<'a, L, F: Fn(SlotId) -> L, C> {
     slot_defs: &'a [SlotDef],
-    /// Backing storage columns (dictionary pre-evaluation) plus any delta
-    /// string extensions growing their code spaces.
-    slot_cols: &'a [SlotCol<'g>],
+    /// Backing storage column (dictionary pre-evaluation) of each slot,
+    /// plus any delta string extension growing its code space.
+    col_of: C,
     /// Values of the plan's parameters, by index.
     params: &'a [Value],
     loc_of: F,
@@ -800,7 +797,7 @@ enum Operand<'v> {
     Const(&'v Value),
 }
 
-impl<'g, L, F: Fn(SlotId) -> L> Compiler<'_, 'g, L, F> {
+impl<'g, L, F: Fn(SlotId) -> L, C: Fn(SlotId) -> SlotCol<'g>> Compiler<'_, L, F, C> {
     fn compile(&self, e: &PlanExpr) -> Result<CPredG<L>> {
         match e {
             PlanExpr::And(es) => {
@@ -944,7 +941,7 @@ impl<'g, L, F: Fn(SlotId) -> L> Compiler<'_, 'g, L, F> {
     }
 
     fn dict_of(&self, slot: usize) -> Result<&'g Dictionary> {
-        self.slot_cols[slot].col.and_then(Column::dictionary).ok_or_else(|| Error::TypeMismatch {
+        (self.col_of)(slot).col.and_then(Column::dictionary).ok_or_else(|| Error::TypeMismatch {
             expected: "STRING column".into(),
             found: self.slot_defs[slot].dtype.to_string(),
         })
@@ -955,7 +952,7 @@ impl<'g, L, F: Fn(SlotId) -> L> Compiler<'_, 'g, L, F> {
     /// the bitmap covers every code a merged scan can produce.
     fn codes_matching(&self, slot: usize, f: impl Fn(&str) -> bool) -> Result<Bitmap> {
         let dict = self.dict_of(slot)?;
-        Ok(match self.slot_cols[slot].ext {
+        Ok(match (self.col_of)(slot).ext {
             Some(ext) if !ext.is_empty() => Bitmap::from_fn(ext.code_end() as usize, |c| {
                 if c < dict.len() {
                     f(dict.decode(c as u64))

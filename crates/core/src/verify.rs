@@ -52,9 +52,18 @@ pub struct VerifyReport {
 /// rely on. Returns the number of checks evaluated, or the first violation
 /// as a structured [`Error::Plan`] naming rule, step and variable.
 pub fn verify_plan(plan: &LogicalPlan, catalog: &Catalog) -> Result<VerifyReport> {
+    #[cfg(test)]
+    VERIFIED.with(|n| n.set(n.get() + 1));
     let mut v = Verifier { plan, catalog, checks: 0 };
     v.run()?;
     Ok(VerifyReport { checks: v.checks })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Plans [`verify_plan`] checked on this thread, counted by the tests
+    /// that check who verifies.
+    pub(crate) static VERIFIED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 struct Verifier<'a> {

@@ -39,8 +39,8 @@ fn grouped_aggregates_match_hand_computed_values() {
         let out = engine(threads).execute(&follows_grouped()).unwrap();
         let QueryOutput::Rows { header, rows } = out else { panic!("rows expected") };
         assert_eq!(
-            header,
-            vec![
+            &header[..],
+            [
                 "a.gender",
                 "count(*)",
                 "sum(e.since)",

@@ -356,7 +356,7 @@ fn rejects_header_arity_mismatch() {
     assert_rejected(
         base_plan(&cat),
         &cat,
-        |p| p.header.push("phantom".into()),
+        |p| p.header = p.header.iter().cloned().chain(["phantom".to_owned()]).collect(),
         "sink-shape",
         "header has 3 columns",
     );

@@ -140,9 +140,11 @@ fn agrees(src: &str, toks: &[Token], sig: &Signature, bound: &TemplateParams) ->
 /// Run the text query `text` on `engine`.
 ///
 /// On an engine that offers a plan cache ([`Engine::plan_cache`]; GF-CL
-/// does) the text is lexed and its [`Signature`] looked up. A hit runs the
-/// cached, verified plan with this text's parameter values: no parse,
-/// bind, plan or verify, and no copy of the plan. A miss parses the tokens
+/// does) the text is lexed and its [`Signature`] looked up. A hit hands the
+/// cache entry — the verified plan, its compiled layout and its pooled
+/// chunks — to the engine ([`Engine::run_cached`]) with this text's
+/// parameter values: no parse, bind, plan, verify or layout, and no copy of
+/// the plan. A miss parses the tokens
 /// already lexed, binds a template and, when the template is
 /// literal-invariant (`PatternQuery::literal_invariant`), plans, verifies
 /// and stores it; otherwise the call plans its literal-inlined query and
@@ -155,18 +157,19 @@ pub fn run_text(engine: &(impl Engine + ?Sized), text: &str) -> gfcl_common::Res
     };
     let toks = lex(text).map_err(classify)?;
     let sig = signature(text, &toks).map_err(classify)?;
-    if let Some(plan) = cache.get(&sig.key) {
-        return engine.run_plan_with(&plan, &sig.params);
+    if let Some(entry) = cache.get(&sig.key) {
+        return engine.run_cached(&entry, &sig.params);
     }
     let ast = parser::parse_tokens(text, &toks).map_err(classify)?;
     let (mut q, bound) = binder::bind_template(&ast, text, engine.catalog()).map_err(classify)?;
     if q.literal_invariant() && agrees(text, &toks, &sig, &bound) {
         let types: Vec<DataType> = sig.params.iter().filter_map(Value::data_type).collect();
-        // A template that fails to plan reports the error its
-        // literal-inlined query reports, below.
-        if let Ok(plan) = plan_template(&q, engine.catalog(), &types) {
-            let plan = cache.insert(sig.key, plan);
-            return engine.run_plan_with(&plan, &sig.params);
+        // A template that fails to plan (or to lay out) reports the error
+        // its literal-inlined query reports, below.
+        let stored =
+            plan_template(&q, engine.catalog(), &types).and_then(|p| cache.insert(sig.key, p));
+        if let Ok(entry) = stored {
+            return engine.run_cached(&entry, &sig.params);
         }
     } else {
         cache.note_not_reusable();

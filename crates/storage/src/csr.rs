@@ -16,7 +16,8 @@
 //! array then stores entries only for non-empty vertices and a
 //! [`NullMap`] (Jacobson by default) maps vertex offsets to them in
 //! constant time. Uncompressed, the offsets keep one entry per vertex and
-//! already encode an empty list as two equal offsets, so no map is stored.
+//! already encode an empty list as two equal offsets, so no map is stored;
+//! nor is one under any layout when no list is empty.
 
 use gfcl_columnar::{NullKind, NullMap, PageCursor, SegmentSink, SegmentSource, UIntArray};
 use gfcl_common::{MemoryUsage, Reader, Result, Writer};
@@ -27,8 +28,9 @@ pub struct CsrOptions {
     /// Leading-0 suppression of the offsets and neighbour arrays.
     pub zero_suppress: bool,
     /// Empty-list layout: `Vanilla` or `Jacobson` store offsets only for
-    /// non-empty lists behind that [`NullMap`]; `Uncompressed` keeps one
-    /// offsets entry per vertex and an `AllValid` map.
+    /// non-empty lists behind that [`NullMap`] when some list is empty;
+    /// `Uncompressed`, or a CSR without an empty list, keeps one offsets
+    /// entry per vertex and an `AllValid` map.
     pub nulls: NullKind,
 }
 
@@ -47,7 +49,7 @@ pub struct Csr {
     /// non-empty vertex (+1) when empty-list compressed.
     offsets: UIntArray,
     /// Maps a vertex offset to its slot in `offsets`; `AllValid` when
-    /// empty lists are not compressed.
+    /// empty lists are not compressed or there is none.
     empties: NullMap,
     /// Neighbour label-level positional offsets, in list order.
     nbr: UIntArray,
@@ -91,22 +93,22 @@ impl Csr {
             input_of_pos[p] = i as u64;
         }
 
-        let (offsets, empties) = if opts.nulls.compresses() {
+        // Empty lists are compressed only when some list is empty: a CSR
+        // without one stores every vertex's offsets and no map, as an
+        // uncompressed one does, and its list lookups rank nothing.
+        let empties = if opts.nulls.compresses() {
             let valid: Vec<bool> = degree.iter().map(|&d| d > 0).collect();
-            let mut compact = Vec::with_capacity(valid.iter().filter(|&&v| v).count() + 1);
-            for (v, &nonempty) in valid.iter().enumerate() {
-                if nonempty {
-                    compact.push(starts[v]);
-                }
-            }
-            compact.push(m as u64);
-            (
-                UIntArray::from_values(&compact, opts.zero_suppress),
-                NullMap::build(&valid, opts.nulls),
-            )
+            NullMap::for_column(&valid, opts.nulls)
         } else {
-            let offsets = UIntArray::from_values(&starts, opts.zero_suppress);
-            (offsets, NullMap::AllValid { len: n_vertices })
+            NullMap::AllValid { len: n_vertices }
+        };
+        let offsets = if empties.is_dense() {
+            UIntArray::from_values(&starts, opts.zero_suppress)
+        } else {
+            let mut compact = Vec::with_capacity(empties.count_valid() + 1);
+            compact.extend((0..n_vertices).filter(|&v| degree[v] > 0).map(|v| starts[v]));
+            compact.push(m as u64);
+            UIntArray::from_values(&compact, opts.zero_suppress)
         };
 
         let csr = Csr {

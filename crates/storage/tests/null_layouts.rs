@@ -1,7 +1,8 @@
 //! Every NULL layout a `StorageConfig` can name stores and reads back every
 //! NULL and every empty list: columns of all four types, the
 //! single-cardinality adjacency column (also fully populated, where it
-//! keeps no NULL map), a CSR with empty lists and a whole
+//! keeps no NULL map), a CSR with empty lists (and one without, which
+//! keeps no empty-list map) and a whole
 //! `ColumnarGraph` built from a raw graph with NULLs. CI runs this file in
 //! release as well, where `debug_assert!`s are compiled out: a layout that
 //! only a debug assertion guards passes in debug and corrupts in release.
@@ -114,6 +115,19 @@ fn csr_reads_back(nulls: NullKind) {
         } else {
             assert!(list.is_empty(), "{nulls:?}: vertex {v} must have an empty list");
         }
+    }
+    // A CSR without an empty list (every person knows someone) stores no
+    // empty-list map under any layout: its offsets are the uncompressed
+    // layout's, byte for byte, and every list reads back.
+    let from: Vec<u64> = (0..N as u64).flat_map(|v| [v, v]).collect();
+    let nbr: Vec<u64> = (0..from.len() as u64).map(|p| p * 7 % N as u64).collect();
+    let (csr, _) = Csr::build(N, &from, &nbr, CsrOptions { zero_suppress: true, nulls });
+    let uncompressed = CsrOptions { zero_suppress: true, nulls: NullKind::Uncompressed };
+    let (plain, _) = Csr::build(N, &from, &nbr, uncompressed);
+    assert_eq!(csr.offsets_bytes(), plain.offsets_bytes(), "{nulls:?}: full CSR offsets");
+    assert_eq!(csr.memory_bytes(), plain.memory_bytes(), "{nulls:?}: full CSR");
+    for v in 0..N as u64 {
+        assert_eq!(csr.list(v), (2 * v, 2), "{nulls:?}: full CSR list of {v}");
     }
 }
 

@@ -111,7 +111,7 @@
 //!     .limit(2)
 //!     .build();
 //! let QueryOutput::Rows { header, rows } = engine.execute(&q).unwrap() else { panic!() };
-//! assert_eq!(header, vec!["a.name", "count(*)", "max(e.since)", "count(distinct b.gender)"]);
+//! assert_eq!(&header[..], ["a.name", "count(*)", "max(e.since)", "count(distinct b.gender)"]);
 //! assert_eq!(rows.len(), 2);
 //! assert_eq!(rows[0][0], gfcl::Value::String("peter".into())); // 3 followees
 //! assert_eq!(rows[0][1], gfcl::Value::Int64(3));
@@ -360,8 +360,8 @@ pub use gfcl_common::{
 /// execution options for morsel-driven parallelism, and [`Config`], the
 /// one parser of the `GFCL_*` variables.
 pub use gfcl_core::{
-    Agg, AggFunc, CancelReason, CancelToken, Config, Engine, ExecOptions, GfClEngine, LogicalPlan,
-    OrderSource, PatternQuery, PlanCacheStats, QueryBudget, QueryOutput, SortDir,
+    Agg, AggFunc, CachedPlan, CancelReason, CancelToken, Config, Engine, ExecOptions, GfClEngine,
+    LogicalPlan, OrderSource, PatternQuery, PlanCacheStats, QueryBudget, QueryOutput, SortDir,
     PLAN_CACHE_CAPACITY,
 };
 /// The storage layer: catalogs (with build-time [`storage::Stats`]), the

@@ -7,6 +7,11 @@
 //!   every reused template's plan has the start, step sequence and slot
 //!   table the planner builds afresh for the new literals (the
 //!   literal-invariance rule, checked rather than assumed);
+//! * **pooled state** — every call runs twice back to back, so the chunk a
+//!   template's call hands back is reused at once; a call that trips its
+//!   memory budget mid-drain, or runs on a canceled handle, leaves no chunk
+//!   behind, and the next draws still answer as uncached; four threads
+//!   hitting one template at once never hold more chunks than callers;
 //! * **edge cases** — every case either hits correctly or falls back
 //!   correctly, with the uncached path's exact diagnostics;
 //! * **counters** — hits, misses, unreusable templates and evictions.
@@ -14,6 +19,7 @@
 //! GF-CL runs under the process configuration, so CI runs this binary
 //! serially and under `GFCL_THREADS=4`.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 use gfcl::datagen::{MovieParams, PowerLawParams, SocialParams};
@@ -22,7 +28,8 @@ use gfcl::plan::{LogicalPlan, PlanExpr, PlanScalar, PlanStep};
 use gfcl::workloads::corpus::{self, CorpusEntry};
 use gfcl::workloads::LdbcParams;
 use gfcl::{
-    ColumnarGraph, Config, Engine, GfClEngine, RawGraph, StorageConfig, PLAN_CACHE_CAPACITY,
+    CachedPlan, CancelReason, ColumnarGraph, Config, Engine, GfClEngine, RawGraph, StorageConfig,
+    PLAN_CACHE_CAPACITY,
 };
 
 fn engine(raw: &RawGraph) -> GfClEngine {
@@ -68,8 +75,8 @@ fn render(out: gfcl::Result<gfcl::QueryOutput>) -> String {
     }
 }
 
-/// The plan the engine has stored for `text`'s template, if any.
-fn cached_plan(engine: &GfClEngine, text: &str) -> Option<Arc<LogicalPlan>> {
+/// The template the engine has stored for `text`, if any.
+fn cached_plan(engine: &GfClEngine, text: &str) -> Option<Arc<CachedPlan>> {
     let toks = lexer::lex(text).ok()?;
     let sig = template::signature(text, &toks).ok()?;
     engine.plan_cache()?.get(&sig.key)
@@ -120,27 +127,37 @@ fn shape(p: &LogicalPlan) -> String {
     )
 }
 
-/// Every entry of every draw through the cache on one engine: answers as
-/// uncached, and every hit's plan shaped as a fresh plan for its literals.
-/// Returns the calls that hit (fetching each stored plan to compare it
-/// counts one more hit per call).
+/// Every entry of every draw through the cache on one engine, twice back
+/// to back: both answers as uncached, and every hit's plan shaped as a
+/// fresh plan for its literals. Returns the first calls that hit; a stored
+/// template's second call always hits too, and fetching each stored plan
+/// to compare it counts one more hit per first call that hit.
 fn check_suite(engine: &GfClEngine, draws: &[Vec<CorpusEntry>]) -> u64 {
     let mut hits = 0;
     for (d, entries) in draws.iter().enumerate() {
         for e in entries {
             let before = engine.plan_cache_stats().hits;
             let cached = render(gfcl::query_on(engine, &e.text));
-            assert_eq!(cached, uncached(engine, &e.text), "{} (draw {d}): cached answer", e.name);
-            if engine.plan_cache_stats().hits == before {
+            let want = uncached(engine, &e.text);
+            assert_eq!(cached, want, "{} (draw {d}): cached answer", e.name);
+            let first_hit = engine.plan_cache_stats().hits > before;
+            // The same call at once: a stored template reruns on the chunk
+            // the first call handed back.
+            let again = render(gfcl::query_on(engine, &e.text));
+            assert_eq!(again, want, "{} (draw {d}): the same call again", e.name);
+            if !first_hit {
                 continue;
             }
             hits += 1;
             let stored = cached_plan(engine, &e.text).expect("a template that hit is stored");
+            // One caller at a time: never more chunks than its workers.
+            let workers = engine.options().threads;
+            assert!(stored.pooled_chunks() <= workers, "{} (draw {d}): pool", e.name);
             let fresh = gfcl::frontend::compile(&e.text, engine.catalog())
                 .map_err(gfcl::Error::from)
                 .and_then(|q| engine.plan(&q))
                 .unwrap_or_else(|err| panic!("{}: {err}", e.name));
-            assert_eq!(shape(&stored), shape(&fresh), "{} (draw {d}): reused plan", e.name);
+            assert_eq!(shape(stored.plan()), shape(&fresh), "{} (draw {d}): reused plan", e.name);
         }
     }
     hits
@@ -169,9 +186,10 @@ fn corpus_answers_match_the_uncached_path_on_every_draw() {
     let social_hits = check_suite(&social, &ldbc) + check_suite(&social, &ga);
     let movie_hits = check_suite(&movies, &job);
     let khop_hits = check_suite(&powerlaw, &khop);
-    // The draws change literals only, so a stored template misses on its
-    // first draw and hits on the other two; an unreusable one misses and
-    // plans per call on all three.
+    // The draws change literals only, so a stored template's first call
+    // misses on its first draw and hits on the other two, and its second
+    // call hits on all three; an unreusable one misses and plans per call
+    // every time.
     for (name, e, hits, templates) in [
         ("social", &social, social_hits, 26),
         ("movies", &movies, movie_hits, 33),
@@ -181,9 +199,9 @@ fn corpus_answers_match_the_uncached_path_on_every_draw() {
         let stored = e.plan_cache().unwrap().len() as u64;
         println!("{name}: {stored} of {templates} templates stored, {hits} hits, {s:?}");
         assert_eq!(hits, 2 * stored, "{name}: {s:?}");
-        assert_eq!(s.hits, 2 * hits, "{name}: {s:?}");
+        assert_eq!(s.hits, 2 * hits + 3 * stored, "{name}: {s:?}");
         assert_eq!(s.misses, stored + s.not_reusable, "{name}: {s:?}");
-        assert_eq!(stored + s.not_reusable / 3, templates, "{name}: {s:?}");
+        assert_eq!(stored + s.not_reusable / 6, templates, "{name}: {s:?}");
         assert_eq!(s.evictions, 0);
     }
 }
@@ -331,6 +349,7 @@ fn more_templates_than_capacity_evict_and_stay_right() {
 
 #[test]
 fn one_engine_shared_by_four_threads_answers_as_serial_runs() {
+    const CALLERS: usize = 4;
     let raw = social();
     let shared = engine(&raw);
     let reference = engine(&raw);
@@ -341,22 +360,118 @@ fn one_engine_shared_by_four_threads_answers_as_serial_runs() {
         .collect();
     let expected: Vec<Vec<String>> =
         texts.iter().map(|ts| ts.iter().map(|t| uncached(&reference, t)).collect()).collect();
-    std::thread::scope(|s| {
-        for w in 0..4 {
-            let (shared, texts, expected) = (&shared, &texts, &expected);
-            s.spawn(move || {
-                for round in 0..texts.len() {
-                    let d = (round + w) % texts.len();
-                    for (t, want) in texts[d].iter().zip(&expected[d]) {
-                        assert_eq!(&render(gfcl::query_on(shared, t)), want, "worker {w}: {t}");
+    // Every thread runs the same template at the same time, each with
+    // another draw's literals: the callers of one template take chunks
+    // from, and hand them back to, one pool at once. A wrong answer, or a
+    // panic, is recorded rather than raised, so no thread leaves the
+    // others waiting at the barrier.
+    let barrier = std::sync::Barrier::new(CALLERS);
+    let wrong: Vec<String> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..CALLERS)
+            .map(|w| {
+                let (shared, texts, expected, barrier) = (&shared, &texts, &expected, &barrier);
+                s.spawn(move || {
+                    let mut wrong = Vec::new();
+                    for round in 0..texts.len() {
+                        let d = (round + w) % texts.len();
+                        for (t, want) in texts[d].iter().zip(&expected[d]) {
+                            barrier.wait();
+                            let call = || render(gfcl::query_on(shared, t));
+                            let got = std::panic::catch_unwind(AssertUnwindSafe(call))
+                                .unwrap_or_else(|_| "a panic".to_owned());
+                            if &got != want {
+                                wrong.push(format!("worker {w}: {t}: {got}, want {want}"));
+                            }
+                        }
                     }
-                }
-            });
-        }
+                    wrong
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|h| h.join().unwrap()).collect()
     });
+    assert!(wrong.is_empty(), "{} wrong answers, the first: {}", wrong.len(), wrong[0]);
     let s = shared.plan_cache_stats();
     assert!(s.hits > 0, "{s:?}");
     assert_eq!(s.evictions, 0);
+    // No knob bounds a pool: it never holds more chunks than the callers
+    // that ran its template at once, each with its own workers.
+    let workers = shared.options().threads;
+    for t in &texts[0] {
+        if let Some(stored) = cached_plan(&shared, t) {
+            let pooled = stored.pooled_chunks();
+            assert!(pooled <= CALLERS * workers, "{pooled} chunks pooled for {t}");
+        }
+    }
+}
+
+/// A call's outcome with a canceled call's timing left out: the elapsed
+/// time and memory peak differ from run to run, the reason does not.
+fn outcome(out: gfcl::Result<gfcl::QueryOutput>) -> String {
+    match out {
+        Err(gfcl::Error::Canceled { reason, .. }) => format!("canceled: {reason:?}"),
+        other => render(other),
+    }
+}
+
+#[test]
+fn tripped_and_canceled_calls_drop_their_chunks() {
+    let raw = social();
+    let opts = Config::from_env().expect("GFCL_* configuration").exec;
+    let graph = Arc::new(ColumnarGraph::build(&raw, StorageConfig::default()).unwrap());
+    // 4 KiB of result rows: a man's friends trip it, a nobody's do not.
+    let tight = GfClEngine::with_options(graph, opts.mem_limit_bytes(4 << 10));
+    let handle = tight.cancel_handle().expect("GF-CL has a cancel handle");
+    let text = |gender: &str| {
+        format!(
+            "MATCH (p:Person)-[k:knows]->(f:Person) WHERE p.gender = '{gender}' \
+             RETURN p.fName, f.fName, k.date"
+        )
+    };
+    let run = |t: &str| {
+        let cached = outcome(gfcl::query_on(&tight, t));
+        handle.reset();
+        let want = outcome(
+            gfcl::frontend::compile(t, tight.catalog())
+                .map_err(gfcl::Error::from)
+                .and_then(|q| tight.plan(&q))
+                .and_then(|p| tight.run_plan(&p)),
+        );
+        handle.reset();
+        assert_eq!(cached, want, "{t}");
+        cached
+    };
+    assert_eq!(run(&text("nobody")), "rows[p.fName,f.fName,k.date]:");
+    let stored = cached_plan(&tight, &text("nobody")).expect("stored");
+    let pooled = stored.pooled_chunks();
+    assert!(pooled >= 1, "a successful call hands its chunk back");
+
+    // Mid-drain: the sink outgrows the budget after some states.
+    assert_eq!(run(&text("male")), "canceled: Memory");
+    assert!(stored.pooled_chunks() < pooled, "the tripped call keeps the chunk it took");
+
+    // A canceled handle fails the call before it takes a chunk.
+    gfcl::query_on(&tight, &text("nobody")).unwrap();
+    let pooled = stored.pooled_chunks();
+    handle.cancel(CancelReason::User);
+    let err = gfcl::query_on(&tight, &text("nobody")).unwrap_err();
+    assert!(matches!(err, gfcl::Error::Canceled { reason: CancelReason::User, .. }), "{err}");
+    handle.reset();
+    assert_eq!(stored.pooled_chunks(), pooled);
+
+    // The next draws, over every LDBC and GA template on the same engine,
+    // answer as the uncached path does: within the budget, or tripping it.
+    let mut tripped = 0;
+    for p in &draws() {
+        for e in corpus::ldbc_corpus(p).into_iter().chain(corpus::ga_corpus(p)) {
+            tripped += usize::from(run(&e.text).starts_with("canceled"));
+            run(&e.text);
+        }
+        for gender in ["male", "nobody", "female"] {
+            run(&text(gender));
+        }
+    }
+    assert!(tripped > 0, "some corpus call trips the budget");
 }
 
 #[test]
