@@ -91,8 +91,9 @@ pub struct CachedPlan {
 impl CachedPlan {
     /// `plan` with its layout. Fails only on a plan the verifier rejects.
     pub(crate) fn new(plan: LogicalPlan) -> gfcl_common::Result<CachedPlan> {
-        let layout = Layout::new(&plan)?;
-        Ok(CachedPlan { plan, layout, chunks: ChunkPool::default() })
+        let (layout, empty) = Layout::new(&plan)?;
+        let chunks = ChunkPool { empty, free: Mutex::default() };
+        Ok(CachedPlan { plan, layout, chunks })
     }
 
     /// The verified plan.
@@ -107,20 +108,24 @@ impl CachedPlan {
 }
 
 /// Emptied chunks of one layout, waiting for a caller.
-#[derive(Default)]
-pub(crate) struct ChunkPool(Mutex<Vec<Chunk>>);
+pub(crate) struct ChunkPool {
+    /// A chunk of the layout's shape, never handed out: cloned for a
+    /// caller when no chunk waits.
+    empty: Chunk,
+    free: Mutex<Vec<Chunk>>,
+}
 
 impl ChunkPool {
     /// A pop or a push is never left half done, so a panic elsewhere while
     /// the lock was held leaves nothing to repair.
     fn lock(&self) -> MutexGuard<'_, Vec<Chunk>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A chunk of `layout`'s shape for one caller: a pooled one, or a new
+    /// A chunk of the layout's shape for one caller: a pooled one, or a new
     /// one when every pooled chunk is in use.
-    pub(crate) fn take(&self, layout: &Layout) -> Chunk {
-        self.lock().pop().unwrap_or_else(|| layout.chunk())
+    pub(crate) fn take(&self) -> Chunk {
+        self.lock().pop().unwrap_or_else(|| self.empty.clone())
     }
 
     /// Hand back the chunk of a call that finished successfully: emptied,
@@ -252,10 +257,11 @@ mod tests {
         use crate::query::{col, eq, Scalar};
         use crate::{Engine, GfClEngine};
         use gfcl_common::{DataType, Value};
-        use gfcl_storage::{ColumnarGraph, StorageConfig};
+        use gfcl_storage::{ColumnarGraph, GraphView, StorageConfig};
 
         let graph = ColumnarGraph::build(&RawGraph::example(), StorageConfig::default()).unwrap();
-        let engine = GfClEngine::new(Arc::new(graph));
+        let graph = Arc::new(graph);
+        let engine = GfClEngine::new(Arc::clone(&graph));
         let verified = || crate::verify::VERIFIED.with(std::cell::Cell::get);
         let q = PatternQuery::builder()
             .node("a", "PERSON")
@@ -271,7 +277,9 @@ mod tests {
         for name in ["peter", "nobody", "peter", "mahinda"] {
             let params = [Value::String(name.into())];
             let cached = engine.run_cached(&entry, &params).unwrap();
-            let fresh = engine.run_plan_with(entry.plan(), &params).unwrap();
+            let view = GraphView::clean(&*graph);
+            let fresh = crate::driver::execute(view, entry.plan(), &params, engine.options(), None)
+                .unwrap();
             assert_eq!(cached.canonical(), fresh.canonical(), "{name}");
             assert_eq!(entry.pooled_chunks(), 1, "one caller at a time: one chunk");
         }

@@ -231,7 +231,7 @@ impl ListGroup {
 
 /// The intermediate chunk: an ordered set of list groups whose Cartesian
 /// product is the current set of intermediate tuples.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Chunk {
     pub groups: Vec<ListGroup>,
     /// Sequence number of the scan morsel the current state descends from

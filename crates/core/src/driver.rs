@@ -179,23 +179,31 @@ fn run(
     token.check()?;
     let gov = QueryGovernor::new(token, opts.budget());
     let cursor = ScanCursor::for_plan_view(view, plan, opts.morsel_size as u64)?.governed(&gov);
-    let fresh;
-    let layout = match cached {
-        Some(entry) => &entry.layout,
-        None => {
-            fresh = Layout::new(plan)?;
-            &fresh
-        }
-    };
-    let pool = cached.map(|entry| &entry.chunks);
-    let chunk = || pool.map_or_else(|| layout.chunk(), |p| p.take(layout));
     // Never spawn more workers than there are morsels to hand out.
     let max_useful = (cursor.total() as usize).div_ceil(opts.morsel_size).max(1);
     let threads = opts.threads.min(max_useful);
+    // A cache entry lends its layout and its pooled chunks. Otherwise the
+    // call lays the plan out itself, and the chunk that comes with the
+    // fresh layout goes to the last worker: only the others get a clone.
+    let fresh;
+    let (layout, mut own) = match cached {
+        Some(entry) => (&entry.layout, Chunk::default()),
+        None => {
+            let (l, chunk) = Layout::new(plan)?;
+            fresh = l;
+            (&fresh, chunk)
+        }
+    };
+    let pool = cached.map(|entry| &entry.chunks);
+    let mut chunk_for = |worker: usize| match pool {
+        Some(pool) => pool.take(),
+        None if worker + 1 == threads => std::mem::take(&mut own),
+        None => own.clone(),
+    };
 
     if threads == 1 {
         let _scope = fault_scope(gov.token());
-        let mut pipeline = layout.bind(view, plan, &cursor, params, chunk())?;
+        let mut pipeline = layout.bind(view, plan, &cursor, params, chunk_for(0))?;
         let out = drive(view, plan, &mut pipeline, &gov)?.finish(plan);
         if let Some(pool) = pool {
             pool.put(pipeline.into_chunk());
@@ -205,14 +213,14 @@ fn run(
 
     let done: Vec<Result<(Sink, Chunk)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (cursor, gov, chunk) = (&cursor, &gov, &chunk);
+            .map(|worker| {
+                let (cursor, gov, chunk) = (&cursor, &gov, chunk_for(worker));
                 scope.spawn(move || {
                     // Per-worker fault domain: a page-read failure on this
                     // thread trips the shared token, and every sibling
                     // stops at its next morsel boundary.
                     let _scope = fault_scope(gov.token());
-                    let mut pipeline = layout.bind(view, plan, cursor, params, chunk())?;
+                    let mut pipeline = layout.bind(view, plan, cursor, params, chunk)?;
                     let sink = drive(view, plan, &mut pipeline, gov)?;
                     Ok((sink, pipeline.into_chunk()))
                 })

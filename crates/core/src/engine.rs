@@ -80,21 +80,14 @@ pub trait Engine {
     /// second engine, not a second method.
     fn run_plan(&self, plan: &LogicalPlan) -> Result<QueryOutput>;
 
-    /// Execute a plan whose [`PlanScalar::Param`](crate::plan::PlanScalar)
-    /// operands read `params`. Only an engine that offers a
-    /// [`plan_cache`](Engine::plan_cache) is ever handed such a plan; the
-    /// default runs literal-inlined plans and refuses parameters.
-    fn run_plan_with(&self, plan: &LogicalPlan, params: &[Value]) -> Result<QueryOutput> {
-        plan.require_literals(self.name(), params)?;
-        self.run_plan(plan)
-    }
-
     /// Execute a template of this engine's [`plan_cache`](Engine::plan_cache)
     /// with `params`. An engine that compiles plans keeps the entry's
-    /// compiled form and scratch between calls; the default runs its plan
-    /// with [`run_plan_with`](Engine::run_plan_with).
+    /// compiled form and scratch between calls; the default runs a
+    /// literal-inlined plan with [`run_plan`](Engine::run_plan) and refuses
+    /// parameters.
     fn run_cached(&self, entry: &CachedPlan, params: &[Value]) -> Result<QueryOutput> {
-        self.run_plan_with(entry.plan(), params)
+        entry.plan().require_literals(self.name(), params)?;
+        self.run_plan(entry.plan())
     }
 
     /// The engine's plan cache, when it keeps one: text queries run through
@@ -251,11 +244,7 @@ impl Engine for GfClEngine {
     }
 
     fn run_plan(&self, plan: &LogicalPlan) -> Result<QueryOutput> {
-        self.run_plan_with(plan, &[])
-    }
-
-    fn run_plan_with(&self, plan: &LogicalPlan, params: &[Value]) -> Result<QueryOutput> {
-        driver::execute(self.view(), plan, params, &self.opts, Some(Arc::clone(&self.cancel)))
+        driver::execute(self.view(), plan, &[], &self.opts, Some(Arc::clone(&self.cancel)))
     }
 
     fn run_cached(&self, entry: &CachedPlan, params: &[Value]) -> Result<QueryOutput> {

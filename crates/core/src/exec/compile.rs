@@ -19,11 +19,11 @@ use gfcl_storage::GraphView;
 use super::extend::{ColumnExtend, ListExtend};
 use super::filter::Filter;
 use super::read::{ReadEdgeProp, ReadNodeProp, ReadState};
-use super::scan::{ScanAll, ScanPk};
+use super::scan::{Pushed, ScanAll, ScanPk};
 use super::{Op, Pipeline, ScanCursor};
 use crate::chunk::{Chunk, ListGroup, ValueVector, VecRef};
-use crate::plan::{seek_key, LogicalPlan, PlanStep, SlotSource};
-use crate::pred::{compile_pred, compile_row_pred, compile_scan_pred, RowPred, ScanPred, SlotCol};
+use crate::plan::{seek_key, LogicalPlan, PlanExpr, PlanStep, SlotSource};
+use crate::pred::{compile_pred, SlotCol};
 
 /// Where one plan step reads and writes, and which operator it becomes.
 #[derive(Debug, Clone, Copy)]
@@ -54,13 +54,24 @@ enum StepLoc {
     Filter,
 }
 
+impl StepLoc {
+    /// The vectors this step adds to list group `group`.
+    fn width_in(&self, group: usize) -> usize {
+        match *self {
+            StepLoc::Scan { out }
+            | StepLoc::NodeProp { out, .. }
+            | StepLoc::EdgeProp { out, .. } => usize::from(out.group == group),
+            StepLoc::ListExtend { out_group, .. } => 2 * usize::from(out_group == group),
+            StepLoc::ColumnExtend { node_out, .. } => 2 * usize::from(node_out.group == group),
+            StepLoc::Filter => 0,
+        }
+    }
+}
+
 /// The part of physical compilation that depends on the plan alone: built
 /// once per plan, shared by every worker and every call that runs it.
 #[derive(Debug, Clone)]
 pub(crate) struct Layout {
-    /// A chunk of this plan's shape with nothing filled: a scan group plus
-    /// at most one group per extend.
-    chunk: Chunk,
     /// Per plan step (and so per operator: `ops[i]` is step `i`).
     steps: Vec<StepLoc>,
     /// Vector location of each plan slot; `group == usize::MAX` for a slot
@@ -71,9 +82,11 @@ pub(crate) struct Layout {
 }
 
 impl Layout {
-    /// The layout of `plan`. Fails only on a plan the verifier rejects (a
-    /// node, edge or slot used before its step binds it).
-    pub(crate) fn new(plan: &LogicalPlan) -> Result<Layout> {
+    /// The layout of `plan`, and a chunk of its shape with nothing filled:
+    /// a scan group plus at most one group per list extend. Fails only on a
+    /// plan the verifier rejects (a node, edge or slot used before its step
+    /// binds it).
+    pub(crate) fn new(plan: &LogicalPlan) -> Result<(Layout, Chunk)> {
         let mut groups: Vec<ListGroup> = Vec::with_capacity(plan.edges.len() + 1);
         let mut node_locs: Vec<Option<VecRef>> = vec![None; plan.nodes.len()];
         // Each edge's descriptor, with the direction its Extend traversed it in.
@@ -142,7 +155,7 @@ impl Layout {
             };
             steps.push(loc);
         }
-        Ok(Layout { chunk: Chunk { groups, morsel: 0 }, steps, slot_refs, slot_ops })
+        Ok((Layout { steps, slot_refs, slot_ops }, Chunk { groups, morsel: 0 }))
     }
 
     /// The layout of a plan without steps whose slot `i` is vector `i` of
@@ -150,25 +163,24 @@ impl Layout {
     #[cfg(test)]
     pub(super) fn for_columns(n: usize) -> Layout {
         Layout {
-            chunk: Chunk { groups: Vec::new(), morsel: 0 },
             steps: Vec::new(),
             slot_refs: (0..n).map(|vec| VecRef { group: 0, vec }).collect(),
             slot_ops: (0..n).collect(),
         }
     }
 
-    /// A fresh chunk of this layout's shape.
-    pub(crate) fn chunk(&self) -> Chunk {
-        self.chunk.clone()
-    }
-
-    /// Does `chunk` have this layout's shape, with nothing flattened,
-    /// selected or counted — what [`Chunk::recycle`] leaves?
+    /// Does `chunk` have this layout's shape — one group per scan and list
+    /// extend, holding the vectors its steps add — with nothing flattened,
+    /// selected or counted: what [`Chunk::recycle`] leaves?
     pub(crate) fn fits(&self, chunk: &Chunk) -> bool {
+        let width = |group: usize| self.steps.iter().map(|s| s.width_in(group)).sum::<usize>();
+        let opens_group =
+            |s: &&StepLoc| matches!(s, StepLoc::Scan { .. } | StepLoc::ListExtend { .. });
+        let groups = self.steps.iter().filter(opens_group).count();
         chunk.morsel == 0
-            && chunk.groups.len() == self.chunk.groups.len()
-            && chunk.groups.iter().zip(&self.chunk.groups).all(|(g, fresh)| {
-                g.vectors.len() == fresh.vectors.len()
+            && chunk.groups.len() == groups
+            && chunk.groups.iter().enumerate().all(|(i, g)| {
+                g.vectors.len() == width(i)
                     && (g.len, g.cur_idx, g.sel_count) == (0, -1, 0)
                     && g.sel.is_none()
             })
@@ -196,46 +208,14 @@ impl Layout {
             let op = match (step, *loc) {
                 (PlanStep::ScanAll { node, pushed }, StepLoc::Scan { out }) => {
                     let label = plan.nodes[*node].label;
-                    // Each pushed predicate's slots resolve straight to the
-                    // scanned label's property columns — no chunk vector is
-                    // ever involved.
-                    let prop_of = |s: usize| match plan.slots[s].source {
-                        SlotSource::NodeProp { node: n, prop } if n == *node => Some(prop),
-                        _ => None,
-                    };
-                    let col_of = |s: usize| {
-                        prop_of(s).map_or_else(SlotCol::default, |prop| SlotCol {
-                            col: Some(g.vertex_prop(label, prop)),
-                            ext: view.vertex_str_ext(label, prop),
-                        })
-                    };
-                    let compiled: Vec<ScanPred<'g>> = pushed
-                        .iter()
-                        .map(|e| compile_scan_pred(e, &plan.slots, col_of, params))
-                        .collect::<Result<_>>()?;
-                    // On a touched label, recompile the same predicates for
-                    // row-at-a-time evaluation through the view
-                    // (delta-touched blocks can't trust positional column
-                    // reads).
-                    let touched = view.vertex_label_touched(label);
-                    let row_compiled: Vec<RowPred<'g>> = if touched {
-                        pushed
-                            .iter()
-                            .map(|e| compile_row_pred(e, &plan.slots, prop_of, col_of, params))
-                            .collect::<Result<_>>()?
-                    } else {
-                        Vec::new()
-                    };
                     Op::ScanAll(ScanAll {
                         label,
                         out,
                         cursor,
-                        pushed: compiled,
-                        row_pushed: row_compiled,
-                        touched,
+                        pushed: bind_pushed(view, plan, *node, pushed, params)?,
+                        touched: view.vertex_label_touched(label),
                         n_base: g.vertex_count(label) as u64,
                         mask: Vec::new(),
-                        verdicts: Vec::new(),
                     })
                 }
                 (PlanStep::ScanPk { node, key }, StepLoc::Scan { out }) => Op::ScanPk(ScanPk {
@@ -328,6 +308,64 @@ impl Layout {
         }
         Ok(Pipeline { ops, chunk, layout: self })
     }
+}
+
+/// The predicates `pushed` into the scan of plan node `node`, compiled
+/// against the scan's operand block: the `k`-th distinct slot they read is
+/// vector `k` of it. `None` when nothing is pushed.
+fn bind_pushed<'g>(
+    view: GraphView<'g>,
+    plan: &LogicalPlan,
+    node: usize,
+    pushed: &[PlanExpr],
+    params: &[Value],
+) -> Result<Option<Box<Pushed<'g>>>> {
+    if pushed.is_empty() {
+        return Ok(None);
+    }
+    let label = plan.nodes[node].label;
+    let mut slot_refs = vec![VecRef { group: usize::MAX, vec: 0 }; plan.slots.len()];
+    let (mut props, mut cols) = (Vec::new(), Vec::new());
+    for s in pushed.iter().flat_map(PlanExpr::slots) {
+        let prop = match plan.slots[s].source {
+            SlotSource::NodeProp { node: n, prop } if n == node => prop,
+            _ => return Err(foreign_slot(s, plan)),
+        };
+        if slot_refs[s].group == usize::MAX {
+            slot_refs[s] = VecRef { group: 0, vec: props.len() };
+            props.push(prop);
+            cols.push(view.base().vertex_prop(label, prop));
+        }
+    }
+    // Every slot the predicates read is a property of the scanned node.
+    let col_of = |s: usize| match plan.slots[s].source {
+        SlotSource::NodeProp { prop, .. } => SlotCol {
+            col: Some(view.base().vertex_prop(label, prop)),
+            ext: view.vertex_str_ext(label, prop),
+        },
+        _ => SlotCol::default(),
+    };
+    let preds = pushed
+        .iter()
+        .map(|e| compile_pred(e, &plan.slots, &slot_refs, col_of, params))
+        .collect::<Result<_>>()?;
+    Ok(Some(Box::new(Pushed {
+        preds,
+        block: ListGroup::new(props.len()),
+        props,
+        cols,
+        verdicts: Vec::new(),
+        rd: ReadState::default(),
+    })))
+}
+
+/// A pushed-down predicate reads `slot`, which the scanned node does not own.
+fn foreign_slot(slot: usize, plan: &LogicalPlan) -> Error {
+    Error::Plan(format!(
+        "pushed-down predicate references slot {slot} ({}), which is not a property of the \
+         scanned node",
+        plan.slots[slot].name
+    ))
 }
 
 /// The storage column (and any delta string extension) behind the slot

@@ -46,19 +46,16 @@ impl Filter {
             match target {
                 None => {
                     // All operands flat: keep/drop the single current tuple.
-                    let ctx = EvalCtx { chunk, target: usize::MAX, pos: 0 };
+                    let ctx = EvalCtx { groups: &chunk.groups, target: usize::MAX, pos: 0 };
                     if pred.holds(&ctx) {
                         return Ok(true);
                     }
                 }
                 Some(tg) => {
-                    let len = chunk.groups[tg].len;
+                    let group = &chunk.groups[tg];
                     mask.clear();
-                    for p in 0..len {
-                        let keep = chunk.groups[tg].selected(p)
-                            && pred.holds(&EvalCtx { chunk, target: tg, pos: p });
-                        mask.push(keep);
-                    }
+                    mask.extend((0..group.len).map(|p| group.selected(p)));
+                    pred.select(&chunk.groups, tg, mask);
                     let group = &mut chunk.groups[tg];
                     group.and_mask(mask);
                     if group.sel_count > 0 {

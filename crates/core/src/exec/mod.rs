@@ -151,8 +151,8 @@ mod tests {
         assert!(counted(plan.steps.last().unwrap()), "the tail extend is counted");
         let view = GraphView::clean(&g);
         let cursor = ScanCursor::for_plan_view(view, &plan, morsel).unwrap();
-        let layout = Layout::new(&plan).unwrap();
-        let mut pipe = layout.bind(view, &plan, &cursor, &[], layout.chunk()).unwrap();
+        let (layout, chunk) = Layout::new(&plan).unwrap();
+        let mut pipe = layout.bind(view, &plan, &cursor, &[], chunk).unwrap();
         let (mut states, mut count) = (0, 0);
         while pipe.next_state(view).unwrap() {
             states += 1;

@@ -285,7 +285,7 @@ type Block<'a> = (usize, DataType, ValueVector, Option<&'a [bool]>);
 /// unselected position, so a selective pushed-down predicate makes every
 /// later property read over the same group proportionally cheaper (and
 /// never faults the pages a zone map proved skippable).
-fn fill_vector(
+pub(super) fn fill_vector(
     col: &Column,
     (n, dtype, reuse, sel): Block<'_>,
     cur: &mut PageCursor,
@@ -387,7 +387,7 @@ fn edge_values(
 /// falling back to the delta's string extension for values the baseline
 /// never saw — so the whole pipeline stays code-typed and the sink's
 /// late-materialization decode works unchanged.
-fn fill_vector_from_values(
+pub(super) fn fill_vector_from_values(
     (n, dtype, reuse, sel): Block<'_>,
     mut get: impl FnMut(usize) -> Result<Value>,
     dict: Option<&Dictionary>,

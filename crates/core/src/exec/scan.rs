@@ -2,45 +2,52 @@
 //! from the shared [`ScanCursor`] and prunes them with the pushed-down
 //! predicates; `ScanPk` seeks one vertex by its primary key.
 
+use gfcl_columnar::{Column, ZONE_BLOCK};
 use gfcl_common::{LabelId, Result};
 use gfcl_storage::GraphView;
 
+use super::read::{fill_vector, fill_vector_from_values, Idx, ReadState};
 use super::ScanCursor;
-use crate::chunk::{Chunk, NodeData, ValueVector, VecRef};
-use crate::pred::{BlockVerdict, RowPred, ScanPred};
+use crate::chunk::{Chunk, ListGroup, NodeData, ValueVector, VecRef};
+use crate::pred::{BlockVerdict, CPred};
 
 /// A scan of every vertex of a label, one claimed morsel per state.
 pub(super) struct ScanAll<'g> {
     pub(super) label: LabelId,
     pub(super) out: VecRef,
     pub(super) cursor: &'g ScanCursor<'g>,
-    /// Pushed-down predicates, compiled against the scanned label's
-    /// property columns. The scan consults their zone maps per block
-    /// (skipping morsels no row of which can match) and seeds the
-    /// group's selection mask from the survivors — before any
-    /// `ReadNodeProp` touches a column.
-    pub(super) pushed: Vec<ScanPred<'g>>,
-    /// The pushed predicates recompiled for row-at-a-time evaluation
-    /// through the snapshot view — used only on morsels the delta
-    /// touches, where positional column reads may be stale.
-    pub(super) row_pushed: Vec<RowPred<'g>>,
+    /// The pushed-down predicates, when the plan pushed any: they seed the
+    /// group's selection mask before any `ReadNodeProp` touches a column.
+    pub(super) pushed: Option<Box<Pushed<'g>>>,
     /// Does the snapshot's delta touch this label's vertices at all?
-    /// `false` ⇒ the clean zone-map path is exact for every morsel.
+    /// `false` ⇒ every block is baseline rows the columns tell the truth
+    /// about.
     pub(super) touched: bool,
     /// Baseline vertex count; offsets at or past it are delta slots.
     pub(super) n_base: u64,
     /// Scratch selection mask, reused across morsels.
     pub(super) mask: Vec<bool>,
-    /// Scratch per-predicate block verdicts, reused across blocks.
+}
+
+/// A scan's pushed-down predicates and the operand block they evaluate
+/// over: operand `k` — the `k`-th distinct slot they read — is vector `k`
+/// of `block`, filled from property `props[k]`, whose column is `cols[k]`.
+pub(super) struct Pushed<'g> {
+    pub(super) preds: Vec<CPred>,
+    pub(super) props: Vec<usize>,
+    /// Read a block at a time, and consulted for zone-map verdicts.
+    pub(super) cols: Vec<&'g Column>,
+    pub(super) block: ListGroup,
+    /// Scratch per-predicate verdicts of the block being evaluated.
     pub(super) verdicts: Vec<BlockVerdict>,
+    pub(super) rd: ReadState,
 }
 
 impl ScanAll<'_> {
     /// Claim morsels until one has a surviving vertex and emit it as the
     /// scan group; `false` once the cursor is drained.
     pub(super) fn next(&mut self, view: GraphView<'_>, chunk: &mut Chunk) -> Result<bool> {
-        let ScanAll { label, out, cursor, pushed, row_pushed, touched, n_base, mask, verdicts } =
-            self;
+        let ScanAll { label, out, cursor, pushed, touched, n_base, mask } = self;
         loop {
             let Some((start, end)) = cursor.claim(cursor.morsel()) else {
                 return Ok(false);
@@ -49,97 +56,41 @@ impl ScanAll<'_> {
             // query stops here even when zone maps prune every morsel
             // (the `continue` below never reaches the driver loop).
             cursor.checkpoint()?;
-            // A new morsel: every operator above drops its page cursors
-            // when it sees the bumped sequence number, and the pushed
-            // predicates' operand cursors are dropped here.
+            // A new morsel: every operator, the pushed predicates' reads
+            // included, drops its page cursors when it sees the bumped
+            // sequence number.
             chunk.morsel += 1;
-            for p in pushed.iter() {
-                p.clear_cursors();
-            }
-            for p in row_pushed.iter() {
-                p.clear_cursors();
-            }
             let n = (end - start) as usize;
-            // Evaluate the pushed predicates morsel-wide: one zone-map
-            // verdict per overlapping block, row evaluation only where the
-            // verdict is inconclusive. A morsel with no survivor is
-            // skipped without ever materializing its chunk state. Blocks
-            // the snapshot's delta touches (tombstones, updates, or
-            // appended slots) fall back to row-at-a-time evaluation
-            // through the view; pristine baseline blocks keep full
-            // zone-map pruning.
+            // Select the morsel's rows one zone block at a time. A morsel
+            // with no survivor is skipped without ever materializing its
+            // chunk state.
             let mut all_selected = true;
-            if *touched || !pushed.is_empty() {
+            if *touched || pushed.is_some() {
                 mask.clear();
                 mask.resize(n, false);
-                let mut any_selected = false;
-                let zb = gfcl_columnar::ZONE_BLOCK as u64;
+                let zb = ZONE_BLOCK as u64;
                 let mut bs = start;
                 while bs < end {
-                    let block = (bs / zb) as usize;
                     let be = ((bs / zb + 1) * zb).min(end);
+                    // Baseline rows no tombstone or update touches: the
+                    // columns and their zone maps tell the truth.
                     let pristine =
                         !*touched || (be <= *n_base && !view.base_range_touched(*label, bs, be));
-                    if !pristine {
-                        for v in bs..be {
-                            let keep = view.vertex_live(*label, v)
-                                && row_pushed.iter().all(|p| p.holds_row(view, *label, v));
-                            // lint: allow(v in [start, end); mask has
-                            // end - start entries)
-                            mask[(v - start) as usize] = keep;
-                            any_selected |= keep;
-                            all_selected &= keep;
-                        }
-                        bs = be;
-                        continue;
+                    // lint: allow(bs/be lie in [start, end] and
+                    // mask.len() == end - start by construction)
+                    let rows = &mut mask[(bs - start) as usize..(be - start) as usize];
+                    for (v, keep) in (bs..be).zip(rows.iter_mut()) {
+                        *keep = pristine || view.vertex_live(*label, v);
                     }
-                    // Per-predicate verdicts: in a Mixed block, predicates
-                    // the zone map already proved AllTrue are skipped in
-                    // the row loop (only the inconclusive ones pay probes).
-                    verdicts.clear();
-                    verdicts.extend(pushed.iter().map(|p| p.prune(block)));
-                    let combined = verdicts.iter().fold(BlockVerdict::AllTrue, |v, p| v.and(*p));
-                    match combined {
-                        BlockVerdict::AllFalse => {
-                            all_selected = false;
-                            // The zone map proved no row probe is needed:
-                            // the block's pages are never faulted. Credit
-                            // the skip to the pool's I/O accounting.
-                            for p in pushed.iter() {
-                                p.for_each_operand(&mut |o| {
-                                    o.col.note_skipped_rows(bs as usize, be as usize);
-                                });
-                            }
-                        }
-                        BlockVerdict::AllTrue => {
-                            // lint: allow(bs/be lie in [start, end] and
-                            // mask.len() == end - start by construction)
-                            mask[(bs - start) as usize..(be - start) as usize].fill(true);
-                            any_selected = true;
-                        }
-                        BlockVerdict::Mixed => {
-                            // Row probes walk each operand column in offset
-                            // order through the operand's own cursor: a
-                            // paged column's pages are pinned once each.
-                            for v in bs..be {
-                                let keep = pushed
-                                    .iter()
-                                    .zip(verdicts.iter())
-                                    .filter(|(_, &vd)| vd != BlockVerdict::AllTrue)
-                                    .all(|(p, _)| p.holds_at(v as usize));
-                                // lint: allow(v in [start, end); mask has
-                                // end - start entries)
-                                mask[(v - start) as usize] = keep;
-                                any_selected |= keep;
-                                all_selected &= keep;
-                            }
-                        }
+                    if let Some(p) = pushed {
+                        p.select(view, *label, (bs, be), pristine, chunk.morsel, rows)?;
                     }
                     bs = be;
                 }
-                if !any_selected {
+                if !mask.contains(&true) {
                     continue; // the whole morsel is pruned
                 }
+                all_selected = !mask.contains(&false);
             }
             let group = &mut chunk.groups[out.group];
             group.reset(n);
@@ -150,6 +101,71 @@ impl ScanAll<'_> {
             }
             return Ok(true);
         }
+    }
+}
+
+impl Pushed<'_> {
+    /// AND the predicates into `rows`, the selection of the vertices
+    /// `[bs, be)` of `label` (one zone block or part of one). A pristine
+    /// block takes the zone maps' verdict, and only a Mixed one is read,
+    /// each operand with one range read of its column; any other block is
+    /// read through `view`, its selected rows only. Either way only the
+    /// predicates the zone map left open are evaluated.
+    fn select(
+        &mut self,
+        view: GraphView<'_>,
+        label: LabelId,
+        (bs, be): (u64, u64),
+        pristine: bool,
+        morsel: u64,
+        rows: &mut [bool],
+    ) -> Result<()> {
+        let Pushed { preds, props, cols, block, verdicts, rd } = self;
+        verdicts.clear();
+        if pristine {
+            let b = (bs / ZONE_BLOCK as u64) as usize;
+            verdicts.extend(preds.iter().map(|p| p.prune(cols, b)));
+            match verdicts.iter().fold(BlockVerdict::AllTrue, |v, p| v.and(*p)) {
+                BlockVerdict::AllTrue => return Ok(()),
+                BlockVerdict::AllFalse => {
+                    // The zone map proved no row needs reading: the block's
+                    // pages are never faulted. Credit the skip to the pool's
+                    // I/O accounting.
+                    rows.fill(false);
+                    for p in preds.iter() {
+                        p.for_each_operand(&mut |r| {
+                            cols[r.vec].note_skipped_rows(bs as usize, be as usize);
+                        });
+                    }
+                    return Ok(());
+                }
+                BlockVerdict::Mixed => {}
+            }
+        } else {
+            verdicts.resize(preds.len(), BlockVerdict::Mixed);
+        }
+        rd.enter(morsel);
+        let cur = &mut rd.cur.col;
+        let n = rows.len();
+        for ((vector, col), &prop) in block.vectors.iter_mut().zip(cols.iter()).zip(props.iter()) {
+            let reuse = std::mem::replace(vector, ValueVector::Empty);
+            *vector = if pristine {
+                fill_vector(col, (n, col.dtype(), reuse, None), cur, Idx::Run(bs))
+            } else {
+                fill_vector_from_values(
+                    (n, col.dtype(), reuse, Some(&*rows)),
+                    |i| Ok(view.vertex_value(cur, label, bs + i as u64, prop)),
+                    col.dictionary(),
+                    view.vertex_str_ext(label, prop),
+                )?
+            };
+        }
+        let groups = std::slice::from_ref(&*block);
+        for (p, _) in preds.iter().zip(verdicts.iter()).filter(|(_, &v)| v != BlockVerdict::AllTrue)
+        {
+            p.select(groups, 0, rows);
+        }
+        Ok(())
     }
 }
 

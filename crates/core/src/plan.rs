@@ -151,8 +151,8 @@ pub struct SlotDef {
 pub enum PlanStep {
     /// Scan all vertices of the start node's label. `pushed` holds the
     /// filter conjuncts pushed down into the scan (single-node property
-    /// predicates): the storage layer evaluates them positionally on the
-    /// vertex-property columns — skipping whole blocks via zone maps —
+    /// predicates): the scan evaluates them over the vertex-property
+    /// columns a block at a time — skipping whole blocks via zone maps —
     /// before any property read materializes a value.
     ScanAll { node: usize, pushed: Vec<PlanExpr> },
     /// Seek the start node by primary key: an integer constant, or a
@@ -662,8 +662,8 @@ impl Planner<'_> {
 
         // Filter pushdown: move every pushable conjunct over the scanned
         // node's properties out of its `Filter` step and into the scan
-        // itself, where storage can evaluate it positionally on the
-        // columns and skip whole blocks via zone maps. Semantically a
+        // itself, where it is evaluated over column blocks before any
+        // property read and whole blocks are skipped via zone maps. Semantically a
         // no-op (the same mask is ANDed into the scan group either way),
         // so `PlanOptions::no_pushdown` exists only as the reference plan
         // of the equivalence suite and the `scan_pushdown` bench.

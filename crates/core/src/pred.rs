@@ -1,6 +1,6 @@
 //! Compiled vectorized predicates.
 //!
-//! [`PlanExpr`]s are compiled once per query execution into [`CPredG`]s
+//! [`PlanExpr`]s are compiled once per query execution into [`CPred`]s
 //! that evaluate directly over columnar data. Two columnar techniques from
 //! the paper apply here:
 //!
@@ -13,27 +13,25 @@
 //!   operands may live in a flattened group (a single value) or in the
 //!   unflat target group (a block); evaluation broadcasts flat operands.
 //!
-//! The compiled form is generic over *where an operand lives*
-//! ([`CPredG<L>`]): the `Filter` operator evaluates [`CPred`]s whose
-//! operands are chunk-vector locations ([`VecRef`]), while pushed-down scan
-//! predicates evaluate [`ScanPred`]s whose operands are storage columns —
-//! one compiler, one evaluation semantics, two operand resolutions, so
-//! pushdown can never drift from the in-pipeline filter. Scan predicates
-//! additionally support **zone-map pruning** ([`ScanPred::prune`]): a
-//! per-block verdict from the column's [`gfcl_columnar::ZoneMap`] that lets
-//! the scan skip whole blocks without reading a single value.
+//! One compiler ([`compile_pred`]) and one operand resolution: every
+//! operand is a block of a [`ListGroup`] ([`VecRef`]). The `Filter`
+//! operator evaluates over the chunk's vectors; a scan with pushed-down
+//! predicates first reads each operand column into a block of its own, a
+//! zone block at a time, and evaluates over that — so pushdown can never
+//! drift from the in-pipeline filter. Scan predicates additionally support
+//! **zone-map pruning** ([`CPred::prune`]): a per-block verdict from the
+//! operand columns' [`gfcl_columnar::ZoneMap`]s that lets the scan skip
+//! whole blocks without reading a single value.
 //!
 //! NULL semantics are SQL's three-valued logic: comparisons with NULL are
 //! UNKNOWN, and only tuples whose predicate is TRUE survive.
 
-use std::cell::RefCell;
+use gfcl_columnar::{Bitmap, Column, Dictionary, ZoneInfo};
 
-use gfcl_columnar::{Bitmap, Column, Dictionary, PageCursor, ZoneInfo};
+use gfcl_common::{DataType, Error, Result, Value};
+use gfcl_storage::StrExt;
 
-use gfcl_common::{DataType, Error, LabelId, Result, Value};
-use gfcl_storage::{GraphView, StrExt};
-
-use crate::chunk::{Chunk, ValueVector, VecRef};
+use crate::chunk::{ListGroup, ValueVector, VecRef};
 use crate::plan::{PlanExpr, PlanScalar, SlotDef, SlotId};
 use crate::query::{CmpOp, StrOp};
 
@@ -55,257 +53,109 @@ impl<'g> SlotCol<'g> {
     }
 }
 
-/// An i64 operand: a located slot or a constant.
+/// An i64 operand: a block or a constant.
 #[derive(Debug, Clone, Copy)]
-pub enum I64Operand<L> {
-    Slot(L),
+pub enum I64Operand {
+    Slot(VecRef),
     Const(i64),
 }
 
-/// An f64 operand, possibly promoting an integer slot.
+/// An f64 operand, possibly promoting an integer block.
 #[derive(Debug, Clone, Copy)]
-pub enum F64Operand<L> {
-    F64Slot(L),
-    I64Slot(L),
+pub enum F64Operand {
+    F64Slot(VecRef),
+    I64Slot(VecRef),
     Const(f64),
 }
 
-/// A compiled predicate over operand locations `L`.
+/// A compiled predicate over blocks of list groups.
 #[derive(Debug, Clone)]
-pub enum CPredG<L> {
+pub enum CPred {
     Const(bool),
     /// UNKNOWN for every row (a comparison with a literal NULL).
     Unknown,
     CmpI64 {
         op: CmpOp,
-        lhs: I64Operand<L>,
-        rhs: I64Operand<L>,
+        lhs: I64Operand,
+        rhs: I64Operand,
     },
     CmpF64 {
         op: CmpOp,
-        lhs: F64Operand<L>,
-        rhs: F64Operand<L>,
+        lhs: F64Operand,
+        rhs: F64Operand,
     },
     BoolEq {
-        slot: L,
+        slot: VecRef,
         expected: bool,
     },
     /// String predicate pre-evaluated over the dictionary: true iff the
     /// row's code is set in the bitmap.
     CodeIn {
-        slot: L,
+        slot: VecRef,
         set: Bitmap,
     },
     I64In {
-        slot: L,
+        slot: VecRef,
         set: Vec<i64>,
     },
-    And(Vec<CPredG<L>>),
-    Or(Vec<CPredG<L>>),
-    Not(Box<CPredG<L>>),
-}
-
-/// The in-pipeline compiled predicate: operands are chunk-vector locations.
-pub type CPred = CPredG<VecRef>;
-
-/// Operand of a pushed-down scan predicate: a storage column plus the page
-/// cursor its row probes step through. A Mixed block's probes walk the
-/// column in offset order, so on a paged column they pin each page once;
-/// the scan clears the cursors at every morsel claim.
-#[derive(Debug, Clone)]
-pub struct ScanOperand<'g> {
-    pub col: &'g Column,
-    cur: RefCell<PageCursor>,
-}
-
-impl<'g> ScanOperand<'g> {
-    pub fn new(col: &'g Column) -> ScanOperand<'g> {
-        ScanOperand { col, cur: RefCell::default() }
-    }
-}
-
-/// A pushed-down scan predicate: operands are storage columns, evaluated
-/// positionally at a vertex offset (and pruned block-wise via zone maps).
-pub type ScanPred<'g> = CPredG<ScanOperand<'g>>;
-
-/// Resolves an operand location to a typed value (three-valued: `None` =
-/// NULL).
-pub trait PredReader<L> {
-    fn i64(&self, loc: &L) -> Option<i64>;
-    fn f64(&self, loc: &L) -> Option<f64>;
-    fn bool(&self, loc: &L) -> Option<bool>;
-    fn code(&self, loc: &L) -> Option<u64>;
+    And(Vec<CPred>),
+    Or(Vec<CPred>),
+    Not(Box<CPred>),
 }
 
 /// Evaluation position: the target group is indexed by `pos`; every other
 /// (flat) group contributes the value at its `cur_idx`.
 pub struct EvalCtx<'c> {
-    pub chunk: &'c Chunk,
+    pub groups: &'c [ListGroup],
     /// Group whose positions are being scanned (`usize::MAX` = all flat).
     pub target: usize,
     pub pos: usize,
 }
 
 impl EvalCtx<'_> {
+    /// The vector `r` names and the index of this position in it.
     #[inline]
-    fn index_of(&self, r: VecRef) -> usize {
-        if r.group == self.target {
+    fn at(&self, r: VecRef) -> (&ValueVector, usize) {
+        let g = &self.groups[r.group];
+        let idx = if r.group == self.target {
             self.pos
         } else {
-            let g = &self.chunk.groups[r.group];
             debug_assert!(g.is_flat(), "non-target group must be flattened");
             g.cur_idx as usize
-        }
+        };
+        (&g.vectors[r.vec], idx)
     }
-}
 
-impl PredReader<VecRef> for EvalCtx<'_> {
     #[inline]
-    fn i64(&self, r: &VecRef) -> Option<i64> {
-        let idx = self.index_of(*r);
-        match &self.chunk.groups[r.group].vectors[r.vec] {
-            ValueVector::I64 { vals, valid, .. } => valid[idx].then(|| vals[idx]),
+    fn i64(&self, r: VecRef) -> Option<i64> {
+        match self.at(r) {
+            (ValueVector::I64 { vals, valid, .. }, i) => valid[i].then(|| vals[i]),
             _ => None,
         }
     }
 
     #[inline]
-    fn f64(&self, r: &VecRef) -> Option<f64> {
-        let idx = self.index_of(*r);
-        match &self.chunk.groups[r.group].vectors[r.vec] {
-            ValueVector::F64 { vals, valid } => valid[idx].then(|| vals[idx]),
+    fn f64(&self, r: VecRef) -> Option<f64> {
+        match self.at(r) {
+            (ValueVector::F64 { vals, valid }, i) => valid[i].then(|| vals[i]),
             _ => None,
         }
     }
 
     #[inline]
-    fn bool(&self, r: &VecRef) -> Option<bool> {
-        let idx = self.index_of(*r);
-        match &self.chunk.groups[r.group].vectors[r.vec] {
-            ValueVector::Bool { vals, valid } => valid[idx].then(|| vals[idx]),
+    fn bool(&self, r: VecRef) -> Option<bool> {
+        match self.at(r) {
+            (ValueVector::Bool { vals, valid }, i) => valid[i].then(|| vals[i]),
             _ => None,
         }
     }
 
     #[inline]
-    fn code(&self, r: &VecRef) -> Option<u64> {
-        let idx = self.index_of(*r);
-        match &self.chunk.groups[r.group].vectors[r.vec] {
-            ValueVector::Code { vals, valid } => valid[idx].then(|| vals[idx]),
+    fn code(&self, r: VecRef) -> Option<u64> {
+        match self.at(r) {
+            (ValueVector::Code { vals, valid }, i) => valid[i].then(|| vals[i]),
             _ => None,
         }
-    }
-}
-
-/// Positional reader over storage columns: row = the vertex offset `v`,
-/// read through each operand's own cursor.
-pub struct ScanCtx {
-    pub v: usize,
-}
-
-impl PredReader<ScanOperand<'_>> for ScanCtx {
-    #[inline]
-    fn i64(&self, o: &ScanOperand<'_>) -> Option<i64> {
-        o.col.get_i64_with(&mut o.cur.borrow_mut(), self.v)
-    }
-
-    #[inline]
-    fn f64(&self, o: &ScanOperand<'_>) -> Option<f64> {
-        o.col.get_f64_with(&mut o.cur.borrow_mut(), self.v)
-    }
-
-    #[inline]
-    fn bool(&self, o: &ScanOperand<'_>) -> Option<bool> {
-        o.col.get_bool_with(&mut o.cur.borrow_mut(), self.v)
-    }
-
-    #[inline]
-    fn code(&self, o: &ScanOperand<'_>) -> Option<u64> {
-        o.col.get_code_with(&mut o.cur.borrow_mut(), self.v)
-    }
-}
-
-/// Operand of a row-level predicate: a vertex property index plus the
-/// dictionary/extension needed to translate string values back into the
-/// compiled bitmap's code space, and the page cursor its baseline reads
-/// step through (cleared with the scan's at every morsel claim).
-#[derive(Debug, Clone)]
-pub struct RowOperand<'g> {
-    pub prop: usize,
-    pub dict: Option<&'g Dictionary>,
-    pub ext: Option<&'g StrExt>,
-    cur: RefCell<PageCursor>,
-}
-
-impl RowOperand<'_> {
-    /// This operand's property of the vertex `ctx` reads, through the
-    /// operand's cursor.
-    fn value(&self, ctx: &RowCtx<'_>) -> Value {
-        ctx.view.vertex_value(&mut self.cur.borrow_mut(), ctx.label, ctx.off, self.prop)
-    }
-}
-
-/// A pushed-down predicate recompiled for row-at-a-time evaluation through
-/// a [`GraphView`]: the scan falls back to this for rows the delta touches
-/// (updated, inserted, or inside a tombstoned block), where the baseline
-/// columns no longer tell the truth.
-pub type RowPred<'g> = CPredG<RowOperand<'g>>;
-
-/// Reader evaluating a [`RowPred`] at one vertex of one label.
-pub struct RowCtx<'g> {
-    pub view: GraphView<'g>,
-    pub label: LabelId,
-    pub off: u64,
-}
-
-impl<'g> PredReader<RowOperand<'g>> for RowCtx<'g> {
-    #[inline]
-    fn i64(&self, o: &RowOperand<'g>) -> Option<i64> {
-        match o.value(self) {
-            Value::Int64(v) | Value::Date(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn f64(&self, o: &RowOperand<'g>) -> Option<f64> {
-        match o.value(self) {
-            Value::Float64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn bool(&self, o: &RowOperand<'g>) -> Option<bool> {
-        match o.value(self) {
-            Value::Bool(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn code(&self, o: &RowOperand<'g>) -> Option<u64> {
-        match o.value(self) {
-            Value::String(s) => o
-                .dict
-                .and_then(|d| d.code_of(&s))
-                .map(u64::from)
-                .or_else(|| o.ext.and_then(|e| e.code_of(&s))),
-            _ => None,
-        }
-    }
-}
-
-impl<'g> RowPred<'g> {
-    /// TRUE-only evaluation at one `(label, off)` vertex of `view`.
-    #[inline]
-    pub fn holds_row(&self, view: GraphView<'g>, label: LabelId, off: u64) -> bool {
-        self.eval_with(&RowCtx { view, label, off }) == Some(true)
-    }
-
-    /// Drop every operand's page pin (see [`ScanPred::clear_cursors`]).
-    pub fn clear_cursors(&self) {
-        self.for_each_operand(&mut |o| o.cur.borrow_mut().clear());
     }
 }
 
@@ -321,78 +171,72 @@ fn cmp_holds<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
     }
 }
 
-impl<L> CPredG<L> {
+impl CPred {
     /// Call `f` on every operand the predicate touches — the scan uses this
-    /// to skip-account a pruned block's pages and to drop the cursors, the
-    /// filter to find the list group it evaluates over.
-    pub fn for_each_operand(&self, f: &mut impl FnMut(&L)) {
+    /// to skip-account a pruned block's pages, the filter to find the list
+    /// group it evaluates over.
+    pub fn for_each_operand(&self, f: &mut impl FnMut(VecRef)) {
         match self {
-            CPredG::Const(_) | CPredG::Unknown => {}
-            CPredG::CmpI64 { lhs, rhs, .. } => {
+            CPred::Const(_) | CPred::Unknown => {}
+            CPred::CmpI64 { lhs, rhs, .. } => {
                 for o in [lhs, rhs] {
-                    if let I64Operand::Slot(c) = o {
-                        f(c);
+                    if let I64Operand::Slot(r) = o {
+                        f(*r);
                     }
                 }
             }
-            CPredG::CmpF64 { lhs, rhs, .. } => {
+            CPred::CmpF64 { lhs, rhs, .. } => {
                 for o in [lhs, rhs] {
                     match o {
-                        F64Operand::F64Slot(c) | F64Operand::I64Slot(c) => f(c),
+                        F64Operand::F64Slot(r) | F64Operand::I64Slot(r) => f(*r),
                         F64Operand::Const(_) => {}
                     }
                 }
             }
-            CPredG::BoolEq { slot, .. }
-            | CPredG::CodeIn { slot, .. }
-            | CPredG::I64In { slot, .. } => f(slot),
-            CPredG::And(es) | CPredG::Or(es) => es.iter().for_each(|e| e.for_each_operand(f)),
-            CPredG::Not(e) => e.for_each_operand(f),
+            CPred::BoolEq { slot, .. } | CPred::CodeIn { slot, .. } | CPred::I64In { slot, .. } => {
+                f(*slot)
+            }
+            CPred::And(es) | CPred::Or(es) => es.iter().for_each(|e| e.for_each_operand(f)),
+            CPred::Not(e) => e.for_each_operand(f),
         }
     }
 
     /// Three-valued evaluation at one position. `None` = UNKNOWN.
-    pub fn eval_with<R: PredReader<L>>(&self, r: &R) -> Option<bool> {
+    pub fn eval(&self, ctx: &EvalCtx<'_>) -> Option<bool> {
         match self {
-            CPredG::Const(b) => Some(*b),
-            CPredG::Unknown => None,
-            CPredG::CmpI64 { op, lhs, rhs } => {
-                let a = match lhs {
-                    I64Operand::Slot(l) => r.i64(l)?,
-                    I64Operand::Const(k) => *k,
-                };
-                let b = match rhs {
-                    I64Operand::Slot(l) => r.i64(l)?,
-                    I64Operand::Const(k) => *k,
-                };
-                Some(cmp_holds(*op, a, b))
-            }
-            CPredG::CmpF64 { op, lhs, rhs } => {
-                let read = |o: &F64Operand<L>| -> Option<f64> {
-                    match o {
-                        F64Operand::F64Slot(l) => r.f64(l),
-                        F64Operand::I64Slot(l) => r.i64(l).map(|v| v as f64),
-                        F64Operand::Const(k) => Some(*k),
-                    }
+            CPred::Const(b) => Some(*b),
+            CPred::Unknown => None,
+            CPred::CmpI64 { op, lhs, rhs } => {
+                let read = |o: &I64Operand| match o {
+                    I64Operand::Slot(r) => ctx.i64(*r),
+                    I64Operand::Const(k) => Some(*k),
                 };
                 Some(cmp_holds(*op, read(lhs)?, read(rhs)?))
             }
-            CPredG::BoolEq { slot, expected } => Some(r.bool(slot)? == *expected),
-            CPredG::CodeIn { slot, set } => {
+            CPred::CmpF64 { op, lhs, rhs } => {
+                let read = |o: &F64Operand| match o {
+                    F64Operand::F64Slot(r) => ctx.f64(*r),
+                    F64Operand::I64Slot(r) => ctx.i64(*r).map(|v| v as f64),
+                    F64Operand::Const(k) => Some(*k),
+                };
+                Some(cmp_holds(*op, read(lhs)?, read(rhs)?))
+            }
+            CPred::BoolEq { slot, expected } => Some(ctx.bool(*slot)? == *expected),
+            CPred::CodeIn { slot, set } => {
                 // A code past the bitmap cannot be in the set. (Delta string
                 // extensions grow the code space; predicates compiled before
                 // the extension existed stay sound.)
-                let c = r.code(slot)? as usize;
+                let c = ctx.code(*slot)? as usize;
                 Some(c < set.len() && set.get(c))
             }
-            CPredG::I64In { slot, set } => {
-                let v = r.i64(slot)?;
+            CPred::I64In { slot, set } => {
+                let v = ctx.i64(*slot)?;
                 Some(set.binary_search(&v).is_ok())
             }
-            CPredG::And(es) => {
+            CPred::And(es) => {
                 let mut unknown = false;
                 for e in es {
-                    match e.eval_with(r) {
+                    match e.eval(ctx) {
                         Some(false) => return Some(false),
                         None => unknown = true,
                         Some(true) => {}
@@ -404,10 +248,10 @@ impl<L> CPredG<L> {
                     Some(true)
                 }
             }
-            CPredG::Or(es) => {
+            CPred::Or(es) => {
                 let mut unknown = false;
                 for e in es {
-                    match e.eval_with(r) {
+                    match e.eval(ctx) {
                         Some(true) => return Some(true),
                         None => unknown = true,
                         Some(false) => {}
@@ -419,21 +263,24 @@ impl<L> CPredG<L> {
                     Some(false)
                 }
             }
-            CPredG::Not(e) => e.eval_with(r).map(|b| !b),
+            CPred::Not(e) => e.eval(ctx).map(|b| !b),
         }
-    }
-}
-
-impl CPred {
-    /// Three-valued evaluation at one chunk position. `None` = UNKNOWN.
-    pub fn eval(&self, ctx: &EvalCtx<'_>) -> Option<bool> {
-        self.eval_with(ctx)
     }
 
     /// TRUE-only convenience: UNKNOWN filters the tuple out.
     #[inline]
     pub fn holds(&self, ctx: &EvalCtx<'_>) -> bool {
         self.eval(ctx) == Some(true)
+    }
+
+    /// AND the predicate into `rows`, the selection over the positions of
+    /// `groups[target]`: a selected position stays selected only where the
+    /// predicate is TRUE, and an unselected one is never evaluated. The one
+    /// block evaluation `Filter` and the pushed-down scan share.
+    pub fn select(&self, groups: &[ListGroup], target: usize, rows: &mut [bool]) {
+        for (pos, keep) in rows.iter_mut().enumerate() {
+            *keep = *keep && self.holds(&EvalCtx { groups, target, pos });
+        }
     }
 }
 
@@ -550,37 +397,22 @@ fn prune_f64(col: &Column, b: usize, op: CmpOp, k: f64, int_col: bool) -> BlockV
     }
 }
 
-impl<'g> ScanPred<'g> {
-    /// Evaluate at vertex offset `v` (three-valued).
-    #[inline]
-    pub fn eval_at(&self, v: usize) -> Option<bool> {
-        self.eval_with(&ScanCtx { v })
-    }
-
-    /// TRUE-only evaluation at vertex offset `v`.
-    #[inline]
-    pub fn holds_at(&self, v: usize) -> bool {
-        self.eval_at(v) == Some(true)
-    }
-
-    /// Drop every operand's page pin (the scan calls this at each morsel
-    /// claim, so a pin never outlives a morsel).
-    pub fn clear_cursors(&self) {
-        self.for_each_operand(&mut |o| o.cur.borrow_mut().clear());
-    }
-
+impl CPred {
     /// Consult the operand columns' zone maps for a verdict over zone block
-    /// `b` (positions `[b * ZONE_BLOCK, (b+1) * ZONE_BLOCK)`). Conservative:
-    /// any missing zone map or inconclusive summary yields
+    /// `b` (positions `[b * ZONE_BLOCK, (b+1) * ZONE_BLOCK)`); operand
+    /// `VecRef { vec: k, .. }` reads column `cols[k]`. Conservative: any
+    /// missing zone map or inconclusive summary yields
     /// [`BlockVerdict::Mixed`].
-    pub fn prune(&self, b: usize) -> BlockVerdict {
+    pub fn prune(&self, cols: &[&Column], b: usize) -> BlockVerdict {
         use BlockVerdict::*;
         match self {
-            CPredG::Const(true) => AllTrue,
-            CPredG::Const(false) | CPredG::Unknown => AllFalse,
-            CPredG::CmpI64 { op, lhs, rhs } => match (lhs, rhs) {
-                (I64Operand::Slot(c), I64Operand::Const(k)) => prune_i64(c.col, b, *op, *k),
-                (I64Operand::Const(k), I64Operand::Slot(c)) => prune_i64(c.col, b, op.flip(), *k),
+            CPred::Const(true) => AllTrue,
+            CPred::Const(false) | CPred::Unknown => AllFalse,
+            CPred::CmpI64 { op, lhs, rhs } => match (lhs, rhs) {
+                (I64Operand::Slot(c), I64Operand::Const(k)) => prune_i64(cols[c.vec], b, *op, *k),
+                (I64Operand::Const(k), I64Operand::Slot(c)) => {
+                    prune_i64(cols[c.vec], b, op.flip(), *k)
+                }
                 (I64Operand::Const(a), I64Operand::Const(k)) => {
                     if cmp_holds(*op, *a, *k) {
                         AllTrue
@@ -590,10 +422,10 @@ impl<'g> ScanPred<'g> {
                 }
                 (I64Operand::Slot(_), I64Operand::Slot(_)) => Mixed,
             },
-            CPredG::CmpF64 { op, lhs, rhs } => {
-                let side = |o: &F64Operand<ScanOperand<'g>>| match o {
-                    F64Operand::F64Slot(c) => Some((c.col, false)),
-                    F64Operand::I64Slot(c) => Some((c.col, true)),
+            CPred::CmpF64 { op, lhs, rhs } => {
+                let side = |o: &F64Operand| match o {
+                    F64Operand::F64Slot(c) => Some((cols[c.vec], false)),
+                    F64Operand::I64Slot(c) => Some((cols[c.vec], true)),
                     F64Operand::Const(_) => None,
                 };
                 match (side(lhs), side(rhs)) {
@@ -608,8 +440,8 @@ impl<'g> ScanPred<'g> {
                     _ => Mixed,
                 }
             }
-            CPredG::BoolEq { slot, expected } => {
-                let Some(e) = zone_entry(slot.col, b) else { return Mixed };
+            CPred::BoolEq { slot, expected } => {
+                let Some(e) = zone_entry(cols[slot.vec], b) else { return Mixed };
                 if e.all_null() {
                     return AllFalse;
                 }
@@ -628,8 +460,8 @@ impl<'g> ScanPred<'g> {
                     _ => Mixed,
                 }
             }
-            CPredG::CodeIn { slot, set } => {
-                let Some(e) = zone_entry(slot.col, b) else { return Mixed };
+            CPred::CodeIn { slot, set } => {
+                let Some(e) = zone_entry(cols[slot.vec], b) else { return Mixed };
                 if e.all_null() {
                     return AllFalse;
                 }
@@ -655,8 +487,8 @@ impl<'g> ScanPred<'g> {
                     _ => Mixed,
                 }
             }
-            CPredG::I64In { slot, set } => {
-                let Some(e) = zone_entry(slot.col, b) else { return Mixed };
+            CPred::I64In { slot, set } => {
+                let Some(e) = zone_entry(cols[slot.vec], b) else { return Mixed };
                 if e.all_null() {
                     return AllFalse;
                 }
@@ -673,20 +505,20 @@ impl<'g> ScanPred<'g> {
                     _ => Mixed,
                 }
             }
-            CPredG::And(es) => {
+            CPred::And(es) => {
                 let mut v = AllTrue;
                 for e in es {
-                    v = v.and(e.prune(b));
+                    v = v.and(e.prune(cols, b));
                     if v == AllFalse {
                         return AllFalse;
                     }
                 }
                 v
             }
-            CPredG::Or(es) => {
+            CPred::Or(es) => {
                 let mut all_false = true;
                 for e in es {
-                    match e.prune(b) {
+                    match e.prune(cols, b) {
                         AllTrue => return AllTrue,
                         AllFalse => {}
                         Mixed => all_false = false,
@@ -701,7 +533,7 @@ impl<'g> ScanPred<'g> {
             // NOT over an AllTrue block is uniformly false. The converse
             // does NOT hold: AllFalse covers UNKNOWN rows, whose negation
             // is still UNKNOWN, so only Mixed is safe there.
-            CPredG::Not(e) => match e.prune(b) {
+            CPred::Not(e) => match e.prune(cols, b) {
                 AllTrue => AllFalse,
                 _ => Mixed,
             },
@@ -711,10 +543,11 @@ impl<'g> ScanPred<'g> {
 
 // ---- Compilation -----------------------------------------------------------
 
-/// Compile a resolved plan expression for the `Filter` operator.
-/// `slot_refs[slot]` locates each slot's vector; `col_of(slot)` is the
-/// storage column it reads (for dictionary pre-evaluation). Parameter `i`
-/// compiles as the constant `params[i]`.
+/// Compile a resolved plan expression. `slot_refs[slot]` locates each
+/// slot's block — a chunk vector for the `Filter` operator, a vector of the
+/// operand block for a pushed-down scan; `col_of(slot)` is the storage
+/// column it reads (for dictionary pre-evaluation). Parameter `i` compiles
+/// as the constant `params[i]`.
 pub fn compile_pred<'g>(
     expr: &PlanExpr,
     slot_defs: &[SlotDef],
@@ -722,73 +555,18 @@ pub fn compile_pred<'g>(
     col_of: impl Fn(SlotId) -> SlotCol<'g>,
     params: &[Value],
 ) -> Result<CPred> {
-    let c = Compiler { slot_defs, col_of, params, loc_of: |s: SlotId| slot_refs[s] };
-    c.compile(expr)
+    Compiler { slot_defs, slot_refs, col_of, params }.compile(expr)
 }
 
-/// Compile a pushed-down scan predicate: every slot resolves directly to
-/// its vertex-property column (`col_of(slot)`, without a column for slots
-/// that are not properties of the scanned node — an internal planner
-/// error).
-pub fn compile_scan_pred<'g>(
-    expr: &PlanExpr,
-    slot_defs: &[SlotDef],
-    col_of: impl Fn(SlotId) -> SlotCol<'g> + Copy,
-    params: &[Value],
-) -> Result<ScanPred<'g>> {
-    if let Some(s) = expr.slots().into_iter().find(|&s| col_of(s).col.is_none()) {
-        return Err(foreign_slot(s, slot_defs));
-    }
-    let loc_of = |s: SlotId| ScanOperand::new(col_of(s).col.expect("checked above"));
-    Compiler { slot_defs, col_of, params, loc_of }.compile(expr)
-}
-
-/// Recompile a pushed-down scan predicate for row-at-a-time evaluation
-/// through a [`GraphView`]: `prop_of(slot)` is the scanned label's property
-/// index behind each slot (`None` for foreign slots, which pushed
-/// predicates never reference). The bitmap code spaces are identical to
-/// [`compile_scan_pred`]'s, so the two forms cannot disagree on a row.
-pub fn compile_row_pred<'g>(
-    expr: &PlanExpr,
-    slot_defs: &[SlotDef],
-    prop_of: impl Fn(SlotId) -> Option<usize>,
-    col_of: impl Fn(SlotId) -> SlotCol<'g> + Copy,
-    params: &[Value],
-) -> Result<RowPred<'g>> {
-    if let Some(s) = expr.slots().into_iter().find(|&s| prop_of(s).is_none()) {
-        return Err(foreign_slot(s, slot_defs));
-    }
-    let c = Compiler {
-        slot_defs,
-        col_of,
-        params,
-        loc_of: |s: SlotId| RowOperand {
-            prop: prop_of(s).expect("checked above"),
-            dict: col_of(s).col.and_then(Column::dictionary),
-            ext: col_of(s).ext,
-            cur: RefCell::default(),
-        },
-    };
-    c.compile(expr)
-}
-
-/// A pushed-down predicate reads `slot`, which the scanned node does not own.
-fn foreign_slot(slot: SlotId, slot_defs: &[SlotDef]) -> Error {
-    Error::Plan(format!(
-        "pushed-down predicate references slot {slot} ({}), which is not a property of the \
-         scanned node",
-        slot_defs[slot].name
-    ))
-}
-
-struct Compiler<'a, L, F: Fn(SlotId) -> L, C> {
+struct Compiler<'a, C> {
     slot_defs: &'a [SlotDef],
+    /// Block of each slot.
+    slot_refs: &'a [VecRef],
     /// Backing storage column (dictionary pre-evaluation) of each slot,
     /// plus any delta string extension growing its code space.
     col_of: C,
     /// Values of the plan's parameters, by index.
     params: &'a [Value],
-    loc_of: F,
 }
 
 /// A comparison operand with any parameter resolved to its value.
@@ -797,16 +575,16 @@ enum Operand<'v> {
     Const(&'v Value),
 }
 
-impl<'g, L, F: Fn(SlotId) -> L, C: Fn(SlotId) -> SlotCol<'g>> Compiler<'_, L, F, C> {
-    fn compile(&self, e: &PlanExpr) -> Result<CPredG<L>> {
+impl<'g, C: Fn(SlotId) -> SlotCol<'g>> Compiler<'_, C> {
+    fn compile(&self, e: &PlanExpr) -> Result<CPred> {
         match e {
             PlanExpr::And(es) => {
-                Ok(CPredG::And(es.iter().map(|e| self.compile(e)).collect::<Result<_>>()?))
+                Ok(CPred::And(es.iter().map(|e| self.compile(e)).collect::<Result<_>>()?))
             }
             PlanExpr::Or(es) => {
-                Ok(CPredG::Or(es.iter().map(|e| self.compile(e)).collect::<Result<_>>()?))
+                Ok(CPred::Or(es.iter().map(|e| self.compile(e)).collect::<Result<_>>()?))
             }
-            PlanExpr::Not(inner) => Ok(CPredG::Not(Box::new(self.compile(inner)?))),
+            PlanExpr::Not(inner) => Ok(CPred::Not(Box::new(self.compile(inner)?))),
             PlanExpr::StrMatch { op, slot, pattern } => {
                 let set = match op {
                     StrOp::Contains => {
@@ -819,19 +597,19 @@ impl<'g, L, F: Fn(SlotId) -> L, C: Fn(SlotId) -> SlotCol<'g>> Compiler<'_, L, F,
                         self.codes_matching(*slot, |s| s.ends_with(pattern.as_str()))?
                     }
                 };
-                Ok(CPredG::CodeIn { slot: (self.loc_of)(*slot), set })
+                Ok(CPred::CodeIn { slot: self.slot_refs[*slot], set })
             }
             PlanExpr::InSet { slot, values } => match self.slot_defs[*slot].dtype {
                 DataType::String => {
                     let needles: Vec<&str> = values.iter().filter_map(Value::as_str).collect();
                     let set = self.codes_matching(*slot, |s| needles.contains(&s))?;
-                    Ok(CPredG::CodeIn { slot: (self.loc_of)(*slot), set })
+                    Ok(CPred::CodeIn { slot: self.slot_refs[*slot], set })
                 }
                 DataType::Int64 | DataType::Date => {
                     let mut set: Vec<i64> = values.iter().filter_map(Value::as_i64).collect();
                     set.sort_unstable();
                     set.dedup();
-                    Ok(CPredG::I64In { slot: (self.loc_of)(*slot), set })
+                    Ok(CPred::I64In { slot: self.slot_refs[*slot], set })
                 }
                 t => Err(Error::TypeMismatch {
                     expected: "STRING or INT64 for IN".into(),
@@ -854,7 +632,7 @@ impl<'g, L, F: Fn(SlotId) -> L, C: Fn(SlotId) -> SlotCol<'g>> Compiler<'_, L, F,
         }
     }
 
-    fn compile_cmp(&self, op: CmpOp, lhs: &PlanScalar, rhs: &PlanScalar) -> Result<CPredG<L>> {
+    fn compile_cmp(&self, op: CmpOp, lhs: &PlanScalar, rhs: &PlanScalar) -> Result<CPred> {
         use Operand::*;
         let (lhs, rhs) = (self.operand(lhs)?, self.operand(rhs)?);
         let stype = |s: &Operand<'_>| -> Option<DataType> {
@@ -867,7 +645,7 @@ impl<'g, L, F: Fn(SlotId) -> L, C: Fn(SlotId) -> SlotCol<'g>> Compiler<'_, L, F,
         let rt = stype(&rhs);
         // NULL constant: comparison is always UNKNOWN.
         if lt.is_none() || rt.is_none() {
-            return Ok(CPredG::Unknown);
+            return Ok(CPred::Unknown);
         }
         let (lt, rt) = (lt.unwrap(), rt.unwrap());
 
@@ -882,7 +660,7 @@ impl<'g, L, F: Fn(SlotId) -> L, C: Fn(SlotId) -> SlotCol<'g>> Compiler<'_, L, F,
                         .into(),
                 )),
                 (Const(a), Const(b)) => {
-                    Ok(CPredG::Const(a.compare(b).map(|o| cmp_holds_ord(op, o)) == Some(true)))
+                    Ok(CPred::Const(a.compare(b).map(|o| cmp_holds_ord(op, o)) == Some(true)))
                 }
             };
         }
@@ -896,8 +674,8 @@ impl<'g, L, F: Fn(SlotId) -> L, C: Fn(SlotId) -> SlotCol<'g>> Compiler<'_, L, F,
                         expected: "BOOL".into(),
                         found: "non-bool".into(),
                     })?;
-                    let p = CPredG::BoolEq { slot: (self.loc_of)(s), expected };
-                    Ok(if op == CmpOp::Ne { CPredG::Not(Box::new(p)) } else { p })
+                    let p = CPred::BoolEq { slot: self.slot_refs[s], expected };
+                    Ok(if op == CmpOp::Ne { CPred::Not(Box::new(p)) } else { p })
                 }
                 _ => Err(Error::Plan("unsupported boolean comparison".into())),
             };
@@ -906,38 +684,38 @@ impl<'g, L, F: Fn(SlotId) -> L, C: Fn(SlotId) -> SlotCol<'g>> Compiler<'_, L, F,
         // Float if either side is a float; else integer/date.
         let is_float = lt == DataType::Float64 || rt == DataType::Float64;
         if is_float {
-            let f_operand = |s: &Operand<'_>| -> Result<F64Operand<L>> {
+            let f_operand = |s: &Operand<'_>| -> Result<F64Operand> {
                 Ok(match s {
                     Slot(i) => match self.slot_defs[*i].dtype {
-                        DataType::Float64 => F64Operand::F64Slot((self.loc_of)(*i)),
-                        _ => F64Operand::I64Slot((self.loc_of)(*i)),
+                        DataType::Float64 => F64Operand::F64Slot(self.slot_refs[*i]),
+                        _ => F64Operand::I64Slot(self.slot_refs[*i]),
                     },
                     Const(v) => F64Operand::Const(v.as_f64().ok_or_else(|| {
                         Error::TypeMismatch { expected: "numeric".into(), found: v.to_string() }
                     })?),
                 })
             };
-            return Ok(CPredG::CmpF64 { op, lhs: f_operand(&lhs)?, rhs: f_operand(&rhs)? });
+            return Ok(CPred::CmpF64 { op, lhs: f_operand(&lhs)?, rhs: f_operand(&rhs)? });
         }
-        let i_operand = |s: &Operand<'_>| -> Result<I64Operand<L>> {
+        let i_operand = |s: &Operand<'_>| -> Result<I64Operand> {
             Ok(match s {
-                Slot(i) => I64Operand::Slot((self.loc_of)(*i)),
+                Slot(i) => I64Operand::Slot(self.slot_refs[*i]),
                 Const(v) => I64Operand::Const(v.as_i64().ok_or_else(|| Error::TypeMismatch {
                     expected: "INT64/DATE".into(),
                     found: v.to_string(),
                 })?),
             })
         };
-        Ok(CPredG::CmpI64 { op, lhs: i_operand(&lhs)?, rhs: i_operand(&rhs)? })
+        Ok(CPred::CmpI64 { op, lhs: i_operand(&lhs)?, rhs: i_operand(&rhs)? })
     }
 
-    fn string_cmp(&self, slot: usize, op: CmpOp, konst: &Value) -> Result<CPredG<L>> {
+    fn string_cmp(&self, slot: usize, op: CmpOp, konst: &Value) -> Result<CPred> {
         let needle = konst.as_str().ok_or_else(|| Error::TypeMismatch {
             expected: "STRING".into(),
             found: konst.to_string(),
         })?;
         let set = self.codes_matching(slot, |s| cmp_holds_ord(op, s.cmp(needle)))?;
-        Ok(CPredG::CodeIn { slot: (self.loc_of)(slot), set })
+        Ok(CPred::CodeIn { slot: self.slot_refs[slot], set })
     }
 
     fn dict_of(&self, slot: usize) -> Result<&'g Dictionary> {
@@ -991,30 +769,36 @@ mod tests {
         Chunk { groups: vec![g], morsel: 0 }
     }
 
+    /// Operand 0 of a scan's operand block: what a pushed predicate over one
+    /// column compiles its slot to.
+    const OPERAND: VecRef = VecRef { group: 0, vec: 0 };
+
     #[test]
     fn i64_comparison_with_nulls() {
         let chunk = chunk_with(vec![5, 10, 0], vec![true, true, false]);
         let p = CPred::CmpI64 {
             op: CmpOp::Gt,
-            lhs: I64Operand::Slot(VecRef { group: 0, vec: 0 }),
+            lhs: I64Operand::Slot(OPERAND),
             rhs: I64Operand::Const(6),
         };
-        let at = |pos| p.eval(&EvalCtx { chunk: &chunk, target: 0, pos });
+        let at = |pos| p.eval(&EvalCtx { groups: &chunk.groups, target: 0, pos });
         assert_eq!(at(0), Some(false));
         assert_eq!(at(1), Some(true));
         assert_eq!(at(2), None, "NULL comparison is UNKNOWN");
-        assert!(!p.holds(&EvalCtx { chunk: &chunk, target: 0, pos: 2 }));
+        assert!(!p.holds(&EvalCtx { groups: &chunk.groups, target: 0, pos: 2 }));
     }
 
     #[test]
     fn three_valued_and_or() {
         let chunk = chunk_with(vec![0], vec![false]); // NULL slot
-        let r = VecRef { group: 0, vec: 0 };
-        let unknown =
-            CPred::CmpI64 { op: CmpOp::Eq, lhs: I64Operand::Slot(r), rhs: I64Operand::Const(0) };
+        let unknown = CPred::CmpI64 {
+            op: CmpOp::Eq,
+            lhs: I64Operand::Slot(OPERAND),
+            rhs: I64Operand::Const(0),
+        };
         let t = CPred::Const(true);
         let f = CPred::Const(false);
-        let ctx = EvalCtx { chunk: &chunk, target: 0, pos: 0 };
+        let ctx = EvalCtx { groups: &chunk.groups, target: 0, pos: 0 };
         assert_eq!(CPred::And(vec![unknown.clone(), f.clone()]).eval(&ctx), Some(false));
         assert_eq!(CPred::And(vec![unknown.clone(), t.clone()]).eval(&ctx), None);
         assert_eq!(CPred::Or(vec![unknown.clone(), t]).eval(&ctx), Some(true));
@@ -1038,15 +822,15 @@ mod tests {
         g1.reset(2);
         g1.vectors[0] =
             ValueVector::I64 { vals: vec![150, 250], valid: vec![true; 2], date: false };
-        let chunk = Chunk { groups: vec![g0, g1], morsel: 0 };
+        let groups = [g0, g1];
         // g1.val > g0.val (flat broadcast of 200)
         let p = CPred::CmpI64 {
             op: CmpOp::Gt,
             lhs: I64Operand::Slot(VecRef { group: 1, vec: 0 }),
             rhs: I64Operand::Slot(VecRef { group: 0, vec: 0 }),
         };
-        assert_eq!(p.eval(&EvalCtx { chunk: &chunk, target: 1, pos: 0 }), Some(false));
-        assert_eq!(p.eval(&EvalCtx { chunk: &chunk, target: 1, pos: 1 }), Some(true));
+        assert_eq!(p.eval(&EvalCtx { groups: &groups, target: 1, pos: 0 }), Some(false));
+        assert_eq!(p.eval(&EvalCtx { groups: &groups, target: 1, pos: 1 }), Some(true));
     }
 
     #[test]
@@ -1054,10 +838,10 @@ mod tests {
         let mut g = ListGroup::new(1);
         g.reset(3);
         g.vectors[0] = ValueVector::Code { vals: vec![0, 1, 2], valid: vec![true, true, false] };
-        let chunk = Chunk { groups: vec![g], morsel: 0 };
+        let groups = [g];
         let set = Bitmap::from_bools(&[true, false, true]);
-        let p = CPred::CodeIn { slot: VecRef { group: 0, vec: 0 }, set };
-        let at = |pos| p.eval(&EvalCtx { chunk: &chunk, target: 0, pos });
+        let p = CPred::CodeIn { slot: OPERAND, set };
+        let at = |pos| p.eval(&EvalCtx { groups: &groups, target: 0, pos });
         assert_eq!(at(0), Some(true));
         assert_eq!(at(1), Some(false));
         assert_eq!(at(2), None);
@@ -1074,61 +858,94 @@ mod tests {
         col
     }
 
+    fn cmp_i64(op: CmpOp, k: i64) -> CPred {
+        CPred::CmpI64 { op, lhs: I64Operand::Slot(OPERAND), rhs: I64Operand::Const(k) }
+    }
+
+    fn cmp_f64(op: CmpOp, k: f64) -> CPred {
+        CPred::CmpF64 { op, lhs: F64Operand::F64Slot(OPERAND), rhs: F64Operand::Const(k) }
+    }
+
     #[test]
     fn scan_pred_prunes_i64_blocks() {
         let col = zoned_column();
-        let p: ScanPred<'_> = CPredG::CmpI64 {
-            op: CmpOp::Ge,
-            lhs: I64Operand::Slot(ScanOperand::new(&col)),
-            rhs: I64Operand::Const(ZONE_BLOCK as i64),
-        };
+        let cols = [&col];
+        let p = cmp_i64(CmpOp::Ge, ZONE_BLOCK as i64);
         // Block 0 holds 0..B: nothing >= B. Block 1 is all-NULL. Block 2
-        // holds only 42 < B... wait, 42 < B, so AllFalse there too.
-        assert_eq!(p.prune(0), BlockVerdict::AllFalse);
-        assert_eq!(p.prune(1), BlockVerdict::AllFalse, "all-NULL block never matches");
-        assert_eq!(p.prune(2), BlockVerdict::AllFalse);
+        // holds only 42 < B, so AllFalse there too.
+        assert_eq!(p.prune(&cols, 0), BlockVerdict::AllFalse);
+        assert_eq!(p.prune(&cols, 1), BlockVerdict::AllFalse, "all-NULL block never matches");
+        assert_eq!(p.prune(&cols, 2), BlockVerdict::AllFalse);
         // A predicate satisfied by every row of a NULL-free block.
-        let p: ScanPred<'_> = CPredG::CmpI64 {
-            op: CmpOp::Ge,
-            lhs: I64Operand::Slot(ScanOperand::new(&col)),
-            rhs: I64Operand::Const(0),
-        };
-        assert_eq!(p.prune(0), BlockVerdict::AllTrue);
-        assert_eq!(p.prune(1), BlockVerdict::AllFalse);
-        assert_eq!(p.prune(2), BlockVerdict::AllTrue, "single-value block");
+        let p = cmp_i64(CmpOp::Ge, 0);
+        assert_eq!(p.prune(&cols, 0), BlockVerdict::AllTrue);
+        assert_eq!(p.prune(&cols, 1), BlockVerdict::AllFalse);
+        assert_eq!(p.prune(&cols, 2), BlockVerdict::AllTrue, "single-value block");
         // Straddling the min/max: inconclusive.
-        let p: ScanPred<'_> = CPredG::CmpI64 {
-            op: CmpOp::Lt,
-            lhs: I64Operand::Slot(ScanOperand::new(&col)),
-            rhs: I64Operand::Const(10),
-        };
-        assert_eq!(p.prune(0), BlockVerdict::Mixed);
+        assert_eq!(cmp_i64(CmpOp::Lt, 10).prune(&cols, 0), BlockVerdict::Mixed);
         // Equality on the single-value tail block.
-        let p: ScanPred<'_> = CPredG::CmpI64 {
-            op: CmpOp::Eq,
-            lhs: I64Operand::Slot(ScanOperand::new(&col)),
-            rhs: I64Operand::Const(42),
+        assert_eq!(cmp_i64(CmpOp::Eq, 42).prune(&cols, 2), BlockVerdict::AllTrue);
+        let p = CPred::I64In { slot: OPERAND, set: vec![-5, 42] };
+        assert_eq!(p.prune(&cols, 0), BlockVerdict::Mixed, "42 falls inside [0, B)");
+        assert_eq!(p.prune(&cols, 2), BlockVerdict::AllTrue);
+        let p = CPred::I64In { slot: OPERAND, set: vec![-5] };
+        assert_eq!(p.prune(&cols, 0), BlockVerdict::AllFalse);
+    }
+
+    /// The operand block a scan reads for rows `[start, end)` of `col`:
+    /// one range read.
+    fn range_block(col: &Column, start: usize, end: usize) -> ListGroup {
+        let mut cur = gfcl_columnar::PageCursor::new();
+        let mut block = ListGroup::new(1);
+        block.vectors[0] = if col.dtype() == DataType::Float64 {
+            let (mut vals, mut valid) = (Vec::new(), Vec::new());
+            col.read_f64_range(&mut cur, start, end, &mut vals, &mut valid);
+            ValueVector::F64 { vals, valid }
+        } else {
+            let (mut vals, mut valid) = (Vec::new(), Vec::new());
+            col.read_i64_range(&mut cur, start, end, &mut vals, &mut valid);
+            ValueVector::I64 { vals, valid, date: false }
         };
-        assert_eq!(p.prune(2), BlockVerdict::AllTrue);
-        let p: ScanPred<'_> = CPredG::I64In { slot: ScanOperand::new(&col), set: vec![-5, 42] };
-        assert_eq!(p.prune(0), BlockVerdict::Mixed, "42 falls inside [0, B)");
-        assert_eq!(p.prune(2), BlockVerdict::AllTrue);
-        let p: ScanPred<'_> = CPredG::I64In { slot: ScanOperand::new(&col), set: vec![-5] };
-        assert_eq!(p.prune(0), BlockVerdict::AllFalse);
+        block
+    }
+
+    /// `p` at position `pos` of an operand block (three-valued).
+    fn eval_at(p: &CPred, block: &ListGroup, pos: usize) -> Option<bool> {
+        p.eval(&EvalCtx { groups: std::slice::from_ref(block), target: 0, pos })
+    }
+
+    /// The rows of `[start, end)` of `col` the scan keeps under `p`: the
+    /// operand block read, every row selected, the predicate ANDed in.
+    fn scan_rows(p: &CPred, col: &Column, start: usize, end: usize) -> Vec<bool> {
+        let block = range_block(col, start, end);
+        let mut rows = vec![true; end - start];
+        p.select(std::slice::from_ref(&block), 0, &mut rows);
+        rows
     }
 
     #[test]
     fn scan_pred_eval_matches_column_reads() {
         let col = zoned_column();
-        let p: ScanPred<'_> = CPredG::CmpI64 {
-            op: CmpOp::Lt,
-            lhs: I64Operand::Slot(ScanOperand::new(&col)),
-            rhs: I64Operand::Const(5),
-        };
-        assert_eq!(p.eval_at(3), Some(true));
-        assert_eq!(p.eval_at(7), Some(false));
-        assert_eq!(p.eval_at(ZONE_BLOCK + 1), None, "NULL row is UNKNOWN");
-        assert!(!p.holds_at(ZONE_BLOCK + 1));
+        let p = cmp_i64(CmpOp::Lt, 5);
+        // Zone block by zone block, as the scan reads them.
+        let rows: Vec<bool> = (0..col.len())
+            .step_by(ZONE_BLOCK)
+            .flat_map(|s| scan_rows(&p, &col, s, (s + ZONE_BLOCK).min(col.len())))
+            .collect();
+        assert_eq!(rows.len(), col.len());
+        for (v, &kept) in rows.iter().enumerate() {
+            assert_eq!(kept, col.get_i64(v).is_some_and(|x| x < 5), "row {v}");
+        }
+        let block = range_block(&col, 0, col.len());
+        assert_eq!(eval_at(&p, &block, 3), Some(true));
+        assert_eq!(eval_at(&p, &block, 7), Some(false));
+        assert_eq!(eval_at(&p, &block, ZONE_BLOCK + 1), None, "NULL row is UNKNOWN");
+        assert!(!rows[ZONE_BLOCK + 1]);
+        // A row the selection already dropped stays dropped, even where the
+        // predicate holds.
+        let mut rows = vec![false, true];
+        p.select(std::slice::from_ref(&block), 0, &mut rows);
+        assert_eq!(rows, [false, true]);
     }
 
     #[test]
@@ -1136,27 +953,22 @@ mod tests {
         let values = vec![Some(1.0f64), Some(f64::NAN), Some(3.0)];
         let mut col = Column::from_f64(&values, NullKind::Uncompressed);
         col.build_zone_map();
-        let lt: ScanPred<'_> = CPredG::CmpF64 {
-            op: CmpOp::Lt,
-            lhs: F64Operand::F64Slot(ScanOperand::new(&col)),
-            rhs: F64Operand::Const(10.0),
-        };
+        let cols = [&col];
+        let lt = cmp_f64(CmpOp::Lt, 10.0);
         // Every non-NaN value is < 10, but the NaN row is not.
-        assert_eq!(lt.prune(0), BlockVerdict::Mixed);
-        assert_eq!(lt.eval_at(1), Some(false), "NaN fails ordered comparisons");
+        assert_eq!(lt.prune(&cols, 0), BlockVerdict::Mixed);
+        let block = range_block(&col, 0, col.len());
+        assert_eq!(eval_at(&lt, &block, 1), Some(false), "NaN fails ordered comparisons");
+        assert_eq!(scan_rows(&lt, &col, 0, col.len()), [true, false, true]);
         // <> matches NaN rows, so AllFalse must not fire either way.
-        let ne: ScanPred<'_> = CPredG::CmpF64 {
-            op: CmpOp::Ne,
-            lhs: F64Operand::F64Slot(ScanOperand::new(&col)),
-            rhs: F64Operand::Const(7.0),
-        };
-        assert_eq!(ne.prune(0), BlockVerdict::AllTrue, "all values differ from 7, NaN included");
-        let eq_outside: ScanPred<'_> = CPredG::CmpF64 {
-            op: CmpOp::Eq,
-            lhs: F64Operand::F64Slot(ScanOperand::new(&col)),
-            rhs: F64Operand::Const(99.0),
-        };
-        assert_eq!(eq_outside.prune(0), BlockVerdict::AllFalse);
+        let ne = cmp_f64(CmpOp::Ne, 7.0);
+        assert_eq!(
+            ne.prune(&cols, 0),
+            BlockVerdict::AllTrue,
+            "all values differ from 7, NaN included"
+        );
+        let eq_outside = cmp_f64(CmpOp::Eq, 99.0);
+        assert_eq!(eq_outside.prune(&cols, 0), BlockVerdict::AllFalse);
     }
 
     #[test]
@@ -1167,27 +979,17 @@ mod tests {
         let mut all_nan =
             Column::from_f64(&[Some(f64::NAN), Some(f64::NAN)], NullKind::Uncompressed);
         all_nan.build_zone_map();
-        fn ne_nan(c: &Column) -> ScanPred<'_> {
-            CPredG::CmpF64 {
-                op: CmpOp::Ne,
-                lhs: F64Operand::F64Slot(ScanOperand::new(c)),
-                rhs: F64Operand::Const(f64::NAN),
-            }
-        }
-        assert_eq!(ne_nan(&all_nan).eval_at(0), Some(true));
-        assert_eq!(ne_nan(&all_nan).prune(0), BlockVerdict::AllTrue);
+        let ne_nan = cmp_f64(CmpOp::Ne, f64::NAN);
+        assert_eq!(eval_at(&ne_nan, &range_block(&all_nan, 0, 2), 0), Some(true));
+        assert_eq!(ne_nan.prune(&[&all_nan], 0), BlockVerdict::AllTrue);
         let mut mixed = Column::from_f64(&[Some(1.0), Some(f64::NAN)], NullKind::Uncompressed);
         mixed.build_zone_map();
-        assert_ne!(ne_nan(&mixed).prune(0), BlockVerdict::AllFalse);
+        assert_ne!(ne_nan.prune(&[&mixed], 0), BlockVerdict::AllFalse);
         // Other comparisons with a NaN constant are false for every row;
         // the pruner may only say Mixed (never AllTrue).
-        let lt_nan: ScanPred<'_> = CPredG::CmpF64 {
-            op: CmpOp::Lt,
-            lhs: F64Operand::F64Slot(ScanOperand::new(&mixed)),
-            rhs: F64Operand::Const(f64::NAN),
-        };
-        assert_eq!(lt_nan.eval_at(0), Some(false));
-        assert_ne!(lt_nan.prune(0), BlockVerdict::AllTrue);
+        let lt_nan = cmp_f64(CmpOp::Lt, f64::NAN);
+        assert_eq!(eval_at(&lt_nan, &range_block(&mixed, 0, 2), 0), Some(false));
+        assert_ne!(lt_nan.prune(&[&mixed], 0), BlockVerdict::AllTrue);
     }
 
     #[test]
@@ -1198,15 +1000,12 @@ mod tests {
         assert_eq!(Mixed.and(AllFalse), AllFalse);
         // NOT: only AllTrue inverts (AllFalse may hide UNKNOWN rows).
         let col = zoned_column();
-        let inner: ScanPred<'_> = CPredG::CmpI64 {
-            op: CmpOp::Ge,
-            lhs: I64Operand::Slot(ScanOperand::new(&col)),
-            rhs: I64Operand::Const(0),
-        };
-        assert_eq!(inner.prune(0), AllTrue);
-        let not = CPredG::Not(Box::new(inner));
-        assert_eq!(not.prune(0), AllFalse);
+        let cols = [&col];
+        let inner = cmp_i64(CmpOp::Ge, 0);
+        assert_eq!(inner.prune(&cols, 0), AllTrue);
+        let not = CPred::Not(Box::new(inner));
+        assert_eq!(not.prune(&cols, 0), AllFalse);
         // NOT over the all-NULL block: rows are UNKNOWN, negation is too.
-        assert_eq!(not.prune(1), Mixed);
+        assert_eq!(not.prune(&cols, 1), Mixed);
     }
 }

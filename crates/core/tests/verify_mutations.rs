@@ -207,8 +207,8 @@ fn rejects_slot_to_slot_pushed_predicate() {
         &cat,
         |p| {
             // A pushed predicate comparing two slots — both of the
-            // scanned node, but the scan evaluates pushed predicates
-            // positionally against constants only.
+            // scanned node, but only comparisons against constants are
+            // pushed.
             let a_age = slot_named(p, "a.age");
             match &mut p.steps[0] {
                 PlanStep::ScanAll { pushed, .. } => {

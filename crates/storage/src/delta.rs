@@ -243,7 +243,7 @@ struct VertexDelta {
     pk: PMap<i64, u64>,
     /// `ZONE_BLOCK` index -> how many of its baseline offsets are
     /// tombstoned or overridden: the blocks a pushed-down scan cannot
-    /// prune or probe positionally.
+    /// prune or read from the baseline columns.
     touched_blocks: PMap<u64, u32>,
     /// Per property: extension dictionary (never used for non-strings).
     exts: Vec<StrExt>,

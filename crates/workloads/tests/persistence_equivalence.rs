@@ -273,6 +273,7 @@ fn corpus_stays_within_its_pin_budget() {
             assert_eq!(a.canonical(), b.canonical(), "{qname}: reopening changed the output");
         }
         let pins = pins_since(pool, before);
+        println!("{} queries: {pins} pool pins at {threads} worker(s)", queries.len());
         assert!(pins > 0, "the corpus never read through the pool");
         assert!(
             pins <= CORPUS_PIN_CEILING,

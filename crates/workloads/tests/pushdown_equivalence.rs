@@ -12,13 +12,14 @@
 use std::sync::Arc;
 
 use gfcl_baselines::{GfCvEngine, GfRvEngine, RelEngine};
+use gfcl_common::Value;
 use gfcl_core::plan::{plan_with, PlanOptions, PlanStep};
 use gfcl_core::query::{
-    col, eq, ge, gt, in_set, le, lit, lt, not, or, starts_with, Agg, PatternQuery,
+    col, eq, ge, gt, in_set, le, lit, lt, not, or, starts_with, Agg, PatternQuery, QueryBuilder,
 };
-use gfcl_core::{Engine, ExecOptions, GfClEngine};
+use gfcl_core::{Engine, ExecOptions, GfClEngine, QueryOutput};
 use gfcl_datagen::{PowerLawParams, SocialParams};
-use gfcl_storage::{ColumnarGraph, RawGraph, RowGraph, StorageConfig};
+use gfcl_storage::{ColumnarGraph, GraphStore, RawGraph, RowGraph, StorageConfig, WriteTxn};
 use proptest::prelude::*;
 
 /// Worker counts under test.
@@ -272,5 +273,151 @@ proptest! {
             ),
         ];
         assert_pushdown_equivalent(&raw, &queries);
+    }
+}
+
+// ---- A mutated snapshot -----------------------------------------------------
+
+/// Persons in the mutated-snapshot arm: three zone blocks, the last one
+/// partial, so touched and pristine blocks meet in one scan.
+const SNAPSHOT_PERSONS: usize = 2_200;
+
+/// A birthday past every generated one (the generator's dates end before
+/// 1.6e9): only rows the delta wrote can match `birthday > FAR`.
+const FAR: i64 = 3_000_000_000;
+
+/// A first name no generated person has: the delta's string extension
+/// holds it, the baseline dictionary does not.
+const NEW_NAME: &str = "Zzyzx";
+
+/// Commit to `Person`, the label every query below scans: an update that
+/// moves a birthday in zone block 0 past the block's max, a first name only
+/// the delta's string extension holds (block 1), a vertex delete (block 2)
+/// and two inserts past the baseline's rows.
+fn mutate_persons(store: &GraphStore) {
+    let mut txn = store.begin_write();
+    let off = |txn: &WriteTxn<'_>, id: i64| txn.lookup_pk("Person", id).unwrap().unwrap();
+    let p5 = off(&txn, 5);
+    txn.update_vertex("Person", p5, &[("birthday", Value::Date(FAR + 1))]).unwrap();
+    let p1500 = off(&txn, 1_500);
+    txn.update_vertex("Person", p1500, &[("fName", Value::String(NEW_NAME.into()))]).unwrap();
+    let p2100 = off(&txn, 2_100);
+    txn.delete_vertex("Person", p2100).unwrap();
+    for (id, name, birthday) in [(10_001, NEW_NAME, FAR + 2), (10_002, "Zzyzxnew", 600_000_000)] {
+        txn.insert_vertex(
+            "Person",
+            &[
+                ("id", Value::Int64(id)),
+                ("fName", Value::String(name.into())),
+                ("gender", Value::String("female".into())),
+                ("birthday", Value::Date(birthday)),
+            ],
+        )
+        .unwrap();
+    }
+    txn.commit().unwrap();
+}
+
+/// Pushdown-relevant queries over the scanned `Person`, each with the ids
+/// it must return when that is known, so the arm cannot pass vacuously.
+fn snapshot_queries() -> Vec<(&'static str, PatternQuery, Option<Vec<i64>>)> {
+    let person = || PatternQuery::builder().node("p", "Person");
+    let ids = |q: QueryBuilder| q.returns(&[("p", "id")]).build();
+    vec![
+        (
+            "birthday-past-every-zone-max",
+            ids(person().filter(gt(col("p", "birthday"), lit(FAR)))),
+            Some(vec![5, 10_001]),
+        ),
+        (
+            "birthday-mid-range",
+            ids(person()
+                .filter(ge(col("p", "birthday"), lit(400_000_000)))
+                .filter(lt(col("p", "birthday"), lit(700_000_000)))),
+            None,
+        ),
+        (
+            "fname-eq-extension",
+            ids(person().filter(eq(col("p", "fName"), lit(NEW_NAME)))),
+            Some(vec![1_500, 10_001]),
+        ),
+        (
+            "fname-in-extension",
+            ids(person().filter(in_set("p", "fName", &[NEW_NAME, "Zzyzxnew"]))),
+            Some(vec![1_500, 10_001, 10_002]),
+        ),
+        (
+            "fname-starts-with",
+            ids(person().filter(starts_with("p", "fName", "Zzy"))),
+            Some(vec![1_500, 10_001, 10_002]),
+        ),
+        ("id-tail-block-and-inserts", ids(person().filter(ge(col("p", "id"), lit(2_090)))), None),
+        (
+            "or-not-over-the-delete",
+            ids(person().filter(or(vec![
+                not(le(col("p", "birthday"), lit(FAR))),
+                eq(col("p", "id"), lit(2_100)),
+            ]))),
+            Some(vec![5, 10_001]),
+        ),
+        (
+            "one-hop-from-pushed-scan",
+            person()
+                .node("q", "Person")
+                .edge("k", "knows", "p", "q")
+                .filter(ge(col("p", "birthday"), lit(500_000_000)))
+                .returns_count()
+                .build(),
+            None,
+        ),
+    ]
+}
+
+/// Over a snapshot whose delta touches the scanned label, the pushed plan
+/// answers as the `PlanOptions::no_pushdown()` plan on GF-CL — at 1 and 4
+/// workers, at morsels that align with zone blocks and that straddle them
+/// — and both answer as GF-CV over the same snapshot.
+#[test]
+fn mutated_snapshot_pushdown_agrees() {
+    let raw = gfcl_datagen::generate_social(SocialParams {
+        knows_avg_degree: 4.0,
+        comments_per_person: 1,
+        posts_per_person: 1,
+        likes_per_person: 1.0,
+        ..SocialParams::scale(SNAPSHOT_PERSONS)
+    });
+    let store = GraphStore::in_memory(&raw, StorageConfig::default()).unwrap();
+    mutate_persons(&store);
+    let snapshot = store.snapshot();
+    let catalog = snapshot.catalog().clone();
+    let cv = GfCvEngine::with_snapshot(&snapshot);
+    for (name, q, want) in snapshot_queries() {
+        let pushed = plan_with(&q, &catalog, &PlanOptions::default()).unwrap();
+        let plain = plan_with(&q, &catalog, &PlanOptions::no_pushdown()).unwrap();
+        assert!(
+            matches!(&pushed.steps[0], PlanStep::ScanAll { pushed, .. } if !pushed.is_empty()),
+            "{name}: nothing was pushed"
+        );
+        let truth = cv.run_plan(&plain).unwrap();
+        assert_eq!(cv.run_plan(&pushed).unwrap().canonical(), truth.canonical(), "{name}: GF-CV");
+        if let (Some(ids), QueryOutput::Rows { rows, .. }) = (want, &truth) {
+            let mut got: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+            got.sort_unstable();
+            assert_eq!(got, ids, "{name}: GF-CV's answer");
+        }
+        for threads in THREADS {
+            for morsel in [1024usize, 700] {
+                let opts = ExecOptions::with_threads(threads).morsel(morsel);
+                let lbp = GfClEngine::with_snapshot_options(&snapshot, opts);
+                let a = lbp.run_plan(&pushed).unwrap();
+                let b = lbp.run_plan(&plain).unwrap();
+                let at = format!("{name} at {threads} worker(s), morsel {morsel}");
+                assert_eq!(a.canonical(), truth.canonical(), "{at}: pushed plan against GF-CV");
+                assert_eq!(b.canonical(), truth.canonical(), "{at}: plain plan against GF-CV");
+                if threads == 1 {
+                    assert_eq!(a, b, "{at}: pushed and plain serial outputs differ");
+                }
+            }
+        }
     }
 }

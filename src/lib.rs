@@ -120,8 +120,8 @@
 //! ## Filter pushdown
 //!
 //! Filter conjuncts over the scanned node's properties are pushed down
-//! into the scan itself: the storage layer evaluates them positionally on
-//! the vertex-property columns — skipping whole 1024-value blocks via
+//! into the scan itself, which evaluates them over the vertex-property
+//! columns a block at a time — skipping whole 1024-value blocks via
 //! per-block zone maps (min/max synopses) — and the surviving selection
 //! mask makes every later property read over the scan group
 //! selection-aware. `EXPLAIN` shows the pushed predicates and the
