@@ -14,6 +14,7 @@
 //!
 //! Set `GFCL_SCALE` (float, default 1.0) to grow or shrink every dataset.
 
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -46,10 +47,10 @@ static BENCH_SLUG: Mutex<Option<String>> = Mutex::new(None);
 static BENCH_SEQ: AtomicUsize = AtomicUsize::new(0);
 
 /// Append one `{"bench": ..., "ns_per_iter": ...}` JSON line to the file
-/// named by `GFCL_BENCH_JSON` (no-op when unset). CI's `bench-smoke` job
-/// collects these lines into the `BENCH_PR.json` performance artifact;
-/// criterion-harness benches record through the same file via the vendored
-/// criterion stub.
+/// named by `GFCL_BENCH_JSON` (no-op when unset), the one writer of that
+/// file: [`time_plan`] and [`bench_fn`] record through it. CI's
+/// `bench-smoke` job collects these lines into the `BENCH_PR.json`
+/// performance artifact.
 pub fn record(name: &str, secs: f64) {
     let Ok(path) = std::env::var("GFCL_BENCH_JSON") else { return };
     let ns = secs * 1e9;
@@ -61,6 +62,40 @@ pub fn record(name: &str, secs: f64) {
         name.chars().map(|c| if c == '"' || c == '\\' { '_' } else { c }).collect();
     if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(&path) {
         let _ = writeln!(f, "{{\"bench\": \"{escaped}\", \"ns_per_iter\": {ns:.1}}}");
+    }
+}
+
+/// Time a nanosecond- to microsecond-scale routine and [`record`] it under
+/// `name` as ns per call: the best of its timed batches over 300 ms, a
+/// low-noise point estimate rather than a distribution.
+pub fn bench_fn<O>(name: &str, f: impl FnMut() -> O) {
+    let ns = best_ns_per_iter(Duration::from_millis(300), f);
+    println!("bench {name:<60} {ns:.1} ns/iter");
+    record(name, ns / 1e9);
+}
+
+/// The fastest ns per call of `f` over batches run until `budget` elapses.
+/// The batch first grows 4× at a time until one takes at least 1 ms (or
+/// reaches 2^20 calls), so the timer's own cost stays negligible.
+fn best_ns_per_iter<O>(budget: Duration, mut f: impl FnMut() -> O) -> f64 {
+    let mut batch = |calls: u64| {
+        let t = Instant::now();
+        for _ in 0..calls {
+            black_box(f());
+        }
+        t.elapsed()
+    };
+    let mut calls = 1;
+    while batch(calls) < Duration::from_millis(1) && calls < 1 << 20 {
+        calls *= 4;
+    }
+    let deadline = Instant::now() + budget;
+    let mut best = f64::INFINITY;
+    loop {
+        best = best.min(batch(calls).as_nanos() as f64 / calls as f64);
+        if Instant::now() >= deadline {
+            return best;
+        }
     }
 }
 
@@ -249,4 +284,18 @@ pub fn banner(title: &str, paper_ref: &str) {
 /// Extract a count (microbench sanity checks).
 pub fn expect_count(o: &QueryOutput) -> u64 {
     o.as_count().expect("count output")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn smoke() {
+        let ns = best_ns_per_iter(Duration::from_millis(5), || black_box(2u64) * black_box(3));
+        assert!(ns.is_finite() && ns >= 0.0, "{ns}");
+        let slow =
+            best_ns_per_iter(Duration::ZERO, || std::thread::sleep(Duration::from_micros(50)));
+        assert!(slow >= 50_000.0, "a 50 us call timed at {slow} ns");
+    }
 }

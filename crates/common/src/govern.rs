@@ -27,7 +27,7 @@ pub enum CancelReason {
     /// Explicit cancellation through [`CancelToken::cancel`] (a user or
     /// admission controller killed the query).
     User,
-    /// The query exceeded its [`QueryBudget`](crate::govern) time limit.
+    /// The query exceeded its time limit (`ExecOptions::time_limit_ms`).
     Timeout,
     /// The query's tracked allocations exceeded its memory limit.
     Memory,

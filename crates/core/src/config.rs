@@ -3,19 +3,19 @@
 //! binary — which hands each part to the constructor that takes it. The
 //! library reads the environment nowhere else; README's "Configuration"
 //! table lists each variable's field, default and accepted range. What is
-//! not a knob stays out: filter pushdown, plan verification and the storage
-//! layout the planner plans by are not switchable here.
+//! not a knob stays out: filter pushdown, plan verification, the morsel
+//! size and the storage layout the planner plans by are not switchable
+//! here.
 //!
 //! Values are trimmed; unset or blank means the default. Anything else out
-//! of range — garbage, a zero where a positive value is required, a rate
-//! above one million, a size whose byte count overflows — is an
-//! [`Error::Invalid`] naming the variable, returned before anything runs.
+//! of range — garbage, a zero where a positive value is required, a size
+//! whose byte count overflows — is an [`Error::Invalid`] naming the
+//! variable, returned before anything runs.
 
 use std::str::FromStr;
 
 use gfcl_columnar::PAGE_SIZE;
 use gfcl_common::{Error, Result};
-use gfcl_storage::FaultConfig;
 
 use crate::driver::ExecOptions;
 
@@ -23,16 +23,12 @@ use crate::driver::ExecOptions;
 /// environment parses to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Config {
-    /// `GFCL_THREADS`, `GFCL_MORSEL`, `GFCL_TIME_LIMIT_MS` and
-    /// `GFCL_MEM_LIMIT_MB`, for [`GfClEngine::with_options`](crate::GfClEngine::with_options).
+    /// `GFCL_THREADS`, `GFCL_TIME_LIMIT_MS` and `GFCL_MEM_LIMIT_MB`, for
+    /// [`GfClEngine::with_options`](crate::GfClEngine::with_options).
     pub exec: ExecOptions,
     /// `GFCL_BUFFER_MB` in pages (floor one), for
     /// [`StorageConfig::buffer_pool_pages`](gfcl_storage::StorageConfig::buffer_pool_pages).
     pub buffer_pool_pages: Option<usize>,
-    /// `GFCL_FAULT_SEED` and `GFCL_FAULT_{TRANSIENT,PERMANENT,FLIP,STICKY_FLIP}_PPM`,
-    /// for [`ColumnarGraph::open_with_faults`](gfcl_storage::ColumnarGraph::open_with_faults);
-    /// any one set arms the injector.
-    pub faults: Option<FaultConfig>,
 }
 
 impl Config {
@@ -44,24 +40,7 @@ impl Config {
     /// Parse the configuration from a variable lookup (`None` = unset).
     pub fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Config> {
         let var = |name: &str| var(name).map(|s| s.trim().to_owned()).filter(|s| !s.is_empty());
-        let (positive, any) = ("a positive integer", "a non-negative integer");
-        let rate = |name| number::<u32>(&var, name, "a rate in 0..=1000000", |&r| r <= 1_000_000);
-        let rates = [
-            rate("GFCL_FAULT_TRANSIENT_PPM")?,
-            rate("GFCL_FAULT_PERMANENT_PPM")?,
-            rate("GFCL_FAULT_FLIP_PPM")?,
-            rate("GFCL_FAULT_STICKY_FLIP_PPM")?,
-        ];
-        let seed = number::<u64>(&var, "GFCL_FAULT_SEED", any, |_| true)?;
-        let [transient_ppm, permanent_ppm, flip_ppm, sticky_flip_ppm] =
-            rates.map(Option::unwrap_or_default);
-        let faults = FaultConfig {
-            seed: seed.unwrap_or(0),
-            transient_ppm,
-            permanent_ppm,
-            flip_ppm,
-            sticky_flip_ppm,
-        };
+        let positive = "a positive integer";
         // Sizes are MiB counts whose byte count, `mb << 20`, must not overflow.
         let mem = "a positive MiB count whose byte count fits u64";
         let mem_mb =
@@ -73,13 +52,11 @@ impl Config {
             exec: ExecOptions {
                 threads: number(&var, "GFCL_THREADS", positive, |&n| n > 0)?
                     .unwrap_or(exec.threads),
-                morsel_size: number(&var, "GFCL_MORSEL", positive, |&n| n > 0)?
-                    .unwrap_or(exec.morsel_size),
                 time_limit_ms: number(&var, "GFCL_TIME_LIMIT_MS", positive, |&n| n > 0)?,
                 mem_limit_bytes: mem_mb.map(|mb| mb << 20),
+                ..exec
             },
             buffer_pool_pages: pool_mb.map(|mb| ((mb << 20) / PAGE_SIZE).max(1)),
-            faults: (seed.is_some() || rates.iter().any(Option::is_some)).then_some(faults),
         })
     }
 }

@@ -31,7 +31,6 @@
 //! domain on overflow instead of silently truncating.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use gfcl_common::{Result, Value};
 use gfcl_storage::GraphView;
@@ -40,7 +39,7 @@ use crate::cache::CachedPlan;
 use crate::chunk::Chunk;
 use crate::engine::QueryOutput;
 use crate::exec::{Layout, Pipeline, ScanCursor, Sink, SCAN_MORSEL};
-use crate::govern::{fault_scope, CancelToken, MemTracker, QueryBudget, QueryGovernor};
+use crate::govern::{fault_scope, CancelToken, MemTracker, QueryGovernor};
 use crate::plan::LogicalPlan;
 
 /// Execution options for the list-based processor.
@@ -86,9 +85,10 @@ impl ExecOptions {
         ExecOptions::default()
     }
 
-    /// Parallel execution with `threads` workers (clamped to at least 1).
+    /// Parallel execution with `threads` workers. A `0` is kept, and
+    /// fails every query like a struct-literal zero.
     pub fn with_threads(threads: usize) -> ExecOptions {
-        ExecOptions { threads: threads.max(1), ..ExecOptions::default() }
+        ExecOptions { threads, ..ExecOptions::default() }
     }
 
     /// This configuration with a custom scan morsel size.
@@ -117,14 +117,6 @@ impl ExecOptions {
             _ => return Ok(()),
         };
         Err(gfcl_common::Error::Plan(format!("ExecOptions::{zero} must be positive, got 0")))
-    }
-
-    /// The declarative budget slice of these options.
-    pub fn budget(&self) -> QueryBudget {
-        QueryBudget {
-            time_limit: self.time_limit_ms.map(Duration::from_millis),
-            mem_limit_bytes: self.mem_limit_bytes,
-        }
     }
 }
 
@@ -175,9 +167,10 @@ fn run(
     let token = token.unwrap_or_default();
     // A handle canceled before the query even started still applies —
     // but a stale trip from a *previous* query on a reused engine token
-    // is the engine's to clear (Engine::reset), not ours to ignore.
+    // is the engine's to clear (`CancelToken::reset` on its
+    // `Engine::cancel_handle`), not ours to ignore.
     token.check()?;
-    let gov = QueryGovernor::new(token, opts.budget());
+    let gov = QueryGovernor::new(token, opts);
     let cursor = ScanCursor::for_plan_view(view, plan, opts.morsel_size as u64)?.governed(&gov);
     // Never spawn more workers than there are morsels to hand out.
     let max_useful = (cursor.total() as usize).div_ceil(opts.morsel_size).max(1);
@@ -276,7 +269,6 @@ mod tests {
     fn exec_options_defaults() {
         assert_eq!(ExecOptions::default().threads, 1);
         assert_eq!(ExecOptions::serial().threads, 1);
-        assert_eq!(ExecOptions::with_threads(0).threads, 1, "clamped");
         assert_eq!(ExecOptions::with_threads(8).threads, 8);
     }
 

@@ -27,33 +27,29 @@ use gfcl_common::{Error, Result, Value};
 
 pub use gfcl_common::govern::{fault_scope, CancelReason, CancelToken, FaultScope};
 
-/// Declarative per-query limits. `None` means unlimited; the default has
-/// no limits, so governance is pay-for-what-you-use.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryBudget {
-    /// Wall-clock ceiling, checked at every morsel boundary.
-    pub time_limit: Option<Duration>,
-    /// Ceiling on tracked operator heap memory (group tables, top-k,
-    /// distinct sets, buffered result rows) summed across workers.
-    pub mem_limit_bytes: Option<u64>,
-}
+use crate::driver::ExecOptions;
 
 /// The per-query governance state shared by all workers of one execution:
 /// the cancel token, the budget, the clock, and the memory counter.
 #[derive(Debug)]
 pub struct QueryGovernor {
     token: Arc<CancelToken>,
-    budget: QueryBudget,
+    time_limit: Option<Duration>,
+    mem_limit_bytes: Option<u64>,
     start: Instant,
     mem: AtomicU64,
     peak: AtomicU64,
 }
 
 impl QueryGovernor {
-    pub fn new(token: Arc<CancelToken>, budget: QueryBudget) -> QueryGovernor {
+    /// A governor for one query under the budgets of `opts`
+    /// ([`ExecOptions::time_limit_ms`] and [`ExecOptions::mem_limit_bytes`];
+    /// `None` is unlimited, so governance is pay-for-what-you-use).
+    pub fn new(token: Arc<CancelToken>, opts: &ExecOptions) -> QueryGovernor {
         QueryGovernor {
             token,
-            budget,
+            time_limit: opts.time_limit_ms.map(Duration::from_millis),
+            mem_limit_bytes: opts.mem_limit_bytes,
             start: Instant::now(),
             mem: AtomicU64::new(0),
             peak: AtomicU64::new(0),
@@ -88,7 +84,7 @@ impl QueryGovernor {
         if let Some(reason) = self.token.reason() {
             return Err(self.canceled(reason));
         }
-        if let Some(limit) = self.budget.time_limit {
+        if let Some(limit) = self.time_limit {
             if self.start.elapsed() > limit {
                 self.token.cancel(CancelReason::Timeout);
                 return Err(self.canceled(CancelReason::Timeout));
@@ -107,7 +103,7 @@ impl QueryGovernor {
         }
         let now = self.mem.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.peak.fetch_max(now, Ordering::Relaxed);
-        if let Some(limit) = self.budget.mem_limit_bytes {
+        if let Some(limit) = self.mem_limit_bytes {
             if now > limit {
                 self.token.cancel(CancelReason::Memory);
             }
@@ -198,7 +194,7 @@ mod tests {
     fn time_budget_trips_at_checkpoint() {
         let gov = QueryGovernor::new(
             Arc::new(CancelToken::new()),
-            QueryBudget { time_limit: Some(Duration::ZERO), mem_limit_bytes: None },
+            &ExecOptions::serial().time_limit_ms(0),
         );
         std::thread::sleep(Duration::from_millis(2));
         match gov.checkpoint() {
@@ -212,7 +208,7 @@ mod tests {
     fn memory_budget_trips_within_one_checkpoint() {
         let gov = QueryGovernor::new(
             Arc::new(CancelToken::new()),
-            QueryBudget { time_limit: None, mem_limit_bytes: Some(100) },
+            &ExecOptions::serial().mem_limit_bytes(100),
         );
         gov.grow(60);
         assert!(gov.checkpoint().is_ok(), "under budget");
@@ -227,7 +223,7 @@ mod tests {
 
     #[test]
     fn shrink_releases_and_peak_is_sticky() {
-        let gov = QueryGovernor::new(Arc::new(CancelToken::new()), QueryBudget::default());
+        let gov = QueryGovernor::new(Arc::new(CancelToken::new()), &ExecOptions::serial());
         gov.grow(500);
         gov.shrink(400);
         assert_eq!(gov.mem_bytes(), 100);
@@ -236,7 +232,7 @@ mod tests {
 
     #[test]
     fn tracker_reconciles_and_releases_on_drop() {
-        let gov = QueryGovernor::new(Arc::new(CancelToken::new()), QueryBudget::default());
+        let gov = QueryGovernor::new(Arc::new(CancelToken::new()), &ExecOptions::serial());
         {
             let mut t = MemTracker::new(&gov);
             t.update(300);
@@ -250,7 +246,7 @@ mod tests {
 
     #[test]
     fn io_trips_surface_as_storage_errors() {
-        let gov = QueryGovernor::new(Arc::new(CancelToken::new()), QueryBudget::default());
+        let gov = QueryGovernor::new(Arc::new(CancelToken::new()), &ExecOptions::serial());
         gov.token().cancel_io("page 7 unreadable");
         match gov.checkpoint() {
             Err(Error::Storage(detail)) => assert!(detail.contains("page 7")),

@@ -51,7 +51,7 @@ pub use cache::{CachedPlan, PlanCache, PlanCacheStats, PLAN_CACHE_CAPACITY};
 pub use config::Config;
 pub use driver::ExecOptions;
 pub use engine::{Engine, GfClEngine, QueryOutput};
-pub use govern::{CancelReason, CancelToken, QueryBudget, QueryGovernor};
+pub use govern::{CancelReason, CancelToken, QueryGovernor};
 pub use optimize::render_explain;
 pub use plan::{
     plan as plan_query, plan_template, plan_with as plan_query_with, LogicalPlan, OrderSource,

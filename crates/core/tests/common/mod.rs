@@ -1,23 +1,13 @@
-//! Variable tables for the [`Config::parse`] suites (`config.rs`,
-//! `env_knobs.rs`): every case drives the parser through an explicit
-//! lookup, so no test reads or mutates the process environment.
+//! Variable tables for the [`Config::parse`] suite (`config.rs`): every
+//! case drives the parser through an explicit lookup, so no test reads or
+//! mutates the process environment.
 
 use gfcl_common::{Error, Result};
 use gfcl_core::Config;
 
 /// Every production variable `Config::parse` reads.
-pub const VARS: [&str; 10] = [
-    "GFCL_THREADS",
-    "GFCL_MORSEL",
-    "GFCL_TIME_LIMIT_MS",
-    "GFCL_MEM_LIMIT_MB",
-    "GFCL_BUFFER_MB",
-    "GFCL_FAULT_SEED",
-    "GFCL_FAULT_TRANSIENT_PPM",
-    "GFCL_FAULT_PERMANENT_PPM",
-    "GFCL_FAULT_FLIP_PPM",
-    "GFCL_FAULT_STICKY_FLIP_PPM",
-];
+pub const VARS: [&str; 4] =
+    ["GFCL_THREADS", "GFCL_TIME_LIMIT_MS", "GFCL_MEM_LIMIT_MB", "GFCL_BUFFER_MB"];
 
 /// `Config::parse` over a fixed table of set variables.
 pub fn parse(table: &[(&str, &str)]) -> Result<Config> {

@@ -3,9 +3,9 @@
 //! process environment. Each variable has a table of accepted values
 //! (with the field they land in) and of rejected ones; every rejection
 //! is an `Error::Invalid` naming the variable, returned at parse time.
-//! This file holds the execution variables and the totality
-//! property over all of them; the storage-layer ones are in
-//! `env_knobs.rs`.
+//! The variables are README's "Configuration" table, and
+//! `the_readme_table_lists_exactly_the_parsed_variables` keeps the two in
+//! step.
 
 mod common;
 
@@ -39,11 +39,36 @@ fn an_empty_environment_is_the_default() {
     assert_eq!(parse(&[]).unwrap(), Config::default());
     assert_eq!(Config::default().exec, ExecOptions::serial());
     // Variables the parser does not own are ignored, including the
-    // removed `GFCL_VERIFY`.
+    // removed `GFCL_VERIFY`, `GFCL_MORSEL` and fault-injection variables.
     assert_eq!(
         parse(&[("GFCL_VERIFY", "strict"), ("GFCL_SCALE", "x")]).unwrap(),
         Config::default()
     );
+    for removed in [
+        "GFCL_MORSEL",
+        "GFCL_FAULT_SEED",
+        "GFCL_FAULT_TRANSIENT_PPM",
+        "GFCL_FAULT_PERMANENT_PPM",
+        "GFCL_FAULT_FLIP_PPM",
+        "GFCL_FAULT_STICKY_FLIP_PPM",
+    ] {
+        for v in ["7", "garbage"] {
+            assert_eq!(parse(&[(removed, v)]).unwrap(), Config::default(), "{removed}={v}");
+        }
+    }
+}
+
+#[test]
+fn the_readme_table_lists_exactly_the_parsed_variables() {
+    let readme = include_str!("../../../README.md");
+    let section = readme.split("\n## ").find(|s| s.starts_with("Configuration\n")).unwrap();
+    let documented: Vec<&str> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .filter_map(|cell| cell.split('`').next())
+        .filter(|name| name.starts_with("GFCL_"))
+        .collect();
+    assert_eq!(documented, VARS, "README's Configuration table vs common::VARS");
 }
 
 #[test]
@@ -79,18 +104,31 @@ fn gfcl_mem_limit_is_validated() {
 }
 
 #[test]
-fn gfcl_morsel_is_validated() {
-    assert_rejected("GFCL_MORSEL", &["nope", "0", "-3"]);
-    let cases = [("7", 7), ("", gfcl_core::exec::SCAN_MORSEL)];
-    assert_accepted("GFCL_MORSEL", |c| c.exec.morsel_size, &cases);
-    // A non-default morsel produces identical results.
-    assert_eq!(run(ExecOptions::serial()).unwrap(), run(ExecOptions::serial().morsel(3)).unwrap());
+fn gfcl_buffer_mb_is_validated() {
+    assert_rejected("GFCL_BUFFER_MB", &["big", "-1", "2.5"]);
+    // A size whose byte count overflows is rejected, not wrapped to a
+    // near-zero pool.
+    assert_rejected("GFCL_BUFFER_MB", &["17592186044416", "18446744073709551615"]);
+
+    // A valid value is honored (floor one page); unset, empty or an
+    // unrelated variable leaves the caller's size alone.
+    let pages_per_mib = (1024 * 1024) / gfcl_columnar::PAGE_SIZE;
+    let cases = [
+        ("1", Some(pages_per_mib)),
+        (" 3 ", Some(3 * pages_per_mib)),
+        ("0", Some(1)),
+        ("", None),
+        ("  ", None),
+    ];
+    assert_accepted("GFCL_BUFFER_MB", |c| c.buffer_pool_pages, &cases);
+    assert_eq!(parse(&[("GFCL_THREADS", "4")]).unwrap().buffer_pool_pages, None);
 }
 
 #[test]
 fn a_caller_built_zero_fails_naming_the_field() {
     for (opts, field) in [
         (ExecOptions { threads: 0, ..ExecOptions::serial() }, "threads"),
+        (ExecOptions::with_threads(0), "threads"),
         (ExecOptions::serial().morsel(0), "morsel_size"),
         (ExecOptions::serial().time_limit_ms(0), "time_limit_ms"),
         (ExecOptions::serial().mem_limit_bytes(0), "mem_limit_bytes"),

@@ -11,9 +11,8 @@
 //! Everything is driven by one seeded xorshift generator, so a failing
 //! chaos run reproduces from its printed seed. Rates are expressed in
 //! parts-per-million of page reads. Injection is armed only through
-//! [`ColumnarGraph::open_with_faults`](crate::ColumnarGraph::open_with_faults);
-//! a process that wants it from the `GFCL_FAULT_*` variables gets the
-//! [`FaultConfig`] from `gfcl_core::Config`.
+//! [`ColumnarGraph::open_with_faults`](crate::ColumnarGraph::open_with_faults),
+//! by a caller that builds its own [`FaultConfig`].
 
 use std::collections::{HashMap, HashSet};
 use std::fs::File;

@@ -7,8 +7,9 @@
 //! and every fault flavor (transient read errors, permanent read errors,
 //! one-shot checksum bit-flips, sticky bit-flips) hits the pool's
 //! retry-then-propagate path. The seed comes from `GFCL_FAULT_SEED`
-//! (through `Config::from_env`) when the CI chaos job sets it and is
-//! printed in every assertion, so a failing run reproduces with
+//! (read here; a set but unparsable value fails the run) when the CI
+//! chaos job sets it and is printed in every assertion, so a failing run
+//! reproduces with
 //! `GFCL_FAULT_SEED=<seed> cargo test --test chaos`.
 //!
 //! WAL append (fsync-path) failures are injected separately through
@@ -48,15 +49,21 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gfcl_chaos_{}_{name}.gfcl", std::process::id()))
 }
 
-/// The process configuration: `GFCL_FAULT_SEED` and `GFCL_THREADS`.
+/// The process configuration: `GFCL_THREADS`.
 fn env() -> Config {
     Config::from_env().unwrap_or_else(|e| panic!("GFCL_* configuration: {e}"))
 }
 
 /// The run's base seed: `GFCL_FAULT_SEED` when the chaos job sets it,
-/// a fixed default otherwise. Printed in every failure message.
+/// a fixed default when it is unset or blank. Printed in every failure
+/// message.
 fn base_seed() -> u64 {
-    env().faults.map_or(0xC0FFEE, |f| f.seed)
+    match std::env::var("GFCL_FAULT_SEED").as_deref().map(str::trim) {
+        Ok(s) if !s.is_empty() => {
+            s.parse().unwrap_or_else(|_| panic!("GFCL_FAULT_SEED must be a u64, got {s:?}"))
+        }
+        _ => 0xC0FFEE,
+    }
 }
 
 /// GF-CL at the process configuration's worker count.

@@ -361,7 +361,7 @@ pub use gfcl_common::{
 /// one parser of the `GFCL_*` variables.
 pub use gfcl_core::{
     Agg, AggFunc, CachedPlan, CancelReason, CancelToken, Config, Engine, ExecOptions, GfClEngine,
-    LogicalPlan, OrderSource, PatternQuery, PlanCacheStats, QueryBudget, QueryOutput, SortDir,
+    LogicalPlan, OrderSource, PatternQuery, PlanCacheStats, QueryOutput, SortDir,
     PLAN_CACHE_CAPACITY,
 };
 /// The storage layer: catalogs (with build-time [`storage::Stats`]), the
